@@ -63,10 +63,22 @@ def _cell_worker(job):
     return classify_ido_cell(n, cell, flavor)
 
 
-def _run_cells(jobs, workers):
+def _worker_count(jobs: int, cells: int, cpus) -> int:
+    """Worker processes for a scan: min(--jobs, CPUs, cells), at least one.
+
+    `cpus` is `os.cpu_count()`, which may be None.  The pool starts every
+    worker up front, so asking for more than can run only costs start-up.
+    """
+    return max(1, min(jobs, cpus or 1, cells))
+
+
+def _run_cells(jobs, requested):
+    workers = _worker_count(requested, len(jobs), os.cpu_count())
     if workers > 1:
+        # a few chunks per worker: fewer round trips, still balanced
+        chunksize = max(1, len(jobs) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_cell_worker, jobs))
+            return list(pool.map(_cell_worker, jobs, chunksize=chunksize))
     return [_cell_worker(j) for j in jobs]
 
 
@@ -214,6 +226,19 @@ def cmd_branch(args) -> int:
     return 0 if report["status"] == "pass" else 1
 
 
+def _int_at_least(lowest):
+    """argparse type: an int >= lowest, else a usage error (exit 2)."""
+
+    def parse(text):
+        value = int(text)
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="fmethod",
@@ -224,7 +249,7 @@ def build_parser():
 
     c = sub.add_parser("classify", help="run a classification scan")
     c.add_argument("--flavor", choices=["sl", "gl"], default="sl")
-    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--n", type=_int_at_least(2), required=True)
     c.add_argument("--m-max", type=int, default=3)
     c.add_argument("--l-max", type=int, default=3)
     c.add_argument("--k-max", type=int, default=4)
@@ -235,12 +260,12 @@ def build_parser():
     c.add_argument("--connected", action="store_true", help="identity-component equivariance only")
     c.add_argument("--format", choices=["json", "csv", "table"], default="table")
     c.add_argument("--out", default=None)
-    c.add_argument("--jobs", type=int, default=1)
+    c.add_argument("--jobs", type=_int_at_least(1), default=1)
     c.set_defaults(func=cmd_classify)
 
     v = sub.add_parser("verify", help="verify operator identities")
     v.add_argument("what", choices=["factorization", "equivariance", "images", "verma-factorization"])
-    v.add_argument("--n", type=int, required=True)
+    v.add_argument("--n", type=_int_at_least(2), required=True)
     v.add_argument("--m", type=int, default=1)
     v.add_argument("--l", type=int, default=0)
     v.add_argument("--deg", type=int, default=6)
@@ -253,7 +278,7 @@ def build_parser():
     v.set_defaults(func=cmd_verify)
 
     b = sub.add_parser("branch", help="verify branching laws")
-    b.add_argument("--n", type=int, required=True)
+    b.add_argument("--n", type=_int_at_least(2), required=True)
     b.add_argument("--s", default=None)
     b.add_argument("--p", type=int, default=None)
     b.add_argument("--deg", type=int, default=10)

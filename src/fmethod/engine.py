@@ -7,10 +7,14 @@ kernel of dpi_hat(N_j^+) tensor id over the primed (or, in full-nilradical
 mode, the whole) nilpotent radical.
 
 Diagonal constraints (the A'-weights, the Cartan of m', the gamma signs)
-act diagonally on monomial pairs and are applied as filters; what remains
-goes through one RREF nullspace per homogeneous degree.  Output bases are
-RREF-canonical in the graded-lex coordinate order, so every scan is
-reproducible byte for byte.
+act diagonally on monomial pairs, so they are solved by enumeration: each
+diagonal element's eigenvalue on zeta^m is an affine form in the exponents,
+read once per solve from the normal form of its operator, and the pairs of
+a degree are the monomials whose integer-scaled weights and sign parities
+key a fiber label.  Degrees whose A'-weight range holds no label are not
+enumerated at all.  What remains goes through one RREF nullspace per
+homogeneous degree.  Output bases are RREF-canonical in the graded-lex
+coordinate order, so every scan is reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -110,6 +114,29 @@ def _prod(items):
     return out
 
 
+def _eigenvalue_form(op):
+    """(c0, [c_1, .., c_n]) with op(zeta^m) = (c0 + sum_j c_j m_j) zeta^m.
+
+    Read off the normal form: a term p(zeta) d^alpha maps every monomial to
+    a multiple of itself only when p = c zeta^alpha, and then acts on zeta^m
+    by c times the falling power m^(alpha), which is affine for |alpha| <= 1.
+    """
+    c0 = Fraction(0)
+    coeffs = [Fraction(0)] * op.arity
+    for alpha, p in op.terms.items():
+        if set(p.terms) != {alpha}:
+            raise ValueError("diagonal element acted off-diagonally")
+        order = sum(alpha)
+        if order > 1:
+            raise ValueError("diagonal element has a non-affine eigenvalue")
+        c = p.terms[alpha]
+        if order == 0:
+            c0 = c
+        else:
+            coeffs[alpha.index(1)] = c
+    return c0, coeffs
+
+
 class _SolveContext:
     """Shared data for one (source, target, mode) solve."""
 
@@ -126,28 +153,48 @@ class _SolveContext:
         )
         self.labels = self.fiber.labels(self.pd)
         primed = not full_nilradical
-        self.diag = [self.pd.h0_tilde if full_nilradical else self.pd.h0_tilde_prime]
+        diag = [self.pd.h0_tilde if full_nilradical else self.pd.h0_tilde_prime]
         if source.flavor == GL:
-            self.diag.append(self.pd.j0 if full_nilradical else self.pd.j0_prime)
-        self.diag.extend(self.pd.m_cartan(primed=primed))
+            diag.append(self.pd.j0 if full_nilradical else self.pd.j0_prime)
+        diag.extend(self.pd.m_cartan(primed=primed))
         self.offdiag = self.pd.m_offdiag(primed=primed)
-        self.gamma_data = []
-        if not connected:
-            for g in self.pd.gamma_elements(primed=primed):
-                self.gamma_data.append(self._gamma_datum(g))
         js = range(1, (self.n if full_nilradical else self.n - 1) + 1)
         self.fsys_ops = [dpi_hat(self.pd.n_plus(j), source) for j in js]
-        self._diag_ops = [dpi_hat(Z, source) for Z in self.diag]
-        self._diag_fiber_eigs = []
-        for Z in self.diag:
-            acts = self.fiber.act(Z, self.pd)
+
+        # A pair (zeta^m, label) is kept when every diagonal element has the
+        # same eigenvalue on zeta^m as on the label, and every component
+        # group generator the same sign.  Each condition is scaled to an
+        # integer equation  form . m == target(label), and the gamma signs
+        # become parities of m over the coordinates where gamma acts by -1;
+        # labels are then keyed by their (targets, parities) tuple.
+        self._forms = []
+        targets = {lbl: [] for lbl in self.labels}
+        for Z in diag:
+            c0, coeffs = _eigenvalue_form(dpi_hat(Z, source))
+            acts = self.fiber.act_cached(Z, self.pd)
             if any(k[0] != k[1] for k in acts):
                 raise ValueError("fiber action of a diagonal element is not diagonal")
-            self._diag_fiber_eigs.append(
-                {lbl: acts.get((lbl, lbl), Fraction(0)) for lbl in self.labels}
-            )
+            scale = math.lcm(*(c.denominator for c in coeffs))
+            self._forms.append(tuple(int(c * scale) for c in coeffs))
+            for lbl in self.labels:
+                targets[lbl].append((acts.get((lbl, lbl), Fraction(0)) - c0) * scale)
+        self._gamma_masks = []
+        parities = {lbl: [] for lbl in self.labels}
+        if not connected:
+            for g in self.pd.gamma_elements(primed=primed):
+                mask, label_parity = self._gamma_datum(g)
+                self._gamma_masks.append(mask)
+                for lbl in self.labels:
+                    parities[lbl].append(label_parity[lbl])
+        self._labels_by_key = {}
+        for lbl in self.labels:
+            # a non-integral target is met by no monomial
+            if all(t.denominator == 1 for t in targets[lbl]):
+                key = tuple(int(t) for t in targets[lbl]) + tuple(parities[lbl])
+                self._labels_by_key.setdefault(key, []).append(lbl)
 
     def _gamma_datum(self, gamma):
+        """(coordinates where gamma acts by -1, label -> required parity there)."""
         pd = self.pd
         g0 = gamma.entries[0][0]
         ad = [gamma.entries[j][j] * g0 for j in range(1, pd.n + 1)]
@@ -159,12 +206,14 @@ class _SolveContext:
         )
         v_side = self._char_sign(self.source.alpha, g0, det_block)
         w_side = self._char_sign(self.target.beta, g0, det_w)
-        # the fiber transforms by the block entries themselves (no Ad twist)
-        fiber_signs = {
-            lbl: _prod(gamma.entries[j + 1][j + 1] ** lbl[j] for j in range(self.block))
-            for lbl in self.labels
-        }
-        return ad, v_side, w_side, fiber_signs
+        # The fiber transforms by the block entries themselves (no Ad twist).
+        # Every sign is +-1, so  w_side * fiber sign == v_side * ad^m  fixes
+        # the parity of m summed over the coordinates where ad is -1.
+        label_parity = {}
+        for lbl in self.labels:
+            fiber_sign = _prod(gamma.entries[j + 1][j + 1] ** lbl[j] for j in range(self.block))
+            label_parity[lbl] = int(w_side * v_side * fiber_sign < 0)
+        return tuple(j for j, a in enumerate(ad) if a < 0), label_parity
 
     def _char_sign(self, parities, g0, det_block):
         if self.source.flavor == SL:
@@ -174,43 +223,24 @@ class _SolveContext:
             s *= det_block
         return s
 
-    # -- filters ----------------------------------------------------------
-
-    def _mono_eigs(self, mono):
-        p = Polynomial.monomial(self.n, mono, 1, "zeta")
-        eigs = []
-        for op in self._diag_ops:
-            q = op.apply(p)
-            if q.is_zero():
-                eigs.append(Fraction(0))
-            elif set(q.terms) == {tuple(mono)}:
-                eigs.append(q.terms[tuple(mono)])
-            else:
-                raise ValueError("diagonal element acted off-diagonally")
-        return eigs
+    # -- enumeration ----------------------------------------------------------
 
     def unknowns_at_degree(self, degree):
+        """The (monomial, label) pairs of one degree that meet every diagonal condition.
+
+        Listed in descending graded-lex order of (monomial, label): the
+        monomials come from `monomial_basis` and each key's labels keep the
+        order of `self.labels`, both descending.
+        """
+        a_prime = self._forms[0]
+        lo, hi = degree * min(a_prime), degree * max(a_prime)
+        if not any(lo <= key[0] <= hi for key in self._labels_by_key):
+            return []
         out = []
         for mono in monomial_basis(self.n, degree):
-            eigs = self._mono_eigs(mono)
-            ad_sign = [
-                _prod(gd[0][j] ** mono[j] for j in range(self.n))
-                for gd in self.gamma_data
-            ]
-            for lbl in self.labels:
-                if any(
-                    eigs[i] != feig[lbl]
-                    for i, feig in enumerate(self._diag_fiber_eigs)
-                ):
-                    continue
-                ok = True
-                for gi, (ad, v_side, w_side, fs) in enumerate(self.gamma_data):
-                    if w_side * fs[lbl] != v_side * ad_sign[gi]:
-                        ok = False
-                        break
-                if ok:
-                    out.append((mono, lbl))
-        out.sort(key=lambda u: (monomial_key(u[0]), monomial_key(u[1])), reverse=True)
+            key = tuple(sum(c * e for c, e in zip(form, mono)) for form in self._forms)
+            key += tuple(sum(mono[j] for j in mask) % 2 for mask in self._gamma_masks)
+            out.extend((mono, lbl) for lbl in self._labels_by_key.get(key, ()))
         return out
 
     # -- linear stages ------------------------------------------------------
@@ -229,7 +259,7 @@ class _SolveContext:
 
         for zi, Z in enumerate(self.offdiag):
             op = dpi_hat(Z, self.source)
-            act = self.fiber.act(Z, self.pd)
+            act = self.fiber.act_cached(Z, self.pd)
             for col, (mono, lbl) in enumerate(unknowns):
                 image = op.apply(Polynomial.monomial(self.n, mono, 1, "zeta"))
                 for om, c in image.terms.items():

@@ -246,16 +246,19 @@ class SymFiber:
     def labels(self, pd):
         return monomial_basis(self.block, self.degree)
 
+    def weight(self, L: LieElement, pd: ParabolicData) -> Fraction:
+        """Scalar by which the characters of L act on every label."""
+        weight = self.weights[0] * L.entries[0][0]
+        if pd.flavor == GL and len(self.weights) > 1:
+            weight += self.weights[1] * L.trace()
+        return weight
+
     def act(self, L: LieElement, pd: ParabolicData) -> dict:
         c1 = L.entries[0][0]
         Z = L.sub((pd.h0_tilde_prime if self.block == pd.n - 1 else pd.h0_tilde).scale(c1))
-        c2 = None
         if pd.flavor == GL:
-            c2 = L.trace()
-            Z = Z.sub((pd.j0_prime if self.block == pd.n - 1 else pd.j0).scale(c2))
-        weight = self.weights[0] * c1
-        if c2 is not None and len(self.weights) > 1:
-            weight += self.weights[1] * c2
+            Z = Z.sub((pd.j0_prime if self.block == pd.n - 1 else pd.j0).scale(L.trace()))
+        weight = self.weight(L, pd)
         B = [[Z.entries[i][j] for j in range(1, self.block + 1)] for i in range(1, self.block + 1)]
         out = {}
         for k in self.labels(pd):
@@ -277,6 +280,27 @@ class SymFiber:
             for k in self.labels(pd):
                 out[(k, k)] = out.get((k, k), Fraction(0)) + weight
         return {k: v for k, v in out.items() if v}
+
+    def act_cached(self, L: LieElement, pd: ParabolicData) -> dict:
+        """Same as `act`, from the m-part cached across weights; read only.
+
+        The m-part does not depend on the character weights, so one table
+        per (degree, block, dual, L, pd) serves every classification cell.
+        """
+        act = _sym_m_action(self.degree, self.block, self.dual, L, pd)
+        weight = self.weight(L, pd)
+        if not weight:
+            return act
+        out = dict(act)
+        for k in self.labels(pd):
+            out[(k, k)] = out.get((k, k), Fraction(0)) + weight
+        return {k: v for k, v in out.items() if v}
+
+
+@lru_cache(maxsize=None)
+def _sym_m_action(degree, block, dual, L: LieElement, pd: ParabolicData) -> dict:
+    """The m-part of SymFiber.act: the action with every character weight zero."""
+    return SymFiber(degree, block, (0, 0), dual).act(L, pd)
 
 
 # -- the engine --------------------------------------------------------------

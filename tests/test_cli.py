@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fmethod.cli import main
+from fmethod.cli import _worker_count, main
 
 
 def run(capsys, *argv):
@@ -141,3 +141,32 @@ def test_jobs_flag_matches_serial(capsys):
     _, serial, _ = run(capsys, *base, "--jobs", "1")
     _, parallel, _ = run(capsys, *base, "--jobs", "2")
     assert serial == parallel
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--n", "1"),
+        ("classify", "--n", "0", "--ido"),
+        ("classify", "--n", "2", "--jobs", "0"),
+        ("classify", "--n", "2", "--jobs", "-3"),
+        ("verify", "factorization", "--n", "1"),
+        ("branch", "--n", "1", "--p", "0"),
+    ],
+)
+def test_out_of_range_arguments_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "usage:" in captured.err and "must be >= " in captured.err
+
+
+def test_worker_count_clamps():
+    assert _worker_count(8, 800, 2) == 2
+    assert _worker_count(2, 800, 16) == 2
+    assert _worker_count(4, 3, 16) == 3
+    assert _worker_count(4, 0, 16) == 1
+    assert _worker_count(1, 800, 16) == 1
+    assert _worker_count(4, 800, None) == 1

@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from fmethod import engine
+from fmethod.algebra import Polynomial, monomial_basis, monomial_key
 from fmethod.engine import (
+    _eigenvalue_form,
     _SolveContext,
     classify,
     classify_ido_cell,
@@ -15,7 +18,9 @@ from fmethod.engine import (
     solve_fsystem_full_nilradical,
     weight_degree_cap,
 )
-from fmethod.rep import ScalarRepParams, TargetRepParams
+from fmethod.liealg import GL, SL, parabolic
+from fmethod.rep import ScalarRepParams, SymFiber, TargetRepParams, dpi_hat
+from fmethod.weyl import WeylElement
 
 
 def sl_pair(n, lam, m, ell, alpha=0):
@@ -179,3 +184,163 @@ def test_negative_weight_gap_is_empty():
     src = ScalarRepParams.sl(2, Fraction(3), 0)
     tgt = TargetRepParams.sl(2, Fraction(2), ell=0, beta=0)
     assert solve_fsystem(src, tgt, weight_degree_cap(Fraction(-1))).dim == 0
+
+
+# -- enumeration against the brute-force filter --------------------------------
+
+
+def _product(items):
+    out = Fraction(1)
+    for x in items:
+        out *= x
+    return out
+
+
+def _char_sign(flavor, parities, g0, det_block):
+    if flavor == SL:
+        return det_block if parities[0] % 2 else Fraction(1)
+    s = g0 if parities[0] % 2 else Fraction(1)
+    return s * det_block if parities[1] % 2 else s
+
+
+def _brute_force_unknowns(source, target, degree, connected, full):
+    """Every (monomial, label) pair through every diagonal dpi_hat, as a filter."""
+    n, pd = source.n, parabolic(source.n, source.flavor)
+    block = n if full else n - 1
+    fiber = SymFiber(target.ell, block, tuple(-x for x in target.nu))
+    labels = fiber.labels(pd)
+    diag = [pd.h0_tilde if full else pd.h0_tilde_prime]
+    if source.flavor == GL:
+        diag.append(pd.j0 if full else pd.j0_prime)
+    diag.extend(pd.m_cartan(primed=not full))
+    fiber_eigs = [
+        {lbl: fiber.act(Z, pd).get((lbl, lbl), Fraction(0)) for lbl in labels} for Z in diag
+    ]
+    gammas = [] if connected else [g.entries for g in pd.gamma_elements(primed=not full)]
+    out = []
+    for mono in monomial_basis(n, degree):
+        p = Polynomial.monomial(n, mono, 1, "zeta")
+        eigs = []
+        for Z in diag:
+            image = dpi_hat(Z, source).apply(p)
+            assert set(image.terms) <= {mono}
+            eigs.append(image.coefficient(mono))
+        for lbl in labels:
+            if any(e != fe[lbl] for e, fe in zip(eigs, fiber_eigs)):
+                continue
+            ok = True
+            for g in gammas:
+                g0 = g[0][0]
+                ad_sign = _product((g[j + 1][j + 1] * g0) ** mono[j] for j in range(n))
+                det_block = _product(g[j][j] for j in range(1, n + 1))
+                det_w = det_block if full else _product(g[j][j] for j in range(1, n))
+                v_side = _char_sign(source.flavor, source.alpha, g0, det_block)
+                w_side = _char_sign(source.flavor, target.beta, g0, det_w)
+                fiber_sign = _product(g[j + 1][j + 1] ** lbl[j] for j in range(block))
+                ok = ok and w_side * fiber_sign == v_side * ad_sign
+            if ok:
+                out.append((mono, lbl))
+    out.sort(key=lambda u: (monomial_key(u[0]), monomial_key(u[1])), reverse=True)
+    return out
+
+
+def _enumeration_case(n, flavor, full, critical, alpha=0, shift=0):
+    """(source, target, cap) with m = 1, ell = 2; matched signs when shift = 0.
+
+    Primed: beta = alpha + m + ell + shift.  Full nilradical (ell plays the
+    order k): beta = alpha + ell + shift.
+    """
+    m, ell = 1, 2
+    beta = (alpha + ell + shift + (0 if full else m)) % 2
+    if full:
+        lam = Fraction(1 - ell) if critical else Fraction(1, 3)
+        tau = lam + Fraction(n + 1, n) * ell
+        if flavor == SL:
+            return ScalarRepParams.sl(n, lam, alpha), TargetRepParams.sl(n, tau, ell, beta), ell + 2
+        source = ScalarRepParams.gl(n, lam, Fraction(1, 2), alpha, 0)
+        target = TargetRepParams.gl(n, tau, Fraction(1, 2) - Fraction(ell, n), ell, beta, 0)
+        return source, target, ell + 2
+    lam = Fraction(1 - (m + ell)) if critical else Fraction(-7, 2)
+    nu = lam + m + Fraction(n, n - 1) * ell
+    cap = weight_degree_cap(nu - lam) + 2
+    if flavor == SL:
+        return ScalarRepParams.sl(n, lam, alpha), TargetRepParams.sl(n, nu, ell, beta), cap
+    source = ScalarRepParams.gl(n, lam, Fraction(0), alpha, 0)
+    target = TargetRepParams.gl(n, nu, -Fraction(ell, n - 1), ell, beta, 0)
+    return source, target, cap
+
+
+@pytest.mark.parametrize("critical", [True, False])
+@pytest.mark.parametrize("connected", [False, True])
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("flavor", [SL, GL])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_enumeration_matches_brute_force(n, flavor, full, connected, critical):
+    source, target, cap = _enumeration_case(n, flavor, full, critical)
+    ctx = _SolveContext(source, target, connected, full)
+    sizes = []
+    for d in range(cap + 1):
+        expected = _brute_force_unknowns(source, target, d, connected, full)
+        assert ctx.unknowns_at_degree(d) == expected, d
+        sizes.append(len(expected))
+    # the degree range covers kept pairs and degrees with none
+    assert 0 in sizes and any(sizes)
+
+
+@pytest.mark.parametrize("alpha, shift", [(0, 1), (1, 0), (1, 1)])
+def test_enumeration_matches_brute_force_signs(alpha, shift):
+    for flavor in (SL, GL):
+        source, target, cap = _enumeration_case(3, flavor, False, True, alpha, shift)
+        ctx = _SolveContext(source, target)
+        for d in range(cap + 1):
+            assert ctx.unknowns_at_degree(d) == _brute_force_unknowns(source, target, d, False, False)
+
+
+def test_eigenvalue_form_reads_the_normal_form():
+    euler_plus_half = WeylElement.euler(3, "zeta") + Fraction(1, 2)
+    assert _eigenvalue_form(euler_plus_half) == (Fraction(1, 2), [1, 1, 1])
+    src = ScalarRepParams.sl(3, Fraction(1, 3))
+    c0, coeffs = _eigenvalue_form(dpi_hat(parabolic(3).h0_tilde_prime, src))
+    p = Polynomial.monomial(3, (2, 1, 3), 1, "zeta")
+    image = dpi_hat(parabolic(3).h0_tilde_prime, src).apply(p)
+    assert image == p.scale(c0 + 2 * coeffs[0] + coeffs[1] + 3 * coeffs[2])
+
+
+def test_eigenvalue_form_rejects_non_diagonal_operators():
+    z1 = Polynomial.variable(2, 0, "zeta")
+    with pytest.raises(ValueError, match="diagonal element acted off-diagonally"):
+        _eigenvalue_form(WeylElement(2, {(0, 1): z1}, "zeta"))
+    with pytest.raises(ValueError, match="non-affine eigenvalue"):
+        _eigenvalue_form(WeylElement(2, {(2, 0): z1 * z1}, "zeta"))
+
+
+def test_context_rejects_off_diagonal_diagonal_operator(monkeypatch):
+    pd = parabolic(3)
+    diagonal = {pd.h0_tilde_prime, *pd.m_cartan(primed=True)}
+    stray = WeylElement(3, {(0, 1, 0): Polynomial.variable(3, 0, "zeta")}, "zeta")
+
+    def skewed(X, params):
+        op = dpi_hat(X, params)
+        return op + stray if X in diagonal else op
+
+    monkeypatch.setattr(engine, "dpi_hat", skewed)
+    src, tgt, _ = sl_pair(3, Fraction(1, 3), 1, 1)
+    with pytest.raises(ValueError, match="diagonal element acted off-diagonally"):
+        _SolveContext(src, tgt)
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("flavor, weights", [(SL, (Fraction(-7, 3),)), (GL, (Fraction(5, 2), Fraction(-1, 3)))])
+def test_cached_fiber_action_matches_act(flavor, weights, full, dual):
+    n = 3
+    pd = parabolic(n, flavor)
+    elements = pd.l_basis(primed=not full)
+    generic = elements[0]
+    for k, X in enumerate(elements[1:], start=2):
+        generic = generic.add(X.scale(Fraction(k, 3)))
+    for degree in (0, 1, 2):
+        fiber = SymFiber(degree, n if full else n - 1, weights, dual)
+        assert fiber.weight(generic, pd)
+        for X in elements + [generic]:
+            assert fiber.act_cached(X, pd) == fiber.act(X, pd)
