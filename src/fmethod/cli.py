@@ -66,19 +66,24 @@ def _cell_worker(job):
 def _worker_count(jobs: int, cells: int, cpus) -> int:
     """Worker processes for a scan: min(--jobs, CPUs, cells), at least one.
 
-    `cpus` is `os.cpu_count()`, which may be None.  The pool starts every
-    worker up front, so asking for more than can run only costs start-up.
+    `cpus` may be None (unknown).  The pool starts every worker up front,
+    so asking for more than can run only costs start-up.
     """
     return max(1, min(jobs, cpus or 1, cells))
 
 
+def _usable_cpus():
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
 def _run_cells(jobs, requested):
-    workers = _worker_count(requested, len(jobs), os.cpu_count())
+    workers = _worker_count(requested, len(jobs), _usable_cpus())
     if workers > 1:
-        # a few chunks per worker: fewer round trips, still balanced
-        chunksize = max(1, len(jobs) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_cell_worker, jobs, chunksize=chunksize))
+            return list(pool.map(_cell_worker, jobs))
     return [_cell_worker(j) for j in jobs]
 
 

@@ -171,7 +171,7 @@ class _SolveContext:
         targets = {lbl: [] for lbl in self.labels}
         for Z in diag:
             c0, coeffs = _eigenvalue_form(dpi_hat(Z, source))
-            acts = self.fiber.act_cached(Z, self.pd)
+            acts = self.fiber.act(Z, self.pd)
             if any(k[0] != k[1] for k in acts):
                 raise ValueError("fiber action of a diagonal element is not diagonal")
             scale = math.lcm(*(c.denominator for c in coeffs))
@@ -259,7 +259,7 @@ class _SolveContext:
 
         for zi, Z in enumerate(self.offdiag):
             op = dpi_hat(Z, self.source)
-            act = self.fiber.act_cached(Z, self.pd)
+            act = self.fiber.act(Z, self.pd)
             for col, (mono, lbl) in enumerate(unknowns):
                 image = op.apply(Polynomial.monomial(self.n, mono, 1, "zeta"))
                 for om, c in image.terms.items():

@@ -254,53 +254,50 @@ class SymFiber:
         return weight
 
     def act(self, L: LieElement, pd: ParabolicData) -> dict:
-        c1 = L.entries[0][0]
-        Z = L.sub((pd.h0_tilde_prime if self.block == pd.n - 1 else pd.h0_tilde).scale(c1))
-        if pd.flavor == GL:
-            Z = Z.sub((pd.j0_prime if self.block == pd.n - 1 else pd.j0).scale(L.trace()))
+        """Action of L on the labels, as {(out label, in label): coefficient}.
+
+        The m-part does not depend on the character weights, so it is
+        built once per (degree, block, dual, L, pd) and shared by every
+        fiber with those data; the weight is added on the diagonal of a
+        fresh copy.
+        """
+        out = dict(_sym_m_action(self.degree, self.block, self.dual, L, pd))
         weight = self.weight(L, pd)
-        B = [[Z.entries[i][j] for j in range(1, self.block + 1)] for i in range(1, self.block + 1)]
-        out = {}
-        for k in self.labels(pd):
-            for j in range(self.block):
-                if k[j] == 0:
-                    continue
-                for i in range(self.block):
-                    coeff = Fraction(k[j]) * B[i][j]
-                    if not coeff:
-                        continue
-                    kk = list(k)
-                    kk[j] -= 1
-                    kk[i] += 1
-                    kk = tuple(kk)
-                    key = (k, kk) if self.dual else (kk, k)
-                    sgn = -coeff if self.dual else coeff
-                    out[key] = out.get(key, Fraction(0)) + sgn
         if weight:
             for k in self.labels(pd):
                 out[(k, k)] = out.get((k, k), Fraction(0)) + weight
-        return {k: v for k, v in out.items() if v}
-
-    def act_cached(self, L: LieElement, pd: ParabolicData) -> dict:
-        """Same as `act`, from the m-part cached across weights; read only.
-
-        The m-part does not depend on the character weights, so one table
-        per (degree, block, dual, L, pd) serves every classification cell.
-        """
-        act = _sym_m_action(self.degree, self.block, self.dual, L, pd)
-        weight = self.weight(L, pd)
-        if not weight:
-            return act
-        out = dict(act)
-        for k in self.labels(pd):
-            out[(k, k)] = out.get((k, k), Fraction(0)) + weight
-        return {k: v for k, v in out.items() if v}
+            out = {k: v for k, v in out.items() if v}
+        return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _sym_m_action(degree, block, dual, L: LieElement, pd: ParabolicData) -> dict:
-    """The m-part of SymFiber.act: the action with every character weight zero."""
-    return SymFiber(degree, block, (0, 0), dual).act(L, pd)
+    """The m-part of SymFiber.act: the action with every character weight zero.
+
+    Shared between calls; `act` copies it before adding the weight.
+    """
+    c1 = L.entries[0][0]
+    Z = L.sub((pd.h0_tilde_prime if block == pd.n - 1 else pd.h0_tilde).scale(c1))
+    if pd.flavor == GL:
+        Z = Z.sub((pd.j0_prime if block == pd.n - 1 else pd.j0).scale(L.trace()))
+    B = [[Z.entries[i][j] for j in range(1, block + 1)] for i in range(1, block + 1)]
+    out = {}
+    for k in monomial_basis(block, degree):
+        for j in range(block):
+            if k[j] == 0:
+                continue
+            for i in range(block):
+                coeff = Fraction(k[j]) * B[i][j]
+                if not coeff:
+                    continue
+                kk = list(k)
+                kk[j] -= 1
+                kk[i] += 1
+                kk = tuple(kk)
+                key = (k, kk) if dual else (kk, k)
+                sgn = -coeff if dual else coeff
+                out[key] = out.get(key, Fraction(0)) + sgn
+    return {k: v for k, v in out.items() if v}
 
 
 # -- the engine --------------------------------------------------------------

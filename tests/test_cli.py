@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from fmethod.cli import _worker_count, main
+from fmethod import cli
+from fmethod.cli import _usable_cpus, _worker_count, main
 
 
 def run(capsys, *argv):
@@ -136,10 +137,21 @@ def test_output_file(tmp_path, capsys):
     assert rows
 
 
-def test_jobs_flag_matches_serial(capsys):
+def test_jobs_flag_matches_serial(capsys, monkeypatch):
+    # on a one-CPU host the clamp would run --jobs 2 serially; force the pool
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    started = []
+
+    class Recording(cli.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
     base = ("classify", "--n", "2", "--m-max", "1", "--l-max", "0", "--format", "json")
     _, serial, _ = run(capsys, *base, "--jobs", "1")
     _, parallel, _ = run(capsys, *base, "--jobs", "2")
+    assert started == [2]
     assert serial == parallel
 
 
@@ -170,3 +182,7 @@ def test_worker_count_clamps():
     assert _worker_count(4, 0, 16) == 1
     assert _worker_count(1, 800, 16) == 1
     assert _worker_count(4, 800, None) == 1
+
+
+def test_usable_cpus_is_positive():
+    assert _usable_cpus() >= 1

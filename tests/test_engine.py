@@ -329,10 +329,38 @@ def test_context_rejects_off_diagonal_diagonal_operator(monkeypatch):
         _SolveContext(src, tgt)
 
 
+def _reference_fiber_action(fiber, L, pd):
+    """SymFiber.act built from scratch, weights included, with no cache."""
+    full = fiber.block == pd.n
+    c1 = L.entries[0][0]
+    Z = L.sub((pd.h0_tilde if full else pd.h0_tilde_prime).scale(c1))
+    weight = fiber.weights[0] * c1
+    if pd.flavor == GL:
+        c2 = L.trace()
+        Z = Z.sub((pd.j0 if full else pd.j0_prime).scale(c2))
+        if len(fiber.weights) > 1:
+            weight += fiber.weights[1] * c2
+    out = {}
+    for k in monomial_basis(fiber.block, fiber.degree):
+        if weight:
+            out[(k, k)] = out.get((k, k), Fraction(0)) + weight
+        for j in range(fiber.block):
+            for i in range(fiber.block):
+                coeff = k[j] * Z.entries[i + 1][j + 1]
+                if not coeff:
+                    continue
+                kk = list(k)
+                kk[j] -= 1
+                kk[i] += 1
+                key = (k, tuple(kk)) if fiber.dual else (tuple(kk), k)
+                out[key] = out.get(key, Fraction(0)) + (-coeff if fiber.dual else coeff)
+    return {key: v for key, v in out.items() if v}
+
+
 @pytest.mark.parametrize("dual", [False, True])
 @pytest.mark.parametrize("full", [False, True])
 @pytest.mark.parametrize("flavor, weights", [(SL, (Fraction(-7, 3),)), (GL, (Fraction(5, 2), Fraction(-1, 3)))])
-def test_cached_fiber_action_matches_act(flavor, weights, full, dual):
+def test_cached_fiber_action_matches_reference(flavor, weights, full, dual):
     n = 3
     pd = parabolic(n, flavor)
     elements = pd.l_basis(primed=not full)
@@ -341,6 +369,22 @@ def test_cached_fiber_action_matches_act(flavor, weights, full, dual):
         generic = generic.add(X.scale(Fraction(k, 3)))
     for degree in (0, 1, 2):
         fiber = SymFiber(degree, n if full else n - 1, weights, dual)
+        weightless = SymFiber(degree, fiber.block, (0, 0), dual)
         assert fiber.weight(generic, pd)
         for X in elements + [generic]:
-            assert fiber.act_cached(X, pd) == fiber.act(X, pd)
+            # twice each: the second call is served from the cached m-part
+            for _ in range(2):
+                assert fiber.act(X, pd) == _reference_fiber_action(fiber, X, pd)
+                assert weightless.act(X, pd) == _reference_fiber_action(weightless, X, pd)
+
+
+def test_fiber_action_is_a_fresh_dict():
+    pd = parabolic(3, SL)
+    X = pd.l_basis(primed=True)[-1]
+    fiber = SymFiber(2, 2, (Fraction(0),))
+    assert not fiber.weight(X, pd)
+    first = fiber.act(X, pd)
+    expected = dict(first)
+    assert expected
+    first.clear()
+    assert fiber.act(X, pd) == expected
