@@ -14,9 +14,9 @@ one scalar type (fractions.Fraction).  No floating point is used anywhere.
 
 from fractions import Fraction as Rational
 
-from .algebra import Matrix, Polynomial, monomial_basis, nullspace
+from .algebra import Matrix, Polynomial, monomial_basis, sparse_nullspace
 from .branch import invariants_in, verify_branching
-from .engine import classify, equivariant_basis, solve_fsystem, solve_fsystem_full_nilradical
+from .engine import classify, equivariant_basis, solve_fsystem
 from .liealg import LieElement, ParabolicData, ad_exp_minus, bracket, parabolic
 from .operators import (
     build_ido,
@@ -46,7 +46,7 @@ from .verma import (
     classify_homs,
     verify_factorization_verma,
 )
-from .weyl import WeylElement, symb, symb_inverse
+from .weyl import WeylElement, symb_inverse
 
 __version__ = "0.1.0"
 
@@ -86,11 +86,9 @@ __all__ = [
     "in_lambda_sl",
     "invariants_in",
     "monomial_basis",
-    "nullspace",
     "parabolic",
     "solve_fsystem",
-    "solve_fsystem_full_nilradical",
-    "symb",
+    "sparse_nullspace",
     "symb_inverse",
     "verify_branching",
     "verify_factorization_sbo",

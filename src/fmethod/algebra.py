@@ -15,8 +15,6 @@ import math
 import re
 from fractions import Fraction
 
-Rational = Fraction
-
 Monomial = tuple  # exponent tuple, arity fixed by the ambient ring
 
 
@@ -27,10 +25,6 @@ def monomial_key(m: Monomial):
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
 
 
 def monomial_basis(arity: int, degree: int) -> list[Monomial]:
@@ -126,19 +120,8 @@ class Polynomial:
             raise ValueError("polynomial is not constant")
         return self.terms.get((0,) * self.arity, Fraction(0))
 
-    def is_homogeneous(self):
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
-
     def coefficient(self, mono) -> Fraction:
         return self.terms.get(tuple(mono), Fraction(0))
-
-    def homogeneous_component(self, degree: int) -> "Polynomial":
-        return Polynomial(
-            self.arity,
-            {m: c for m, c in self.terms.items() if sum(m) == degree},
-            self.var,
-        )
 
     # -- arithmetic ----------------------------------------------------
 
@@ -399,8 +382,13 @@ class Matrix:
         return f"Matrix({self.rows})"
 
 
-def nullspace(M: Matrix) -> list[list[Fraction]]:
-    return M.nullspace()
+def sparse_nullspace(rows, ncols: int) -> list[list[Fraction]]:
+    """Kernel basis of sparse rows ({column: value} dicts) over `ncols` columns.
+
+    No rows at all leave every column free: the unit basis.
+    """
+    dense = [[r.get(c, Fraction(0)) for c in range(ncols)] for r in rows]
+    return Matrix(dense, ncols).nullspace()
 
 
 def rank_of_vectors(vectors: list[list[Fraction]]) -> int:

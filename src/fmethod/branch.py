@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Matrix, Polynomial, monomial_basis
+from .algebra import Polynomial, monomial_basis, sparse_nullspace
 from .liealg import parabolic
 from .rep import ScalarRepParams, dpi_hat
 
@@ -180,18 +180,7 @@ def invariants_in(n: int, s, grade_cap: int, min_grade: int = 0) -> InvariantRep
                     q = op.apply(p)
                     for om, c in q.terms.items():
                         rows.setdefault((jop, om), {})[col] = c
-            if rows:
-                dense = [
-                    [r.get(c, Fraction(0)) for c in range(len(block))]
-                    for r in rows.values()
-                ]
-                kernel = Matrix(dense, len(block)).nullspace()
-            else:
-                kernel = [
-                    [Fraction(1) if i == j else Fraction(0) for i in range(len(block))]
-                    for j in range(len(block))
-                ]
-            for vec in kernel:
+            for vec in sparse_nullspace(rows.values(), len(block)):
                 poly = Polynomial(
                     n, {mono: c for mono, c in zip(block, vec) if c}, "zeta"
                 )

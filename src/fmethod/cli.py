@@ -17,14 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .branch import verify_branching
-from .engine import (
-    classify_gl_cell,
-    classify_gl_cells,
-    classify_ido_cell,
-    classify_ido_cells,
-    classify_sl_cell,
-    classify_sl_cells,
-)
+from .engine import row_key, run_cell, scan_jobs
 from .operators import (
     build_sbo,
     check_equivariance,
@@ -34,7 +27,7 @@ from .operators import (
 )
 from .params import parse_sign
 from .rep import ScalarRepParams, TargetRepParams
-from .verma import classify_homs, verify_factorization_verma
+from .verma import verify_factorization_verma
 
 TABLE_COLUMNS = [
     "flavor",
@@ -48,19 +41,14 @@ TABLE_COLUMNS = [
     "computed_dim",
     "basis_symbols",
 ]
+HOMS_COLUMNS = [
+    "flavor", "n", "alpha", "beta", "l", "s", "r",
+    "predicted_dim", "computed_dim", "basis_symbols",
+]
 
 
 def _parse_fractions(text):
     return tuple(Fraction(x) for x in text.split(",") if x.strip())
-
-
-def _cell_worker(job):
-    kind, n, cell, flavor = job
-    if kind == "sl":
-        return classify_sl_cell(n, cell)
-    if kind == "gl":
-        return classify_gl_cell(n, cell)
-    return classify_ido_cell(n, cell, flavor)
 
 
 def _worker_count(jobs: int, cells: int, cpus) -> int:
@@ -83,8 +71,8 @@ def _run_cells(jobs, requested):
     workers = _worker_count(requested, len(jobs), _usable_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_cell_worker, jobs))
-    return [_cell_worker(j) for j in jobs]
+            return list(pool.map(run_cell, jobs))
+    return [run_cell(j) for j in jobs]
 
 
 def _emit(rows_or_report, fmt, out_path, columns=None):
@@ -123,37 +111,13 @@ def _default_out(path):
 
 
 def cmd_classify(args) -> int:
-    n = args.n
-    samples = _parse_fractions(args.lambda_samples)
-    if args.homs:
-        rows = classify_homs(
-            n, connected=args.connected, m_max=args.m_max, l_max=args.l_max,
-            s_samples=samples,
-        )
-        columns = [
-            "flavor", "n", "alpha", "beta", "l", "s", "r",
-            "predicted_dim", "computed_dim", "basis_symbols",
-        ]
-    else:
-        jobs = []
-        if args.ido:
-            cells = classify_ido_cells(
-                n, args.k_max, samples, args.flavor,
-                _parse_fractions(args.lambda2_samples) if args.flavor == "gl" else (None,),
-            )
-            jobs = [("ido", n, c, args.flavor) for c in cells]
-        elif args.flavor == "sl":
-            jobs = [("sl", n, c, "sl") for c in classify_sl_cells(n, args.m_max, args.l_max, samples)]
-        else:
-            cells = classify_gl_cells(
-                n, args.m_max, args.l_max, samples, _parse_fractions(args.lambda2_samples)
-            )
-            jobs = [("gl", n, c, "gl") for c in cells]
-        rows = _run_cells(jobs, args.jobs)
-        rows.sort(
-            key=lambda r: (r["flavor"], r["n"], r["l"], r["lambda"], r["nu"], r["alpha"], r["beta"])
-        )
-        columns = TABLE_COLUMNS
+    jobs = scan_jobs(
+        args.n, args.flavor, args.m_max, args.l_max,
+        _parse_fractions(args.lambda_samples), _parse_fractions(args.lambda2_samples),
+        ido=args.ido, k_max=args.k_max, homs=args.homs, connected=args.connected,
+    )
+    rows = sorted(_run_cells(jobs, args.jobs), key=row_key)
+    columns = HOMS_COLUMNS if args.homs else TABLE_COLUMNS
     _emit(rows, args.format, _default_out(args.out), columns)
     bad = [r for r in rows if not r["ok"]]
     if bad:
@@ -201,33 +165,18 @@ def cmd_verify(args) -> int:
         )
     else:
         raise ValueError(f"unknown verify target {args.what!r}")
-    text = json.dumps(report, indent=2, default=str) + "\n"
-    out = _default_out(args.out)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(report, "json", _default_out(args.out))
     return 0 if report["status"] == "pass" else 1
 
 
 def cmd_branch(args) -> int:
-    if args.s is None and args.p is None:
-        sys.stderr.write("branch needs --s or --p\n")
-        return 2
     report = verify_branching(
         args.n,
         s=Fraction(args.s) if args.s is not None else None,
         p=args.p,
         D=args.deg,
     )
-    text = json.dumps(report, indent=2, default=str) + "\n"
-    out = _default_out(args.out)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(report, "json", _default_out(args.out))
     return 0 if report["status"] == "pass" else 1
 
 
@@ -255,9 +204,9 @@ def build_parser():
     c = sub.add_parser("classify", help="run a classification scan")
     c.add_argument("--flavor", choices=["sl", "gl"], default="sl")
     c.add_argument("--n", type=_int_at_least(2), required=True)
-    c.add_argument("--m-max", type=int, default=3)
-    c.add_argument("--l-max", type=int, default=3)
-    c.add_argument("--k-max", type=int, default=4)
+    c.add_argument("--m-max", type=_int_at_least(0), default=3)
+    c.add_argument("--l-max", type=_int_at_least(0), default=3)
+    c.add_argument("--k-max", type=_int_at_least(0), default=4)
     c.add_argument("--lambda-samples", default="1/3,5,-7/2")
     c.add_argument("--lambda2-samples", default="0,1/2")
     c.add_argument("--ido", action="store_true", help="scan intertwining operators (full nilradical)")
@@ -271,9 +220,9 @@ def build_parser():
     v = sub.add_parser("verify", help="verify operator identities")
     v.add_argument("what", choices=["factorization", "equivariance", "images", "verma-factorization"])
     v.add_argument("--n", type=_int_at_least(2), required=True)
-    v.add_argument("--m", type=int, default=1)
-    v.add_argument("--l", type=int, default=0)
-    v.add_argument("--deg", type=int, default=6)
+    v.add_argument("--m", type=_int_at_least(0), default=1)
+    v.add_argument("--l", type=_int_at_least(0), default=0)
+    v.add_argument("--deg", type=_int_at_least(0), default=6)
     v.add_argument("--lambda", dest="lam", default="0")
     v.add_argument("--lambda2", dest="lam2", default="0")
     v.add_argument("--nu", default=None)
@@ -284,9 +233,10 @@ def build_parser():
 
     b = sub.add_parser("branch", help="verify branching laws")
     b.add_argument("--n", type=_int_at_least(2), required=True)
-    b.add_argument("--s", default=None)
-    b.add_argument("--p", type=int, default=None)
-    b.add_argument("--deg", type=int, default=10)
+    mode = b.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--s", default=None)
+    mode.add_argument("--p", type=_int_at_least(0), default=None)
+    b.add_argument("--deg", type=_int_at_least(0), default=10)
     b.add_argument("--out", default=None)
     b.set_defaults(func=cmd_branch)
     return ap

@@ -23,16 +23,25 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Matrix, Polynomial, monomial_basis, monomial_key, rank_of_vectors
+from .algebra import (
+    Matrix,
+    Polynomial,
+    monomial_basis,
+    monomial_key,
+    same_span,
+    sparse_nullspace,
+)
 from .liealg import GL, SL, parabolic
 from .params import (
     GLTuple,
     SLQuadruple,
     in_lambda_gl,
     in_lambda_sl,
+    in_lambda_sl_connected,
     predicted_dim_gl,
     predicted_dim_ido,
     predicted_dim_sl,
+    predicted_dim_sl_connected,
     sign_shift,
     sign_str,
 )
@@ -101,10 +110,9 @@ def _vector_to_vvp(vec, unknowns, arity) -> VectorValuedPolynomial:
     )
 
 
-def _unit_vector(n, i):
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
-    return v
+def _add_entry(rows, key, col, value):
+    row = rows.setdefault(key, {})
+    row[col] = row.get(col, Fraction(0)) + value
 
 
 def _prod(items):
@@ -249,31 +257,21 @@ class _SolveContext:
         """Kernel of the m'-offdiagonal equivariance constraints."""
         if not unknowns:
             return []
-        ncols = len(unknowns)
-        col_of = {u: i for i, u in enumerate(unknowns)}
         rows = {}
-
-        def bump(key, col, val):
-            row = rows.setdefault(key, {})
-            row[col] = row.get(col, Fraction(0)) + val
-
         for zi, Z in enumerate(self.offdiag):
             op = dpi_hat(Z, self.source)
             act = self.fiber.act(Z, self.pd)
             for col, (mono, lbl) in enumerate(unknowns):
                 image = op.apply(Polynomial.monomial(self.n, mono, 1, "zeta"))
                 for om, c in image.terms.items():
-                    bump((zi, lbl, om), col, c)
+                    _add_entry(rows, (zi, lbl, om), col, c)
                 # -A_{l', l} c_{(mono, l')} lands in the row (zi, l, mono):
                 # read it column-wise via the transposed action
                 for (outl, inl), a in act.items():
                     if outl != lbl:
                         continue
-                    bump((zi, inl, mono), col, -a)
-        if not rows:
-            return [_unit_vector(ncols, i) for i in range(ncols)]
-        dense = [[r.get(c, Fraction(0)) for c in range(ncols)] for r in rows.values()]
-        return Matrix(dense, ncols).nullspace()
+                    _add_entry(rows, (zi, inl, mono), col, -a)
+        return sparse_nullspace(rows.values(), len(unknowns))
 
     def fsystem_vectors(self, unknowns, eq_vectors):
         if not eq_vectors:
@@ -287,16 +285,9 @@ class _SolveContext:
                 for jop, op in enumerate(self.fsys_ops):
                     q = op.apply(p)
                     for om, c in q.terms.items():
-                        row = rows.setdefault((jop, lbl, om), {})
-                        row[b] = row.get(b, Fraction(0)) + c
-        ncols = len(eq_vectors)
-        if not rows:
-            combo = [_unit_vector(ncols, i) for i in range(ncols)]
-        else:
-            dense = [[r.get(c, Fraction(0)) for c in range(ncols)] for r in rows.values()]
-            combo = Matrix(dense, ncols).nullspace()
+                        _add_entry(rows, (jop, lbl, om), b, c)
         out = []
-        for cv in combo:
+        for cv in sparse_nullspace(rows.values(), len(eq_vectors)):
             full = [Fraction(0)] * len(unknowns)
             for b, w in enumerate(cv):
                 if w:
@@ -365,10 +356,6 @@ def solve_fsystem(
     )
 
 
-def solve_fsystem_full_nilradical(source, target, degree_cap, connected=False):
-    return solve_fsystem(source, target, degree_cap, connected, full_nilradical=True)
-
-
 def _canonicalize(vectors):
     """RREF the solution vectors for a unique canonical basis."""
     if not vectors:
@@ -423,30 +410,53 @@ def vvp_coordinates(vvps):
 
 def same_solution_span(a, b) -> bool:
     """Do two lists of vector-valued polynomials span the same space?"""
-    a, b = list(a), list(b)
-    if not a and not b:
-        return True
-    coords = vvp_coordinates(a + b)
-    ra = rank_of_vectors(coords[: len(a)])
-    rb = rank_of_vectors(coords[len(a):])
-    return ra == rb == rank_of_vectors(coords)
+    a = list(a)
+    coords = vvp_coordinates(a + list(b))
+    return same_span(coords[: len(a)], coords[len(a):])
 
 
 # -- classification scans -----------------------------------------------------
+#
+# A scan is the list of jobs from `scan_jobs`, one per parameter cell.  Each
+# cell function solves its cell through `_row`, and `row_key` orders the
+# table.  `classify` and the CLI, which may map the jobs over a process
+# pool, share all three.
 
 DEFAULT_SAMPLES = (Fraction(1, 3), Fraction(5), Fraction(-7, 2))
+
+
+def _critical_first(critical, samples):
+    """The critical value, then every sample not equal to it, as Fractions."""
+    values = [Fraction(critical)]
+    for s in samples:
+        s = Fraction(s)
+        if s not in values:
+            values.append(s)
+    return values
+
+
+def _sl_target(q: SLQuadruple, n: int) -> TargetRepParams:
+    """Target of a canonical SL quadruple (at n = 2 poly^ell sits in the sign)."""
+    return TargetRepParams.sl(n, q.nu, ell=q.ell, beta=q.beta)
+
+
+def _row(head, source, target, degree_cap, predicted, expected, **mode):
+    """Solve one cell and compare it with the predicted dimension and basis."""
+    sol = solve_fsystem(source, target, degree_cap, **mode)
+    return {
+        **head,
+        "predicted_dim": predicted,
+        "computed_dim": sol.dim,
+        "basis_symbols": "; ".join(str(v) for v in sol.basis),
+        "ok": sol.dim == predicted and same_solution_span(sol.basis, expected),
+    }
 
 
 def classify_sl_cells(n, m_max, l_max, lambda_samples=DEFAULT_SAMPLES):
     cells = []
     for m in range(m_max + 1):
         for ell in range(l_max + 1):
-            lams = [Fraction(1 - (m + ell))]
-            for s in lambda_samples:
-                s = Fraction(s)
-                if s not in lams:
-                    lams.append(s)
-            for lam in lams:
+            for lam in _critical_first(1 - (m + ell), lambda_samples):
                 for alpha in (0, 1):
                     matched = sign_shift(alpha, m + ell)
                     for beta in (matched, sign_shift(matched, 1)):
@@ -459,16 +469,7 @@ def classify_sl_cell(n, cell):
     lam = Fraction(lam)
     nu = lam + m + Fraction(n, n - 1) * ell
     q = SLQuadruple(alpha, beta, ell, lam, nu).canonical(n)
-    if n == 2:
-        target = TargetRepParams.sl(n, nu, ell=0, beta=q.beta)
-    else:
-        target = TargetRepParams.sl(n, nu, ell=ell, beta=beta)
-    source = ScalarRepParams.sl(n, lam, alpha)
-    sol = solve_fsystem(source, target, weight_degree_cap(nu - lam))
-    predicted = predicted_dim_sl(q, n)
-    expected = _expected_sl_basis(q, n)
-    ok = sol.dim == predicted and same_solution_span(sol.basis, expected)
-    return {
+    head = {
         "flavor": "sl",
         "n": n,
         "alpha": sign_str(alpha),
@@ -476,11 +477,12 @@ def classify_sl_cell(n, cell):
         "l": ell,
         "lambda": str(lam),
         "nu": str(nu),
-        "predicted_dim": predicted,
-        "computed_dim": sol.dim,
-        "basis_symbols": "; ".join(str(v) for v in sol.basis),
-        "ok": ok,
     }
+    return _row(
+        head, ScalarRepParams.sl(n, lam, alpha), _sl_target(q, n),
+        weight_degree_cap(nu - lam), predicted_dim_sl(q, n),
+        _expected_sl_basis(in_lambda_sl(q, n), n),
+    )
 
 
 def _folded_psi(m: int, ell: int) -> VectorValuedPolynomial:
@@ -490,8 +492,8 @@ def _folded_psi(m: int, ell: int) -> VectorValuedPolynomial:
     )
 
 
-def _expected_sl_basis(q: SLQuadruple, n: int):
-    rec = in_lambda_sl(q, n)
+def _expected_sl_basis(rec: dict, n: int):
+    """Closed-form solutions named by an SL membership record."""
     if n == 2:
         if rec["sl_plus"]:
             w = rec["sl_plus"]
@@ -512,12 +514,7 @@ def classify_gl_cells(
     cells = []
     for m in range(m_max + 1):
         for ell in range(l_max + 1):
-            lams = [Fraction(1 - (m + ell))]
-            for s in lambda_samples:
-                s = Fraction(s)
-                if s not in lams:
-                    lams.append(s)
-            for lam1 in lams:
+            for lam1 in _critical_first(1 - (m + ell), lambda_samples):
                 for lam2 in lambda2_samples:
                     for a1 in (0, 1):
                         matched = sign_shift(a1, m + ell)
@@ -533,13 +530,7 @@ def classify_gl_cell(n, cell):
     nu1 = lam1 + m + Fraction(n, n - 1) * ell
     nu2 = lam2 - Fraction(ell, n - 1)
     t = GLTuple((a1, a2), (b1, b2), ell, (lam1, lam2), (nu1, nu2))
-    source = ScalarRepParams.gl(n, lam1, lam2, a1, a2)
-    target = TargetRepParams.gl(n, nu1, nu2, ell=ell, beta1=b1, beta2=b2)
-    sol = solve_fsystem(source, target, weight_degree_cap(nu1 - lam1))
-    predicted = predicted_dim_gl(t, n)
-    expected = _expected_gl_basis(t, n)
-    ok = sol.dim == predicted and same_solution_span(sol.basis, expected)
-    return {
+    head = {
         "flavor": "gl",
         "n": n,
         "alpha": f"{sign_str(a1)},{sign_str(a2)}",
@@ -547,11 +538,12 @@ def classify_gl_cell(n, cell):
         "l": ell,
         "lambda": f"{lam1},{lam2}",
         "nu": f"{nu1},{nu2}",
-        "predicted_dim": predicted,
-        "computed_dim": sol.dim,
-        "basis_symbols": "; ".join(str(v) for v in sol.basis),
-        "ok": ok,
     }
+    return _row(
+        head, ScalarRepParams.gl(n, lam1, lam2, a1, a2),
+        TargetRepParams.gl(n, nu1, nu2, ell=ell, beta1=b1, beta2=b2),
+        weight_degree_cap(nu1 - lam1), predicted_dim_gl(t, n), _expected_gl_basis(t, n),
+    )
 
 
 def _expected_gl_basis(t: GLTuple, n: int):
@@ -567,12 +559,7 @@ def classify_ido_cells(n, k_max, lambda_samples=DEFAULT_SAMPLES, flavor=SL,
                        lambda2_samples=(Fraction(0),)):
     cells = []
     for k in range(k_max + 1):
-        lams = [Fraction(1 - k)]
-        for s in lambda_samples:
-            s = Fraction(s)
-            if s not in lams:
-                lams.append(s)
-        for lam in lams:
+        for lam in _critical_first(1 - k, lambda_samples):
             if flavor == SL:
                 cells.append((k, lam, None))
             else:
@@ -602,10 +589,7 @@ def classify_ido_cell(n, cell, flavor=SL):
         )
         lam_str, tau_str = f"{lam},{lam2}", f"{tau},{tau2}"
         alpha_str, delta_str = f"{sign_str(alpha)},+", f"{sign_str(delta)},+"
-    sol = solve_fsystem(source, target, k, full_nilradical=True)
-    expected = [ido_symbol_vector(k, n)] if predicted == 1 else []
-    ok = sol.dim == predicted and same_solution_span(sol.basis, expected)
-    return {
+    head = {
         "flavor": f"{flavor}-ido",
         "n": n,
         "alpha": alpha_str,
@@ -613,14 +597,52 @@ def classify_ido_cell(n, cell, flavor=SL):
         "l": k,
         "lambda": lam_str,
         "nu": tau_str,
-        "predicted_dim": predicted,
-        "computed_dim": sol.dim,
-        "basis_symbols": "; ".join(str(v) for v in sol.basis),
-        "ok": ok,
     }
+    expected = [ido_symbol_vector(k, n)] if predicted == 1 else []
+    return _row(head, source, target, k, predicted, expected, full_nilradical=True)
 
 
-def classify(
+def classify_homs_cells(n, m_max, l_max, s_samples=DEFAULT_SAMPLES, connected=False):
+    """Verma-side cells (m, ell, s, alpha, beta); g'-homomorphisms ignore the sign."""
+    cells = []
+    for m in range(m_max + 1):
+        for ell in range(l_max + 1):
+            for s in _critical_first(m + ell - 1, s_samples):
+                for flip in (0,) if connected else (0, 1):
+                    cells.append((m, ell, s, 0, sign_shift(flip, m + ell)))
+    return cells
+
+
+def classify_homs_cell(n, cell, connected=False):
+    """(g',P')- or g'-homomorphisms, solved through the duality (s, r) = (-lambda, -nu)."""
+    m, ell, s, alpha, beta = cell
+    s = Fraction(s)
+    r = s - m - Fraction(n, n - 1) * ell
+    lam, nu = -s, -r
+    q = SLQuadruple(alpha, beta, ell, lam, nu).canonical(n)
+    if connected:
+        predicted = predicted_dim_sl_connected(q.ell, lam, nu, n)
+        rec = in_lambda_sl_connected(q.ell, lam, nu, n)
+    else:
+        predicted = predicted_dim_sl(q, n)
+        rec = in_lambda_sl(q, n)
+    head = {
+        "flavor": "gprime" if connected else "gp",
+        "n": n,
+        "alpha": sign_str(alpha),
+        "beta": sign_str(beta),
+        "l": ell,
+        "s": str(s),
+        "r": str(r),
+    }
+    return _row(
+        head, ScalarRepParams.sl(n, lam, alpha), _sl_target(q, n),
+        weight_degree_cap(nu - lam), predicted, _expected_sl_basis(rec, n),
+        connected=connected,
+    )
+
+
+def scan_jobs(
     n,
     flavor=SL,
     m_max=3,
@@ -629,19 +651,46 @@ def classify(
     lambda2_samples=(Fraction(0), Fraction(1, 2)),
     ido=False,
     k_max=4,
+    homs=False,
+    connected=False,
 ):
-    """Full classification table; every row carries predicted vs computed."""
-    rows = []
+    """One job per cell: (name of the cell function, n, cell, options...).
+
+    `homs` scans the SL homomorphisms and takes `lambda_samples` as s
+    samples; otherwise `ido` picks the intertwining operators of `flavor`.
+    """
+    if homs:
+        cells = classify_homs_cells(n, m_max, l_max, lambda_samples, connected)
+        return [("classify_homs_cell", n, c, connected) for c in cells]
     if ido:
-        for cell in classify_ido_cells(n, k_max, lambda_samples, flavor, lambda2_samples):
-            rows.append(classify_ido_cell(n, cell, flavor))
-    elif flavor == SL:
-        for cell in classify_sl_cells(n, m_max, l_max, lambda_samples):
-            rows.append(classify_sl_cell(n, cell))
-    else:
-        for cell in classify_gl_cells(n, m_max, l_max, lambda_samples, lambda2_samples):
-            rows.append(classify_gl_cell(n, cell))
-    rows.sort(
-        key=lambda r: (r["flavor"], r["n"], r["l"], r["lambda"], r["nu"], r["alpha"], r["beta"])
-    )
-    return rows
+        cells = classify_ido_cells(n, k_max, lambda_samples, flavor, lambda2_samples)
+        return [("classify_ido_cell", n, c, flavor) for c in cells]
+    if flavor == SL:
+        return [("classify_sl_cell", n, c) for c in classify_sl_cells(n, m_max, l_max, lambda_samples)]
+    cells = classify_gl_cells(n, m_max, l_max, lambda_samples, lambda2_samples)
+    return [("classify_gl_cell", n, c) for c in cells]
+
+
+def run_cell(job):
+    """Run one `scan_jobs` job.
+
+    The cell function is read from the module namespace at call time, so a
+    wrapper bound there sees every cell.
+    """
+    name, *args = job
+    return globals()[name](*args)
+
+
+def row_key(row):
+    """Table order: flavor, n, l, lambda (or s), nu (or r), alpha, beta."""
+    lam, nu = ("s", "r") if "s" in row else ("lambda", "nu")
+    return (row["flavor"], row["n"], row["l"], row[lam], row[nu], row["alpha"], row["beta"])
+
+
+def classify(n, flavor=SL, m_max=3, l_max=3, lambda_samples=DEFAULT_SAMPLES,
+             lambda2_samples=(Fraction(0), Fraction(1, 2)), ido=False, k_max=4,
+             homs=False, connected=False):
+    """Full classification table; every row carries predicted vs computed."""
+    jobs = scan_jobs(n, flavor, m_max, l_max, lambda_samples, lambda2_samples,
+                     ido, k_max, homs, connected)
+    return sorted(map(run_cell, jobs), key=row_key)

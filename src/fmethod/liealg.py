@@ -91,6 +91,15 @@ class LieElement:
         if self.flavor != other.flavor:
             raise ValueError("flavor mismatch")
 
+    def describe(self) -> str:
+        """One-line sum of matrix units, e.g. `E11 + -1/2*E22 + -1/2*E33`."""
+        bits = []
+        for i, row in enumerate(self.entries):
+            for j, v in enumerate(row):
+                if v:
+                    bits.append(f"{v}*E{i + 1}{j + 1}" if v != 1 else f"E{i + 1}{j + 1}")
+        return " + ".join(bits) if bits else "0"
+
     def __str__(self):
         return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
 

@@ -78,10 +78,6 @@ def sbo_from_solution(psi: VectorValuedPolynomial) -> SBO:
     return SBO(n, tuple(comps))
 
 
-def apply_sbo(D: SBO, f: Polynomial) -> VectorValuedPolynomial:
-    return D.apply(f)
-
-
 @dataclass(frozen=True)
 class IDOOp:
     """The order-k intertwining operator on R^n (no restriction)."""
@@ -115,10 +111,6 @@ class IDOOp:
 
 def build_ido(k: int, n: int) -> IDOOp:
     return IDOOp(n, k)
-
-
-def apply_ido(D: IDOOp, f) -> VectorValuedPolynomial:
-    return D.apply(f)
 
 
 @dataclass(frozen=True)
@@ -212,7 +204,7 @@ def check_equivariance(
                 witness = _restricted_witness(diff)
                 violations.append(
                     {
-                        "X": _describe_element(X),
+                        "X": X.describe(),
                         "component": lbl,
                         "monomial": witness,
                     }
@@ -227,15 +219,6 @@ def check_equivariance(
         "status": "pass" if not violations else "fail",
         "violations": violations,
     }
-
-
-def _describe_element(X) -> str:
-    bits = []
-    for i, row in enumerate(X.entries):
-        for j, v in enumerate(row):
-            if v:
-                bits.append(f"{v}*E{i + 1}{j + 1}" if v != 1 else f"E{i + 1}{j + 1}")
-    return " + ".join(bits) if bits else "0"
 
 
 # -- factorization ----------------------------------------------------------------
@@ -322,7 +305,7 @@ def fg_submodule(k: int, n: int, flavor="sl") -> dict:
         for mono in monomials_up_to(n, k - 1):
             img = op.apply(Polynomial.monomial(n, mono, 1))
             if img.degree() >= k:
-                failures.append((_describe_element(X), mono))
+                failures.append((X.describe(), mono))
     return {
         "identity": "fg-stability",
         "n": n,

@@ -235,33 +235,3 @@ def predicted_dim_ido(n, flavor, alpha, delta, k, lam, tau) -> int:
         rec = in_lambda_ido_gl(n, alpha, delta, k, lam, tau)
     return 1 if (rec["ido"] or rec["identity"]) else 0
 
-
-# -- JSON encoding ---------------------------------------------------------------
-
-
-def encode_value(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, tuple):
-        return ",".join(str(x) for x in v)
-    return v
-
-
-def quadruple_to_json(q: SLQuadruple) -> dict:
-    return {
-        "alpha": sign_str(q.alpha),
-        "beta": sign_str(q.beta),
-        "ell": q.ell,
-        "lambda": str(q.lam),
-        "nu": str(q.nu),
-    }
-
-
-def gltuple_to_json(t: GLTuple) -> dict:
-    return {
-        "alpha": ",".join(sign_str(a) for a in t.alphas),
-        "beta": ",".join(sign_str(b) for b in t.betas),
-        "ell": t.ell,
-        "lambda": ",".join(str(x) for x in t.lams),
-        "nu": ",".join(str(x) for x in t.nus),
-    }

@@ -20,8 +20,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import Polynomial, monomial_basis
+from .engine import DEFAULT_SAMPLES, classify
 from .liealg import GL, SL, parabolic
-from .params import sign_shift, sign_str
+from .params import sign_shift
 from .rep import (
     ScalarFiber,
     SymFiber,
@@ -285,10 +286,10 @@ def check_hom_equivariance(h: VermaHom, degree_cap: int = 3) -> dict:
                 rhs = tgtop.apply(h.apply(v))
                 if not (lhs - rhs).is_zero():
                     violations.append(
-                        {"X": _describe(X), "grade": g, "vector": (mono, lbl)}
+                        {"X": X.describe(), "grade": g, "vector": (mono, lbl)}
                     )
                     break
-            if violations and violations[-1]["X"] == _describe(X):
+            if violations and violations[-1]["X"] == X.describe():
                 break
     sign_violations = []
     for gamma in pd.gamma_elements(primed=primed):
@@ -297,7 +298,7 @@ def check_hom_equivariance(h: VermaHom, degree_cap: int = 3) -> dict:
             lhs = h.apply(h.source.gamma_action(gamma, v))
             rhs = h.target.gamma_action(gamma, h.apply(v))
             if not (lhs - rhs).is_zero():
-                sign_violations.append({"gamma": _describe(gamma), "label": lbl})
+                sign_violations.append({"gamma": gamma.describe(), "label": lbl})
     status = "pass" if not violations and not sign_violations else "fail"
     return {
         "identity": "hom-equivariance",
@@ -306,15 +307,6 @@ def check_hom_equivariance(h: VermaHom, degree_cap: int = 3) -> dict:
         "violations": violations,
         "sign_violations": sign_violations,
     }
-
-
-def _describe(X) -> str:
-    bits = []
-    for i, row in enumerate(X.entries):
-        for j, v in enumerate(row):
-            if v:
-                bits.append(f"{v}*E{i + 1}{j + 1}" if v != 1 else f"E{i + 1}{j + 1}")
-    return " + ".join(bits) if bits else "0"
 
 
 def verify_factorization_verma(
@@ -354,55 +346,9 @@ def classify_homs(
     connected=False,
     m_max=3,
     l_max=3,
-    s_samples=(Fraction(1, 3), Fraction(5), Fraction(-7, 2)),
+    s_samples=DEFAULT_SAMPLES,
 ) -> list:
     """Classification of (g',P')- or g'-homomorphisms via the duality mirror."""
-    from .engine import solve_fsystem, weight_degree_cap
-    from .params import predicted_dim_sl, predicted_dim_sl_connected, SLQuadruple
-    from .rep import ScalarRepParams, TargetRepParams
-
-    rows = []
-    for m in range(m_max + 1):
-        for ell in range(l_max + 1):
-            svals = [Fraction((m + ell) - 1)]
-            for s in s_samples:
-                s = Fraction(s)
-                if s not in svals:
-                    svals.append(s)
-            for s in svals:
-                r = s - m - Fraction(n, n - 1) * ell
-                lam, nu = -s, -r
-                sign_pairs = [(0, sign_shift(0, m + ell))]
-                if not connected:
-                    sign_pairs.append((0, sign_shift(1, m + ell)))
-                for alpha, beta in sign_pairs:
-                    q = SLQuadruple(alpha, beta, ell, lam, nu).canonical(n)
-                    if n == 2:
-                        target = TargetRepParams.sl(n, nu, ell=0, beta=q.beta)
-                    else:
-                        target = TargetRepParams.sl(n, nu, ell=ell, beta=beta)
-                    source = ScalarRepParams.sl(n, lam, alpha)
-                    sol = solve_fsystem(
-                        source, target, weight_degree_cap(nu - lam), connected=connected
-                    )
-                    if connected:
-                        predicted = predicted_dim_sl_connected(q.ell, lam, nu, n)
-                    else:
-                        predicted = predicted_dim_sl(q, n)
-                    rows.append(
-                        {
-                            "flavor": "gprime" if connected else "gp",
-                            "n": n,
-                            "alpha": sign_str(alpha),
-                            "beta": sign_str(beta),
-                            "l": ell,
-                            "s": str(s),
-                            "r": str(r),
-                            "predicted_dim": predicted,
-                            "computed_dim": sol.dim,
-                            "basis_symbols": "; ".join(str(v) for v in sol.basis),
-                            "ok": sol.dim == predicted,
-                        }
-                    )
-    rows.sort(key=lambda row: (row["l"], row["s"], row["r"], row["alpha"], row["beta"]))
-    return rows
+    return classify(
+        n, m_max=m_max, l_max=l_max, lambda_samples=s_samples, homs=True, connected=connected
+    )

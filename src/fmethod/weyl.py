@@ -17,7 +17,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .algebra import Polynomial, format_monomial, monomial_key, monomials_up_to
+from .algebra import Polynomial, format_monomial, monomial_key
 
 DUAL_VAR = {"x": "zeta", "zeta": "x", "z": "zeta"}
 
@@ -217,17 +217,6 @@ class WeylElement:
             self.var,
         )
 
-    def find_nonconstant_witness(self, extra_degree: int = 2):
-        """A monomial on which this operator acts nonzero, or None if zero."""
-        if self.is_zero():
-            return None
-        cap = self.order() + max(p.degree() for p in self.terms.values()) + extra_degree
-        for mono in monomials_up_to(self.arity, cap):
-            f = Polynomial.monomial(self.arity, mono, 1, self.var)
-            if not self.apply(f).is_zero():
-                return mono
-        raise AssertionError("nonzero operator acted as zero on the scanned range")
-
     def __eq__(self, other):
         if not isinstance(other, WeylElement):
             return NotImplemented
@@ -301,10 +290,6 @@ def parse_weyl(text: str, arity: int, var: str = "x") -> WeylElement:
         cur = terms.get(key)
         terms[key] = add if cur is None else cur + add
     return WeylElement(arity, {k: v for k, v in terms.items() if not v.is_zero()}, var)
-
-
-def symb(D: WeylElement) -> Polynomial:
-    return D.symbol()
 
 
 def symb_inverse(p: Polynomial) -> WeylElement:

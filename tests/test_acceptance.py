@@ -16,7 +16,6 @@ from fmethod.branch import verify_branching
 from fmethod.engine import classify, psi_vector, solve_fsystem, weight_degree_cap
 from fmethod.liealg import bracket, parabolic
 from fmethod.operators import (
-    apply_sbo,
     build_sbo,
     check_equivariance,
     fg_submodule,
@@ -155,8 +154,8 @@ def test_criterion_05_equivariance_and_witnesses():
     for X in pd.g_basis(primed=True):
         for mono in monomials_up_to(2, 6):
             f = Polynomial.monomial(2, mono, 1)
-            lhs = apply_sbo(D, dpi_lambda(X, src).apply(f))
-            rhs = dpi_target(X, tgt).apply(apply_sbo(D, f))
+            lhs = D.apply(dpi_lambda(X, src).apply(f))
+            rhs = dpi_target(X, tgt).apply(D.apply(f))
             ok = ok and (lhs - rhs).is_zero()
     # violation witnesses on three non-member cells
     witnesses = 0

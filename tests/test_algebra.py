@@ -9,10 +9,10 @@ from fmethod.algebra import (
     Polynomial,
     format_polynomial,
     monomial_basis,
-    nullspace,
     parse_polynomial,
     rank_of_vectors,
     same_span,
+    sparse_nullspace,
 )
 
 
@@ -57,7 +57,18 @@ def test_nullspace_zero_matrix():
 
 def test_nullspace_row():
     # hand solve: x + y = 0, normalized so the first entry is 1
-    assert nullspace(Matrix([[1, 1]])) == [[Fraction(1), Fraction(-1)]]
+    assert Matrix([[1, 1]]).nullspace() == [[Fraction(1), Fraction(-1)]]
+
+
+def test_sparse_nullspace_matches_dense():
+    rows = [{0: Fraction(1), 2: Fraction(3)}, {1: Fraction(2)}]
+    dense = Matrix([[1, 0, 3], [0, 2, 0]])
+    assert sparse_nullspace(rows, 3) == dense.nullspace() == [[1, 0, Fraction(-1, 3)]]
+
+
+def test_sparse_nullspace_without_rows_is_the_unit_basis():
+    assert sparse_nullspace([], 2) == [[1, 0], [0, 1]]
+    assert sparse_nullspace([], 0) == []
 
 
 def test_nullspace_exactness_and_rank_nullity():

@@ -106,8 +106,18 @@ def test_branch_multiplicity_report(capsys):
 
 
 def test_branch_usage_error(capsys):
-    code, _, err = run(capsys, "branch", "--n", "2")
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["branch", "--n", "2"])
+    assert exc.value.code == 2
+    assert "one of the arguments --s --p is required" in capsys.readouterr().err
+
+
+def test_branch_s_and_p_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["branch", "--n", "2", "--s", "1/3", "--p", "2"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "not allowed with argument" in captured.err
 
 
 def test_rational_argument_parsing(capsys):
@@ -137,7 +147,15 @@ def test_output_file(tmp_path, capsys):
     assert rows
 
 
-def test_jobs_flag_matches_serial(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "scan",
+    [
+        ("--m-max", "1", "--l-max", "0"),
+        ("--homs", "--m-max", "1", "--l-max", "1"),
+    ],
+    ids=["sl", "homs"],
+)
+def test_jobs_flag_matches_serial(capsys, monkeypatch, scan):
     # on a one-CPU host the clamp would run --jobs 2 serially; force the pool
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     started = []
@@ -148,7 +166,7 @@ def test_jobs_flag_matches_serial(capsys, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
-    base = ("classify", "--n", "2", "--m-max", "1", "--l-max", "0", "--format", "json")
+    base = ("classify", "--n", "2", *scan, "--format", "json")
     _, serial, _ = run(capsys, *base, "--jobs", "1")
     _, parallel, _ = run(capsys, *base, "--jobs", "2")
     assert started == [2]
@@ -164,6 +182,14 @@ def test_jobs_flag_matches_serial(capsys, monkeypatch):
         ("classify", "--n", "2", "--jobs", "-3"),
         ("verify", "factorization", "--n", "1"),
         ("branch", "--n", "1", "--p", "0"),
+        ("classify", "--n", "2", "--m-max", "-1"),
+        ("classify", "--n", "2", "--l-max", "-1"),
+        ("classify", "--n", "2", "--ido", "--k-max", "-1"),
+        ("verify", "factorization", "--n", "2", "--m", "-1"),
+        ("verify", "factorization", "--n", "2", "--l", "-1"),
+        ("verify", "factorization", "--n", "2", "--deg", "-1"),
+        ("branch", "--n", "2", "--s", "1/3", "--deg", "-3"),
+        ("branch", "--n", "2", "--p", "-1"),
     ],
 )
 def test_out_of_range_arguments_are_usage_errors(capsys, argv):

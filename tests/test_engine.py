@@ -15,7 +15,6 @@ from fmethod.engine import (
     psi_vector,
     same_solution_span,
     solve_fsystem,
-    solve_fsystem_full_nilradical,
     weight_degree_cap,
 )
 from fmethod.liealg import GL, SL, parabolic
@@ -118,17 +117,17 @@ def test_full_nilradical_examples():
     # k = 1 at lambda = 0: the gradient symbol
     src = ScalarRepParams.sl(2, Fraction(0), 0)
     tgt = TargetRepParams.sl(2, Fraction(3, 2), ell=1, beta=1)
-    sol = solve_fsystem_full_nilradical(src, tgt, 1)
+    sol = solve_fsystem(src, tgt, 1, full_nilradical=True)
     assert sol.dim == 1
     assert same_solution_span(sol.basis, [ido_symbol_vector(1, 2)])
     # generic lambda, k >= 1: empty
     src = ScalarRepParams.sl(2, Fraction(1, 3), 0)
     tgt = TargetRepParams.sl(2, Fraction(1, 3) + Fraction(3, 2), ell=1, beta=1)
-    assert solve_fsystem_full_nilradical(src, tgt, 1).dim == 0
+    assert solve_fsystem(src, tgt, 1, full_nilradical=True).dim == 0
     # k = 0: the identity symbol
     src = ScalarRepParams.sl(2, Fraction(5), 0)
     tgt = TargetRepParams.sl(2, Fraction(5), ell=0, beta=0)
-    sol = solve_fsystem_full_nilradical(src, tgt, 0)
+    sol = solve_fsystem(src, tgt, 0, full_nilradical=True)
     assert sol.dim == 1
 
 

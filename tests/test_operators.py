@@ -6,8 +6,6 @@ import pytest
 from fmethod.algebra import Polynomial, monomials_up_to
 from fmethod.engine import psi_vector, solve_fsystem, weight_degree_cap
 from fmethod.operators import (
-    apply_ido,
-    apply_sbo,
     build_ido,
     build_proj,
     build_sbo,
@@ -26,25 +24,25 @@ def mono(n, expo, c=1):
 
 def test_sbo_normal_derivative_factorial():
     D = build_sbo(2, 0, 3)
-    out = apply_sbo(D, mono(3, (0, 0, 2)))
+    out = D.apply(mono(3, (0, 0, 2)))
     assert out == VectorValuedPolynomial(2, {(0, 0): Polynomial.constant(2, 2)})
 
 
 def test_sbo_mixed_case_n2():
     D = build_sbo(1, 1, 2)
-    out = apply_sbo(D, mono(2, (1, 1)))
+    out = D.apply(mono(2, (1, 1)))
     assert out == VectorValuedPolynomial(1, {(1,): Polynomial.one(1)})
 
 
 def test_sbo_rest_only():
     D = build_sbo(0, 0, 2)
-    out = apply_sbo(D, mono(2, (2, 0)) + mono(2, (0, 1)))
+    out = D.apply(mono(2, (2, 0)) + mono(2, (0, 1)))
     assert out == VectorValuedPolynomial(1, {(0,): Polynomial.monomial(1, (2,), 1)})
 
 
 def test_sbo_vector_output():
     D = build_sbo(1, 1, 3)
-    out = apply_sbo(D, mono(3, (1, 1, 1)))
+    out = D.apply(mono(3, (1, 1, 1)))
     expected = VectorValuedPolynomial(
         2,
         {(1, 0): Polynomial.variable(2, 1), (0, 1): Polynomial.variable(2, 0)},
@@ -55,32 +53,32 @@ def test_sbo_vector_output():
 def test_sbo_low_degree_annihilation():
     D = build_sbo(2, 1, 3)
     for expo in monomials_up_to(3, 2):
-        assert apply_sbo(D, mono(3, expo)).is_zero()
+        assert D.apply(mono(3, expo)).is_zero()
 
 
 def test_sbo_degree_drop():
     D = build_sbo(1, 1, 3)
     f = mono(3, (2, 1, 2))
-    out = apply_sbo(D, f)
+    out = D.apply(f)
     for p in out.components.values():
         assert p.degree() <= 5 - 2
 
 
 def test_ido_gradient_and_identity():
     D1 = build_ido(1, 2)
-    out = apply_ido(D1, mono(2, (1, 1)))
+    out = D1.apply(mono(2, (1, 1)))
     assert out == VectorValuedPolynomial(
         2, {(1, 0): Polynomial.variable(2, 1), (0, 1): Polynomial.variable(2, 0)}
     )
     D0 = build_ido(0, 2)
     f = mono(2, (2, 1))
-    assert apply_ido(D0, f) == VectorValuedPolynomial(2, {(0, 0): f})
+    assert D0.apply(f) == VectorValuedPolynomial(2, {(0, 0): f})
 
 
 def test_ido_normalized_square():
     # second-order operator on x1^2: component at ytilde_(2,0) is 2
     D2 = build_ido(2, 2)
-    out = apply_ido(D2, mono(2, (2, 0)))
+    out = D2.apply(mono(2, (2, 0)))
     assert out == VectorValuedPolynomial(2, {(2, 0): Polynomial.constant(2, 2)})
 
 
@@ -195,8 +193,8 @@ def test_witness_consistency_with_application():
     pd = parabolic(3)
     for X in pd.g_basis(primed=True):
         f = Polynomial.monomial(3, v["monomial"], 1)
-        lhs = apply_sbo(D, dpi_lambda(X, src).apply(f))
-        rhs = dpi_target(X, tgt).apply(apply_sbo(D, f))
+        lhs = D.apply(dpi_lambda(X, src).apply(f))
+        rhs = dpi_target(X, tgt).apply(D.apply(f))
         if not (lhs - rhs).is_zero():
             return
     pytest.fail("no basis element violated at the reported monomial")
@@ -204,7 +202,7 @@ def test_witness_consistency_with_application():
 
 def test_sbo_first_normal_derivative():
     D = build_sbo(1, 0, 3)
-    assert apply_sbo(D, mono(3, (0, 0, 1))) == VectorValuedPolynomial(
+    assert D.apply(mono(3, (0, 0, 1))) == VectorValuedPolynomial(
         2, {(0, 0): Polynomial.one(2)}
     )
 
@@ -212,6 +210,6 @@ def test_sbo_first_normal_derivative():
 def test_ido_order_one_is_total_gradient():
     D1 = build_ido(1, 3)
     f = mono(3, (1, 0, 2))
-    out = apply_ido(D1, f)
+    out = D1.apply(f)
     assert out.components[(1, 0, 0)] == mono(3, (0, 0, 2))
     assert out.components[(0, 0, 1)] == mono(3, (1, 0, 1), 2)

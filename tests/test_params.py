@@ -132,21 +132,3 @@ def test_verma_side_sets_by_substitution():
     assert rec["g_plus"] == {"m": 1, "ell": 1}
     rec = in_lambda_gprime(0, Fraction(1, 2), Fraction(3), 2)
     assert rec["g1"] is None and rec["g2"] is None
-
-
-def test_json_encoding():
-    from fmethod.params import gltuple_to_json, quadruple_to_json
-
-    q = SLQuadruple(PLUS, MINUS, 1, Fraction(-2), Fraction(3, 2))
-    assert quadruple_to_json(q) == {
-        "alpha": "+",
-        "beta": "-",
-        "ell": 1,
-        "lambda": "-2",
-        "nu": "3/2",
-    }
-    t = GLTuple(
-        (PLUS, MINUS), (MINUS, MINUS), 0, (Fraction(5), Fraction(1, 2)), (Fraction(7), Fraction(1, 2))
-    )
-    out = gltuple_to_json(t)
-    assert out["alpha"] == "+,-" and out["lambda"] == "5,1/2"

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from fmethod import engine
 from fmethod.algebra import Polynomial, monomial_basis
 from fmethod.params import sign_shift
 from fmethod.rep import VectorValuedPolynomial
@@ -174,3 +175,17 @@ def test_classify_homs_plus_family_dimension_two():
         if r["l"] == 1 and Fraction(r["s"]) == 1 and Fraction(r["r"]) == -2
     ]
     assert hits and all(r["computed_dim"] == 2 for r in hits)
+
+
+@pytest.mark.parametrize("connected", [False, True])
+def test_homs_rows_check_the_span(monkeypatch, connected):
+    rows = classify_homs(3, connected=connected, m_max=1, l_max=1)
+    assert all(r["ok"] for r in rows)
+    assert any(r["predicted_dim"] == 1 for r in rows)
+    # a wrong closed form of the same dimension must make the member rows fail
+    real = engine.psi_vector
+    monkeypatch.setattr(engine, "psi_vector", lambda m, ell, n: real(m + 1, ell, n))
+    rows = classify_homs(3, connected=connected, m_max=1, l_max=1)
+    members = [r for r in rows if r["predicted_dim"] == 1]
+    assert members and not any(r["ok"] for r in members)
+    assert all(r["ok"] for r in rows if r["predicted_dim"] == 0)
