@@ -687,10 +687,9 @@ def row_key(row):
     return (row["flavor"], row["n"], row["l"], row[lam], row[nu], row["alpha"], row["beta"])
 
 
-def classify(n, flavor=SL, m_max=3, l_max=3, lambda_samples=DEFAULT_SAMPLES,
-             lambda2_samples=(Fraction(0), Fraction(1, 2)), ido=False, k_max=4,
-             homs=False, connected=False):
-    """Full classification table; every row carries predicted vs computed."""
-    jobs = scan_jobs(n, flavor, m_max, l_max, lambda_samples, lambda2_samples,
-                     ido, k_max, homs, connected)
-    return sorted(map(run_cell, jobs), key=row_key)
+def classify(n, **options):
+    """Full classification table; `options` are those of `scan_jobs`.
+
+    Every row carries predicted vs computed.
+    """
+    return sorted(map(run_cell, scan_jobs(n, **options)), key=row_key)

@@ -23,7 +23,6 @@ from .algebra import (
     Polynomial,
     monomial_basis,
     monomials_up_to,
-    rank_of_vectors,
     same_span,
 )
 from .liealg import parabolic
