@@ -6,6 +6,12 @@ All canonical listings (monomial bases, printed polynomials, solver
 unknowns) use this order, descending, so every downstream output is
 deterministic.
 
+Linear algebra has one kernel: `sparse_rref`, exact Gauss-Jordan
+elimination on sparse {column: Fraction} rows.  `sparse_nullspace`,
+`rref_basis`, `rank_of_vectors`, `same_span` and the dense `Matrix`
+adapter all reduce through it.  The reduced row echelon form is unique,
+so every canonical basis is independent of how the rows were produced.
+
 Values are immutable after construction and safe to share.
 """
 
@@ -231,14 +237,22 @@ class Polynomial:
     # -- equality / printing --------------------------------------------
 
     def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            if self.is_constant() or self.is_zero():
-                return self.terms.get((0,) * self.arity, Fraction(0)) == Fraction(other)
-            return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
+        """Same arity, role and terms; a constant also equals its exact scalar."""
+        if isinstance(other, Polynomial):
+            return (
+                self.arity == other.arity
+                and self.var == other.var
+                and self.terms == other.terms
+            )
+        if isinstance(other, (int, Fraction)):
+            return self.is_constant() and self.constant_value() == other
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
+        # a constant equals its scalar, so it hashes like it
+        if self.is_constant():
+            return hash(self.constant_value())
+        return hash((self.arity, self.var, frozenset(self.terms.items())))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: monomial_key(kv[0]), reverse=True)
@@ -317,7 +331,7 @@ def parse_polynomial(text: str, arity: int, var: str) -> Polynomial:
 
 
 class Matrix:
-    """Dense exact matrix over Q."""
+    """Dense exact matrix over Q: a thin adapter over `sparse_rref`."""
 
     __slots__ = ("rows", "nrows", "ncols")
 
@@ -332,45 +346,22 @@ class Matrix:
             self.ncols = 0 if ncols is None else ncols
 
     def rref(self):
-        """Reduced row echelon form; returns (Matrix, pivot column list)."""
-        m = [row[:] for row in self.rows]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            pv = m[r][c]
-            m[r] = [x / pv for x in m[r]]
-            for i in range(len(m)):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(m):
-                break
-        out = Matrix(m, self.ncols)
-        return out, pivots
+        """Reduced row echelon form; returns (Matrix, pivot column list).
+
+        The nonzero rows come first, then as many zero rows as the rank
+        falls short of `nrows`.
+        """
+        reduced = sparse_rref(_sparse(self.rows))
+        dense = [_densify(row, self.ncols) for row in reduced.values()]
+        dense.extend([Fraction(0)] * self.ncols for _ in range(self.nrows - len(dense)))
+        return Matrix(dense, self.ncols), list(reduced)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(sparse_rref(_sparse(self.rows)))
 
     def nullspace(self) -> list[list[Fraction]]:
         """Basis of the kernel, RREF convention, first nonzero entry 1."""
-        red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        basis = []
-        for fc in free:
-            v = [Fraction(0)] * self.ncols
-            v[fc] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -red.rows[r][fc]
-            lead = next(x for x in v if x != 0)
-            basis.append([x / lead for x in v])
-        return basis
+        return sparse_nullspace(_sparse(self.rows), self.ncols)
 
     def mul_vector(self, v):
         return [sum((row[j] * v[j] for j in range(self.ncols)), Fraction(0)) for row in self.rows]
@@ -382,26 +373,91 @@ class Matrix:
         return f"Matrix({self.rows})"
 
 
+def _sparse(vectors) -> list[dict]:
+    return [{c: x for c, x in enumerate(v) if x} for v in vectors]
+
+
+def _densify(row: dict, ncols: int) -> list[Fraction]:
+    return [row.get(c, Fraction(0)) for c in range(ncols)]
+
+
+def sparse_rref(rows) -> dict:
+    """Gauss-Jordan elimination of sparse rows ({column: value} dicts).
+
+    Returns the nonzero rows of the reduced row echelon form as
+    {pivot column: row}, in ascending pivot order.  Each row is 1 at its
+    pivot, which is its first column, and has no entry in any other pivot
+    column.  Values must be Fractions or ints; the result holds Fractions
+    only, and the input rows are not modified.  The RREF of a row space is
+    unique, so the result does not depend on the order of the rows.
+
+    Each row is reduced by the pivot rows found so far; a nonzero remainder
+    becomes a new pivot row at its first column and is eliminated from the
+    earlier pivot rows.
+    """
+    reduced = {}
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        for p in [c for c in row if c in reduced]:
+            _subtract(row, row.pop(p), reduced[p], p)
+        if not row:
+            continue
+        p = min(row)
+        inv = 1 / Fraction(row[p])
+        row = {c: v * inv for c, v in row.items()}
+        for other in reduced.values():
+            if p in other:
+                _subtract(other, other.pop(p), row, p)
+        reduced[p] = row
+    return dict(sorted(reduced.items()))
+
+
+def _subtract(row: dict, f, pivot_row: dict, p) -> None:
+    """row -= f * pivot_row in place, off the pivot column p, dropping zeros."""
+    for c, v in pivot_row.items():
+        if c != p:
+            x = row.get(c, 0) - f * v
+            if x:
+                row[c] = x
+            else:
+                del row[c]
+
+
 def sparse_nullspace(rows, ncols: int) -> list[list[Fraction]]:
     """Kernel basis of sparse rows ({column: value} dicts) over `ncols` columns.
 
-    No rows at all leave every column free: the unit basis.
+    One vector per free column of the RREF, in column order, scaled so its
+    first nonzero entry is 1.  No rows at all leave every column free: the
+    unit basis.
     """
-    dense = [[r.get(c, Fraction(0)) for c in range(ncols)] for r in rows]
-    return Matrix(dense, ncols).nullspace()
+    reduced = sparse_rref(rows)
+    basis = {}
+    for c in range(ncols):
+        if c not in reduced:
+            basis[c] = [Fraction(0)] * ncols
+            basis[c][c] = Fraction(1)
+    for p, row in reduced.items():
+        for c, x in row.items():
+            if c != p:
+                basis[c][p] = -x
+    out = []
+    for v in basis.values():
+        lead = next(x for x in v if x)
+        out.append(v if lead == 1 else [x / lead for x in v])
+    return out
+
+
+def rref_basis(vectors: list[list[Fraction]]) -> list[list[Fraction]]:
+    """The nonzero RREF rows of coordinate vectors: the canonical basis of their span."""
+    ncols = len(vectors[0]) if vectors else 0
+    return [_densify(row, ncols) for row in sparse_rref(_sparse(vectors)).values()]
 
 
 def rank_of_vectors(vectors: list[list[Fraction]]) -> int:
     """Rank of a list of coordinate vectors (possibly empty)."""
-    if not vectors:
-        return 0
-    return Matrix(vectors).rank()
+    return len(sparse_rref(_sparse(vectors)))
 
 
 def same_span(a: list[list[Fraction]], b: list[list[Fraction]]) -> bool:
-    """Exact span equality via three rank computations."""
-    ra = rank_of_vectors(a)
-    rb = rank_of_vectors(b)
-    if ra != rb:
-        return False
-    return rank_of_vectors(a + b) == ra
+    """Exact span equality: two row spaces are equal iff their RREFs are."""
+    return sparse_rref(_sparse(a)) == sparse_rref(_sparse(b))

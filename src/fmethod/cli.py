@@ -1,8 +1,10 @@
 """Batch driver: classification scans, verification suites, branching reports.
 
 Exit codes: 0 all checks pass, 1 a mathematical identity failed, 2 usage
-error.  Output is deterministic byte for byte for a fixed configuration:
-bases are RREF-canonical and rows are sorted after any parallel merge.
+error (bad or conflicting arguments, rejected before any work starts),
+3 internal error (an invariant of the engine failed).  Output is
+deterministic byte for byte for a fixed configuration: bases are
+RREF-canonical and rows are sorted after any parallel merge.
 """
 
 from __future__ import annotations
@@ -45,10 +47,6 @@ HOMS_COLUMNS = [
     "flavor", "n", "alpha", "beta", "l", "s", "r",
     "predicted_dim", "computed_dim", "basis_symbols",
 ]
-
-
-def _parse_fractions(text):
-    return tuple(Fraction(x) for x in text.split(",") if x.strip())
 
 
 def _worker_count(jobs: int, cells: int, cpus) -> int:
@@ -112,8 +110,7 @@ def _default_out(path):
 
 def cmd_classify(args) -> int:
     jobs = scan_jobs(
-        args.n, args.flavor, args.m_max, args.l_max,
-        _parse_fractions(args.lambda_samples), _parse_fractions(args.lambda2_samples),
+        args.n, args.flavor, args.m_max, args.l_max, args.lambda_samples, args.lambda2_samples,
         ido=args.ido, k_max=args.k_max, homs=args.homs, connected=args.connected,
     )
     rows = sorted(_run_cells(jobs, args.jobs), key=row_key)
@@ -129,21 +126,15 @@ def cmd_classify(args) -> int:
 
 
 def _verify_equivariance(args) -> dict:
-    n, m, ell = args.n, args.m, args.l
-    lam = Fraction(args.lam)
-    alpha = parse_sign(args.alpha)
+    n, m, ell, lam, alpha = args.n, args.m, args.l, args.lam, args.alpha
+    nu = lam + m + Fraction(n, n - 1) * ell if args.nu is None else args.nu
     if args.flavor == "sl":
-        nu = lam + m + Fraction(n, n - 1) * ell
         source = ScalarRepParams.sl(n, lam, alpha)
-        target = TargetRepParams.sl(n, nu if args.nu is None else Fraction(args.nu), ell=ell)
+        target = TargetRepParams.sl(n, nu, ell=ell)
     else:
-        lam2 = Fraction(args.lam2)
-        nu = lam + m + Fraction(n, n - 1) * ell
-        nu2 = lam2 - Fraction(ell, n - 1)
-        source = ScalarRepParams.gl(n, lam, lam2, alpha, 0)
-        target = TargetRepParams.gl(
-            n, nu if args.nu is None else Fraction(args.nu), nu2, ell=ell
-        )
+        nu2 = args.lam2 - Fraction(ell, n - 1)
+        source = ScalarRepParams.gl(n, lam, args.lam2, alpha, 0)
+        target = TargetRepParams.gl(n, nu, nu2, ell=ell)
     return check_equivariance(build_sbo(m, ell, n), source, target, args.deg)
 
 
@@ -160,8 +151,7 @@ def cmd_verify(args) -> int:
             report["status"] = "fail"
     elif args.what == "verma-factorization":
         report = verify_factorization_verma(
-            args.m, args.l, args.n, args.deg, flavor=args.flavor,
-            lam2=Fraction(args.lam2),
+            args.m, args.l, args.n, args.deg, flavor=args.flavor, lam2=args.lam2
         )
     else:
         raise ValueError(f"unknown verify target {args.what!r}")
@@ -170,12 +160,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_branch(args) -> int:
-    report = verify_branching(
-        args.n,
-        s=Fraction(args.s) if args.s is not None else None,
-        p=args.p,
-        D=args.deg,
-    )
+    report = verify_branching(args.n, s=args.s, p=args.p, D=args.deg)
     _emit(report, "json", _default_out(args.out))
     return 0 if report["status"] == "pass" else 1
 
@@ -193,6 +178,36 @@ def _int_at_least(lowest):
     return parse
 
 
+def _fraction(text):
+    """argparse type: one exact rational such as -7/2, else a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
+def _fractions(text):
+    """argparse type: comma-separated rationals (empty items are skipped)."""
+    return tuple(_fraction(x) for x in text.split(",") if x.strip())
+
+
+def _sign(text):
+    """argparse type: a sign character, + or -, as its parity."""
+    try:
+        return parse_sign(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a sign (+ or -): {text!r}") from None
+
+
+def _ignored_mode(args):
+    """The classify flag that the chosen scan would silently ignore, if any."""
+    if args.homs and args.flavor != "sl":
+        return "--homs scans the SL homomorphisms only; drop --flavor gl"
+    if args.connected and not args.homs:
+        return "--connected applies to --homs only"
+    return None
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="fmethod",
@@ -207,15 +222,16 @@ def build_parser():
     c.add_argument("--m-max", type=_int_at_least(0), default=3)
     c.add_argument("--l-max", type=_int_at_least(0), default=3)
     c.add_argument("--k-max", type=_int_at_least(0), default=4)
-    c.add_argument("--lambda-samples", default="1/3,5,-7/2")
-    c.add_argument("--lambda2-samples", default="0,1/2")
-    c.add_argument("--ido", action="store_true", help="scan intertwining operators (full nilradical)")
-    c.add_argument("--homs", action="store_true", help="scan Verma-module homomorphisms")
+    c.add_argument("--lambda-samples", type=_fractions, default="1/3,5,-7/2")
+    c.add_argument("--lambda2-samples", type=_fractions, default="0,1/2")
+    scan = c.add_mutually_exclusive_group()
+    scan.add_argument("--ido", action="store_true", help="scan intertwining operators (full nilradical)")
+    scan.add_argument("--homs", action="store_true", help="scan Verma-module homomorphisms")
     c.add_argument("--connected", action="store_true", help="identity-component equivariance only")
     c.add_argument("--format", choices=["json", "csv", "table"], default="table")
     c.add_argument("--out", default=None)
     c.add_argument("--jobs", type=_int_at_least(1), default=1)
-    c.set_defaults(func=cmd_classify)
+    c.set_defaults(func=cmd_classify, parser=c)
 
     v = sub.add_parser("verify", help="verify operator identities")
     v.add_argument("what", choices=["factorization", "equivariance", "images", "verma-factorization"])
@@ -223,10 +239,10 @@ def build_parser():
     v.add_argument("--m", type=_int_at_least(0), default=1)
     v.add_argument("--l", type=_int_at_least(0), default=0)
     v.add_argument("--deg", type=_int_at_least(0), default=6)
-    v.add_argument("--lambda", dest="lam", default="0")
-    v.add_argument("--lambda2", dest="lam2", default="0")
-    v.add_argument("--nu", default=None)
-    v.add_argument("--alpha", default="+")
+    v.add_argument("--lambda", dest="lam", type=_fraction, default="0")
+    v.add_argument("--lambda2", dest="lam2", type=_fraction, default="0")
+    v.add_argument("--nu", type=_fraction, default=None)
+    v.add_argument("--alpha", type=_sign, default="+")
     v.add_argument("--flavor", choices=["sl", "gl"], default="sl")
     v.add_argument("--out", default=None)
     v.set_defaults(func=cmd_verify)
@@ -234,7 +250,7 @@ def build_parser():
     b = sub.add_parser("branch", help="verify branching laws")
     b.add_argument("--n", type=_int_at_least(2), required=True)
     mode = b.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--s", default=None)
+    mode.add_argument("--s", type=_fraction, default=None)
     mode.add_argument("--p", type=_int_at_least(0), default=None)
     b.add_argument("--deg", type=_int_at_least(0), default=10)
     b.add_argument("--out", default=None)
@@ -245,11 +261,15 @@ def build_parser():
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    ignored = _ignored_mode(args) if args.command == "classify" else None
+    if ignored:
+        args.parser.error(ignored)
     try:
         return args.func(args)
     except (ValueError, ZeroDivisionError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        # every argument was checked above, so this is a broken invariant
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -12,8 +12,10 @@ diagonal element's eigenvalue on zeta^m is an affine form in the exponents,
 read once per solve from the normal form of its operator, and the pairs of
 a degree are the monomials whose integer-scaled weights and sign parities
 key a fiber label.  Degrees whose A'-weight range holds no label are not
-enumerated at all.  What remains goes through one RREF nullspace per
-homogeneous degree.  Output bases are RREF-canonical in the graded-lex
+enumerated at all.  What remains goes through two exact sparse nullspaces
+per homogeneous degree (equivariance, then the F-system).  The Lie elements
+involved do not depend on lambda and are built once per (algebra,
+nilradical mode).  Output bases are RREF-canonical in the graded-lex
 coordinate order, so every scan is reproducible byte for byte.
 """
 
@@ -22,12 +24,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import (
-    Matrix,
     Polynomial,
     monomial_basis,
     monomial_key,
+    rref_basis,
     same_span,
     sparse_nullspace,
 )
@@ -145,6 +148,35 @@ def _eigenvalue_form(op):
     return c0, coeffs
 
 
+@dataclass(frozen=True)
+class _LieData:
+    """The lambda-independent Lie elements of a solve, shared by every context.
+
+    Built once per (algebra, nilradical mode); tuples, because every solve
+    of that mode reads the same object.
+    """
+
+    diag: tuple  # H0~' (H0~ in full mode), J0' (J0) for GL, the Cartan of m' (m)
+    offdiag: tuple  # the off-diagonal matrix units of m' (m)
+    gammas: tuple  # generators of the component group of M' (M)
+    n_plus: tuple  # N_j^+ spanning n_+' (n_+)
+
+
+@lru_cache(maxsize=None)
+def _lie_data(pd, full_nilradical) -> _LieData:
+    primed = not full_nilradical
+    diag = [pd.h0_tilde if full_nilradical else pd.h0_tilde_prime]
+    if pd.flavor == GL:
+        diag.append(pd.j0 if full_nilradical else pd.j0_prime)
+    diag.extend(pd.m_cartan(primed=primed))
+    return _LieData(
+        tuple(diag),
+        tuple(pd.m_offdiag(primed=primed)),
+        tuple(pd.gamma_elements(primed=primed)),
+        tuple(pd.n_plus_basis(primed=primed)),
+    )
+
+
 class _SolveContext:
     """Shared data for one (source, target, mode) solve."""
 
@@ -160,14 +192,8 @@ class _SolveContext:
             target.ell, self.block, tuple(-x for x in target.nu)
         )
         self.labels = self.fiber.labels(self.pd)
-        primed = not full_nilradical
-        diag = [self.pd.h0_tilde if full_nilradical else self.pd.h0_tilde_prime]
-        if source.flavor == GL:
-            diag.append(self.pd.j0 if full_nilradical else self.pd.j0_prime)
-        diag.extend(self.pd.m_cartan(primed=primed))
-        self.offdiag = self.pd.m_offdiag(primed=primed)
-        js = range(1, (self.n if full_nilradical else self.n - 1) + 1)
-        self.fsys_ops = [dpi_hat(self.pd.n_plus(j), source) for j in js]
+        self.lie = _lie_data(self.pd, full_nilradical)
+        self.fsys_ops = [dpi_hat(N, source) for N in self.lie.n_plus]
 
         # A pair (zeta^m, label) is kept when every diagonal element has the
         # same eigenvalue on zeta^m as on the label, and every component
@@ -177,7 +203,7 @@ class _SolveContext:
         # labels are then keyed by their (targets, parities) tuple.
         self._forms = []
         targets = {lbl: [] for lbl in self.labels}
-        for Z in diag:
+        for Z in self.lie.diag:
             c0, coeffs = _eigenvalue_form(dpi_hat(Z, source))
             acts = self.fiber.act(Z, self.pd)
             if any(k[0] != k[1] for k in acts):
@@ -189,7 +215,7 @@ class _SolveContext:
         self._gamma_masks = []
         parities = {lbl: [] for lbl in self.labels}
         if not connected:
-            for g in self.pd.gamma_elements(primed=primed):
+            for g in self.lie.gammas:
                 mask, label_parity = self._gamma_datum(g)
                 self._gamma_masks.append(mask)
                 for lbl in self.labels:
@@ -258,7 +284,7 @@ class _SolveContext:
         if not unknowns:
             return []
         rows = {}
-        for zi, Z in enumerate(self.offdiag):
+        for zi, Z in enumerate(self.lie.offdiag):
             op = dpi_hat(Z, self.source)
             act = self.fiber.act(Z, self.pd)
             for col, (mono, lbl) in enumerate(unknowns):
@@ -340,7 +366,7 @@ def solve_fsystem(
             degrees.append(d)
             solutions.extend(
                 _vector_to_vvp(v, unknowns, source.n)
-                for v in _canonicalize(sol_vectors)
+                for v in rref_basis(sol_vectors)
             )
     return SolutionSpace(
         source,
@@ -354,14 +380,6 @@ def solve_fsystem(
             "full_nilradical": full_nilradical,
         },
     )
-
-
-def _canonicalize(vectors):
-    """RREF the solution vectors for a unique canonical basis."""
-    if not vectors:
-        return []
-    red, pivots = Matrix(vectors).rref()
-    return [red.rows[i] for i in range(len(pivots))]
 
 
 def weight_degree_cap(gap: Fraction) -> int:

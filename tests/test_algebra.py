@@ -11,8 +11,10 @@ from fmethod.algebra import (
     monomial_basis,
     parse_polynomial,
     rank_of_vectors,
+    rref_basis,
     same_span,
     sparse_nullspace,
+    sparse_rref,
 )
 
 
@@ -137,3 +139,136 @@ def test_arity_and_role_guards():
         Polynomial.variable(2, 0) * Polynomial.variable(2, 0, "zeta")
     with pytest.raises(ValueError):
         monomial_basis(2, -1)
+
+
+def test_polynomial_equality_respects_the_role():
+    assert Polynomial.variable(2, 0, "x") != Polynomial.variable(2, 0, "zeta")
+    assert Polynomial.constant(2, 3, "x") != Polynomial.constant(2, 3, "zeta")
+    assert Polynomial.constant(2, 3) == 3 and hash(Polynomial.constant(2, 3)) == hash(3)
+    assert Polynomial.zero(2) == 0 and hash(Polynomial.zero(2)) == hash(0)
+    assert Polynomial.variable(2, 0) != "x1"
+
+
+scalars = st.one_of(st.integers(-3, 3), small_fractions)
+
+
+@given(polynomials(), polynomials(), scalars, st.sampled_from(["x", "zeta"]))
+@settings(max_examples=100, deadline=None)
+def test_equal_polynomials_hash_equal(p, q, c, var):
+    assert (p == q) == (p.terms == q.terms)
+    if p == q:
+        assert hash(p) == hash(q)
+    assert p != p.with_var("x")
+    assert (p == c) == (p.is_constant() and p.constant_value() == c)
+    if p == c:
+        assert hash(p) == hash(c)
+    const = Polynomial.constant(2, c, var)
+    assert const == c and c == const and hash(const) == hash(c)
+    assert len({p, q}) == (1 if p == q else 2)
+
+
+# -- the sparse elimination kernel against the dense loop it replaced -----------
+
+
+def _dense_rref(rows, ncols):
+    """Reference: the dense Gauss-Jordan loop `Matrix.rref` ran before `sparse_rref`."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def _dense_nullspace(rows, ncols):
+    red, pivots = _dense_rref(rows, ncols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        lead = next(x for x in v if x != 0)
+        basis.append([x / lead for x in v])
+    return basis
+
+
+def _dense_same_span(a, b, ncols):
+    def rank(vectors):
+        return len(_dense_rref(vectors, ncols)[1])
+
+    return rank(a) == rank(b) == rank(a + b)
+
+
+entries = st.one_of(st.just(Fraction(0)), small_fractions)
+
+
+@st.composite
+def matrices(draw, max_rows=6, max_cols=5):
+    """(rows, ncols): no rows, zero columns, zero rows and repeated rows included."""
+    ncols = draw(st.integers(0, max_cols))
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=max_rows))
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [Fraction(0)] * ncols)
+    return rows, ncols
+
+
+def _sparse(rows):
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
+def _dense_row(row, ncols):
+    return [row.get(c, Fraction(0)) for c in range(ncols)]
+
+
+@given(matrices())
+@settings(max_examples=120, deadline=None)
+def test_sparse_kernel_matches_dense_reference(case):
+    rows, ncols = case
+    red, pivots = _dense_rref(rows, ncols)
+    sparse = _sparse(rows)
+    before = [dict(r) for r in sparse]
+    reduced = sparse_rref(sparse)
+    assert sparse == before
+    assert list(reduced) == pivots
+    assert [_dense_row(r, ncols) for r in reduced.values()] == red[: len(pivots)]
+    got, got_pivots = Matrix(rows, ncols).rref()
+    assert (got.rows, got_pivots, got.nrows, got.ncols) == (red, pivots, len(rows), ncols)
+    assert all(type(x) is Fraction for r in got.rows for x in r)
+    assert Matrix(rows, ncols).rank() == rank_of_vectors(rows) == len(pivots)
+    assert rref_basis(rows) == red[: len(pivots)]
+    expected = _dense_nullspace(rows, ncols)
+    assert sparse_nullspace(sparse, ncols) == Matrix(rows, ncols).nullspace() == expected
+    for v in expected:
+        assert all(type(x) is Fraction for x in v)
+
+
+@given(matrices(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_same_span_matches_dense_reference(case, data):
+    a, ncols = case
+    b = data.draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=4))
+    assert same_span(a, b) == _dense_same_span(a, b, ncols)
+    # reordered, rescaled and mixed generators of the same space
+    k = data.draw(small_fractions)
+    c = [list(r) for r in reversed(a)]
+    if c:
+        c[0] = [k * x for x in c[0]]
+        c.append([x + y for x, y in zip(c[0], c[-1])])
+    assert same_span(a, c) and _dense_same_span(a, c, ncols)

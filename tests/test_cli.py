@@ -2,8 +2,12 @@ import json
 
 import pytest
 
-from fmethod import cli
+from fmethod import cli, engine
+from fmethod.algebra import Polynomial
 from fmethod.cli import _usable_cpus, _worker_count, main
+from fmethod.liealg import parabolic
+from fmethod.rep import dpi_hat
+from fmethod.weyl import WeylElement
 
 
 def run(capsys, *argv):
@@ -129,11 +133,10 @@ def test_rational_argument_parsing(capsys):
 
 
 def test_bad_fraction_is_usage_error(capsys):
-    code, _, err = run(
-        capsys, "verify", "equivariance", "--n", "2", "--m", "1", "--l", "0",
-        "--lambda", "nonsense",
-    )
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "equivariance", "--n", "2", "--m", "1", "--l", "0",
+              "--lambda", "nonsense"])
+    assert exc.value.code == 2
 
 
 def test_output_file(tmp_path, capsys):
@@ -173,6 +176,23 @@ def test_jobs_flag_matches_serial(capsys, monkeypatch, scan):
     assert serial == parallel
 
 
+# usage errors other than a number out of range, with the text each must print
+OTHER_USAGE_ERRORS = {
+    ("classify", "--n", "2", "--flavor", "gl", "--homs"): "--homs scans the SL homomorphisms only",
+    ("classify", "--n", "2", "--ido", "--homs"): "not allowed with argument --ido",
+    ("classify", "--n", "2", "--connected"): "--connected applies to --homs only",
+    ("classify", "--n", "2", "--ido", "--connected"): "--connected applies to --homs only",
+    ("classify", "--n", "2", "--lambda-samples=abc"): "not a rational number: 'abc'",
+    ("classify", "--n", "2", "--lambda-samples=1/3,1/0"): "not a rational number: '1/0'",
+    ("classify", "--n", "2", "--lambda2-samples=x"): "not a rational number: 'x'",
+    ("verify", "equivariance", "--n", "2", "--lambda", "1/0"): "not a rational number",
+    ("verify", "equivariance", "--n", "2", "--lambda2", "q"): "not a rational number",
+    ("verify", "equivariance", "--n", "2", "--nu", "1/0"): "not a rational number",
+    ("verify", "equivariance", "--n", "2", "--alpha", "q"): "not a sign (+ or -): 'q'",
+    ("branch", "--n", "2", "--s", "x"): "argument --s: not a rational number: 'x'",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -190,6 +210,7 @@ def test_jobs_flag_matches_serial(capsys, monkeypatch, scan):
         ("verify", "factorization", "--n", "2", "--deg", "-1"),
         ("branch", "--n", "2", "--s", "1/3", "--deg", "-3"),
         ("branch", "--n", "2", "--p", "-1"),
+        *OTHER_USAGE_ERRORS,
     ],
 )
 def test_out_of_range_arguments_are_usage_errors(capsys, argv):
@@ -198,7 +219,24 @@ def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert captured.out == ""
-    assert "usage:" in captured.err and "must be >= " in captured.err
+    assert "usage:" in captured.err
+    assert OTHER_USAGE_ERRORS.get(argv, "must be >= ") in captured.err
+
+
+def test_broken_invariant_is_an_internal_error(capsys, monkeypatch):
+    # the grading element's operator gains a term that moves monomials
+    h0 = parabolic(2).h0_tilde_prime
+    stray = WeylElement(2, {(0, 1): Polynomial.variable(2, 0, "zeta")}, "zeta")
+
+    def skewed(X, params):
+        op = dpi_hat(X, params)
+        return op + stray if X == h0 else op
+
+    monkeypatch.setattr(engine, "dpi_hat", skewed)
+    code, out, err = run(capsys, "classify", "--n", "2", "--m-max", "0", "--l-max", "0")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: diagonal element acted off-diagonally\n"
 
 
 def test_worker_count_clamps():

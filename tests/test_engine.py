@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from fmethod.engine import (
     solve_fsystem,
     weight_degree_cap,
 )
-from fmethod.liealg import GL, SL, parabolic
+from fmethod.liealg import GL, SL, LieElement, parabolic
 from fmethod.rep import ScalarRepParams, SymFiber, TargetRepParams, dpi_hat
 from fmethod.weyl import WeylElement
 
@@ -387,3 +388,26 @@ def test_fiber_action_is_a_fresh_dict():
     assert expected
     first.clear()
     assert fiber.act(X, pd) == expected
+
+
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("flavor", [SL, GL])
+def test_lie_data_is_shared_and_immutable(flavor, full):
+    pd = parabolic(3, flavor)
+    critical = _SolveContext(*_enumeration_case(3, flavor, full, True)[:2], full_nilradical=full)
+    generic = _SolveContext(*_enumeration_case(3, flavor, full, False)[:2], full_nilradical=full)
+    lie = critical.lie
+    assert lie is generic.lie is engine._lie_data(pd, full)
+    assert lie is not engine._lie_data(pd, not full)
+    for f in dataclasses.fields(lie):
+        elements = getattr(lie, f.name)
+        assert isinstance(elements, tuple) and elements
+        assert all(isinstance(X, LieElement) for X in elements)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lie.diag = ()
+    primed = not full
+    assert lie.diag[0] == (pd.h0_tilde if full else pd.h0_tilde_prime)
+    assert lie.diag[-len(pd.m_cartan(primed)):] == tuple(pd.m_cartan(primed))
+    assert lie.offdiag == tuple(pd.m_offdiag(primed))
+    assert lie.gammas == tuple(pd.gamma_elements(primed))
+    assert lie.n_plus == tuple(pd.n_plus_basis(primed))
