@@ -6,6 +6,10 @@ All canonical listings (monomial bases, printed polynomials, solver
 unknowns) use this order, descending, so every downstream output is
 deterministic.
 
+Polynomials have one differentiation loop, `Polynomial.derivative_multi`,
+which applies a whole multi-index to each term in one pass.  The
+constructor converts a coefficient only if it is not a `Fraction` yet.
+
 Linear algebra has one kernel: `sparse_rref`, exact Gauss-Jordan
 elimination on sparse {column: Fraction} rows.  `sparse_nullspace`,
 `rref_basis`, `rank_of_vectors`, `same_span` and the dense `Matrix`
@@ -75,7 +79,7 @@ class Polynomial:
         clean = {}
         if terms:
             for mono, coeff in terms.items():
-                c = Fraction(coeff)
+                c = coeff if type(coeff) is Fraction else Fraction(coeff)
                 if c:
                     if len(mono) != arity:
                         raise ValueError("monomial arity mismatch")
@@ -190,25 +194,30 @@ class Polynomial:
         return result
 
     def derivative(self, index: int, order: int = 1) -> "Polynomial":
-        terms = {}
-        for m, c in self.terms.items():
-            e = m[index]
-            if e < order:
-                continue
-            fall = Fraction(1)
-            for i in range(order):
-                fall *= e - i
-            mm = list(m)
-            mm[index] = e - order
-            terms[tuple(mm)] = terms.get(tuple(mm), Fraction(0)) + c * fall
-        return Polynomial(self.arity, terms, self.var)
+        alpha = [0] * self.arity
+        alpha[index] = order
+        return self.derivative_multi(alpha)
 
     def derivative_multi(self, alpha) -> "Polynomial":
-        p = self
-        for i, k in enumerate(alpha):
-            if k:
-                p = p.derivative(i, k)
-        return p
+        """d^alpha in one pass: a term survives only if every exponent covers
+        its order, and gains the falling factorials e!/(e-k)!.  Shifting by
+        alpha is injective, so surviving terms never collide."""
+        orders = [(i, k) for i, k in enumerate(alpha) if k]
+        if not orders:
+            return self
+        terms = {}
+        for m, c in self.terms.items():
+            mm = list(m)
+            fall = 1
+            for i, k in orders:
+                e = m[i]
+                if e < k:
+                    break
+                mm[i] = e - k
+                fall *= math.perm(e, k)
+            else:
+                terms[tuple(mm)] = c * fall
+        return Polynomial(self.arity, terms, self.var)
 
     def set_var_zero(self, index: int) -> "Polynomial":
         """Substitute coordinate `index` = 0."""

@@ -145,7 +145,7 @@ def cmd_verify(args) -> int:
         report = _verify_equivariance(args)
     elif args.what == "images":
         report = image_computations(args.m, args.l, args.n)
-        stability = fg_submodule(args.m + args.l, args.n)
+        stability = fg_submodule(args.m + args.l, args.n, flavor=args.flavor)
         report["fg_stability"] = stability["status"]
         if stability["status"] != "pass":
             report["status"] = "fail"

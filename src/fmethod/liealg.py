@@ -4,6 +4,10 @@ Everything lives inside one algebra of (n+1)x(n+1) rational matrices; g' is
 the upper-left n-block with last row and column zero.  The Gelfand-Naimark
 decomposition g = n_- + l + n_+ is the block split along the first row and
 column, eigenspaces of ad(H0~) with eigenvalues -(n+1)/n, 0, +(n+1)/n.
+
+Elements keep dense `Fraction` entries, but products multiply only pairs of
+nonzero entries: almost every operand is a matrix unit or a short sum of
+them, so a bracket costs a few multiplications instead of 2(n+1)^3.
 """
 
 from __future__ import annotations
@@ -73,15 +77,17 @@ class LieElement:
         )
 
     def matmul(self, other):
+        """Exact product; only pairs of nonzero entries are multiplied."""
         self._check(other)
         n = self.size
+        other_rows = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
         rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                row.append(
-                    sum((self.entries[i][k] * other.entries[k][j] for k in range(n)), Fraction(0))
-                )
+        for a_row in self.entries:
+            row = [Fraction(0)] * n
+            for k, a in enumerate(a_row):
+                if a:
+                    for j, b in other_rows[k]:
+                        row[j] += a * b
             rows.append(tuple(row))
         return LieElement(tuple(rows), self.flavor)
 
@@ -257,21 +263,17 @@ class ParabolicData:
 
     def gn_project(self, X: LieElement):
         """Split X into (n_- part, l part, n_+ part)."""
-        size = self.size
-        lower = [[Fraction(0)] * size for _ in range(size)]
-        upper = [[Fraction(0)] * size for _ in range(size)]
-        middle = [[Fraction(0)] * size for _ in range(size)]
-        for i in range(size):
-            for j in range(size):
-                v = X.entries[i][j]
-                if i > 0 and j == 0:
-                    lower[i][j] = v
-                elif i == 0 and j > 0:
-                    upper[i][j] = v
-                else:
-                    middle[i][j] = v
-        mk = lambda rows: LieElement.from_rows(rows, self.flavor)
-        return mk(lower), mk(middle), mk(upper)
+        zero = Fraction(0)
+        blank = (zero,) * self.size
+        head, *tail = X.entries
+        lower = (blank,) + tuple((row[0],) + blank[1:] for row in tail)
+        middle = ((head[0],) + blank[1:],) + tuple((zero,) + row[1:] for row in tail)
+        upper = ((zero,) + head[1:],) + (blank,) * len(tail)
+        return (
+            LieElement(lower, self.flavor),
+            LieElement(middle, self.flavor),
+            LieElement(upper, self.flavor),
+        )
 
     def dchi(self, Z: LieElement) -> Fraction:
         """Differential of the A-character, normalized dchi(H0~) = 1."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import (
     Polynomial,
@@ -77,6 +78,14 @@ def sbo_from_solution(psi: VectorValuedPolynomial) -> SBO:
     return SBO(n, tuple(comps))
 
 
+@lru_cache(maxsize=None)
+def _ido_components(n: int, k: int) -> tuple:
+    """((label, d^label), ...) over Xi_k; independent of lambda, so built once."""
+    return tuple(
+        (lbl, WeylElement.derivative_monomial(n, lbl)) for lbl in monomial_basis(n, k)
+    )
+
+
 @dataclass(frozen=True)
 class IDOOp:
     """The order-k intertwining operator on R^n (no restriction)."""
@@ -85,7 +94,7 @@ class IDOOp:
     k: int
 
     def components(self):
-        return [(lbl, WeylElement.derivative_monomial(self.n, lbl)) for lbl in monomial_basis(self.n, self.k)]
+        return _ido_components(self.n, self.k)
 
     def apply(self, f) -> VectorValuedPolynomial:
         if isinstance(f, Polynomial):

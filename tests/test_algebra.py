@@ -272,3 +272,50 @@ def test_same_span_matches_dense_reference(case, data):
         c[0] = [k * x for x in c[0]]
         c.append([x + y for x, y in zip(c[0], c[-1])])
     assert same_span(a, c) and _dense_same_span(a, c, ncols)
+
+
+# -- the one-pass derivative and the constructor ---------------------------------
+
+
+def _derivative_once(p, index):
+    """Reference: d/dx_index term by term, the single-index loop `derivative` ran."""
+    terms = {}
+    for m, c in p.terms.items():
+        if m[index]:
+            mm = list(m)
+            mm[index] -= 1
+            terms[tuple(mm)] = terms.get(tuple(mm), Fraction(0)) + c * m[index]
+    return Polynomial(p.arity, terms, p.var)
+
+
+@given(polynomials(arity=3), st.lists(st.integers(0, 2), max_size=6))
+@settings(max_examples=120, deadline=None)
+def test_derivative_multi_matches_sequential_differentiation(p, indices):
+    # indices repeat, and orders reach past every exponent (max degree 3)
+    alpha = tuple(indices.count(i) for i in range(3))
+    expected = p
+    for i in indices:
+        expected = _derivative_once(expected, i)
+    got = p.derivative_multi(alpha)
+    assert got == expected and got.var == p.var
+    assert all(type(c) is Fraction for c in got.terms.values())
+    assert p.derivative_multi((0, 0, 0)) == p
+    for i, k in enumerate(alpha):
+        expected = p
+        for _ in range(k):
+            expected = _derivative_once(expected, i)
+        assert p.derivative(i, k) == expected
+
+
+@given(st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.one_of(st.integers(-3, 3), st.booleans(), small_fractions, st.just(Fraction(0))),
+    max_size=6,
+))
+@settings(max_examples=100, deadline=None)
+def test_polynomial_stores_nonzero_fractions_only(terms):
+    p = Polynomial(2, terms)
+    assert p.terms == {m: Fraction(c) for m, c in terms.items() if c}
+    assert all(type(c) is Fraction for c in p.terms.values())
+    with pytest.raises(ValueError):
+        Polynomial(2, {**terms, (1, 1, 1): Fraction(1, 2)})

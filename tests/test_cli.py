@@ -89,6 +89,21 @@ def test_verify_images(capsys):
     assert json.loads(out)["fg_stability"] == "pass"
 
 
+def test_verify_images_checks_the_requested_flavor(capsys, monkeypatch):
+    seen = []
+
+    def recording(k, n, flavor="sl"):
+        seen.append((k, n, flavor))
+        return {"status": "pass"}
+
+    monkeypatch.setattr(cli, "fg_submodule", recording)
+    code, out, _ = run(
+        capsys, "verify", "images", "--n", "3", "--m", "1", "--l", "1", "--flavor", "gl"
+    )
+    assert code == 0
+    assert seen == [(2, 3, "gl")]
+
+
 def test_verify_verma_factorization(capsys):
     code, out, _ = run(
         capsys, "verify", "verma-factorization", "--n", "2", "--m", "1", "--l", "1",

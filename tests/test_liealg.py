@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmethod.liealg import LieElement, ad_exp_minus, bracket, parabolic, trace_form
 
@@ -115,3 +117,67 @@ def test_flavor_guards():
     pd_gl = parabolic(2, "gl")
     assert pd_gl.j0.trace() == 1
     assert pd_gl.j0_prime.trace() == 1
+
+
+# -- the sparse product against the dense loops it replaced ---------------------
+
+
+def _dense_matmul(A, B):
+    """Reference: the dense triple loop `LieElement.matmul` ran before it skipped zeros."""
+    n = len(A)
+    return tuple(
+        tuple(sum((A[i][k] * B[k][j] for k in range(n)), Fraction(0)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def _dense_gn_project(X):
+    """Reference: the entrywise split `gn_project` ran before it built tuples directly."""
+    size = len(X)
+    parts = [[[Fraction(0)] * size for _ in range(size)] for _ in range(3)]
+    for i in range(size):
+        for j in range(size):
+            part = 0 if i > 0 and j == 0 else 2 if i == 0 and j > 0 else 1
+            parts[part][i][j] = X[i][j]
+    return tuple(tuple(tuple(row) for row in rows) for rows in parts)
+
+
+# zero weighs double: mostly-zero operands, like the matrix units the code multiplies
+_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.just(Fraction(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def sparse_pairs(draw):
+    """Two mostly-zero rational matrices of one size in 3..5, and a flavor."""
+    size = draw(st.integers(3, 5))
+    flavor = draw(st.sampled_from(["sl", "gl"]))
+    matrix = st.lists(
+        st.lists(_entries, min_size=size, max_size=size), min_size=size, max_size=size
+    )
+    A, B = draw(matrix), draw(matrix)
+    return LieElement.from_rows(A, flavor), LieElement.from_rows(B, flavor)
+
+
+def _all_fractions(X):
+    return all(type(x) is Fraction for row in X.entries for x in row)
+
+
+@given(sparse_pairs())
+@settings(max_examples=120, deadline=None)
+def test_sparse_products_match_dense_reference(pair):
+    X, Y = pair
+    XY, YX = _dense_matmul(X.entries, Y.entries), _dense_matmul(Y.entries, X.entries)
+    assert X.matmul(Y) == LieElement(XY, X.flavor) and _all_fractions(X.matmul(Y))
+    expected = tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(XY, YX))
+    got = bracket(X, Y)
+    assert got.entries == expected and got.flavor == X.flavor and _all_fractions(got)
+    assert trace_form(X, Y) == sum((XY[i][i] for i in range(X.size)), Fraction(0))
+    pd = parabolic(X.size - 1, X.flavor)
+    parts = pd.gn_project(X)
+    assert tuple(p.entries for p in parts) == _dense_gn_project(X.entries)
+    assert all(p.flavor == X.flavor and _all_fractions(p) for p in parts)
+    assert parts[0].add(parts[1]).add(parts[2]) == X

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fmethod.algebra import Polynomial, monomials_up_to
+from fmethod.algebra import Polynomial, monomial_basis, monomials_up_to
 from fmethod.engine import psi_vector, solve_fsystem, weight_degree_cap
 from fmethod.operators import (
     build_ido,
@@ -16,6 +16,7 @@ from fmethod.operators import (
     verify_factorization_sbo,
 )
 from fmethod.rep import ScalarRepParams, TargetRepParams, VectorValuedPolynomial
+from fmethod.weyl import WeylElement
 
 
 def mono(n, expo, c=1):
@@ -80,6 +81,31 @@ def test_ido_normalized_square():
     D2 = build_ido(2, 2)
     out = D2.apply(mono(2, (2, 0)))
     assert out == VectorValuedPolynomial(2, {(2, 0): Polynomial.constant(2, 2)})
+
+
+def _ido_reference(k, n, f):
+    """Reference: `IDOOp.apply` on components rebuilt for this call, uncached."""
+    ops = [(lbl, WeylElement.derivative_monomial(n, lbl)) for lbl in monomial_basis(n, k)]
+    if isinstance(f, Polynomial):
+        return VectorValuedPolynomial(n, {lbl: op.apply(f) for lbl, op in ops}, f.var)
+    comps = {}
+    for lbl, op in ops:
+        for in_lbl, p in f.components.items():
+            out = tuple(a + b for a, b in zip(lbl, in_lbl))
+            comps[out] = comps.get(out, Polynomial.zero(n)) + op.apply(p)
+    return VectorValuedPolynomial(n, comps, f.var)
+
+
+@pytest.mark.parametrize("k,n", [(0, 2), (1, 3), (2, 2), (3, 3)])
+def test_ido_components_are_shared_and_match_reference(k, n):
+    D = build_ido(k, n)
+    assert D.components() is D.components() is build_ido(k, n).components()
+    assert isinstance(D.components(), tuple)
+    for expo in monomials_up_to(n, 4):
+        f = mono(n, expo, Fraction(2, 3)) + mono(n, (1,) * n, -1)
+        assert D.apply(f) == _ido_reference(k, n, f)
+        v = VectorValuedPolynomial(n, {(1,) + (0,) * (n - 1): f, (0,) * n: mono(n, expo)})
+        assert D.apply(v) == _ido_reference(k, n, v)
 
 
 def test_proj_selects_components():
