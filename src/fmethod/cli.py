@@ -151,7 +151,7 @@ def cmd_verify(args) -> int:
             report["status"] = "fail"
     elif args.what == "verma-factorization":
         report = verify_factorization_verma(
-            args.m, args.l, args.n, args.deg, flavor=args.flavor, lam2=args.lam2
+            args.m, args.l, args.n, args.deg, flavor=args.flavor, alpha=args.alpha, lam2=args.lam2
         )
     else:
         raise ValueError(f"unknown verify target {args.what!r}")
@@ -200,11 +200,16 @@ def _sign(text):
 
 
 def _ignored_mode(args):
-    """The classify flag that the chosen scan would silently ignore, if any."""
+    """The classify flag that the chosen scan would silently ignore, if any.
+
+    An empty lambda_2 sample list counts too: a GL scan would run no cell.
+    """
     if args.homs and args.flavor != "sl":
         return "--homs scans the SL homomorphisms only; drop --flavor gl"
     if args.connected and not args.homs:
         return "--connected applies to --homs only"
+    if args.flavor == "gl" and not args.lambda2_samples:
+        return "--lambda2-samples is empty, so a GL scan would check nothing"
     return None
 
 

@@ -77,16 +77,6 @@ class EquivariantSpace:
     def dim(self):
         return len(self.basis_vectors)
 
-    def witness_split(self):
-        """(m, ell) = (zeta_n degree, primed degree) when unambiguous."""
-        out = []
-        for v in self.basis_vectors:
-            monos = {self.unknowns[i][0] for i, c in enumerate(v) if c}
-            kn = {mono[-1] for mono in monos}
-            lp = {sum(mono[:-1]) for mono in monos}
-            out.append((kn.pop(), lp.pop()) if len(kn) == 1 and len(lp) == 1 else None)
-        return out
-
 
 @dataclass
 class SolutionSpace:
@@ -232,14 +222,8 @@ class _SolveContext:
         pd = self.pd
         g0 = gamma.entries[0][0]
         ad = [gamma.entries[j][j] * g0 for j in range(1, pd.n + 1)]
-        det_block = _prod(gamma.entries[j][j] for j in range(1, pd.n + 1))
-        det_w = (
-            det_block
-            if self.full
-            else _prod(gamma.entries[j][j] for j in range(1, pd.n))
-        )
-        v_side = self._char_sign(self.source.alpha, g0, det_block)
-        w_side = self._char_sign(self.target.beta, g0, det_w)
+        v_side = pd.sign_character(gamma, self.source.alpha, pd.n)
+        w_side = pd.sign_character(gamma, self.target.beta, self.block)
         # The fiber transforms by the block entries themselves (no Ad twist).
         # Every sign is +-1, so  w_side * fiber sign == v_side * ad^m  fixes
         # the parity of m summed over the coordinates where ad is -1.
@@ -248,14 +232,6 @@ class _SolveContext:
             fiber_sign = _prod(gamma.entries[j + 1][j + 1] ** lbl[j] for j in range(self.block))
             label_parity[lbl] = int(w_side * v_side * fiber_sign < 0)
         return tuple(j for j, a in enumerate(ad) if a < 0), label_parity
-
-    def _char_sign(self, parities, g0, det_block):
-        if self.source.flavor == SL:
-            return det_block if parities[0] % 2 else Fraction(1)
-        s = g0 if parities[0] % 2 else Fraction(1)
-        if parities[1] % 2:
-            s *= det_block
-        return s
 
     # -- enumeration ----------------------------------------------------------
 
@@ -435,10 +411,11 @@ def same_solution_span(a, b) -> bool:
 
 # -- classification scans -----------------------------------------------------
 #
-# A scan is the list of jobs from `scan_jobs`, one per parameter cell.  Each
-# cell function solves its cell through `_row`, and `row_key` orders the
-# table.  `classify` and the CLI, which may map the jobs over a process
-# pool, share all three.
+# A scan is the list of jobs from `scan_jobs`, one per parameter cell.  The
+# SL, GL and homs cells come from one grid (`_grid`), each cell function
+# solves its cell through `_row`, and `row_key` orders the table.
+# `classify` and the CLI, which may map the jobs over a process pool, share
+# all of them.
 
 DEFAULT_SAMPLES = (Fraction(1, 3), Fraction(5), Fraction(-7, 2))
 
@@ -453,9 +430,32 @@ def _critical_first(critical, samples):
     return values
 
 
-def _sl_target(q: SLQuadruple, n: int) -> TargetRepParams:
-    """Target of a canonical SL quadruple (at n = 2 poly^ell sits in the sign)."""
-    return TargetRepParams.sl(n, q.nu, ell=q.ell, beta=q.beta)
+def _grid(m_max, l_max, critical, samples, alphas=(0, 1), flips=(0, 1)):
+    """Cells (m, ell, value, alpha, beta), value = critical(m + ell) first.
+
+    beta is the matched sign alpha + (m + ell) for flip 0, the other for 1.
+    """
+    for m in range(m_max + 1):
+        for ell in range(l_max + 1):
+            for value in _critical_first(critical(m + ell), samples):
+                for alpha in alphas:
+                    matched = sign_shift(alpha, m + ell)
+                    for flip in flips:
+                        yield m, ell, value, alpha, sign_shift(matched, flip)
+
+
+def _head(flavor, n, alphas, betas, ell, pair):
+    """A row's parameters in table order: flavor, n, alpha, beta, l, then
+    `pair` (lambda, nu or s, r); GL pairs print comma-joined."""
+    head = {
+        "flavor": flavor,
+        "n": n,
+        "alpha": ",".join(map(sign_str, alphas)),
+        "beta": ",".join(map(sign_str, betas)),
+        "l": ell,
+    }
+    head.update((key, ",".join(map(str, values))) for key, values in pair.items())
+    return head
 
 
 def _row(head, source, target, degree_cap, predicted, expected, **mode):
@@ -470,39 +470,6 @@ def _row(head, source, target, degree_cap, predicted, expected, **mode):
     }
 
 
-def classify_sl_cells(n, m_max, l_max, lambda_samples=DEFAULT_SAMPLES):
-    cells = []
-    for m in range(m_max + 1):
-        for ell in range(l_max + 1):
-            for lam in _critical_first(1 - (m + ell), lambda_samples):
-                for alpha in (0, 1):
-                    matched = sign_shift(alpha, m + ell)
-                    for beta in (matched, sign_shift(matched, 1)):
-                        cells.append((m, ell, lam, alpha, beta))
-    return cells
-
-
-def classify_sl_cell(n, cell):
-    m, ell, lam, alpha, beta = cell
-    lam = Fraction(lam)
-    nu = lam + m + Fraction(n, n - 1) * ell
-    q = SLQuadruple(alpha, beta, ell, lam, nu).canonical(n)
-    head = {
-        "flavor": "sl",
-        "n": n,
-        "alpha": sign_str(alpha),
-        "beta": sign_str(beta),
-        "l": ell,
-        "lambda": str(lam),
-        "nu": str(nu),
-    }
-    return _row(
-        head, ScalarRepParams.sl(n, lam, alpha), _sl_target(q, n),
-        weight_degree_cap(nu - lam), predicted_dim_sl(q, n),
-        _expected_sl_basis(in_lambda_sl(q, n), n),
-    )
-
-
 def _folded_psi(m: int, ell: int) -> VectorValuedPolynomial:
     """n = 2 picture: psi_{(m,ell)} = zeta2^m zeta1^ell on the trivial fiber."""
     return VectorValuedPolynomial(
@@ -510,153 +477,110 @@ def _folded_psi(m: int, ell: int) -> VectorValuedPolynomial:
     )
 
 
-def _expected_sl_basis(rec: dict, n: int):
-    """Closed-form solutions named by an SL membership record."""
-    if n == 2:
-        if rec["sl_plus"]:
-            w = rec["sl_plus"]
+def _expected_basis(rec: dict, n: int):
+    """Closed-form solutions named by an SL or GL membership record.
+
+    The record lists family one, family two and, for SL, the doubled n = 2
+    family; an SL record at n = 2 is in the folded picture.
+    """
+    one, two, *plus = rec.values()
+    if n == 2 and plus:
+        if plus[0]:
+            w = plus[0]
             return [_folded_psi(w["m"] + 2 * w["ell"], 0), _folded_psi(w["m"], w["ell"])]
-        if rec["sl1"]:
-            return [_folded_psi(rec["sl1"]["m"], 0)]
-        return []
-    if rec["sl2"]:
-        return [psi_vector(rec["sl2"]["m"], rec["sl2"]["ell"], n)]
-    if rec["sl1"]:
-        return [psi_vector(rec["sl1"]["m"], 0, n)]
+        return [_folded_psi(one["m"], 0)] if one else []
+    if two:
+        return [psi_vector(two["m"], two["ell"], n)]
+    if one:
+        return [psi_vector(one["m"], 0, n)]
     return []
 
 
-def classify_gl_cells(
-    n, m_max, l_max, lambda_samples=DEFAULT_SAMPLES, lambda2_samples=(Fraction(0), Fraction(1, 2))
-):
-    cells = []
-    for m in range(m_max + 1):
-        for ell in range(l_max + 1):
-            for lam1 in _critical_first(1 - (m + ell), lambda_samples):
-                for lam2 in lambda2_samples:
-                    for a1 in (0, 1):
-                        matched = sign_shift(a1, m + ell)
-                        for b1 in (matched, sign_shift(matched, 1)):
-                            cells.append((m, ell, lam1, Fraction(lam2), a1, b1))
-    return cells
+def classify_sl_cells(n, m_max, l_max, lambda_samples=DEFAULT_SAMPLES):
+    return list(_grid(m_max, l_max, lambda d: 1 - d, lambda_samples))
 
 
-def classify_gl_cell(n, cell):
-    m, ell, lam1, lam2, a1, b1 = cell
-    lam1, lam2 = Fraction(lam1), Fraction(lam2)
-    a2 = b2 = 0
-    nu1 = lam1 + m + Fraction(n, n - 1) * ell
-    nu2 = lam2 - Fraction(ell, n - 1)
-    t = GLTuple((a1, a2), (b1, b2), ell, (lam1, lam2), (nu1, nu2))
-    head = {
-        "flavor": "gl",
-        "n": n,
-        "alpha": f"{sign_str(a1)},{sign_str(a2)}",
-        "beta": f"{sign_str(b1)},{sign_str(b2)}",
-        "l": ell,
-        "lambda": f"{lam1},{lam2}",
-        "nu": f"{nu1},{nu2}",
-    }
-    return _row(
-        head, ScalarRepParams.gl(n, lam1, lam2, a1, a2),
-        TargetRepParams.gl(n, nu1, nu2, ell=ell, beta1=b1, beta2=b2),
-        weight_degree_cap(nu1 - lam1), predicted_dim_gl(t, n), _expected_gl_basis(t, n),
-    )
-
-
-def _expected_gl_basis(t: GLTuple, n: int):
-    rec = in_lambda_gl(t, n)
-    if rec["gl2"]:
-        return [psi_vector(rec["gl2"]["m"], rec["gl2"]["ell"], n)]
-    if rec["gl1"]:
-        return [psi_vector(rec["gl1"]["m"], 0, n)]
-    return []
-
-
-def classify_ido_cells(n, k_max, lambda_samples=DEFAULT_SAMPLES, flavor=SL,
-                       lambda2_samples=(Fraction(0),)):
-    cells = []
-    for k in range(k_max + 1):
-        for lam in _critical_first(1 - k, lambda_samples):
-            if flavor == SL:
-                cells.append((k, lam, None))
-            else:
-                for lam2 in lambda2_samples:
-                    cells.append((k, lam, Fraction(lam2)))
-    return cells
-
-
-def classify_ido_cell(n, cell, flavor=SL):
-    k, lam, lam2 = cell
-    lam = Fraction(lam)
-    alpha = 0
-    delta = sign_shift(alpha, k)
-    tau = lam + Fraction(n + 1, n) * k
-    if flavor == SL:
-        source = ScalarRepParams.sl(n, lam, alpha)
-        target = TargetRepParams.sl(n, tau, ell=k, beta=delta)
-        predicted = predicted_dim_ido(n, "sl", alpha, delta, k, lam, tau)
-        lam_str, tau_str = str(lam), str(tau)
-        alpha_str, delta_str = sign_str(alpha), sign_str(delta)
-    else:
-        tau2 = lam2 - Fraction(k, n)
-        source = ScalarRepParams.gl(n, lam, lam2, alpha, 0)
-        target = TargetRepParams.gl(n, tau, tau2, ell=k, beta1=delta, beta2=0)
-        predicted = predicted_dim_ido(
-            n, "gl", (alpha, 0), (delta, 0), k, (lam, lam2), (tau, tau2)
-        )
-        lam_str, tau_str = f"{lam},{lam2}", f"{tau},{tau2}"
-        alpha_str, delta_str = f"{sign_str(alpha)},+", f"{sign_str(delta)},+"
-    head = {
-        "flavor": f"{flavor}-ido",
-        "n": n,
-        "alpha": alpha_str,
-        "beta": delta_str,
-        "l": k,
-        "lambda": lam_str,
-        "nu": tau_str,
-    }
-    expected = [ido_symbol_vector(k, n)] if predicted == 1 else []
-    return _row(head, source, target, k, predicted, expected, full_nilradical=True)
+def classify_sl_cell(n, cell):
+    m, ell, lam, alpha, beta = cell
+    return _sl_row("sl", n, m, ell, Fraction(lam), alpha, beta)
 
 
 def classify_homs_cells(n, m_max, l_max, s_samples=DEFAULT_SAMPLES, connected=False):
     """Verma-side cells (m, ell, s, alpha, beta); g'-homomorphisms ignore the sign."""
-    cells = []
-    for m in range(m_max + 1):
-        for ell in range(l_max + 1):
-            for s in _critical_first(m + ell - 1, s_samples):
-                for flip in (0,) if connected else (0, 1):
-                    cells.append((m, ell, s, 0, sign_shift(flip, m + ell)))
-    return cells
+    flips = (0,) if connected else (0, 1)
+    return list(_grid(m_max, l_max, lambda d: d - 1, s_samples, (0,), flips))
 
 
 def classify_homs_cell(n, cell, connected=False):
-    """(g',P')- or g'-homomorphisms, solved through the duality (s, r) = (-lambda, -nu)."""
+    """(g',P')- or g'-homomorphisms: the SL cell at (lambda, nu) = (-s, -r)."""
     m, ell, s, alpha, beta = cell
-    s = Fraction(s)
-    r = s - m - Fraction(n, n - 1) * ell
-    lam, nu = -s, -r
+    flavor = "gprime" if connected else "gp"
+    return _sl_row(flavor, n, m, ell, -Fraction(s), alpha, beta, connected)
+
+
+def _sl_row(flavor, n, m, ell, lam, alpha, beta, connected=False):
+    """Solve and check the SL cell at lambda; homs rows show (s, r) = (-lambda, -nu)."""
+    nu = lam + m + Fraction(n, n - 1) * ell
     q = SLQuadruple(alpha, beta, ell, lam, nu).canonical(n)
     if connected:
         predicted = predicted_dim_sl_connected(q.ell, lam, nu, n)
         rec = in_lambda_sl_connected(q.ell, lam, nu, n)
     else:
-        predicted = predicted_dim_sl(q, n)
-        rec = in_lambda_sl(q, n)
-    head = {
-        "flavor": "gprime" if connected else "gp",
-        "n": n,
-        "alpha": sign_str(alpha),
-        "beta": sign_str(beta),
-        "l": ell,
-        "s": str(s),
-        "r": str(r),
-    }
+        predicted, rec = predicted_dim_sl(q, n), in_lambda_sl(q, n)
+    pair = {"lambda": (lam,), "nu": (nu,)} if flavor == "sl" else {"s": (-lam,), "r": (-nu,)}
     return _row(
-        head, ScalarRepParams.sl(n, lam, alpha), _sl_target(q, n),
-        weight_degree_cap(nu - lam), predicted, _expected_sl_basis(rec, n),
-        connected=connected,
+        _head(flavor, n, (alpha,), (beta,), ell, pair),
+        ScalarRepParams.sl(n, lam, alpha), TargetRepParams.sl(n, nu, ell=q.ell, beta=q.beta),
+        weight_degree_cap(nu - lam), predicted, _expected_basis(rec, n), connected=connected,
+    )
+
+
+def classify_gl_cells(
+    n, m_max, l_max, lambda_samples=DEFAULT_SAMPLES, lambda2_samples=(Fraction(0), Fraction(1, 2))
+):
+    return [
+        (m, ell, lam1, Fraction(lam2), a1, b1)
+        for m, ell, lam1, a1, b1 in _grid(m_max, l_max, lambda d: 1 - d, lambda_samples)
+        for lam2 in lambda2_samples
+    ]
+
+
+def classify_gl_cell(n, cell):
+    m, ell, lam1, lam2, a1, b1 = cell
+    alphas, betas = (a1, 0), (b1, 0)
+    lams = (Fraction(lam1), Fraction(lam2))
+    nus = (lams[0] + m + Fraction(n, n - 1) * ell, lams[1] - Fraction(ell, n - 1))
+    t = GLTuple(alphas, betas, ell, lams, nus)
+    return _row(
+        _head("gl", n, alphas, betas, ell, {"lambda": lams, "nu": nus}),
+        ScalarRepParams(n, GL, alphas, lams), TargetRepParams(n, GL, betas, nus, ell),
+        weight_degree_cap(nus[0] - lams[0]), predicted_dim_gl(t, n),
+        _expected_basis(in_lambda_gl(t, n), n),
+    )
+
+
+def classify_ido_cells(n, k_max, lambda_samples=DEFAULT_SAMPLES, flavor=SL,
+                       lambda2_samples=(Fraction(0),)):
+    second = [None] if flavor == SL else [Fraction(x) for x in lambda2_samples]
+    return [
+        (k, lam, lam2)
+        for k in range(k_max + 1)
+        for lam in _critical_first(1 - k, lambda_samples)
+        for lam2 in second
+    ]
+
+
+def classify_ido_cell(n, cell, flavor=SL):
+    k, lam, lam2 = cell
+    lams = (Fraction(lam),) if flavor == SL else (Fraction(lam), Fraction(lam2))
+    alphas = (0,) * len(lams)
+    deltas = (sign_shift(0, k),) + alphas[1:]
+    taus = (lams[0] + Fraction(n + 1, n) * k,) + tuple(x - Fraction(k, n) for x in lams[1:])
+    predicted = predicted_dim_ido(n, alphas, deltas, k, lams, taus)
+    return _row(
+        _head(f"{flavor}-ido", n, alphas, deltas, k, {"lambda": lams, "nu": taus}),
+        ScalarRepParams(n, flavor, alphas, lams), TargetRepParams(n, flavor, deltas, taus, k),
+        k, predicted, [ido_symbol_vector(k, n)] if predicted == 1 else [], full_nilradical=True,
     )
 
 

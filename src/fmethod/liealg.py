@@ -275,6 +275,20 @@ class ParabolicData:
             LieElement(upper, self.flavor),
         )
 
+    def sign_character(self, gamma: LieElement, parities, block: int) -> Fraction:
+        """The sign character with `parities` at a diagonal component-group element.
+
+        SL: det^a, the determinant over the `block` diagonal entries after
+        the corner g0.  GL: g0^a1 det^a2.
+        """
+        det = Fraction(1)
+        for j in range(1, block + 1):
+            det *= gamma.entries[j][j]
+        if self.flavor == SL:
+            return det if parities[0] % 2 else Fraction(1)
+        g0 = gamma.entries[0][0]
+        return (g0 if parities[0] % 2 else Fraction(1)) * (det if parities[1] % 2 else Fraction(1))
+
     def dchi(self, Z: LieElement) -> Fraction:
         """Differential of the A-character, normalized dchi(H0~) = 1."""
         return Z.entries[0][0]

@@ -4,9 +4,11 @@ Sign characters are parities: 0 for '+', 1 for '-'.  The shift delta + k
 adds k mod 2, so delta + k = '+' exactly when delta = (-1)^k.
 
 Membership tests return witnesses (m, ell), never bare booleans; the
-constructors downstream need them.  The Verma-side sets are obtained from
-the section-side sets by the substitution (s, r) = (-lambda, -nu), so there
-is a single source of truth for each family.
+constructors downstream need them.  The classification is stated once, in
+`_generic_sl`: `in_lambda_sl` is that rule (unfolded at n = 2), the GL
+family is the rule on the first components plus the lambda_2 condition,
+and the sign-free (connected) record is the union of the two signed ones.
+The Verma-side sets are the section-side sets at (lambda, nu) = (-s, -r).
 """
 
 from __future__ import annotations
@@ -67,171 +69,103 @@ class GLTuple:
     lams: tuple
     nus: tuple
 
-    def canonical(self, n: int) -> "GLTuple":
-        """For n = 2 fold poly^ell into the SL^{+-}(1) sign slot (beta2)."""
-        if n != 2 or self.ell == 0:
-            return self
-        return GLTuple(
-            self.alphas,
-            (self.betas[0], sign_shift(self.betas[1], self.ell)),
-            0,
-            self.lams,
-            self.nus,
-        )
 
-
-def in_lambda_sl(q: SLQuadruple, n: int) -> dict:
-    """Membership record {'sl1', 'sl2', 'sl_plus'} with witnesses or None."""
+def _generic_sl(alpha, beta, ell, lam, nu, n) -> dict:
+    """The SL rule for n >= 3: family one (ell = 0) and family two."""
     rec = {"sl1": None, "sl2": None, "sl_plus": None}
-    q = q.canonical(n)
-    if n == 2:
-        m1 = _nonneg_int(q.nu - q.lam)
-        if m1 is not None and q.beta == sign_shift(q.alpha, m1):
-            rec["sl1"] = {"m": m1}
-        ell = _nonneg_int(q.nu - 1)
-        if ell is not None:
-            m = _nonneg_int(1 - q.lam - ell)
-            if m is not None and q.beta == sign_shift(q.alpha, m):
-                rec["sl2"] = {"m": m, "ell": ell}
-                if ell >= 1:
-                    rec["sl_plus"] = {"m": m, "ell": ell}
-        return rec
-    # n >= 3
-    if q.ell == 0:
-        m1 = _nonneg_int(q.nu - q.lam)
-        if m1 is not None and q.beta == sign_shift(q.alpha, m1):
-            rec["sl1"] = {"m": m1}
-    if q.nu == 1 + Fraction(q.ell, n - 1):
-        m = _nonneg_int(1 - q.lam - q.ell)
-        if m is not None and q.beta == sign_shift(q.alpha, m + q.ell):
-            rec["sl2"] = {"m": m, "ell": q.ell}
-    return rec
-
-
-def in_lambda_sl_connected(ell: int, lam: Fraction, nu: Fraction, n: int) -> dict:
-    """Sign-free variant (the P0'-connected sets)."""
-    rec = {"sl1": None, "sl2": None, "sl_plus": None}
-    if n == 2:
-        m1 = _nonneg_int(nu - lam)
-        if m1 is not None:
-            rec["sl1"] = {"m": m1}
-        e = _nonneg_int(nu - 1)
-        if e is not None:
-            m = _nonneg_int(1 - lam - e)
-            if m is not None:
-                rec["sl2"] = {"m": m, "ell": e}
-                if e >= 1:
-                    rec["sl_plus"] = {"m": m, "ell": e}
-        return rec
     if ell == 0:
-        m1 = _nonneg_int(nu - lam)
-        if m1 is not None:
-            rec["sl1"] = {"m": m1}
+        m = _nonneg_int(nu - lam)
+        if m is not None and beta == sign_shift(alpha, m):
+            rec["sl1"] = {"m": m}
     if nu == 1 + Fraction(ell, n - 1):
         m = _nonneg_int(1 - lam - ell)
-        if m is not None:
+        if m is not None and beta == sign_shift(alpha, m + ell):
             rec["sl2"] = {"m": m, "ell": ell}
     return rec
 
 
+def in_lambda_sl(q: SLQuadruple, n: int) -> dict:
+    """Membership record {'sl1', 'sl2', 'sl_plus'} with witnesses or None.
+
+    At n = 2 poly^ell sits in the sign, so family two is the generic rule
+    at ell = nu - 1 with that sign taken back out; for ell >= 1 it is the
+    doubled family `sl_plus`.
+    """
+    if n != 2:
+        return _generic_sl(q.alpha, q.beta, q.ell, q.lam, q.nu, n)
+    q = q.canonical(n)
+    rec = _generic_sl(q.alpha, q.beta, 0, q.lam, q.nu, n)
+    ell = _nonneg_int(q.nu - 1)
+    if ell:
+        w = _generic_sl(q.alpha, sign_shift(q.beta, ell), ell, q.lam, q.nu, n)["sl2"]
+        rec["sl2"] = rec["sl_plus"] = w
+    return rec
+
+
+def in_lambda_sl_connected(ell: int, lam: Fraction, nu: Fraction, n: int) -> dict:
+    """Sign-free variant (the P0'-connected sets): the union over beta.
+
+    At n = 2 the family-one and family-two witnesses of one (lambda, nu)
+    need the same beta, so the union keeps the doubled family exact.
+    """
+    recs = [in_lambda_sl(SLQuadruple(0, beta, ell, lam, nu), n) for beta in (0, 1)]
+    return {key: recs[0][key] or recs[1][key] for key in recs[0]}
+
+
 def in_lambda_gl(t: GLTuple, n: int) -> dict:
-    """Membership record {'gl1', 'gl2'} with witnesses or None."""
-    rec = {"gl1": None, "gl2": None}
-    a1, a2 = t.alphas
-    b1, b2 = t.betas
-    l1, l2 = t.lams
-    n1, n2 = t.nus
-    if t.ell == 0:
-        m = _nonneg_int(n1 - l1)
-        if (
-            m is not None
-            and n2 == l2
-            and b1 == sign_shift(a1, m)
-            and b2 == a2
-        ):
-            rec["gl1"] = {"m": m}
-    if n1 == 1 + Fraction(t.ell, n - 1) and n2 == l2 - Fraction(t.ell, n - 1):
-        m = _nonneg_int(1 - l1 - t.ell)
-        if (
-            m is not None
-            and b1 == sign_shift(a1, m + t.ell)
-            and b2 == a2
-        ):
-            rec["gl2"] = {"m": m, "ell": t.ell}
-    return rec
+    """Membership record {'gl1', 'gl2'}: the SL rule on the first components.
+
+    The second components must carry the same sign, and lambda_2 must move
+    by -ell/(n-1) (nothing in family one).
+    """
+    (a1, a2), (b1, b2) = t.alphas, t.betas
+    (l1, l2), (n1, n2) = t.lams, t.nus
+    rec = _generic_sl(a1, b1, t.ell, l1, n1, n)
+    return {
+        "gl1": rec["sl1"] if b2 == a2 and n2 == l2 else None,
+        "gl2": rec["sl2"] if b2 == a2 and n2 == l2 - Fraction(t.ell, n - 1) else None,
+    }
 
 
-def in_lambda_ido_sl(n, alpha, delta, k, lam, tau) -> dict:
-    """Membership in the G-intertwining family: target (delta, poly^k_n, tau)."""
-    rec = {"ido": None, "identity": False}
-    if k == 0 and delta == alpha and tau == lam:
-        rec["identity"] = True
-    if lam == 1 - k and tau == 1 + Fraction(k, n) and delta == sign_shift(alpha, k):
-        rec["ido"] = {"k": k}
-    return rec
+def in_lambda_ido(n, alphas, deltas, k, lams, taus) -> dict:
+    """Membership in the G-intertwining family: target (delta, poly^k_n, tau).
 
-
-def in_lambda_ido_gl(n, alphas, deltas, k, lams, taus) -> dict:
-    rec = {"ido": None, "identity": False}
-    if k == 0 and deltas == alphas and taus == lams:
-        rec["identity"] = True
+    Parameters are 1-tuples for SL and pairs for GL; the GL second
+    components keep their sign and move lambda_2 by -k/n.
+    """
+    rec = {"ido": None, "identity": k == 0 and deltas == alphas and taus == lams}
     if (
         lams[0] == 1 - k
         and taus[0] == 1 + Fraction(k, n)
-        and taus[1] == lams[1] - Fraction(k, n)
         and deltas[0] == sign_shift(alphas[0], k)
-        and deltas[1] == alphas[1]
+        and taus[1:] == tuple(x - Fraction(k, n) for x in lams[1:])
+        and deltas[1:] == alphas[1:]
     ):
         rec["ido"] = {"k": k}
     return rec
 
 
-# -- Verma-side sets via the duality substitution ------------------------------
-
-
-def in_lambda_gp(alpha, beta, sigma_ell, s, r, n) -> dict:
-    """(g',P')-homomorphism sets, from the SL sets with (s,r) = (-lam,-nu)."""
-    q = SLQuadruple(alpha, beta, sigma_ell, -Fraction(s), -Fraction(r))
-    rec = in_lambda_sl(q, n)
-    return {"gp1": rec["sl1"], "gp2": rec["sl2"], "gp_plus": rec["sl_plus"]}
-
-
-def in_lambda_gprime(sigma_ell, s, r, n) -> dict:
-    """g'-homomorphism sets (connected mode, no signs)."""
-    rec = in_lambda_sl_connected(sigma_ell, -Fraction(s), -Fraction(r), n)
-    return {"g1": rec["sl1"], "g2": rec["sl2"], "g_plus": rec["sl_plus"]}
-
-
 # -- predicted dimensions -------------------------------------------------------
 
 
+def _dim(rec: dict) -> int:
+    """Dimension named by a membership record: 2 on the doubled n = 2 family."""
+    if rec.get("sl_plus"):
+        return 2
+    return 1 if any(rec.values()) else 0
+
+
 def predicted_dim_sl(q: SLQuadruple, n: int) -> int:
-    rec = in_lambda_sl(q, n)
-    if n == 2:
-        if rec["sl_plus"]:
-            return 2
-        return 1 if rec["sl1"] else 0
-    return 1 if (rec["sl1"] or rec["sl2"]) else 0
+    return _dim(in_lambda_sl(q, n))
 
 
 def predicted_dim_sl_connected(ell, lam, nu, n) -> int:
-    rec = in_lambda_sl_connected(ell, lam, nu, n)
-    if n == 2:
-        if rec["sl_plus"]:
-            return 2
-        return 1 if rec["sl1"] else 0
-    return 1 if (rec["sl1"] or rec["sl2"]) else 0
+    return _dim(in_lambda_sl_connected(ell, lam, nu, n))
 
 
 def predicted_dim_gl(t: GLTuple, n: int) -> int:
-    rec = in_lambda_gl(t, n)
-    return 1 if (rec["gl1"] or rec["gl2"]) else 0
+    return _dim(in_lambda_gl(t, n))
 
 
-def predicted_dim_ido(n, flavor, alpha, delta, k, lam, tau) -> int:
-    if flavor == "sl":
-        rec = in_lambda_ido_sl(n, alpha, delta, k, lam, tau)
-    else:
-        rec = in_lambda_ido_gl(n, alpha, delta, k, lam, tau)
-    return 1 if (rec["ido"] or rec["identity"]) else 0
-
+def predicted_dim_ido(n, alphas, deltas, k, lams, taus) -> int:
+    return _dim(in_lambda_ido(n, alphas, deltas, k, lams, taus))

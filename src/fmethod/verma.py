@@ -111,15 +111,7 @@ class VermaModule:
         g0 = gamma.entries[0][0]
         ad = [gamma.entries[j][j] * g0 for j in range(1, self.num_vars + 1)]
         blk = [gamma.entries[j][j] for j in range(1, self.num_vars + 1)]
-        det_block = Fraction(1)
-        for b in blk:
-            det_block *= b
-        if self.flavor == SL:
-            char = det_block if self.signs[0] % 2 else Fraction(1)
-        else:
-            char = g0 if self.signs[0] % 2 else Fraction(1)
-            if self.signs[1] % 2:
-                char *= det_block
+        char = self.pd.sign_character(gamma, self.signs, self.num_vars)
         comps = {}
         for lbl, p in v.components.items():
             fsign = Fraction(1)

@@ -112,6 +112,23 @@ def test_verify_verma_factorization(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("sign, parity", [("+", 0), ("-", 1)])
+def test_verify_verma_factorization_passes_the_sign(capsys, monkeypatch, sign, parity):
+    seen = []
+
+    def recording(m, ell, n, degree_cap, **options):
+        seen.append(options["alpha"])
+        return {"status": "pass"}
+
+    monkeypatch.setattr(cli, "verify_factorization_verma", recording)
+    code, _, _ = run(
+        capsys, "verify", "verma-factorization", "--n", "2", "--m", "1", "--l", "1",
+        "--alpha", sign,
+    )
+    assert code == 0
+    assert seen == [parity]
+
+
 def test_branch_pass(capsys):
     code, out, _ = run(capsys, "branch", "--n", "2", "--s", "1/3", "--deg", "8")
     assert code == 0
@@ -200,6 +217,9 @@ OTHER_USAGE_ERRORS = {
     ("classify", "--n", "2", "--lambda-samples=abc"): "not a rational number: 'abc'",
     ("classify", "--n", "2", "--lambda-samples=1/3,1/0"): "not a rational number: '1/0'",
     ("classify", "--n", "2", "--lambda2-samples=x"): "not a rational number: 'x'",
+    ("classify", "--n", "2", "--flavor", "gl", "--lambda2-samples="): "--lambda2-samples is empty",
+    ("classify", "--n", "3", "--flavor", "gl", "--ido", "--lambda2-samples", ""):
+        "--lambda2-samples is empty",
     ("verify", "equivariance", "--n", "2", "--lambda", "1/0"): "not a rational number",
     ("verify", "equivariance", "--n", "2", "--lambda2", "q"): "not a rational number",
     ("verify", "equivariance", "--n", "2", "--nu", "1/0"): "not a rational number",

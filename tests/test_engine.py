@@ -103,7 +103,10 @@ def test_equivariant_basis_model_vector():
     eq = equivariant_basis(src, tgt, 2)
     assert eq.dim == 1
     assert same_solution_span(eq.basis, [psi_vector(1, 1, 3)])
-    assert eq.witness_split() == [(1, 1)]
+    # its (zeta_n degree, primed degree) is the witness (m, ell) = (1, 1)
+    (vec,) = eq.basis_vectors
+    monos = {eq.unknowns[i][0] for i, c in enumerate(vec) if c}
+    assert {(mono[-1], sum(mono[:-1])) for mono in monos} == {(1, 1)}
 
 
 def test_solutions_are_homogeneous():

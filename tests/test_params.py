@@ -1,16 +1,19 @@
+import itertools
 from fractions import Fraction
 
 from fmethod.params import (
     GLTuple,
     SLQuadruple,
+    _nonneg_int,
     in_lambda_gl,
-    in_lambda_gp,
-    in_lambda_gprime,
-    in_lambda_ido_gl,
-    in_lambda_ido_sl,
+    in_lambda_ido,
     in_lambda_sl,
+    in_lambda_sl_connected,
     parse_sign,
+    predicted_dim_gl,
+    predicted_dim_ido,
     predicted_dim_sl,
+    predicted_dim_sl_connected,
     sign_shift,
     sign_str,
 )
@@ -107,13 +110,15 @@ def test_gl2_membership_accepts_matched_signs():
 
 def test_ido_membership():
     # n=2, k=3: (alpha, alpha+3; poly^3_2; -2, 5/2)
-    rec = in_lambda_ido_sl(2, PLUS, sign_shift(PLUS, 3), 3, Fraction(-2), Fraction(5, 2))
+    rec = in_lambda_ido(2, (PLUS,), (sign_shift(PLUS, 3),), 3, (Fraction(-2),), (Fraction(5, 2),))
     assert rec["ido"] == {"k": 3}
-    rec = in_lambda_ido_sl(2, PLUS, PLUS, 0, Fraction(5), Fraction(5))
+    rec = in_lambda_ido(2, (PLUS,), (PLUS,), 0, (Fraction(5),), (Fraction(5),))
     assert rec["identity"] and rec["ido"] is None
-    rec = in_lambda_ido_sl(2, PLUS, sign_shift(PLUS, 2), 2, Fraction(1, 3), Fraction(4, 3))
+    rec = in_lambda_ido(
+        2, (PLUS,), (sign_shift(PLUS, 2),), 2, (Fraction(1, 3),), (Fraction(4, 3),)
+    )
     assert rec["ido"] is None and not rec["identity"]
-    rec = in_lambda_ido_gl(
+    rec = in_lambda_ido(
         2, (PLUS, PLUS), (MINUS, PLUS), 1,
         (Fraction(0), Fraction(2)), (Fraction(3, 2), Fraction(3, 2)),
     )
@@ -121,14 +126,215 @@ def test_ido_membership():
 
 
 def test_verma_side_sets_by_substitution():
+    # the Verma-side sets are the SL sets at (lambda, nu) = (-s, -r).
     # (s, r) = ((m+ell)-1, -(1+ell/(n-1))) is the second family; at n=3,
     # (m, ell) = (1, 1): s = 1, r = -3/2
-    rec = in_lambda_gp(PLUS, sign_shift(PLUS, 2), 1, Fraction(1), Fraction(-3, 2), 3)
-    assert rec["gp2"] == {"m": 1, "ell": 1}
-    rec = in_lambda_gp(PLUS, sign_shift(PLUS, 2), 0, Fraction(7, 5), Fraction(7, 5) - 2, 3)
-    assert rec["gp1"] == {"m": 2}
+    beta = sign_shift(PLUS, 2)
+    rec = in_lambda_sl(SLQuadruple(PLUS, beta, 1, -Fraction(1), Fraction(3, 2)), 3)
+    assert rec["sl2"] == {"m": 1, "ell": 1}
+    s = Fraction(7, 5)
+    rec = in_lambda_sl(SLQuadruple(PLUS, beta, 0, -s, -(s - 2)), 3)
+    assert rec["sl1"] == {"m": 2}
     # sign-free version for plain g'-homomorphisms
-    rec = in_lambda_gprime(0, Fraction(1), Fraction(-2), 2)
-    assert rec["g_plus"] == {"m": 1, "ell": 1}
-    rec = in_lambda_gprime(0, Fraction(1, 2), Fraction(3), 2)
-    assert rec["g1"] is None and rec["g2"] is None
+    rec = in_lambda_sl_connected(0, -Fraction(1), Fraction(2), 2)
+    assert rec["sl_plus"] == {"m": 1, "ell": 1}
+    rec = in_lambda_sl_connected(0, -Fraction(1, 2), -Fraction(3), 2)
+    assert rec["sl1"] is None and rec["sl2"] is None
+
+
+# -- the derived rules against the rules as they were first written -------------
+#
+# Test-only copies of the membership bodies that stated each family on its
+# own, before the SL rule became the single source.  The derived rules must
+# give the same records and dimensions on the whole grid below.
+
+GRID_N = range(2, 6)
+GRID_L = range(4)
+GRID_VALUES = sorted({Fraction(p, q) for q in (1, 2, 3) for p in range(-8, 9)})
+SIGNS = (PLUS, MINUS)
+# each test also counts the members it met (a dimension-2 cell counts
+# twice), so a grid that missed the families would fail too
+
+
+def reference_sl(q, n):
+    rec = {"sl1": None, "sl2": None, "sl_plus": None}
+    q = q.canonical(n)
+    if n == 2:
+        m1 = _nonneg_int(q.nu - q.lam)
+        if m1 is not None and q.beta == sign_shift(q.alpha, m1):
+            rec["sl1"] = {"m": m1}
+        ell = _nonneg_int(q.nu - 1)
+        if ell is not None:
+            m = _nonneg_int(1 - q.lam - ell)
+            if m is not None and q.beta == sign_shift(q.alpha, m):
+                rec["sl2"] = {"m": m, "ell": ell}
+                if ell >= 1:
+                    rec["sl_plus"] = {"m": m, "ell": ell}
+        return rec
+    if q.ell == 0:
+        m1 = _nonneg_int(q.nu - q.lam)
+        if m1 is not None and q.beta == sign_shift(q.alpha, m1):
+            rec["sl1"] = {"m": m1}
+    if q.nu == 1 + Fraction(q.ell, n - 1):
+        m = _nonneg_int(1 - q.lam - q.ell)
+        if m is not None and q.beta == sign_shift(q.alpha, m + q.ell):
+            rec["sl2"] = {"m": m, "ell": q.ell}
+    return rec
+
+
+def reference_sl_connected(ell, lam, nu, n):
+    rec = {"sl1": None, "sl2": None, "sl_plus": None}
+    if n == 2:
+        m1 = _nonneg_int(nu - lam)
+        if m1 is not None:
+            rec["sl1"] = {"m": m1}
+        e = _nonneg_int(nu - 1)
+        if e is not None:
+            m = _nonneg_int(1 - lam - e)
+            if m is not None:
+                rec["sl2"] = {"m": m, "ell": e}
+                if e >= 1:
+                    rec["sl_plus"] = {"m": m, "ell": e}
+        return rec
+    if ell == 0:
+        m1 = _nonneg_int(nu - lam)
+        if m1 is not None:
+            rec["sl1"] = {"m": m1}
+    if nu == 1 + Fraction(ell, n - 1):
+        m = _nonneg_int(1 - lam - ell)
+        if m is not None:
+            rec["sl2"] = {"m": m, "ell": ell}
+    return rec
+
+
+def reference_sl_dim(rec, n):
+    if n == 2:
+        if rec["sl_plus"]:
+            return 2
+        return 1 if rec["sl1"] else 0
+    return 1 if (rec["sl1"] or rec["sl2"]) else 0
+
+
+def reference_gl(t, n):
+    rec = {"gl1": None, "gl2": None}
+    a1, a2 = t.alphas
+    b1, b2 = t.betas
+    l1, l2 = t.lams
+    n1, n2 = t.nus
+    if t.ell == 0:
+        m = _nonneg_int(n1 - l1)
+        if m is not None and n2 == l2 and b1 == sign_shift(a1, m) and b2 == a2:
+            rec["gl1"] = {"m": m}
+    if n1 == 1 + Fraction(t.ell, n - 1) and n2 == l2 - Fraction(t.ell, n - 1):
+        m = _nonneg_int(1 - l1 - t.ell)
+        if m is not None and b1 == sign_shift(a1, m + t.ell) and b2 == a2:
+            rec["gl2"] = {"m": m, "ell": t.ell}
+    return rec
+
+
+def reference_ido_sl(n, alpha, delta, k, lam, tau):
+    rec = {"ido": None, "identity": False}
+    if k == 0 and delta == alpha and tau == lam:
+        rec["identity"] = True
+    if lam == 1 - k and tau == 1 + Fraction(k, n) and delta == sign_shift(alpha, k):
+        rec["ido"] = {"k": k}
+    return rec
+
+
+def reference_ido_gl(n, alphas, deltas, k, lams, taus):
+    rec = {"ido": None, "identity": False}
+    if k == 0 and deltas == alphas and taus == lams:
+        rec["identity"] = True
+    if (
+        lams[0] == 1 - k
+        and taus[0] == 1 + Fraction(k, n)
+        and taus[1] == lams[1] - Fraction(k, n)
+        and deltas[0] == sign_shift(alphas[0], k)
+        and deltas[1] == alphas[1]
+    ):
+        rec["ido"] = {"k": k}
+    return rec
+
+
+def _grid(shift):
+    """(n, ell, lambda, nu, sign, sign) over the grid; nu also takes 1 + ell * shift(n)."""
+    for n, ell in itertools.product(GRID_N, GRID_L):
+        nus = GRID_VALUES + [1 + ell * shift(n)]
+        for point in itertools.product(GRID_VALUES, nus, SIGNS, SIGNS):
+            yield (n, ell) + point
+
+
+def _second_components(shift):
+    """Nine (sign, sign, offset) variants of a GL pair's second components.
+
+    The grid walks them cyclically; nine is prime to the 2 * 2 * 38 points
+    of its inner loops, so every variant meets every first-component sign
+    pair and every value of nu.
+    """
+    offsets = (Fraction(0), -shift, Fraction(1))
+    return list(itertools.product(((PLUS, PLUS), (MINUS, MINUS), (PLUS, MINUS)), offsets))
+
+
+def _sl_shift(n):
+    return Fraction(1, n - 1)
+
+
+def _ido_shift(n):
+    return Fraction(1, n)
+
+
+def test_sl_rule_matches_reference():
+    hits = 0
+    for n, ell, lam, nu, alpha, beta in _grid(_sl_shift):
+        q = SLQuadruple(alpha, beta, ell, lam, nu)
+        ref = reference_sl(q, n)
+        assert in_lambda_sl(q, n) == ref, (q, n)
+        dim = reference_sl_dim(ref, n)
+        assert predicted_dim_sl(q, n) == dim, (q, n)
+        hits += dim
+    assert hits > 2000
+
+
+def test_connected_rule_is_the_union_of_the_signed_ones():
+    hits = 0
+    for n, ell, lam, nu, alpha, beta in _grid(_sl_shift):
+        if (alpha, beta) != (PLUS, PLUS):
+            continue
+        ref = reference_sl_connected(ell, lam, nu, n)
+        assert in_lambda_sl_connected(ell, lam, nu, n) == ref, (ell, lam, nu, n)
+        dim = reference_sl_dim(ref, n)
+        assert predicted_dim_sl_connected(ell, lam, nu, n) == dim
+        hits += dim
+    assert hits > 1000
+
+
+def test_gl_rule_matches_reference():
+    lam2 = Fraction(1, 3)
+    hits = 0
+    for i, (n, ell, lam1, nu1, a1, b1) in enumerate(_grid(_sl_shift)):
+        variants = _second_components(ell * _sl_shift(n))
+        (a2, b2), offset = variants[i % len(variants)]
+        t = GLTuple((a1, a2), (b1, b2), ell, (lam1, lam2), (nu1, lam2 + offset))
+        ref = reference_gl(t, n)
+        assert in_lambda_gl(t, n) == ref, (t, n)
+        dim = 1 if (ref["gl1"] or ref["gl2"]) else 0
+        assert predicted_dim_gl(t, n) == dim
+        hits += dim
+    assert hits > 400
+
+
+def test_ido_rule_matches_reference():
+    lam2 = Fraction(1, 3)
+    hits = 0
+    for i, (n, k, lam, tau, alpha, delta) in enumerate(_grid(_ido_shift)):
+        ref = reference_ido_sl(n, alpha, delta, k, lam, tau)
+        assert in_lambda_ido(n, (alpha,), (delta,), k, (lam,), (tau,)) == ref
+        dim = 1 if (ref["ido"] or ref["identity"]) else 0
+        assert predicted_dim_ido(n, (alpha,), (delta,), k, (lam,), (tau,)) == dim
+        variants = _second_components(k * _ido_shift(n))
+        (a2, d2), offset = variants[i % len(variants)]
+        args = (n, (alpha, a2), (delta, d2), k, (lam, lam2), (tau, lam2 + offset))
+        ref = reference_ido_gl(*args)
+        assert in_lambda_ido(*args) == ref, args
+        hits += dim + (ref["ido"] is not None)
+    assert hits > 150
