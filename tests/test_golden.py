@@ -47,7 +47,14 @@ CASES = {
          "--nu", "7"], 1),
     "verify-verma-factorization": (
         ["verify", "verma-factorization", "--n", "2", "--m", "1", "--l", "1", "--deg", "3"], 0),
+    "verify-verma-factorization-gl": (
+        ["verify", "verma-factorization", "--n", "2", "--m", "1", "--l", "1", "--deg", "3",
+         "--flavor", "gl", "--alpha", "-", "--lambda2", "1/2"], 0),
+    "verify-images-sl": (["verify", "images", "--n", "3", "--m", "1", "--l", "2"], 0),
+    "verify-images-gl": (
+        ["verify", "images", "--n", "3", "--m", "1", "--l", "2", "--flavor", "gl"], 0),
     "branch-n2-p0": (["branch", "--n", "2", "--p", "0", "--deg", "6"], 0),
+    "branch-n3-p1": (["branch", "--n", "3", "--p", "1", "--deg", "6"], 0),
 }
 
 
