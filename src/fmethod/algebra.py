@@ -282,61 +282,67 @@ def format_monomial(mono, var: str) -> str:
     return "*".join(parts)
 
 
-def format_polynomial(p: Polynomial) -> str:
-    if p.is_zero():
-        return "0"
-    chunks = []
-    for mono, coeff in p.sorted_terms():
-        mstr = format_monomial(mono, p.var)
-        if not mstr:
-            body = str(abs(coeff))
+def format_terms(chunks) -> str:
+    """Signed sum `c1*body1 + c2*body2 - ...` of (coefficient, body) pairs, "0" if none.
+
+    A unit coefficient is left out; an empty body prints the bare number.
+    """
+    bits = []
+    for coeff, body in chunks:
+        if not body:
+            text = str(abs(coeff))
         elif abs(coeff) == 1:
-            body = mstr
+            text = body
         else:
-            body = f"{abs(coeff)}*{mstr}"
-        if not chunks:
-            chunks.append(body if coeff > 0 else f"-{body}")
+            text = f"{abs(coeff)}*{body}"
+        if not bits:
+            bits.append(text if coeff > 0 else f"-{text}")
         else:
-            chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(chunks)
+            bits.append(f"+ {text}" if coeff > 0 else f"- {text}")
+    return " ".join(bits) or "0"
+
+
+def format_polynomial(p: Polynomial) -> str:
+    return format_terms((c, format_monomial(mono, p.var)) for mono, c in p.sorted_terms())
 
 
 _TERM_RE = re.compile(r"([a-zA-Z]+)(\d+)(?:\^(\d+))?$")
 
 
-def parse_polynomial(text: str, arity: int, var: str) -> Polynomial:
-    """Inverse of format_polynomial (exact round trip on canonical form)."""
-    text = text.strip()
-    if text == "0":
-        return Polynomial.zero(arity, var)
-    text = text.replace("- ", "-").replace("+ ", "+")
-    pieces = re.split(r"(?=[+-])", text)
+def parse_terms(text: str, arity: int, names) -> dict:
+    """Inverse of format_terms over bodies that are monomials in `names`.
+
+    Returns {(exponents of names[0], exponents of names[1], ...): coefficient},
+    summed over equal keys; an unknown variable name raises ValueError.
+    """
     terms = {}
-    for piece in pieces:
+    for piece in re.split(r"(?=[+-])", text.replace("- ", "-").replace("+ ", "+")):
         piece = piece.strip()
         if not piece:
             continue
-        sign = Fraction(1)
-        if piece[0] == "+":
+        coeff = Fraction(-1 if piece[0] == "-" else 1)
+        if piece[0] in "+-":
             piece = piece[1:]
-        elif piece[0] == "-":
-            sign = Fraction(-1)
-            piece = piece[1:]
-        coeff = sign
-        expo = [0] * arity
+        expos = [[0] * arity for _ in names]
         for factor in piece.split("*"):
             factor = factor.strip()
             m = _TERM_RE.match(factor)
             if m:
                 name, idx, power = m.group(1), int(m.group(2)), m.group(3)
-                if name != var:
-                    raise ValueError(f"unexpected variable {name!r}, ring uses {var!r}")
-                expo[idx - 1] += int(power) if power else 1
+                if name not in names:
+                    raise ValueError(f"unexpected variable {name!r}, ring uses {names}")
+                expos[names.index(name)][idx - 1] += int(power) if power else 1
             else:
                 coeff *= Fraction(factor)
-        key = tuple(expo)
+        key = tuple(map(tuple, expos))
         terms[key] = terms.get(key, Fraction(0)) + coeff
-    return Polynomial(arity, terms, var)
+    return terms
+
+
+def parse_polynomial(text: str, arity: int, var: str) -> Polynomial:
+    """Inverse of format_polynomial (exact round trip on canonical form)."""
+    terms = parse_terms(text, arity, (var,))
+    return Polynomial(arity, {expo: c for (expo,), c in terms.items()}, var)
 
 
 class Matrix:

@@ -59,13 +59,13 @@ class GradedCharacter:
         }
 
 
-def character_verma(n: int, s, min_weight) -> GradedCharacter:
-    """Truncated character of the scalar module M(s), n variables."""
+def character_verma(n: int, s, min_weight, lowest_grade: int = 0) -> GradedCharacter:
+    """Truncated character of the scalar module M(s), n variables, grades >= lowest_grade."""
     s = Fraction(s)
     ch = GradedCharacter(Fraction(min_weight))
     m = 0
     while s - m >= ch.min_weight:
-        L = 0
+        L = max(0, lowest_grade - m)
         while Fraction(n, n - 1) * L <= s - m - ch.min_weight:
             ch.add(s - m - Fraction(n, n - 1) * L, math.comb(L + n - 2, n - 2))
             L += 1
@@ -73,11 +73,11 @@ def character_verma(n: int, s, min_weight) -> GradedCharacter:
     return ch
 
 
-def character_verma_primed(n: int, r, min_weight) -> GradedCharacter:
-    """Truncated character of the lower-rank scalar module M'(r)."""
+def character_verma_primed(n: int, r, min_weight, lowest_grade: int = 0) -> GradedCharacter:
+    """Truncated character of the lower-rank scalar module M'(r), grades >= lowest_grade."""
     r = Fraction(r)
     ch = GradedCharacter(Fraction(min_weight))
-    j = 0
+    j = lowest_grade
     while r - Fraction(n, n - 1) * j >= ch.min_weight:
         ch.add(r - Fraction(n, n - 1) * j, math.comb(j + n - 2, n - 2))
         j += 1
@@ -93,26 +93,12 @@ def character_sum(chars, min_weight) -> GradedCharacter:
 
 def character_im_phi(n: int, p: int, min_weight) -> GradedCharacter:
     """Character of Im(phi_{p+1}) = grades >= p+1 of M(p)."""
-    ch = GradedCharacter(Fraction(min_weight))
-    m = 0
-    while p - m >= ch.min_weight:
-        L = 0
-        while Fraction(n, n - 1) * L <= p - m - ch.min_weight:
-            if m + L >= p + 1:
-                ch.add(p - m - Fraction(n, n - 1) * L, math.comb(L + n - 2, n - 2))
-            L += 1
-        m += 1
-    return ch
+    return character_verma(n, p, min_weight, p + 1)
 
 
 def character_im_phi_primed(n: int, d: int, min_weight) -> GradedCharacter:
     """Character of Im(phi'_{d+1}) = grades >= d+1 of M'(d)."""
-    ch = GradedCharacter(Fraction(min_weight))
-    j = d + 1
-    while d - Fraction(n, n - 1) * j >= ch.min_weight:
-        ch.add(d - Fraction(n, n - 1) * j, math.comb(j + n - 2, n - 2))
-        j += 1
-    return ch
+    return character_verma_primed(n, d, min_weight, d + 1)
 
 
 def character_sym_big(n: int, p: int, min_weight) -> GradedCharacter:

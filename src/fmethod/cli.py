@@ -213,6 +213,33 @@ def _ignored_mode(args):
     return None
 
 
+# the optional flags each verify target reads (--n, --m, --l and --out serve all);
+# --lambda2 is read under --flavor gl only
+VERIFY_READS = {
+    "factorization": {"--deg"},
+    "equivariance": {"--deg", "--lambda", "--lambda2", "--nu", "--alpha", "--flavor"},
+    "images": {"--flavor"},
+    "verma-factorization": {"--deg", "--lambda2", "--alpha", "--flavor"},
+}
+VERIFY_DEST = {
+    "--deg": "deg", "--lambda": "lam", "--lambda2": "lam2", "--nu": "nu", "--alpha": "alpha",
+    "--flavor": "flavor",
+}
+
+
+def _ignored_verify_flag(args):
+    """A verify flag set away from its default that the target would not read, if any."""
+    reads = VERIFY_READS[args.what]
+    for flag, dest in VERIFY_DEST.items():
+        if getattr(args, dest) == args.parser.get_default(dest):
+            continue
+        if flag not in reads:
+            return f"verify {args.what} does not read {flag}"
+        if flag == "--lambda2" and args.flavor == "sl":
+            return "--lambda2 applies to --flavor gl only"
+    return None
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="fmethod",
@@ -244,13 +271,13 @@ def build_parser():
     v.add_argument("--m", type=_int_at_least(0), default=1)
     v.add_argument("--l", type=_int_at_least(0), default=0)
     v.add_argument("--deg", type=_int_at_least(0), default=6)
-    v.add_argument("--lambda", dest="lam", type=_fraction, default="0")
-    v.add_argument("--lambda2", dest="lam2", type=_fraction, default="0")
+    v.add_argument("--lambda", dest="lam", type=_fraction, default=Fraction(0))
+    v.add_argument("--lambda2", dest="lam2", type=_fraction, default=Fraction(0))
     v.add_argument("--nu", type=_fraction, default=None)
-    v.add_argument("--alpha", type=_sign, default="+")
+    v.add_argument("--alpha", type=_sign, default=0)
     v.add_argument("--flavor", choices=["sl", "gl"], default="sl")
     v.add_argument("--out", default=None)
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=cmd_verify, parser=v)
 
     b = sub.add_parser("branch", help="verify branching laws")
     b.add_argument("--n", type=_int_at_least(2), required=True)
@@ -266,7 +293,8 @@ def build_parser():
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    ignored = _ignored_mode(args) if args.command == "classify" else None
+    check = {"classify": _ignored_mode, "verify": _ignored_verify_flag}.get(args.command)
+    ignored = check(args) if check else None
     if ignored:
         args.parser.error(ignored)
     try:

@@ -289,14 +289,6 @@ class ParabolicData:
         g0 = gamma.entries[0][0]
         return (g0 if parities[0] % 2 else Fraction(1)) * (det if parities[1] % 2 else Fraction(1))
 
-    def dchi(self, Z: LieElement) -> Fraction:
-        """Differential of the A-character, normalized dchi(H0~) = 1."""
-        return Z.entries[0][0]
-
-    def dchi2(self, Z: LieElement) -> Fraction:
-        """GL second character, normalized dchi2(J0) = 1."""
-        return Z.trace()
-
     def two_rho(self):
         """Weights of det Ad on n_+ against (dchi[, dchi2])."""
         if self.flavor == SL:

@@ -56,9 +56,6 @@ class ScalarRepParams:
             n, GL, (int(alpha1) % 2, int(alpha2) % 2), (Fraction(lam1), Fraction(lam2))
         )
 
-    def weights(self):
-        return self.lam
-
     def dual_weights(self):
         """2rho - lambda, the inducing weight of the pairing-dual bundle."""
         pd = parabolic(self.n, self.flavor)
@@ -84,13 +81,6 @@ class TargetRepParams:
         return cls(
             n, GL, (int(beta1) % 2, int(beta2) % 2), (Fraction(nu1), Fraction(nu2)), ell
         )
-
-    def canonical(self):
-        """For n = 2 fold poly^ell into the sign character (ell -> 0)."""
-        if self.n != 2 or self.ell == 0:
-            return self
-        beta = ((self.beta[0] + self.ell) % 2,) + self.beta[1:]
-        return TargetRepParams(self.n, self.flavor, beta, self.nu, 0)
 
 
 class VectorValuedPolynomial:
@@ -402,7 +392,7 @@ def dpi_lambda(X: LieElement, params: ScalarRepParams) -> WeylElement:
     """Action of X on the source line bundle, coordinates x_1..x_n."""
     pd = parabolic(params.n, params.flavor)
     _check_in_g(X, pd)
-    fiber = ScalarFiber(params.weights())
+    fiber = ScalarFiber(params.lam)
     return induced_operator(X, pd, params.n, fiber).scalar_entry()
 
 

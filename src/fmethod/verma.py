@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .algebra import Polynomial, monomial_basis
 from .engine import DEFAULT_SAMPLES, classify
-from .liealg import GL, SL, parabolic
+from .liealg import SL, parabolic
 from .params import sign_shift
 from .rep import (
     ScalarFiber,
@@ -47,24 +47,25 @@ class VermaModule:
     signs: tuple = (0,)
 
     @classmethod
-    def scalar(cls, n, s, flavor=SL, sign=(0,), s2=None):
-        nu = (Fraction(-s),) if flavor == SL else (Fraction(-s), Fraction(-s2))
-        return cls(n, flavor, False, 0, nu, tuple(sign))
+    def of(cls, n, primed, k, u, flavor=SL, sign=(), u2=None):
+        """S^k fiber over rank n-1 (primed) or n, inducing weight -u (and -u2 for GL).
 
-    @classmethod
-    def scalar_primed(cls, n, r, flavor=SL, sign=(0,), r2=None):
-        nu = (Fraction(-r),) if flavor == SL else (Fraction(-r), Fraction(-r2))
-        return cls(n, flavor, True, 0, nu, tuple(sign))
-
-    @classmethod
-    def fiber(cls, n, k, u, flavor=SL, sign=(0,), u2=None):
+        `sign` gives the parities of the leading characters; the rest are +.
+        """
         nu = (Fraction(-u),) if flavor == SL else (Fraction(-u), Fraction(-u2))
-        return cls(n, flavor, False, k, nu, tuple(sign))
+        return cls(n, flavor, primed, k, nu, tuple(sign) + (0,) * (len(nu) - len(sign)))
 
     @classmethod
-    def fiber_primed(cls, n, k, u, flavor=SL, sign=(0,), u2=None):
-        nu = (Fraction(-u),) if flavor == SL else (Fraction(-u), Fraction(-u2))
-        return cls(n, flavor, True, k, nu, tuple(sign))
+    def scalar(cls, n, s, flavor=SL, sign=(), s2=None):
+        return cls.of(n, False, 0, s, flavor, sign, s2)
+
+    @classmethod
+    def scalar_primed(cls, n, r, flavor=SL, sign=(), r2=None):
+        return cls.of(n, True, 0, r, flavor, sign, r2)
+
+    @classmethod
+    def fiber_primed(cls, n, k, u, flavor=SL, sign=(), u2=None):
+        return cls.of(n, True, k, u, flavor, sign, u2)
 
     @property
     def num_vars(self):
@@ -161,80 +162,51 @@ class VermaHom:
         return out
 
 
-def build_phi(m: int, ell: int, n: int, flavor=SL, alpha=0, lam2=Fraction(0)) -> VermaHom:
-    """Phi_(m,ell): fiber generator e_l goes to zeta_n^m zeta^l."""
-    s = (m + ell) - 1
-    mu_p = 1 + Fraction(ell, n - 1)
-    if flavor == SL:
-        src = VermaModule.fiber_primed(
-            n, ell, -mu_p, sign=(sign_shift(alpha, m + ell),)
-        )
-        tgt = VermaModule.scalar(n, s, sign=(alpha,))
-    else:
-        src = VermaModule.fiber_primed(
-            n, ell, -mu_p, GL,
-            sign=(sign_shift(alpha, m + ell), 0),
-            u2=-(lam2 - Fraction(ell, n - 1)),
-        )
-        tgt = VermaModule.scalar(n, s, GL, sign=(alpha, 0), s2=-lam2)
-    images = []
-    for lbl in src.fiber_labels():
-        mono = (lbl if lbl else (0,) * (n - 1)) + (m,)
-        images.append(
-            (lbl, VectorValuedPolynomial(n, {(): Polynomial.monomial(n, mono, 1, "zeta")}, "zeta"))
-        )
-    return VermaHom(src, tgt, tuple(images))
+def _module(n, primed, k, u, flavor, parity, lam2) -> VermaModule:
+    """A source or target of Phi, phi_k and Emb: S^k over rank r = n-1 (primed) or n.
 
-
-def build_phi_k(k: int, n: int, flavor=SL, alpha=0, lam2=Fraction(0), primed=False) -> VermaHom:
-    """phi_k (or phi'_k on the primed pair): e_k goes to zeta^k."""
-    nv = n - 1 if primed else n
+    For GL the second weight is lam2 - k/r and the second sign +.
+    """
     rank = n - 1 if primed else n
-    s = k - 1
-    mu = 1 + Fraction(k, rank)
-    beta = sign_shift(alpha, k)
-    if flavor == SL:
-        if primed:
-            src = VermaModule.fiber_primed(n, k, -mu, sign=(beta,))
-            tgt = VermaModule.scalar_primed(n, s, sign=(alpha,))
-        else:
-            src = VermaModule.fiber(n, k, -mu, sign=(beta,))
-            tgt = VermaModule.scalar(n, s, sign=(alpha,))
-    else:
-        u2 = -(lam2 - Fraction(k, rank))
-        if primed:
-            src = VermaModule.fiber_primed(n, k, -mu, GL, sign=(beta, 0), u2=u2)
-            tgt = VermaModule.scalar_primed(n, s, GL, sign=(alpha, 0), r2=-lam2)
-        else:
-            src = VermaModule.fiber(n, k, -mu, GL, sign=(beta, 0), u2=u2)
-            tgt = VermaModule.scalar(n, s, GL, sign=(alpha, 0), s2=-lam2)
+    return VermaModule.of(n, primed, k, u, flavor, (parity,), Fraction(k, rank) - lam2)
+
+
+def _monomial_hom(src: VermaModule, tgt: VermaModule, m=0) -> VermaHom:
+    """e_l goes to zeta^l, times zeta_n^m when the target has one variable more."""
+    nv = tgt.num_vars
     images = []
     for lbl in src.fiber_labels():
-        mono = lbl if lbl else (0,) * nv
+        mono = (lbl or (0,) * src.num_vars) + (m,) * (nv - src.num_vars)
         images.append(
             (lbl, VectorValuedPolynomial(nv, {(): Polynomial.monomial(nv, mono, 1, "zeta")}, "zeta"))
         )
     return VermaHom(src, tgt, tuple(images))
 
 
+def build_phi(m: int, ell: int, n: int, flavor=SL, alpha=0, lam2=Fraction(0)) -> VermaHom:
+    """Phi_(m,ell): fiber generator e_l goes to zeta_n^m zeta^l."""
+    beta = sign_shift(alpha, m + ell)
+    src = _module(n, True, ell, -1 - Fraction(ell, n - 1), flavor, beta, lam2)
+    tgt = _module(n, False, 0, m + ell - 1, flavor, alpha, lam2)
+    return _monomial_hom(src, tgt, m)
+
+
+def build_phi_k(k: int, n: int, flavor=SL, alpha=0, lam2=Fraction(0), primed=False) -> VermaHom:
+    """phi_k (or phi'_k on the primed pair): e_k goes to zeta^k."""
+    rank = n - 1 if primed else n
+    src = _module(n, primed, k, -1 - Fraction(k, rank), flavor, sign_shift(alpha, k), lam2)
+    tgt = _module(n, primed, 0, k - 1, flavor, alpha, lam2)
+    return _monomial_hom(src, tgt)
+
+
 def build_emb(m: int, ell: int, n: int, flavor=SL, alpha=0, lam2=Fraction(0)) -> VermaHom:
     """Emb~_(m,ell): e_l goes to the grade-0 fiber vector e_(m,l)."""
-    mu_p = 1 + Fraction(ell, n - 1)
-    mu = 1 + Fraction(m + ell, n)
     beta = sign_shift(alpha, m + ell)
-    if flavor == SL:
-        src = VermaModule.fiber_primed(n, ell, -mu_p, sign=(beta,))
-        tgt = VermaModule.fiber(n, m + ell, -mu, sign=(beta,))
-    else:
-        src = VermaModule.fiber_primed(
-            n, ell, -mu_p, GL, sign=(beta, 0), u2=-(lam2 - Fraction(ell, n - 1))
-        )
-        tgt = VermaModule.fiber(
-            n, m + ell, -mu, GL, sign=(beta, 0), u2=-(lam2 - Fraction(m + ell, n))
-        )
+    src = _module(n, True, ell, -1 - Fraction(ell, n - 1), flavor, beta, lam2)
+    tgt = _module(n, False, m + ell, -1 - Fraction(m + ell, n), flavor, beta, lam2)
     images = []
     for lbl in src.fiber_labels():
-        big = (lbl if lbl else (0,) * (n - 1)) + (m,)
+        big = (lbl or (0,) * (n - 1)) + (m,)
         out_lbl = big if tgt.fiber_degree > 0 else ()
         images.append(
             (lbl, VectorValuedPolynomial(n, {out_lbl: Polynomial.one(n, "zeta")}, "zeta"))

@@ -17,7 +17,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .algebra import Polynomial, format_monomial, monomial_key
+from .algebra import Polynomial, format_monomial, format_terms, monomial_key, parse_terms
 
 DUAL_VAR = {"x": "zeta", "zeta": "x", "z": "zeta"}
 
@@ -227,69 +227,23 @@ class WeylElement:
 
     def __str__(self):
         """Canonical expanded form: one chunk per coefficient monomial."""
-        if not self.terms:
-            return "0"
-        bits = []
-        for alpha, coeff in sorted(
-            self.terms.items(), key=lambda kv: monomial_key(kv[0]), reverse=True
-        ):
-            dstr = format_monomial(alpha, "d")
-            for mono, c in coeff.sorted_terms():
-                mstr = format_monomial(mono, self.var)
-                parts = [p for p in (mstr, dstr) if p]
-                if not parts:
-                    body = str(abs(c))
-                elif abs(c) == 1:
-                    body = "*".join(parts)
-                else:
-                    body = "*".join([str(abs(c))] + parts)
-                if not bits:
-                    bits.append(body if c > 0 else f"-{body}")
-                else:
-                    bits.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(bits)
+        return format_terms(
+            (c, "*".join(filter(None, (format_monomial(mono, self.var), format_monomial(alpha, "d")))))
+            for alpha, coeff in sorted(
+                self.terms.items(), key=lambda kv: monomial_key(kv[0]), reverse=True
+            )
+            for mono, c in coeff.sorted_terms()
+        )
 
     __repr__ = __str__
 
 
 def parse_weyl(text: str, arity: int, var: str = "x") -> WeylElement:
     """Inverse of str(): sums of terms `coeff*var-part*d-part`, d rightmost."""
-    import re
-
-    text = text.strip()
-    if text == "0":
-        return WeylElement.zero(arity, var)
-    text = text.replace("- ", "-").replace("+ ", "+")
-    terms = {}
-    for piece in re.split(r"(?=[+-])", text):
-        piece = piece.strip()
-        if not piece:
-            continue
-        sign = 1
-        if piece[0] == "+":
-            piece = piece[1:]
-        elif piece[0] == "-":
-            sign = -1
-            piece = piece[1:]
-        if not piece:
-            continue
-        coeff = Fraction(sign)
-        expo = [0] * arity
-        alpha = [0] * arity
-        for factor in piece.split("*"):
-            factor = factor.strip()
-            m = re.fullmatch(r"([a-zA-Z]+)(\d+)(?:\^(\d+))?", factor)
-            if m and m.group(1) == "d":
-                alpha[int(m.group(2)) - 1] += int(m.group(3)) if m.group(3) else 1
-            elif m and m.group(1) == var:
-                expo[int(m.group(2)) - 1] += int(m.group(3)) if m.group(3) else 1
-            else:
-                coeff *= Fraction(factor)
-        key = tuple(alpha)
-        add = Polynomial.monomial(arity, tuple(expo), coeff, var)
-        cur = terms.get(key)
-        terms[key] = add if cur is None else cur + add
-    return WeylElement(arity, {k: v for k, v in terms.items() if not v.is_zero()}, var)
+    by_alpha = {}
+    for (expo, alpha), c in parse_terms(text, arity, (var, "d")).items():
+        by_alpha.setdefault(alpha, {})[expo] = c
+    return WeylElement(arity, {a: Polynomial(arity, t, var) for a, t in by_alpha.items()}, var)
 
 
 def symb_inverse(p: Polynomial) -> WeylElement:

@@ -125,6 +125,67 @@ def test_parse_fractional_coefficients():
     assert format_polynomial(p) == "2/3*zeta1^2*zeta2 - zeta2 + 1"
 
 
+# -- the shared printer against the polynomial printer as first written --------
+#
+# Test-only copy of `format_polynomial` as it built its own signed chunks,
+# before one printer served `Polynomial` and `WeylElement`.
+
+
+def reference_format_polynomial(p):
+    if p.is_zero():
+        return "0"
+    chunks = []
+    for mono, coeff in p.sorted_terms():
+        mstr = "*".join(
+            f"{p.var}{i + 1}" if e == 1 else f"{p.var}{i + 1}^{e}"
+            for i, e in enumerate(mono)
+            if e
+        )
+        if not mstr:
+            body = str(abs(coeff))
+        elif abs(coeff) == 1:
+            body = mstr
+        else:
+            body = f"{abs(coeff)}*{mstr}"
+        if not chunks:
+            chunks.append(body if coeff > 0 else f"-{body}")
+        else:
+            chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(chunks)
+
+
+# negative, fractional, unit and constant coefficients; the zero polynomial
+TEXT_COEFFS = [Fraction(c) for c in ("-3", "-1", "-1/2", "2/3", "1", "4")]
+TEXT_MONOS = [(0, 0), (1, 0), (0, 2), (2, 1)]
+TEXT_POLYS = [Polynomial(2, {}, "zeta")] + [
+    Polynomial(2, {m1: c1, m2: c2}, var)
+    for var in ("zeta", "x")
+    for m1 in TEXT_MONOS
+    for m2 in TEXT_MONOS
+    for c1 in TEXT_COEFFS
+    for c2 in TEXT_COEFFS[::2]
+]
+
+
+def test_printer_matches_reference_and_round_trips():
+    for p in TEXT_POLYS:
+        text = format_polynomial(p)
+        assert text == reference_format_polynomial(p) == str(p)
+        assert parse_polynomial(text, 2, p.var) == p
+    assert format_polynomial(TEXT_POLYS[0]) == "0"
+
+
+@given(polynomials())
+@settings(max_examples=60, deadline=None)
+def test_printer_matches_reference_random(p):
+    assert format_polynomial(p) == reference_format_polynomial(p)
+
+
+def test_parse_rejects_a_foreign_variable():
+    with pytest.raises(ValueError):
+        parse_polynomial("x1 + 1", 2, "zeta")
+
+
 def test_span_helpers():
     a = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     b = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from fmethod.algebra import Polynomial, monomial_basis
 from fmethod.branch import (
+    GradedCharacter,
     aprime_weight,
     character_im_phi,
     character_im_phi_primed,
@@ -135,3 +137,43 @@ def test_branch_report_shape():
     rep = verify_branching(2, p=0, D=6)
     assert rep["invariant_counts"]["-2"] == 2
     assert rep["checks"]["generator_spanning"]
+
+
+# -- the image characters against their bodies as first written -----------------
+#
+# Test-only copies of the two image characters as they enumerated their own
+# grades, before each became a Verma character from a lowest grade on.
+
+
+def reference_im_phi(n, p, min_weight):
+    ch = GradedCharacter(Fraction(min_weight))
+    m = 0
+    while p - m >= ch.min_weight:
+        L = 0
+        while Fraction(n, n - 1) * L <= p - m - ch.min_weight:
+            if m + L >= p + 1:
+                ch.add(p - m - Fraction(n, n - 1) * L, math.comb(L + n - 2, n - 2))
+            L += 1
+        m += 1
+    return ch
+
+
+def reference_im_phi_primed(n, d, min_weight):
+    ch = GradedCharacter(Fraction(min_weight))
+    j = d + 1
+    while d - Fraction(n, n - 1) * j >= ch.min_weight:
+        ch.add(d - Fraction(n, n - 1) * j, math.comb(j + n - 2, n - 2))
+        j += 1
+    return ch
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", range(5))
+def test_image_characters_match_reference(n, p):
+    min_w = Fraction(p) - 10
+    expected = reference_im_phi(n, p, min_w)
+    assert expected.mult  # the truncation leaves grades above p
+    assert character_im_phi(n, p, min_w) == expected
+    expected = reference_im_phi_primed(n, p, min_w)
+    assert expected.mult
+    assert character_im_phi_primed(n, p, min_w) == expected

@@ -225,6 +225,28 @@ OTHER_USAGE_ERRORS = {
     ("verify", "equivariance", "--n", "2", "--nu", "1/0"): "not a rational number",
     ("verify", "equivariance", "--n", "2", "--alpha", "q"): "not a sign (+ or -): 'q'",
     ("branch", "--n", "2", "--s", "x"): "argument --s: not a rational number: 'x'",
+    # a verify flag, set away from its default, that the target does not read
+    ("verify", "factorization", "--n", "3", "--m", "1", "--l", "1", "--deg", "3", "--flavor", "gl",
+     "--alpha", "-", "--lambda", "7"): "verify factorization does not read --lambda",
+    ("verify", "factorization", "--n", "3", "--flavor", "gl"):
+        "verify factorization does not read --flavor",
+    ("verify", "factorization", "--n", "3", "--alpha", "-"): "verify factorization does not read --alpha",
+    ("verify", "factorization", "--n", "3", "--lambda2", "1/2"):
+        "verify factorization does not read --lambda2",
+    ("verify", "factorization", "--n", "3", "--nu", "2"): "verify factorization does not read --nu",
+    ("verify", "images", "--n", "3", "--alpha", "-"): "verify images does not read --alpha",
+    ("verify", "images", "--n", "3", "--lambda", "1"): "verify images does not read --lambda",
+    ("verify", "images", "--n", "3", "--flavor", "gl", "--lambda2", "1"):
+        "verify images does not read --lambda2",
+    ("verify", "images", "--n", "3", "--nu", "1/2"): "verify images does not read --nu",
+    ("verify", "images", "--n", "3", "--deg", "4"): "verify images does not read --deg",
+    ("verify", "verma-factorization", "--n", "2", "--lambda", "1"):
+        "verify verma-factorization does not read --lambda",
+    ("verify", "verma-factorization", "--n", "2", "--nu", "1"):
+        "verify verma-factorization does not read --nu",
+    ("verify", "verma-factorization", "--n", "2", "--lambda2", "1/2"):
+        "--lambda2 applies to --flavor gl only",
+    ("verify", "equivariance", "--n", "2", "--lambda2", "1/2"): "--lambda2 applies to --flavor gl only",
 }
 
 
@@ -256,6 +278,22 @@ def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     assert captured.out == ""
     assert "usage:" in captured.err
     assert OTHER_USAGE_ERRORS.get(argv, "must be >= ") in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "factorization", "--n", "2", "--deg", "6", "--lambda", "0", "--alpha", "+",
+         "--flavor", "sl", "--lambda2", "0"),
+        ("verify", "images", "--n", "2", "--flavor", "gl"),
+        ("verify", "equivariance", "--n", "2", "--flavor", "gl", "--lambda2", "1/2"),
+    ],
+    ids=["defaults-spelled-out", "images-gl", "equivariance-gl-lambda2"],
+)
+def test_verify_flags_the_target_reads_are_accepted(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert json.loads(out)["status"] == "pass"
 
 
 def test_broken_invariant_is_an_internal_error(capsys, monkeypatch):

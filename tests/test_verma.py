@@ -5,6 +5,7 @@ import pytest
 
 from fmethod import engine
 from fmethod.algebra import Polynomial, monomial_basis
+from fmethod.liealg import parabolic
 from fmethod.params import sign_shift
 from fmethod.rep import VectorValuedPolynomial
 from fmethod.verma import (
@@ -63,7 +64,7 @@ def test_grade_dimensions():
     for k in range(5):
         assert mod.grade_dim(k) == math.comb(k + 2, 2)
         assert len(mod.basis(k)) == mod.grade_dim(k)
-    fib = VermaModule.fiber(2, 3, Fraction(-5, 2))
+    fib = VermaModule.of(2, False, 3, Fraction(-5, 2))
     assert fib.grade_dim(2) == 3 * len(monomial_basis(2, 3))
 
 
@@ -189,3 +190,170 @@ def test_homs_rows_check_the_span(monkeypatch, connected):
     members = [r for r in rows if r["predicted_dim"] == 1]
     assert members and not any(r["ok"] for r in members)
     assert all(r["ok"] for r in rows if r["predicted_dim"] == 0)
+
+
+# -- the shared module rule against the builders as first written -------------
+#
+# Test-only copies of the constructors and homomorphism builders that stated
+# each module on its own, one SL and one GL branch per builder, before one
+# module rule served Phi, phi_k and Emb.  The derived builders must give
+# equal homomorphisms (source, target and images) on the whole grid below.
+
+
+def reference_module(n, primed, k, u, flavor, sign, u2):
+    nu = (Fraction(-u),) if flavor == "sl" else (Fraction(-u), Fraction(-u2))
+    return VermaModule(n, flavor, primed, k, nu, tuple(sign))
+
+
+def reference_scalar(n, s, flavor="sl", sign=(0,), s2=None):
+    return reference_module(n, False, 0, s, flavor, sign, s2)
+
+
+def reference_scalar_primed(n, r, flavor="sl", sign=(0,), r2=None):
+    return reference_module(n, True, 0, r, flavor, sign, r2)
+
+
+def reference_fiber(n, k, u, flavor="sl", sign=(0,), u2=None):
+    return reference_module(n, False, k, u, flavor, sign, u2)
+
+
+def reference_fiber_primed(n, k, u, flavor="sl", sign=(0,), u2=None):
+    return reference_module(n, True, k, u, flavor, sign, u2)
+
+
+def _zeta_monomial(nv, mono):
+    return VectorValuedPolynomial(nv, {(): Polynomial.monomial(nv, mono, 1, "zeta")}, "zeta")
+
+
+def reference_build_phi(m, ell, n, flavor="sl", alpha=0, lam2=Fraction(0)):
+    s = (m + ell) - 1
+    mu_p = 1 + Fraction(ell, n - 1)
+    if flavor == "sl":
+        src = reference_fiber_primed(n, ell, -mu_p, sign=(sign_shift(alpha, m + ell),))
+        tgt = reference_scalar(n, s, sign=(alpha,))
+    else:
+        src = reference_fiber_primed(
+            n, ell, -mu_p, "gl",
+            sign=(sign_shift(alpha, m + ell), 0),
+            u2=-(lam2 - Fraction(ell, n - 1)),
+        )
+        tgt = reference_scalar(n, s, "gl", sign=(alpha, 0), s2=-lam2)
+    images = []
+    for lbl in src.fiber_labels():
+        mono = (lbl if lbl else (0,) * (n - 1)) + (m,)
+        images.append((lbl, _zeta_monomial(n, mono)))
+    return VermaHom(src, tgt, tuple(images))
+
+
+def reference_build_phi_k(k, n, flavor="sl", alpha=0, lam2=Fraction(0), primed=False):
+    nv = n - 1 if primed else n
+    rank = n - 1 if primed else n
+    s = k - 1
+    mu = 1 + Fraction(k, rank)
+    beta = sign_shift(alpha, k)
+    if flavor == "sl":
+        if primed:
+            src = reference_fiber_primed(n, k, -mu, sign=(beta,))
+            tgt = reference_scalar_primed(n, s, sign=(alpha,))
+        else:
+            src = reference_fiber(n, k, -mu, sign=(beta,))
+            tgt = reference_scalar(n, s, sign=(alpha,))
+    else:
+        u2 = -(lam2 - Fraction(k, rank))
+        if primed:
+            src = reference_fiber_primed(n, k, -mu, "gl", sign=(beta, 0), u2=u2)
+            tgt = reference_scalar_primed(n, s, "gl", sign=(alpha, 0), r2=-lam2)
+        else:
+            src = reference_fiber(n, k, -mu, "gl", sign=(beta, 0), u2=u2)
+            tgt = reference_scalar(n, s, "gl", sign=(alpha, 0), s2=-lam2)
+    images = []
+    for lbl in src.fiber_labels():
+        mono = lbl if lbl else (0,) * nv
+        images.append((lbl, _zeta_monomial(nv, mono)))
+    return VermaHom(src, tgt, tuple(images))
+
+
+def reference_build_emb(m, ell, n, flavor="sl", alpha=0, lam2=Fraction(0)):
+    mu_p = 1 + Fraction(ell, n - 1)
+    mu = 1 + Fraction(m + ell, n)
+    beta = sign_shift(alpha, m + ell)
+    if flavor == "sl":
+        src = reference_fiber_primed(n, ell, -mu_p, sign=(beta,))
+        tgt = reference_fiber(n, m + ell, -mu, sign=(beta,))
+    else:
+        src = reference_fiber_primed(
+            n, ell, -mu_p, "gl", sign=(beta, 0), u2=-(lam2 - Fraction(ell, n - 1))
+        )
+        tgt = reference_fiber(
+            n, m + ell, -mu, "gl", sign=(beta, 0), u2=-(lam2 - Fraction(m + ell, n))
+        )
+    images = []
+    for lbl in src.fiber_labels():
+        big = (lbl if lbl else (0,) * (n - 1)) + (m,)
+        out_lbl = big if tgt.fiber_degree > 0 else ()
+        images.append((lbl, VectorValuedPolynomial(n, {out_lbl: Polynomial.one(n, "zeta")}, "zeta")))
+    return VermaHom(src, tgt, tuple(images))
+
+
+HOM_GRID = [
+    (n, m, ell, flavor, alpha, lam2)
+    for n in (2, 3, 4)
+    for m in range(4)
+    for ell in range(4)
+    for flavor in ("sl", "gl")
+    for alpha in (0, 1)
+    for lam2 in (Fraction(0), Fraction(1, 2), Fraction(-3))
+]
+
+
+def test_constructors_match_reference():
+    for n, s, flavor, sign in [
+        (3, Fraction(5, 3), "sl", (1,)),
+        (2, -2, "gl", (1, 0)),
+        (4, Fraction(-7, 2), "gl", (0, 1)),
+    ]:
+        second = {} if flavor == "sl" else {"s2": Fraction(1, 3)}
+        other = {} if flavor == "sl" else {"u2": Fraction(1, 3)}
+        primed = {} if flavor == "sl" else {"r2": Fraction(1, 3)}
+        assert VermaModule.scalar(n, s, flavor, sign, **second) == reference_scalar(
+            n, s, flavor, sign, **second
+        )
+        assert VermaModule.scalar_primed(n, s, flavor, sign, **primed) == reference_scalar_primed(
+            n, s, flavor, sign, **primed
+        )
+        assert VermaModule.of(n, False, 2, s, flavor, sign, **other) == reference_fiber(
+            n, 2, s, flavor, sign, **other
+        )
+        assert VermaModule.fiber_primed(n, 2, s, flavor, sign, **other) == reference_fiber_primed(
+            n, 2, s, flavor, sign, **other
+        )
+    # the SL default sign is unchanged
+    assert VermaModule.scalar(3, 2) == reference_scalar(3, 2)
+    assert VermaModule.fiber_primed(3, 1, 2) == reference_fiber_primed(3, 1, 2)
+
+
+def test_hom_builders_match_reference():
+    checked = 0
+    for n, m, ell, flavor, alpha, lam2 in HOM_GRID:
+        args = (n, flavor, alpha, lam2)
+        assert build_phi(m, ell, *args) == reference_build_phi(m, ell, *args)
+        assert build_emb(m, ell, *args) == reference_build_emb(m, ell, *args)
+        for primed in (False, True):
+            for k in (m, m + ell):
+                assert build_phi_k(k, *args, primed=primed) == reference_build_phi_k(
+                    k, *args, primed=primed
+                )
+        checked += 1
+    assert checked == 3 * 16 * 2 * 2 * 3
+
+
+def test_gl_module_default_sign_is_plus_on_both_characters():
+    # without sign= a GL module carries + on both characters, so the
+    # component group acts exactly as on the module built with (0, 0)
+    pd = parabolic(2, "gl")
+    gamma = pd.gamma_elements()[0]
+    default = VermaModule.scalar(2, 1, "gl", s2=0)
+    explicit = VermaModule.scalar(2, 1, "gl", sign=(0, 0), s2=0)
+    assert default == explicit
+    v = default.unit((1, 2), ())
+    assert default.gamma_action(gamma, v) == explicit.gamma_action(gamma, v)

@@ -167,3 +167,112 @@ def test_arity_and_role_guards():
     with pytest.raises(ValueError):
         # symbol needs constant coefficients
         WeylElement(2, {(1, 0): Polynomial.variable(2, 0)}).symbol()
+
+
+# -- the shared printer and term parser against the Weyl copies as first written --
+#
+# Test-only copies of `WeylElement.__str__` and `parse_weyl` as they printed
+# and parsed their own signed chunks, before one printer and one term parser
+# in `algebra` served `Polynomial` and `WeylElement`.
+
+
+def _reference_monomial(mono, var):
+    return "*".join(f"{var}{i + 1}" if e == 1 else f"{var}{i + 1}^{e}" for i, e in enumerate(mono) if e)
+
+
+def reference_weyl_str(op):
+    if not op.terms:
+        return "0"
+    bits = []
+    for alpha, coeff in sorted(op.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True):
+        dstr = _reference_monomial(alpha, "d")
+        for mono, c in coeff.sorted_terms():
+            mstr = _reference_monomial(mono, op.var)
+            parts = [p for p in (mstr, dstr) if p]
+            if not parts:
+                body = str(abs(c))
+            elif abs(c) == 1:
+                body = "*".join(parts)
+            else:
+                body = "*".join([str(abs(c))] + parts)
+            if not bits:
+                bits.append(body if c > 0 else f"-{body}")
+            else:
+                bits.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(bits)
+
+
+def reference_parse_weyl(text, arity, var="x"):
+    import re
+
+    text = text.strip()
+    if text == "0":
+        return WeylElement.zero(arity, var)
+    text = text.replace("- ", "-").replace("+ ", "+")
+    terms = {}
+    for piece in re.split(r"(?=[+-])", text):
+        piece = piece.strip()
+        if not piece:
+            continue
+        sign = 1
+        if piece[0] == "+":
+            piece = piece[1:]
+        elif piece[0] == "-":
+            sign = -1
+            piece = piece[1:]
+        if not piece:
+            continue
+        coeff = Fraction(sign)
+        expo = [0] * arity
+        alpha = [0] * arity
+        for factor in piece.split("*"):
+            factor = factor.strip()
+            m = re.fullmatch(r"([a-zA-Z]+)(\d+)(?:\^(\d+))?", factor)
+            if m and m.group(1) == "d":
+                alpha[int(m.group(2)) - 1] += int(m.group(3)) if m.group(3) else 1
+            elif m and m.group(1) == var:
+                expo[int(m.group(2)) - 1] += int(m.group(3)) if m.group(3) else 1
+            else:
+                coeff *= Fraction(factor)
+        key = tuple(alpha)
+        add = Polynomial.monomial(arity, tuple(expo), coeff, var)
+        cur = terms.get(key)
+        terms[key] = add if cur is None else cur + add
+    return WeylElement(arity, {k: v for k, v in terms.items() if not v.is_zero()}, var)
+
+
+# negative, fractional, unit and constant coefficients; the zero operator
+TEXT_COEFFS = [Fraction(c) for c in ("-3", "-1", "-1/2", "2/3", "1", "4")]
+TEXT_COEFF_POLYS = [
+    Polynomial(2, {m1: c1, m2: c2}, "zeta")
+    for m1 in [(0, 0), (1, 0), (0, 2)]
+    for m2 in [(0, 0), (2, 1)]
+    for c1 in TEXT_COEFFS
+    for c2 in TEXT_COEFFS[::3]
+]
+TEXT_OPS = [WeylElement.zero(2, "zeta")] + [
+    WeylElement(2, {a1: p, a2: q}, "zeta")
+    for a1, a2 in [((0, 0), (1, 0)), ((0, 1), (2, 1)), ((1, 0), (1, 0))]
+    for p in TEXT_COEFF_POLYS
+    for q in TEXT_COEFF_POLYS[::5]
+]
+
+
+def test_printer_and_parser_match_reference():
+    from fmethod.weyl import parse_weyl
+
+    for op in TEXT_OPS:
+        text = str(op)
+        assert text == reference_weyl_str(op)
+        assert parse_weyl(text, 2, "zeta") == reference_parse_weyl(text, 2, "zeta") == op
+    assert str(TEXT_OPS[0]) == "0"
+
+
+@given(weyl_elements())
+@settings(max_examples=60, deadline=None)
+def test_printer_and_parser_match_reference_random(op):
+    from fmethod.weyl import parse_weyl
+
+    text = str(op)
+    assert text == reference_weyl_str(op)
+    assert parse_weyl(text, 2) == reference_parse_weyl(text, 2) == op
