@@ -285,10 +285,9 @@ def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     [
         ("verify", "factorization", "--n", "2", "--deg", "6", "--lambda", "0", "--alpha", "+",
          "--flavor", "sl", "--lambda2", "0"),
-        ("verify", "images", "--n", "2", "--flavor", "gl"),
         ("verify", "equivariance", "--n", "2", "--flavor", "gl", "--lambda2", "1/2"),
     ],
-    ids=["defaults-spelled-out", "images-gl", "equivariance-gl-lambda2"],
+    ids=["defaults-spelled-out", "equivariance-gl-lambda2"],
 )
 def test_verify_flags_the_target_reads_are_accepted(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -148,6 +148,22 @@ def test_emb_equivariance_gl():
     assert rep["status"] == "pass"
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_phi(1, 1, 3, "gl", 1, Fraction(1, 2)),
+        lambda: build_phi_k(2, 3, "gl", 0, Fraction(-3), primed=True),
+        lambda: build_phi_k(2, 3, "gl", 1, Fraction(1, 2)),
+        lambda: build_emb(1, 1, 3, "gl", 0, Fraction(1, 2)),
+    ],
+    ids=["phi", "phi_k-primed", "phi_k", "emb"],
+)
+def test_gl_homs_equivariance(build):
+    # at n = 3 the second weights lambda2 - k/r of source and target differ,
+    # so a wrong shift breaks the check (at n = 2, m = l = 1 it would not)
+    assert check_hom_equivariance(build(), 2)["status"] == "pass"
+
+
 def test_hom_from_solution_round_trip():
     from fmethod.engine import psi_vector
 
