@@ -49,13 +49,13 @@ HOMS_COLUMNS = [
 ]
 
 
-def _worker_count(jobs: int, cells: int, cpus) -> int:
-    """Worker processes for a scan: min(--jobs, CPUs, cells), at least one.
+def _worker_count(jobs: int, families: int, cpus) -> int:
+    """Worker processes for a scan: min(--jobs, CPUs, lambda-families), at least one.
 
     `cpus` may be None (unknown).  The pool starts every worker up front,
     so asking for more than can run only costs start-up.
     """
-    return max(1, min(jobs, cpus or 1, cells))
+    return max(1, min(jobs, cpus or 1, families))
 
 
 def _usable_cpus():
@@ -65,12 +65,15 @@ def _usable_cpus():
     return os.cpu_count()
 
 
-def _run_cells(jobs, requested):
+def _run_families(jobs, requested):
+    """The rows of every job, one job per lambda-family."""
     workers = _worker_count(requested, len(jobs), _usable_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_cell, jobs))
-    return [run_cell(j) for j in jobs]
+            families = list(pool.map(run_cell, jobs))
+    else:
+        families = map(run_cell, jobs)
+    return [row for rows in families for row in rows]
 
 
 def _emit(rows_or_report, fmt, out_path, columns=None):
@@ -113,7 +116,7 @@ def cmd_classify(args) -> int:
         args.n, args.flavor, args.m_max, args.l_max, args.lambda_samples, args.lambda2_samples,
         ido=args.ido, k_max=args.k_max, homs=args.homs, connected=args.connected,
     )
-    rows = sorted(_run_cells(jobs, args.jobs), key=row_key)
+    rows = sorted(_run_families(jobs, args.jobs), key=row_key)
     columns = HOMS_COLUMNS if args.homs else TABLE_COLUMNS
     _emit(rows, args.format, _default_out(args.out), columns)
     bad = [r for r in rows if not r["ok"]]

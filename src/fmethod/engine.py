@@ -15,7 +15,10 @@ key a fiber label.  Degrees whose A'-weight range holds no label are not
 enumerated at all.  What remains goes through two exact sparse nullspaces
 per homogeneous degree (equivariance, then the F-system).  The Lie elements
 involved do not depend on lambda and are built once per (algebra,
-nilradical mode).  Output bases are RREF-canonical in the graded-lex
+nilradical mode).  The cells of a lambda-family (fixed nu - lambda) share
+their unknowns and equivariant vectors, so `solve_family` computes those
+once and checks at every member that all they read is unchanged; only the
+F-system is solved per member.  Output bases are RREF-canonical in the graded-lex
 coordinate order, so every scan is reproducible byte for byte.
 """
 
@@ -167,23 +170,50 @@ def _lie_data(pd, full_nilradical) -> _LieData:
     )
 
 
+@lru_cache(maxsize=None)
+def _gamma_parities(pd, full_nilradical, alpha, beta, ell):
+    """(masks, parities): the component group conditions, which read only signs and labels.
+
+    For each generator gamma, its mask holds the coordinates where gamma
+    acts on zeta by -1; `parities[label]` holds, per generator, the parity
+    of m summed over the mask that a pair (zeta^m, label) needs.
+    """
+    block = pd.n if full_nilradical else pd.n - 1
+    labels = monomial_basis(block, ell)
+    masks, parities = [], {lbl: () for lbl in labels}
+    for gamma in _lie_data(pd, full_nilradical).gammas:
+        g0 = gamma.entries[0][0]
+        ad = [gamma.entries[j][j] * g0 for j in range(1, pd.n + 1)]
+        v_side = pd.sign_character(gamma, alpha, pd.n)
+        w_side = pd.sign_character(gamma, beta, block)
+        masks.append(tuple(j for j, a in enumerate(ad) if a < 0))
+        # The fiber transforms by the block entries themselves (no Ad twist).
+        # Every sign is +-1, so  w_side * fiber sign == v_side * ad^m  fixes
+        # the parity of m summed over the coordinates where ad is -1.
+        for lbl in labels:
+            fiber_sign = _prod(gamma.entries[j + 1][j + 1] ** lbl[j] for j in range(block))
+            parities[lbl] += (int(w_side * v_side * fiber_sign < 0),)
+    return tuple(masks), parities
+
+
 class _SolveContext:
     """Shared data for one (source, target, mode) solve."""
 
     def __init__(self, source, target, connected=False, full_nilradical=False):
         self.source = source
         self.target = target
-        self.connected = connected
-        self.full = full_nilradical
         self.n = source.n
         self.pd = parabolic(source.n, source.flavor)
-        self.block = self.n if full_nilradical else self.n - 1
         self.fiber = SymFiber(
-            target.ell, self.block, tuple(-x for x in target.nu)
+            target.ell, self.n if full_nilradical else self.n - 1, tuple(-x for x in target.nu)
         )
         self.labels = self.fiber.labels(self.pd)
         self.lie = _lie_data(self.pd, full_nilradical)
         self.fsys_ops = [dpi_hat(N, source) for N in self.lie.n_plus]
+        # (operator, fiber action) of each off-diagonal element of m'
+        self.offdiag = tuple(
+            (dpi_hat(Z, source), self.fiber.act(Z, self.pd)) for Z in self.lie.offdiag
+        )
 
         # A pair (zeta^m, label) is kept when every diagonal element has the
         # same eigenvalue on zeta^m as on the label, and every component
@@ -202,36 +232,23 @@ class _SolveContext:
             self._forms.append(tuple(int(c * scale) for c in coeffs))
             for lbl in self.labels:
                 targets[lbl].append((acts.get((lbl, lbl), Fraction(0)) - c0) * scale)
-        self._gamma_masks = []
-        parities = {lbl: [] for lbl in self.labels}
-        if not connected:
-            for g in self.lie.gammas:
-                mask, label_parity = self._gamma_datum(g)
-                self._gamma_masks.append(mask)
-                for lbl in self.labels:
-                    parities[lbl].append(label_parity[lbl])
+        self._gamma_masks, parities = (
+            ((), {}) if connected
+            else _gamma_parities(self.pd, full_nilradical, source.alpha, target.beta, target.ell)
+        )
         self._labels_by_key = {}
         for lbl in self.labels:
             # a non-integral target is met by no monomial
             if all(t.denominator == 1 for t in targets[lbl]):
-                key = tuple(int(t) for t in targets[lbl]) + tuple(parities[lbl])
+                key = tuple(int(t) for t in targets[lbl]) + parities.get(lbl, ())
                 self._labels_by_key.setdefault(key, []).append(lbl)
 
-    def _gamma_datum(self, gamma):
-        """(coordinates where gamma acts by -1, label -> required parity there)."""
-        pd = self.pd
-        g0 = gamma.entries[0][0]
-        ad = [gamma.entries[j][j] * g0 for j in range(1, pd.n + 1)]
-        v_side = pd.sign_character(gamma, self.source.alpha, pd.n)
-        w_side = pd.sign_character(gamma, self.target.beta, self.block)
-        # The fiber transforms by the block entries themselves (no Ad twist).
-        # Every sign is +-1, so  w_side * fiber sign == v_side * ad^m  fixes
-        # the parity of m summed over the coordinates where ad is -1.
-        label_parity = {}
-        for lbl in self.labels:
-            fiber_sign = _prod(gamma.entries[j + 1][j + 1] ** lbl[j] for j in range(self.block))
-            label_parity[lbl] = int(w_side * v_side * fiber_sign < 0)
-        return tuple(j for j, a in enumerate(ad) if a < 0), label_parity
+    def shared(self):
+        """Everything `unknowns_at_degree` and `equivariant_vectors` read.
+
+        Equal for two contexts, those stages give equal results in both.
+        """
+        return (self._forms, self._labels_by_key, self._gamma_masks, self.offdiag)
 
     # -- enumeration ----------------------------------------------------------
 
@@ -260,9 +277,7 @@ class _SolveContext:
         if not unknowns:
             return []
         rows = {}
-        for zi, Z in enumerate(self.lie.offdiag):
-            op = dpi_hat(Z, self.source)
-            act = self.fiber.act(Z, self.pd)
+        for zi, (op, act) in enumerate(self.offdiag):
             for col, (mono, lbl) in enumerate(unknowns):
                 image = op.apply(Polynomial.monomial(self.n, mono, 1, "zeta"))
                 for om, c in image.terms.items():
@@ -315,6 +330,58 @@ def equivariant_basis(
     )
 
 
+def solve_family(
+    members,
+    degree_cap: int,
+    connected: bool = False,
+    full_nilradical: bool = False,
+) -> list:
+    """Exact bases of Sol(n_+; V, W) in degrees <= degree_cap, one per (source, target).
+
+    The members of a lambda-family differ only in lambda at a fixed gap
+    nu - lambda.  Their unknowns and equivariant vectors are computed once,
+    at the first member; every member's context must agree with the first
+    on all that those stages read, else ValueError.  The F-system is built
+    and solved at each member.
+    """
+    contexts = [_SolveContext(s, t, connected, full_nilradical) for s, t in members]
+    if not contexts:
+        return []
+    first = contexts[0]
+    shared = first.shared()
+    if any(ctx.shared() != shared for ctx in contexts[1:]):
+        raise ValueError("a lambda-family's members differ in a lambda-independent stage")
+    stages = []
+    for d in range(max(degree_cap, -1) + 1):
+        unknowns = first.unknowns_at_degree(d)
+        eq_vectors = first.equivariant_vectors(unknowns)
+        if eq_vectors:
+            stages.append((d, unknowns, eq_vectors))
+    out = []
+    for ctx in contexts:
+        solutions = []
+        degrees = []
+        sizes = {}
+        for d, unknowns, eq_vectors in stages:
+            sol_vectors = ctx.fsystem_vectors(unknowns, eq_vectors)
+            if sol_vectors:
+                # homogeneity bookkeeping: the constraints preserve degree, so
+                # every solution vector lives in this single degree
+                sizes[d] = (len(unknowns), len(eq_vectors), len(sol_vectors))
+                degrees.append(d)
+                solutions.extend(
+                    _vector_to_vvp(v, unknowns, ctx.n) for v in rref_basis(sol_vectors)
+                )
+        provenance = {
+            "degree_cap": degree_cap,
+            "sizes": sizes,
+            "connected": connected,
+            "full_nilradical": full_nilradical,
+        }
+        out.append(SolutionSpace(ctx.source, ctx.target, solutions, degrees, provenance))
+    return out
+
+
 def solve_fsystem(
     source: ScalarRepParams,
     target: TargetRepParams,
@@ -323,39 +390,8 @@ def solve_fsystem(
     full_nilradical: bool = False,
 ) -> SolutionSpace:
     """Exact basis of Sol(n_+; V, W) in homogeneous degrees <= degree_cap."""
-    ctx = _SolveContext(source, target, connected, full_nilradical)
-    solutions = []
-    degrees = []
-    sizes = {}
-    for d in range(max(degree_cap, -1) + 1):
-        unknowns = ctx.unknowns_at_degree(d)
-        if not unknowns:
-            continue
-        eq_vectors = ctx.equivariant_vectors(unknowns)
-        if not eq_vectors:
-            continue
-        sol_vectors = ctx.fsystem_vectors(unknowns, eq_vectors)
-        if sol_vectors:
-            # homogeneity bookkeeping: the constraints preserve degree, so
-            # every solution vector lives in this single degree
-            sizes[d] = (len(unknowns), len(eq_vectors), len(sol_vectors))
-            degrees.append(d)
-            solutions.extend(
-                _vector_to_vvp(v, unknowns, source.n)
-                for v in rref_basis(sol_vectors)
-            )
-    return SolutionSpace(
-        source,
-        target,
-        solutions,
-        degrees,
-        {
-            "degree_cap": degree_cap,
-            "sizes": sizes,
-            "connected": connected,
-            "full_nilradical": full_nilradical,
-        },
-    )
+    (sol,) = solve_family([(source, target)], degree_cap, connected, full_nilradical)
+    return sol
 
 
 def weight_degree_cap(gap: Fraction) -> int:
@@ -411,11 +447,13 @@ def same_solution_span(a, b) -> bool:
 
 # -- classification scans -----------------------------------------------------
 #
-# A scan is the list of jobs from `scan_jobs`, one per parameter cell.  The
-# SL, GL and homs cells come from one grid (`_grid`), each cell function
-# solves its cell through `_row`, and `row_key` orders the table.
-# `classify` and the CLI, which may map the jobs over a process pool, share
-# all of them.
+# A scan is the list of jobs from `scan_jobs`, one per lambda-family: the
+# cells of fixed (m, ell, signs), or of fixed k for the intertwining
+# operators, that differ only in lambda (and lambda_2 for GL) at a fixed gap
+# nu - lambda.  The SL, GL and homs families come from one grid (`_grid`);
+# each family function solves its cells through `_rows`, one row per cell,
+# and `row_key` orders the table.  `classify` and the CLI, which may map the
+# jobs over a process pool, share all of them.
 
 DEFAULT_SAMPLES = (Fraction(1, 3), Fraction(5), Fraction(-7, 2))
 
@@ -427,21 +465,21 @@ def _critical_first(critical, samples):
         s = Fraction(s)
         if s not in values:
             values.append(s)
-    return values
+    return tuple(values)
 
 
 def _grid(m_max, l_max, critical, samples, alphas=(0, 1), flips=(0, 1)):
-    """Cells (m, ell, value, alpha, beta), value = critical(m + ell) first.
+    """Families (m, ell, values, alpha, beta), values = critical(m + ell) first.
 
     beta is the matched sign alpha + (m + ell) for flip 0, the other for 1.
     """
     for m in range(m_max + 1):
         for ell in range(l_max + 1):
-            for value in _critical_first(critical(m + ell), samples):
-                for alpha in alphas:
-                    matched = sign_shift(alpha, m + ell)
-                    for flip in flips:
-                        yield m, ell, value, alpha, sign_shift(matched, flip)
+            values = _critical_first(critical(m + ell), samples)
+            for alpha in alphas:
+                matched = sign_shift(alpha, m + ell)
+                for flip in flips:
+                    yield m, ell, values, alpha, sign_shift(matched, flip)
 
 
 def _head(flavor, n, alphas, betas, ell, pair):
@@ -458,16 +496,20 @@ def _head(flavor, n, alphas, betas, ell, pair):
     return head
 
 
-def _row(head, source, target, degree_cap, predicted, expected, **mode):
-    """Solve one cell and compare it with the predicted dimension and basis."""
-    sol = solve_fsystem(source, target, degree_cap, **mode)
-    return {
-        **head,
-        "predicted_dim": predicted,
-        "computed_dim": sol.dim,
-        "basis_symbols": "; ".join(str(v) for v in sol.basis),
-        "ok": sol.dim == predicted and same_solution_span(sol.basis, expected),
-    }
+def _rows(cells, degree_cap, **mode):
+    """Solve a family's cells (head, source, target, predicted, expected) together
+    and compare each with its predicted dimension and basis."""
+    sols = solve_family([(src, tgt) for _, src, tgt, _, _ in cells], degree_cap, **mode)
+    return [
+        {
+            **head,
+            "predicted_dim": predicted,
+            "computed_dim": sol.dim,
+            "basis_symbols": "; ".join(str(v) for v in sol.basis),
+            "ok": sol.dim == predicted and same_solution_span(sol.basis, expected),
+        }
+        for (head, _, _, predicted, expected), sol in zip(cells, sols)
+    ]
 
 
 def _folded_psi(m: int, ell: int) -> VectorValuedPolynomial:
@@ -501,87 +543,97 @@ def classify_sl_cells(n, m_max, l_max, lambda_samples=DEFAULT_SAMPLES):
 
 
 def classify_sl_cell(n, cell):
-    m, ell, lam, alpha, beta = cell
-    return _sl_row("sl", n, m, ell, Fraction(lam), alpha, beta)
+    """Rows of the SL family (m, ell, lambdas, alpha, beta), one per lambda."""
+    m, ell, lams, alpha, beta = cell
+    return _sl_rows("sl", n, m, ell, [Fraction(x) for x in lams], alpha, beta)
 
 
 def classify_homs_cells(n, m_max, l_max, s_samples=DEFAULT_SAMPLES, connected=False):
-    """Verma-side cells (m, ell, s, alpha, beta); g'-homomorphisms ignore the sign."""
+    """Verma-side families (m, ell, s values, alpha, beta); g'-homomorphisms ignore the sign."""
     flips = (0,) if connected else (0, 1)
     return list(_grid(m_max, l_max, lambda d: d - 1, s_samples, (0,), flips))
 
 
 def classify_homs_cell(n, cell, connected=False):
-    """(g',P')- or g'-homomorphisms: the SL cell at (lambda, nu) = (-s, -r)."""
-    m, ell, s, alpha, beta = cell
+    """(g',P')- or g'-homomorphisms: the SL family at (lambda, nu) = (-s, -r)."""
+    m, ell, svals, alpha, beta = cell
     flavor = "gprime" if connected else "gp"
-    return _sl_row(flavor, n, m, ell, -Fraction(s), alpha, beta, connected)
+    return _sl_rows(flavor, n, m, ell, [-Fraction(s) for s in svals], alpha, beta, connected)
 
 
-def _sl_row(flavor, n, m, ell, lam, alpha, beta, connected=False):
-    """Solve and check the SL cell at lambda; homs rows show (s, r) = (-lambda, -nu)."""
-    nu = lam + m + Fraction(n, n - 1) * ell
-    q = SLQuadruple(alpha, beta, ell, lam, nu).canonical(n)
-    if connected:
-        predicted = predicted_dim_sl_connected(q.ell, lam, nu, n)
-        rec = in_lambda_sl_connected(q.ell, lam, nu, n)
-    else:
-        predicted, rec = predicted_dim_sl(q, n), in_lambda_sl(q, n)
-    pair = {"lambda": (lam,), "nu": (nu,)} if flavor == "sl" else {"s": (-lam,), "r": (-nu,)}
-    return _row(
-        _head(flavor, n, (alpha,), (beta,), ell, pair),
-        ScalarRepParams.sl(n, lam, alpha), TargetRepParams.sl(n, nu, ell=q.ell, beta=q.beta),
-        weight_degree_cap(nu - lam), predicted, _expected_basis(rec, n), connected=connected,
-    )
+def _sl_rows(flavor, n, m, ell, lams, alpha, beta, connected=False):
+    """Solve and check the SL family at each lambda; homs rows show (s, r) = (-lambda, -nu)."""
+    gap = m + Fraction(n, n - 1) * ell
+    cells = []
+    for lam in lams:
+        nu = lam + gap
+        q = SLQuadruple(alpha, beta, ell, lam, nu).canonical(n)
+        if connected:
+            predicted = predicted_dim_sl_connected(q.ell, lam, nu, n)
+            rec = in_lambda_sl_connected(q.ell, lam, nu, n)
+        else:
+            predicted, rec = predicted_dim_sl(q, n), in_lambda_sl(q, n)
+        pair = {"lambda": (lam,), "nu": (nu,)} if flavor == "sl" else {"s": (-lam,), "r": (-nu,)}
+        cells.append((
+            _head(flavor, n, (alpha,), (beta,), ell, pair),
+            ScalarRepParams.sl(n, lam, alpha), TargetRepParams.sl(n, nu, ell=q.ell, beta=q.beta),
+            predicted, _expected_basis(rec, n),
+        ))
+    return _rows(cells, weight_degree_cap(gap), connected=connected)
 
 
 def classify_gl_cells(
     n, m_max, l_max, lambda_samples=DEFAULT_SAMPLES, lambda2_samples=(Fraction(0), Fraction(1, 2))
 ):
+    lam2s = tuple(Fraction(x) for x in lambda2_samples)
     return [
-        (m, ell, lam1, Fraction(lam2), a1, b1)
-        for m, ell, lam1, a1, b1 in _grid(m_max, l_max, lambda d: 1 - d, lambda_samples)
-        for lam2 in lambda2_samples
+        (m, ell, lam1s, lam2s, a1, b1)
+        for m, ell, lam1s, a1, b1 in _grid(m_max, l_max, lambda d: 1 - d, lambda_samples)
     ]
 
 
 def classify_gl_cell(n, cell):
-    m, ell, lam1, lam2, a1, b1 = cell
+    """Rows of the GL family (m, ell, lambda_1s, lambda_2s, alpha_1, beta_1), one per pair."""
+    m, ell, lam1s, lam2s, a1, b1 = cell
     alphas, betas = (a1, 0), (b1, 0)
-    lams = (Fraction(lam1), Fraction(lam2))
-    nus = (lams[0] + m + Fraction(n, n - 1) * ell, lams[1] - Fraction(ell, n - 1))
-    t = GLTuple(alphas, betas, ell, lams, nus)
-    return _row(
-        _head("gl", n, alphas, betas, ell, {"lambda": lams, "nu": nus}),
-        ScalarRepParams(n, GL, alphas, lams), TargetRepParams(n, GL, betas, nus, ell),
-        weight_degree_cap(nus[0] - lams[0]), predicted_dim_gl(t, n),
-        _expected_basis(in_lambda_gl(t, n), n),
-    )
+    gaps = (m + Fraction(n, n - 1) * ell, -Fraction(ell, n - 1))
+    cells = []
+    for lam1 in lam1s:
+        for lam2 in lam2s:
+            lams = (Fraction(lam1), Fraction(lam2))
+            nus = (lams[0] + gaps[0], lams[1] + gaps[1])
+            t = GLTuple(alphas, betas, ell, lams, nus)
+            cells.append((
+                _head("gl", n, alphas, betas, ell, {"lambda": lams, "nu": nus}),
+                ScalarRepParams(n, GL, alphas, lams), TargetRepParams(n, GL, betas, nus, ell),
+                predicted_dim_gl(t, n), _expected_basis(in_lambda_gl(t, n), n),
+            ))
+    return _rows(cells, weight_degree_cap(gaps[0]))
 
 
 def classify_ido_cells(n, k_max, lambda_samples=DEFAULT_SAMPLES, flavor=SL,
                        lambda2_samples=(Fraction(0),)):
-    second = [None] if flavor == SL else [Fraction(x) for x in lambda2_samples]
-    return [
-        (k, lam, lam2)
-        for k in range(k_max + 1)
-        for lam in _critical_first(1 - k, lambda_samples)
-        for lam2 in second
-    ]
+    second = (None,) if flavor == SL else tuple(Fraction(x) for x in lambda2_samples)
+    return [(k, _critical_first(1 - k, lambda_samples), second) for k in range(k_max + 1)]
 
 
 def classify_ido_cell(n, cell, flavor=SL):
-    k, lam, lam2 = cell
-    lams = (Fraction(lam),) if flavor == SL else (Fraction(lam), Fraction(lam2))
-    alphas = (0,) * len(lams)
-    deltas = (sign_shift(0, k),) + alphas[1:]
-    taus = (lams[0] + Fraction(n + 1, n) * k,) + tuple(x - Fraction(k, n) for x in lams[1:])
-    predicted = predicted_dim_ido(n, alphas, deltas, k, lams, taus)
-    return _row(
-        _head(f"{flavor}-ido", n, alphas, deltas, k, {"lambda": lams, "nu": taus}),
-        ScalarRepParams(n, flavor, alphas, lams), TargetRepParams(n, flavor, deltas, taus, k),
-        k, predicted, [ido_symbol_vector(k, n)] if predicted == 1 else [], full_nilradical=True,
-    )
+    """Rows of the order-k family (k, lambdas, lambda_2s), lambda_2s = (None,) for SL."""
+    k, lam1s, lam2s = cell
+    cells = []
+    for lam in lam1s:
+        for lam2 in lam2s:
+            lams = (Fraction(lam),) if flavor == SL else (Fraction(lam), Fraction(lam2))
+            alphas = (0,) * len(lams)
+            deltas = (sign_shift(0, k),) + alphas[1:]
+            taus = (lams[0] + Fraction(n + 1, n) * k,) + tuple(x - Fraction(k, n) for x in lams[1:])
+            predicted = predicted_dim_ido(n, alphas, deltas, k, lams, taus)
+            cells.append((
+                _head(f"{flavor}-ido", n, alphas, deltas, k, {"lambda": lams, "nu": taus}),
+                ScalarRepParams(n, flavor, alphas, lams), TargetRepParams(n, flavor, deltas, taus, k),
+                predicted, [ido_symbol_vector(k, n)] if predicted == 1 else [],
+            ))
+    return _rows(cells, k, full_nilradical=True)
 
 
 def scan_jobs(
@@ -596,7 +648,7 @@ def scan_jobs(
     homs=False,
     connected=False,
 ):
-    """One job per cell: (name of the cell function, n, cell, options...).
+    """One job per lambda-family: (name of the family function, n, family, options...).
 
     `homs` scans the SL homomorphisms and takes `lambda_samples` as s
     samples; otherwise `ido` picks the intertwining operators of `flavor`.
@@ -614,10 +666,10 @@ def scan_jobs(
 
 
 def run_cell(job):
-    """Run one `scan_jobs` job.
+    """Run one `scan_jobs` job: the rows of one lambda-family.
 
-    The cell function is read from the module namespace at call time, so a
-    wrapper bound there sees every cell.
+    The family function is read from the module namespace at call time, so
+    a wrapper bound there sees every family.
     """
     name, *args = job
     return globals()[name](*args)
@@ -634,4 +686,5 @@ def classify(n, **options):
 
     Every row carries predicted vs computed.
     """
-    return sorted(map(run_cell, scan_jobs(n, **options)), key=row_key)
+    rows = (row for job in scan_jobs(n, **options) for row in run_cell(job))
+    return sorted(rows, key=row_key)

@@ -27,6 +27,20 @@ class LieElement:
     entries: tuple  # tuple of tuples of Fraction
     flavor: str = SL
 
+    def __hash__(self):
+        # Elements key the operator caches, so the hash of the (n+1)^2
+        # Fractions is stored on first use, outside the fields (equality
+        # is unchanged).
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = self.__dict__["_hash"] = hash((self.entries, self.flavor))
+            return h
+
+    def __getstate__(self):
+        # a str hash differs between processes, so the stored one stays here
+        return {"entries": self.entries, "flavor": self.flavor}
+
     @classmethod
     def from_rows(cls, rows, flavor=SL):
         entries = tuple(tuple(Fraction(x) for x in row) for row in rows)

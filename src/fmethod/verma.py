@@ -273,15 +273,35 @@ def check_hom_equivariance(h: VermaHom, degree_cap: int = 3) -> dict:
     }
 
 
+def _factorization_routes(
+    m: int, ell: int, n: int, flavor=SL, alpha=0, lam2=Fraction(0)
+) -> tuple:
+    """Phi_(m,l) and its two factorizations: ((phi'_l, Phi_(m,0)), (Emb~_(m,l), phi_{m+l})).
+
+    Phi_(m,0) is the monomial map from the target of phi'_l into that of
+    Phi_(m,l).  Each pair must compose (the first map's target is the
+    second's source) and run from the source to the target of Phi_(m,l),
+    else ValueError.
+    """
+    phi_ml = build_phi(m, ell, n, flavor, alpha, lam2)
+    phi_prime = build_phi_k(ell, n, flavor, sign_shift(alpha, m), lam2, primed=True)
+    routes = (
+        (phi_prime, _monomial_hom(phi_prime.target, phi_ml.target, m)),
+        (build_emb(m, ell, n, flavor, alpha, lam2), build_phi_k(m + ell, n, flavor, alpha, lam2)),
+    )
+    for first, second in routes:
+        if (first.source, first.target, second.target) != (phi_ml.source, second.source, phi_ml.target):
+            raise ValueError("a factorization route of Phi_(m,l) does not compose")
+    return phi_ml, routes
+
+
 def verify_factorization_verma(
     m: int, ell: int, n: int, degree_cap: int = 3, flavor=SL, alpha=0, lam2=Fraction(0)
 ) -> dict:
     """Phi_(m,l) = Phi_(m,0) o phi'_l = phi_{m+l} o Emb~_(m,l), three routes."""
-    phi_ml = build_phi(m, ell, n, flavor, alpha, lam2)
-    phi_m0 = build_phi(m, 0, n, flavor, sign_shift(alpha, 0), lam2)
-    phi_prime = build_phi_k(ell, n, flavor, sign_shift(alpha, m), lam2, primed=True)
-    phi_big = build_phi_k(m + ell, n, flavor, alpha, lam2)
-    emb = build_emb(m, ell, n, flavor, alpha, lam2)
+    phi_ml, ((phi_prime, phi_m0), (emb, phi_big)) = _factorization_routes(
+        m, ell, n, flavor, alpha, lam2
+    )
     mismatches = []
     checked = 0
     for g in range(degree_cap + 1):

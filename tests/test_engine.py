@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fmethod import engine
+from fmethod.cli import main
 from fmethod.algebra import Polynomial, monomial_basis, monomial_key
 from fmethod.engine import (
     _eigenvalue_form,
@@ -169,18 +170,125 @@ def test_sign_consistency_over_scan():
 
 
 def test_ido_cells():
-    row = classify_ido_cell(2, (3, Fraction(-2), None))
+    (row,) = classify_ido_cell(2, (3, (Fraction(-2),), (None,)))
     assert row["ok"] and row["computed_dim"] == 1
-    row = classify_ido_cell(3, (2, Fraction(1, 3), None))
+    (row,) = classify_ido_cell(3, (2, (Fraction(1, 3),), (None,)))
     assert row["ok"] and row["computed_dim"] == 0
-    row = classify_ido_cell(3, (2, Fraction(-1), None))
+    (row,) = classify_ido_cell(3, (2, (Fraction(-1),), (None,)))
     assert row["ok"] and row["computed_dim"] == 1
 
 
 def test_classify_table_deterministic():
-    a = classify_sl_cell(3, (1, 1, Fraction(-1), 0, 0))
-    b = classify_sl_cell(3, (1, 1, Fraction(-1), 0, 0))
+    a = classify_sl_cell(3, (1, 1, (Fraction(-1),), 0, 0))
+    b = classify_sl_cell(3, (1, 1, (Fraction(-1),), 0, 0))
     assert a == b
+
+
+# -- lambda-families -----------------------------------------------------------
+
+
+def _solution_record(sol):
+    return (sol.source, sol.target, [str(v) for v in sol.basis], sol.degrees, sol.provenance)
+
+
+FAMILY_SCANS = [
+    # n = 2 with l >= 1: the doubled sl_plus cells at the critical lambda
+    (2, {"m_max": 3, "l_max": 3}),
+    (3, {"m_max": 2, "l_max": 2}),
+    (2, {"flavor": GL, "m_max": 2, "l_max": 2}),
+    (3, {"ido": True, "k_max": 3}),
+    (3, {"ido": True, "flavor": GL, "k_max": 3}),
+    (3, {"homs": True, "m_max": 2, "l_max": 2}),
+    (3, {"homs": True, "connected": True, "m_max": 2, "l_max": 2}),
+]
+
+
+@pytest.mark.parametrize("n, options", FAMILY_SCANS)
+def test_family_rows_match_per_member_solves(monkeypatch, n, options):
+    family_rows = classify(n, **options)
+    assert all(r["ok"] for r in family_rows)
+    family = engine.solve_family
+    sizes = []
+
+    def member_by_member(members, degree_cap, connected=False, full_nilradical=False):
+        # solve_fsystem solves one member through solve_family
+        if len(members) == 1:
+            return family(members, degree_cap, connected, full_nilradical)
+        sizes.append(len(members))
+        return [solve_fsystem(src, tgt, degree_cap, connected, full_nilradical)
+                for src, tgt in members]
+
+    monkeypatch.setattr(engine, "solve_family", member_by_member)
+    assert classify(n, **options) == family_rows
+    assert sizes and min(sizes) >= 4
+    if (n, options.get("flavor", SL), options.get("ido", False)) == (2, SL, False):
+        assert any(r["computed_dim"] == 2 for r in family_rows)
+
+
+def _family(n, critical, full=False):
+    """Members (critical lambda first) and cap: (m, l) = (2, 2), or order k = 2 when full."""
+    lams = (Fraction(critical), Fraction(1, 3), Fraction(-7, 2))
+    if full:
+        members = [
+            (ScalarRepParams.sl(n, lam), TargetRepParams.sl(n, lam + Fraction(n + 1, n) * 2, 2, 0))
+            for lam in lams
+        ]
+        return members, 2
+    members = [sl_pair(n, lam, 2, 2)[:2] for lam in lams]
+    return members, weight_degree_cap(2 + Fraction(n, n - 1) * 2)
+
+
+@pytest.mark.parametrize("n, critical, options", [
+    (3, -3, {}),
+    (2, -3, {"connected": True}),
+    (3, -1, {"full_nilradical": True}),
+])
+def test_family_members_equal_solve_fsystem(n, critical, options):
+    members, cap = _family(n, critical, options.get("full_nilradical", False))
+    sols = engine.solve_family(members, cap, **options)
+    # the F-system moves with lambda: the critical member has more solutions
+    assert sols[0].dim > max(sol.dim for sol in sols[1:])
+    for (src, tgt), sol in zip(members, sols):
+        alone = solve_fsystem(src, tgt, cap, **options)
+        assert _solution_record(sol) == _solution_record(alone)
+        (one,) = engine.solve_family([(src, tgt)], cap, **options)
+        assert _solution_record(one) == _solution_record(alone)
+
+
+def test_empty_sample_list_gives_no_rows():
+    assert classify(2, flavor=GL, m_max=1, l_max=1, lambda2_samples=()) == []
+    assert classify(3, flavor=GL, ido=True, lambda2_samples=()) == []
+    assert engine.solve_family([], 3) == []
+
+
+def _skewed_at_last_member(monkeypatch, elements):
+    """dpi_hat with a constant added on `elements` at lambda = -7/2 only.
+
+    -7/2 is the last member of every family below, so a check that looked
+    only at some members would miss it.
+    """
+
+    def skewed(X, params):
+        op = dpi_hat(X, params)
+        if X in elements and params.lam[0] == Fraction(-7, 2):
+            op = op + WeylElement.identity(params.n, "zeta")
+        return op
+
+    monkeypatch.setattr(engine, "dpi_hat", skewed)
+
+
+@pytest.mark.parametrize("stage", ["offdiag", "diag"])
+def test_lambda_dependent_shared_stage_raises(monkeypatch, capsys, stage):
+    pd = parabolic(3)
+    # an off-diagonal operator, or the A'-weight that sets the label targets
+    _skewed_at_last_member(monkeypatch, set(pd.m_offdiag(primed=True)) if stage == "offdiag"
+                           else {pd.h0_tilde_prime})
+    with pytest.raises(ValueError, match="lambda-independent stage"):
+        classify_sl_cell(3, (1, 1, (Fraction(-1), Fraction(1, 3), Fraction(5), Fraction(-7, 2)), 0, 0))
+    # a single member has nothing to disagree with
+    (row,) = classify_sl_cell(3, (1, 1, (Fraction(-7, 2),), 0, 0))
+    assert main(["classify", "--n", "3", "--m-max", "1", "--l-max", "1"]) == 3
+    assert "internal error: a lambda-family's members differ" in capsys.readouterr().err
 
 
 def test_negative_weight_gap_is_empty():

@@ -1,4 +1,10 @@
+import dataclasses
 import itertools
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -181,3 +187,34 @@ def test_sparse_products_match_dense_reference(pair):
     assert tuple(p.entries for p in parts) == _dense_gn_project(X.entries)
     assert all(p.flavor == X.flavor and _all_fractions(p) for p in parts)
     assert parts[0].add(parts[1]).add(parts[2]) == X
+
+
+def test_equal_elements_hash_equal():
+    pd = parabolic(3, "gl")
+    a = pd.h0_tilde_prime
+    b = LieElement.from_rows([list(row) for row in a.entries], "gl")
+    assert a is not b and a == b
+    assert hash(a) == hash(b) == hash(a)
+    # the stored hash is no field: equality and the fields stay as they were
+    assert [f.name for f in dataclasses.fields(a)] == ["entries", "flavor"]
+    assert a != LieElement(a.entries, "sl") and {a: 1}[b] == 1
+
+
+def test_hash_survives_pickling_into_another_hash_seed():
+    element = parabolic(3, "gl").m_offdiag(primed=True)[0]
+    hash(element)  # store the hash before pickling
+    payload = pickle.dumps(element).hex()
+    script = (
+        "import pickle\n"
+        "from fmethod.liealg import LieElement\n"
+        f"x = pickle.loads(bytes.fromhex({payload!r}))\n"
+        "fresh = LieElement(x.entries, x.flavor)\n"
+        "assert hash(x) == hash(fresh), 'stale hash'\n"
+        "assert {fresh: 'found'}[x] == 'found'\n"
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr

@@ -1,14 +1,16 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
-from fmethod import engine
+from fmethod import engine, verma
 from fmethod.algebra import Polynomial, monomial_basis
 from fmethod.liealg import parabolic
 from fmethod.params import sign_shift
 from fmethod.rep import VectorValuedPolynomial
 from fmethod.verma import (
+    _factorization_routes,
     VermaHom,
     VermaModule,
     build_emb,
@@ -89,6 +91,33 @@ def test_three_route_factorization(m, ell, n):
 def test_three_route_factorization_gl():
     rep = verify_factorization_verma(1, 1, 2, 3, flavor="gl", lam2=Fraction(1, 2))
     assert rep["status"] == "pass"
+
+
+@pytest.mark.parametrize("flavor, n", [("sl", 3), ("sl", 4), ("gl", 3)])
+def test_factorization_routes_chain_through_homomorphisms(flavor, n):
+    # Phi_(m,0) runs from the target of phi'_l into that of Phi_(m,l): a
+    # homomorphism, so route 1 composes homomorphisms and not just images
+    for m in range(3):
+        for ell in range(3):
+            for alpha in (0, 1):
+                phi_ml, routes = _factorization_routes(m, ell, n, flavor, alpha)
+                (phi_prime, phi_m0), (emb, phi_big) = routes
+                assert phi_m0.source == phi_prime.target and phi_m0.target == phi_ml.target
+                assert emb.target == phi_big.source
+                assert check_hom_equivariance(phi_m0, 2)["status"] == "pass"
+
+
+def test_factorization_routes_must_compose(monkeypatch):
+    real = verma.build_emb
+
+    def emb_into_the_other_sign(*args):
+        h = real(*args)
+        target = dataclasses.replace(h.target, signs=(1 - h.target.signs[0],))
+        return dataclasses.replace(h, target=target)
+
+    monkeypatch.setattr(verma, "build_emb", emb_into_the_other_sign)
+    with pytest.raises(ValueError, match="does not compose"):
+        verify_factorization_verma(1, 1, 3, 2)
 
 
 def test_phi_equivariance_generic_weight():
