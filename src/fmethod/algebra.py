@@ -7,8 +7,10 @@ unknowns) use this order, descending, so every downstream output is
 deterministic.
 
 Polynomials have one differentiation loop, `Polynomial.derivative_multi`,
-which applies a whole multi-index to each term in one pass.  The
-constructor converts a coefficient only if it is not a `Fraction` yet.
+which applies a whole multi-index to each term in one pass, and one
+multiplication loop, `add_product`, which sums the products of two
+polynomials' terms into a {monomial: Fraction} dict.  The constructor
+converts a coefficient only if it is not a `Fraction` yet and drops zeros.
 
 Linear algebra has one kernel: `sparse_rref`, exact Gauss-Jordan
 elimination on sparse {column: Fraction} rows.  `sparse_nullspace`,
@@ -35,6 +37,22 @@ def monomial_key(m: Monomial):
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
+
+
+def add_product(acc: dict, p: "Polynomial", q: "Polynomial", scale=1) -> None:
+    """acc += scale * p * q on a {monomial: Fraction} dict.
+
+    A sum that cancels stays in `acc` as 0 until the `Polynomial`
+    constructor drops it, so many products can be summed into one dict and
+    made a polynomial once."""
+    for m1, c1 in p.terms.items():
+        if scale != 1:
+            c1 = c1 * scale
+        for m2, c2 in q.terms.items():
+            m = monomial_mul(m1, m2)
+            c = c1 * c2
+            old = acc.get(m)
+            acc[m] = c if old is None else old + c
 
 
 def monomial_basis(arity: int, degree: int) -> list[Monomial]:
@@ -167,14 +185,7 @@ class Polynomial:
             return self.scale(other)
         self._check(other)
         terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = monomial_mul(m1, m2)
-                s = terms.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
+        add_product(terms, self, other)
         return Polynomial(self.arity, terms, self.var)
 
     __rmul__ = __mul__

@@ -132,7 +132,11 @@ class VectorValuedPolynomial:
     def __eq__(self, other):
         if not isinstance(other, VectorValuedPolynomial):
             return NotImplemented
-        return self.arity == other.arity and self.components == other.components
+        return (
+            self.arity == other.arity
+            and self.var == other.var
+            and self.components == other.components
+        )
 
     def sorted_items(self):
         return sorted(

@@ -7,6 +7,14 @@ Composition expands the commutation relation  d_j v_i = delta_ij + v_i d_j
 eagerly (full Leibniz), so equality of normal forms is equality of
 operators.
 
+`apply`, `compose` and `fourier` sum their coefficient products straight
+into one {monomial: Fraction} dict (one per derivative key for an operator)
+through `algebra.add_product`, and build each `Polynomial` once at the end
+through its constructor, which drops the sums that cancelled.
+Differentiation is always `Polynomial.derivative_multi`.
+
+Every coefficient has the operator's variable role; mixing roles raises.
+
 The Fourier transform sends d/dv_i -> -w_i and v_i -> d/dw_i, where w is
 the dual variable role ('x' <-> 'zeta'); it is an algebra isomorphism.
 """
@@ -17,7 +25,14 @@ import itertools
 import math
 from fractions import Fraction
 
-from .algebra import Polynomial, format_monomial, format_terms, monomial_key, parse_terms
+from .algebra import (
+    Polynomial,
+    add_product,
+    format_monomial,
+    format_terms,
+    monomial_key,
+    parse_terms,
+)
 
 DUAL_VAR = {"x": "zeta", "zeta": "x", "z": "zeta"}
 
@@ -36,7 +51,7 @@ class WeylElement:
                 if not isinstance(coeff, Polynomial):
                     coeff = Polynomial.constant(arity, coeff, var)
                 if coeff.var != var:
-                    coeff = coeff.with_var(var)
+                    raise ValueError(f"variable role mismatch: {coeff.var} vs {var}")
                 if not coeff.is_zero():
                     if len(alpha) != arity:
                         raise ValueError("derivative multidegree arity mismatch")
@@ -128,16 +143,16 @@ class WeylElement:
             raise ValueError("arity mismatch")
         if p.var != self.var:
             raise ValueError("variable role mismatch")
-        out = Polynomial.zero(self.arity, self.var)
+        acc = {}
         for alpha, coeff in self.terms.items():
-            out = out + coeff * p.derivative_multi(alpha)
-        return out
+            add_product(acc, coeff, p.derivative_multi(alpha))
+        return Polynomial(self.arity, acc, self.var)
 
     def compose(self, other: "WeylElement") -> "WeylElement":
         """Normal-ordered self o other (apply other first)."""
         self._check(other)
         n = self.arity
-        result = {}
+        sums = {}
         for alpha, p in self.terms.items():
             for beta, q in other.terms.items():
                 # d^alpha o (q .) = sum_{gamma <= alpha} C(alpha,gamma) (d^gamma q) d^{alpha-gamma}
@@ -148,16 +163,9 @@ class WeylElement:
                     binom = 1
                     for a, g in zip(alpha, gamma):
                         binom *= math.comb(a, g)
-                    rest = tuple(a - g for a, g in zip(alpha, gamma))
-                    key = tuple(r + b for r, b in zip(rest, beta))
-                    add = p * dq.scale(binom)
-                    cur = result.get(key)
-                    s = add if cur is None else cur + add
-                    if s.is_zero():
-                        result.pop(key, None)
-                    else:
-                        result[key] = s
-        return WeylElement(n, result, self.var)
+                    key = tuple(a - g + b for a, g, b in zip(alpha, gamma, beta))
+                    add_product(sums.setdefault(key, {}), p, dq, binom)
+        return _from_sums(n, sums, self.var)
 
     def __mul__(self, other):
         if isinstance(other, WeylElement):
@@ -170,7 +178,8 @@ class WeylElement:
         """Algebraic Fourier transform: d/dv_i -> -w_i, v_i -> d/dw_i."""
         new_var = DUAL_VAR[self.var]
         n = self.arity
-        out = WeylElement.zero(n, new_var)
+        one = Polynomial.one(n, new_var)
+        sums = {}
         for alpha, p in self.terms.items():
             # image of the coefficient: constant-coefficient derivative operator
             dpart = WeylElement(
@@ -183,8 +192,9 @@ class WeylElement:
             mpart = WeylElement.from_polynomial(
                 Polynomial.monomial(n, alpha, sign, new_var)
             )
-            out = out + dpart.compose(mpart)
-        return out
+            for key, coeff in dpart.compose(mpart).terms.items():
+                add_product(sums.setdefault(key, {}), coeff, one)
+        return _from_sums(n, sums, new_var)
 
     def is_constant_coefficient(self) -> bool:
         return all(p.is_constant() for p in self.terms.values())
@@ -220,10 +230,14 @@ class WeylElement:
     def __eq__(self, other):
         if not isinstance(other, WeylElement):
             return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
+        return (
+            self.arity == other.arity and self.var == other.var and self.terms == other.terms
+        )
 
     def __hash__(self):
-        return hash((self.arity, frozenset((a, hash(p)) for a, p in self.terms.items())))
+        return hash(
+            (self.arity, self.var, frozenset((a, hash(p)) for a, p in self.terms.items()))
+        )
 
     def __str__(self):
         """Canonical expanded form: one chunk per coefficient monomial."""
@@ -236,6 +250,11 @@ class WeylElement:
         )
 
     __repr__ = __str__
+
+
+def _from_sums(arity: int, sums: dict, var: str) -> WeylElement:
+    """The operator with coefficient sums {alpha: {monomial: Fraction}}."""
+    return WeylElement(arity, {a: Polynomial(arity, t, var) for a, t in sums.items()}, var)
 
 
 def parse_weyl(text: str, arity: int, var: str = "x") -> WeylElement:

@@ -210,3 +210,8 @@ def test_domain_guards():
     tgt = TargetRepParams.sl(3, Fraction(1), ell=0)
     with pytest.raises(ValueError):
         dpi_target(parabolic(3).n_plus(3), tgt)  # N_n^+ is not in g'
+
+
+def test_vector_valued_equality_sees_the_role():
+    assert VectorValuedPolynomial.zero(2, "x") != VectorValuedPolynomial.zero(2, "zeta")
+    assert VectorValuedPolynomial.zero(2, "zeta") == VectorValuedPolynomial.zero(2, "zeta")

@@ -1,10 +1,12 @@
+import itertools
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmethod.algebra import Polynomial, monomials_up_to
-from fmethod.weyl import WeylElement, symb_inverse
+from fmethod.weyl import DUAL_VAR, WeylElement, symb_inverse
 
 
 def x(i, arity=2):
@@ -276,3 +278,152 @@ def test_printer_and_parser_match_reference_random(op):
     text = str(op)
     assert text == reference_weyl_str(op)
     assert parse_weyl(text, 2) == reference_parse_weyl(text, 2) == op
+
+
+def test_coefficient_role_guard():
+    import pytest
+
+    zeta1 = Polynomial.variable(2, 0, "zeta")
+    with pytest.raises(ValueError, match="variable role mismatch"):
+        WeylElement.identity(2, "x") + zeta1
+    with pytest.raises(ValueError, match="variable role mismatch"):
+        WeylElement(2, {(1, 0): zeta1}, "x")
+    # a bare scalar takes the operator's role
+    assert WeylElement(2, {(0, 0): 3}, "zeta") == WeylElement.identity(2, "zeta").scale(3)
+
+
+def test_equality_and_hash_see_the_role():
+    assert WeylElement.zero(2, "x") != WeylElement.zero(2, "zeta")
+    assert WeylElement.identity(2, "x") != WeylElement.identity(2, "zeta")
+    assert WeylElement.partial(2, 0, "x") != WeylElement.partial(2, 0, "zeta")
+    assert len({WeylElement.zero(2, "x"), WeylElement.zero(2, "zeta")}) == 2
+    assert hash(WeylElement.zero(2, "x")) != hash(WeylElement.zero(2, "zeta"))
+    assert WeylElement.zero(2, "zeta") == WeylElement.zero(2, "zeta")
+
+
+# -- one-dict accumulation against the loops as first written --
+#
+# Test-only copies of `WeylElement.apply`, `compose` and `fourier` as they
+# built one `Polynomial` product per term and added it to a running sum,
+# before each summed its products into one {monomial: Fraction} dict.
+
+
+def reference_apply(op, p):
+    out = Polynomial.zero(op.arity, op.var)
+    for alpha, coeff in op.terms.items():
+        out = out + coeff * p.derivative_multi(alpha)
+    return out
+
+
+def reference_compose(A, B):
+    result = {}
+    for alpha, p in A.terms.items():
+        for beta, q in B.terms.items():
+            for gamma in itertools.product(*(range(a + 1) for a in alpha)):
+                dq = q.derivative_multi(gamma)
+                if dq.is_zero():
+                    continue
+                binom = 1
+                for a, g in zip(alpha, gamma):
+                    binom *= math.comb(a, g)
+                rest = tuple(a - g for a, g in zip(alpha, gamma))
+                key = tuple(r + b for r, b in zip(rest, beta))
+                add = p * dq.scale(binom)
+                cur = result.get(key)
+                s = add if cur is None else cur + add
+                if s.is_zero():
+                    result.pop(key, None)
+                else:
+                    result[key] = s
+    return WeylElement(A.arity, result, A.var)
+
+
+def reference_fourier(op):
+    new_var = DUAL_VAR[op.var]
+    n = op.arity
+    out = WeylElement.zero(n, new_var)
+    for alpha, p in op.terms.items():
+        dpart = WeylElement(
+            n, {m: Polynomial.constant(n, c, new_var) for m, c in p.terms.items()}, new_var
+        )
+        sign = Fraction(-1) ** sum(alpha)
+        mpart = WeylElement.from_polynomial(Polynomial.monomial(n, alpha, sign, new_var))
+        out = out + reference_compose(dpart, mpart)
+    return out
+
+
+def poly_entries(p):
+    """The terms of p, each checked to be a nonzero Fraction."""
+    for c in p.terms.values():
+        assert type(c) is Fraction and c != 0
+    return dict(p.terms)
+
+
+def op_entries(op):
+    """{alpha: {monomial: Fraction}} of op, with no zero coefficient left."""
+    for p in op.terms.values():
+        assert p.var == op.var and not p.is_zero()
+    return {a: poly_entries(p) for a, p in op.terms.items()}
+
+
+# few distinct values, so that sums cancel often
+SMALL_COEFFS = [Fraction(c) for c in ("-2", "-1", "-1/2", "1", "3/2")]
+
+
+@st.composite
+def operands(draw):
+    """Two operators and a polynomial of one arity (1-4) and one role."""
+    arity = draw(st.integers(1, 4))
+    var = draw(st.sampled_from(("x", "zeta")))
+
+    def exponents():
+        return tuple(draw(st.integers(0, 2)) for _ in range(arity))
+
+    def poly():
+        n_terms = draw(st.integers(1, 3))
+        terms = {exponents(): draw(st.sampled_from(SMALL_COEFFS)) for _ in range(n_terms)}
+        return Polynomial(arity, terms, var)
+
+    def op():
+        n_terms = draw(st.integers(1, 3))
+        return WeylElement(arity, {exponents(): poly() for _ in range(n_terms)}, var)
+
+    return op(), op(), poly()
+
+
+# cancelling cases: x1 d1 - x2 d2 kills x1*x2, and the rotation x2 d1 - x1 d2
+# kills x1^2 + x2^2, so its composition with that square has no order-0 part
+ROTATION = WeylElement(2, {(1, 0): Polynomial.variable(2, 1), (0, 1): -Polynomial.variable(2, 0)})
+SQUARE = Polynomial.monomial(2, (2, 0)) + Polynomial.monomial(2, (0, 2))
+CANCELLING = [
+    (
+        WeylElement(2, {(1, 0): Polynomial.variable(2, 0), (0, 1): -Polynomial.variable(2, 1)}),
+        WeylElement.from_polynomial(SQUARE),
+        Polynomial.monomial(2, (1, 1)),
+    ),
+    (ROTATION, WeylElement.from_polynomial(SQUARE), SQUARE),
+]
+
+
+def assert_matches_reference(A, B, f):
+    assert poly_entries(A.apply(f)) == poly_entries(reference_apply(A, f))
+    assert op_entries(A.compose(B)) == op_entries(reference_compose(A, B))
+    assert op_entries(A.fourier()) == op_entries(reference_fourier(A))
+
+
+def test_apply_compose_fourier_match_reference_on_cancellations():
+    for A, B, f in CANCELLING:
+        assert_matches_reference(A, B, f)
+    A, B, f = CANCELLING[0]
+    assert A.apply(f).is_zero()
+    A, B, f = CANCELLING[1]
+    assert A.apply(f).is_zero()
+    assert (0, 0) not in A.compose(B).terms
+
+
+@given(operands())
+@settings(max_examples=150, deadline=None)
+def test_apply_compose_fourier_match_reference(case):
+    A, B, f = case
+    assert_matches_reference(A, B, f)
+    assert_matches_reference(B, A, f)
