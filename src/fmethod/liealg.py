@@ -5,9 +5,10 @@ the upper-left n-block with last row and column zero.  The Gelfand-Naimark
 decomposition g = n_- + l + n_+ is the block split along the first row and
 column, eigenspaces of ad(H0~) with eigenvalues -(n+1)/n, 0, +(n+1)/n.
 
-Elements keep dense `Fraction` entries, but products multiply only pairs of
-nonzero entries: almost every operand is a matrix unit or a short sum of
-them, so a bracket costs a few multiplications instead of 2(n+1)^3.
+Elements keep dense `Fraction` entries, but sums, multiples and products
+touch only nonzero entries: almost every operand is a matrix unit or a
+short sum of them, so a bracket costs a few multiplications instead of
+2(n+1)^3.
 """
 
 from __future__ import annotations
@@ -72,10 +73,11 @@ class LieElement:
         return all(x == 0 for row in self.entries for x in row)
 
     def add(self, other):
+        """Exact sum; only the nonzero entries of `other` are added."""
         self._check(other)
         return LieElement(
             tuple(
-                tuple(a + b for a, b in zip(ra, rb))
+                tuple(a + b if b else a for a, b in zip(ra, rb)) if any(rb) else ra
                 for ra, rb in zip(self.entries, other.entries)
             ),
             self.flavor,
@@ -85,9 +87,11 @@ class LieElement:
         return self.add(other.scale(-1))
 
     def scale(self, s):
+        """Exact multiple; only the nonzero entries are multiplied."""
         s = Fraction(s)
         return LieElement(
-            tuple(tuple(s * a for a in row) for row in self.entries), self.flavor
+            tuple(tuple(s * a if a else a for a in row) for row in self.entries),
+            self.flavor,
         )
 
     def matmul(self, other):

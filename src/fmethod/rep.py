@@ -20,17 +20,26 @@ transform of dpi_lambda_star(N_j^+) satisfies, on degree-k polynomials,
     -zeta_j o dpi_hat(N_j^+) = (lambda - 1 + k) * theta_j,
 
 the identity every classification below rests on.
+
+The weights enter affinely: the fiber acts on the l-part through the
+characters, so induced_operator(X, .., fiber with weights w) equals
+base + sum_i w_i part_i, where base is the operator at weight 0 and part_i
+the operator at the unit weight e_i minus base.  `_affine_parts` builds
+these pieces once per Lie element, algebra, number of variables, fiber
+shape and picture (x, or its Fourier transform); every builder below, and
+the Verma action, assembles its operator from them through
+`affine_operator`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import Polynomial, monomial_basis, monomial_key
 from .liealg import GL, SL, LieElement, ParabolicData, bracket, parabolic
-from .weyl import WeylElement
+from .weyl import DUAL_VAR, WeylElement
 
 
 @dataclass(frozen=True)
@@ -94,6 +103,8 @@ class VectorValuedPolynomial:
         clean = {}
         if components:
             for label, poly in components.items():
+                if poly.var != var:
+                    raise ValueError(f"variable role mismatch: {poly.var} vs {var}")
                 if not poly.is_zero():
                     clean[tuple(label)] = poly
         self.components = clean
@@ -173,6 +184,9 @@ class OperatorOnVV:
         self.arity = arity
         self.in_labels = tuple(in_labels)
         self.out_labels = tuple(out_labels)
+        for w in terms.values():
+            if w.var != var:
+                raise ValueError(f"variable role mismatch: {w.var} vs {var}")
         self.terms = {k: w for k, w in terms.items() if not w.is_zero()}
         self.var = var
 
@@ -191,8 +205,9 @@ class OperatorOnVV:
 
     def fourier(self):
         terms = {k: w.fourier() for k, w in self.terms.items()}
-        var = next(iter(terms.values())).var if terms else self.var
-        return OperatorOnVV(self.arity, self.in_labels, self.out_labels, terms, var)
+        return OperatorOnVV(
+            self.arity, self.in_labels, self.out_labels, terms, DUAL_VAR[self.var]
+        )
 
     def entry(self, out, inp) -> WeylElement:
         return self.terms.get((tuple(out), tuple(inp)), WeylElement.zero(self.arity, self.var))
@@ -381,6 +396,70 @@ def _unit_alpha(arity, index):
     return tuple(a)
 
 
+# -- the weights enter affinely ---------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _affine_parts(X: LieElement, pd: ParabolicData, num_x: int, shape, fourier: bool):
+    """(base, part_1, .., part_k): the weight-free pieces of the action of X.
+
+    `shape` is a fiber with every weight zero, so `base` is its
+    `induced_operator`; part_i is the operator at the unit weight e_i minus
+    `base`.  The fiber acts through the l-part affinely in the weights, so
+    a fiber with weights w acts by base + sum_i w_i part_i.  With `fourier`
+    the same pieces are Fourier transformed; the transform is linear.
+    """
+    base = induced_operator(X, pd, num_x, shape)
+    k = len(shape.weights)
+    parts = [base]
+    for i in range(k):
+        unit = tuple(Fraction(int(i == j)) for j in range(k))
+        at_unit = induced_operator(X, pd, num_x, replace(shape, weights=unit))
+        parts.append(_combine((at_unit, base), (-1,)))
+    return tuple(op.fourier() for op in parts) if fourier else tuple(parts)
+
+
+def _combine(parts, weights) -> OperatorOnVV:
+    """parts[0] + sum_i weights[i] * parts[i + 1].
+
+    Only the coefficients that a weighted part touches are summed; every
+    other entry and coefficient of parts[0] is shared, not copied.
+    """
+    base = parts[0]
+    arity, var = base.arity, base.var
+    sums = {}
+    for op, w in zip(parts[1:], weights):
+        if not w:
+            continue
+        for key, weyl in op.terms.items():
+            by_alpha = sums.setdefault(key, {})
+            for alpha, p in weyl.terms.items():
+                acc = by_alpha.setdefault(alpha, {})
+                for mono, c in p.terms.items():
+                    acc[mono] = acc.get(mono, 0) + w * c
+    terms = dict(base.terms)
+    for key, by_alpha in sums.items():
+        coeffs = dict(terms[key].terms) if key in terms else {}
+        for alpha, acc in by_alpha.items():
+            if alpha in coeffs:
+                for mono, c in coeffs[alpha].terms.items():
+                    acc[mono] = acc.get(mono, 0) + c
+            coeffs[alpha] = Polynomial(arity, acc, var)
+        terms[key] = WeylElement(arity, coeffs, var)
+    return OperatorOnVV(arity, base.in_labels, base.out_labels, terms, var)
+
+
+def affine_operator(X: LieElement, pd: ParabolicData, num_x: int, fiber, fourier=False):
+    """`induced_operator(X, pd, num_x, fiber)`, Fourier transformed with `fourier`.
+
+    Assembled from the pieces `_affine_parts` builds once per (X, pd,
+    num_x, fiber with zero weights), so a new weight costs one linear
+    combination.
+    """
+    shape = replace(fiber, weights=tuple(Fraction(0) for _ in fiber.weights))
+    return _combine(_affine_parts(X, pd, num_x, shape, fourier), fiber.weights)
+
+
 # -- public builders ----------------------------------------------------------
 
 
@@ -391,28 +470,28 @@ def _check_in_g(X: LieElement, pd: ParabolicData):
         raise ValueError("sl element must be traceless")
 
 
+def _scalar_action(X: LieElement, params: ScalarRepParams, weights, fourier=False):
+    pd = parabolic(params.n, params.flavor)
+    _check_in_g(X, pd)
+    return affine_operator(X, pd, params.n, ScalarFiber(weights), fourier).scalar_entry()
+
+
 @lru_cache(maxsize=None)
 def dpi_lambda(X: LieElement, params: ScalarRepParams) -> WeylElement:
     """Action of X on the source line bundle, coordinates x_1..x_n."""
-    pd = parabolic(params.n, params.flavor)
-    _check_in_g(X, pd)
-    fiber = ScalarFiber(params.lam)
-    return induced_operator(X, pd, params.n, fiber).scalar_entry()
+    return _scalar_action(X, params, params.lam)
 
 
 @lru_cache(maxsize=None)
 def dpi_lambda_star(X: LieElement, params: ScalarRepParams) -> WeylElement:
     """Dual-twisted action (inducing weight 2rho - lambda)."""
-    pd = parabolic(params.n, params.flavor)
-    _check_in_g(X, pd)
-    fiber = ScalarFiber(params.dual_weights())
-    return induced_operator(X, pd, params.n, fiber).scalar_entry()
+    return _scalar_action(X, params, params.dual_weights())
 
 
 @lru_cache(maxsize=None)
 def dpi_hat(X: LieElement, params: ScalarRepParams) -> WeylElement:
     """Fourier transform of dpi_lambda_star: the Verma-side action on Pol(zeta)."""
-    return dpi_lambda_star(X, params).fourier()
+    return _scalar_action(X, params, params.dual_weights(), fourier=True)
 
 
 @lru_cache(maxsize=None)
@@ -422,7 +501,7 @@ def dpi_target(X: LieElement, params: TargetRepParams) -> OperatorOnVV:
     if not pd.in_g_prime(X):
         raise ValueError("dpi_target needs X in g'")
     fiber = SymFiber(params.ell, params.n - 1, params.nu, dual=True)
-    return induced_operator(X, pd, params.n - 1, fiber)
+    return affine_operator(X, pd, params.n - 1, fiber)
 
 
 # -- closed forms (test oracles) ----------------------------------------------

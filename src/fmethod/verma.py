@@ -27,7 +27,7 @@ from .rep import (
     ScalarFiber,
     SymFiber,
     VectorValuedPolynomial,
-    induced_operator,
+    affine_operator,
 )
 
 
@@ -138,7 +138,7 @@ def _verma_action(module: VermaModule, X):
         fiber = ScalarFiber(dw)
     else:
         fiber = SymFiber(module.fiber_degree, module.num_vars, dw)
-    return induced_operator(X, pd, module.num_vars, fiber).fourier()
+    return affine_operator(X, pd, module.num_vars, fiber, fourier=True)
 
 
 @dataclass(frozen=True)

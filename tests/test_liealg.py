@@ -189,6 +189,25 @@ def test_sparse_products_match_dense_reference(pair):
     assert parts[0].add(parts[1]).add(parts[2]) == X
 
 
+@given(sparse_pairs(), _entries)
+@settings(max_examples=120, deadline=None)
+def test_sparse_sums_and_multiples_match_dense_reference(pair, s):
+    X, Y = pair
+    total = X.add(Y)
+    assert total.entries == tuple(
+        tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(X.entries, Y.entries)
+    )
+    assert total.flavor == X.flavor and _all_fractions(total)
+    multiple = X.scale(s)
+    assert multiple.entries == tuple(tuple(s * a for a in row) for row in X.entries)
+    assert multiple.flavor == X.flavor and _all_fractions(multiple)
+    difference = X.sub(Y)
+    assert difference.entries == tuple(
+        tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(X.entries, Y.entries)
+    )
+    assert _all_fractions(difference)
+
+
 def test_equal_elements_hash_equal():
     pd = parabolic(3, "gl")
     a = pd.h0_tilde_prime

@@ -2,20 +2,27 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmethod.algebra import Polynomial, monomials_up_to
-from fmethod.liealg import bracket, parabolic
+from fmethod.liealg import GL, SL, LieElement, bracket, parabolic
 from fmethod.rep import (
+    OperatorOnVV,
+    ScalarFiber,
     ScalarRepParams,
+    SymFiber,
     TargetRepParams,
     VectorValuedPolynomial,
     dpi_hat,
     dpi_lambda,
     dpi_lambda_star,
     dpi_target,
+    induced_operator,
     nminus_closed_form,
     nplus_closed_form,
 )
+from fmethod.verma import VermaModule, _verma_action
 from fmethod.weyl import WeylElement
 
 
@@ -215,3 +222,93 @@ def test_domain_guards():
 def test_vector_valued_equality_sees_the_role():
     assert VectorValuedPolynomial.zero(2, "x") != VectorValuedPolynomial.zero(2, "zeta")
     assert VectorValuedPolynomial.zero(2, "zeta") == VectorValuedPolynomial.zero(2, "zeta")
+
+
+def test_vector_valued_polynomial_rejects_a_foreign_role():
+    with pytest.raises(ValueError, match="variable role mismatch"):
+        VectorValuedPolynomial(2, {(1, 0): Polynomial.variable(2, 0, "zeta")}, "x")
+    # a zero component is checked too, before it is dropped
+    with pytest.raises(ValueError, match="variable role mismatch"):
+        VectorValuedPolynomial(2, {(): Polynomial.zero(2, "x")}, "zeta")
+
+
+def test_operator_on_vv_rejects_a_foreign_role():
+    with pytest.raises(ValueError, match="variable role mismatch"):
+        OperatorOnVV(2, [()], [()], {((), ()): WeylElement.identity(2, "zeta")}, "x")
+    with pytest.raises(ValueError, match="variable role mismatch"):
+        OperatorOnVV(2, [()], [()], {((), ()): WeylElement.zero(2, "x")}, "zeta")
+
+
+def test_fourier_of_zero_operator_takes_the_dual_role():
+    zero = OperatorOnVV(2, [()], [()], {}, "x").fourier()
+    assert zero.var == "zeta" == WeylElement.zero(2, "x").fourier().var
+    v = VectorValuedPolynomial(2, {(): Polynomial.variable(2, 1, "zeta")}, "zeta")
+    assert zero.apply(v) == VectorValuedPolynomial.zero(2, "zeta")
+    assert zero.fourier().var == "x"
+
+
+# -- the assembled operators against a direct induced_operator ------------------
+
+
+_weights = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-4, max_value=4, max_denominator=5)
+)
+
+
+@st.composite
+def elements(draw, primed=False):
+    """(pd, X) with X in g (g' if `primed`): a basis element or a rational combination."""
+    pd = parabolic(draw(st.integers(2, 4)), draw(st.sampled_from([SL, GL])))
+    basis = pd.g_basis(primed)
+    if draw(st.booleans()):
+        return pd, draw(st.sampled_from(basis))
+    X = LieElement.zero(pd.size, pd.flavor)
+    for Y, c in draw(st.lists(st.tuples(st.sampled_from(basis), _weights), min_size=1, max_size=4)):
+        X = X.add(Y.scale(c))
+    return pd, X
+
+
+def _weight_tuple(draw, pd):
+    return tuple(draw(_weights) for _ in pd.two_rho())
+
+
+def _same(got: OperatorOnVV, expected: OperatorOnVV):
+    assert (got.arity, got.var, got.in_labels, got.out_labels) == (
+        expected.arity, expected.var, expected.in_labels, expected.out_labels
+    )
+    assert got.terms == expected.terms
+
+
+@given(elements(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_scalar_builders_match_direct_induced_operator(element, data):
+    pd, X = element
+    lam = _weight_tuple(data.draw, pd)
+    params = ScalarRepParams(pd.n, pd.flavor, (0,) * len(lam), lam)
+    direct = induced_operator(X, pd, pd.n, ScalarFiber(lam))
+    dual = induced_operator(X, pd, pd.n, ScalarFiber(params.dual_weights()))
+    assert dpi_lambda(X, params) == direct.scalar_entry()
+    assert dpi_lambda_star(X, params) == dual.scalar_entry()
+    assert dpi_hat(X, params) == dual.fourier().scalar_entry()
+    assert dpi_hat(X, params).var == "zeta"
+
+
+@given(elements(primed=True), st.integers(0, 2), st.data())
+@settings(max_examples=40, deadline=None)
+def test_dpi_target_matches_direct_induced_operator(element, ell, data):
+    pd, X = element
+    nu = _weight_tuple(data.draw, pd)
+    params = TargetRepParams(pd.n, pd.flavor, (0,) * len(nu), nu, ell)
+    fiber = SymFiber(ell, pd.n - 1, nu, dual=True)
+    _same(dpi_target(X, params), induced_operator(X, pd, pd.n - 1, fiber))
+
+
+@given(st.booleans(), st.integers(0, 2), st.data())
+@settings(max_examples=40, deadline=None)
+def test_verma_action_matches_direct_induced_operator(primed, degree, data):
+    pd, X = data.draw(elements(primed=primed))
+    nu = _weight_tuple(data.draw, pd)
+    module = VermaModule(pd.n, pd.flavor, primed, degree, nu, (0,) * len(nu))
+    dw = module.dual_weights()
+    fiber = ScalarFiber(dw) if degree == 0 else SymFiber(degree, module.num_vars, dw)
+    _same(_verma_action(module, X), induced_operator(X, pd, module.num_vars, fiber).fourier())
