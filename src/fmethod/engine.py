@@ -1,10 +1,32 @@
 """The F-method engine: equivariant spaces, the F-system, classification scans.
 
-The solution space Sol(n_+; V, W) is computed literally: take all pairs
-(zeta-monomial, fiber label), impose the l'-equivariance and the component
-group sign condition by exact linear algebra, then intersect with the joint
-kernel of dpi_hat(N_j^+) tensor id over the primed (or, in full-nilradical
-mode, the whole) nilpotent radical.
+The solution space Sol(n_+; V, W) is the space of solutions of the F-system
+(the F-method of T. Kobayashi and M. Pevzner, "Differential symmetry
+breaking operators I", Selecta Math. 22, 2016).  It is computed literally:
+take all pairs (zeta-monomial, fiber label), impose the l'-equivariance and
+the component group sign condition by exact linear algebra, then intersect
+with the kernel of the F-system operators dpi_hat(N^+) tensor id over the
+primed (or, in full-nilradical mode, the whole) nilpotent radical.
+
+Both stages are solved on generators; m' below reads m in full-nilradical
+mode, and n_+' reads n_+.
+
+* Equivariance under m' is imposed through its simple raising operators
+  E_{i,i+1} alone.  Every candidate psi already has m'-weight 0, because
+  the diagonal conditions come first.  m' preserves degree, so each degree
+  piece tensor the fiber is a finite-dimensional m'-module, and a weight-0
+  vector that every simple raising operator kills is a maximal vector.  It
+  spans a trivial submodule, so all of m' kills it (J. E. Humphreys,
+  "Introduction to Lie Algebras and Representation Theory", sections 20-21).
+* The F-system is imposed through N_1^+ alone.  If psi is m'-invariant and
+  dpi_hat(N_1^+) psi = 0, then dpi_hat([Y, N_1^+]) psi = 0 for every Y in
+  m': dpi_hat is a Lie homomorphism (criterion 8 certifies it) and
+  dpi_hat(N_1^+) tensor 1 commutes with the fiber action.  n_+' is an
+  irreducible m'-module, so this reaches every N_j^+.
+
+The independent checks (`operators.check_equivariance`,
+`verma.check_hom_equivariance`, the Lie-homomorphism certificate and
+`branch.invariants_in`) keep the full bases.
 
 Diagonal constraints (the A'-weights, the Cartan of m', the gamma signs)
 act diagonally on monomial pairs, so they are solved by enumeration: each
@@ -150,9 +172,9 @@ class _LieData:
     """
 
     diag: tuple  # H0~' (H0~ in full mode), J0' (J0) for GL, the Cartan of m' (m)
-    offdiag: tuple  # the off-diagonal matrix units of m' (m)
+    raising: tuple  # the simple raising operators E_{i,i+1} of m' (m)
     gammas: tuple  # generators of the component group of M' (M)
-    n_plus: tuple  # N_j^+ spanning n_+' (n_+)
+    n_plus: tuple  # N_1^+ alone: it generates n_+' (n_+) as an m'- (m-)module
 
 
 @lru_cache(maxsize=None)
@@ -162,11 +184,12 @@ def _lie_data(pd, full_nilradical) -> _LieData:
     if pd.flavor == GL:
         diag.append(pd.j0 if full_nilradical else pd.j0_prime)
     diag.extend(pd.m_cartan(primed=primed))
+    top = pd.n if primed else pd.n + 1
     return _LieData(
         tuple(diag),
-        tuple(pd.m_offdiag(primed=primed)),
+        tuple(pd.unit(i, i + 1) for i in range(2, top)),
         tuple(pd.gamma_elements(primed=primed)),
-        tuple(pd.n_plus_basis(primed=primed)),
+        (pd.n_plus(1),),
     )
 
 
@@ -210,9 +233,11 @@ class _SolveContext:
         self.labels = self.fiber.labels(self.pd)
         self.lie = _lie_data(self.pd, full_nilradical)
         self.fsys_ops = [dpi_hat(N, source) for N in self.lie.n_plus]
-        # (operator, fiber action) of each off-diagonal element of m'
-        self.offdiag = tuple(
-            (dpi_hat(Z, source), self.fiber.act(Z, self.pd)) for Z in self.lie.offdiag
+        # (operator, fiber action) of each raising operator of m'.  Its
+        # character weight is 0 (entries[0][0] = 0, trace 0), so its fiber
+        # action is the shared weight-free m-part.
+        self.raising = tuple(
+            (dpi_hat(Z, source), self.fiber.m_action(Z, self.pd)) for Z in self.lie.raising
         )
 
         # A pair (zeta^m, label) is kept when every diagonal element has the
@@ -248,7 +273,7 @@ class _SolveContext:
 
         Equal for two contexts, those stages give equal results in both.
         """
-        return (self._forms, self._labels_by_key, self._gamma_masks, self.offdiag)
+        return (self._forms, self._labels_by_key, self._gamma_masks, self.raising)
 
     # -- enumeration ----------------------------------------------------------
 
@@ -273,11 +298,11 @@ class _SolveContext:
     # -- linear stages ------------------------------------------------------
 
     def equivariant_vectors(self, unknowns):
-        """Kernel of the m'-offdiagonal equivariance constraints."""
+        """Kernel of the equivariance constraints under the raising operators of m'."""
         if not unknowns:
             return []
         rows = {}
-        for zi, (op, act) in enumerate(self.offdiag):
+        for zi, (op, act) in enumerate(self.raising):
             for col, (mono, lbl) in enumerate(unknowns):
                 image = op.apply(Polynomial.monomial(self.n, mono, 1, "zeta"))
                 for om, c in image.terms.items():

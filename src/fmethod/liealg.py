@@ -231,15 +231,6 @@ class ParabolicData:
         top = self.n if primed else self.n + 1
         return [self.unit(i, i).sub(self.unit(i + 1, i + 1)) for i in range(2, top)]
 
-    def m_offdiag(self, primed=False):
-        top = self.n if primed else self.n + 1
-        return [
-            self.unit(i, j)
-            for i in range(2, top + 1)
-            for j in range(2, top + 1)
-            if i != j
-        ]
-
     def l_basis(self, primed=False):
         out = [self.h0_tilde_prime if primed else self.h0_tilde]
         if self.flavor == GL:

@@ -270,7 +270,7 @@ class SymFiber:
         fiber with those data; the weight is added on the diagonal of a
         fresh copy.
         """
-        out = dict(_sym_m_action(self.degree, self.block, self.dual, L, pd))
+        out = dict(self.m_action(L, pd))
         weight = self.weight(L, pd)
         if weight:
             for k in self.labels(pd):
@@ -278,12 +278,20 @@ class SymFiber:
             out = {k: v for k, v in out.items() if v}
         return out
 
+    def m_action(self, L: LieElement, pd: ParabolicData) -> dict:
+        """The m-part of `act`, without the character weight.
+
+        Shared between calls and fibers: callers must not mutate it.
+        """
+        return _sym_m_action(self.degree, self.block, self.dual, L, pd)
+
 
 @lru_cache(maxsize=1024)
 def _sym_m_action(degree, block, dual, L: LieElement, pd: ParabolicData) -> dict:
     """The m-part of SymFiber.act: the action with every character weight zero.
 
-    Shared between calls; `act` copies it before adding the weight.
+    Shared between calls: `act` copies it before adding the weight, and
+    `m_action` returns it as it is.
     """
     c1 = L.entries[0][0]
     Z = L.sub((pd.h0_tilde_prime if block == pd.n - 1 else pd.h0_tilde).scale(c1))

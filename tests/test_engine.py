@@ -16,6 +16,7 @@ from fmethod.engine import (
     ido_symbol_vector,
     psi_vector,
     same_solution_span,
+    solve_family,
     solve_fsystem,
     weight_degree_cap,
 )
@@ -280,9 +281,10 @@ def _skewed_at_last_member(monkeypatch, elements):
 @pytest.mark.parametrize("stage", ["offdiag", "diag"])
 def test_lambda_dependent_shared_stage_raises(monkeypatch, capsys, stage):
     pd = parabolic(3)
-    # an off-diagonal operator, or the A'-weight that sets the label targets
-    _skewed_at_last_member(monkeypatch, set(pd.m_offdiag(primed=True)) if stage == "offdiag"
-                           else {pd.h0_tilde_prime})
+    # a raising operator that the solve reads, or the A'-weight that sets the
+    # label targets
+    _skewed_at_last_member(monkeypatch, set(engine._lie_data(pd, False).raising)
+                           if stage == "offdiag" else {pd.h0_tilde_prime})
     with pytest.raises(ValueError, match="lambda-independent stage"):
         classify_sl_cell(3, (1, 1, (Fraction(-1), Fraction(1, 3), Fraction(5), Fraction(-7, 2)), 0, 0))
     # a single member has nothing to disagree with
@@ -519,6 +521,52 @@ def test_lie_data_is_shared_and_immutable(flavor, full):
     primed = not full
     assert lie.diag[0] == (pd.h0_tilde if full else pd.h0_tilde_prime)
     assert lie.diag[-len(pd.m_cartan(primed)):] == tuple(pd.m_cartan(primed))
-    assert lie.offdiag == tuple(pd.m_offdiag(primed))
+    assert lie.raising == ((pd.unit(2, 3),) if primed else (pd.unit(2, 3), pd.unit(3, 4)))
     assert lie.gammas == tuple(pd.gamma_elements(primed))
-    assert lie.n_plus == tuple(pd.n_plus_basis(primed))
+    assert lie.n_plus == (pd.n_plus(1),)
+
+
+# -- solving on generators against the full bases -----------------------------
+
+_GENERATOR_LIE_DATA = engine._lie_data
+
+
+def _full_lie_data(pd, full_nilradical):
+    """`_lie_data` with every off-diagonal unit of m' (m) and every N_j^+."""
+    top = pd.n + 1 if full_nilradical else pd.n
+    return dataclasses.replace(
+        _GENERATOR_LIE_DATA(pd, full_nilradical),
+        raising=tuple(pd.unit(i, j) for i in range(2, top + 1)
+                      for j in range(2, top + 1) if i != j),
+        n_plus=tuple(pd.n_plus_basis(primed=not full_nilradical)),
+    )
+
+
+def _classify_with_provenance(monkeypatch, options):
+    spaces = []
+
+    def recording(*args, **kwargs):
+        out = solve_family(*args, **kwargs)
+        spaces.extend(out)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "solve_family", recording)
+        rows = classify(**options)
+    return rows, [(sol.source, sol.target, sol.provenance) for sol in spaces]
+
+
+@pytest.mark.parametrize("options", [
+    *({"n": n, "m_max": 2, "l_max": 2} for n in (3, 4, 5, 6)),
+    *({"n": n, "flavor": GL, "m_max": 1, "l_max": 1} for n in (3, 4)),
+    *({"n": n, "ido": True, "k_max": 3} for n in (3, 4, 5)),
+    *({"n": n, "flavor": GL, "ido": True, "k_max": 2} for n in (3, 4)),
+    *({"n": n, "homs": True, "m_max": 1, "l_max": 2, "connected": c}
+      for n in (3, 4, 5) for c in (False, True)),
+], ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
+def test_solve_on_generators_matches_full_bases(monkeypatch, options):
+    reduced = _classify_with_provenance(monkeypatch, options)
+    monkeypatch.setattr(engine, "_lie_data", _full_lie_data)
+    full = _classify_with_provenance(monkeypatch, options)
+    assert reduced[0] and all(row["ok"] for row in reduced[0])
+    assert reduced == full

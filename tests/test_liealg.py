@@ -220,7 +220,7 @@ def test_equal_elements_hash_equal():
 
 
 def test_hash_survives_pickling_into_another_hash_seed():
-    element = parabolic(3, "gl").m_offdiag(primed=True)[0]
+    element = parabolic(3, "gl").unit(2, 3)
     hash(element)  # store the hash before pickling
     payload = pickle.dumps(element).hex()
     script = (
