@@ -17,7 +17,7 @@ from fractions import Fraction as Rational
 from .algebra import Matrix, Polynomial, monomial_basis, sparse_nullspace
 from .branch import invariants_in, verify_branching
 from .engine import classify, equivariant_basis, solve_fsystem
-from .liealg import LieElement, ParabolicData, ad_exp_minus, bracket, parabolic
+from .liealg import LieElement, ParabolicData, bracket, parabolic
 from .operators import (
     build_ido,
     build_proj,
@@ -64,7 +64,6 @@ __all__ = [
     "VermaHom",
     "VermaModule",
     "WeylElement",
-    "ad_exp_minus",
     "bracket",
     "build_emb",
     "build_ido",

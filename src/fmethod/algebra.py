@@ -251,9 +251,6 @@ class Polynomial:
         pad = (0,) * (arity - self.arity)
         return Polynomial(arity, {m + pad: c for m, c in self.terms.items()}, self.var)
 
-    def with_var(self, var: str) -> "Polynomial":
-        return Polynomial(self.arity, self.terms, var)
-
     # -- equality / printing --------------------------------------------
 
     def __eq__(self, other):

@@ -30,18 +30,27 @@ The independent checks (`operators.check_equivariance`,
 
 Diagonal constraints (the A'-weights, the Cartan of m', the gamma signs)
 act diagonally on monomial pairs, so they are solved by enumeration: each
-diagonal element's eigenvalue on zeta^m is an affine form in the exponents,
-read once per solve from the normal form of its operator, and the pairs of
-a degree are the monomials whose integer-scaled weights and sign parities
-key a fiber label.  Degrees whose A'-weight range holds no label are not
+diagonal element's eigenvalue on zeta^m is an affine form c0 + c . m in the
+exponents, read from the normal form of its operator, and the pairs of a
+degree are the monomials whose integer-scaled weights and sign parities key
+a fiber label.  Degrees whose A'-weight range holds no label are not
 enumerated at all.  What remains goes through two exact sparse nullspaces
-per homogeneous degree (equivariance, then the F-system).  The Lie elements
-involved do not depend on lambda and are built once per (algebra,
-nilradical mode).  The cells of a lambda-family (fixed nu - lambda) share
-their unknowns and equivariant vectors, so `solve_family` computes those
-once and checks at every member that all they read is unchanged; only the
-F-system is solved per member.  Output bases are RREF-canonical in the graded-lex
-coordinate order, so every scan is reproducible byte for byte.
+per homogeneous degree (equivariance, then the F-system).  Each piece is
+built at the level it depends on:
+
+* per scan: the Lie elements (once per algebra and nilradical mode) and
+  every monomial's key at a degree, cached by the integer forms c and the
+  gamma masks, which do not depend on lambda, nu or the fiber;
+* per lambda-family (the cells at a fixed gap nu - lambda): the label keys,
+  from the weight-free m-action of the fiber plus one shift
+  (fiber weight - c0) per diagonal element, then the unknowns and the
+  equivariant vectors (`solve_family`);
+* per member: dpi_hat(N_1^+), the F-system and its nullspace, and a check
+  key that holds everything the family stages read; every member's key
+  must equal the first member's.
+
+Output bases are RREF-canonical in the graded-lex coordinate order, so
+every scan is reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .algebra import (
     Polynomial,
@@ -219,8 +228,33 @@ def _gamma_parities(pd, full_nilradical, alpha, beta, ell):
     return tuple(masks), parities
 
 
+@lru_cache(maxsize=256)
+def _monomial_keys(n, degree, forms, masks):
+    """(monomial, key) for every monomial of one degree, in `monomial_basis` order.
+
+    A monomial's key is its value under each integer form, then its parity
+    over each gamma mask.  Forms and masks do not depend on lambda, nu or
+    the fiber, so a whole scan shares these lists.
+    """
+    return tuple(
+        (mono, tuple(sum(c * e for c, e in zip(form, mono)) for form in forms)
+         + tuple(sum(mono[j] for j in mask) % 2 for mask in masks))
+        for mono in monomial_basis(n, degree)
+    )
+
+
 class _SolveContext:
-    """Shared data for one (source, target, mode) solve."""
+    """One (source, target, mode) solve: the F-system operator and a check key.
+
+    A pair (zeta^m, label) is kept when every diagonal element has the same
+    eigenvalue on zeta^m as on the label, and every component group
+    generator the same sign.  Each condition is scaled to an integer
+    equation  form . m == scale * (m-part eigenvalue on the label) + shift,
+    with shift = (fiber weight - c0) * scale; the gamma signs become
+    parities of m over the coordinates where gamma acts by -1.  The label
+    keys are built on first use, so in a lambda-family only the member that
+    enumerates builds them.
+    """
 
     def __init__(self, source, target, connected=False, full_nilradical=False):
         self.source = source
@@ -230,7 +264,6 @@ class _SolveContext:
         self.fiber = SymFiber(
             target.ell, self.n if full_nilradical else self.n - 1, tuple(-x for x in target.nu)
         )
-        self.labels = self.fiber.labels(self.pd)
         self.lie = _lie_data(self.pd, full_nilradical)
         self.fsys_ops = [dpi_hat(N, source) for N in self.lie.n_plus]
         # (operator, fiber action) of each raising operator of m'.  Its
@@ -239,41 +272,54 @@ class _SolveContext:
         self.raising = tuple(
             (dpi_hat(Z, source), self.fiber.m_action(Z, self.pd)) for Z in self.lie.raising
         )
-
-        # A pair (zeta^m, label) is kept when every diagonal element has the
-        # same eigenvalue on zeta^m as on the label, and every component
-        # group generator the same sign.  Each condition is scaled to an
-        # integer equation  form . m == target(label), and the gamma signs
-        # become parities of m over the coordinates where gamma acts by -1;
-        # labels are then keyed by their (targets, parities) tuple.
-        self._forms = []
-        targets = {lbl: [] for lbl in self.labels}
+        forms, scaled = [], []
         for Z in self.lie.diag:
             c0, coeffs = _eigenvalue_form(dpi_hat(Z, source))
-            acts = self.fiber.act(Z, self.pd)
-            if any(k[0] != k[1] for k in acts):
-                raise ValueError("fiber action of a diagonal element is not diagonal")
             scale = math.lcm(*(c.denominator for c in coeffs))
-            self._forms.append(tuple(int(c * scale) for c in coeffs))
-            for lbl in self.labels:
-                targets[lbl].append((acts.get((lbl, lbl), Fraction(0)) - c0) * scale)
-        self._gamma_masks, parities = (
-            ((), {}) if connected
-            else _gamma_parities(self.pd, full_nilradical, source.alpha, target.beta, target.ell)
+            forms.append(tuple(int(c * scale) for c in coeffs))
+            scaled.append((scale, (self.fiber.weight(Z, self.pd) - c0) * scale))
+        self._forms, self._scaled = tuple(forms), tuple(scaled)
+        self._gamma = None if connected else (
+            full_nilradical, source.alpha, target.beta, target.ell
         )
-        self._labels_by_key = {}
-        for lbl in self.labels:
-            # a non-integral target is met by no monomial
-            if all(t.denominator == 1 for t in targets[lbl]):
-                key = tuple(int(t) for t in targets[lbl]) + parities.get(lbl, ())
-                self._labels_by_key.setdefault(key, []).append(lbl)
+        self._gamma_masks, self._parities = (
+            ((), {}) if connected else _gamma_parities(self.pd, *self._gamma)
+        )
 
     def shared(self):
-        """Everything `unknowns_at_degree` and `equivariant_vectors` read.
+        """The check key: everything `unknowns_at_degree` and `equivariant_vectors` read.
 
-        Equal for two contexts, those stages give equal results in both.
+        It holds the algebra, the integer forms, each diagonal element's
+        (scale, shift), the fiber degree and block, the gamma data
+        (None when connected) and the raising (operator, m-action) pairs.
+        Building it reads dpi_hat at every diagonal and raising element but
+        no label.  The label keys are a function of the key, so two contexts
+        with equal keys give equal results in both stages.
         """
-        return (self._forms, self._labels_by_key, self._gamma_masks, self.raising)
+        return (
+            self.pd, self._forms, self._scaled, self.fiber.degree, self.fiber.block,
+            self._gamma, self.raising,
+        )
+
+    @cached_property
+    def _labels_by_key(self):
+        """{key: labels}: each label under its integer targets, then gamma parities."""
+        fiber, pd = self.fiber, self.pd
+        labels = fiber.labels(pd)
+        targets = {lbl: [] for lbl in labels}
+        for Z, (scale, shift) in zip(self.lie.diag, self._scaled):
+            acts = fiber.m_action(Z, pd)
+            if any(k[0] != k[1] for k in acts):
+                raise ValueError("fiber action of a diagonal element is not diagonal")
+            for lbl in labels:
+                targets[lbl].append(acts.get((lbl, lbl), 0) * scale + shift)
+        out = {}
+        for lbl in labels:
+            # a non-integral target is met by no monomial
+            if all(t.denominator == 1 for t in targets[lbl]):
+                key = tuple(int(t) for t in targets[lbl]) + self._parities.get(lbl, ())
+                out.setdefault(key, []).append(lbl)
+        return out
 
     # -- enumeration ----------------------------------------------------------
 
@@ -282,17 +328,18 @@ class _SolveContext:
 
         Listed in descending graded-lex order of (monomial, label): the
         monomials come from `monomial_basis` and each key's labels keep the
-        order of `self.labels`, both descending.
+        order of `fiber.labels`, both descending.
         """
+        labels_by_key = self._labels_by_key
         a_prime = self._forms[0]
         lo, hi = degree * min(a_prime), degree * max(a_prime)
-        if not any(lo <= key[0] <= hi for key in self._labels_by_key):
+        if not any(lo <= key[0] <= hi for key in labels_by_key):
             return []
         out = []
-        for mono in monomial_basis(self.n, degree):
-            key = tuple(sum(c * e for c, e in zip(form, mono)) for form in self._forms)
-            key += tuple(sum(mono[j] for j in mask) % 2 for mask in self._gamma_masks)
-            out.extend((mono, lbl) for lbl in self._labels_by_key.get(key, ()))
+        for mono, key in _monomial_keys(self.n, degree, self._forms, self._gamma_masks):
+            lbls = labels_by_key.get(key)
+            if lbls:
+                out.extend((mono, lbl) for lbl in lbls)
         return out
 
     # -- linear stages ------------------------------------------------------
@@ -364,10 +411,11 @@ def solve_family(
     """Exact bases of Sol(n_+; V, W) in degrees <= degree_cap, one per (source, target).
 
     The members of a lambda-family differ only in lambda at a fixed gap
-    nu - lambda.  Their unknowns and equivariant vectors are computed once,
-    at the first member; every member's context must agree with the first
-    on all that those stages read, else ValueError.  The F-system is built
-    and solved at each member.
+    nu - lambda.  The label keys, unknowns and equivariant vectors are built
+    once, at the first member.  Every member builds only its F-system
+    operator and its check key (`_SolveContext.shared`), which must equal
+    the first member's, else ValueError; the F-system is then solved at
+    each member.
     """
     contexts = [_SolveContext(s, t, connected, full_nilradical) for s, t in members]
     if not contexts:

@@ -133,10 +133,6 @@ def bracket(X: LieElement, Y: LieElement) -> LieElement:
     return X.matmul(Y).sub(Y.matmul(X))
 
 
-def trace_form(X: LieElement, Y: LieElement) -> Fraction:
-    return X.matmul(Y).trace()
-
-
 @dataclass(frozen=True)
 class ParabolicData:
     """Basis data for the pair (g, g') and the maximal parabolics P, P'.
@@ -317,16 +313,6 @@ class ParabolicData:
             for j in range(size)
             if i == size - 1 or j == size - 1
         )
-
-
-def ad_exp_minus(x, X: LieElement, pd: ParabolicData) -> LieElement:
-    """Ad(exp(-sum_j x_j N_j^-)) X; the series stops after the ad^2 term."""
-    Y = LieElement.zero(pd.size, pd.flavor)
-    for j, xv in enumerate(x, start=1):
-        Y = Y.add(pd.n_minus(j).scale(xv))
-    ad1 = bracket(Y, X)
-    ad2 = bracket(Y, ad1)
-    return X.sub(ad1).add(ad2.scale(Fraction(1, 2)))
 
 
 @lru_cache(maxsize=None)

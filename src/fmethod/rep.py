@@ -510,18 +510,3 @@ def dpi_target(X: LieElement, params: TargetRepParams) -> OperatorOnVV:
         raise ValueError("dpi_target needs X in g'")
     fiber = SymFiber(params.ell, params.n - 1, params.nu, dual=True)
     return affine_operator(X, pd, params.n - 1, fiber)
-
-
-# -- closed forms (test oracles) ----------------------------------------------
-
-
-def nplus_closed_form(j: int, n: int, weight: Fraction) -> WeylElement:
-    """x_j(weight + E_x) on n variables (1-based j)."""
-    euler = WeylElement.euler(n)
-    shift = WeylElement.identity(n).scale(weight)
-    xj = WeylElement.from_polynomial(Polynomial.variable(n, j - 1))
-    return xj.compose(euler + shift)
-
-
-def nminus_closed_form(j: int, n: int) -> WeylElement:
-    return WeylElement.partial(n, j - 1).scale(-1)

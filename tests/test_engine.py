@@ -293,6 +293,15 @@ def test_lambda_dependent_shared_stage_raises(monkeypatch, capsys, stage):
     assert "internal error: a lambda-family's members differ" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("off", [Fraction(1), Fraction(1, 2), Fraction(3)])
+def test_member_off_the_gap_raises(off):
+    members = [sl_pair(3, lam, 1, 1)[:2] for lam in (-1, Fraction(1, 3), 5, Fraction(-7, 2))]
+    src, tgt = members[-1]
+    members[-1] = (src, dataclasses.replace(tgt, nu=(tgt.nu[0] + off,)))
+    with pytest.raises(ValueError, match="lambda-independent stage"):
+        solve_family(members, weight_degree_cap(1 + Fraction(3, 2)))
+
+
 def test_negative_weight_gap_is_empty():
     src = ScalarRepParams.sl(2, Fraction(3), 0)
     tgt = TargetRepParams.sl(2, Fraction(2), ell=0, beta=0)
@@ -407,6 +416,48 @@ def test_enumeration_matches_brute_force_signs(alpha, shift):
         ctx = _SolveContext(source, target)
         for d in range(cap + 1):
             assert ctx.unknowns_at_degree(d) == _brute_force_unknowns(source, target, d, False, False)
+
+
+def test_enumeration_caches_key_every_input():
+    """A walk of contexts that share the enumeration caches, one input changed per step.
+
+    A cache key that left out an input the enumeration reads would hand a
+    later context the monomial keys of an earlier one.
+    """
+    swap = dataclasses.replace
+    s0, t0, cap = _enumeration_case(3, SL, False, True)
+    s1, t1 = swap(s0, lam=(s0.lam[0] + 3,)), swap(t0, nu=(t0.nu[0] + 3,))
+    t2 = swap(t1, nu=(t1.nu[0] + 2,))
+    t3 = swap(t2, ell=t2.ell - 2)
+    s4 = swap(s1, alpha=(1 - s1.alpha[0],))
+    t5 = swap(t3, beta=(1 - t3.beta[0],))
+    connected, full = {"connected": True}, {"connected": True, "full_nilradical": True}
+    walk = [
+        ("base", s0, t0, {}),
+        ("lambda at the same gap", s1, t1, {}),
+        ("gap", s1, t2, {}),
+        ("ell", s1, t3, {}),
+        ("alpha", s4, t3, {}),
+        ("beta", s4, t5, {}),
+        ("connected", s4, t5, connected),
+        # the full-nilradical mode reads a target of order k = ell
+        ("full_nilradical", *_enumeration_case(3, SL, True, True)[:2], full),
+        ("flavor", *_enumeration_case(3, GL, True, True)[:2], full),
+    ]
+    previous = None
+    for name, source, target, mode in walk:
+        ctx = _SolveContext(source, target, **mode)
+        got = [ctx.unknowns_at_degree(d) for d in range(cap + 2)]
+        expected = [
+            _brute_force_unknowns(source, target, d, mode.get("connected", False),
+                                  mode.get("full_nilradical", False))
+            for d in range(cap + 2)
+        ]
+        assert got == expected, name
+        if previous is not None:
+            # only a move of lambda along the gap keeps the check key
+            assert (ctx.shared() == previous.shared()) == (name == "lambda at the same gap"), name
+        previous = ctx
 
 
 def test_eigenvalue_form_reads_the_normal_form():

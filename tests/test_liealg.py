@@ -11,7 +11,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmethod.liealg import LieElement, ad_exp_minus, bracket, parabolic, trace_form
+from fmethod.liealg import LieElement, bracket, parabolic
+
+
+def trace_form(X, Y):
+    return X.matmul(Y).trace()
+
+
+def ad_exp_minus(x, X, pd):
+    """Ad(exp(-sum_j x_j N_j^-)) X; the series stops after the ad^2 term."""
+    Y = LieElement.zero(pd.size, pd.flavor)
+    for j, xv in enumerate(x, start=1):
+        Y = Y.add(pd.n_minus(j).scale(xv))
+    ad1 = bracket(Y, X)
+    ad2 = bracket(Y, ad1)
+    return X.sub(ad1).add(ad2.scale(Fraction(1, 2)))
 
 
 def test_bracket_raising_lowering():

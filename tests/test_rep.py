@@ -19,11 +19,21 @@ from fmethod.rep import (
     dpi_lambda_star,
     dpi_target,
     induced_operator,
-    nminus_closed_form,
-    nplus_closed_form,
 )
 from fmethod.verma import VermaModule, _verma_action
 from fmethod.weyl import WeylElement
+
+
+def nplus_closed_form(j, n, weight):
+    """x_j(weight + E_x) on n variables (1-based j)."""
+    euler = WeylElement.euler(n)
+    shift = WeylElement.identity(n).scale(weight)
+    xj = WeylElement.from_polynomial(Polynomial.variable(n, j - 1))
+    return xj.compose(euler + shift)
+
+
+def nminus_closed_form(j, n):
+    return WeylElement.partial(n, j - 1).scale(-1)
 
 
 def test_dpi_lambda_closed_forms():
