@@ -228,13 +228,15 @@ def _gamma_parities(pd, full_nilradical, alpha, beta, ell):
     return tuple(masks), parities
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=64)
 def _monomial_keys(n, degree, forms, masks):
     """(monomial, key) for every monomial of one degree, in `monomial_basis` order.
 
     A monomial's key is its value under each integer form, then its parity
     over each gamma mask.  Forms and masks do not depend on lambda, nu or
-    the fiber, so a whole scan shares these lists.
+    the fiber, so a whole scan shares these lists.  A scan holds one entry
+    per (degree, engine mode) it reaches: 5 to 16 on the benchmark workloads,
+    21 on SL n = 3 with m, l <= 8, so 64 keeps a scan's working set.
     """
     return tuple(
         (mono, tuple(sum(c * e for c, e in zip(form, mono)) for form in forms)
@@ -337,9 +339,7 @@ class _SolveContext:
             return []
         out = []
         for mono, key in _monomial_keys(self.n, degree, self._forms, self._gamma_masks):
-            lbls = labels_by_key.get(key)
-            if lbls:
-                out.extend((mono, lbl) for lbl in lbls)
+            out.extend((mono, lbl) for lbl in labels_by_key.get(key, ()))
         return out
 
     # -- linear stages ------------------------------------------------------
