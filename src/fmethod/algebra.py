@@ -12,6 +12,12 @@ multiplication loop, `add_product`, which sums the products of two
 polynomials' terms into a {monomial: Fraction} dict.  The constructor
 converts a coefficient only if it is not a `Fraction` yet and drops zeros.
 
+Zeros are dropped in constructors only.  Every sparse container
+(`Polynomial`, `weyl.WeylElement`, `rep.VectorValuedPolynomial`,
+`rep.OperatorOnVV`) drops its zero entries when it is built, so its
+arithmetic only merges, `terms[k] = terms[k] + c if k in terms else c`,
+and callers hand whatever cancelled to a constructor unfiltered.
+
 Linear algebra has one kernel: `sparse_rref`, exact Gauss-Jordan
 elimination on sparse {column: Fraction} rows.  `sparse_nullspace`,
 `rref_basis`, `rank_of_vectors`, `same_span` and the dense `Matrix`
@@ -165,11 +171,7 @@ class Polynomial:
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, Fraction(0)) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
+            terms[m] = terms[m] + c if m in terms else c
         return Polynomial(self.arity, terms, self.var)
 
     def __neg__(self):

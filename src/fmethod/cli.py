@@ -102,15 +102,6 @@ def _emit(rows_or_report, fmt, out_path, columns=None):
         sys.stdout.write(text)
 
 
-def _default_out(path):
-    if path is None:
-        return None
-    base = os.environ.get("FMETHOD_OUT_DIR")
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
-
-
 def cmd_classify(args) -> int:
     jobs = scan_jobs(
         args.n, args.flavor, args.m_max, args.l_max, args.lambda_samples, args.lambda2_samples,
@@ -118,7 +109,7 @@ def cmd_classify(args) -> int:
     )
     rows = sorted(_run_families(jobs, args.jobs), key=row_key)
     columns = HOMS_COLUMNS if args.homs else TABLE_COLUMNS
-    _emit(rows, args.format, _default_out(args.out), columns)
+    _emit(rows, args.format, args.out, columns)
     bad = [r for r in rows if not r["ok"]]
     if bad:
         sys.stderr.write(f"{len(bad)} cells disagree with the predicted dimensions\n")
@@ -158,13 +149,13 @@ def cmd_verify(args) -> int:
         )
     else:
         raise ValueError(f"unknown verify target {args.what!r}")
-    _emit(report, "json", _default_out(args.out))
+    _emit(report, "json", args.out)
     return 0 if report["status"] == "pass" else 1
 
 
 def cmd_branch(args) -> int:
     report = verify_branching(args.n, s=args.s, p=args.p, D=args.deg)
-    _emit(report, "json", _default_out(args.out))
+    _emit(report, "json", args.out)
     return 0 if report["status"] == "pass" else 1
 
 
@@ -200,6 +191,20 @@ def _sign(text):
         return parse_sign(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a sign (+ or -): {text!r}") from None
+
+
+def _out_path(text):
+    """argparse type: a writable file in an existing directory, else a usage error.
+
+    Checked without opening it, so a rejected path is neither created nor
+    truncated, and no cell is solved before the check.
+    """
+    parent = os.path.dirname(text) or "."
+    if os.path.isdir(text) or not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(f"not a file in an existing directory: {text!r}")
+    if not os.access(text if os.path.exists(text) else parent, os.W_OK):
+        raise argparse.ArgumentTypeError(f"not writable: {text!r}")
+    return text
 
 
 def _ignored_mode(args):
@@ -264,7 +269,7 @@ def build_parser():
     scan.add_argument("--homs", action="store_true", help="scan Verma-module homomorphisms")
     c.add_argument("--connected", action="store_true", help="identity-component equivariance only")
     c.add_argument("--format", choices=["json", "csv", "table"], default="table")
-    c.add_argument("--out", default=None)
+    c.add_argument("--out", type=_out_path, default=None)
     c.add_argument("--jobs", type=_int_at_least(1), default=1)
     c.set_defaults(func=cmd_classify, parser=c)
 
@@ -279,7 +284,7 @@ def build_parser():
     v.add_argument("--nu", type=_fraction, default=None)
     v.add_argument("--alpha", type=_sign, default=0)
     v.add_argument("--flavor", choices=["sl", "gl"], default="sl")
-    v.add_argument("--out", default=None)
+    v.add_argument("--out", type=_out_path, default=None)
     v.set_defaults(func=cmd_verify, parser=v)
 
     b = sub.add_parser("branch", help="verify branching laws")
@@ -288,7 +293,7 @@ def build_parser():
     mode.add_argument("--s", type=_fraction, default=None)
     mode.add_argument("--p", type=_int_at_least(0), default=None)
     b.add_argument("--deg", type=_int_at_least(0), default=10)
-    b.add_argument("--out", default=None)
+    b.add_argument("--out", type=_out_path, default=None)
     b.set_defaults(func=cmd_branch)
     return ap
 

@@ -142,13 +142,6 @@ def _add_entry(rows, key, col, value):
     row[col] = row.get(col, Fraction(0)) + value
 
 
-def _prod(items):
-    out = Fraction(1)
-    for x in items:
-        out *= x
-    return out
-
-
 def _eigenvalue_form(op):
     """(c0, [c_1, .., c_n]) with op(zeta^m) = (c0 + sum_j c_j m_j) zeta^m.
 
@@ -223,7 +216,7 @@ def _gamma_parities(pd, full_nilradical, alpha, beta, ell):
         # Every sign is +-1, so  w_side * fiber sign == v_side * ad^m  fixes
         # the parity of m summed over the coordinates where ad is -1.
         for lbl in labels:
-            fiber_sign = _prod(gamma.entries[j + 1][j + 1] ** lbl[j] for j in range(block))
+            fiber_sign = math.prod(gamma.entries[j + 1][j + 1] ** lbl[j] for j in range(block))
             parities[lbl] += (int(w_side * v_side * fiber_sign < 0),)
     return tuple(masks), parities
 

@@ -168,38 +168,25 @@ class ParabolicData:
     @property
     def h0_tilde(self):
         n = self.n
-        rows = [[Fraction(0)] * self.size for _ in range(self.size)]
-        rows[0][0] = Fraction(n, n)
-        for r in range(1, self.size):
-            rows[r][r] = Fraction(-1, n)
-        return LieElement.from_rows(rows, self.flavor)
+        return self._diag([1] + [Fraction(-1, n)] * n)
 
     @property
     def h0_tilde_prime(self):
         n = self.n
-        rows = [[Fraction(0)] * self.size for _ in range(self.size)]
-        rows[0][0] = Fraction(n - 1, n - 1)
-        for r in range(1, n):
-            rows[r][r] = Fraction(-1, n - 1)
-        return LieElement.from_rows(rows, self.flavor)
+        return self._diag([1] + [Fraction(-1, n - 1)] * (n - 1) + [0])
 
     @property
     def j0(self):
         if self.flavor != GL:
             raise ValueError("J0 exists only for GL")
-        rows = [[Fraction(0)] * self.size for _ in range(self.size)]
-        for r in range(1, self.size):
-            rows[r][r] = Fraction(1, self.n)
-        return LieElement.from_rows(rows, self.flavor)
+        return self._diag([0] + [Fraction(1, self.n)] * self.n)
 
     @property
     def j0_prime(self):
         if self.flavor != GL:
             raise ValueError("J0' exists only for GL")
-        rows = [[Fraction(0)] * self.size for _ in range(self.size)]
-        for r in range(1, self.n):
-            rows[r][r] = Fraction(1, self.n - 1)
-        return LieElement.from_rows(rows, self.flavor)
+        n = self.n
+        return self._diag([0] + [Fraction(1, n - 1)] * (n - 1) + [0])
 
     # -- bases ----------------------------------------------------------
 

@@ -52,11 +52,10 @@ class SBO:
     def apply(self, f: Polynomial) -> VectorValuedPolynomial:
         if f.arity != self.n:
             raise ValueError("arity mismatch")
-        comps = {}
-        for lbl, op in self.components:
-            g = op.apply(f).set_var_zero(self.n - 1).drop_last_var()
-            if not g.is_zero():
-                comps[lbl] = g
+        comps = {
+            lbl: op.apply(f).set_var_zero(self.n - 1).drop_last_var()
+            for lbl, op in self.components
+        }
         return VectorValuedPolynomial(self.n - 1, comps, f.var)
 
 
@@ -98,22 +97,15 @@ class IDOOp:
 
     def apply(self, f) -> VectorValuedPolynomial:
         if isinstance(f, Polynomial):
-            comps = {}
-            for lbl, op in self.components():
-                g = op.apply(f)
-                if not g.is_zero():
-                    comps[lbl] = g
+            comps = {lbl: op.apply(f) for lbl, op in self.components()}
             return VectorValuedPolynomial(self.n, comps, f.var)
         # Pol^l-valued input: act componentwise and multiply labels
         comps = {}
         for lbl, op in self.components():
             for in_lbl, p in f.components.items():
                 g = op.apply(p)
-                if g.is_zero():
-                    continue
                 out = tuple(a + b for a, b in zip(lbl, in_lbl))
-                cur = comps.get(out)
-                comps[out] = g if cur is None else cur + g
+                comps[out] = comps[out] + g if out in comps else g
         return VectorValuedPolynomial(self.n, comps, f.var)
 
 
@@ -133,11 +125,8 @@ class ProjOp:
         comps = {}
         for lbl in monomial_basis(self.n - 1, self.ell):
             p = v.components.get(lbl + (self.m,))
-            if p is None:
-                continue
-            q = p.set_var_zero(self.n - 1).drop_last_var()
-            if not q.is_zero():
-                comps[lbl] = q
+            if p is not None:
+                comps[lbl] = p.set_var_zero(self.n - 1).drop_last_var()
         return VectorValuedPolynomial(self.n - 1, comps, v.var)
 
 
@@ -351,7 +340,7 @@ def image_computations(m: int, ell: int, n: int) -> dict:
             Polynomial.monomial(n - 1, mono, 1) for mono in monomials_up_to(n - 1, ell - 1)
         ]
         image_ok = same_span(
-            _poly_coords([p for p in images if not p.is_zero()], n - 1, ell - 1),
+            _poly_coords(images, n - 1, ell - 1),
             _poly_coords(targets, n - 1, ell - 1),
         )
     else:
@@ -374,7 +363,7 @@ def image_computations(m: int, ell: int, n: int) -> dict:
         ]
         tgt_d = [Polynomial.monomial(n - 1, mono, 1) for mono in monomials_up_to(n - 1, d - m)]
         if not same_span(
-            _poly_coords([p for p in images_d if not p.is_zero()], n - 1, d),
+            _poly_coords(images_d, n - 1, d),
             _poly_coords(tgt_d, n - 1, d),
         ):
             surj_ok = False

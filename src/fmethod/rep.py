@@ -28,7 +28,7 @@ the operator at the unit weight e_i minus base.  `_affine_parts` builds
 these pieces once per Lie element, algebra, number of variables, fiber
 shape and picture (x, or its Fourier transform); every builder below, and
 the Verma action, assembles its operator from them through
-`affine_operator`.
+`affine_operator`, with the `+` and `scale` of `OperatorOnVV`.
 """
 
 from __future__ import annotations
@@ -119,12 +119,7 @@ class VectorValuedPolynomial:
     def __add__(self, other):
         comps = dict(self.components)
         for lbl, p in other.components.items():
-            q = comps.get(lbl)
-            s = p if q is None else q + p
-            if s.is_zero():
-                comps.pop(lbl, None)
-            else:
-                comps[lbl] = s
+            comps[lbl] = comps[lbl] + p if lbl in comps else p
         return VectorValuedPolynomial(self.arity, comps, self.var)
 
     def __sub__(self, other):
@@ -190,6 +185,19 @@ class OperatorOnVV:
         self.terms = {k: w for k, w in terms.items() if not w.is_zero()}
         self.var = var
 
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for k, w in other.terms.items():
+            terms[k] = terms[k] + w if k in terms else w
+        return OperatorOnVV(self.arity, self.in_labels, self.out_labels, terms, self.var)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, s):
+        terms = {k: w.scale(s) for k, w in self.terms.items()}
+        return OperatorOnVV(self.arity, self.in_labels, self.out_labels, terms, self.var)
+
     def apply(self, v: VectorValuedPolynomial) -> VectorValuedPolynomial:
         comps = {}
         for (out, inp), op in self.terms.items():
@@ -197,10 +205,7 @@ class OperatorOnVV:
             if p is None:
                 continue
             q = op.apply(p)
-            if q.is_zero():
-                continue
-            cur = comps.get(out)
-            comps[out] = q if cur is None else cur + q
+            comps[out] = comps[out] + q if out in comps else q
         return VectorValuedPolynomial(self.arity, comps, self.var)
 
     def fourier(self):
@@ -358,14 +363,7 @@ def induced_operator(X: LieElement, pd: ParabolicData, num_x: int, fiber) -> Ope
     terms = {}
 
     def add(key, op):
-        if op.is_zero():
-            return
-        cur = terms.get(key)
-        s = op if cur is None else cur + op
-        if s.is_zero():
-            terms.pop(key, None)
-        else:
-            terms[key] = s
+        terms[key] = terms[key] + op if key in terms else op
 
     for mono, L in series.items():
         lower, middle, upper = pd.gn_project(L)
@@ -423,38 +421,8 @@ def _affine_parts(X: LieElement, pd: ParabolicData, num_x: int, shape, fourier: 
     for i in range(k):
         unit = tuple(Fraction(int(i == j)) for j in range(k))
         at_unit = induced_operator(X, pd, num_x, replace(shape, weights=unit))
-        parts.append(_combine((at_unit, base), (-1,)))
+        parts.append(at_unit - base)
     return tuple(op.fourier() for op in parts) if fourier else tuple(parts)
-
-
-def _combine(parts, weights) -> OperatorOnVV:
-    """parts[0] + sum_i weights[i] * parts[i + 1].
-
-    Only the coefficients that a weighted part touches are summed; every
-    other entry and coefficient of parts[0] is shared, not copied.
-    """
-    base = parts[0]
-    arity, var = base.arity, base.var
-    sums = {}
-    for op, w in zip(parts[1:], weights):
-        if not w:
-            continue
-        for key, weyl in op.terms.items():
-            by_alpha = sums.setdefault(key, {})
-            for alpha, p in weyl.terms.items():
-                acc = by_alpha.setdefault(alpha, {})
-                for mono, c in p.terms.items():
-                    acc[mono] = acc.get(mono, 0) + w * c
-    terms = dict(base.terms)
-    for key, by_alpha in sums.items():
-        coeffs = dict(terms[key].terms) if key in terms else {}
-        for alpha, acc in by_alpha.items():
-            if alpha in coeffs:
-                for mono, c in coeffs[alpha].terms.items():
-                    acc[mono] = acc.get(mono, 0) + c
-            coeffs[alpha] = Polynomial(arity, acc, var)
-        terms[key] = WeylElement(arity, coeffs, var)
-    return OperatorOnVV(arity, base.in_labels, base.out_labels, terms, var)
 
 
 def affine_operator(X: LieElement, pd: ParabolicData, num_x: int, fiber, fourier=False):
@@ -465,7 +433,11 @@ def affine_operator(X: LieElement, pd: ParabolicData, num_x: int, fiber, fourier
     combination.
     """
     shape = replace(fiber, weights=tuple(Fraction(0) for _ in fiber.weights))
-    return _combine(_affine_parts(X, pd, num_x, shape, fourier), fiber.weights)
+    op, *parts = _affine_parts(X, pd, num_x, shape, fourier)
+    for w, part in zip(fiber.weights, parts):
+        if w:
+            op = op + part.scale(w)
+    return op
 
 
 # -- public builders ----------------------------------------------------------

@@ -124,9 +124,7 @@ class VermaModule:
                 for j, e in enumerate(mono):
                     s *= ad[j] ** e
                 terms[mono] = c * s * fsign * char
-            q = Polynomial(self.num_vars, terms, "zeta")
-            if not q.is_zero():
-                comps[lbl] = q
+            comps[lbl] = Polynomial(self.num_vars, terms, "zeta")
         return VectorValuedPolynomial(self.num_vars, comps, "zeta")
 
 

@@ -108,12 +108,7 @@ class WeylElement:
         self._check(other)
         terms = dict(self.terms)
         for a, p in other.terms.items():
-            q = terms.get(a)
-            s = p if q is None else q + p
-            if s.is_zero():
-                terms.pop(a, None)
-            else:
-                terms[a] = s
+            terms[a] = terms[a] + p if a in terms else p
         return WeylElement(self.arity, terms, self.var)
 
     def __neg__(self):

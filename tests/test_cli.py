@@ -183,6 +183,48 @@ def test_output_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "where", ["missing-directory", "a-directory", "other-argument-bad"]
+)
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ("classify", "--n", "2", "--m-max", "1", "--l-max", "1"),
+        ("verify", "factorization", "--n", "2"),
+        ("branch", "--n", "2", "--p", "0"),
+    ],
+    ids=["classify", "verify", "branch"],
+)
+def test_unusable_out_is_a_usage_error_before_any_work(tmp_path, capsys, verb, where):
+    kept = tmp_path / "kept.json"
+    kept.write_text("kept\n")
+    out, extra = {
+        "missing-directory": (tmp_path / "missing" / "x.json", ()),
+        "a-directory": (tmp_path, ()),
+        "other-argument-bad": (kept, ("--n", "1")),
+    }[where]
+    with pytest.raises(SystemExit) as exc:
+        main([*verb, "--out", str(out), *extra])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    if where != "other-argument-bad":
+        assert "--out: not a file in an existing directory" in captured.err
+    # nothing was created, and the existing file was not truncated
+    assert list(tmp_path.iterdir()) == [kept]
+    assert kept.read_text() == "kept\n"
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # the permission bits do not bind a superuser, so stand in for them
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    with pytest.raises(SystemExit) as exc:
+        main(["branch", "--n", "2", "--p", "0", "--out", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
+    assert "--out: not writable" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "scan",
     [
         ("--m-max", "1", "--l-max", "0"),

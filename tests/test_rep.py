@@ -322,3 +322,47 @@ def test_verma_action_matches_direct_induced_operator(primed, degree, data):
     dw = module.dual_weights()
     fiber = ScalarFiber(dw) if degree == 0 else SymFiber(degree, module.num_vars, dw)
     _same(_verma_action(module, X), induced_operator(X, pd, module.num_vars, fiber).fourier())
+
+
+# -- OperatorOnVV arithmetic is the entrywise Weyl arithmetic -------------------
+
+
+@given(elements(primed=True), st.integers(0, 2), st.data())
+@settings(max_examples=40, deadline=None)
+def test_operator_arithmetic_is_entrywise_weyl_arithmetic(element, ell, data):
+    pd, X = element
+    Y = data.draw(st.sampled_from(pd.g_basis(primed=True)))
+    s = data.draw(_weights)
+    a, b = (
+        induced_operator(Z, pd, pd.n - 1, SymFiber(ell, pd.n - 1, _weight_tuple(data.draw, pd), True))
+        for Z in (X, Y)
+    )
+    for got, entry in (
+        (a + b, lambda k: a.entry(*k) + b.entry(*k)),
+        (a - b, lambda k: a.entry(*k) - b.entry(*k)),
+        (a.scale(s), lambda k: a.entry(*k).scale(s)),
+    ):
+        assert (got.arity, got.var, got.in_labels, got.out_labels) == (
+            a.arity, a.var, a.in_labels, a.out_labels
+        )
+        assert all(not w.is_zero() for w in got.terms.values())
+        for key in itertools.product(a.out_labels, a.in_labels):
+            assert got.entry(*key) == entry(key)
+
+
+_X = Polynomial(2, {(1, 0): Fraction(2, 3), (0, 2): -1}, "zeta")
+
+
+@pytest.mark.parametrize(
+    "attr,x",
+    [
+        ("terms", _X),
+        ("terms", WeylElement(2, {(0, 1): _X, (0, 0): _X * _X}, "zeta")),
+        ("components", VectorValuedPolynomial(2, {(1, 0): _X, (0, 1): _X.scale(3)}, "zeta")),
+        ("terms", dpi_target(parabolic(3).unit(2, 3), TargetRepParams.sl(3, Fraction(1, 3), ell=2))),
+    ],
+    ids=["polynomial", "weyl", "vector-valued", "operator"],
+)
+def test_difference_with_itself_has_no_entries(attr, x):
+    assert getattr(x, attr)
+    assert getattr(x - x, attr) == {}
