@@ -237,13 +237,9 @@ class Polynomial:
         terms = {m: c for m, c in self.terms.items() if m[index] == 0}
         return Polynomial(self.arity, terms, self.var)
 
-    def drop_last_var(self) -> "Polynomial":
-        """Forget the last coordinate (which must not occur)."""
-        terms = {}
-        for m, c in self.terms.items():
-            if m[-1] != 0:
-                raise ValueError("last variable occurs")
-            terms[m[:-1]] = c
+    def rest(self) -> "Polynomial":
+        """Rest_{x_n=0}: the terms free of the last coordinate, in the others."""
+        terms = {m[:-1]: c for m, c in self.terms.items() if m[-1] == 0}
         return Polynomial(self.arity - 1, terms, self.var)
 
     def pad_vars(self, arity: int) -> "Polynomial":

@@ -105,6 +105,8 @@ class VectorValuedPolynomial:
             for label, poly in components.items():
                 if poly.var != var:
                     raise ValueError(f"variable role mismatch: {poly.var} vs {var}")
+                if poly.arity != arity:
+                    raise ValueError("component arity mismatch")
                 if not poly.is_zero():
                     clean[tuple(label)] = poly
         self.components = clean
@@ -128,11 +130,6 @@ class VectorValuedPolynomial:
     def scale(self, s):
         return VectorValuedPolynomial(
             self.arity, {l: p.scale(s) for l, p in self.components.items()}, self.var
-        )
-
-    def mul_poly(self, q: Polynomial):
-        return VectorValuedPolynomial(
-            self.arity, {l: p * q for l, p in self.components.items()}, self.var
         )
 
     def __eq__(self, other):
@@ -182,6 +179,8 @@ class OperatorOnVV:
         for w in terms.values():
             if w.var != var:
                 raise ValueError(f"variable role mismatch: {w.var} vs {var}")
+            if w.arity != arity:
+                raise ValueError("component arity mismatch")
         self.terms = {k: w for k, w in terms.items() if not w.is_zero()}
         self.var = var
 

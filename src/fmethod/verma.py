@@ -8,8 +8,10 @@ generator picture and the polynomial picture coincide monomial by monomial
 and the highest-weight parameter s corresponds to the inducing weight -s.
 
 Homomorphisms are stored by the images of the fiber generators and extended
-by multiplication with the source polynomial ring; intertwining is then an
-exact, checkable identity grade by grade.
+by multiplication with the source polynomial ring, the products summed
+into one dict per output label; intertwining is then an exact, checkable
+identity grade by grade, and the factorization routes are compared by
+equality.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Polynomial, monomial_basis
+from .algebra import Polynomial, add_product, monomial_basis
 from .engine import DEFAULT_SAMPLES, classify
 from .liealg import SL, parabolic
 from .params import sign_shift
@@ -152,12 +154,16 @@ class VermaHom:
 
     def apply(self, v: VectorValuedPolynomial) -> VectorValuedPolynomial:
         imap = self.image_map()
-        out = VectorValuedPolynomial.zero(self.target.num_vars, "zeta")
+        nv = self.target.num_vars
+        sums = {}
         for lbl, poly in v.components.items():
-            img = imap[lbl]
-            q = poly.pad_vars(self.target.num_vars)
-            out = out + img.mul_poly(q)
-        return out
+            q = poly.pad_vars(nv)
+            for out_lbl, p in imap[lbl].components.items():
+                add_product(sums.setdefault(out_lbl, {}), p, q)
+        # built in v's role, so a source vector not in zeta is rejected
+        return VectorValuedPolynomial(
+            nv, {lbl: Polynomial(nv, t, v.var) for lbl, t in sums.items()}, "zeta"
+        )
 
 
 def _module(n, primed, k, u, flavor, parity, lam2) -> VermaModule:
@@ -309,7 +315,7 @@ def verify_factorization_verma(
             route1 = phi_m0.apply(phi_prime.apply(v))
             route2 = phi_big.apply(emb.apply(v))
             checked += 1
-            if not ((direct - route1).is_zero() and (direct - route2).is_zero()):
+            if not direct == route1 == route2:
                 mismatches.append((g, mono, lbl))
     return {
         "identity": "verma-factorization",

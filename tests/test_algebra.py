@@ -42,6 +42,12 @@ def test_square_expansion():
     assert p * p == expected
 
 
+def test_rest_keeps_the_terms_free_of_the_last_variable():
+    p = Polynomial(3, {(2, 0, 1): 1, (1, 1, 0): 3, (0, 0, 2): 5, (0, 0, 0): -1}, "zeta")
+    assert p.rest() == Polynomial(2, {(1, 1): 3, (0, 0): -1}, "zeta")
+    assert Polynomial.variable(2, 1).rest() == Polynomial.zero(1)
+
+
 def test_monomial_basis_order_and_counts():
     assert monomial_basis(2, 1) == [(1, 0), (0, 1)]
     assert len(monomial_basis(3, 2)) == 6

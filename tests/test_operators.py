@@ -2,10 +2,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fmethod.operators as operators
 from fmethod.algebra import Polynomial, monomial_basis, monomials_up_to
 from fmethod.engine import psi_vector, solve_fsystem, weight_degree_cap
 from fmethod.operators import (
+    ProjOp,
     build_ido,
     build_proj,
     build_sbo,
@@ -84,7 +88,7 @@ def test_ido_normalized_square():
 
 
 def _ido_reference(k, n, f):
-    """Reference: `IDOOp.apply` on components rebuilt for this call, uncached."""
+    """Reference: the Weyl operator d^label applied to f at every label of Xi_k."""
     ops = [(lbl, WeylElement.derivative_monomial(n, lbl)) for lbl in monomial_basis(n, k)]
     if isinstance(f, Polynomial):
         return VectorValuedPolynomial(n, {lbl: op.apply(f) for lbl, op in ops}, f.var)
@@ -99,13 +103,66 @@ def _ido_reference(k, n, f):
 @pytest.mark.parametrize("k,n", [(0, 2), (1, 3), (2, 2), (3, 3)])
 def test_ido_components_are_shared_and_match_reference(k, n):
     D = build_ido(k, n)
-    assert D.components() is D.components() is build_ido(k, n).components()
-    assert isinstance(D.components(), tuple)
     for expo in monomials_up_to(n, 4):
         f = mono(n, expo, Fraction(2, 3)) + mono(n, (1,) * n, -1)
         assert D.apply(f) == _ido_reference(k, n, f)
         v = VectorValuedPolynomial(n, {(1,) + (0,) * (n - 1): f, (0,) * n: mono(n, expo)})
         assert D.apply(v) == _ido_reference(k, n, v)
+
+
+_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def ido_inputs(draw):
+    """(k, n, f): f a multi-term polynomial (zero included) or Pol-valued vector.
+
+    A vector may carry d^L1 g at label L1 and -d^L2 g at L2 (|L1| = |L2| = k):
+    their images cancel at label L1 + L2, and L1 = L2 cancels on input."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+
+    def poly():
+        terms = {}
+        for _ in range(draw(st.integers(0, 4))):
+            terms[tuple(draw(st.integers(0, 4)) for _ in range(n))] = draw(_coeffs)
+        return Polynomial(n, terms)
+
+    if draw(st.booleans()):
+        return k, n, poly()
+    labels = st.tuples(*(st.integers(0, 2) for _ in range(n)))
+    v = VectorValuedPolynomial(n, {draw(labels): poly() for _ in range(draw(st.integers(0, 3)))})
+    if draw(st.booleans()):
+        g = poly()
+        L1, L2 = (draw(st.sampled_from(monomial_basis(n, k))) for _ in range(2))
+        v = v + VectorValuedPolynomial(n, {L1: g.derivative_multi(L1)})
+        v = v - VectorValuedPolynomial(n, {L2: g.derivative_multi(L2)})
+    return k, n, v
+
+
+@given(ido_inputs())
+@settings(max_examples=150, deadline=None)
+def test_ido_kernel_matches_reference(inputs):
+    k, n, f = inputs
+    out = build_ido(k, n).apply(f)
+    assert out == _ido_reference(k, n, f)
+    assert all(not p.is_zero() for p in out.components.values())
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        Polynomial.variable(2, 0),
+        Polynomial.zero(2),
+        Polynomial.variable(3, 0, "zeta"),
+        VectorValuedPolynomial(2, {(1, 0): Polynomial.variable(2, 0)}),
+        VectorValuedPolynomial.zero(2),
+        VectorValuedPolynomial(3, {(1, 0, 0): Polynomial.variable(3, 0, "zeta")}, "zeta"),
+    ],
+    ids=["poly-arity", "zero-poly-arity", "poly-zeta", "vector-arity", "zero-vector-arity", "vector-zeta"],
+)
+def test_ido_rejects_a_foreign_arity_or_role(f):
+    with pytest.raises(ValueError, match="arity mismatch|variable role mismatch"):
+        build_ido(1, 3).apply(f)
 
 
 def test_proj_selects_components():
@@ -159,6 +216,23 @@ def test_equivariance_gl_member():
 def test_factorization(n, m, ell):
     rep = verify_factorization_sbo(m, ell, n, 5)
     assert rep["status"] == "pass"
+
+
+def test_factorization_fails_when_the_projection_selects_m_plus_one(monkeypatch):
+    monkeypatch.setattr(operators, "build_proj", lambda m, ell, n: ProjOp(n, m + 1, ell))
+    rep = verify_factorization_sbo(1, 1, 3, 4)
+    assert rep["status"] == "fail"
+    assert rep["counterexample"] is not None
+
+
+def test_factorization_fails_when_the_ido_drops_a_falling_factorial(monkeypatch):
+    labels = operators._labels_below
+    monkeypatch.setattr(
+        operators, "_labels_below", lambda e, k: [(a, 1) for a, _ in labels(e, k)]
+    )
+    rep = verify_factorization_sbo(2, 0, 3, 4)
+    assert rep["status"] == "fail"
+    assert rep["counterexample"] is not None
 
 
 def test_fg_stability_small_weights():

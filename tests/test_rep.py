@@ -249,6 +249,21 @@ def test_operator_on_vv_rejects_a_foreign_role():
         OperatorOnVV(2, [()], [()], {((), ()): WeylElement.zero(2, "x")}, "zeta")
 
 
+def test_vector_valued_polynomial_rejects_a_foreign_arity():
+    with pytest.raises(ValueError, match="component arity mismatch"):
+        VectorValuedPolynomial(2, {(1, 0): Polynomial.variable(3, 0)})
+    # a zero component is checked too, before it is dropped
+    with pytest.raises(ValueError, match="component arity mismatch"):
+        VectorValuedPolynomial(2, {(): Polynomial.zero(1)})
+
+
+def test_operator_on_vv_rejects_a_foreign_arity():
+    with pytest.raises(ValueError, match="component arity mismatch"):
+        OperatorOnVV(2, [(0,)], [(0,)], {((0,), (0,)): WeylElement.identity(3)})
+    with pytest.raises(ValueError, match="component arity mismatch"):
+        OperatorOnVV(2, [()], [()], {((), ()): WeylElement.zero(1)})
+
+
 def test_fourier_of_zero_operator_takes_the_dual_role():
     zero = OperatorOnVV(2, [()], [()], {}, "x").fourier()
     assert zero.var == "zeta" == WeylElement.zero(2, "x").fourier().var

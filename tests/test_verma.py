@@ -120,6 +120,27 @@ def test_factorization_routes_must_compose(monkeypatch):
         verify_factorization_verma(1, 1, 3, 2)
 
 
+def test_factorization_fails_when_a_route_is_scaled(monkeypatch):
+    routes = verma._factorization_routes
+
+    def scaled(*args):
+        phi_ml, (route1, (emb, phi_big)) = routes(*args)
+        images = tuple((lbl, img.scale(2)) for lbl, img in phi_big.images)
+        return phi_ml, (route1, (emb, dataclasses.replace(phi_big, images=images)))
+
+    monkeypatch.setattr(verma, "_factorization_routes", scaled)
+    rep = verify_factorization_verma(1, 1, 3, 2)
+    assert rep["status"] == "fail"
+    assert rep["counterexample"] is not None
+
+
+def test_hom_rejects_a_source_vector_of_the_other_role():
+    h = build_phi(1, 1, 3)
+    lbl = h.source.fiber_labels()[0]
+    with pytest.raises(ValueError, match="variable role mismatch"):
+        h.apply(VectorValuedPolynomial(2, {lbl: Polynomial.one(2)}))
+
+
 def test_phi_equivariance_generic_weight():
     s = Fraction(7, 3)
     src = VermaModule.scalar_primed(3, s - 2, sign=(sign_shift(0, 2),))
