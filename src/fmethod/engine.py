@@ -238,6 +238,24 @@ def _monomial_keys(n, degree, forms, masks):
     )
 
 
+_IMAGE_MEMOS = {}  # id(op): (op, {monomial: image}); holding op keeps the id its own
+
+
+def _image_memo(op) -> dict:
+    """A memo {monomial: op applied to zeta^monomial}, one per operator object.
+
+    The weight parts of a raising operator of m' are zero, so its dpi_hat
+    keeps the weight-free entry and every source of an algebra gets the same
+    object: a scan applies it once per monomial over all its families.
+    Keyed by identity, because hashing the operator costs about as much as
+    applying it.
+    """
+    entry = _IMAGE_MEMOS.get(id(op))
+    if entry is None:
+        entry = _IMAGE_MEMOS[id(op)] = (op, {})
+    return entry[1]
+
+
 class _SolveContext:
     """One (source, target, mode) solve: the F-system operator and a check key.
 
@@ -343,15 +361,19 @@ class _SolveContext:
             return []
         rows = {}
         for zi, (op, act) in enumerate(self.raising):
+            images = _image_memo(op)
+            # -A_{l', l} c_{(mono, l')} lands in the row (zi, l, mono):
+            # read it column-wise via the transposed action, grouped by l'
+            column = {}
+            for (outl, inl), a in act.items():
+                column.setdefault(outl, []).append((inl, a))
             for col, (mono, lbl) in enumerate(unknowns):
-                image = op.apply(Polynomial.monomial(self.n, mono, 1, "zeta"))
+                image = images.get(mono)
+                if image is None:
+                    image = images[mono] = op.apply(Polynomial.monomial(self.n, mono, 1, "zeta"))
                 for om, c in image.terms.items():
                     _add_entry(rows, (zi, lbl, om), col, c)
-                # -A_{l', l} c_{(mono, l')} lands in the row (zi, l, mono):
-                # read it column-wise via the transposed action
-                for (outl, inl), a in act.items():
-                    if outl != lbl:
-                        continue
+                for inl, a in column.get(lbl, ()):
                     _add_entry(rows, (zi, inl, mono), col, -a)
         return sparse_nullspace(rows.values(), len(unknowns))
 

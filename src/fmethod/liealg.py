@@ -9,6 +9,14 @@ Elements keep dense `Fraction` entries, but sums, multiples and products
 touch only nonzero entries: almost every operand is a matrix unit or a
 short sum of them, so a bracket costs a few multiplications instead of
 2(n+1)^3.
+
+The basis elements are shared: `ParabolicData.unit`, the grading
+elements, the Cartan elements and so every basis list (`g_basis` and its
+parts, each a fresh list) return the same `LieElement` objects for each
+algebra, from one `lru_cache` keyed by the size, the flavor and the
+nonzero entries.  The operator caches (`rep.dpi_lambda`, `rep.dpi_target`,
+`rep._ad_series`, ...) are keyed by these elements, so a lookup with a
+basis element hits by identity, without comparing (n+1)^2 entries.
 """
 
 from __future__ import annotations
@@ -50,13 +58,6 @@ class LieElement:
     @classmethod
     def zero(cls, size, flavor=SL):
         return cls.from_rows([[0] * size for _ in range(size)], flavor)
-
-    @classmethod
-    def matrix_unit(cls, size, i, j, flavor=SL):
-        """E_{i,j} with 1-based indices."""
-        rows = [[0] * size for _ in range(size)]
-        rows[i - 1][j - 1] = 1
-        return cls.from_rows(rows, flavor)
 
     @property
     def size(self):
@@ -155,7 +156,12 @@ class ParabolicData:
         return self.n + 1
 
     def unit(self, i, j):
-        return LieElement.matrix_unit(self.size, i, j, self.flavor)
+        """E_{i,j} with 1-based indices, shared."""
+        return _shared_element(self.size, self.flavor, (((i - 1, j - 1), 1),))
+
+    def _cartan(self, i):
+        """E_{i,i} - E_{i+1,i+1} with 1-based i, shared."""
+        return _shared_element(self.size, self.flavor, (((i - 1, i - 1), 1), ((i, i), -1)))
 
     def n_plus(self, j):
         """N_j^+ = E_{1,j+1}, j = 1..n."""
@@ -206,13 +212,12 @@ class ParabolicData:
             for j in range(2, top + 1):
                 if i != j:
                     out.append(self.unit(i, j))
-        for i in range(2, top):
-            out.append(self.unit(i, i).sub(self.unit(i + 1, i + 1)))
+        out.extend(self.m_cartan(primed))
         return out
 
     def m_cartan(self, primed=False):
         top = self.n if primed else self.n + 1
-        return [self.unit(i, i).sub(self.unit(i + 1, i + 1)) for i in range(2, top)]
+        return [self._cartan(i) for i in range(2, top)]
 
     def l_basis(self, primed=False):
         out = [self.h0_tilde_prime if primed else self.h0_tilde]
@@ -246,10 +251,10 @@ class ParabolicData:
         return [self._diag(g1), self._diag(g2)]
 
     def _diag(self, diag):
-        rows = [[Fraction(0)] * self.size for _ in range(self.size)]
-        for i, d in enumerate(diag):
-            rows[i][i] = d
-        return LieElement.from_rows(rows, self.flavor)
+        """The diagonal element with entries `diag`, shared."""
+        return _shared_element(
+            self.size, self.flavor, tuple(((i, i), d) for i, d in enumerate(diag) if d)
+        )
 
     # -- projections and characters ---------------------------------------
 
@@ -305,3 +310,13 @@ class ParabolicData:
 @lru_cache(maxsize=None)
 def parabolic(n: int, flavor: str = SL) -> ParabolicData:
     return ParabolicData(n, flavor)
+
+
+@lru_cache(maxsize=None)
+def _shared_element(size, flavor, entries):
+    """The element with the given ((row, column), value) entries (0-based) and
+    zeros elsewhere; one object per key, so the operator caches hit by identity."""
+    rows = [[0] * size for _ in range(size)]
+    for (i, j), v in entries:
+        rows[i][j] = v
+    return LieElement.from_rows(rows, flavor)

@@ -6,24 +6,41 @@ produces Pol^l-valued functions of x_1..x_{n-1}:
     D_(m,l) = Rest_{x_n=0} o d^m/dx_n^m  sum_{l in Xi'_l} d^l/dx^l  (x) ytilde_l.
 
 The 1/l! normalization lives inside the basis labels ytilde_l, so the
-component at label l is literally the mixed derivative.  Operators are kept
-as `Rest o (Weyl operator)` normal forms: the coefficients of a
-normal-ordered operator sit left of all derivatives, so restricting them to
-x_n = 0 is exact and composition identities can be compared symbol by
-symbol.
+component at label l is literally the mixed derivative.  An `SBO` holds
+one constant-coefficient operator of arity n per label, which its
+constructor checks.  Operators are kept as `Rest o (Weyl operator)` normal
+forms: the coefficients of a normal-ordered operator sit left of all
+derivatives, so restricting them to x_n = 0 is exact and composition
+identities can be compared symbol by symbol.
 
-The order-k intertwining operator acts term by term: a term c x^e goes to
-c e!/(e-alpha)! x^(e-alpha) at each label alpha <= e of degree k only,
-summed into one dict per label, so no Weyl operator is applied per label.
-Rest_{x_n=0} is `Polynomial.rest`.  The factorization routes are compared
-by equality, which the constructors (they drop zeros) make exact, and which
-also compares arity and variable role.
+Every kernel below works term by term and computes only what Rest keeps:
+
+- `SBO.apply`: c d^alpha sends a term x^e to c e!/(e-alpha)! x^(e-alpha),
+  which Rest keeps only if alpha <= e and alpha_n = e_n.
+- The equivariance identity D o dpi_lambda(X) = dpi_target(X) o D.  On the
+  left, d^alpha o (x^e d^beta) = sum_{gamma <= alpha} C(alpha, gamma)
+  e!/(e-gamma)! x^(e-gamma) d^(alpha-gamma+beta) (Leibniz), and Rest keeps
+  only the gamma with gamma_n = e_n (restricted Leibniz rule).  On the
+  right, the target action has coefficients free of x_n and D constant
+  coefficients, so (p d^beta) o (c d^alpha) = c p d^(alpha+beta) is a shift
+  of derivative orders (shift rule), which Rest leaves as it is.
+- The order-k intertwining operator: a term c x^e goes to c e!/(e-alpha)!
+  x^(e-alpha) at each label alpha <= e of degree k only.
+
+Each kernel sums into one dict per label, and builds each result once
+through the constructors, which drop zeros.  Both sides of an identity are
+compared by equality, which those constructors make exact, and which also
+compares arity and variable role; a difference is built only for the
+witness of a failing label.  Rest_{x_n=0} on a polynomial is
+`Polynomial.rest`.  Route a of the factorization (`SBO.apply`) and route c
+(`ProjOp` after `IDOOp`) share no kernel, so each checks the other.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .algebra import (
@@ -52,14 +69,48 @@ class SBO:
     m: int = None
     ell: int = None
 
-    def component_map(self):
-        return dict(self.components)
+    def __post_init__(self):
+        for lbl, op in self.components:
+            if not (isinstance(lbl, tuple) and len(lbl) == self.n - 1):
+                raise ValueError(f"label {lbl!r} is not an (n-1)-tuple")
+            if not (
+                isinstance(op, WeylElement)
+                and op.arity == self.n
+                and op.var == "x"
+                and op.is_constant_coefficient()
+            ):
+                raise ValueError(
+                    f"component at {lbl!r} is not a constant-coefficient x-operator of arity {self.n}"
+                )
+
+    @cached_property
+    def constant_terms(self):
+        """((label, ((alpha, c), ...)), ...): each component as c d^alpha terms."""
+        return tuple(
+            (lbl, tuple((alpha, p.constant_value()) for alpha, p in op.terms.items()))
+            for lbl, op in self.components
+        )
 
     def apply(self, f: Polynomial) -> VectorValuedPolynomial:
+        """Term by term: c d^alpha sends x^e to c e!/(e-alpha)! x^(e-alpha),
+        kept by Rest only if alpha <= e and alpha_n = e_n."""
         if f.arity != self.n:
             raise ValueError("arity mismatch")
-        comps = {lbl: op.apply(f).rest() for lbl, op in self.components}
-        return VectorValuedPolynomial(self.n - 1, comps, f.var)
+        if f.var != "x":
+            raise ValueError("variable role mismatch")
+        sums = {}
+        for lbl, terms in self.constant_terms:
+            acc = sums[lbl] = {}
+            for alpha, c in terms:
+                for e, d in f.terms.items():
+                    if e[-1] != alpha[-1] or any(x < a for x, a in zip(e, alpha)):
+                        continue
+                    fall = math.prod(math.perm(x, a) for x, a in zip(e, alpha))
+                    mono = tuple(x - a for x, a in zip(e[:-1], alpha))
+                    acc[mono] = acc[mono] + c * d * fall if mono in acc else c * d * fall
+        return VectorValuedPolynomial(
+            self.n - 1, {lbl: Polynomial(self.n - 1, t) for lbl, t in sums.items()}, f.var
+        )
 
 
 def build_sbo(m: int, ell: int, n: int) -> SBO:
@@ -134,11 +185,13 @@ class ProjOp:
     ell: int
 
     def apply(self, v: VectorValuedPolynomial) -> VectorValuedPolynomial:
-        comps = {}
-        for lbl in monomial_basis(self.n - 1, self.ell):
-            p = v.components.get(lbl + (self.m,))
-            if p is not None:
-                comps[lbl] = p.rest()
+        """The input's own components at labels (l, m) with |l| = ell, restricted."""
+        k = self.m + self.ell
+        comps = {
+            lbl[:-1]: p.rest()
+            for lbl, p in v.components.items()
+            if len(lbl) == self.n and lbl[-1] == self.m and sum(lbl) == k
+        }
         return VectorValuedPolynomial(self.n - 1, comps, v.var)
 
 
@@ -149,28 +202,74 @@ def build_proj(m: int, ell: int, n: int) -> ProjOp:
 # -- equivariance ---------------------------------------------------------------
 
 
+def _restricted_leibniz(alpha, e):
+    """(gamma, C(alpha, gamma) e!/(e-gamma)!) over the gamma <= alpha, e with gamma_n = e_n.
+
+    These are the terms of d^alpha o x^e that Rest_{x_n=0} keeps."""
+    if e[-1] > alpha[-1]:
+        return []
+    out = [((), 1)]
+    for a, x in zip(alpha[:-1], e[:-1]):
+        out = [
+            (gamma + (g,), factor * math.comb(a, g) * math.perm(x, g))
+            for gamma, factor in out
+            for g in range(min(a, x) + 1)
+        ]
+    last = math.comb(alpha[-1], e[-1]) * math.factorial(e[-1])
+    return [(gamma + (e[-1],), factor * last) for gamma, factor in out]
+
+
 def _compose_sbo_after(D: SBO, op: WeylElement) -> dict:
-    """Normal forms of Rest o (D_l o op), one restricted Weyl op per label."""
-    return {lbl: comp.compose(op).restrict_last_var() for lbl, comp in D.components}
+    """Normal forms of Rest o (D_l o op), by the restricted Leibniz rule.
+
+    A term c d^alpha of D_l and a term x^e d^beta of op give
+    c C(alpha, gamma) e!/(e-gamma)! x^(e-gamma) d^(alpha-gamma+beta) for the
+    gamma of `_restricted_leibniz` only."""
+    n = D.n
+    if op.arity != n or op.var != "x":
+        raise ValueError("operator must act on x_1..x_n")
+    out = {}
+    for lbl, terms in D.constant_terms:
+        sums = {}
+        for alpha, c in terms:
+            for beta, q in op.terms.items():
+                for e, d in q.terms.items():
+                    cd = c * d
+                    for gamma, factor in _restricted_leibniz(alpha, e):
+                        key = tuple(a - g + b for a, g, b in zip(alpha, gamma, beta))
+                        acc = sums.setdefault(key, {})
+                        mono = tuple(x - g for x, g in zip(e, gamma))
+                        acc[mono] = acc[mono] + cd * factor if mono in acc else cd * factor
+        out[lbl] = WeylElement(n, {k: Polynomial(n, t) for k, t in sums.items()})
+    return out
 
 
 def _compose_target_before(T, D: SBO) -> dict:
-    """Normal forms of Rest o ((T o D)_l); T acts on n-1 variables."""
+    """Normal forms of Rest o ((T o D)_l), by the shift rule.
+
+    T acts on n-1 variables, so an entry term p d^beta composed with a term
+    c d^alpha of D is c p d^(alpha+beta), already free of x_n."""
     n = D.n
-    comp_map = D.component_map()
-    out = {}
-    for out_lbl in T.out_labels:
-        acc = WeylElement.zero(n)
-        for in_lbl in T.in_labels:
-            dcomp = comp_map.get(in_lbl)
-            if dcomp is None:
-                continue
-            t_entry = T.entry(out_lbl, in_lbl)
-            if t_entry.is_zero():
-                continue
-            acc = acc + t_entry.pad_vars(n).compose(dcomp)
-        out[out_lbl] = acc.restrict_last_var()
-    return {lbl: w for lbl, w in out.items() if not w.is_zero()}
+    if T.arity != n - 1 or T.var != "x":
+        raise ValueError("target action must act on x_1..x_{n-1}")
+    comp_terms = dict(D.constant_terms)
+    sums = {}
+    for (out_lbl, in_lbl), entry in T.terms.items():
+        terms = comp_terms.get(in_lbl)
+        if terms is None:
+            continue
+        acc_out = sums.setdefault(out_lbl, {})
+        for beta, p in entry.terms.items():
+            for alpha, c in terms:
+                key = tuple(a + b for a, b in zip(alpha, beta)) + alpha[-1:]
+                acc = acc_out.setdefault(key, {})
+                for mono, d in p.terms.items():
+                    padded = mono + (0,)
+                    acc[padded] = acc[padded] + c * d if padded in acc else c * d
+    return {
+        lbl: WeylElement(n, {k: Polynomial(n, t) for k, t in by_key.items()})
+        for lbl, by_key in sums.items()
+    }
 
 
 def _restricted_witness(diff: WeylElement):
@@ -204,13 +303,11 @@ def check_equivariance(
     for X in pd.g_basis(primed=True):
         lhs = _compose_sbo_after(D, dpi_lambda(X, source))
         rhs = _compose_target_before(dpi_target(X, target), D)
-        labels = set(lhs) | set(rhs)
-        for lbl in sorted(labels):
-            a = lhs.get(lbl, WeylElement.zero(D.n))
-            b = rhs.get(lbl, WeylElement.zero(D.n))
-            diff = a - b
-            if not diff.is_zero():
-                witness = _restricted_witness(diff)
+        zero = WeylElement.zero(D.n)
+        for lbl in sorted(set(lhs) | set(rhs)):
+            a, b = lhs.get(lbl, zero), rhs.get(lbl, zero)
+            if a != b:
+                witness = _restricted_witness(a - b)
                 violations.append(
                     {
                         "X": X.describe(),

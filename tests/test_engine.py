@@ -621,3 +621,29 @@ def test_solve_on_generators_matches_full_bases(monkeypatch, options):
     full = _classify_with_provenance(monkeypatch, options)
     assert reduced[0] and all(row["ok"] for row in reduced[0])
     assert reduced == full
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_raising_operators_are_applied_once_per_monomial(monkeypatch, n):
+    """A solve at another lambda reuses the images of the first solve."""
+    calls = []
+    apply = WeylElement.apply
+
+    def counting(self, p):
+        calls.append(p)
+        return apply(self, p)
+
+    def vectors(lam):
+        src, tgt, _ = sl_pair(n, lam, 1, 2)
+        ctx = _SolveContext(src, tgt)
+        unknowns = ctx.unknowns_at_degree(3)
+        assert unknowns
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(WeylElement, "apply", counting)
+            return ctx.equivariant_vectors(unknowns), len(calls)
+
+    first, _ = vectors(Fraction(1, 3))
+    second, applied = vectors(Fraction(-7, 2))
+    assert first and second == first
+    assert applied == 0

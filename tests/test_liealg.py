@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmethod.liealg import LieElement, bracket, parabolic
+from fmethod.liealg import LieElement, ParabolicData, bracket, parabolic
 
 
 def trace_form(X, Y):
@@ -251,3 +251,19 @@ def test_hash_survives_pickling_into_another_hash_seed():
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("flavor", ["sl", "gl"])
+@pytest.mark.parametrize("primed", [False, True])
+def test_basis_elements_are_shared_in_fresh_lists(flavor, primed):
+    pd = parabolic(3, flavor)
+    a, b = pd.g_basis(primed), pd.g_basis(primed)
+    assert a is not b and len(a) == len(b)
+    assert all(x is y for x, y in zip(a, b))
+    a.pop()  # each call's list is the caller's own
+    assert len(pd.g_basis(primed)) == len(b)
+    assert pd.unit(2, 3) is pd.unit(2, 3) and pd.h0_tilde is pd.h0_tilde
+    assert pd.m_cartan(primed)[0] is pd.m_cartan(primed)[0]
+    # an instance not from parabolic() shares them too
+    assert all(x is y for x, y in zip(ParabolicData(3, flavor).g_basis(primed), b))
+

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 import fmethod.operators as operators
 from fmethod.algebra import Polynomial, monomial_basis, monomials_up_to
 from fmethod.engine import psi_vector, solve_fsystem, weight_degree_cap
+from fmethod.liealg import LieElement, parabolic
 from fmethod.operators import (
+    SBO,
     ProjOp,
     build_ido,
     build_proj,
@@ -19,7 +21,13 @@ from fmethod.operators import (
     sbo_from_solution,
     verify_factorization_sbo,
 )
-from fmethod.rep import ScalarRepParams, TargetRepParams, VectorValuedPolynomial
+from fmethod.rep import (
+    ScalarRepParams,
+    TargetRepParams,
+    VectorValuedPolynomial,
+    dpi_lambda,
+    dpi_target,
+)
 from fmethod.weyl import WeylElement
 
 
@@ -313,3 +321,182 @@ def test_ido_order_one_is_total_gradient():
     out = D1.apply(f)
     assert out.components[(1, 0, 0)] == mono(3, (0, 0, 2))
     assert out.components[(0, 0, 1)] == mono(3, (1, 0, 1), 2)
+
+
+# -- SBO components and the term-by-term kernels ------------------------------
+
+
+@pytest.mark.parametrize(
+    "components",
+    [
+        (((0, 0), WeylElement.from_polynomial(Polynomial.variable(3, 0))),),
+        (((0, 0), WeylElement.derivative_monomial(2, (1, 0))),),
+        (((0, 0), WeylElement.derivative_monomial(3, (1, 0, 0), var="zeta")),),
+        (((0, 0), Polynomial.one(3)),),
+        (((0,), WeylElement.identity(3)),),
+        (([0, 0], WeylElement.identity(3)),),
+    ],
+    ids=["non-constant", "arity", "zeta", "not-an-operator", "label-length", "label-list"],
+)
+def test_sbo_rejects_a_component_that_is_no_constant_coefficient_x_operator(components):
+    with pytest.raises(ValueError):
+        SBO(3, components)
+
+
+def test_sbo_accepts_zero_and_multi_term_components():
+    D = SBO(3, (((1, 0), WeylElement.zero(3)), ((0, 1), WeylElement(3, {(0, 1, 2): 2, (1, 0, 2): -1}))))
+    assert D.apply(mono(3, (1, 1, 2))) == VectorValuedPolynomial(
+        2, {(0, 1): Polynomial.variable(2, 0) * 4 - Polynomial.variable(2, 1) * 2}
+    )
+
+
+_orders = st.integers(0, 2)
+
+
+@st.composite
+def sbos(draw, n, ell):
+    """build_sbo, or multi-term rational constant-coefficient components on labels of Xi'_l."""
+    if draw(st.booleans()):
+        return build_sbo(draw(st.integers(0, 3)), ell, n)
+    labels = draw(st.lists(st.sampled_from(monomial_basis(n - 1, ell)), unique=True, max_size=4))
+    comps = []
+    for lbl in labels:
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            terms[tuple(draw(_orders) for _ in range(n))] = draw(_coeffs)
+        comps.append((lbl, WeylElement(n, terms)))
+    return SBO(n, tuple(comps))
+
+
+# integral weights include the critical values 1 - k
+_weights = st.one_of(st.integers(-5, 2).map(Fraction), _coeffs)
+
+
+@st.composite
+def equivariance_cases(draw):
+    """(D, X, source, target) for SL or GL at n in {2, 3, 4}; X is a basis
+    element of g' or a rational combination of the basis."""
+    flavor, n = draw(st.sampled_from([(f, n) for f in ("sl", "gl") for n in (2, 3, 4)]))
+    ell = draw(st.integers(0, 2))
+    pd = parabolic(n, flavor)
+    basis = pd.g_basis(primed=True)
+    if draw(st.booleans()):
+        X = draw(st.sampled_from(basis))
+    else:
+        X = LieElement.zero(pd.size, flavor)
+        for B in draw(st.lists(st.sampled_from(basis), min_size=1, max_size=3)):
+            X = X.add(B.scale(draw(_coeffs)))
+    if flavor == "sl":
+        src = ScalarRepParams.sl(n, draw(_weights))
+        tgt = TargetRepParams.sl(n, draw(_weights), ell=ell)
+    else:
+        src = ScalarRepParams.gl(n, draw(_weights), draw(_weights))
+        tgt = TargetRepParams.gl(n, draw(_weights), draw(_weights), ell=ell)
+    return draw(sbos(n, ell)), X, src, tgt
+
+
+def _nonzero(ops):
+    return {lbl: w for lbl, w in ops.items() if not w.is_zero()}
+
+
+@given(equivariance_cases())
+@settings(max_examples=120, deadline=None)
+def test_sbo_after_kernel_matches_generic_composition(case):
+    D, X, src, _ = case
+    op = dpi_lambda(X, src)
+    reference = {lbl: comp.compose(op).restrict_last_var() for lbl, comp in D.components}
+    assert operators._compose_sbo_after(D, op) == reference
+
+
+@given(equivariance_cases())
+@settings(max_examples=120, deadline=None)
+def test_target_before_kernel_matches_generic_composition(case):
+    D, X, _, tgt = case
+    T = dpi_target(X, tgt)
+    reference = {}
+    for out_lbl in T.out_labels:
+        acc = WeylElement.zero(D.n)
+        for in_lbl, d in D.components:
+            acc = acc + T.entry(out_lbl, in_lbl).pad_vars(D.n).compose(d).restrict_last_var()
+        reference[out_lbl] = acc
+    assert _nonzero(operators._compose_target_before(T, D)) == _nonzero(reference)
+
+
+@st.composite
+def sbo_inputs(draw):
+    """(D, f): f a multi-term polynomial, zero included.  With a flag, D gets a
+    component c (d^a1 + d^a2) with a1_n = a2_n, and f the two terms whose images
+    under it cancel at x^t."""
+    n, ell = draw(st.integers(2, 4)), draw(st.integers(0, 2))
+    D = draw(sbos(n, ell))
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        terms[tuple(draw(st.integers(0, 4)) for _ in range(n))] = draw(_coeffs)
+    f = Polynomial(n, terms)
+    if draw(st.booleans()):
+        a1, a2 = (tuple(draw(_orders) for _ in range(n - 1)) for _ in range(2))
+        an = draw(_orders)
+        a1, a2 = a1 + (an,), a2 + (an,)
+        t = tuple(draw(_orders) for _ in range(n - 1)) + (0,)
+        comp = WeylElement(n, {a1: 1}) + WeylElement(n, {a2: 1})
+        D = SBO(n, D.components + (((9,) * (n - 1), comp.scale(draw(_coeffs))),))
+        for a, sign in ((a1, 1), (a2, -1)):
+            e = tuple(x + y for x, y in zip(t, a))
+            fall = math.prod(math.perm(x, y) for x, y in zip(e, a))
+            f = f + mono(n, e, Fraction(sign, fall))
+    return D, f
+
+
+@given(sbo_inputs())
+@settings(max_examples=150, deadline=None)
+def test_sbo_apply_matches_the_per_label_weyl_path(inputs):
+    D, f = inputs
+    reference = VectorValuedPolynomial(D.n - 1, {lbl: op.apply(f).rest() for lbl, op in D.components})
+    out = D.apply(f)
+    assert out == reference
+    assert all(not p.is_zero() for p in out.components.values())
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_proj_matches_selection_over_xi_prime(data):
+    """Against the lookup of every label of Xi'_l at m; the input also holds
+    labels of that form and labels of other m, total degree or length."""
+    n, m, ell = data.draw(st.integers(2, 4)), data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    near = [lbl + (x,) for lbl in monomial_basis(n - 1, ell) for x in (m, m + 1)]
+    labels = data.draw(st.lists(st.sampled_from(near), unique=True, max_size=6))
+    labels += data.draw(st.lists(st.tuples(*(st.integers(0, 3) for _ in range(n))), max_size=4))
+    v = VectorValuedPolynomial(n, {lbl: mono(n, lbl[::-1], 1) + mono(n, (0,) * n, 2) for lbl in labels})
+    reference = {}
+    for lbl in monomial_basis(n - 1, ell):
+        p = v.components.get(lbl + (m,))
+        if p is not None:
+            reference[lbl] = p.rest()
+    assert build_proj(m, ell, n).apply(v) == VectorValuedPolynomial(n - 1, reference)
+
+
+def test_non_member_violations_are_unchanged():
+    """The three non-member cells of the benchmark, violation for violation."""
+    S, T = ScalarRepParams.sl, TargetRepParams.sl
+    cells = [
+        (3, 1, 0, S(3, Fraction(5)), T(3, Fraction(7), ell=0)),
+        (2, 0, 1, S(2, Fraction(5)), T(2, Fraction(7), ell=1)),
+        (3, 2, 1, S(3, Fraction(1, 3)), T(3, Fraction(1, 3) + 2 + Fraction(3, 2), ell=1)),
+    ]
+    expected = [
+        [
+            {"X": "E11 + -1/2*E22 + -1/2*E33", "component": (0, 0), "monomial": (0, 0, 1)},
+            {"X": "E12", "component": (0, 0), "monomial": (0, 0, 1)},
+            {"X": "E13", "component": (0, 0), "monomial": (0, 0, 1)},
+        ],
+        [{"X": "E12", "component": (1,), "monomial": (0, 0)}],
+        [
+            {"X": "E12", "component": (1, 0), "monomial": (0, 0, 2)},
+            {"X": "E13", "component": (0, 1), "monomial": (0, 0, 2)},
+        ],
+    ]
+    for (n, m, ell, src, tgt), violations in zip(cells, expected):
+        rep = check_equivariance(build_sbo(m, ell, n), src, tgt)
+        assert rep["status"] == "fail"
+        assert rep["violations"] == violations
+
