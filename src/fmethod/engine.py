@@ -207,8 +207,8 @@ def _gamma_parities(pd, full_nilradical, alpha, beta, ell):
     labels = monomial_basis(block, ell)
     masks, parities = [], {lbl: () for lbl in labels}
     for gamma in _lie_data(pd, full_nilradical).gammas:
-        g0 = gamma.entries[0][0]
-        ad = [gamma.entries[j][j] * g0 for j in range(1, pd.n + 1)]
+        g0 = gamma[0, 0]
+        ad = [gamma[j, j] * g0 for j in range(1, pd.n + 1)]
         v_side = pd.sign_character(gamma, alpha, pd.n)
         w_side = pd.sign_character(gamma, beta, block)
         masks.append(tuple(j for j, a in enumerate(ad) if a < 0))
@@ -216,7 +216,7 @@ def _gamma_parities(pd, full_nilradical, alpha, beta, ell):
         # Every sign is +-1, so  w_side * fiber sign == v_side * ad^m  fixes
         # the parity of m summed over the coordinates where ad is -1.
         for lbl in labels:
-            fiber_sign = math.prod(gamma.entries[j + 1][j + 1] ** lbl[j] for j in range(block))
+            fiber_sign = math.prod(gamma[j + 1, j + 1] ** lbl[j] for j in range(block))
             parities[lbl] += (int(w_side * v_side * fiber_sign < 0),)
     return tuple(masks), parities
 
@@ -280,7 +280,7 @@ class _SolveContext:
         self.lie = _lie_data(self.pd, full_nilradical)
         self.fsys_ops = [dpi_hat(N, source) for N in self.lie.n_plus]
         # (operator, fiber action) of each raising operator of m'.  Its
-        # character weight is 0 (entries[0][0] = 0, trace 0), so its fiber
+        # character weight is 0 (Z[0, 0] = 0, trace 0), so its fiber
         # action is the shared weight-free m-part.
         self.raising = tuple(
             (dpi_hat(Z, source), self.fiber.m_action(Z, self.pd)) for Z in self.lie.raising

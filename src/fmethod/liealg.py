@@ -5,18 +5,11 @@ the upper-left n-block with last row and column zero.  The Gelfand-Naimark
 decomposition g = n_- + l + n_+ is the block split along the first row and
 column, eigenspaces of ad(H0~) with eigenvalues -(n+1)/n, 0, +(n+1)/n.
 
-Elements keep dense `Fraction` entries, but sums, multiples and products
-touch only nonzero entries: almost every operand is a matrix unit or a
-short sum of them, so a bracket costs a few multiplications instead of
-2(n+1)^3.
-
-The basis elements are shared: `ParabolicData.unit`, the grading
-elements, the Cartan elements and so every basis list (`g_basis` and its
-parts, each a fresh list) return the same `LieElement` objects for each
-algebra, from one `lru_cache` keyed by the size, the flavor and the
-nonzero entries.  The operator caches (`rep.dpi_lambda`, `rep.dpi_target`,
-`rep._ad_series`, ...) are keyed by these elements, so a lookup with a
-basis element hits by identity, without comparing (n+1)^2 entries.
+Elements store only their nonzero entries: per row, the sorted
+(column, Fraction) pairs.  Almost every operand is a matrix unit or a
+short sum of them, so a sum, product, bracket, hash or comparison costs
+O(size + nonzeros), not (n+1)^2 or 2(n+1)^3.  Entries are read through
+`X[i, j]` or by iterating the rows.
 """
 
 from __future__ import annotations
@@ -29,35 +22,42 @@ SL = "sl"
 GL = "gl"
 
 
+def _row(acc):
+    """A sparse row from a {column: value} dict, zeros dropped."""
+    return tuple(sorted((j, v) for j, v in acc.items() if v))
+
+
+def _split_first_column(row):
+    """(the column-0 pair of a sparse row, or (), and the rest of the row)."""
+    return (row[:1], row[1:]) if row and row[0][0] == 0 else ((), row)
+
+
+def _add_products(acc, row, rows, sign=1):
+    """acc += sign * (row times the matrix with sparse `rows`)."""
+    for k, a in row:
+        a = sign * a
+        for j, b in rows[k]:
+            acc[j] = acc[j] + a * b if j in acc else a * b
+
+
 @dataclass(frozen=True)
 class LieElement:
     """Square rational matrix with a group-flavor tag."""
 
-    entries: tuple  # tuple of tuples of Fraction
+    entries: tuple  # per row, the sorted (column, Fraction) pairs of its nonzeros
     flavor: str = SL
 
-    def __hash__(self):
-        # Elements key the operator caches, so the hash of the (n+1)^2
-        # Fractions is stored on first use, outside the fields (equality
-        # is unchanged).
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = self.__dict__["_hash"] = hash((self.entries, self.flavor))
-            return h
-
-    def __getstate__(self):
-        # a str hash differs between processes, so the stored one stays here
-        return {"entries": self.entries, "flavor": self.flavor}
-
     @classmethod
-    def from_rows(cls, rows, flavor=SL):
-        entries = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        return cls(entries, flavor)
+    def from_units(cls, size, flavor, units):
+        """The element sum v*E_{i+1,j+1} over ((i, j), v) in `units` (0-based, distinct)."""
+        rows = [{} for _ in range(size)]
+        for (i, j), v in units:
+            rows[i][j] = Fraction(v)
+        return cls(tuple(_row(r) for r in rows), flavor)
 
     @classmethod
     def zero(cls, size, flavor=SL):
-        return cls.from_rows([[0] * size for _ in range(size)], flavor)
+        return cls(((),) * size, flavor)
 
     @property
     def size(self):
@@ -65,49 +65,47 @@ class LieElement:
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        for col, v in self.entries[i]:
+            if col == j:
+                return v
+        return Fraction(0)
 
     def trace(self):
-        return sum((self.entries[i][i] for i in range(self.size)), Fraction(0))
+        return sum((self[i, i] for i in range(self.size)), Fraction(0))
 
     def is_zero(self):
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(self.entries)
 
     def add(self, other):
-        """Exact sum; only the nonzero entries of `other` are added."""
         self._check(other)
-        return LieElement(
-            tuple(
-                tuple(a + b if b else a for a, b in zip(ra, rb)) if any(rb) else ra
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-            self.flavor,
-        )
+        rows = []
+        for ra, rb in zip(self.entries, other.entries):
+            if rb:
+                acc = dict(ra)
+                for j, b in rb:
+                    acc[j] = acc[j] + b if j in acc else b
+                ra = _row(acc)
+            rows.append(ra)
+        return LieElement(tuple(rows), self.flavor)
 
     def sub(self, other):
         return self.add(other.scale(-1))
 
     def scale(self, s):
-        """Exact multiple; only the nonzero entries are multiplied."""
         s = Fraction(s)
+        if not s:
+            return LieElement.zero(self.size, self.flavor)
         return LieElement(
-            tuple(tuple(s * a if a else a for a in row) for row in self.entries),
-            self.flavor,
+            tuple(tuple((j, s * a) for j, a in row) for row in self.entries), self.flavor
         )
 
     def matmul(self, other):
-        """Exact product; only pairs of nonzero entries are multiplied."""
         self._check(other)
-        n = self.size
-        other_rows = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
         rows = []
-        for a_row in self.entries:
-            row = [Fraction(0)] * n
-            for k, a in enumerate(a_row):
-                if a:
-                    for j, b in other_rows[k]:
-                        row[j] += a * b
-            rows.append(tuple(row))
+        for row in self.entries:
+            acc = {}
+            _add_products(acc, row, other.entries)
+            rows.append(_row(acc))
         return LieElement(tuple(rows), self.flavor)
 
     def _check(self, other):
@@ -118,20 +116,24 @@ class LieElement:
 
     def describe(self) -> str:
         """One-line sum of matrix units, e.g. `E11 + -1/2*E22 + -1/2*E33`."""
-        bits = []
-        for i, row in enumerate(self.entries):
-            for j, v in enumerate(row):
-                if v:
-                    bits.append(f"{v}*E{i + 1}{j + 1}" if v != 1 else f"E{i + 1}{j + 1}")
+        bits = [
+            f"{v}*E{i + 1}{j + 1}" if v != 1 else f"E{i + 1}{j + 1}"
+            for i, row in enumerate(self.entries)
+            for j, v in row
+        ]
         return " + ".join(bits) if bits else "0"
-
-    def __str__(self):
-        return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
 
 
 def bracket(X: LieElement, Y: LieElement) -> LieElement:
-    """[X, Y] = XY - YX."""
-    return X.matmul(Y).sub(Y.matmul(X))
+    """[X, Y] = XY - YX, summed row by row over pairs of nonzero entries."""
+    X._check(Y)
+    rows = []
+    for xr, yr in zip(X.entries, Y.entries):
+        acc = {}
+        _add_products(acc, xr, Y.entries)
+        _add_products(acc, yr, X.entries, -1)
+        rows.append(_row(acc))
+    return LieElement(tuple(rows), X.flavor)
 
 
 @dataclass(frozen=True)
@@ -156,12 +158,12 @@ class ParabolicData:
         return self.n + 1
 
     def unit(self, i, j):
-        """E_{i,j} with 1-based indices, shared."""
-        return _shared_element(self.size, self.flavor, (((i - 1, j - 1), 1),))
+        """E_{i,j} with 1-based indices."""
+        return LieElement.from_units(self.size, self.flavor, (((i - 1, j - 1), 1),))
 
     def _cartan(self, i):
-        """E_{i,i} - E_{i+1,i+1} with 1-based i, shared."""
-        return _shared_element(self.size, self.flavor, (((i - 1, i - 1), 1), ((i, i), -1)))
+        """E_{i,i} - E_{i+1,i+1} with 1-based i."""
+        return LieElement.from_units(self.size, self.flavor, (((i - 1, i - 1), 1), ((i, i), -1)))
 
     def n_plus(self, j):
         """N_j^+ = E_{1,j+1}, j = 1..n."""
@@ -251,25 +253,21 @@ class ParabolicData:
         return [self._diag(g1), self._diag(g2)]
 
     def _diag(self, diag):
-        """The diagonal element with entries `diag`, shared."""
-        return _shared_element(
-            self.size, self.flavor, tuple(((i, i), d) for i, d in enumerate(diag) if d)
+        """The diagonal element with entries `diag`."""
+        return LieElement.from_units(
+            self.size, self.flavor, [((i, i), d) for i, d in enumerate(diag) if d]
         )
 
     # -- projections and characters ---------------------------------------
 
     def gn_project(self, X: LieElement):
         """Split X into (n_- part, l part, n_+ part)."""
-        zero = Fraction(0)
-        blank = (zero,) * self.size
-        head, *tail = X.entries
-        lower = (blank,) + tuple((row[0],) + blank[1:] for row in tail)
-        middle = ((head[0],) + blank[1:],) + tuple((zero,) + row[1:] for row in tail)
-        upper = ((zero,) + head[1:],) + (blank,) * len(tail)
+        firsts, rests = zip(*(_split_first_column(row) for row in X.entries))
+        blank = ((),) * (self.size - 1)
         return (
-            LieElement(lower, self.flavor),
-            LieElement(middle, self.flavor),
-            LieElement(upper, self.flavor),
+            LieElement(((),) + firsts[1:], self.flavor),
+            LieElement((firsts[0],) + rests[1:], self.flavor),
+            LieElement((rests[0],) + blank, self.flavor),
         )
 
     def sign_character(self, gamma: LieElement, parities, block: int) -> Fraction:
@@ -280,10 +278,10 @@ class ParabolicData:
         """
         det = Fraction(1)
         for j in range(1, block + 1):
-            det *= gamma.entries[j][j]
+            det *= gamma[j, j]
         if self.flavor == SL:
             return det if parities[0] % 2 else Fraction(1)
-        g0 = gamma.entries[0][0]
+        g0 = gamma[0, 0]
         return (g0 if parities[0] % 2 else Fraction(1)) * (det if parities[1] % 2 else Fraction(1))
 
     def two_rho(self):
@@ -298,25 +296,10 @@ class ParabolicData:
         return (Fraction(self.n), Fraction(-1))
 
     def in_g_prime(self, X: LieElement) -> bool:
-        size = self.size
-        return all(
-            X.entries[i][j] == 0
-            for i in range(size)
-            for j in range(size)
-            if i == size - 1 or j == size - 1
-        )
+        last = self.size - 1
+        return not X.entries[last] and all(not row or row[-1][0] < last for row in X.entries)
 
 
 @lru_cache(maxsize=None)
 def parabolic(n: int, flavor: str = SL) -> ParabolicData:
     return ParabolicData(n, flavor)
-
-
-@lru_cache(maxsize=None)
-def _shared_element(size, flavor, entries):
-    """The element with the given ((row, column), value) entries (0-based) and
-    zeros elsewhere; one object per key, so the operator caches hit by identity."""
-    rows = [[0] * size for _ in range(size)]
-    for (i, j), v in entries:
-        rows[i][j] = v
-    return LieElement.from_rows(rows, flavor)

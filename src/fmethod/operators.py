@@ -334,7 +334,9 @@ def verify_factorization_sbo(m: int, ell: int, n: int, degree_cap: int = 6) -> d
     """D_(m,l) = D'_l o D_(m,0) = Proj_(m,l) o D_{m+l}, exactly.
 
     Both identities are checked as normal forms and then re-checked by
-    applying all three routes to every monomial of degree <= degree_cap.
+    applying all three routes to every monomial of degree <= max(degree_cap,
+    m + l); below degree m + l every route is 0, so a lower cap would
+    check nothing.
     """
     D_ml = build_sbo(m, ell, n)
     D_m0 = build_sbo(m, 0, n)
@@ -361,7 +363,7 @@ def verify_factorization_sbo(m: int, ell: int, n: int, degree_cap: int = 6) -> d
     ido_prime = build_ido(ell, n - 1)
     proj = build_proj(m, ell, n)
     zero_lbl = (0,) * (n - 1)
-    for mono in monomials_up_to(n, degree_cap):
+    for mono in monomials_up_to(n, max(degree_cap, m + ell)):
         f = Polynomial.monomial(n, mono, 1)
         a = D_ml.apply(f)
         b = ido_prime.apply(D_m0.apply(f).components.get(zero_lbl, Polynomial.zero(n - 1)))

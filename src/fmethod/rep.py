@@ -24,11 +24,17 @@ the identity every classification below rests on.
 The weights enter affinely: the fiber acts on the l-part through the
 characters, so induced_operator(X, .., fiber with weights w) equals
 base + sum_i w_i part_i, where base is the operator at weight 0 and part_i
-the operator at the unit weight e_i minus base.  `_affine_parts` builds
-these pieces once per Lie element, algebra, number of variables, fiber
-shape and picture (x, or its Fourier transform); every builder below, and
-the Verma action, assembles its operator from them through
-`affine_operator`, with the `+` and `scale` of `OperatorOnVV`.
+the operator at the unit weight e_i minus base.  part_i is read off the
+Ad series directly: it multiplies every label by the polynomial whose
+x^mono coefficient is the i-th character of that term of the series.
+`_affine_parts` builds these pieces once per Lie element, algebra, number
+of variables, fiber shape and picture (x, or its Fourier transform), with
+one `induced_operator` call, for base; every builder below, and the Verma
+action, assembles its operator from them through `affine_operator`, with
+the `+` and `scale` of `OperatorOnVV`.
+
+Lie elements are sparse (see `liealg`), so the series, the l-part split
+and the m-action of `SymFiber` touch only nonzero entries.
 """
 
 from __future__ import annotations
@@ -234,10 +240,15 @@ class ScalarFiber:
     def labels(self, pd):
         return [()]
 
+    def weight(self, L: LieElement, pd: ParabolicData) -> Fraction:
+        """Scalar by which the characters of L act on every label."""
+        weight = self.weights[0] * L[0, 0]
+        if pd.flavor == GL and len(self.weights) > 1:
+            weight += self.weights[1] * L.trace()
+        return weight
+
     def act(self, L: LieElement, pd: ParabolicData) -> dict:
-        val = self.weights[0] * L.entries[0][0]
-        if len(self.weights) > 1:
-            val += self.weights[1] * L.trace()
+        val = self.weight(L, pd)
         return {((), ()): val} if val else {}
 
 
@@ -259,12 +270,7 @@ class SymFiber:
     def labels(self, pd):
         return monomial_basis(self.block, self.degree)
 
-    def weight(self, L: LieElement, pd: ParabolicData) -> Fraction:
-        """Scalar by which the characters of L act on every label."""
-        weight = self.weights[0] * L.entries[0][0]
-        if pd.flavor == GL and len(self.weights) > 1:
-            weight += self.weights[1] * L.trace()
-        return weight
+    weight = ScalarFiber.weight
 
     def act(self, L: LieElement, pd: ParabolicData) -> dict:
         """Action of L on the labels, as {(out label, in label): coefficient}.
@@ -297,20 +303,22 @@ def _sym_m_action(degree, block, dual, L: LieElement, pd: ParabolicData) -> dict
     Shared between calls: `act` copies it before adding the weight, and
     `m_action` returns it as it is.
     """
-    c1 = L.entries[0][0]
+    c1 = L[0, 0]
     Z = L.sub((pd.h0_tilde_prime if block == pd.n - 1 else pd.h0_tilde).scale(c1))
     if pd.flavor == GL:
         Z = Z.sub((pd.j0_prime if block == pd.n - 1 else pd.j0).scale(L.trace()))
-    B = [[Z.entries[i][j] for j in range(1, block + 1)] for i in range(1, block + 1)]
+    # the nonzero entries B[i][j] of the block, 0-based, in (j, i) order
+    B = sorted(
+        (j - 1, i - 1, b)
+        for i in range(1, block + 1)
+        for j, b in Z.entries[i]
+        if 1 <= j <= block
+    )
     out = {}
     for k in monomial_basis(block, degree):
-        for j in range(block):
-            if k[j] == 0:
-                continue
-            for i in range(block):
-                coeff = Fraction(k[j]) * B[i][j]
-                if not coeff:
-                    continue
+        for j, i, b in B:
+            if k[j]:
+                coeff = k[j] * b
                 kk = list(k)
                 kk[j] -= 1
                 kk[i] += 1
@@ -326,7 +334,11 @@ def _sym_m_action(degree, block, dual, L: LieElement, pd: ParabolicData) -> dict
 
 @lru_cache(maxsize=None)
 def _ad_series(X: LieElement, pd: ParabolicData, num_x: int):
-    """Ad(exp(-sum x_k N_k^-)) X as {x-monomial: LieElement}."""
+    """Ad(exp(-sum x_k N_k^-)) X as {x-monomial: LieElement}.
+
+    n_- is abelian, so the series stops at the quadratic term
+    X - sum_k x_k [N_k^-, X] + 1/2 sum_{k,l} x_k x_l [N_k^-, [N_l^-, X]].
+    """
     series = {(0,) * num_x: X}
 
     def put(mono, elt):
@@ -335,22 +347,18 @@ def _ad_series(X: LieElement, pd: ParabolicData, num_x: int):
         cur = series.get(mono)
         series[mono] = elt if cur is None else cur.add(elt)
 
-    firsts = []
-    for k in range(1, num_x + 1):
-        Bk = bracket(pd.n_minus(k), X)
-        firsts.append(Bk)
-        mono = [0] * num_x
-        mono[k - 1] = 1
-        put(tuple(mono), Bk.scale(-1))
-    for k in range(1, num_x + 1):
-        for l in range(1, num_x + 1):
-            Ckl = bracket(pd.n_minus(k), firsts[l - 1])
-            if Ckl.is_zero():
+    lowers = [pd.n_minus(k) for k in range(1, num_x + 1)]
+    firsts = [bracket(N, X) for N in lowers]
+    for k, Bk in enumerate(firsts):
+        put(_unit_alpha(num_x, k), Bk.scale(-1))
+    for k, N in enumerate(lowers):
+        for l, Bl in enumerate(firsts):
+            if Bl.is_zero():
                 continue
             mono = [0] * num_x
-            mono[k - 1] += 1
-            mono[l - 1] += 1
-            put(tuple(mono), Ckl.scale(Fraction(1, 2)))
+            mono[k] += 1
+            mono[l] += 1
+            put(tuple(mono), bracket(N, Bl).scale(Fraction(1, 2)))
     return {m: e for m, e in series.items() if not e.is_zero()}
 
 
@@ -368,7 +376,7 @@ def induced_operator(X: LieElement, pd: ParabolicData, num_x: int, fiber) -> Ope
         lower, middle, upper = pd.gn_project(L)
         # n_- part: -dR = -sum g_j(x) d_j ; dR(N_j^-) = d/dx_j
         for j in range(1, num_x + 1):
-            g = lower.entries[j][0]
+            g = lower[j, 0]
             if g:
                 op = WeylElement(
                     num_x,
@@ -382,7 +390,7 @@ def induced_operator(X: LieElement, pd: ParabolicData, num_x: int, fiber) -> Ope
         # components of n_- outside the active coordinates must vanish;
         # the n_+ part (`upper`) acts trivially in this picture
         for j in range(num_x + 1, pd.n + 1):
-            if lower.entries[j][0] != 0:
+            if lower[j, 0]:
                 raise ValueError("element leaves the active subalgebra")
         # l part: fiber action with polynomial coefficient x^mono
         for (out, inp), val in fiber.act(middle, pd).items():
@@ -409,18 +417,24 @@ def _affine_parts(X: LieElement, pd: ParabolicData, num_x: int, shape, fourier: 
     """(base, part_1, .., part_k): the weight-free pieces of the action of X.
 
     `shape` is a fiber with every weight zero, so `base` is its
-    `induced_operator`; part_i is the operator at the unit weight e_i minus
-    `base`.  The fiber acts through the l-part affinely in the weights, so
-    a fiber with weights w acts by base + sum_i w_i part_i.  With `fourier`
-    the same pieces are Fourier transformed; the transform is linear.
+    `induced_operator`.  The characters act on the l-part L_mono of each
+    term x^mono of the Ad series by scalars, so part_i, the operator at the
+    unit weight e_i minus `base`, is multiplication by
+    p_i(x) = sum_mono w_i(L_mono) x^mono on every label, with w_i the
+    character weight at e_i; a fiber with weights w acts by
+    base + sum_i w_i part_i.  With `fourier` the same pieces are Fourier
+    transformed; the transform is linear.
     """
-    base = induced_operator(X, pd, num_x, shape)
+    series = _ad_series(X, pd, num_x)
+    labels = shape.labels(pd)
+    parts = [induced_operator(X, pd, num_x, shape)]
     k = len(shape.weights)
-    parts = [base]
     for i in range(k):
-        unit = tuple(Fraction(int(i == j)) for j in range(k))
-        at_unit = induced_operator(X, pd, num_x, replace(shape, weights=unit))
-        parts.append(at_unit - base)
+        unit = replace(shape, weights=tuple(Fraction(int(i == j)) for j in range(k)))
+        # the characters read only the diagonal, where L and its l-part agree
+        p = Polynomial(num_x, {mono: unit.weight(L, pd) for mono, L in series.items()}, "x")
+        op = WeylElement(num_x, {(0,) * num_x: p}, "x")
+        parts.append(OperatorOnVV(num_x, labels, labels, {(lbl, lbl): op for lbl in labels}))
     return tuple(op.fourier() for op in parts) if fourier else tuple(parts)
 
 

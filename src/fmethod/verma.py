@@ -111,9 +111,9 @@ class VermaModule:
 
     def gamma_action(self, gamma, v: VectorValuedPolynomial) -> VectorValuedPolynomial:
         """Group action of a component-group generator on the model."""
-        g0 = gamma.entries[0][0]
-        ad = [gamma.entries[j][j] * g0 for j in range(1, self.num_vars + 1)]
-        blk = [gamma.entries[j][j] for j in range(1, self.num_vars + 1)]
+        g0 = gamma[0, 0]
+        ad = [gamma[j, j] * g0 for j in range(1, self.num_vars + 1)]
+        blk = [gamma[j, j] for j in range(1, self.num_vars + 1)]
         char = self.pd.sign_character(gamma, self.signs, self.num_vars)
         comps = {}
         for lbl, p in v.components.items():
@@ -242,22 +242,16 @@ def check_hom_equivariance(h: VermaHom, degree_cap: int = 3) -> dict:
     """
     pd = h.source.pd
     primed = h.source.primed
-    basis = pd.g_basis(primed=primed)
+    vectors = [(g, mono, lbl) for g in range(degree_cap + 1) for mono, lbl in h.source.basis(g)]
+    units = [h.source.unit(mono, lbl) for _, mono, lbl in vectors]
+    images = [h.apply(v) for v in units]  # h(v) does not depend on X
     violations = []
-    for X in basis:
+    for X in pd.g_basis(primed=primed):
         srcop = h.source.action(X)
         tgtop = h.target.action(X)
-        for g in range(degree_cap + 1):
-            for mono, lbl in h.source.basis(g):
-                v = h.source.unit(mono, lbl)
-                lhs = h.apply(srcop.apply(v))
-                rhs = tgtop.apply(h.apply(v))
-                if not (lhs - rhs).is_zero():
-                    violations.append(
-                        {"X": X.describe(), "grade": g, "vector": (mono, lbl)}
-                    )
-                    break
-            if violations and violations[-1]["X"] == X.describe():
+        for (g, mono, lbl), v, hv in zip(vectors, units, images):
+            if h.apply(srcop.apply(v)) != tgtop.apply(hv):
+                violations.append({"X": X.describe(), "grade": g, "vector": (mono, lbl)})
                 break
     sign_violations = []
     for gamma in pd.gamma_elements(primed=primed):
@@ -265,7 +259,7 @@ def check_hom_equivariance(h: VermaHom, degree_cap: int = 3) -> dict:
             v = h.source.unit((0,) * h.source.num_vars, lbl)
             lhs = h.apply(h.source.gamma_action(gamma, v))
             rhs = h.target.gamma_action(gamma, h.apply(v))
-            if not (lhs - rhs).is_zero():
+            if lhs != rhs:
                 sign_violations.append({"gamma": gamma.describe(), "label": lbl})
     status = "pass" if not violations and not sign_violations else "fail"
     return {

@@ -78,6 +78,24 @@ def test_criterion_01_classification_high_rank():
     )
 
 
+@pytest.mark.parametrize(
+    "n, kwargs, count, bound",
+    [
+        (10, {"m_max": 3, "l_max": 3}, 256, 30),
+        (8, {"ido": True, "k_max": 4}, 20, 10),
+    ],
+    ids=["sl-n10", "ido-n8"],
+)
+def test_wide_rank_rows(n, kwargs, count, bound):
+    # wide n, where the cost grows with the (n+1)^2 matrix size; each bound
+    # is over 10x the time measured on a 2-core machine (about 1.3 s and 0.3 s)
+    t0 = time.time()
+    rows = classify(n, lambda_samples=GENERIC, **kwargs)
+    elapsed = time.time() - t0
+    ok = len(rows) == count and all(r["ok"] for r in rows) and elapsed < bound
+    _report(f"wide rank n={n}", ok, f"({len(rows)} cells, {elapsed:.1f}s)")
+
+
 def test_criterion_02_multiplicity_two_n2():
     t0 = time.time()
     rows = classify(2, m_max=4, l_max=4, lambda_samples=GENERIC)

@@ -318,6 +318,11 @@ def _product(items):
     return out
 
 
+def _dense(X):
+    """The dense rows of a Lie element."""
+    return [[X[i, j] for j in range(X.size)] for i in range(X.size)]
+
+
 def _char_sign(flavor, parities, g0, det_block):
     if flavor == SL:
         return det_block if parities[0] % 2 else Fraction(1)
@@ -338,7 +343,7 @@ def _brute_force_unknowns(source, target, degree, connected, full):
     fiber_eigs = [
         {lbl: fiber.act(Z, pd).get((lbl, lbl), Fraction(0)) for lbl in labels} for Z in diag
     ]
-    gammas = [] if connected else [g.entries for g in pd.gamma_elements(primed=not full)]
+    gammas = [] if connected else [_dense(g) for g in pd.gamma_elements(primed=not full)]
     out = []
     for mono in monomial_basis(n, degree):
         p = Polynomial.monomial(n, mono, 1, "zeta")
@@ -496,7 +501,7 @@ def test_context_rejects_off_diagonal_diagonal_operator(monkeypatch):
 def _reference_fiber_action(fiber, L, pd):
     """SymFiber.act built from scratch, weights included, with no cache."""
     full = fiber.block == pd.n
-    c1 = L.entries[0][0]
+    c1 = L[0, 0]
     Z = L.sub((pd.h0_tilde if full else pd.h0_tilde_prime).scale(c1))
     weight = fiber.weights[0] * c1
     if pd.flavor == GL:
@@ -510,7 +515,7 @@ def _reference_fiber_action(fiber, L, pd):
             out[(k, k)] = out.get((k, k), Fraction(0)) + weight
         for j in range(fiber.block):
             for i in range(fiber.block):
-                coeff = k[j] * Z.entries[i + 1][j + 1]
+                coeff = k[j] * Z[i + 1, j + 1]
                 if not coeff:
                     continue
                 kk = list(k)

@@ -14,6 +14,12 @@ from hypothesis import strategies as st
 from fmethod.liealg import LieElement, ParabolicData, bracket, parabolic
 
 
+def _from_rows(rows, flavor="sl"):
+    """The element with the dense rows `rows`."""
+    units = [((i, j), v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
+    return LieElement.from_units(len(rows), flavor, units)
+
+
 def trace_form(X, Y):
     return X.matmul(Y).trace()
 
@@ -75,7 +81,7 @@ def test_gn_project_cases():
 
 def test_gn_parts_are_h0_eigenvectors():
     pd = parabolic(3)
-    X = LieElement.from_rows(
+    X = _from_rows(
         [[1, 2, 3, 4], [5, -1, 6, 7], [8, 9, -1, 10], [11, 12, 13, 1]]
     )
     lower, middle, upper = pd.gn_project(X)
@@ -172,33 +178,38 @@ _entries = st.one_of(
 
 @st.composite
 def sparse_pairs(draw):
-    """Two mostly-zero rational matrices of one size in 3..5, and a flavor."""
-    size = draw(st.integers(3, 5))
+    """Two mostly-zero rational matrices of one size in 3..9 (n = 2..8), and a flavor."""
+    size = draw(st.integers(3, 9))
     flavor = draw(st.sampled_from(["sl", "gl"]))
     matrix = st.lists(
         st.lists(_entries, min_size=size, max_size=size), min_size=size, max_size=size
     )
     A, B = draw(matrix), draw(matrix)
-    return LieElement.from_rows(A, flavor), LieElement.from_rows(B, flavor)
+    return _from_rows(A, flavor), _from_rows(B, flavor)
+
+
+def _dense(X):
+    """The dense rows of a Lie element, as a tuple of tuples."""
+    return tuple(tuple(X[i, j] for j in range(X.size)) for i in range(X.size))
 
 
 def _all_fractions(X):
-    return all(type(x) is Fraction for row in X.entries for x in row)
+    return all(type(x) is Fraction for row in _dense(X) for x in row)
 
 
 @given(sparse_pairs())
 @settings(max_examples=120, deadline=None)
 def test_sparse_products_match_dense_reference(pair):
     X, Y = pair
-    XY, YX = _dense_matmul(X.entries, Y.entries), _dense_matmul(Y.entries, X.entries)
-    assert X.matmul(Y) == LieElement(XY, X.flavor) and _all_fractions(X.matmul(Y))
+    XY, YX = _dense_matmul(_dense(X), _dense(Y)), _dense_matmul(_dense(Y), _dense(X))
+    assert X.matmul(Y) == _from_rows(XY, X.flavor) and _all_fractions(X.matmul(Y))
     expected = tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(XY, YX))
     got = bracket(X, Y)
-    assert got.entries == expected and got.flavor == X.flavor and _all_fractions(got)
+    assert _dense(got) == expected and got.flavor == X.flavor and _all_fractions(got)
     assert trace_form(X, Y) == sum((XY[i][i] for i in range(X.size)), Fraction(0))
     pd = parabolic(X.size - 1, X.flavor)
     parts = pd.gn_project(X)
-    assert tuple(p.entries for p in parts) == _dense_gn_project(X.entries)
+    assert tuple(_dense(p) for p in parts) == _dense_gn_project(_dense(X))
     assert all(p.flavor == X.flavor and _all_fractions(p) for p in parts)
     assert parts[0].add(parts[1]).add(parts[2]) == X
 
@@ -208,16 +219,16 @@ def test_sparse_products_match_dense_reference(pair):
 def test_sparse_sums_and_multiples_match_dense_reference(pair, s):
     X, Y = pair
     total = X.add(Y)
-    assert total.entries == tuple(
-        tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(X.entries, Y.entries)
+    assert _dense(total) == tuple(
+        tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(_dense(X), _dense(Y))
     )
     assert total.flavor == X.flavor and _all_fractions(total)
     multiple = X.scale(s)
-    assert multiple.entries == tuple(tuple(s * a for a in row) for row in X.entries)
+    assert _dense(multiple) == tuple(tuple(s * a for a in row) for row in _dense(X))
     assert multiple.flavor == X.flavor and _all_fractions(multiple)
     difference = X.sub(Y)
-    assert difference.entries == tuple(
-        tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(X.entries, Y.entries)
+    assert _dense(difference) == tuple(
+        tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(_dense(X), _dense(Y))
     )
     assert _all_fractions(difference)
 
@@ -225,10 +236,9 @@ def test_sparse_sums_and_multiples_match_dense_reference(pair, s):
 def test_equal_elements_hash_equal():
     pd = parabolic(3, "gl")
     a = pd.h0_tilde_prime
-    b = LieElement.from_rows([list(row) for row in a.entries], "gl")
+    b = _from_rows(_dense(a), "gl")
     assert a is not b and a == b
     assert hash(a) == hash(b) == hash(a)
-    # the stored hash is no field: equality and the fields stay as they were
     assert [f.name for f in dataclasses.fields(a)] == ["entries", "flavor"]
     assert a != LieElement(a.entries, "sl") and {a: 1}[b] == 1
 
@@ -255,15 +265,104 @@ def test_hash_survives_pickling_into_another_hash_seed():
 
 @pytest.mark.parametrize("flavor", ["sl", "gl"])
 @pytest.mark.parametrize("primed", [False, True])
-def test_basis_elements_are_shared_in_fresh_lists(flavor, primed):
+def test_basis_lists_are_fresh_and_equal(flavor, primed):
     pd = parabolic(3, flavor)
     a, b = pd.g_basis(primed), pd.g_basis(primed)
-    assert a is not b and len(a) == len(b)
-    assert all(x is y for x, y in zip(a, b))
+    assert a is not b and a == b
     a.pop()  # each call's list is the caller's own
     assert len(pd.g_basis(primed)) == len(b)
-    assert pd.unit(2, 3) is pd.unit(2, 3) and pd.h0_tilde is pd.h0_tilde
-    assert pd.m_cartan(primed)[0] is pd.m_cartan(primed)[0]
-    # an instance not from parabolic() shares them too
-    assert all(x is y for x, y in zip(ParabolicData(3, flavor).g_basis(primed), b))
+    assert pd.unit(2, 3) == pd.unit(2, 3) and pd.h0_tilde == pd.h0_tilde
+    assert pd.m_cartan(primed)[0] == pd.m_cartan(primed)[0]
+    # an instance not from parabolic() builds equal elements
+    assert ParabolicData(3, flavor).g_basis(primed) == b
 
+
+
+# -- the sparse layout against dense rows -----------------------------------------
+
+
+def _dense_describe(rows):
+    """Reference: `describe` read off every entry of the dense rows."""
+    bits = [
+        f"{v}*E{i + 1}{j + 1}" if v != 1 else f"E{i + 1}{j + 1}"
+        for i, row in enumerate(rows)
+        for j, v in enumerate(row)
+        if v
+    ]
+    return " + ".join(bits) if bits else "0"
+
+
+@given(sparse_pairs(), _entries)
+@settings(max_examples=120, deadline=None)
+def test_sparse_layout_matches_dense_reference(pair, s):
+    X, Y = pair
+    A, B = _dense(X), _dense(Y)
+    size, last = X.size, X.size - 1
+    assert LieElement(X.entries, X.flavor) == X == _from_rows(A, X.flavor)
+    assert hash(_from_rows(A, X.flavor)) == hash(X)
+    assert (X == Y) == (A == B) and (X != LieElement(X.entries, "gl" if X.flavor == "sl" else "sl"))
+    assert X.is_zero() == (not any(any(row) for row in A))
+    assert X.trace() == sum((A[i][i] for i in range(size)), Fraction(0))
+    assert type(X.trace()) is Fraction
+    assert X.describe() == _dense_describe(A)
+    assert X.scale(s).describe() == _dense_describe([[s * a for a in row] for row in A])
+    assert bracket(X, Y).describe() == _dense_describe(
+        [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(_dense_matmul(A, B), _dense_matmul(B, A))]
+    )
+    pd = parabolic(size - 1, X.flavor)
+    assert pd.in_g_prime(X) == all(
+        A[i][j] == 0 for i in range(size) for j in range(size) if last in (i, j)
+    )
+    # every result stores sorted distinct columns and no zeros, so equal is identical
+    results = (X, X.add(Y), X.sub(Y), X.scale(s), X.matmul(Y), bracket(X, Y), *pd.gn_project(X))
+    for row in (row for Z in results for row in Z.entries):
+        assert [j for j, _ in row] == sorted({j for j, _ in row}) and all(v for _, v in row)
+
+
+@st.composite
+def series_cases(draw):
+    """(pd, X, num_x, x): X a sparse matrix of g (of g' when num_x = n - 1), x a point."""
+    n = draw(st.integers(2, 8))
+    pd = parabolic(n, draw(st.sampled_from(["sl", "gl"])))
+    num_x = draw(st.sampled_from([n, n - 1]))
+    top = pd.size if num_x == n else n
+    cells = st.tuples(st.integers(0, top - 1), st.integers(0, top - 1), _entries)
+    units = {(i, j): v for i, j, v in draw(st.lists(cells, max_size=6))}
+    X = LieElement.from_units(pd.size, pd.flavor, units.items())
+    x = draw(st.lists(_entries, min_size=num_x, max_size=num_x))
+    return pd, X, num_x, x
+
+
+@given(series_cases())
+@settings(max_examples=120, deadline=None)
+def test_ad_series_matches_dense_expansion(case):
+    """Ad(exp(-Y)) X = X - [Y, X] + 1/2 [Y, [Y, X]] at a point, Y = sum x_k N_k^-, densely."""
+    from fmethod.rep import _ad_series
+
+    pd, X, num_x, x = case
+    size = pd.size
+    Y = tuple(
+        tuple(x[i - 1] if j == 0 and 1 <= i <= num_x else Fraction(0) for j in range(size))
+        for i in range(size)
+    )
+
+    def dense_bracket(P, Q):
+        PQ, QP = _dense_matmul(P, Q), _dense_matmul(Q, P)
+        return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(PQ, QP))
+
+    A = _dense(X)
+    ad1 = dense_bracket(Y, A)
+    ad2 = dense_bracket(Y, ad1)
+    expected = tuple(
+        tuple(a - b + c / 2 for a, b, c in zip(ra, rb, rc)) for ra, rb, rc in zip(A, ad1, ad2)
+    )
+    got = [[Fraction(0)] * size for _ in range(size)]
+    for mono, L in _ad_series(X, pd, num_x).items():
+        assert sum(mono) <= 2 and not L.is_zero()
+        weight = Fraction(1)
+        for xv, e in zip(x, mono):
+            weight *= xv**e
+        for i, row in enumerate(_dense(L)):
+            for j, v in enumerate(row):
+                got[i][j] += weight * v
+    assert tuple(map(tuple, got)) == expected

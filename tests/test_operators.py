@@ -243,6 +243,17 @@ def test_factorization_fails_when_the_ido_drops_a_falling_factorial(monkeypatch)
     assert rep["counterexample"] is not None
 
 
+def test_factorization_fails_when_the_ido_has_the_wrong_order_above_the_cap(monkeypatch):
+    # m + l = 7 exceeds the cap 6: every route is 0 below degree 7, so only
+    # checking up to degree m + l sees that route c's IDO has order 8
+    ido = operators.build_ido
+    monkeypatch.setattr(operators, "build_ido", lambda k, n: ido(8 if k == 7 else k, n))
+    rep = verify_factorization_sbo(4, 3, 3, 6)
+    assert rep["status"] == "fail"
+    assert rep["counterexample"] is not None
+    assert rep["degree_cap"] == 6 and rep["monomials_checked"] == math.comb(7 + 3, 3)
+
+
 def test_fg_stability_small_weights():
     for n in (2, 3):
         for k in (1, 2, 3):

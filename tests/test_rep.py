@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from fmethod.rep import (
     SymFiber,
     TargetRepParams,
     VectorValuedPolynomial,
+    _affine_parts,
     dpi_hat,
     dpi_lambda,
     dpi_lambda_star,
@@ -337,6 +339,27 @@ def test_verma_action_matches_direct_induced_operator(primed, degree, data):
     dw = module.dual_weights()
     fiber = ScalarFiber(dw) if degree == 0 else SymFiber(degree, module.num_vars, dw)
     _same(_verma_action(module, X), induced_operator(X, pd, module.num_vars, fiber).fourier())
+
+
+@given(st.booleans(), st.integers(-1, 2), st.booleans(), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_affine_parts_match_unit_weight_operators(primed, ell, dual, fourier, data):
+    """Each part read off the Ad series is the operator at a unit weight minus `base`."""
+    pd, X = data.draw(elements(primed=primed))
+    num_x = pd.n - 1 if primed else pd.n
+    zeros = tuple(Fraction(0) for _ in pd.two_rho())
+    shape = ScalarFiber(zeros) if ell < 0 else SymFiber(ell, num_x, zeros, dual)
+    base = induced_operator(X, pd, num_x, shape)
+    expected = [base]
+    for i in range(len(zeros)):
+        unit = tuple(Fraction(int(i == j)) for j in range(len(zeros)))
+        expected.append(induced_operator(X, pd, num_x, replace(shape, weights=unit)) - base)
+    if fourier:
+        expected = [op.fourier() for op in expected]
+    got = _affine_parts(X, pd, num_x, shape, fourier)
+    assert len(got) == len(expected)
+    for op, ref in zip(got, expected):
+        _same(op, ref)
 
 
 # -- OperatorOnVV arithmetic is the entrywise Weyl arithmetic -------------------

@@ -423,3 +423,66 @@ def test_gl_module_default_sign_is_plus_on_both_characters():
     assert default == explicit
     v = default.unit((1, 2), ())
     assert default.gamma_action(gamma, v) == explicit.gamma_action(gamma, v)
+
+
+# -- check_hom_equivariance against the loop it replaced ---------------------------
+
+
+def _reference_hom_check(h, degree_cap):
+    """The check as it ran before it applied h once per source vector."""
+    pd = h.source.pd
+    primed = h.source.primed
+    violations = []
+    for X in pd.g_basis(primed=primed):
+        srcop = h.source.action(X)
+        tgtop = h.target.action(X)
+        for g in range(degree_cap + 1):
+            for mono, lbl in h.source.basis(g):
+                v = h.source.unit(mono, lbl)
+                lhs = h.apply(srcop.apply(v))
+                rhs = tgtop.apply(h.apply(v))
+                if not (lhs - rhs).is_zero():
+                    violations.append({"X": X.describe(), "grade": g, "vector": (mono, lbl)})
+                    break
+            if violations and violations[-1]["X"] == X.describe():
+                break
+    sign_violations = []
+    for gamma in pd.gamma_elements(primed=primed):
+        for lbl in h.source.fiber_labels():
+            v = h.source.unit((0,) * h.source.num_vars, lbl)
+            lhs = h.apply(h.source.gamma_action(gamma, v))
+            rhs = h.target.gamma_action(gamma, h.apply(v))
+            if not (lhs - rhs).is_zero():
+                sign_violations.append({"gamma": gamma.describe(), "label": lbl})
+    return violations, sign_violations
+
+
+def _scaled_on_one_label(h, s):
+    """h with the image of its last source label multiplied by s."""
+    *keep, (lbl, img) = h.images
+    return dataclasses.replace(h, images=(*keep, (lbl, img.scale(s))))
+
+
+def _wrong_sign_hom():
+    src = VermaModule.scalar_primed(3, Fraction(2), sign=(0,))
+    tgt = VermaModule.scalar(3, Fraction(3), sign=(0,))
+    image = VectorValuedPolynomial(3, {(): Polynomial.monomial(3, (0, 0, 1), 1, "zeta")}, "zeta")
+    return VermaHom(src, tgt, (((), image),))
+
+
+@pytest.mark.parametrize(
+    "make, degree_cap, status",
+    [
+        (lambda: build_emb(1, 1, 3), 2, "pass"),
+        (lambda: _scaled_on_one_label(build_emb(1, 1, 3), 2), 2, "fail"),
+        (lambda: _scaled_on_one_label(build_emb(1, 2, 3), Fraction(-1, 3)), 2, "fail"),
+        (lambda: _scaled_on_one_label(build_phi_k(2, 3), 5), 2, "fail"),
+        (lambda: _scaled_on_one_label(build_emb(1, 1, 3, flavor="gl", lam2=Fraction(1, 2)), 3), 2, "fail"),
+        (_wrong_sign_hom, 1, "fail"),
+    ],
+)
+def test_hom_check_matches_reference_loop(make, degree_cap, status):
+    h = make()
+    report = check_hom_equivariance(h, degree_cap)
+    assert (report["violations"], report["sign_violations"]) == _reference_hom_check(h, degree_cap)
+    assert report["status"] == status
