@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .branch import verify_branching
-from .engine import row_key, run_cell, scan_jobs
+from .engine import DEFAULT_LAMBDA2_SAMPLES, DEFAULT_SAMPLES, row_key, run_cell, scan_jobs
 from .operators import (
     build_sbo,
     check_equivariance,
@@ -262,8 +262,8 @@ def build_parser():
     c.add_argument("--m-max", type=_int_at_least(0), default=3)
     c.add_argument("--l-max", type=_int_at_least(0), default=3)
     c.add_argument("--k-max", type=_int_at_least(0), default=4)
-    c.add_argument("--lambda-samples", type=_fractions, default="1/3,5,-7/2")
-    c.add_argument("--lambda2-samples", type=_fractions, default="0,1/2")
+    c.add_argument("--lambda-samples", type=_fractions, default=DEFAULT_SAMPLES)
+    c.add_argument("--lambda2-samples", type=_fractions, default=DEFAULT_LAMBDA2_SAMPLES)
     scan = c.add_mutually_exclusive_group()
     scan.add_argument("--ido", action="store_true", help="scan intertwining operators (full nilradical)")
     scan.add_argument("--homs", action="store_true", help="scan Verma-module homomorphisms")

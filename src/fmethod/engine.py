@@ -262,11 +262,11 @@ class _SolveContext:
     A pair (zeta^m, label) is kept when every diagonal element has the same
     eigenvalue on zeta^m as on the label, and every component group
     generator the same sign.  Each condition is scaled to an integer
-    equation  form . m == scale * (m-part eigenvalue on the label) + shift,
-    with shift = (fiber weight - c0) * scale; the gamma signs become
-    parities of m over the coordinates where gamma acts by -1.  The label
-    keys are built on first use, so in a lambda-family only the member that
-    enumerates builds them.
+    equation  form . m == scale * (m-part eigenvalue on the label + shift),
+    with shift = fiber weight - c0; the gamma signs become parities of m
+    over the coordinates where gamma acts by -1.  The integer forms and the
+    label keys are built on first use, so in a lambda-family only the member
+    that enumerates builds them.
     """
 
     def __init__(self, source, target, connected=False, full_nilradical=False):
@@ -285,13 +285,11 @@ class _SolveContext:
         self.raising = tuple(
             (dpi_hat(Z, source), self.fiber.m_action(Z, self.pd)) for Z in self.lie.raising
         )
-        forms, scaled = [], []
+        diag = []  # (coefficients c, fiber weight - c0) of each diagonal element
         for Z in self.lie.diag:
             c0, coeffs = _eigenvalue_form(dpi_hat(Z, source))
-            scale = math.lcm(*(c.denominator for c in coeffs))
-            forms.append(tuple(int(c * scale) for c in coeffs))
-            scaled.append((scale, (self.fiber.weight(Z, self.pd) - c0) * scale))
-        self._forms, self._scaled = tuple(forms), tuple(scaled)
+            diag.append((tuple(coeffs), self.fiber.weight(Z, self.pd) - c0))
+        self._diag = tuple(diag)
         self._gamma = None if connected else (
             full_nilradical, source.alpha, target.beta, target.ell
         )
@@ -302,28 +300,36 @@ class _SolveContext:
     def shared(self):
         """The check key: everything `unknowns_at_degree` and `equivariant_vectors` read.
 
-        It holds the algebra, the integer forms, each diagonal element's
-        (scale, shift), the fiber degree and block, the gamma data
-        (None when connected) and the raising (operator, m-action) pairs.
-        Building it reads dpi_hat at every diagonal and raising element but
-        no label.  The label keys are a function of the key, so two contexts
-        with equal keys give equal results in both stages.
+        It holds the algebra, each diagonal element's coefficients and
+        fiber weight - c0, the fiber degree and block, the gamma data (None
+        when connected) and the raising (operator, m-action) pairs.  Building
+        it reads dpi_hat at every diagonal and raising element but no label,
+        and scales nothing.  The integer forms and label keys are functions
+        of the key, so two contexts with equal keys give equal results in
+        both stages.
         """
         return (
-            self.pd, self._forms, self._scaled, self.fiber.degree, self.fiber.block,
-            self._gamma, self.raising,
+            self.pd, self._diag, self.fiber.degree, self.fiber.block, self._gamma, self.raising,
         )
 
     @cached_property
-    def _labels_by_key(self):
-        """{key: labels}: each label under its integer targets, then gamma parities."""
+    def _keys(self):
+        """(integer forms, {key: labels}): labels under their integer targets, then gamma parities.
+
+        Each diagonal element's scale is the lcm of the denominators of its
+        coefficients c, so it turns c into an integer form.
+        """
         fiber, pd = self.fiber, self.pd
         labels = fiber.labels(pd)
         targets = {lbl: [] for lbl in labels}
-        for Z, (scale, shift) in zip(self.lie.diag, self._scaled):
+        forms = []
+        for Z, (coeffs, shift) in zip(self.lie.diag, self._diag):
+            scale = math.lcm(*(c.denominator for c in coeffs))
+            forms.append(tuple(int(c * scale) for c in coeffs))
             acts = fiber.m_action(Z, pd)
             if any(k[0] != k[1] for k in acts):
                 raise ValueError("fiber action of a diagonal element is not diagonal")
+            shift *= scale
             for lbl in labels:
                 targets[lbl].append(acts.get((lbl, lbl), 0) * scale + shift)
         out = {}
@@ -332,7 +338,7 @@ class _SolveContext:
             if all(t.denominator == 1 for t in targets[lbl]):
                 key = tuple(int(t) for t in targets[lbl]) + self._parities.get(lbl, ())
                 out.setdefault(key, []).append(lbl)
-        return out
+        return tuple(forms), out
 
     # -- enumeration ----------------------------------------------------------
 
@@ -343,13 +349,12 @@ class _SolveContext:
         monomials come from `monomial_basis` and each key's labels keep the
         order of `fiber.labels`, both descending.
         """
-        labels_by_key = self._labels_by_key
-        a_prime = self._forms[0]
-        lo, hi = degree * min(a_prime), degree * max(a_prime)
+        forms, labels_by_key = self._keys
+        lo, hi = degree * min(forms[0]), degree * max(forms[0])
         if not any(lo <= key[0] <= hi for key in labels_by_key):
             return []
         out = []
-        for mono, key in _monomial_keys(self.n, degree, self._forms, self._gamma_masks):
+        for mono, key in _monomial_keys(self.n, degree, forms, self._gamma_masks):
             out.extend((mono, lbl) for lbl in labels_by_key.get(key, ()))
         return out
 
@@ -535,68 +540,100 @@ def same_solution_span(a, b) -> bool:
 
 # -- classification scans -----------------------------------------------------
 #
-# A scan is the list of jobs from `scan_jobs`, one per lambda-family: the
-# cells of fixed (m, ell, signs), or of fixed k for the intertwining
-# operators, that differ only in lambda (and lambda_2 for GL) at a fixed gap
-# nu - lambda.  The SL, GL and homs families come from one grid (`_grid`);
-# each family function solves its cells through `_rows`, one row per cell,
-# and `row_key` orders the table.  `classify` and the CLI, which may map the
-# jobs over a process pool, share all of them.
+# A scan is the list of `Family` records from `scan_jobs`, one per
+# lambda-family: the cells of fixed (m, ell, signs), or of fixed k for the
+# intertwining operators, that differ only in lambda (and lambda_2 for GL) at
+# a fixed gap nu - lambda.  `scan_jobs` builds the SL, GL and homs records
+# from one grid (`_grid`) and the IDO records from the orders k.  `run_cell`
+# hands a record to the row builder of its kind, which solves the members
+# together through `_rows`, one row per member, and `row_key` orders the
+# table.  `classify` and the CLI, which may map the records over a process
+# pool, share all of them.
 
 DEFAULT_SAMPLES = (Fraction(1, 3), Fraction(5), Fraction(-7, 2))
+DEFAULT_LAMBDA2_SAMPLES = (Fraction(0), Fraction(1, 2))
+
+
+@dataclass(frozen=True)
+class Family:
+    """One lambda-family: the unit of a scan and of a `--jobs` worker.
+
+    `kind` is the row flavor: sl, gp (homs), gprime (connected homs), gl,
+    sl-ido or gl-ido.  `ell` is the order k for the IDO kinds, whose signs
+    are alpha = 0 and beta = the parity of k.  `lams` holds the first lambda
+    components, critical value first (-s for homs); `lam2s` the second
+    ones, (None,) for SL.
+    """
+
+    kind: str
+    n: int
+    m: int
+    ell: int
+    alpha: int
+    beta: int
+    lams: tuple
+    lam2s: tuple = (None,)
+
+    @property
+    def flavor(self):
+        return GL if self.kind.startswith("gl") else SL
+
+    @property
+    def signs(self):
+        """(alphas, betas); the second GL signs are +."""
+        pad = (0,) if self.flavor == GL else ()
+        return (self.alpha,) + pad, (self.beta,) + pad
+
+    def members(self):
+        """Each member's lambda components, lambda_2 fastest."""
+        return [(lam,) if lam2 is None else (lam, lam2) for lam in self.lams for lam2 in self.lam2s]
 
 
 def _critical_first(critical, samples):
-    """The critical value, then every sample not equal to it, as Fractions."""
-    values = [Fraction(critical)]
-    for s in samples:
-        s = Fraction(s)
-        if s not in values:
-            values.append(s)
-    return tuple(values)
+    """The critical value, then every sample not equal to an earlier value, as Fractions."""
+    return tuple(dict.fromkeys(map(Fraction, (critical, *samples))))
 
 
-def _grid(m_max, l_max, critical, samples, alphas=(0, 1), flips=(0, 1)):
-    """Families (m, ell, values, alpha, beta), values = critical(m + ell) first.
+def _grid(m_max, l_max, samples, alphas, flips):
+    """Families (m, ell, lambdas, alpha, beta), lambdas = 1 - (m + ell) first.
 
     beta is the matched sign alpha + (m + ell) for flip 0, the other for 1.
     """
     for m in range(m_max + 1):
         for ell in range(l_max + 1):
-            values = _critical_first(critical(m + ell), samples)
+            lams = _critical_first(1 - (m + ell), samples)
             for alpha in alphas:
                 matched = sign_shift(alpha, m + ell)
                 for flip in flips:
-                    yield m, ell, values, alpha, sign_shift(matched, flip)
+                    yield m, ell, lams, alpha, sign_shift(matched, flip)
 
 
-def _head(flavor, n, alphas, betas, ell, pair):
-    """A row's parameters in table order: flavor, n, alpha, beta, l, then
-    `pair` (lambda, nu or s, r); GL pairs print comma-joined."""
+def _rows(family, cells, degree_cap, **mode):
+    """Solve a family's cells (pair, source, target, predicted, expected) together
+    and compare each with its predicted dimension and basis.
+
+    A row's parameters come in table order: flavor, n, alpha, beta, l, then
+    `pair` (lambda, nu or s, r); GL pairs print comma-joined.
+    """
+    sols = solve_family([(src, tgt) for _, src, tgt, _, _ in cells], degree_cap, **mode)
+    alphas, betas = family.signs
     head = {
-        "flavor": flavor,
-        "n": n,
+        "flavor": family.kind,
+        "n": family.n,
         "alpha": ",".join(map(sign_str, alphas)),
         "beta": ",".join(map(sign_str, betas)),
-        "l": ell,
+        "l": family.ell,
     }
-    head.update((key, ",".join(map(str, values))) for key, values in pair.items())
-    return head
-
-
-def _rows(cells, degree_cap, **mode):
-    """Solve a family's cells (head, source, target, predicted, expected) together
-    and compare each with its predicted dimension and basis."""
-    sols = solve_family([(src, tgt) for _, src, tgt, _, _ in cells], degree_cap, **mode)
     return [
         {
             **head,
+            **{key: ",".join(map(str, values)) for key, values in pair.items()},
             "predicted_dim": predicted,
             "computed_dim": sol.dim,
             "basis_symbols": "; ".join(str(v) for v in sol.basis),
             "ok": sol.dim == predicted and same_solution_span(sol.basis, expected),
         }
-        for (head, _, _, predicted, expected), sol in zip(cells, sols)
+        for (pair, _, _, predicted, expected), sol in zip(cells, sols)
     ]
 
 
@@ -626,102 +663,63 @@ def _expected_basis(rec: dict, n: int):
     return []
 
 
-def classify_sl_cells(n, m_max, l_max, lambda_samples=DEFAULT_SAMPLES):
-    return list(_grid(m_max, l_max, lambda d: 1 - d, lambda_samples))
+def classify_sl_cell(family):
+    """Rows of an SL family, one per lambda.
 
-
-def classify_sl_cell(n, cell):
-    """Rows of the SL family (m, ell, lambdas, alpha, beta), one per lambda."""
-    m, ell, lams, alpha, beta = cell
-    return _sl_rows("sl", n, m, ell, [Fraction(x) for x in lams], alpha, beta)
-
-
-def classify_homs_cells(n, m_max, l_max, s_samples=DEFAULT_SAMPLES, connected=False):
-    """Verma-side families (m, ell, s values, alpha, beta); g'-homomorphisms ignore the sign."""
-    flips = (0,) if connected else (0, 1)
-    return list(_grid(m_max, l_max, lambda d: d - 1, s_samples, (0,), flips))
-
-
-def classify_homs_cell(n, cell, connected=False):
-    """(g',P')- or g'-homomorphisms: the SL family at (lambda, nu) = (-s, -r)."""
-    m, ell, svals, alpha, beta = cell
-    flavor = "gprime" if connected else "gp"
-    return _sl_rows(flavor, n, m, ell, [-Fraction(s) for s in svals], alpha, beta, connected)
-
-
-def _sl_rows(flavor, n, m, ell, lams, alpha, beta, connected=False):
-    """Solve and check the SL family at each lambda; homs rows show (s, r) = (-lambda, -nu)."""
-    gap = m + Fraction(n, n - 1) * ell
+    A homs family (kind gp, or gprime for the g'-homomorphisms) is the SL
+    family at (lambda, nu) = (-s, -r); its rows show (s, r).
+    """
+    n, ell, alpha = family.n, family.ell, family.alpha
+    connected = family.kind == "gprime"
+    gap = family.m + Fraction(n, n - 1) * ell
     cells = []
-    for lam in lams:
+    for (lam,) in family.members():
         nu = lam + gap
-        q = SLQuadruple(alpha, beta, ell, lam, nu).canonical(n)
+        q = SLQuadruple(alpha, family.beta, ell, lam, nu).canonical(n)
         if connected:
             predicted = predicted_dim_sl_connected(q.ell, lam, nu, n)
             rec = in_lambda_sl_connected(q.ell, lam, nu, n)
         else:
             predicted, rec = predicted_dim_sl(q, n), in_lambda_sl(q, n)
-        pair = {"lambda": (lam,), "nu": (nu,)} if flavor == "sl" else {"s": (-lam,), "r": (-nu,)}
+        pair = {"lambda": (lam,), "nu": (nu,)} if family.kind == "sl" else {"s": (-lam,), "r": (-nu,)}
         cells.append((
-            _head(flavor, n, (alpha,), (beta,), ell, pair),
-            ScalarRepParams.sl(n, lam, alpha), TargetRepParams.sl(n, nu, ell=q.ell, beta=q.beta),
+            pair, ScalarRepParams.sl(n, lam, alpha), TargetRepParams.sl(n, nu, ell=q.ell, beta=q.beta),
             predicted, _expected_basis(rec, n),
         ))
-    return _rows(cells, weight_degree_cap(gap), connected=connected)
+    return _rows(family, cells, weight_degree_cap(gap), connected=connected)
 
 
-def classify_gl_cells(
-    n, m_max, l_max, lambda_samples=DEFAULT_SAMPLES, lambda2_samples=(Fraction(0), Fraction(1, 2))
-):
-    lam2s = tuple(Fraction(x) for x in lambda2_samples)
-    return [
-        (m, ell, lam1s, lam2s, a1, b1)
-        for m, ell, lam1s, a1, b1 in _grid(m_max, l_max, lambda d: 1 - d, lambda_samples)
-    ]
-
-
-def classify_gl_cell(n, cell):
-    """Rows of the GL family (m, ell, lambda_1s, lambda_2s, alpha_1, beta_1), one per pair."""
-    m, ell, lam1s, lam2s, a1, b1 = cell
-    alphas, betas = (a1, 0), (b1, 0)
-    gaps = (m + Fraction(n, n - 1) * ell, -Fraction(ell, n - 1))
+def classify_gl_cell(family):
+    """Rows of a GL family, one per (lambda_1, lambda_2)."""
+    n, ell = family.n, family.ell
+    alphas, betas = family.signs
+    gaps = (family.m + Fraction(n, n - 1) * ell, -Fraction(ell, n - 1))
     cells = []
-    for lam1 in lam1s:
-        for lam2 in lam2s:
-            lams = (Fraction(lam1), Fraction(lam2))
-            nus = (lams[0] + gaps[0], lams[1] + gaps[1])
-            t = GLTuple(alphas, betas, ell, lams, nus)
-            cells.append((
-                _head("gl", n, alphas, betas, ell, {"lambda": lams, "nu": nus}),
-                ScalarRepParams(n, GL, alphas, lams), TargetRepParams(n, GL, betas, nus, ell),
-                predicted_dim_gl(t, n), _expected_basis(in_lambda_gl(t, n), n),
-            ))
-    return _rows(cells, weight_degree_cap(gaps[0]))
+    for lams in family.members():
+        nus = (lams[0] + gaps[0], lams[1] + gaps[1])
+        t = GLTuple(alphas, betas, ell, lams, nus)
+        cells.append((
+            {"lambda": lams, "nu": nus},
+            ScalarRepParams(n, GL, alphas, lams), TargetRepParams(n, GL, betas, nus, ell),
+            predicted_dim_gl(t, n), _expected_basis(in_lambda_gl(t, n), n),
+        ))
+    return _rows(family, cells, weight_degree_cap(gaps[0]))
 
 
-def classify_ido_cells(n, k_max, lambda_samples=DEFAULT_SAMPLES, flavor=SL,
-                       lambda2_samples=(Fraction(0),)):
-    second = (None,) if flavor == SL else tuple(Fraction(x) for x in lambda2_samples)
-    return [(k, _critical_first(1 - k, lambda_samples), second) for k in range(k_max + 1)]
-
-
-def classify_ido_cell(n, cell, flavor=SL):
-    """Rows of the order-k family (k, lambdas, lambda_2s), lambda_2s = (None,) for SL."""
-    k, lam1s, lam2s = cell
+def classify_ido_cell(family):
+    """Rows of the order-k family (k = `ell`), one per lambda (SL) or (lambda_1, lambda_2) (GL)."""
+    n, k, flavor = family.n, family.ell, family.flavor
+    alphas, deltas = family.signs
     cells = []
-    for lam in lam1s:
-        for lam2 in lam2s:
-            lams = (Fraction(lam),) if flavor == SL else (Fraction(lam), Fraction(lam2))
-            alphas = (0,) * len(lams)
-            deltas = (sign_shift(0, k),) + alphas[1:]
-            taus = (lams[0] + Fraction(n + 1, n) * k,) + tuple(x - Fraction(k, n) for x in lams[1:])
-            predicted = predicted_dim_ido(n, alphas, deltas, k, lams, taus)
-            cells.append((
-                _head(f"{flavor}-ido", n, alphas, deltas, k, {"lambda": lams, "nu": taus}),
-                ScalarRepParams(n, flavor, alphas, lams), TargetRepParams(n, flavor, deltas, taus, k),
-                predicted, [ido_symbol_vector(k, n)] if predicted == 1 else [],
-            ))
-    return _rows(cells, k, full_nilradical=True)
+    for lams in family.members():
+        taus = (lams[0] + Fraction(n + 1, n) * k,) + tuple(x - Fraction(k, n) for x in lams[1:])
+        predicted = predicted_dim_ido(n, alphas, deltas, k, lams, taus)
+        cells.append((
+            {"lambda": lams, "nu": taus},
+            ScalarRepParams(n, flavor, alphas, lams), TargetRepParams(n, flavor, deltas, taus, k),
+            predicted, [ido_symbol_vector(k, n)] if predicted == 1 else [],
+        ))
+    return _rows(family, cells, k, full_nilradical=True)
 
 
 def scan_jobs(
@@ -730,37 +728,46 @@ def scan_jobs(
     m_max=3,
     l_max=3,
     lambda_samples=DEFAULT_SAMPLES,
-    lambda2_samples=(Fraction(0), Fraction(1, 2)),
+    lambda2_samples=DEFAULT_LAMBDA2_SAMPLES,
     ido=False,
     k_max=4,
     homs=False,
     connected=False,
 ):
-    """One job per lambda-family: (name of the family function, n, family, options...).
+    """One `Family` per lambda-family of the scan.
 
     `homs` scans the SL homomorphisms and takes `lambda_samples` as s
-    samples; otherwise `ido` picks the intertwining operators of `flavor`.
+    samples; their alpha is +, and the g'-homomorphisms (`connected`)
+    ignore the sign, so they take the matched beta only.  Otherwise `ido`
+    picks the intertwining operators of `flavor`.
     """
+    lam2s = (None,) if homs or flavor == SL else tuple(Fraction(x) for x in lambda2_samples)
     if homs:
-        cells = classify_homs_cells(n, m_max, l_max, lambda_samples, connected)
-        return [("classify_homs_cell", n, c, connected) for c in cells]
-    if ido:
-        cells = classify_ido_cells(n, k_max, lambda_samples, flavor, lambda2_samples)
-        return [("classify_ido_cell", n, c, flavor) for c in cells]
-    if flavor == SL:
-        return [("classify_sl_cell", n, c) for c in classify_sl_cells(n, m_max, l_max, lambda_samples)]
-    cells = classify_gl_cells(n, m_max, l_max, lambda_samples, lambda2_samples)
-    return [("classify_gl_cell", n, c) for c in cells]
+        kind = "gprime" if connected else "gp"
+        minus_s = [-Fraction(s) for s in lambda_samples]  # lambda = -s
+        grid = _grid(m_max, l_max, minus_s, (0,), (0,) if connected else (0, 1))
+    elif ido:
+        return [
+            Family(f"{flavor}-ido", n, 0, k, 0, sign_shift(0, k),
+                   _critical_first(1 - k, lambda_samples), lam2s)
+            for k in range(k_max + 1)
+        ]
+    else:
+        kind, grid = flavor, _grid(m_max, l_max, lambda_samples, (0, 1), (0, 1))
+    return [Family(kind, n, m, ell, alpha, beta, lams, lam2s) for m, ell, lams, alpha, beta in grid]
 
 
-def run_cell(job):
-    """Run one `scan_jobs` job: the rows of one lambda-family.
+def run_cell(family):
+    """The rows of one `scan_jobs` family.
 
-    The family function is read from the module namespace at call time, so
-    a wrapper bound there sees every family.
+    The row builders are named in the body, so each call reads them from
+    the module namespace: a wrapper bound there sees every family.
     """
-    name, *args = job
-    return globals()[name](*args)
+    if family.kind.endswith("-ido"):
+        return classify_ido_cell(family)
+    if family.kind == "gl":
+        return classify_gl_cell(family)
+    return classify_sl_cell(family)
 
 
 def row_key(row):
@@ -774,5 +781,5 @@ def classify(n, **options):
 
     Every row carries predicted vs computed.
     """
-    rows = (row for job in scan_jobs(n, **options) for row in run_cell(job))
+    rows = (row for family in scan_jobs(n, **options) for row in run_cell(family))
     return sorted(rows, key=row_key)

@@ -42,14 +42,31 @@ def test_cached_callable_reports_cache_info(modname, attr):
     assert callable(vars(module)[attr].cache_info)
 
 
-def test_scan_cells_run_through_module_bindings(monkeypatch):
+# one small scan per family kind, with the row builder that kind must reach
+KIND_SCANS = {
+    "sl": ({"m_max": 1, "l_max": 0}, "classify_sl_cell"),
+    "gp": ({"homs": True, "m_max": 1, "l_max": 0}, "classify_sl_cell"),
+    "gprime": ({"homs": True, "connected": True, "m_max": 1, "l_max": 0}, "classify_sl_cell"),
+    "gl": ({"flavor": "gl", "m_max": 1, "l_max": 0}, "classify_gl_cell"),
+    "sl-ido": ({"ido": True, "k_max": 2}, "classify_ido_cell"),
+    "gl-ido": ({"flavor": "gl", "ido": True, "k_max": 2}, "classify_ido_cell"),
+}
+ROW_BUILDERS = ("classify_sl_cell", "classify_gl_cell", "classify_ido_cell")
+
+
+@pytest.mark.parametrize("kind", KIND_SCANS)
+def test_scan_cells_run_through_module_bindings(monkeypatch, kind):
+    options, builder = KIND_SCANS[kind]
     seen = []
-    real = engine.classify_sl_cell
+    for name in ROW_BUILDERS:
+        def spy(family, name=name, real=getattr(engine, name)):
+            seen.append((name, family))
+            return real(family)
 
-    def spy(n, cell):
-        seen.append(cell)
-        return real(n, cell)
-
-    monkeypatch.setattr(engine, "classify_sl_cell", spy)
-    rows = engine.classify(2, m_max=0, l_max=0, lambda_samples=())
-    assert len(seen) == len(rows) == 4
+        monkeypatch.setattr(engine, name, spy)
+    families = engine.scan_jobs(2, lambda_samples=(), **options)
+    rows = engine.classify(2, lambda_samples=(), **options)
+    # every family reaches exactly one traced name, exactly once
+    assert seen == [(builder, family) for family in families]
+    assert {family.kind for family in families} == {kind}
+    assert len(rows) == sum(len(f.lams) * len(f.lam2s) for f in families) > 0

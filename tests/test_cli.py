@@ -229,8 +229,11 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
     [
         ("--m-max", "1", "--l-max", "0"),
         ("--homs", "--m-max", "1", "--l-max", "1"),
+        ("--flavor", "gl", "--m-max", "1", "--l-max", "0"),
+        ("--ido", "--k-max", "2"),
+        ("--flavor", "gl", "--ido", "--k-max", "2"),
     ],
-    ids=["sl", "homs"],
+    ids=["sl", "homs", "gl", "sl-ido", "gl-ido"],
 )
 def test_jobs_flag_matches_serial(capsys, monkeypatch, scan):
     # on a one-CPU host the clamp would run --jobs 2 serially; force the pool

@@ -9,6 +9,7 @@ from fmethod.algebra import Polynomial, monomial_basis, monomial_key
 from fmethod.engine import (
     _eigenvalue_form,
     _SolveContext,
+    Family,
     classify,
     classify_ido_cell,
     classify_sl_cell,
@@ -170,18 +171,28 @@ def test_sign_consistency_over_scan():
     assert hits > 0
 
 
+def _ido_family(n, k, lam):
+    """The SL order-k family at one lambda: alpha = +, beta = the parity of k."""
+    return Family("sl-ido", n, 0, k, 0, k % 2, (Fraction(lam),))
+
+
+def _sl_family(n, m, ell, *lams):
+    """The matched-sign SL family (m, l) at alpha = +."""
+    return Family("sl", n, m, ell, 0, (m + ell) % 2, tuple(map(Fraction, lams)))
+
+
 def test_ido_cells():
-    (row,) = classify_ido_cell(2, (3, (Fraction(-2),), (None,)))
+    (row,) = classify_ido_cell(_ido_family(2, 3, -2))
     assert row["ok"] and row["computed_dim"] == 1
-    (row,) = classify_ido_cell(3, (2, (Fraction(1, 3),), (None,)))
+    (row,) = classify_ido_cell(_ido_family(3, 2, Fraction(1, 3)))
     assert row["ok"] and row["computed_dim"] == 0
-    (row,) = classify_ido_cell(3, (2, (Fraction(-1),), (None,)))
+    (row,) = classify_ido_cell(_ido_family(3, 2, -1))
     assert row["ok"] and row["computed_dim"] == 1
 
 
 def test_classify_table_deterministic():
-    a = classify_sl_cell(3, (1, 1, (Fraction(-1),), 0, 0))
-    b = classify_sl_cell(3, (1, 1, (Fraction(-1),), 0, 0))
+    a = classify_sl_cell(_sl_family(3, 1, 1, -1))
+    b = classify_sl_cell(_sl_family(3, 1, 1, -1))
     assert a == b
 
 
@@ -286,9 +297,9 @@ def test_lambda_dependent_shared_stage_raises(monkeypatch, capsys, stage):
     _skewed_at_last_member(monkeypatch, set(engine._lie_data(pd, False).raising)
                            if stage == "offdiag" else {pd.h0_tilde_prime})
     with pytest.raises(ValueError, match="lambda-independent stage"):
-        classify_sl_cell(3, (1, 1, (Fraction(-1), Fraction(1, 3), Fraction(5), Fraction(-7, 2)), 0, 0))
+        classify_sl_cell(_sl_family(3, 1, 1, -1, Fraction(1, 3), 5, Fraction(-7, 2)))
     # a single member has nothing to disagree with
-    (row,) = classify_sl_cell(3, (1, 1, (Fraction(-7, 2),), 0, 0))
+    (row,) = classify_sl_cell(_sl_family(3, 1, 1, Fraction(-7, 2)))
     assert main(["classify", "--n", "3", "--m-max", "1", "--l-max", "1"]) == 3
     assert "internal error: a lambda-family's members differ" in capsys.readouterr().err
 

@@ -134,6 +134,36 @@ def test_factorization_fails_when_a_route_is_scaled(monkeypatch):
     assert rep["counterexample"] is not None
 
 
+@pytest.mark.parametrize("cap", [0, 1, 2, 3])
+def test_factorization_fails_at_every_cap_when_the_monomial_maps_double(monkeypatch, cap):
+    # Phi_(1,1) and phi_2 o Emb~ hold one monomial map each, Phi_(1,0) o phi'_1
+    # two: doubling every monomial image breaks the identity on the grade-0
+    # generators already, so no cap, 0 included, leaves the check vacuous
+    monomial_hom = verma._monomial_hom
+
+    def doubled(src, tgt, m=0):
+        h = monomial_hom(src, tgt, m)
+        return dataclasses.replace(h, images=tuple((lbl, img.scale(2)) for lbl, img in h.images))
+
+    assert verify_factorization_verma(1, 1, 3, cap)["status"] == "pass"
+    monkeypatch.setattr(verma, "_monomial_hom", doubled)
+    rep = verify_factorization_verma(1, 1, 3, cap)
+    assert rep["status"] == "fail"
+    assert rep["counterexample"] is not None
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 3])
+def test_hom_equivariance_fails_at_every_cap_over_a_wrong_source(cap):
+    # Phi_(1,1)'s images over a source of another weight: the grade-0
+    # generators already break equivariance, so no cap, 0 included, hides it
+    h = build_phi(1, 1, 3)
+    wrong = dataclasses.replace(h, source=VermaModule.fiber_primed(3, 1, Fraction(1, 2)))
+    assert wrong.source != h.source
+    assert check_hom_equivariance(h, cap)["status"] == "pass"
+    rep = check_hom_equivariance(wrong, cap)
+    assert rep["status"] == "fail" and rep["violations"]
+
+
 def test_hom_rejects_a_source_vector_of_the_other_role():
     h = build_phi(1, 1, 3)
     lbl = h.source.fiber_labels()[0]
