@@ -20,9 +20,16 @@ and callers hand whatever cancelled to a constructor unfiltered.
 
 Linear algebra has one kernel: `sparse_rref`, exact Gauss-Jordan
 elimination on sparse {column: Fraction} rows.  `sparse_nullspace`,
-`rref_basis`, `rank_of_vectors`, `same_span` and the dense `Matrix`
-adapter all reduce through it.  The reduced row echelon form is unique,
-so every canonical basis is independent of how the rows were produced.
+`rref_basis`, `same_span` and the dense `Matrix` adapter all reduce
+through it.  The reduced row echelon form is unique, so every canonical
+basis is independent of how the rows were produced.
+
+Coordinate vectors are sparse dicts everywhere: the vectors these
+functions return map a column to a nonzero Fraction, the rows they take
+may also hold zeros (the kernel drops them), and a column is any key that
+orders against the others (an index, or a (monomial, label) pair).
+`Matrix` is the only dense form, the reference that `_sparse` and
+`_densify` convert for.
 
 Values are immutable after construction and safe to share.
 """
@@ -382,7 +389,8 @@ class Matrix:
 
     def nullspace(self) -> list[list[Fraction]]:
         """Basis of the kernel, RREF convention, first nonzero entry 1."""
-        return sparse_nullspace(_sparse(self.rows), self.ncols)
+        basis = sparse_nullspace(_sparse(self.rows), self.ncols)
+        return [_densify(v, self.ncols) for v in basis]
 
     def mul_vector(self, v):
         return [sum((row[j] * v[j] for j in range(self.ncols)), Fraction(0)) for row in self.rows]
@@ -444,41 +452,33 @@ def _subtract(row: dict, f, pivot_row: dict, p) -> None:
                 del row[c]
 
 
-def sparse_nullspace(rows, ncols: int) -> list[list[Fraction]]:
-    """Kernel basis of sparse rows ({column: value} dicts) over `ncols` columns.
+def sparse_nullspace(rows, ncols: int) -> list[dict]:
+    """Kernel basis of sparse rows ({column: value} dicts) over columns 0..ncols-1.
 
-    One vector per free column of the RREF, in column order, scaled so its
-    first nonzero entry is 1.  No rows at all leave every column free: the
-    unit basis.
+    One {column: Fraction} vector per free column of the RREF, in column
+    order, with its columns ascending and its first entry 1.  No rows at
+    all leave every column free: the unit basis.
     """
     reduced = sparse_rref(rows)
-    basis = {}
-    for c in range(ncols):
-        if c not in reduced:
-            basis[c] = [Fraction(0)] * ncols
-            basis[c][c] = Fraction(1)
+    basis = {c: {} for c in range(ncols) if c not in reduced}
     for p, row in reduced.items():
         for c, x in row.items():
             if c != p:
                 basis[c][p] = -x
     out = []
-    for v in basis.values():
-        lead = next(x for x in v if x)
-        out.append(v if lead == 1 else [x / lead for x in v])
+    for c, v in basis.items():
+        # every pivot in v lies left of its free column c
+        v[c] = Fraction(1)
+        lead = next(iter(v.values()))
+        out.append(v if lead == 1 else {k: x / lead for k, x in v.items()})
     return out
 
 
-def rref_basis(vectors: list[list[Fraction]]) -> list[list[Fraction]]:
-    """The nonzero RREF rows of coordinate vectors: the canonical basis of their span."""
-    ncols = len(vectors[0]) if vectors else 0
-    return [_densify(row, ncols) for row in sparse_rref(_sparse(vectors)).values()]
+def rref_basis(rows) -> list[dict]:
+    """The nonzero RREF rows of sparse vectors: the canonical basis of their span."""
+    return list(sparse_rref(rows).values())
 
 
-def rank_of_vectors(vectors: list[list[Fraction]]) -> int:
-    """Rank of a list of coordinate vectors (possibly empty)."""
-    return len(sparse_rref(_sparse(vectors)))
-
-
-def same_span(a: list[list[Fraction]], b: list[list[Fraction]]) -> bool:
-    """Exact span equality: two row spaces are equal iff their RREFs are."""
-    return sparse_rref(_sparse(a)) == sparse_rref(_sparse(b))
+def same_span(a, b) -> bool:
+    """Exact span equality of sparse vectors: two row spaces are equal iff their RREFs are."""
+    return sparse_rref(a) == sparse_rref(b)

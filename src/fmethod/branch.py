@@ -167,9 +167,7 @@ def invariants_in(n: int, s, grade_cap: int, min_grade: int = 0) -> InvariantRep
                     for om, c in q.terms.items():
                         rows.setdefault((jop, om), {})[col] = c
             for vec in sparse_nullspace(rows.values(), len(block)):
-                poly = Polynomial(
-                    n, {mono: c for mono, c in zip(block, vec) if c}, "zeta"
-                )
+                poly = Polynomial(n, {block[c]: x for c, x in vec.items()}, "zeta")
                 found.append(poly)
                 per_weight[w] = per_weight.get(w, 0) + 1
         if found:

@@ -63,7 +63,6 @@ from functools import cached_property, lru_cache
 from .algebra import (
     Polynomial,
     monomial_basis,
-    monomial_key,
     rref_basis,
     same_span,
     sparse_nullspace,
@@ -99,7 +98,7 @@ class EquivariantSpace:
     target: TargetRepParams
     degree: int
     unknowns: list
-    basis_vectors: list  # coefficient vectors over `unknowns`
+    basis_vectors: list  # sparse {index into `unknowns`: coefficient} vectors
     connected: bool = False
     full_nilradical: bool = False
 
@@ -128,10 +127,11 @@ class SolutionSpace:
 
 
 def _vector_to_vvp(vec, unknowns, arity) -> VectorValuedPolynomial:
+    """The VVP of a sparse vector over `unknowns`, built in column order."""
     comps = {}
-    for coeff, (mono, lbl) in zip(vec, unknowns):
-        if coeff:
-            comps.setdefault(lbl, {})[mono] = coeff
+    for col in sorted(vec):
+        mono, lbl = unknowns[col]
+        comps.setdefault(lbl, {})[mono] = vec[col]
     return VectorValuedPolynomial(
         arity, {l: Polynomial(arity, t, "zeta") for l, t in comps.items()}, "zeta"
     )
@@ -387,9 +387,8 @@ class _SolveContext:
             return []
         rows = {}
         for b, vec in enumerate(eq_vectors):
-            for coeff, (mono, lbl) in zip(vec, unknowns):
-                if not coeff:
-                    continue
+            for col, coeff in vec.items():
+                mono, lbl = unknowns[col]
                 p = Polynomial.monomial(self.n, mono, coeff, "zeta")
                 for jop, op in enumerate(self.fsys_ops):
                     q = op.apply(p)
@@ -397,11 +396,11 @@ class _SolveContext:
                         _add_entry(rows, (jop, lbl, om), b, c)
         out = []
         for cv in sparse_nullspace(rows.values(), len(eq_vectors)):
-            full = [Fraction(0)] * len(unknowns)
-            for b, w in enumerate(cv):
-                if w:
-                    for i, x in enumerate(eq_vectors[b]):
-                        full[i] += w * x
+            # a cancelled entry stays as 0; `rref_basis` drops it
+            full = {}
+            for b, w in cv.items():
+                for i, x in eq_vectors[b].items():
+                    full[i] = full[i] + w * x if i in full else w * x
             out.append(full)
         return out
 
@@ -514,28 +513,19 @@ def ido_symbol_vector(k: int, n: int) -> VectorValuedPolynomial:
     return VectorValuedPolynomial(n, comps, "zeta")
 
 
-def vvp_coordinates(vvps):
-    """Coefficient vectors of VVPs over their joint (monomial, label) support."""
-    keys = sorted(
-        {(m, l) for v in vvps for l, p in v.components.items() for m in p.terms},
-        key=lambda u: (monomial_key(u[0]), monomial_key(u[1])),
-        reverse=True,
-    )
-    out = []
-    for v in vvps:
-        vec = []
-        for mono, lbl in keys:
-            p = v.components.get(lbl)
-            vec.append(p.terms.get(mono, Fraction(0)) if p is not None else Fraction(0))
-        out.append(vec)
-    return out
-
-
 def same_solution_span(a, b) -> bool:
-    """Do two lists of vector-valued polynomials span the same space?"""
-    a = list(a)
-    coords = vvp_coordinates(a + list(b))
-    return same_span(coords[: len(a)], coords[len(a):])
+    """Do two lists of vector-valued polynomials span the same space?
+
+    Each VVP is compared as the sparse vector {(monomial, label): coefficient}.
+    """
+
+    def rows(vvps):
+        return [
+            {(m, l): c for l, p in v.components.items() for m, c in p.terms.items()}
+            for v in vvps
+        ]
+
+    return same_span(rows(a), rows(b))
 
 
 # -- classification scans -----------------------------------------------------

@@ -387,18 +387,6 @@ def verify_factorization_sbo(m: int, ell: int, n: int, degree_cap: int = 6) -> d
 # -- images ------------------------------------------------------------------------
 
 
-def _poly_coords(polys, arity, degree_cap):
-    monos = monomials_up_to(arity, degree_cap)
-    index = {m: i for i, m in enumerate(monos)}
-    out = []
-    for p in polys:
-        vec = [Fraction(0)] * len(monos)
-        for mo, c in p.terms.items():
-            vec[index[mo]] = c
-        out.append(vec)
-    return out
-
-
 def fg_submodule(k: int, n: int, flavor="sl") -> dict:
     """Check that polynomials of degree < k form a dpi_{1-k}-stable subspace."""
     params = (
@@ -450,10 +438,7 @@ def image_computations(m: int, ell: int, n: int) -> dict:
         targets = [
             Polynomial.monomial(n - 1, mono, 1) for mono in monomials_up_to(n - 1, ell - 1)
         ]
-        image_ok = same_span(
-            _poly_coords(images, n - 1, ell - 1),
-            _poly_coords(targets, n - 1, ell - 1),
-        )
+        image_ok = same_span([p.terms for p in images], [p.terms for p in targets])
     else:
         image_ok = all(p.is_zero() for p in images)
 
@@ -473,10 +458,7 @@ def image_computations(m: int, ell: int, n: int) -> dict:
             for mono in monomials_up_to(n, d)
         ]
         tgt_d = [Polynomial.monomial(n - 1, mono, 1) for mono in monomials_up_to(n - 1, d - m)]
-        if not same_span(
-            _poly_coords(images_d, n - 1, d),
-            _poly_coords(tgt_d, n - 1, d),
-        ):
+        if not same_span([p.terms for p in images_d], [p.terms for p in tgt_d]):
             surj_ok = False
     status = "pass" if (kill_ok and image_ok and witness_ok and surj_ok) else "fail"
     return {

@@ -10,7 +10,6 @@ from fmethod.algebra import (
     format_polynomial,
     monomial_basis,
     parse_polynomial,
-    rank_of_vectors,
     rref_basis,
     same_span,
     sparse_nullspace,
@@ -71,11 +70,12 @@ def test_nullspace_row():
 def test_sparse_nullspace_matches_dense():
     rows = [{0: Fraction(1), 2: Fraction(3)}, {1: Fraction(2)}]
     dense = Matrix([[1, 0, 3], [0, 2, 0]])
-    assert sparse_nullspace(rows, 3) == dense.nullspace() == [[1, 0, Fraction(-1, 3)]]
+    assert dense.nullspace() == [[1, 0, Fraction(-1, 3)]]
+    assert sparse_nullspace(rows, 3) == [{0: 1, 2: Fraction(-1, 3)}]
 
 
 def test_sparse_nullspace_without_rows_is_the_unit_basis():
-    assert sparse_nullspace([], 2) == [[1, 0], [0, 1]]
+    assert sparse_nullspace([], 2) == [{0: 1}, {1: 1}]
     assert sparse_nullspace([], 0) == []
 
 
@@ -193,10 +193,12 @@ def test_parse_rejects_a_foreign_variable():
 
 
 def test_span_helpers():
-    a = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    b = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
+    a = [{0: Fraction(1)}, {1: Fraction(1)}]
+    b = [{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(-1)}]
     assert same_span(a, b)
-    assert rank_of_vectors(a + b) == 2
+    assert not same_span(a, b[:1])
+    assert len(sparse_rref(a + b)) == 2
+    assert rref_basis(b) == a
 
 
 def test_arity_and_role_guards():
@@ -318,10 +320,14 @@ def test_sparse_kernel_matches_dense_reference(case):
     got, got_pivots = Matrix(rows, ncols).rref()
     assert (got.rows, got_pivots, got.nrows, got.ncols) == (red, pivots, len(rows), ncols)
     assert all(type(x) is Fraction for r in got.rows for x in r)
-    assert Matrix(rows, ncols).rank() == rank_of_vectors(rows) == len(pivots)
-    assert rref_basis(rows) == red[: len(pivots)]
+    assert Matrix(rows, ncols).rank() == len(reduced) == len(pivots)
+    assert [_dense_row(r, ncols) for r in rref_basis(sparse)] == red[: len(pivots)]
     expected = _dense_nullspace(rows, ncols)
-    assert sparse_nullspace(sparse, ncols) == Matrix(rows, ncols).nullspace() == expected
+    kernel = sparse_nullspace(sparse, ncols)
+    assert [_dense_row(v, ncols) for v in kernel] == Matrix(rows, ncols).nullspace() == expected
+    for v in kernel:
+        assert all(type(x) is Fraction and x for x in v.values())
+        assert list(v) == sorted(v) and v[min(v)] == 1
     for v in expected:
         assert all(type(x) is Fraction for x in v)
 
@@ -331,14 +337,22 @@ def test_sparse_kernel_matches_dense_reference(case):
 def test_same_span_matches_dense_reference(case, data):
     a, ncols = case
     b = data.draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=4))
-    assert same_span(a, b) == _dense_same_span(a, b, ncols)
+    expected = _dense_same_span(a, b, ncols)
+    assert same_span(_sparse(a), _sparse(b)) == expected
+    # the same rows keyed by ordered tuples, as `engine.same_solution_span` keys them
+    keys = data.draw(st.permutations([((c,), (ncols - c, 0)) for c in range(ncols)]))
+
+    def relabel(rows):
+        return [{keys[c]: x for c, x in row.items()} for row in _sparse(rows)]
+
+    assert same_span(relabel(a), relabel(b)) == expected
     # reordered, rescaled and mixed generators of the same space
     k = data.draw(small_fractions)
     c = [list(r) for r in reversed(a)]
     if c:
         c[0] = [k * x for x in c[0]]
         c.append([x + y for x, y in zip(c[0], c[-1])])
-    assert same_span(a, c) and _dense_same_span(a, c, ncols)
+    assert same_span(_sparse(a), _sparse(c)) and _dense_same_span(a, c, ncols)
 
 
 # -- the one-pass derivative and the constructor ---------------------------------

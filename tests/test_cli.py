@@ -162,6 +162,19 @@ def test_rational_argument_parsing(capsys):
         "--lambda", "-1",
     )
     assert code == 0
+    # a negative fraction reads as an option unless joined to its flag by "="
+    code, out, _ = run(
+        capsys, "verify", "equivariance", "--n", "3", "--m", "1", "--lambda=-7/2"
+    )
+    assert code == 0 and json.loads(out)["status"] == "pass"
+    code, out, _ = run(
+        capsys, "classify", "--n", "2", "--m-max", "1", "--l-max", "1",
+        "--lambda-samples=-7/2,1/3", "--format", "json",
+    )
+    assert code == 0
+    assert {"-7/2", "1/3"} <= {r["lambda"] for r in json.loads(out)}
+    code, out, _ = run(capsys, "branch", "--n", "2", "--s=-1/2", "--deg", "4")
+    assert code == 0 and json.loads(out)["s"] == "-1/2"
 
 
 def test_bad_fraction_is_usage_error(capsys):

@@ -108,7 +108,7 @@ def test_equivariant_basis_model_vector():
     assert same_solution_span(eq.basis, [psi_vector(1, 1, 3)])
     # its (zeta_n degree, primed degree) is the witness (m, ell) = (1, 1)
     (vec,) = eq.basis_vectors
-    monos = {eq.unknowns[i][0] for i, c in enumerate(vec) if c}
+    monos = {eq.unknowns[i][0] for i in vec}
     assert {(mono[-1], sum(mono[:-1])) for mono in monos} == {(1, 1)}
 
 
