@@ -37,7 +37,6 @@ Values are immutable after construction and safe to share.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 
 Monomial = tuple  # exponent tuple, arity fixed by the ambient ring
@@ -98,7 +97,7 @@ def monomials_up_to(arity: int, degree: int) -> list[Monomial]:
 class Polynomial:
     """Sparse polynomial over Q: map monomial -> nonzero coefficient.
 
-    `var` is a role prefix ("x", "z", "zeta", "y") used for printing and to
+    `var` is a role prefix ("x" or "zeta") used for printing and to
     guard against mixing the position picture with the Fourier picture.
     """
 
@@ -204,14 +203,6 @@ class Polynomial:
         if not s:
             return Polynomial.zero(self.arity, self.var)
         return Polynomial(self.arity, {m: c * s for m, c in self.terms.items()}, self.var)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        result = Polynomial.one(self.arity, self.var)
-        for _ in range(k):
-            result = result * self
-        return result
 
     def derivative(self, index: int, order: int = 1) -> "Polynomial":
         alpha = [0] * self.arity
@@ -319,45 +310,6 @@ def format_polynomial(p: Polynomial) -> str:
     return format_terms((c, format_monomial(mono, p.var)) for mono, c in p.sorted_terms())
 
 
-_TERM_RE = re.compile(r"([a-zA-Z]+)(\d+)(?:\^(\d+))?$")
-
-
-def parse_terms(text: str, arity: int, names) -> dict:
-    """Inverse of format_terms over bodies that are monomials in `names`.
-
-    Returns {(exponents of names[0], exponents of names[1], ...): coefficient},
-    summed over equal keys; an unknown variable name raises ValueError.
-    """
-    terms = {}
-    for piece in re.split(r"(?=[+-])", text.replace("- ", "-").replace("+ ", "+")):
-        piece = piece.strip()
-        if not piece:
-            continue
-        coeff = Fraction(-1 if piece[0] == "-" else 1)
-        if piece[0] in "+-":
-            piece = piece[1:]
-        expos = [[0] * arity for _ in names]
-        for factor in piece.split("*"):
-            factor = factor.strip()
-            m = _TERM_RE.match(factor)
-            if m:
-                name, idx, power = m.group(1), int(m.group(2)), m.group(3)
-                if name not in names:
-                    raise ValueError(f"unexpected variable {name!r}, ring uses {names}")
-                expos[names.index(name)][idx - 1] += int(power) if power else 1
-            else:
-                coeff *= Fraction(factor)
-        key = tuple(map(tuple, expos))
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return terms
-
-
-def parse_polynomial(text: str, arity: int, var: str) -> Polynomial:
-    """Inverse of format_polynomial (exact round trip on canonical form)."""
-    terms = parse_terms(text, arity, (var,))
-    return Polynomial(arity, {expo: c for (expo,), c in terms.items()}, var)
-
-
 class Matrix:
     """Dense exact matrix over Q: a thin adapter over `sparse_rref`."""
 
@@ -391,9 +343,6 @@ class Matrix:
         """Basis of the kernel, RREF convention, first nonzero entry 1."""
         basis = sparse_nullspace(_sparse(self.rows), self.ncols)
         return [_densify(v, self.ncols) for v in basis]
-
-    def mul_vector(self, v):
-        return [sum((row[j] * v[j] for j in range(self.ncols)), Fraction(0)) for row in self.rows]
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.rows == other.rows and self.ncols == other.ncols

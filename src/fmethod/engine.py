@@ -731,7 +731,7 @@ def scan_jobs(
     ignore the sign, so they take the matched beta only.  Otherwise `ido`
     picks the intertwining operators of `flavor`.
     """
-    lam2s = (None,) if homs or flavor == SL else tuple(Fraction(x) for x in lambda2_samples)
+    lam2s = (None,) if homs or flavor == SL else tuple(dict.fromkeys(map(Fraction, lambda2_samples)))
     if homs:
         kind = "gprime" if connected else "gp"
         minus_s = [-Fraction(s) for s in lambda_samples]  # lambda = -s

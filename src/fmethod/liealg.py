@@ -7,7 +7,7 @@ column, eigenspaces of ad(H0~) with eigenvalues -(n+1)/n, 0, +(n+1)/n.
 
 Elements store only their nonzero entries: per row, the sorted
 (column, Fraction) pairs.  Almost every operand is a matrix unit or a
-short sum of them, so a sum, product, bracket, hash or comparison costs
+short sum of them, so a sum, bracket, hash or comparison costs
 O(size + nonzeros), not (n+1)^2 or 2(n+1)^3.  Entries are read through
 `X[i, j]` or by iterating the rows.
 """
@@ -98,15 +98,6 @@ class LieElement:
         return LieElement(
             tuple(tuple((j, s * a) for j, a in row) for row in self.entries), self.flavor
         )
-
-    def matmul(self, other):
-        self._check(other)
-        rows = []
-        for row in self.entries:
-            acc = {}
-            _add_products(acc, row, other.entries)
-            rows.append(_row(acc))
-        return LieElement(tuple(rows), self.flavor)
 
     def _check(self, other):
         if self.size != other.size:

@@ -8,8 +8,9 @@ noncompact-picture formula
 
 symbolically in the coordinates x of n_-.  Because n_- is abelian the
 Ad-series stops at the quadratic term, so the l-part and the n_--part are
-matrices of polynomials of degree <= 2 and the result is an exact Weyl
-operator (scalar fiber) or a matrix of Weyl operators (vector fiber).
+matrices of polynomials of degree <= 2 and the result is a matrix of
+exact Weyl operators over the fiber labels; for the scalar fiber
+`SymFiber(0, 0, w)` of the line bundle it is one Weyl operator.
 
 Weight bookkeeping: the A-characters are normalized by dchi(H0~) = 1 and,
 for GL, dchi2(J0) = 1.  The representation dpi_lambda uses the inducing
@@ -232,27 +233,6 @@ class OperatorOnVV:
 
 
 @dataclass(frozen=True)
-class ScalarFiber:
-    """One-dimensional fiber: the l-part acts by characters only."""
-
-    weights: tuple  # against (dchi [, dchi2])
-
-    def labels(self, pd):
-        return [()]
-
-    def weight(self, L: LieElement, pd: ParabolicData) -> Fraction:
-        """Scalar by which the characters of L act on every label."""
-        weight = self.weights[0] * L[0, 0]
-        if pd.flavor == GL and len(self.weights) > 1:
-            weight += self.weights[1] * L.trace()
-        return weight
-
-    def act(self, L: LieElement, pd: ParabolicData) -> dict:
-        val = self.weight(L, pd)
-        return {((), ()): val} if val else {}
-
-
-@dataclass(frozen=True)
 class SymFiber:
     """S^degree of the m-block (natural action) or its dual (poly picture).
 
@@ -260,6 +240,8 @@ class SymFiber:
     n for the full one.  Characters act along (dchi [, dchi2]) with the
     given weights; the m-part acts by the derivation representation on
     monomials e^k, or minus its transpose on the dual basis ytilde.
+    The scalar fiber of a line bundle is `SymFiber(0, 0, weights)`: S^0
+    over an empty block, one label `()`, on which only the characters act.
     """
 
     degree: int
@@ -270,7 +252,12 @@ class SymFiber:
     def labels(self, pd):
         return monomial_basis(self.block, self.degree)
 
-    weight = ScalarFiber.weight
+    def weight(self, L: LieElement, pd: ParabolicData) -> Fraction:
+        """Scalar by which the characters of L act on every label."""
+        weight = self.weights[0] * L[0, 0]
+        if pd.flavor == GL and len(self.weights) > 1:
+            weight += self.weights[1] * L.trace()
+        return weight
 
     def act(self, L: LieElement, pd: ParabolicData) -> dict:
         """Action of L on the labels, as {(out label, in label): coefficient}.
@@ -466,7 +453,7 @@ def _check_in_g(X: LieElement, pd: ParabolicData):
 def _scalar_action(X: LieElement, params: ScalarRepParams, weights, fourier=False):
     pd = parabolic(params.n, params.flavor)
     _check_in_g(X, pd)
-    return affine_operator(X, pd, params.n, ScalarFiber(weights), fourier).scalar_entry()
+    return affine_operator(X, pd, params.n, SymFiber(0, 0, weights), fourier).scalar_entry()
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,6 @@ equality.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,12 +24,7 @@ from .algebra import Polynomial, add_product, monomial_basis
 from .engine import DEFAULT_SAMPLES, classify
 from .liealg import SL, parabolic
 from .params import sign_shift
-from .rep import (
-    ScalarFiber,
-    SymFiber,
-    VectorValuedPolynomial,
-    affine_operator,
-)
+from .rep import SymFiber, VectorValuedPolynomial, affine_operator
 
 
 @dataclass(frozen=True)
@@ -81,10 +75,13 @@ class VermaModule:
         rho2 = self.pd.two_rho_prime() if self.primed else self.pd.two_rho()
         return tuple(r - x for r, x in zip(rho2, self.nu_ind))
 
+    @property
+    def fiber_block(self):
+        """Block coordinates of the fiber: none for the scalar fiber S^0."""
+        return self.num_vars if self.fiber_degree else 0
+
     def fiber_labels(self):
-        if self.fiber_degree == 0:
-            return [()]
-        return monomial_basis(self.num_vars, self.fiber_degree)
+        return monomial_basis(self.fiber_block, self.fiber_degree)
 
     def action(self, X):
         return _verma_action(self, X)
@@ -96,11 +93,6 @@ class VermaModule:
             for mono in monomial_basis(self.num_vars, grade)
             for lbl in self.fiber_labels()
         ]
-
-    def grade_dim(self, grade):
-        return math.comb(grade + self.num_vars - 1, self.num_vars - 1) * len(
-            self.fiber_labels()
-        )
 
     def unit(self, mono, lbl) -> VectorValuedPolynomial:
         return VectorValuedPolynomial(
@@ -132,13 +124,8 @@ class VermaModule:
 
 @lru_cache(maxsize=None)
 def _verma_action(module: VermaModule, X):
-    pd = module.pd
-    dw = module.dual_weights()
-    if module.fiber_degree == 0:
-        fiber = ScalarFiber(dw)
-    else:
-        fiber = SymFiber(module.fiber_degree, module.num_vars, dw)
-    return affine_operator(X, pd, module.num_vars, fiber, fourier=True)
+    fiber = SymFiber(module.fiber_degree, module.fiber_block, module.dual_weights())
+    return affine_operator(X, module.pd, module.num_vars, fiber, fourier=True)
 
 
 @dataclass(frozen=True)

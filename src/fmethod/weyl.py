@@ -31,10 +31,9 @@ from .algebra import (
     format_monomial,
     format_terms,
     monomial_key,
-    parse_terms,
 )
 
-DUAL_VAR = {"x": "zeta", "zeta": "x", "z": "zeta"}
+DUAL_VAR = {"x": "zeta", "zeta": "x"}
 
 
 class WeylElement:
@@ -162,13 +161,6 @@ class WeylElement:
                     add_product(sums.setdefault(key, {}), p, dq, binom)
         return _from_sums(n, sums, self.var)
 
-    def __mul__(self, other):
-        if isinstance(other, WeylElement):
-            return self.compose(other)
-        return self.scale(other)
-
-    __rmul__ = scale
-
     def fourier(self) -> "WeylElement":
         """Algebraic Fourier transform: d/dv_i -> -w_i, v_i -> d/dw_i."""
         new_var = DUAL_VAR[self.var]
@@ -193,14 +185,6 @@ class WeylElement:
 
     def is_constant_coefficient(self) -> bool:
         return all(p.is_constant() for p in self.terms.values())
-
-    def symbol(self) -> Polynomial:
-        """Constant-coefficient operators -> polynomials, d^alpha -> w^alpha."""
-        if not self.is_constant_coefficient():
-            raise ValueError("symbol requires constant coefficients")
-        new_var = DUAL_VAR[self.var]
-        terms = {a: p.constant_value() for a, p in self.terms.items()}
-        return Polynomial(self.arity, terms, new_var)
 
     def restrict_last_var(self) -> "WeylElement":
         """Set the last coordinate to 0 in every coefficient.
@@ -250,14 +234,6 @@ class WeylElement:
 def _from_sums(arity: int, sums: dict, var: str) -> WeylElement:
     """The operator with coefficient sums {alpha: {monomial: Fraction}}."""
     return WeylElement(arity, {a: Polynomial(arity, t, var) for a, t in sums.items()}, var)
-
-
-def parse_weyl(text: str, arity: int, var: str = "x") -> WeylElement:
-    """Inverse of str(): sums of terms `coeff*var-part*d-part`, d rightmost."""
-    by_alpha = {}
-    for (expo, alpha), c in parse_terms(text, arity, (var, "d")).items():
-        by_alpha.setdefault(alpha, {})[expo] = c
-    return WeylElement(arity, {a: Polynomial(arity, t, var) for a, t in by_alpha.items()}, var)
 
 
 def symb_inverse(p: Polynomial) -> WeylElement:

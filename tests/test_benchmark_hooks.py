@@ -1,9 +1,10 @@
-"""The benchmark's tracer reaches fmethod through fixed names; keep them bound.
+"""The benchmark reaches fmethod through fixed names; keep them bound and working.
 
 `perfbench/tracer.py` wraps each traced callable through
-`owner.__dict__[name]` and reads `cache_info()` of the cached ones, so a
-rename inside the package would break a traced benchmark run.  These tests
-break first.
+`owner.__dict__[name]` and reads `cache_info()` of the cached ones, and the
+`verify-identities` suites in `perfbench/suites.py` call the library
+directly, so a rename or deletion inside the package would break a
+benchmark run.  These tests break first.
 """
 
 import importlib
@@ -14,17 +15,19 @@ import pytest
 
 from fmethod import engine
 
-TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracer = _tracer()
+tracer = _perfbench_module("tracer")
+suites = _perfbench_module("suites")
+workloads = _perfbench_module("workloads")
 
 
 @pytest.mark.parametrize("modname, path", [t[:2] for t in tracer.TARGETS])
@@ -70,3 +73,13 @@ def test_scan_cells_run_through_module_bindings(monkeypatch, kind):
     assert seen == [(builder, family) for family in families]
     assert {family.kind for family in families} == {kind}
     assert len(rows) == sum(len(f.lams) * len(f.lam2s) for f in families) > 0
+
+
+# the seed-0 parameters of each verify-identities suite
+SUITE_PARAMS = {job["suite"]: job["params"] for job in workloads.jobs("verify-identities", 0)}
+
+
+@pytest.mark.parametrize("suite", suites.SUITES)
+def test_benchmark_suite_first_item_is_judged_correct(suite):
+    name, thunk, expected = suites.SUITES[suite](SUITE_PARAMS[suite])[0]
+    assert suites.judge(thunk(), expected), name

@@ -273,6 +273,13 @@ def test_empty_sample_list_gives_no_rows():
     assert engine.solve_family([], 3) == []
 
 
+@pytest.mark.parametrize("options", [{"m_max": 1, "l_max": 1}, {"ido": True, "k_max": 2}])
+def test_repeated_lambda2_samples_give_each_row_once(options):
+    # a sample equal to an earlier one, as written or as a value, is scanned once
+    repeated = classify(2, flavor=GL, lambda2_samples=("0", "0", "1/2", "2/4"), **options)
+    assert repeated == classify(2, flavor=GL, lambda2_samples=("0", "1/2"), **options)
+
+
 def _skewed_at_last_member(monkeypatch, elements):
     """dpi_hat with a constant added on `elements` at lambda = -7/2 only.
 

@@ -10,7 +10,6 @@ from fmethod.algebra import Polynomial, monomials_up_to
 from fmethod.liealg import GL, SL, LieElement, bracket, parabolic
 from fmethod.rep import (
     OperatorOnVV,
-    ScalarFiber,
     ScalarRepParams,
     SymFiber,
     TargetRepParams,
@@ -306,14 +305,32 @@ def _same(got: OperatorOnVV, expected: OperatorOnVV):
     assert got.terms == expected.terms
 
 
+@pytest.mark.parametrize("zero", [True, False])
+@pytest.mark.parametrize("primed", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("flavor", [SL, GL])
+def test_sym_zero_over_empty_block_is_the_scalar_fiber(flavor, n, primed, zero):
+    pd = parabolic(n, flavor)
+    weights = tuple(Fraction(0 if zero else 2 * i + 3, 7) for i in range(len(pd.two_rho())))
+    fiber = SymFiber(0, 0, weights)
+    assert fiber.labels(pd) == [()]
+    acted = False
+    for X in pd.g_basis(primed=primed):
+        # the characters dchi (and dchi2 for GL) read X[0, 0] and the trace
+        weight = weights[0] * X[0, 0] + (weights[1] * X.trace() if flavor == GL else 0)
+        assert fiber.act(X, pd) == ({((), ()): weight} if weight else {})
+        acted = acted or bool(weight)
+    assert acted != zero
+
+
 @given(elements(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_scalar_builders_match_direct_induced_operator(element, data):
     pd, X = element
     lam = _weight_tuple(data.draw, pd)
     params = ScalarRepParams(pd.n, pd.flavor, (0,) * len(lam), lam)
-    direct = induced_operator(X, pd, pd.n, ScalarFiber(lam))
-    dual = induced_operator(X, pd, pd.n, ScalarFiber(params.dual_weights()))
+    direct = induced_operator(X, pd, pd.n, SymFiber(0, 0, lam))
+    dual = induced_operator(X, pd, pd.n, SymFiber(0, 0, params.dual_weights()))
     assert dpi_lambda(X, params) == direct.scalar_entry()
     assert dpi_lambda_star(X, params) == dual.scalar_entry()
     assert dpi_hat(X, params) == dual.fourier().scalar_entry()
@@ -337,7 +354,7 @@ def test_verma_action_matches_direct_induced_operator(primed, degree, data):
     nu = _weight_tuple(data.draw, pd)
     module = VermaModule(pd.n, pd.flavor, primed, degree, nu, (0,) * len(nu))
     dw = module.dual_weights()
-    fiber = ScalarFiber(dw) if degree == 0 else SymFiber(degree, module.num_vars, dw)
+    fiber = SymFiber(0, 0, dw) if degree == 0 else SymFiber(degree, module.num_vars, dw)
     _same(_verma_action(module, X), induced_operator(X, pd, module.num_vars, fiber).fourier())
 
 
@@ -348,7 +365,7 @@ def test_affine_parts_match_unit_weight_operators(primed, ell, dual, fourier, da
     pd, X = data.draw(elements(primed=primed))
     num_x = pd.n - 1 if primed else pd.n
     zeros = tuple(Fraction(0) for _ in pd.two_rho())
-    shape = ScalarFiber(zeros) if ell < 0 else SymFiber(ell, num_x, zeros, dual)
+    shape = SymFiber(0, 0, zeros) if ell < 0 else SymFiber(ell, num_x, zeros, dual)
     base = induced_operator(X, pd, num_x, shape)
     expected = [base]
     for i in range(len(zeros)):
