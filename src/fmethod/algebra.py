@@ -160,9 +160,6 @@ class Polynomial:
             raise ValueError("polynomial is not constant")
         return self.terms.get((0,) * self.arity, Fraction(0))
 
-    def coefficient(self, mono) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
-
     # -- arithmetic ----------------------------------------------------
 
     def _check(self, other):

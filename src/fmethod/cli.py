@@ -210,12 +210,24 @@ def _out_path(text):
 def _ignored_mode(args):
     """The classify flag that the chosen scan would silently ignore, if any.
 
-    An empty lambda_2 sample list counts too: a GL scan would run no cell.
+    A sample or bound flag counts only when set away from its default, so
+    a default spelled out passes.  An empty lambda_2 sample list counts
+    too: a GL scan would run no cell.
     """
     if args.homs and args.flavor != "sl":
         return "--homs scans the SL homomorphisms only; drop --flavor gl"
     if args.connected and not args.homs:
         return "--connected applies to --homs only"
+
+    def changed(dest):
+        return getattr(args, dest) != args.parser.get_default(dest)
+
+    if changed("k_max") and not args.ido:
+        return "--k-max applies to --ido only"
+    if args.ido and (changed("m_max") or changed("l_max")):
+        return "--m-max and --l-max do not apply to --ido, which scans the orders k <= --k-max"
+    if changed("lambda2_samples") and args.flavor == "sl":
+        return "--lambda2-samples applies to --flavor gl only"
     if args.flavor == "gl" and not args.lambda2_samples:
         return "--lambda2-samples is empty, so a GL scan would check nothing"
     return None

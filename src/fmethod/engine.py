@@ -45,9 +45,16 @@ built at the level it depends on:
   from the weight-free m-action of the fiber plus one shift
   (fiber weight - c0) per diagonal element, then the unknowns and the
   equivariant vectors (`solve_family`);
-* per member: dpi_hat(N_1^+), the F-system and its nullspace, and a check
-  key that holds everything the family stages read; every member's key
-  must equal the first member's.
+* per member: only its weights w = 2rho - lambda.  Every operator a solve
+  reads is dpi_hat(X) = base + sum_i w_i part_i, and the weight-free
+  pieces come from `rep.dpi_hat_parts`, once per (element, algebra); each
+  piece's image of a monomial is computed once per scan.  A member
+  combines the images of N_1^+'s pieces with w for its F-system and
+  nullspace, reads each diagonal element's c0 as c0(base) + sum_i w_i
+  c0(part_i), and builds a check key that holds everything the family
+  stages read; every member's key must equal the first member's.  The
+  raising operators of m' have no weight part, so they are the bases
+  themselves.
 
 Output bases are RREF-canonical in the graded-lex coordinate order, so
 every scan is reproducible byte for byte.
@@ -86,7 +93,7 @@ from .rep import (
     SymFiber,
     TargetRepParams,
     VectorValuedPolynomial,
-    dpi_hat,
+    dpi_hat_parts,
 )
 
 
@@ -238,26 +245,50 @@ def _monomial_keys(n, degree, forms, masks):
     )
 
 
-_IMAGE_MEMOS = {}  # id(op): (op, {monomial: image}); holding op keeps the id its own
+_MEMOS = {}  # id(obj): (obj, value); holding obj keeps the id its own
 
 
-def _image_memo(op) -> dict:
-    """A memo {monomial: op applied to zeta^monomial}, one per operator object.
+def _memo(obj, build):
+    """build(obj), built once per object and kept for the scan.
 
-    The weight parts of a raising operator of m' are zero, so its dpi_hat
-    keeps the weight-free entry and every source of an algebra gets the same
-    object: a scan applies it once per monomial over all its families.
-    Keyed by identity, because hashing the operator costs about as much as
-    applying it.
+    Keyed by identity, because hashing an operator costs about as much as
+    applying it.  The operators and piece tuples it sees come from the
+    `dpi_hat_parts` cache, so each Lie element of an algebra gives the same
+    objects to every source.
     """
-    entry = _IMAGE_MEMOS.get(id(op))
+    entry = _MEMOS.get(id(obj))
     if entry is None:
-        entry = _IMAGE_MEMOS[id(op)] = (op, {})
+        entry = _MEMOS[id(obj)] = (obj, build(obj))
     return entry[1]
 
 
+def _image(op, mono) -> dict:
+    """op applied to zeta^mono, as {monomial: coefficient}; shared, so not to be mutated.
+
+    Applied once per (operator object, monomial) over the whole scan.
+    """
+    images = _memo(op, lambda _: {})
+    image = images.get(mono)
+    if image is None:
+        image = images[mono] = op.apply(Polynomial.monomial(op.arity, mono, 1, "zeta")).terms
+    return image
+
+
+def _eigenvalue_forms(parts):
+    """(c0 of each piece, c of the base) of a diagonal element's `dpi_hat_parts`.
+
+    At weights w its operator has the eigenvalue form (c0_base + sum_i w_i
+    c0_i, c): every piece must act diagonally, and a weight part only by a
+    scalar, else ValueError.
+    """
+    forms = [_eigenvalue_form(op) for op in parts]
+    if any(any(coeffs) for _, coeffs in forms[1:]):
+        raise ValueError("a weight part of a diagonal element is not a scalar")
+    return tuple(c0 for c0, _ in forms), tuple(forms[0][1])
+
+
 class _SolveContext:
-    """One (source, target, mode) solve: the F-system operator and a check key.
+    """One (source, target, mode) solve: its weights, the F-system pieces and a check key.
 
     A pair (zeta^m, label) is kept when every diagonal element has the same
     eigenvalue on zeta^m as on the label, and every component group
@@ -278,17 +309,23 @@ class _SolveContext:
             target.ell, self.n if full_nilradical else self.n - 1, tuple(-x for x in target.nu)
         )
         self.lie = _lie_data(self.pd, full_nilradical)
-        self.fsys_ops = [dpi_hat(N, source) for N in self.lie.n_plus]
-        # (operator, fiber action) of each raising operator of m'.  Its
-        # character weight is 0 (Z[0, 0] = 0, trace 0), so its fiber
-        # action is the shared weight-free m-part.
-        self.raising = tuple(
-            (dpi_hat(Z, source), self.fiber.m_action(Z, self.pd)) for Z in self.lie.raising
-        )
+        self.weights = source.dual_weights()
+        # dpi_hat(X, source) = base + sum_i weights_i part_i for each X below
+        self.fsys_parts = tuple(dpi_hat_parts(N, self.pd) for N in self.lie.n_plus)
+        raising = []  # (operator, fiber action) of each raising operator of m'
+        for Z in self.lie.raising:
+            # Z[0, 0] = 0 and trace 0: no character sees Z, so neither its
+            # operator nor its fiber action carries a weight
+            base, *parts = dpi_hat_parts(Z, self.pd)
+            if any(not part.is_zero() for part in parts):
+                raise ValueError("a raising operator of m' has a weight part")
+            raising.append((base, self.fiber.m_action(Z, self.pd)))
+        self.raising = tuple(raising)
         diag = []  # (coefficients c, fiber weight - c0) of each diagonal element
         for Z in self.lie.diag:
-            c0, coeffs = _eigenvalue_form(dpi_hat(Z, source))
-            diag.append((tuple(coeffs), self.fiber.weight(Z, self.pd) - c0))
+            c0s, coeffs = _memo(dpi_hat_parts(Z, self.pd), _eigenvalue_forms)
+            c0 = c0s[0] + sum(w * c for w, c in zip(self.weights, c0s[1:]))
+            diag.append((coeffs, self.fiber.weight(Z, self.pd) - c0))
         self._diag = tuple(diag)
         self._gamma = None if connected else (
             full_nilradical, source.alpha, target.beta, target.ell
@@ -303,10 +340,12 @@ class _SolveContext:
         It holds the algebra, each diagonal element's coefficients and
         fiber weight - c0, the fiber degree and block, the gamma data (None
         when connected) and the raising (operator, m-action) pairs.  Building
-        it reads dpi_hat at every diagonal and raising element but no label,
-        and scales nothing.  The integer forms and label keys are functions
-        of the key, so two contexts with equal keys give equal results in
-        both stages.
+        it reads the cached weight-free pieces and each diagonal element's
+        c0 at this member's weights, but no label, and scales nothing.  The
+        raising operators are the same objects for every source of the
+        algebra, so comparing them costs an identity check.  The integer
+        forms and label keys are functions of the key, so two contexts with
+        equal keys give equal results in both stages.
         """
         return (
             self.pd, self._diag, self.fiber.degree, self.fiber.block, self._gamma, self.raising,
@@ -366,34 +405,49 @@ class _SolveContext:
             return []
         rows = {}
         for zi, (op, act) in enumerate(self.raising):
-            images = _image_memo(op)
             # -A_{l', l} c_{(mono, l')} lands in the row (zi, l, mono):
             # read it column-wise via the transposed action, grouped by l'
             column = {}
             for (outl, inl), a in act.items():
                 column.setdefault(outl, []).append((inl, a))
             for col, (mono, lbl) in enumerate(unknowns):
-                image = images.get(mono)
-                if image is None:
-                    image = images[mono] = op.apply(Polynomial.monomial(self.n, mono, 1, "zeta"))
-                for om, c in image.terms.items():
+                for om, c in _image(op, mono).items():
                     _add_entry(rows, (zi, lbl, om), col, c)
                 for inl, a in column.get(lbl, ()):
                     _add_entry(rows, (zi, inl, mono), col, -a)
         return sparse_nullspace(rows.values(), len(unknowns))
 
+    def fsystem_images(self, mono):
+        """Each F-system operator's image of zeta^mono at this member, as {monomial: coefficient}.
+
+        The image under base + sum_i w_i part_i is the base's image plus
+        w_i times each part's, the pieces' images read from the scan-wide
+        memo.
+        """
+        out = []
+        for parts in self.fsys_parts:
+            base, *images = (_image(op, mono) for op in parts)
+            acc = dict(base)
+            for w, image in zip(self.weights, images):
+                if w:
+                    for om, c in image.items():
+                        acc[om] = acc[om] + w * c if om in acc else w * c
+            out.append({om: c for om, c in acc.items() if c})
+        return out
+
     def fsystem_vectors(self, unknowns, eq_vectors):
         if not eq_vectors:
             return []
+        images = {}  # monomial: its `fsystem_images`, once per member
         rows = {}
         for b, vec in enumerate(eq_vectors):
             for col, coeff in vec.items():
                 mono, lbl = unknowns[col]
-                p = Polynomial.monomial(self.n, mono, coeff, "zeta")
-                for jop, op in enumerate(self.fsys_ops):
-                    q = op.apply(p)
-                    for om, c in q.terms.items():
-                        _add_entry(rows, (jop, lbl, om), b, c)
+                if mono not in images:
+                    images[mono] = self.fsystem_images(mono)
+                for jop, image in enumerate(images[mono]):
+                    for om, c in image.items():
+                        _add_entry(rows, (jop, lbl, om), b, coeff * c)
         out = []
         for cv in sparse_nullspace(rows.values(), len(eq_vectors)):
             # a cancelled entry stays as 0; `rref_basis` drops it
@@ -431,10 +485,10 @@ def solve_family(
 
     The members of a lambda-family differ only in lambda at a fixed gap
     nu - lambda.  The label keys, unknowns and equivariant vectors are built
-    once, at the first member.  Every member builds only its F-system
-    operator and its check key (`_SolveContext.shared`), which must equal
-    the first member's, else ValueError; the F-system is then solved at
-    each member.
+    once, at the first member.  Every member builds only its check key
+    (`_SolveContext.shared`), which must equal the first member's, else
+    ValueError; the F-system is then solved at each member, from the
+    memoized images of the weight-free pieces of N_1^+.
     """
     contexts = [_SolveContext(s, t, connected, full_nilradical) for s, t in members]
     if not contexts:

@@ -32,7 +32,9 @@ x^mono coefficient is the i-th character of that term of the series.
 of variables, fiber shape and picture (x, or its Fourier transform), with
 one `induced_operator` call, for base; every builder below, and the Verma
 action, assembles its operator from them through `affine_operator`, with
-the `+` and `scale` of `OperatorOnVV`.
+the `+` and `scale` of `OperatorOnVV`.  `dpi_hat_parts` hands the
+Fourier-side pieces of the line bundle to the engine as they are, so a
+solve combines them with each member's weights itself.
 
 Lie elements are sparse (see `liealg`), so the series, the l-part split
 and the m-action of `SymFiber` touch only nonzero entries.
@@ -472,6 +474,19 @@ def dpi_lambda_star(X: LieElement, params: ScalarRepParams) -> WeylElement:
 def dpi_hat(X: LieElement, params: ScalarRepParams) -> WeylElement:
     """Fourier transform of dpi_lambda_star: the Verma-side action on Pol(zeta)."""
     return _scalar_action(X, params, params.dual_weights(), fourier=True)
+
+
+@lru_cache(maxsize=None)
+def dpi_hat_parts(X: LieElement, pd: ParabolicData) -> tuple:
+    """(base, part_1[, part_2]): the weight-free pieces of `dpi_hat` at X.
+
+    dpi_hat(X, params) = base + sum_i w_i part_i with w =
+    params.dual_weights(), for every params of the algebra `pd`; built once
+    per (X, pd).
+    """
+    _check_in_g(X, pd)
+    shape = SymFiber(0, 0, tuple(Fraction(0) for _ in pd.two_rho()))
+    return tuple(op.scalar_entry() for op in _affine_parts(X, pd, pd.n, shape, True))
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,7 @@ from fmethod import cli, engine
 from fmethod.algebra import Polynomial
 from fmethod.cli import _usable_cpus, _worker_count, main
 from fmethod.liealg import parabolic
-from fmethod.rep import dpi_hat
+from fmethod.rep import dpi_hat_parts
 from fmethod.weyl import WeylElement
 
 
@@ -275,6 +275,16 @@ OTHER_USAGE_ERRORS = {
     ("classify", "--n", "2", "--lambda-samples=abc"): "not a rational number: 'abc'",
     ("classify", "--n", "2", "--lambda-samples=1/3,1/0"): "not a rational number: '1/0'",
     ("classify", "--n", "2", "--lambda2-samples=x"): "not a rational number: 'x'",
+    # a sample or bound flag, set away from its default, that the scan does not read
+    ("classify", "--n", "2", "--k-max", "2"): "--k-max applies to --ido only",
+    ("classify", "--n", "2", "--homs", "--k-max", "0"): "--k-max applies to --ido only",
+    ("classify", "--n", "2", "--ido", "--m-max", "1"): "--m-max and --l-max do not apply to --ido",
+    ("classify", "--n", "2", "--ido", "--l-max", "0"): "--m-max and --l-max do not apply to --ido",
+    ("classify", "--n", "2", "--lambda2-samples", "1"): "--lambda2-samples applies to --flavor gl only",
+    ("classify", "--n", "2", "--ido", "--lambda2-samples", "0"):
+        "--lambda2-samples applies to --flavor gl only",
+    ("classify", "--n", "2", "--homs", "--lambda2-samples", "0,1/2,2"):
+        "--lambda2-samples applies to --flavor gl only",
     ("classify", "--n", "2", "--flavor", "gl", "--lambda2-samples="): "--lambda2-samples is empty",
     ("classify", "--n", "3", "--flavor", "gl", "--ido", "--lambda2-samples", ""):
         "--lambda2-samples is empty",
@@ -353,16 +363,35 @@ def test_verify_flags_the_target_reads_are_accepted(capsys, argv):
     assert json.loads(out)["status"] == "pass"
 
 
+@pytest.mark.parametrize(
+    "spelled, plain",
+    [
+        (("--m-max", "0", "--l-max", "0", "--k-max", "4", "--lambda2-samples", "0,1/2"),
+         ("--m-max", "0", "--l-max", "0")),
+        (("--ido", "--k-max", "1", "--m-max", "3", "--l-max", "3", "--lambda2-samples", "0, 2/4"),
+         ("--ido", "--k-max", "1")),
+        (("--homs", "--m-max", "0", "--l-max", "0", "--k-max", "4", "--lambda2-samples", "0,1/2"),
+         ("--homs", "--m-max", "0", "--l-max", "0")),
+    ],
+    ids=["sl", "ido", "homs"],
+)
+def test_classify_flag_defaults_spelled_out_are_accepted(capsys, spelled, plain):
+    # a flag that the scan does not read passes while it holds its default value
+    code, out, err = run(capsys, "classify", "--n", "2", *spelled)
+    assert code == 0 and err == ""
+    assert out == run(capsys, "classify", "--n", "2", *plain)[1]
+
+
 def test_broken_invariant_is_an_internal_error(capsys, monkeypatch):
     # the grading element's operator gains a term that moves monomials
     h0 = parabolic(2).h0_tilde_prime
     stray = WeylElement(2, {(0, 1): Polynomial.variable(2, 0, "zeta")}, "zeta")
 
-    def skewed(X, params):
-        op = dpi_hat(X, params)
-        return op + stray if X == h0 else op
+    def skewed(X, pd):
+        base, *parts = dpi_hat_parts(X, pd)
+        return (base + stray, *parts) if X == h0 else (base, *parts)
 
-    monkeypatch.setattr(engine, "dpi_hat", skewed)
+    monkeypatch.setattr(engine, "dpi_hat_parts", skewed)
     code, out, err = run(capsys, "classify", "--n", "2", "--m-max", "0", "--l-max", "0")
     assert code == 3
     assert out == ""

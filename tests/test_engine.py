@@ -1,9 +1,12 @@
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fmethod import engine
+from fmethod import engine, rep
 from fmethod.cli import main
 from fmethod.algebra import Polynomial, monomial_basis, monomial_key
 from fmethod.engine import (
@@ -22,7 +25,7 @@ from fmethod.engine import (
     weight_degree_cap,
 )
 from fmethod.liealg import GL, SL, LieElement, parabolic
-from fmethod.rep import ScalarRepParams, SymFiber, TargetRepParams, dpi_hat
+from fmethod.rep import ScalarRepParams, SymFiber, TargetRepParams, dpi_hat, dpi_hat_parts
 from fmethod.weyl import WeylElement
 
 
@@ -280,20 +283,20 @@ def test_repeated_lambda2_samples_give_each_row_once(options):
     assert repeated == classify(2, flavor=GL, lambda2_samples=("0", "1/2"), **options)
 
 
-def _skewed_at_last_member(monkeypatch, elements):
-    """dpi_hat with a constant added on `elements` at lambda = -7/2 only.
+def _skewed_weight_part(monkeypatch, elements):
+    """dpi_hat_parts with the identity added to the first weight part on `elements`.
 
-    -7/2 is the last member of every family below, so a check that looked
-    only at some members would miss it.
+    The skew enters each member's operator times w_1 = 2rho - lambda, so it
+    moves with lambda, and every member of a family sees a different one.
     """
 
-    def skewed(X, params):
-        op = dpi_hat(X, params)
-        if X in elements and params.lam[0] == Fraction(-7, 2):
-            op = op + WeylElement.identity(params.n, "zeta")
-        return op
+    def skewed(X, pd):
+        base, part, *rest = dpi_hat_parts(X, pd)
+        if X in elements:
+            part = part + WeylElement.identity(pd.n, "zeta")
+        return (base, part, *rest)
 
-    monkeypatch.setattr(engine, "dpi_hat", skewed)
+    monkeypatch.setattr(engine, "dpi_hat_parts", skewed)
 
 
 @pytest.mark.parametrize("stage", ["offdiag", "diag"])
@@ -301,14 +304,24 @@ def test_lambda_dependent_shared_stage_raises(monkeypatch, capsys, stage):
     pd = parabolic(3)
     # a raising operator that the solve reads, or the A'-weight that sets the
     # label targets
-    _skewed_at_last_member(monkeypatch, set(engine._lie_data(pd, False).raising)
-                           if stage == "offdiag" else {pd.h0_tilde_prime})
-    with pytest.raises(ValueError, match="lambda-independent stage"):
-        classify_sl_cell(_sl_family(3, 1, 1, -1, Fraction(1, 3), 5, Fraction(-7, 2)))
-    # a single member has nothing to disagree with
-    (row,) = classify_sl_cell(_sl_family(3, 1, 1, Fraction(-7, 2)))
+    _skewed_weight_part(monkeypatch, set(engine._lie_data(pd, False).raising)
+                        if stage == "offdiag" else {pd.h0_tilde_prime})
+    family = _sl_family(3, 1, 1, -1, Fraction(1, 3), 5, Fraction(-7, 2))
+    if stage == "offdiag":
+        # a raising operator with a weight part is refused at every member
+        # count, before any two members are compared
+        message = "a raising operator of m' has a weight part"
+        for members in (family, _sl_family(3, 1, 1, Fraction(-7, 2))):
+            with pytest.raises(ValueError, match=message):
+                classify_sl_cell(members)
+    else:
+        message = "a lambda-family's members differ"
+        with pytest.raises(ValueError, match="lambda-independent stage"):
+            classify_sl_cell(family)
+        # a single member has nothing to disagree with
+        (row,) = classify_sl_cell(_sl_family(3, 1, 1, Fraction(-7, 2)))
     assert main(["classify", "--n", "3", "--m-max", "1", "--l-max", "1"]) == 3
-    assert "internal error: a lambda-family's members differ" in capsys.readouterr().err
+    assert f"internal error: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("off", [Fraction(1), Fraction(1, 2), Fraction(3)])
@@ -369,7 +382,7 @@ def _brute_force_unknowns(source, target, degree, connected, full):
         for Z in diag:
             image = dpi_hat(Z, source).apply(p)
             assert set(image.terms) <= {mono}
-            eigs.append(image.coefficient(mono))
+            eigs.append(image.terms.get(mono, 0))
         for lbl in labels:
             if any(e != fe[lbl] for e, fe in zip(eigs, fiber_eigs)):
                 continue
@@ -506,13 +519,31 @@ def test_context_rejects_off_diagonal_diagonal_operator(monkeypatch):
     diagonal = {pd.h0_tilde_prime, *pd.m_cartan(primed=True)}
     stray = WeylElement(3, {(0, 1, 0): Polynomial.variable(3, 0, "zeta")}, "zeta")
 
-    def skewed(X, params):
-        op = dpi_hat(X, params)
-        return op + stray if X in diagonal else op
+    def skewed(X, pd):
+        base, *parts = dpi_hat_parts(X, pd)
+        return (base + stray, *parts) if X in diagonal else (base, *parts)
 
-    monkeypatch.setattr(engine, "dpi_hat", skewed)
+    monkeypatch.setattr(engine, "dpi_hat_parts", skewed)
     src, tgt, _ = sl_pair(3, Fraction(1, 3), 1, 1)
     with pytest.raises(ValueError, match="diagonal element acted off-diagonally"):
+        _SolveContext(src, tgt)
+
+
+@pytest.mark.parametrize("stray, message", [
+    (WeylElement(3, {(0, 1, 0): Polynomial.variable(3, 0, "zeta")}, "zeta"),
+     "diagonal element acted off-diagonally"),
+    (WeylElement.euler(3, "zeta"), "weight part of a diagonal element is not a scalar"),
+], ids=["off-diagonal", "exponent-form"])
+def test_context_checks_each_weight_part_of_a_diagonal_element(monkeypatch, stray, message):
+    pd = parabolic(3)
+
+    def skewed(X, pd):
+        base, part, *rest = dpi_hat_parts(X, pd)
+        return (base, part + stray, *rest) if X == pd.h0_tilde_prime else (base, part, *rest)
+
+    monkeypatch.setattr(engine, "dpi_hat_parts", skewed)
+    src, tgt, _ = sl_pair(3, Fraction(1, 3), 1, 1)
+    with pytest.raises(ValueError, match=message):
         _SolveContext(src, tgt)
 
 
@@ -670,3 +701,58 @@ def test_raising_operators_are_applied_once_per_monomial(monkeypatch, n):
     second, applied = vectors(Fraction(-7, 2))
     assert first and second == first
     assert applied == 0
+
+
+# -- members read the weight-free pieces of dpi_hat ----------------------------
+
+_lambdas = st.one_of(st.integers(-5, 2).map(Fraction), st.fractions(-5, 5, max_denominator=5))
+
+
+@st.composite
+def member_contexts(draw):
+    """(context, degree): SL or GL, n = 2..5, primed or full, generic or critical lambda.
+
+    The integers -5..2 hold the critical values of the small orders, where
+    the F-system's coefficients cancel.
+    """
+    n, flavor, full = draw(st.integers(2, 5)), draw(st.sampled_from([SL, GL])), draw(st.booleans())
+    k = 1 if flavor == SL else 2
+    lams = tuple(draw(_lambdas) for _ in range(k))
+    nus = tuple(lam + draw(_lambdas) for lam in lams)
+    source = ScalarRepParams(n, flavor, (0,) * k, lams)
+    target = TargetRepParams(n, flavor, (0,) * k, nus, draw(st.integers(0, 2)))
+    return _SolveContext(source, target, full_nilradical=full), draw(st.integers(0, 3))
+
+
+@given(member_contexts())
+@settings(max_examples=60, deadline=None)
+def test_member_operators_match_dpi_hat(case):
+    ctx, degree = case
+    source, pd = ctx.source, ctx.pd
+    for mono in monomial_basis(ctx.n, degree):
+        p = Polynomial.monomial(ctx.n, mono, 1, "zeta")
+        assert ctx.fsystem_images(mono) == [dpi_hat(N, source).apply(p).terms for N in ctx.lie.n_plus]
+    for Z, (coeffs, shift) in zip(ctx.lie.diag, ctx._diag, strict=True):
+        c0, c = _eigenvalue_form(dpi_hat(Z, source))
+        assert (ctx.fiber.weight(Z, pd) - shift, coeffs) == (c0, tuple(c))
+    for Z, (op, _) in zip(ctx.lie.raising, ctx.raising, strict=True):
+        assert op == dpi_hat(Z, source)
+
+
+def test_scan_builds_no_dpi_hat_and_applies_each_piece_once_per_monomial(monkeypatch):
+    applied = Counter()
+    apply = WeylElement.apply
+
+    def counting(self, p):
+        applied[(id(self), tuple(p.terms))] += 1
+        return apply(self, p)
+
+    # a cold image memo, so every piece the scan reads is applied here
+    monkeypatch.setattr(engine, "_MEMOS", {})
+    monkeypatch.setattr(WeylElement, "apply", counting)
+    before = rep.dpi_hat.cache_info()
+    rows = classify(3, m_max=2, l_max=2)
+    after = rep.dpi_hat.cache_info()
+    assert rows and all(row["ok"] for row in rows)
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert applied and max(applied.values()) == 1
