@@ -41,20 +41,23 @@ built at the level it depends on:
 * per scan: the Lie elements (once per algebra and nilradical mode) and
   every monomial's key at a degree, cached by the integer forms c and the
   gamma masks, which do not depend on lambda, nu or the fiber;
-* per lambda-family (the cells at a fixed gap nu - lambda): the label keys,
-  from the weight-free m-action of the fiber plus one shift
-  (fiber weight - c0) per diagonal element, then the unknowns and the
-  equivariant vectors (`solve_family`);
-* per member: only its weights w = 2rho - lambda.  Every operator a solve
-  reads is dpi_hat(X) = base + sum_i w_i part_i, and the weight-free
-  pieces come from `rep.dpi_hat_parts`, once per (element, algebra); each
-  piece's image of a monomial is computed once per scan.  A member
-  combines the images of N_1^+'s pieces with w for its F-system and
-  nullspace, reads each diagonal element's c0 as c0(base) + sum_i w_i
-  c0(part_i), and builds a check key that holds everything the family
-  stages read; every member's key must equal the first member's.  The
-  raising operators of m' have no weight part, so they are the bases
-  themselves.
+* per lambda-family (the cells at a fixed gap nu - lambda): one solve
+  context, built from the first member (`_SolveContext`): the fiber, the
+  raising pairs, the gamma parities, each diagonal element's c0 as
+  c0(base) + sum_i w_i c0(part_i) and its shift (fiber weight - c0), the
+  label keys from the weight-free m-action of the fiber plus the shifts,
+  then the unknowns and the equivariant vectors (`solve_family`);
+* per member: only a check and its weights w = 2rho - lambda.  The check
+  asks for the first member's n, flavor, signs and l and the same gap in
+  every component.  Along the gap a shift moves by
+  sum_i lambda_i (c0_i - chi_i), chi_i the characters, so a family of two
+  or more members also checks once that c0_i = chi_i on every diagonal
+  element.  Every operator a solve reads is dpi_hat(X) = base + sum_i w_i
+  part_i, and the weight-free pieces come from `rep.dpi_hat_parts`, once
+  per (element, algebra); each piece's image of a monomial is computed
+  once per scan.  A member combines the images of N_1^+'s pieces with w
+  for its F-system and nullspace.  The raising operators of m' have no
+  weight part, so they are the bases themselves.
 
 Output bases are RREF-canonical in the graded-lex coordinate order, so
 every scan is reproducible byte for byte.
@@ -81,10 +84,8 @@ from .params import (
     in_lambda_gl,
     in_lambda_sl,
     in_lambda_sl_connected,
-    predicted_dim_gl,
     predicted_dim_ido,
-    predicted_dim_sl,
-    predicted_dim_sl_connected,
+    record_dim,
     sign_shift,
     sign_str,
 )
@@ -93,6 +94,7 @@ from .rep import (
     SymFiber,
     TargetRepParams,
     VectorValuedPolynomial,
+    characters,
     dpi_hat_parts,
 )
 
@@ -288,16 +290,23 @@ def _eigenvalue_forms(parts):
 
 
 class _SolveContext:
-    """One (source, target, mode) solve: its weights, the F-system pieces and a check key.
+    """One lambda-family's solve, built from its first member.
+
+    The members of a family differ only in lambda at a fixed gap nu - lambda.
+    Everything built here but `weights`, the first member's 2rho - lambda,
+    serves every member: the fiber, the raising pairs, the gamma parities
+    and each diagonal element's coefficients and shift (fiber weight - c0).
+    A further member brings only its weights, from `member_weights`, which
+    checks that it belongs to the family; the F-system stage reads nothing
+    else of a member.
 
     A pair (zeta^m, label) is kept when every diagonal element has the same
     eigenvalue on zeta^m as on the label, and every component group
     generator the same sign.  Each condition is scaled to an integer
-    equation  form . m == scale * (m-part eigenvalue on the label + shift),
-    with shift = fiber weight - c0; the gamma signs become parities of m
-    over the coordinates where gamma acts by -1.  The integer forms and the
-    label keys are built on first use, so in a lambda-family only the member
-    that enumerates builds them.
+    equation  form . m == scale * (m-part eigenvalue on the label + shift);
+    the gamma signs become parities of m over the coordinates where gamma
+    acts by -1.  The integer forms and the label keys are built on first
+    use.
     """
 
     def __init__(self, source, target, connected=False, full_nilradical=False):
@@ -309,7 +318,8 @@ class _SolveContext:
             target.ell, self.n if full_nilradical else self.n - 1, tuple(-x for x in target.nu)
         )
         self.lie = _lie_data(self.pd, full_nilradical)
-        self.weights = source.dual_weights()
+        self._two_rho = self.pd.two_rho()
+        self.weights = self._weights(source)
         # dpi_hat(X, source) = base + sum_i weights_i part_i for each X below
         self.fsys_parts = tuple(dpi_hat_parts(N, self.pd) for N in self.lie.n_plus)
         raising = []  # (operator, fiber action) of each raising operator of m'
@@ -322,34 +332,56 @@ class _SolveContext:
             raising.append((base, self.fiber.m_action(Z, self.pd)))
         self.raising = tuple(raising)
         diag = []  # (coefficients c, fiber weight - c0) of each diagonal element
+        c0s_by_diag = []
         for Z in self.lie.diag:
             c0s, coeffs = _memo(dpi_hat_parts(Z, self.pd), _eigenvalue_forms)
             c0 = c0s[0] + sum(w * c for w, c in zip(self.weights, c0s[1:]))
             diag.append((coeffs, self.fiber.weight(Z, self.pd) - c0))
+            c0s_by_diag.append(c0s)
         self._diag = tuple(diag)
-        self._gamma = None if connected else (
-            full_nilradical, source.alpha, target.beta, target.ell
-        )
-        self._gamma_masks, self._parities = (
-            ((), {}) if connected else _gamma_parities(self.pd, *self._gamma)
+        self._c0s = tuple(c0s_by_diag)
+        self._gamma_masks, self._parities = ((), {}) if connected else _gamma_parities(
+            self.pd, full_nilradical, source.alpha, target.beta, target.ell
         )
 
-    def shared(self):
-        """The check key: everything `unknowns_at_degree` and `equivariant_vectors` read.
+    def _weights(self, source):
+        """A member's `dual_weights`, 2rho - lambda, with 2rho read once per family."""
+        return tuple(r - lam for r, lam in zip(self._two_rho, source.lam))
 
-        It holds the algebra, each diagonal element's coefficients and
-        fiber weight - c0, the fiber degree and block, the gamma data (None
-        when connected) and the raising (operator, m-action) pairs.  Building
-        it reads the cached weight-free pieces and each diagonal element's
-        c0 at this member's weights, but no label, and scales nothing.  The
-        raising operators are the same objects for every source of the
-        algebra, so comparing them costs an identity check.  The integer
-        forms and label keys are functions of the key, so two contexts with
-        equal keys give equal results in both stages.
+    @staticmethod
+    def _family_data(source, target):
+        """What every member shares: n, flavor, alpha, beta, ell and the gap nu - lambda."""
+        gap = tuple(nu - lam for nu, lam in zip(target.nu, source.lam))
+        return source.n, source.flavor, source.alpha, target.beta, target.ell, gap
+
+    @cached_property
+    def _lambda_free(self):
+        """Do the shifts stay put when lambda moves along the gap?
+
+        With nu = lambda + gap and w = 2rho - lambda, a diagonal element
+        Z's shift is const + sum_i lambda_i (c0_i(Z) - chi_i(Z)), where
+        chi_i are the characters that the fiber weights scale
+        (`rep.characters`) and c0_i is the scalar of Z's i-th weight part.
+        So the shifts are the same at every lambda on the gap exactly when
+        c0_i(Z) = chi_i(Z) for each diagonal element.  Read once per
+        family, when its second member is checked.
         """
-        return (
-            self.pd, self._diag, self.fiber.degree, self.fiber.block, self._gamma, self.raising,
+        return all(
+            c0s[1:] == characters(Z, self.pd) for Z, c0s in zip(self.lie.diag, self._c0s)
         )
+
+    def member_weights(self, source, target):
+        """A further member's weights w = 2rho - lambda, once it is checked to be one.
+
+        It must share `_family_data` with the first member, and the shifts
+        must not move along the gap (`_lambda_free`); else ValueError.
+        """
+        if (
+            self._family_data(source, target) != self._family_data(self.source, self.target)
+            or not self._lambda_free
+        ):
+            raise ValueError("a lambda-family's members differ in a lambda-independent stage")
+        return self._weights(source)
 
     @cached_property
     def _keys(self):
@@ -417,8 +449,8 @@ class _SolveContext:
                     _add_entry(rows, (zi, inl, mono), col, -a)
         return sparse_nullspace(rows.values(), len(unknowns))
 
-    def fsystem_images(self, mono):
-        """Each F-system operator's image of zeta^mono at this member, as {monomial: coefficient}.
+    def fsystem_images(self, mono, weights):
+        """Each F-system operator's image of zeta^mono at a member's weights, as {monomial: coefficient}.
 
         The image under base + sum_i w_i part_i is the base's image plus
         w_i times each part's, the pieces' images read from the scan-wide
@@ -428,14 +460,15 @@ class _SolveContext:
         for parts in self.fsys_parts:
             base, *images = (_image(op, mono) for op in parts)
             acc = dict(base)
-            for w, image in zip(self.weights, images):
+            for w, image in zip(weights, images):
                 if w:
                     for om, c in image.items():
                         acc[om] = acc[om] + w * c if om in acc else w * c
             out.append({om: c for om, c in acc.items() if c})
         return out
 
-    def fsystem_vectors(self, unknowns, eq_vectors):
+    def fsystem_vectors(self, unknowns, eq_vectors, weights):
+        """The equivariant vectors' combinations that the F-system at `weights` kills."""
         if not eq_vectors:
             return []
         images = {}  # monomial: its `fsystem_images`, once per member
@@ -444,7 +477,7 @@ class _SolveContext:
             for col, coeff in vec.items():
                 mono, lbl = unknowns[col]
                 if mono not in images:
-                    images[mono] = self.fsystem_images(mono)
+                    images[mono] = self.fsystem_images(mono, weights)
                 for jop, image in enumerate(images[mono]):
                     for om, c in image.items():
                         _add_entry(rows, (jop, lbl, om), b, coeff * c)
@@ -484,32 +517,30 @@ def solve_family(
     """Exact bases of Sol(n_+; V, W) in degrees <= degree_cap, one per (source, target).
 
     The members of a lambda-family differ only in lambda at a fixed gap
-    nu - lambda.  The label keys, unknowns and equivariant vectors are built
-    once, at the first member.  Every member builds only its check key
-    (`_SolveContext.shared`), which must equal the first member's, else
-    ValueError; the F-system is then solved at each member, from the
-    memoized images of the weight-free pieces of N_1^+.
+    nu - lambda.  One `_SolveContext`, built from the first member, gives
+    the label keys, unknowns and equivariant vectors.  Every further member
+    brings only its weights, after `_SolveContext.member_weights` checks
+    that it belongs to the family (else ValueError); the F-system is then
+    solved at each member's weights, from the memoized images of the
+    weight-free pieces of N_1^+.
     """
-    contexts = [_SolveContext(s, t, connected, full_nilradical) for s, t in members]
-    if not contexts:
+    if not members:
         return []
-    first = contexts[0]
-    shared = first.shared()
-    if any(ctx.shared() != shared for ctx in contexts[1:]):
-        raise ValueError("a lambda-family's members differ in a lambda-independent stage")
+    ctx = _SolveContext(*members[0], connected, full_nilradical)
+    weights = [ctx.weights] + [ctx.member_weights(s, t) for s, t in members[1:]]
     stages = []
     for d in range(max(degree_cap, -1) + 1):
-        unknowns = first.unknowns_at_degree(d)
-        eq_vectors = first.equivariant_vectors(unknowns)
+        unknowns = ctx.unknowns_at_degree(d)
+        eq_vectors = ctx.equivariant_vectors(unknowns)
         if eq_vectors:
             stages.append((d, unknowns, eq_vectors))
     out = []
-    for ctx in contexts:
+    for (source, target), w in zip(members, weights):
         solutions = []
         degrees = []
         sizes = {}
         for d, unknowns, eq_vectors in stages:
-            sol_vectors = ctx.fsystem_vectors(unknowns, eq_vectors)
+            sol_vectors = ctx.fsystem_vectors(unknowns, eq_vectors, w)
             if sol_vectors:
                 # homogeneity bookkeeping: the constraints preserve degree, so
                 # every solution vector lives in this single degree
@@ -524,7 +555,7 @@ def solve_family(
             "connected": connected,
             "full_nilradical": full_nilradical,
         }
-        out.append(SolutionSpace(ctx.source, ctx.target, solutions, degrees, provenance))
+        out.append(SolutionSpace(source, target, solutions, degrees, provenance))
     return out
 
 
@@ -720,15 +751,11 @@ def classify_sl_cell(family):
     for (lam,) in family.members():
         nu = lam + gap
         q = SLQuadruple(alpha, family.beta, ell, lam, nu).canonical(n)
-        if connected:
-            predicted = predicted_dim_sl_connected(q.ell, lam, nu, n)
-            rec = in_lambda_sl_connected(q.ell, lam, nu, n)
-        else:
-            predicted, rec = predicted_dim_sl(q, n), in_lambda_sl(q, n)
+        rec = in_lambda_sl_connected(q.ell, lam, nu, n) if connected else in_lambda_sl(q, n)
         pair = {"lambda": (lam,), "nu": (nu,)} if family.kind == "sl" else {"s": (-lam,), "r": (-nu,)}
         cells.append((
             pair, ScalarRepParams.sl(n, lam, alpha), TargetRepParams.sl(n, nu, ell=q.ell, beta=q.beta),
-            predicted, _expected_basis(rec, n),
+            record_dim(rec), _expected_basis(rec, n),
         ))
     return _rows(family, cells, weight_degree_cap(gap), connected=connected)
 
@@ -741,11 +768,11 @@ def classify_gl_cell(family):
     cells = []
     for lams in family.members():
         nus = (lams[0] + gaps[0], lams[1] + gaps[1])
-        t = GLTuple(alphas, betas, ell, lams, nus)
+        rec = in_lambda_gl(GLTuple(alphas, betas, ell, lams, nus), n)
         cells.append((
             {"lambda": lams, "nu": nus},
             ScalarRepParams(n, GL, alphas, lams), TargetRepParams(n, GL, betas, nus, ell),
-            predicted_dim_gl(t, n), _expected_basis(in_lambda_gl(t, n), n),
+            record_dim(rec), _expected_basis(rec, n),
         ))
     return _rows(family, cells, weight_degree_cap(gaps[0]))
 

@@ -71,7 +71,8 @@ class LieElement:
         return Fraction(0)
 
     def trace(self):
-        return sum((self[i, i] for i in range(self.size)), Fraction(0))
+        """The sum of the diagonal nonzeros; no zero entry is built."""
+        return sum((v for i, row in enumerate(self.entries) for j, v in row if j == i), Fraction(0))
 
     def is_zero(self):
         return not any(self.entries)

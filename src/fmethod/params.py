@@ -148,7 +148,7 @@ def in_lambda_ido(n, alphas, deltas, k, lams, taus) -> dict:
 # -- predicted dimensions -------------------------------------------------------
 
 
-def _dim(rec: dict) -> int:
+def record_dim(rec: dict) -> int:
     """Dimension named by a membership record: 2 on the doubled n = 2 family."""
     if rec.get("sl_plus"):
         return 2
@@ -156,16 +156,16 @@ def _dim(rec: dict) -> int:
 
 
 def predicted_dim_sl(q: SLQuadruple, n: int) -> int:
-    return _dim(in_lambda_sl(q, n))
+    return record_dim(in_lambda_sl(q, n))
 
 
 def predicted_dim_sl_connected(ell, lam, nu, n) -> int:
-    return _dim(in_lambda_sl_connected(ell, lam, nu, n))
+    return record_dim(in_lambda_sl_connected(ell, lam, nu, n))
 
 
 def predicted_dim_gl(t: GLTuple, n: int) -> int:
-    return _dim(in_lambda_gl(t, n))
+    return record_dim(in_lambda_gl(t, n))
 
 
 def predicted_dim_ido(n, alphas, deltas, k, lams, taus) -> int:
-    return _dim(in_lambda_ido(n, alphas, deltas, k, lams, taus))
+    return record_dim(in_lambda_ido(n, alphas, deltas, k, lams, taus))

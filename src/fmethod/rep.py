@@ -234,6 +234,11 @@ class OperatorOnVV:
 # -- fibers ----------------------------------------------------------------
 
 
+def characters(L: LieElement, pd: ParabolicData) -> tuple:
+    """(dchi(L)[, dchi2(L)]): what each character weight of a fiber scales; dchi2 for GL only."""
+    return (L[0, 0], L.trace()) if pd.flavor == GL else (L[0, 0],)
+
+
 @dataclass(frozen=True)
 class SymFiber:
     """S^degree of the m-block (natural action) or its dual (poly picture).
@@ -256,10 +261,7 @@ class SymFiber:
 
     def weight(self, L: LieElement, pd: ParabolicData) -> Fraction:
         """Scalar by which the characters of L act on every label."""
-        weight = self.weights[0] * L[0, 0]
-        if pd.flavor == GL and len(self.weights) > 1:
-            weight += self.weights[1] * L.trace()
-        return weight
+        return sum(w * c for w, c in zip(self.weights, characters(L, pd)))
 
     def act(self, L: LieElement, pd: ParabolicData) -> dict:
         """Action of L on the labels, as {(out label, in label): coefficient}.

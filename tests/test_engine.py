@@ -458,7 +458,9 @@ def test_enumeration_caches_key_every_input():
     """A walk of contexts that share the enumeration caches, one input changed per step.
 
     A cache key that left out an input the enumeration reads would hand a
-    later context the monomial keys of an earlier one.
+    later context the monomial keys of an earlier one.  The member check
+    partitions the walk the same way: only the step that moves lambda
+    along the gap could join the previous step's family.
     """
     swap = dataclasses.replace
     s0, t0, cap = _enumeration_case(3, SL, False, True)
@@ -480,7 +482,7 @@ def test_enumeration_caches_key_every_input():
         ("full_nilradical", *_enumeration_case(3, SL, True, True)[:2], full),
         ("flavor", *_enumeration_case(3, GL, True, True)[:2], full),
     ]
-    previous = None
+    previous = previous_mode = None
     for name, source, target, mode in walk:
         ctx = _SolveContext(source, target, **mode)
         got = [ctx.unknowns_at_degree(d) for d in range(cap + 2)]
@@ -491,9 +493,18 @@ def test_enumeration_caches_key_every_input():
         ]
         assert got == expected, name
         if previous is not None:
-            # only a move of lambda along the gap keeps the check key
-            assert (ctx.shared() == previous.shared()) == (name == "lambda at the same gap"), name
-        previous = ctx
+            # a family is solved in one mode, so a step that changes the mode
+            # starts another family; within a mode, only a move of lambda
+            # along the gap passes the member check
+            accepted = mode == previous_mode
+            if accepted:
+                try:
+                    previous.member_weights(source, target)
+                except ValueError as err:
+                    assert "lambda-independent stage" in str(err), name
+                    accepted = False
+            assert accepted == (name == "lambda at the same gap"), name
+        previous, previous_mode = ctx, mode
 
 
 def test_eigenvalue_form_reads_the_normal_form():
@@ -731,7 +742,7 @@ def test_member_operators_match_dpi_hat(case):
     source, pd = ctx.source, ctx.pd
     for mono in monomial_basis(ctx.n, degree):
         p = Polynomial.monomial(ctx.n, mono, 1, "zeta")
-        assert ctx.fsystem_images(mono) == [dpi_hat(N, source).apply(p).terms for N in ctx.lie.n_plus]
+        assert ctx.fsystem_images(mono, ctx.weights) == [dpi_hat(N, source).apply(p).terms for N in ctx.lie.n_plus]
     for Z, (coeffs, shift) in zip(ctx.lie.diag, ctx._diag, strict=True):
         c0, c = _eigenvalue_form(dpi_hat(Z, source))
         assert (ctx.fiber.weight(Z, pd) - shift, coeffs) == (c0, tuple(c))
@@ -756,3 +767,105 @@ def test_scan_builds_no_dpi_hat_and_applies_each_piece_once_per_monomial(monkeyp
     assert rows and all(row["ok"] for row in rows)
     assert (after.hits, after.misses) == (before.hits, before.misses)
     assert applied and max(applied.values()) == 1
+
+
+# -- one solve context per lambda-family ----------------------------------------
+
+FAMILY_KINDS = ["sl", "gp", "gprime", "gl", "sl-ido", "gl-ido"]
+
+
+@st.composite
+def families(draw):
+    """A `Family` of any kind, n = 2..5: the critical lambda first, then one or two more.
+
+    The extra lambda and lambda_2 values come from `_lambdas`, so they
+    are critical values of other orders as often as generic ones.
+    """
+    kind, n = draw(st.sampled_from(FAMILY_KINDS)), draw(st.integers(2, 5))
+    ido = kind.endswith("-ido")
+    m, ell = 0 if ido else draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    lams = engine._critical_first(1 - (m + ell), draw(st.lists(_lambdas, min_size=1, max_size=2)))
+    lam2s = (None,)
+    if kind.startswith("gl"):
+        lam2s = tuple(dict.fromkeys(draw(st.lists(_lambdas, min_size=1, max_size=2))))
+    if ido:
+        alpha, beta = 0, ell % 2
+    else:
+        # homs families have alpha = +, and the connected ones the matched beta
+        alpha = 0 if kind in ("gp", "gprime") else draw(st.integers(0, 1))
+        matched = (alpha + m + ell) % 2
+        beta = matched if kind == "gprime" else draw(st.sampled_from([matched, 1 - matched]))
+    return Family(kind, n, m, ell, alpha, beta, lams, lam2s)
+
+
+def _family_solve(family):
+    """(rows, the members, cap and mode that `run_cell` hands `solve_family`)."""
+    calls = []
+
+    def recording(members, degree_cap, **mode):
+        calls.append((members, degree_cap, mode))
+        return solve_family(members, degree_cap, **mode)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "solve_family", recording)
+        rows = engine.run_cell(family)
+    (call,) = calls
+    return rows, call
+
+
+@given(families())
+@settings(max_examples=100, deadline=None)
+def test_family_solve_equals_member_solves(family):
+    rows, (members, cap, mode) = _family_solve(family)
+    assert len(members) == len(rows) == len(family.members())
+    together = solve_family(members, cap, **mode)
+    for (source, target), sol in zip(members, together, strict=True):
+        alone = solve_fsystem(source, target, cap, **mode)
+        assert (sol.source, sol.target) == (source, target)
+        assert sol.basis == alone.basis
+        assert sol.degrees == alone.degrees
+        assert sol.provenance["sizes"] == alone.provenance["sizes"]
+
+
+_FAMILY_OF_EACH_KIND = [
+    Family("sl", 3, 1, 1, 0, 0, (Fraction(-1), Fraction(1, 3), Fraction(5))),
+    Family("gp", 3, 1, 1, 0, 1, (Fraction(-1), Fraction(-1, 3))),
+    Family("gprime", 3, 1, 1, 0, 0, (Fraction(-1), Fraction(-1, 3))),
+    Family("gl", 2, 1, 1, 0, 0, (Fraction(-1), Fraction(1, 3)), (Fraction(0), Fraction(1, 2))),
+    Family("sl-ido", 3, 0, 2, 0, 0, (Fraction(-1), Fraction(5))),
+    Family("gl-ido", 3, 0, 1, 0, 1, (Fraction(0), Fraction(5)), (Fraction(0), Fraction(1, 2))),
+]
+
+
+@pytest.mark.parametrize("family", _FAMILY_OF_EACH_KIND, ids=lambda f: f.kind)
+def test_family_builds_one_solve_context(monkeypatch, family):
+    built = []
+    init = _SolveContext.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_SolveContext, "__init__", counting)
+    rows = engine.run_cell(family)
+    assert len(rows) == len(family.members()) >= 2
+    assert all(row["ok"] for row in rows)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("change", ["lambda_2 gap", "beta", "ell"])
+def test_member_outside_the_family_raises(change):
+    source, target, cap = _enumeration_case(3, GL, False, True)
+    swap = dataclasses.replace
+    moved = (swap(source, lam=tuple(x + 2 for x in source.lam)),
+             swap(target, nu=tuple(x + 2 for x in target.nu)))
+    # moved along the gap in both components, a member belongs to the family
+    assert len(solve_family([(source, target), moved], cap)) == 2
+    src, tgt = moved
+    tgt = {
+        "lambda_2 gap": swap(tgt, nu=(tgt.nu[0], tgt.nu[1] + Fraction(1, 2))),
+        "beta": swap(tgt, beta=(1 - tgt.beta[0], tgt.beta[1])),
+        "ell": swap(tgt, ell=tgt.ell - 1),
+    }[change]
+    with pytest.raises(ValueError, match="lambda-independent stage"):
+        solve_family([(source, target), (src, tgt)], cap)

@@ -318,6 +318,23 @@ def test_sparse_layout_matches_dense_reference(pair, s):
         assert [j for j, _ in row] == sorted({j for j, _ in row}) and all(v for _, v in row)
 
 
+@given(sparse_pairs())
+@settings(max_examples=80, deadline=None)
+def test_trace_sums_only_the_diagonal_nonzeros(pair):
+    X, _ = pair
+    A = _dense(X)
+
+    def no_lookup(self, ij):
+        raise AssertionError("trace looked an entry up")
+
+    # every entry lookup of a zero builds a Fraction(0); trace makes none
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LieElement, "__getitem__", no_lookup)
+        trace = X.trace()
+    assert trace == sum((A[i][i] for i in range(X.size)), Fraction(0))
+    assert type(trace) is Fraction
+
+
 @st.composite
 def series_cases(draw):
     """(pd, X, num_x, x): X a sparse matrix of g (of g' when num_x = n - 1), x a point."""
