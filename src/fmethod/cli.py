@@ -120,14 +120,14 @@ def cmd_classify(args) -> int:
 
 
 def _verify_equivariance(args) -> dict:
-    n, m, ell, lam, alpha = args.n, args.m, args.l, args.lam, args.alpha
+    n, m, ell, lam = args.n, args.m, args.l, args.lam
     nu = lam + m + Fraction(n, n - 1) * ell if args.nu is None else args.nu
     if args.flavor == "sl":
-        source = ScalarRepParams.sl(n, lam, alpha)
+        source = ScalarRepParams.sl(n, lam)
         target = TargetRepParams.sl(n, nu, ell=ell)
     else:
         nu2 = args.lam2 - Fraction(ell, n - 1)
-        source = ScalarRepParams.gl(n, lam, args.lam2, alpha, 0)
+        source = ScalarRepParams.gl(n, lam, args.lam2)
         target = TargetRepParams.gl(n, nu, nu2, ell=ell)
     return check_equivariance(build_sbo(m, ell, n), source, target, args.deg)
 
@@ -197,10 +197,11 @@ def _out_path(text):
     """argparse type: a writable file in an existing directory, else a usage error.
 
     Checked without opening it, so a rejected path is neither created nor
-    truncated, and no cell is solved before the check.
+    truncated, and no cell is solved before the check.  An empty path names
+    no file.
     """
     parent = os.path.dirname(text) or "."
-    if os.path.isdir(text) or not os.path.isdir(parent):
+    if not text or os.path.isdir(text) or not os.path.isdir(parent):
         raise argparse.ArgumentTypeError(f"not a file in an existing directory: {text!r}")
     if not os.access(text if os.path.exists(text) else parent, os.W_OK):
         raise argparse.ArgumentTypeError(f"not writable: {text!r}")
@@ -234,10 +235,11 @@ def _ignored_mode(args):
 
 
 # the optional flags each verify target reads (--n, --m, --l and --out serve all);
-# --lambda2 is read under --flavor gl only
+# --lambda2 is read under --flavor gl only.  equivariance reads no --alpha: the
+# check is infinitesimal, dpi_lambda reads only lambda, and the report has no sign
 VERIFY_READS = {
     "factorization": {"--deg"},
-    "equivariance": {"--deg", "--lambda", "--lambda2", "--nu", "--alpha", "--flavor"},
+    "equivariance": {"--deg", "--lambda", "--lambda2", "--nu", "--flavor"},
     "images": {"--flavor"},
     "verma-factorization": {"--deg", "--lambda2", "--alpha", "--flavor"},
 }

@@ -38,26 +38,30 @@ enumerated at all.  What remains goes through two exact sparse nullspaces
 per homogeneous degree (equivariance, then the F-system).  Each piece is
 built at the level it depends on:
 
-* per scan: the Lie elements (once per algebra and nilradical mode) and
-  every monomial's key at a degree, cached by the integer forms c and the
-  gamma masks, which do not depend on lambda, nu or the fiber;
+* per algebra and nilradical mode, once per process: one `_LieData`
+  record with every lambda-free piece of a solve.  Every operator a solve
+  reads is dpi_hat(X) = base + sum_i w_i part_i, w = 2rho - lambda, and
+  the record reads each element's weight-free pieces from
+  `rep.dpi_hat_parts` once: the raising operators of m', which have no
+  weight part, so they are the bases themselves, and N_1^+'s (base,
+  part_1[, part_2]), each piece with its memo of monomial images; for
+  each diagonal element, c0 of each piece, its integer form and scale;
+  and whether every weight part's c0_i equals the character chi_i;
+* per scan: every monomial's key at a degree, cached by the integer forms
+  and the gamma masks, which do not depend on lambda, nu or the fiber;
 * per lambda-family (the cells at a fixed gap nu - lambda): one solve
-  context, built from the first member (`_SolveContext`): the fiber, the
-  raising pairs, the gamma parities, each diagonal element's c0 as
-  c0(base) + sum_i w_i c0(part_i) and its shift (fiber weight - c0), the
-  label keys from the weight-free m-action of the fiber plus the shifts,
-  then the unknowns and the equivariant vectors (`solve_family`);
-* per member: only a check and its weights w = 2rho - lambda.  The check
-  asks for the first member's n, flavor, signs and l and the same gap in
-  every component.  Along the gap a shift moves by
-  sum_i lambda_i (c0_i - chi_i), chi_i the characters, so a family of two
-  or more members also checks once that c0_i = chi_i on every diagonal
-  element.  Every operator a solve reads is dpi_hat(X) = base + sum_i w_i
-  part_i, and the weight-free pieces come from `rep.dpi_hat_parts`, once
-  per (element, algebra); each piece's image of a monomial is computed
-  once per scan.  A member combines the images of N_1^+'s pieces with w
-  for its F-system and nullspace.  The raising operators of m' have no
-  weight part, so they are the bases themselves.
+  context, built from the first member (`_SolveContext`): the record with
+  the fiber (the raising pairs, the gamma parities, each diagonal
+  element's shift fiber weight - c0 with c0 = c0(base) + sum_i w_i
+  c0(part_i)), the label keys from the weight-free m-action of the fiber
+  plus the shifts, then the unknowns and the equivariant vectors
+  (`solve_family`);
+* per member: only a check and its weights w.  The check asks for the
+  first member's n, flavor, signs and l and the same gap in every
+  component.  Along the gap a shift moves by sum_i lambda_i (c0_i -
+  chi_i), so a family of two or more members also needs the record's
+  c0_i = chi_i.  A member combines the memoized images of N_1^+'s pieces
+  with w for its F-system and nullspace.
 
 Output bases are RREF-canonical in the graded-lex coordinate order, so
 every scan is reproducible byte for byte.
@@ -174,29 +178,83 @@ def _eigenvalue_form(op):
     return c0, coeffs
 
 
-@dataclass(frozen=True)
-class _LieData:
-    """The lambda-independent Lie elements of a solve, shared by every context.
+def _image(piece, mono) -> dict:
+    """A piece (operator, memo) of a `_LieData` applied to zeta^mono, as {monomial: coefficient}.
 
-    Built once per (algebra, nilradical mode); tuples, because every solve
-    of that mode reads the same object.
+    Applied once per (piece, monomial) while the record lives, and shared
+    through the memo, so not to be mutated.
+    """
+    op, images = piece
+    image = images.get(mono)
+    if image is None:
+        image = images[mono] = op.apply(Polynomial.monomial(op.arity, mono, 1, "zeta")).terms
+    return image
+
+
+@dataclass(frozen=True, eq=False)
+class _LieData:
+    """Every lambda-free piece of a solve, shared by every context of one algebra and nilradical mode.
+
+    The element lists, then what a solve reads of them (`of` builds it).
+    dpi_hat(X, source) = base + sum_i w_i part_i with w = 2rho - lambda,
+    and each operator below is paired with its {monomial: image} memo, as a
+    piece `(operator, memo)` that `_image` reads.
     """
 
     diag: tuple  # H0~' (H0~ in full mode), J0' (J0) for GL, the Cartan of m' (m)
     raising: tuple  # the simple raising operators E_{i,i+1} of m' (m)
     gammas: tuple  # generators of the component group of M' (M)
     n_plus: tuple  # N_1^+ alone: it generates n_+' (n_+) as an m'- (m-)module
+    raising_ops: tuple  # the piece of each raising element: its base, as it has no weight part
+    fsystem: tuple  # the pieces (base, part_1[, part_2]) of each n_plus element
+    constants: tuple  # per diagonal element, c0 of each of its pieces
+    forms: tuple  # per diagonal element, its coefficients c times its scale
+    scales: tuple  # per diagonal element, the lcm of the denominators of c
+    lambda_free: bool  # does every diagonal element have c0_i = chi_i (`rep.characters`)?
+
+    @classmethod
+    def of(cls, pd, diag, raising, gammas, n_plus):
+        """The record of these element lists of the algebra `pd`.
+
+        Each element's `dpi_hat_parts` are read once.  No character sees a
+        raising element Z (Z[0, 0] = 0 and trace 0), so a weight part there
+        is a ValueError.  A diagonal element's operator has the eigenvalue
+        form (c0_base + sum_i w_i c0_i, c): every piece must act diagonally,
+        and a weight part only by a scalar, else ValueError.
+        """
+        raising_ops = []
+        for Z in raising:
+            base, *parts = dpi_hat_parts(Z, pd)
+            if any(not part.is_zero() for part in parts):
+                raise ValueError("a raising operator of m' has a weight part")
+            raising_ops.append((base, {}))
+        constants, forms, scales = [], [], []
+        for Z in diag:
+            (c0, coeffs), *parts = map(_eigenvalue_form, dpi_hat_parts(Z, pd))
+            if any(any(c) for _, c in parts):
+                raise ValueError("a weight part of a diagonal element is not a scalar")
+            constants.append((c0, *(c for c, _ in parts)))
+            scales.append(math.lcm(*(c.denominator for c in coeffs)))
+            forms.append(tuple(int(c * scales[-1]) for c in coeffs))
+        return cls(
+            diag, raising, gammas, n_plus, tuple(raising_ops),
+            tuple(tuple((op, {}) for op in dpi_hat_parts(N, pd)) for N in n_plus),
+            tuple(constants), tuple(forms), tuple(scales),
+            all(c[1:] == characters(Z, pd) for Z, c in zip(diag, constants)),
+        )
 
 
 @lru_cache(maxsize=None)
 def _lie_data(pd, full_nilradical) -> _LieData:
+    """The `_LieData` of an algebra and nilradical mode, built once per process."""
     primed = not full_nilradical
     diag = [pd.h0_tilde if full_nilradical else pd.h0_tilde_prime]
     if pd.flavor == GL:
         diag.append(pd.j0 if full_nilradical else pd.j0_prime)
     diag.extend(pd.m_cartan(primed=primed))
     top = pd.n if primed else pd.n + 1
-    return _LieData(
+    return _LieData.of(
+        pd,
         tuple(diag),
         tuple(pd.unit(i, i + 1) for i in range(2, top)),
         tuple(pd.gamma_elements(primed=primed)),
@@ -247,101 +305,46 @@ def _monomial_keys(n, degree, forms, masks):
     )
 
 
-_MEMOS = {}  # id(obj): (obj, value); holding obj keeps the id its own
-
-
-def _memo(obj, build):
-    """build(obj), built once per object and kept for the scan.
-
-    Keyed by identity, because hashing an operator costs about as much as
-    applying it.  The operators and piece tuples it sees come from the
-    `dpi_hat_parts` cache, so each Lie element of an algebra gives the same
-    objects to every source.
-    """
-    entry = _MEMOS.get(id(obj))
-    if entry is None:
-        entry = _MEMOS[id(obj)] = (obj, build(obj))
-    return entry[1]
-
-
-def _image(op, mono) -> dict:
-    """op applied to zeta^mono, as {monomial: coefficient}; shared, so not to be mutated.
-
-    Applied once per (operator object, monomial) over the whole scan.
-    """
-    images = _memo(op, lambda _: {})
-    image = images.get(mono)
-    if image is None:
-        image = images[mono] = op.apply(Polynomial.monomial(op.arity, mono, 1, "zeta")).terms
-    return image
-
-
-def _eigenvalue_forms(parts):
-    """(c0 of each piece, c of the base) of a diagonal element's `dpi_hat_parts`.
-
-    At weights w its operator has the eigenvalue form (c0_base + sum_i w_i
-    c0_i, c): every piece must act diagonally, and a weight part only by a
-    scalar, else ValueError.
-    """
-    forms = [_eigenvalue_form(op) for op in parts]
-    if any(any(coeffs) for _, coeffs in forms[1:]):
-        raise ValueError("a weight part of a diagonal element is not a scalar")
-    return tuple(c0 for c0, _ in forms), tuple(forms[0][1])
-
-
 class _SolveContext:
-    """One lambda-family's solve, built from its first member.
+    """One lambda-family's solve: its mode's `_LieData`, the fiber and the first member's weights.
 
     The members of a family differ only in lambda at a fixed gap nu - lambda.
     Everything built here but `weights`, the first member's 2rho - lambda,
-    serves every member: the fiber, the raising pairs, the gamma parities
-    and each diagonal element's coefficients and shift (fiber weight - c0).
-    A further member brings only its weights, from `member_weights`, which
-    checks that it belongs to the family; the F-system stage reads nothing
-    else of a member.
+    serves every member: the raising pairs (each raising piece with the
+    fiber's action), the gamma parities and each diagonal element's shift
+    (fiber weight - c0).  A further member brings only its weights, from
+    `member_weights`, which checks that it belongs to the family; the
+    F-system stage reads nothing else of a member.
 
     A pair (zeta^m, label) is kept when every diagonal element has the same
     eigenvalue on zeta^m as on the label, and every component group
     generator the same sign.  Each condition is scaled to an integer
     equation  form . m == scale * (m-part eigenvalue on the label + shift);
     the gamma signs become parities of m over the coordinates where gamma
-    acts by -1.  The integer forms and the label keys are built on first
-    use.
+    acts by -1.  The label keys are built on first use.
     """
 
     def __init__(self, source, target, connected=False, full_nilradical=False):
         self.source = source
         self.target = target
         self.n = source.n
-        self.pd = parabolic(source.n, source.flavor)
+        self.pd = pd = parabolic(source.n, source.flavor)
         self.fiber = SymFiber(
             target.ell, self.n if full_nilradical else self.n - 1, tuple(-x for x in target.nu)
         )
-        self.lie = _lie_data(self.pd, full_nilradical)
-        self._two_rho = self.pd.two_rho()
+        self.lie = lie = _lie_data(pd, full_nilradical)
+        self._two_rho = pd.two_rho()
         self.weights = self._weights(source)
-        # dpi_hat(X, source) = base + sum_i weights_i part_i for each X below
-        self.fsys_parts = tuple(dpi_hat_parts(N, self.pd) for N in self.lie.n_plus)
-        raising = []  # (operator, fiber action) of each raising operator of m'
-        for Z in self.lie.raising:
-            # Z[0, 0] = 0 and trace 0: no character sees Z, so neither its
-            # operator nor its fiber action carries a weight
-            base, *parts = dpi_hat_parts(Z, self.pd)
-            if any(not part.is_zero() for part in parts):
-                raise ValueError("a raising operator of m' has a weight part")
-            raising.append((base, self.fiber.m_action(Z, self.pd)))
-        self.raising = tuple(raising)
-        diag = []  # (coefficients c, fiber weight - c0) of each diagonal element
-        c0s_by_diag = []
-        for Z in self.lie.diag:
-            c0s, coeffs = _memo(dpi_hat_parts(Z, self.pd), _eigenvalue_forms)
-            c0 = c0s[0] + sum(w * c for w, c in zip(self.weights, c0s[1:]))
-            diag.append((coeffs, self.fiber.weight(Z, self.pd) - c0))
-            c0s_by_diag.append(c0s)
-        self._diag = tuple(diag)
-        self._c0s = tuple(c0s_by_diag)
+        self.raising = tuple(
+            (piece, self.fiber.m_action(Z, pd)) for Z, piece in zip(lie.raising, lie.raising_ops)
+        )
+        # c0 = c0(base) + sum_i w_i c0(part_i)
+        self._shifts = tuple(
+            self.fiber.weight(Z, pd) - c0 - sum(w * c for w, c in zip(self.weights, weight_c0))
+            for Z, (c0, *weight_c0) in zip(lie.diag, lie.constants)
+        )
         self._gamma_masks, self._parities = ((), {}) if connected else _gamma_parities(
-            self.pd, full_nilradical, source.alpha, target.beta, target.ell
+            pd, full_nilradical, source.alpha, target.beta, target.ell
         )
 
     def _weights(self, source):
@@ -354,49 +357,30 @@ class _SolveContext:
         gap = tuple(nu - lam for nu, lam in zip(target.nu, source.lam))
         return source.n, source.flavor, source.alpha, target.beta, target.ell, gap
 
-    @cached_property
-    def _lambda_free(self):
-        """Do the shifts stay put when lambda moves along the gap?
-
-        With nu = lambda + gap and w = 2rho - lambda, a diagonal element
-        Z's shift is const + sum_i lambda_i (c0_i(Z) - chi_i(Z)), where
-        chi_i are the characters that the fiber weights scale
-        (`rep.characters`) and c0_i is the scalar of Z's i-th weight part.
-        So the shifts are the same at every lambda on the gap exactly when
-        c0_i(Z) = chi_i(Z) for each diagonal element.  Read once per
-        family, when its second member is checked.
-        """
-        return all(
-            c0s[1:] == characters(Z, self.pd) for Z, c0s in zip(self.lie.diag, self._c0s)
-        )
-
     def member_weights(self, source, target):
         """A further member's weights w = 2rho - lambda, once it is checked to be one.
 
         It must share `_family_data` with the first member, and the shifts
-        must not move along the gap (`_lambda_free`); else ValueError.
+        must not move along the gap, else ValueError.  With nu = lambda +
+        gap and w = 2rho - lambda, a diagonal element Z's shift is const +
+        sum_i lambda_i (c0_i(Z) - chi_i(Z)), chi_i the characters that the
+        fiber weights scale and c0_i the scalar of Z's i-th weight part; so
+        the shifts stay put exactly when the record is `lambda_free`.
         """
         if (
             self._family_data(source, target) != self._family_data(self.source, self.target)
-            or not self._lambda_free
+            or not self.lie.lambda_free
         ):
             raise ValueError("a lambda-family's members differ in a lambda-independent stage")
         return self._weights(source)
 
     @cached_property
     def _keys(self):
-        """(integer forms, {key: labels}): labels under their integer targets, then gamma parities.
-
-        Each diagonal element's scale is the lcm of the denominators of its
-        coefficients c, so it turns c into an integer form.
-        """
+        """{key: labels}: the labels under their integer targets, then gamma parities."""
         fiber, pd = self.fiber, self.pd
         labels = fiber.labels(pd)
         targets = {lbl: [] for lbl in labels}
-        forms = []
-        for Z, (coeffs, shift) in zip(self.lie.diag, self._diag):
-            scale = math.lcm(*(c.denominator for c in coeffs))
-            forms.append(tuple(int(c * scale) for c in coeffs))
+        for Z, scale, shift in zip(self.lie.diag, self.lie.scales, self._shifts):
             acts = fiber.m_action(Z, pd)
             if any(k[0] != k[1] for k in acts):
                 raise ValueError("fiber action of a diagonal element is not diagonal")
@@ -409,7 +393,7 @@ class _SolveContext:
             if all(t.denominator == 1 for t in targets[lbl]):
                 key = tuple(int(t) for t in targets[lbl]) + self._parities.get(lbl, ())
                 out.setdefault(key, []).append(lbl)
-        return tuple(forms), out
+        return out
 
     # -- enumeration ----------------------------------------------------------
 
@@ -420,7 +404,7 @@ class _SolveContext:
         monomials come from `monomial_basis` and each key's labels keep the
         order of `fiber.labels`, both descending.
         """
-        forms, labels_by_key = self._keys
+        forms, labels_by_key = self.lie.forms, self._keys
         lo, hi = degree * min(forms[0]), degree * max(forms[0])
         if not any(lo <= key[0] <= hi for key in labels_by_key):
             return []
@@ -436,14 +420,14 @@ class _SolveContext:
         if not unknowns:
             return []
         rows = {}
-        for zi, (op, act) in enumerate(self.raising):
+        for zi, (piece, act) in enumerate(self.raising):
             # -A_{l', l} c_{(mono, l')} lands in the row (zi, l, mono):
             # read it column-wise via the transposed action, grouped by l'
             column = {}
             for (outl, inl), a in act.items():
                 column.setdefault(outl, []).append((inl, a))
             for col, (mono, lbl) in enumerate(unknowns):
-                for om, c in _image(op, mono).items():
+                for om, c in _image(piece, mono).items():
                     _add_entry(rows, (zi, lbl, om), col, c)
                 for inl, a in column.get(lbl, ()):
                     _add_entry(rows, (zi, inl, mono), col, -a)
@@ -453,12 +437,11 @@ class _SolveContext:
         """Each F-system operator's image of zeta^mono at a member's weights, as {monomial: coefficient}.
 
         The image under base + sum_i w_i part_i is the base's image plus
-        w_i times each part's, the pieces' images read from the scan-wide
-        memo.
+        w_i times each part's, the pieces' images read from their memos.
         """
         out = []
-        for parts in self.fsys_parts:
-            base, *images = (_image(op, mono) for op in parts)
+        for pieces in self.lie.fsystem:
+            base, *images = (_image(piece, mono) for piece in pieces)
             acc = dict(base)
             for w, image in zip(weights, images):
                 if w:

@@ -33,8 +33,9 @@ of variables, fiber shape and picture (x, or its Fourier transform), with
 one `induced_operator` call, for base; every builder below, and the Verma
 action, assembles its operator from them through `affine_operator`, with
 the `+` and `scale` of `OperatorOnVV`.  `dpi_hat_parts` hands the
-Fourier-side pieces of the line bundle to the engine as they are, so a
-solve combines them with each member's weights itself.
+Fourier-side pieces of the line bundle to the engine as they are: the
+engine's record of an algebra and nilradical mode reads them once per
+element, and a solve combines them with each member's weights itself.
 
 Lie elements are sparse (see `liealg`), so the series, the l-part split
 and the m-action of `SymFiber` touch only nonzero entries.
@@ -416,14 +417,12 @@ def _affine_parts(X: LieElement, pd: ParabolicData, num_x: int, shape, fourier: 
     base + sum_i w_i part_i.  With `fourier` the same pieces are Fourier
     transformed; the transform is linear.
     """
-    series = _ad_series(X, pd, num_x)
     labels = shape.labels(pd)
     parts = [induced_operator(X, pd, num_x, shape)]
-    k = len(shape.weights)
-    for i in range(k):
-        unit = replace(shape, weights=tuple(Fraction(int(i == j)) for j in range(k)))
-        # the characters read only the diagonal, where L and its l-part agree
-        p = Polynomial(num_x, {mono: unit.weight(L, pd) for mono, L in series.items()}, "x")
+    # the characters read only the diagonal, where L and its l-part agree
+    chars = {mono: characters(L, pd) for mono, L in _ad_series(X, pd, num_x).items()}
+    for i in range(len(shape.weights)):
+        p = Polynomial(num_x, {mono: c[i] for mono, c in chars.items()}, "x")
         op = WeylElement(num_x, {(0,) * num_x: p}, "x")
         parts.append(OperatorOnVV(num_x, labels, labels, {(lbl, lbl): op for lbl in labels}))
     return tuple(op.fourier() for op in parts) if fourier else tuple(parts)
@@ -478,13 +477,13 @@ def dpi_hat(X: LieElement, params: ScalarRepParams) -> WeylElement:
     return _scalar_action(X, params, params.dual_weights(), fourier=True)
 
 
-@lru_cache(maxsize=None)
 def dpi_hat_parts(X: LieElement, pd: ParabolicData) -> tuple:
     """(base, part_1[, part_2]): the weight-free pieces of `dpi_hat` at X.
 
     dpi_hat(X, params) = base + sum_i w_i part_i with w =
-    params.dual_weights(), for every params of the algebra `pd`; built once
-    per (X, pd).
+    params.dual_weights(), for every params of the algebra `pd`.  Not
+    cached itself: the engine's record of an algebra and nilradical mode
+    reads it once per element, and `_affine_parts` under it is cached.
     """
     _check_in_g(X, pd)
     shape = SymFiber(0, 0, tuple(Fraction(0) for _ in pd.two_rho()))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fmethod import cli, engine
+from fmethod import cli
 from fmethod.algebra import Polynomial
 from fmethod.cli import _usable_cpus, _worker_count, main
 from fmethod.liealg import parabolic
@@ -196,7 +196,7 @@ def test_output_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "where", ["missing-directory", "a-directory", "other-argument-bad"]
+    "where", ["missing-directory", "a-directory", "other-argument-bad", "empty"]
 )
 @pytest.mark.parametrize(
     "verb",
@@ -214,6 +214,8 @@ def test_unusable_out_is_a_usage_error_before_any_work(tmp_path, capsys, verb, w
         "missing-directory": (tmp_path / "missing" / "x.json", ()),
         "a-directory": (tmp_path, ()),
         "other-argument-bad": (kept, ("--n", "1")),
+        # an empty path would have sent the output to stdout
+        "empty": ("", ()),
     }[where]
     with pytest.raises(SystemExit) as exc:
         main([*verb, "--out", str(out), *extra])
@@ -315,6 +317,8 @@ OTHER_USAGE_ERRORS = {
     ("verify", "verma-factorization", "--n", "2", "--lambda2", "1/2"):
         "--lambda2 applies to --flavor gl only",
     ("verify", "equivariance", "--n", "2", "--lambda2", "1/2"): "--lambda2 applies to --flavor gl only",
+    # the equivariance check is infinitesimal, and dpi_lambda reads only lambda
+    ("verify", "equivariance", "--n", "3", "--alpha", "-"): "verify equivariance does not read --alpha",
 }
 
 
@@ -382,7 +386,7 @@ def test_classify_flag_defaults_spelled_out_are_accepted(capsys, spelled, plain)
     assert out == run(capsys, "classify", "--n", "2", *plain)[1]
 
 
-def test_broken_invariant_is_an_internal_error(capsys, monkeypatch):
+def test_broken_invariant_is_an_internal_error(patch_dpi_hat_parts, capsys):
     # the grading element's operator gains a term that moves monomials
     h0 = parabolic(2).h0_tilde_prime
     stray = WeylElement(2, {(0, 1): Polynomial.variable(2, 0, "zeta")}, "zeta")
@@ -391,7 +395,7 @@ def test_broken_invariant_is_an_internal_error(capsys, monkeypatch):
         base, *parts = dpi_hat_parts(X, pd)
         return (base + stray, *parts) if X == h0 else (base, *parts)
 
-    monkeypatch.setattr(engine, "dpi_hat_parts", skewed)
+    patch_dpi_hat_parts(skewed)
     code, out, err = run(capsys, "classify", "--n", "2", "--m-max", "0", "--l-max", "0")
     assert code == 3
     assert out == ""

@@ -1,6 +1,8 @@
 import dataclasses
+import math
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,14 @@ from fmethod.engine import (
     weight_degree_cap,
 )
 from fmethod.liealg import GL, SL, LieElement, parabolic
-from fmethod.rep import ScalarRepParams, SymFiber, TargetRepParams, dpi_hat, dpi_hat_parts
+from fmethod.rep import (
+    ScalarRepParams,
+    SymFiber,
+    TargetRepParams,
+    characters,
+    dpi_hat,
+    dpi_hat_parts,
+)
 from fmethod.weyl import WeylElement
 
 
@@ -283,7 +292,7 @@ def test_repeated_lambda2_samples_give_each_row_once(options):
     assert repeated == classify(2, flavor=GL, lambda2_samples=("0", "1/2"), **options)
 
 
-def _skewed_weight_part(monkeypatch, elements):
+def _skewed_weight_part(patch_dpi_hat_parts, elements):
     """dpi_hat_parts with the identity added to the first weight part on `elements`.
 
     The skew enters each member's operator times w_1 = 2rho - lambda, so it
@@ -296,15 +305,15 @@ def _skewed_weight_part(monkeypatch, elements):
             part = part + WeylElement.identity(pd.n, "zeta")
         return (base, part, *rest)
 
-    monkeypatch.setattr(engine, "dpi_hat_parts", skewed)
+    patch_dpi_hat_parts(skewed)
 
 
 @pytest.mark.parametrize("stage", ["offdiag", "diag"])
-def test_lambda_dependent_shared_stage_raises(monkeypatch, capsys, stage):
+def test_lambda_dependent_shared_stage_raises(patch_dpi_hat_parts, capsys, stage):
     pd = parabolic(3)
     # a raising operator that the solve reads, or the A'-weight that sets the
     # label targets
-    _skewed_weight_part(monkeypatch, set(engine._lie_data(pd, False).raising)
+    _skewed_weight_part(patch_dpi_hat_parts, set(engine._lie_data(pd, False).raising)
                         if stage == "offdiag" else {pd.h0_tilde_prime})
     family = _sl_family(3, 1, 1, -1, Fraction(1, 3), 5, Fraction(-7, 2))
     if stage == "offdiag":
@@ -525,7 +534,7 @@ def test_eigenvalue_form_rejects_non_diagonal_operators():
         _eigenvalue_form(WeylElement(2, {(2, 0): z1 * z1}, "zeta"))
 
 
-def test_context_rejects_off_diagonal_diagonal_operator(monkeypatch):
+def test_context_rejects_off_diagonal_diagonal_operator(patch_dpi_hat_parts):
     pd = parabolic(3)
     diagonal = {pd.h0_tilde_prime, *pd.m_cartan(primed=True)}
     stray = WeylElement(3, {(0, 1, 0): Polynomial.variable(3, 0, "zeta")}, "zeta")
@@ -534,7 +543,7 @@ def test_context_rejects_off_diagonal_diagonal_operator(monkeypatch):
         base, *parts = dpi_hat_parts(X, pd)
         return (base + stray, *parts) if X in diagonal else (base, *parts)
 
-    monkeypatch.setattr(engine, "dpi_hat_parts", skewed)
+    patch_dpi_hat_parts(skewed)
     src, tgt, _ = sl_pair(3, Fraction(1, 3), 1, 1)
     with pytest.raises(ValueError, match="diagonal element acted off-diagonally"):
         _SolveContext(src, tgt)
@@ -545,14 +554,14 @@ def test_context_rejects_off_diagonal_diagonal_operator(monkeypatch):
      "diagonal element acted off-diagonally"),
     (WeylElement.euler(3, "zeta"), "weight part of a diagonal element is not a scalar"),
 ], ids=["off-diagonal", "exponent-form"])
-def test_context_checks_each_weight_part_of_a_diagonal_element(monkeypatch, stray, message):
+def test_context_checks_each_weight_part_of_a_diagonal_element(patch_dpi_hat_parts, stray, message):
     pd = parabolic(3)
 
     def skewed(X, pd):
         base, part, *rest = dpi_hat_parts(X, pd)
         return (base, part + stray, *rest) if X == pd.h0_tilde_prime else (base, part, *rest)
 
-    monkeypatch.setattr(engine, "dpi_hat_parts", skewed)
+    patch_dpi_hat_parts(skewed)
     src, tgt, _ = sl_pair(3, Fraction(1, 3), 1, 1)
     with pytest.raises(ValueError, match=message):
         _SolveContext(src, tgt)
@@ -628,18 +637,41 @@ def test_lie_data_is_shared_and_immutable(flavor, full):
     lie = critical.lie
     assert lie is generic.lie is engine._lie_data(pd, full)
     assert lie is not engine._lie_data(pd, not full)
-    for f in dataclasses.fields(lie):
-        elements = getattr(lie, f.name)
+    for name in ("diag", "raising", "gammas", "n_plus"):
+        elements = getattr(lie, name)
         assert isinstance(elements, tuple) and elements
         assert all(isinstance(X, LieElement) for X in elements)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        lie.diag = ()
+    for f in dataclasses.fields(lie):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(lie, f.name, ())
     primed = not full
     assert lie.diag[0] == (pd.h0_tilde if full else pd.h0_tilde_prime)
     assert lie.diag[-len(pd.m_cartan(primed)):] == tuple(pd.m_cartan(primed))
     assert lie.raising == ((pd.unit(2, 3),) if primed else (pd.unit(2, 3), pd.unit(3, 4)))
     assert lie.gammas == tuple(pd.gamma_elements(primed))
     assert lie.n_plus == (pd.n_plus(1),)
+    # every piece is an operator with a memo of its own: the raising
+    # elements' bases, and (base, part_1[, part_2]) of each N_1^+
+    k = len(pd.two_rho())
+    assert [op for op, _ in lie.raising_ops] == [dpi_hat_parts(Z, pd)[0] for Z in lie.raising]
+    assert [tuple(op for op, _ in pieces) for pieces in lie.fsystem] == [
+        dpi_hat_parts(N, pd) for N in lie.n_plus
+    ]
+    assert all(len(pieces) == k + 1 for pieces in lie.fsystem)
+    pieces = [*lie.raising_ops, *(piece for pieces in lie.fsystem for piece in pieces)]
+    assert all(isinstance(op, WeylElement) and isinstance(memo, dict) for op, memo in pieces)
+    assert len({id(memo) for _, memo in pieces}) == len(pieces)
+    # per diagonal element: c0 of each piece, the integer form and its scale
+    assert len(lie.constants) == len(lie.forms) == len(lie.scales) == len(lie.diag)
+    for Z, constants, form, scale in zip(lie.diag, lie.constants, lie.forms, lie.scales):
+        base, *parts = dpi_hat_parts(Z, pd)
+        c0, coeffs = _eigenvalue_form(base)
+        assert constants == (c0, *(_eigenvalue_form(part)[0] for part in parts))
+        assert scale == math.lcm(*(c.denominator for c in coeffs))
+        assert all(type(f) is int for f in form)
+        assert [Fraction(f, scale) for f in form] == coeffs
+        assert constants[1:] == characters(Z, pd)
+    assert lie.lambda_free is True
 
 
 # -- solving on generators against the full bases -----------------------------
@@ -648,13 +680,15 @@ _GENERATOR_LIE_DATA = engine._lie_data
 
 
 def _full_lie_data(pd, full_nilradical):
-    """`_lie_data` with every off-diagonal unit of m' (m) and every N_j^+."""
+    """The `_LieData` built from every off-diagonal unit of m' (m) and every N_j^+."""
+    lie = _GENERATOR_LIE_DATA(pd, full_nilradical)
     top = pd.n + 1 if full_nilradical else pd.n
-    return dataclasses.replace(
-        _GENERATOR_LIE_DATA(pd, full_nilradical),
-        raising=tuple(pd.unit(i, j) for i in range(2, top + 1)
-                      for j in range(2, top + 1) if i != j),
-        n_plus=tuple(pd.n_plus_basis(primed=not full_nilradical)),
+    return engine._LieData.of(
+        pd,
+        lie.diag,
+        tuple(pd.unit(i, j) for i in range(2, top + 1) for j in range(2, top + 1) if i != j),
+        lie.gammas,
+        tuple(pd.n_plus_basis(primed=not full_nilradical)),
     )
 
 
@@ -682,7 +716,8 @@ def _classify_with_provenance(monkeypatch, options):
 ], ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
 def test_solve_on_generators_matches_full_bases(monkeypatch, options):
     reduced = _classify_with_provenance(monkeypatch, options)
-    monkeypatch.setattr(engine, "_lie_data", _full_lie_data)
+    # one record per (algebra, mode), cached for this test only, as `_lie_data` is
+    monkeypatch.setattr(engine, "_lie_data", lru_cache(_full_lie_data))
     full = _classify_with_provenance(monkeypatch, options)
     assert reduced[0] and all(row["ok"] for row in reduced[0])
     assert reduced == full
@@ -743,10 +778,16 @@ def test_member_operators_match_dpi_hat(case):
     for mono in monomial_basis(ctx.n, degree):
         p = Polynomial.monomial(ctx.n, mono, 1, "zeta")
         assert ctx.fsystem_images(mono, ctx.weights) == [dpi_hat(N, source).apply(p).terms for N in ctx.lie.n_plus]
-    for Z, (coeffs, shift) in zip(ctx.lie.diag, ctx._diag, strict=True):
+    # N_1^+'s pieces combine with the member's weights into its dpi_hat
+    for N, ((op, _), *parts) in zip(ctx.lie.n_plus, ctx.lie.fsystem, strict=True):
+        for w, (part, _) in zip(ctx.weights, parts, strict=True):
+            op = op + part.scale(w)
+        assert op == dpi_hat(N, source)
+    for Z, shift, form, scale in zip(ctx.lie.diag, ctx._shifts, ctx.lie.forms, ctx.lie.scales,
+                                     strict=True):
         c0, c = _eigenvalue_form(dpi_hat(Z, source))
-        assert (ctx.fiber.weight(Z, pd) - shift, coeffs) == (c0, tuple(c))
-    for Z, (op, _) in zip(ctx.lie.raising, ctx.raising, strict=True):
+        assert (ctx.fiber.weight(Z, pd) - shift, [Fraction(f, scale) for f in form]) == (c0, c)
+    for Z, ((op, _), _) in zip(ctx.lie.raising, ctx.raising, strict=True):
         assert op == dpi_hat(Z, source)
 
 
@@ -758,8 +799,9 @@ def test_scan_builds_no_dpi_hat_and_applies_each_piece_once_per_monomial(monkeyp
         applied[(id(self), tuple(p.terms))] += 1
         return apply(self, p)
 
-    # a cold image memo, so every piece the scan reads is applied here
-    monkeypatch.setattr(engine, "_MEMOS", {})
+    # no cached record, so every piece the scan reads is applied here, into
+    # the memos of a fresh record
+    engine._lie_data.cache_clear()
     monkeypatch.setattr(WeylElement, "apply", counting)
     before = rep.dpi_hat.cache_info()
     rows = classify(3, m_max=2, l_max=2)
@@ -767,6 +809,33 @@ def test_scan_builds_no_dpi_hat_and_applies_each_piece_once_per_monomial(monkeyp
     assert rows and all(row["ok"] for row in rows)
     assert (after.hits, after.misses) == (before.hits, before.misses)
     assert applied and max(applied.values()) == 1
+
+
+def test_dpi_hat_parts_runs_once_per_element_algebra_and_mode(patch_dpi_hat_parts):
+    """Over two rounds of scans, each record reads each of its elements once."""
+    calls = Counter()
+
+    def counting(X, pd):
+        calls[(X, pd)] += 1
+        return dpi_hat_parts(X, pd)
+
+    patch_dpi_hat_parts(counting)
+    scans = [
+        {"n": 3, "m_max": 1, "l_max": 1},
+        {"n": 3, "homs": True, "m_max": 1, "l_max": 1},
+        {"n": 3, "ido": True, "k_max": 2},
+        {"n": 2, "flavor": GL, "m_max": 1, "l_max": 1},
+    ]
+    for _ in range(2):
+        for options in scans:
+            rows = classify(**options)
+            assert rows and all(row["ok"] for row in rows)
+    seen = Counter(calls)
+    expected = Counter()
+    for pd, full in [(parabolic(3), False), (parabolic(3), True), (parabolic(2, GL), False)]:
+        lie = engine._lie_data(pd, full)
+        expected.update((X, pd) for X in (*lie.diag, *lie.raising, *lie.n_plus))
+    assert seen == expected
 
 
 # -- one solve context per lambda-family ----------------------------------------
