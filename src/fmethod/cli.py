@@ -15,7 +15,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .branch import verify_branching
@@ -50,7 +49,7 @@ HOMS_COLUMNS = [
 
 
 def _worker_count(jobs: int, families: int, cpus) -> int:
-    """Worker processes for a scan: min(--jobs, CPUs, lambda-families), at least one.
+    """Worker processes for a scan: min(--jobs, CPUs, families), at least one.
 
     `cpus` may be None (unknown).  The pool starts every worker up front,
     so asking for more than can run only costs start-up.
@@ -66,9 +65,15 @@ def _usable_cpus():
 
 
 def _run_families(jobs, requested):
-    """The rows of every job, one job per lambda-family."""
+    """The rows of every job, one job per family of one relative sign.
+
+    The process pool is imported only when it runs, so a serial scan does
+    not load multiprocessing.
+    """
     workers = _worker_count(requested, len(jobs), _usable_cpus())
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             families = list(pool.map(run_cell, jobs))
     else:

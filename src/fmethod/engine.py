@@ -49,19 +49,23 @@ built at the level it depends on:
   and whether every weight part's c0_i equals the character chi_i;
 * per scan: every monomial's key at a degree, cached by the integer forms
   and the gamma masks, which do not depend on lambda, nu or the fiber;
-* per lambda-family (the cells at a fixed gap nu - lambda): one solve
-  context, built from the first member (`_SolveContext`): the record with
-  the fiber (the raising pairs, the gamma parities, each diagonal
-  element's shift fiber weight - c0 with c0 = c0(base) + sum_i w_i
-  c0(part_i)), the label keys from the weight-free m-action of the fiber
-  plus the shifts, then the unknowns and the equivariant vectors
-  (`solve_family`);
+* per family (the cells of one relative sign at a fixed gap nu - lambda):
+  one solve context, built from the first member (`_SolveContext`): the
+  record with the fiber (the raising pairs, the gamma parities, each
+  diagonal element's shift fiber weight - c0 with c0 = c0(base) + sum_i
+  w_i c0(part_i)), the label keys from the weight-free m-action of the
+  fiber plus the shifts, then the unknowns and the equivariant vectors
+  (`solve_family`).  The signs enter only through the gamma parities,
+  which read the product of the source and target characters at each
+  generator; both characters see the same -1 entries, so (alpha, beta)
+  and (alpha + 1, beta + 1) share one solve;
 * per member: only a check and its weights w.  The check asks for the
-  first member's n, flavor, signs and l and the same gap in every
-  component.  Along the gap a shift moves by sum_i lambda_i (c0_i -
-  chi_i), so a family of two or more members also needs the record's
-  c0_i = chi_i.  A member combines the memoized images of N_1^+'s pieces
-  with w for its F-system and nullspace.
+  first member's n, flavor, l and gamma parities (none when connected)
+  and the same gap in every component.  Along the gap a shift moves by
+  sum_i lambda_i (c0_i - chi_i), so a family of two or more members also
+  needs the record's c0_i = chi_i.  The F-system is solved once per
+  distinct weights, combining the memoized images of N_1^+'s pieces with
+  w; members of both sign pairs at one lambda share it.
 
 Output bases are RREF-canonical in the graded-lex coordinate order, so
 every scan is reproducible byte for byte.
@@ -306,13 +310,14 @@ def _monomial_keys(n, degree, forms, masks):
 
 
 class _SolveContext:
-    """One lambda-family's solve: its mode's `_LieData`, the fiber and the first member's weights.
+    """One family's solve: its mode's `_LieData`, the fiber and the first member's weights.
 
-    The members of a family differ only in lambda at a fixed gap nu - lambda.
-    Everything built here but `weights`, the first member's 2rho - lambda,
-    serves every member: the raising pairs (each raising piece with the
-    fiber's action), the gamma parities and each diagonal element's shift
-    (fiber weight - c0).  A further member brings only its weights, from
+    The members of a family differ only in lambda at a fixed gap nu -
+    lambda, and in the sign pair within one relative sign.  Everything
+    built here but `weights`, the first member's 2rho - lambda, serves
+    every member: the raising pairs (each raising piece with the fiber's
+    action), the gamma parities and each diagonal element's shift (fiber
+    weight - c0).  A further member brings only its weights, from
     `member_weights`, which checks that it belongs to the family; the
     F-system stage reads nothing else of a member.
 
@@ -333,6 +338,7 @@ class _SolveContext:
             target.ell, self.n if full_nilradical else self.n - 1, tuple(-x for x in target.nu)
         )
         self.lie = lie = _lie_data(pd, full_nilradical)
+        self._connected, self._full_nilradical = connected, full_nilradical
         self._two_rho = pd.two_rho()
         self.weights = self._weights(source)
         self.raising = tuple(
@@ -346,31 +352,39 @@ class _SolveContext:
         self._gamma_masks, self._parities = ((), {}) if connected else _gamma_parities(
             pd, full_nilradical, source.alpha, target.beta, target.ell
         )
+        self._data = self._family_data(source, target)
 
     def _weights(self, source):
         """A member's `dual_weights`, 2rho - lambda, with 2rho read once per family."""
         return tuple(r - lam for r, lam in zip(self._two_rho, source.lam))
 
-    @staticmethod
-    def _family_data(source, target):
-        """What every member shares: n, flavor, alpha, beta, ell and the gap nu - lambda."""
+    def _family_data(self, source, target):
+        """What the solve reads of a member besides its weights.
+
+        n, flavor, l, the gap nu - lambda and, unless connected, the gamma
+        parities: the signs enter only there, so a member whose signs give
+        the same parities shares every stage but the F-system's weights.
+        """
         gap = tuple(nu - lam for nu, lam in zip(target.nu, source.lam))
-        return source.n, source.flavor, source.alpha, target.beta, target.ell, gap
+        parities = None if self._connected else _gamma_parities(
+            parabolic(source.n, source.flavor), self._full_nilradical,
+            source.alpha, target.beta, target.ell,
+        )[1]
+        return source.n, source.flavor, target.ell, gap, parities
 
     def member_weights(self, source, target):
         """A further member's weights w = 2rho - lambda, once it is checked to be one.
 
-        It must share `_family_data` with the first member, and the shifts
-        must not move along the gap, else ValueError.  With nu = lambda +
-        gap and w = 2rho - lambda, a diagonal element Z's shift is const +
+        It must share `_family_data` with the first member, so its signs
+        may differ only by flipping alpha and beta together (freely in the
+        connected mode, which reads no sign), and the shifts must not move
+        along the gap, else ValueError.  With nu = lambda + gap and w =
+        2rho - lambda, a diagonal element Z's shift is const +
         sum_i lambda_i (c0_i(Z) - chi_i(Z)), chi_i the characters that the
         fiber weights scale and c0_i the scalar of Z's i-th weight part; so
         the shifts stay put exactly when the record is `lambda_free`.
         """
-        if (
-            self._family_data(source, target) != self._family_data(self.source, self.target)
-            or not self.lie.lambda_free
-        ):
+        if self._family_data(source, target) != self._data or not self.lie.lambda_free:
             raise ValueError("a lambda-family's members differ in a lambda-independent stage")
         return self._weights(source)
 
@@ -499,13 +513,15 @@ def solve_family(
 ) -> list:
     """Exact bases of Sol(n_+; V, W) in degrees <= degree_cap, one per (source, target).
 
-    The members of a lambda-family differ only in lambda at a fixed gap
-    nu - lambda.  One `_SolveContext`, built from the first member, gives
-    the label keys, unknowns and equivariant vectors.  Every further member
-    brings only its weights, after `_SolveContext.member_weights` checks
-    that it belongs to the family (else ValueError); the F-system is then
-    solved at each member's weights, from the memoized images of the
-    weight-free pieces of N_1^+.
+    The members of a family differ only in lambda at a fixed gap nu -
+    lambda, and in their signs within one relative sign.  One
+    `_SolveContext`, built from the first member, gives the label keys,
+    unknowns and equivariant vectors.  Every further member brings only its
+    weights, after `_SolveContext.member_weights` checks that it belongs to
+    the family (else ValueError).  The F-system is then solved once per
+    distinct weights, from the memoized images of the weight-free pieces of
+    N_1^+; members at equal weights, such as the two sign pairs at one
+    lambda, each get their own `SolutionSpace` of that solve.
     """
     if not members:
         return []
@@ -517,8 +533,8 @@ def solve_family(
         eq_vectors = ctx.equivariant_vectors(unknowns)
         if eq_vectors:
             stages.append((d, unknowns, eq_vectors))
-    out = []
-    for (source, target), w in zip(members, weights):
+
+    def solve_at(w):
         solutions = []
         degrees = []
         sizes = {}
@@ -532,13 +548,21 @@ def solve_family(
                 solutions.extend(
                     _vector_to_vvp(v, unknowns, ctx.n) for v in rref_basis(sol_vectors)
                 )
+        return solutions, degrees, sizes
+
+    solved = {}  # weights: their solve, shared by the members at those weights
+    out = []
+    for (source, target), w in zip(members, weights):
+        if w not in solved:
+            solved[w] = solve_at(w)
+        solutions, degrees, sizes = solved[w]
         provenance = {
             "degree_cap": degree_cap,
-            "sizes": sizes,
+            "sizes": dict(sizes),
             "connected": connected,
             "full_nilradical": full_nilradical,
         }
-        out.append(SolutionSpace(source, target, solutions, degrees, provenance))
+        out.append(SolutionSpace(source, target, list(solutions), list(degrees), provenance))
     return out
 
 
@@ -598,10 +622,11 @@ def same_solution_span(a, b) -> bool:
 
 # -- classification scans -----------------------------------------------------
 #
-# A scan is the list of `Family` records from `scan_jobs`, one per
-# lambda-family: the cells of fixed (m, ell, signs), or of fixed k for the
+# A scan is the list of `Family` records from `scan_jobs`, one per family:
+# the cells of fixed (m, ell) and one relative sign, or of fixed k for the
 # intertwining operators, that differ only in lambda (and lambda_2 for GL) at
-# a fixed gap nu - lambda.  `scan_jobs` builds the SL, GL and homs records
+# a fixed gap nu - lambda, and for SL and GL in the sign pair (alpha, beta)
+# or (alpha + 1, beta + 1).  `scan_jobs` builds the SL, GL and homs records
 # from one grid (`_grid`) and the IDO records from the orders k.  `run_cell`
 # hands a record to the row builder of its kind, which solves the members
 # together through `_rows`, one row per member, and `row_key` orders the
@@ -614,11 +639,14 @@ DEFAULT_LAMBDA2_SAMPLES = (Fraction(0), Fraction(1, 2))
 
 @dataclass(frozen=True)
 class Family:
-    """One lambda-family: the unit of a scan and of a `--jobs` worker.
+    """One family of one relative sign: the unit of a scan and of a `--jobs` worker.
 
     `kind` is the row flavor: sl, gp (homs), gprime (connected homs), gl,
-    sl-ido or gl-ido.  `ell` is the order k for the IDO kinds, whose signs
-    are alpha = 0 and beta = the parity of k.  `lams` holds the first lambda
+    sl-ido or gl-ido.  `signs` holds the (alpha, beta) pairs of the first
+    sign characters: for sl and gl the two pairs of one relative sign,
+    alpha = 0 and 1, whose solves read only that sign; one pair for the
+    other kinds.  `ell` is the order k for the IDO kinds, whose signs are
+    alpha = 0 and beta = the parity of k.  `lams` holds the first lambda
     components, critical value first (-s for homs); `lam2s` the second
     ones, (None,) for SL.
     """
@@ -627,8 +655,7 @@ class Family:
     n: int
     m: int
     ell: int
-    alpha: int
-    beta: int
+    signs: tuple
     lams: tuple
     lam2s: tuple = (None,)
 
@@ -636,15 +663,16 @@ class Family:
     def flavor(self):
         return GL if self.kind.startswith("gl") else SL
 
-    @property
-    def signs(self):
-        """(alphas, betas); the second GL signs are +."""
-        pad = (0,) if self.flavor == GL else ()
-        return (self.alpha,) + pad, (self.beta,) + pad
-
     def members(self):
-        """Each member's lambda components, lambda_2 fastest."""
-        return [(lam,) if lam2 is None else (lam, lam2) for lam in self.lams for lam2 in self.lam2s]
+        """Each member's ((alphas, betas), lambda components), signs slowest, lambda_2 fastest.
+
+        The second GL signs are +.
+        """
+        pad = (0,) if self.flavor == GL else ()
+        return [
+            (((alpha,) + pad, (beta,) + pad), (lam,) if lam2 is None else (lam, lam2))
+            for alpha, beta in self.signs for lam in self.lams for lam2 in self.lam2s
+        ]
 
 
 def _critical_first(critical, samples):
@@ -653,45 +681,41 @@ def _critical_first(critical, samples):
 
 
 def _grid(m_max, l_max, samples, alphas, flips):
-    """Families (m, ell, lambdas, alpha, beta), lambdas = 1 - (m + ell) first.
+    """Families (m, ell, lambdas, signs), one per flip, lambdas = 1 - (m + ell) first.
 
-    beta is the matched sign alpha + (m + ell) for flip 0, the other for 1.
+    `signs` pairs each alpha with beta = the matched sign alpha + (m + ell)
+    for flip 0, the other for 1.
     """
     for m in range(m_max + 1):
         for ell in range(l_max + 1):
             lams = _critical_first(1 - (m + ell), samples)
-            for alpha in alphas:
-                matched = sign_shift(alpha, m + ell)
-                for flip in flips:
-                    yield m, ell, lams, alpha, sign_shift(matched, flip)
+            for flip in flips:
+                yield m, ell, lams, tuple((alpha, sign_shift(alpha, m + ell + flip)) for alpha in alphas)
 
 
 def _rows(family, cells, degree_cap, **mode):
-    """Solve a family's cells (pair, source, target, predicted, expected) together
-    and compare each with its predicted dimension and basis.
+    """Solve a family's cells ((alphas, betas), pair, source, target, predicted,
+    expected) together and compare each with its predicted dimension and basis.
 
-    A row's parameters come in table order: flavor, n, alpha, beta, l, then
-    `pair` (lambda, nu or s, r); GL pairs print comma-joined.
+    A row's parameters come in table order: flavor, n, the cell's alpha and
+    beta, l, then `pair` (lambda, nu or s, r); GL signs and pairs print
+    comma-joined.
     """
-    sols = solve_family([(src, tgt) for _, src, tgt, _, _ in cells], degree_cap, **mode)
-    alphas, betas = family.signs
-    head = {
-        "flavor": family.kind,
-        "n": family.n,
-        "alpha": ",".join(map(sign_str, alphas)),
-        "beta": ",".join(map(sign_str, betas)),
-        "l": family.ell,
-    }
+    sols = solve_family([(src, tgt) for _, _, src, tgt, _, _ in cells], degree_cap, **mode)
     return [
         {
-            **head,
+            "flavor": family.kind,
+            "n": family.n,
+            "alpha": ",".join(map(sign_str, alphas)),
+            "beta": ",".join(map(sign_str, betas)),
+            "l": family.ell,
             **{key: ",".join(map(str, values)) for key, values in pair.items()},
             "predicted_dim": predicted,
             "computed_dim": sol.dim,
             "basis_symbols": "; ".join(str(v) for v in sol.basis),
             "ok": sol.dim == predicted and same_solution_span(sol.basis, expected),
         }
-        for (pair, _, _, predicted, expected), sol in zip(cells, sols)
+        for ((alphas, betas), pair, _, _, predicted, expected), sol in zip(cells, sols)
     ]
 
 
@@ -722,38 +746,39 @@ def _expected_basis(rec: dict, n: int):
 
 
 def classify_sl_cell(family):
-    """Rows of an SL family, one per lambda.
+    """Rows of an SL family, one per (sign pair, lambda).
 
     A homs family (kind gp, or gprime for the g'-homomorphisms) is the SL
     family at (lambda, nu) = (-s, -r); its rows show (s, r).
     """
-    n, ell, alpha = family.n, family.ell, family.alpha
+    n, ell = family.n, family.ell
     connected = family.kind == "gprime"
     gap = family.m + Fraction(n, n - 1) * ell
     cells = []
-    for (lam,) in family.members():
+    for signs, (lam,) in family.members():
+        (alpha,), (beta,) = signs
         nu = lam + gap
-        q = SLQuadruple(alpha, family.beta, ell, lam, nu).canonical(n)
+        q = SLQuadruple(alpha, beta, ell, lam, nu).canonical(n)
         rec = in_lambda_sl_connected(q.ell, lam, nu, n) if connected else in_lambda_sl(q, n)
         pair = {"lambda": (lam,), "nu": (nu,)} if family.kind == "sl" else {"s": (-lam,), "r": (-nu,)}
         cells.append((
-            pair, ScalarRepParams.sl(n, lam, alpha), TargetRepParams.sl(n, nu, ell=q.ell, beta=q.beta),
+            signs, pair,
+            ScalarRepParams.sl(n, lam, alpha), TargetRepParams.sl(n, nu, ell=q.ell, beta=q.beta),
             record_dim(rec), _expected_basis(rec, n),
         ))
     return _rows(family, cells, weight_degree_cap(gap), connected=connected)
 
 
 def classify_gl_cell(family):
-    """Rows of a GL family, one per (lambda_1, lambda_2)."""
+    """Rows of a GL family, one per (sign pair, lambda_1, lambda_2)."""
     n, ell = family.n, family.ell
-    alphas, betas = family.signs
     gaps = (family.m + Fraction(n, n - 1) * ell, -Fraction(ell, n - 1))
     cells = []
-    for lams in family.members():
+    for (alphas, betas), lams in family.members():
         nus = (lams[0] + gaps[0], lams[1] + gaps[1])
         rec = in_lambda_gl(GLTuple(alphas, betas, ell, lams, nus), n)
         cells.append((
-            {"lambda": lams, "nu": nus},
+            (alphas, betas), {"lambda": lams, "nu": nus},
             ScalarRepParams(n, GL, alphas, lams), TargetRepParams(n, GL, betas, nus, ell),
             record_dim(rec), _expected_basis(rec, n),
         ))
@@ -763,13 +788,12 @@ def classify_gl_cell(family):
 def classify_ido_cell(family):
     """Rows of the order-k family (k = `ell`), one per lambda (SL) or (lambda_1, lambda_2) (GL)."""
     n, k, flavor = family.n, family.ell, family.flavor
-    alphas, deltas = family.signs
     cells = []
-    for lams in family.members():
+    for (alphas, deltas), lams in family.members():
         taus = (lams[0] + Fraction(n + 1, n) * k,) + tuple(x - Fraction(k, n) for x in lams[1:])
         predicted = predicted_dim_ido(n, alphas, deltas, k, lams, taus)
         cells.append((
-            {"lambda": lams, "nu": taus},
+            (alphas, deltas), {"lambda": lams, "nu": taus},
             ScalarRepParams(n, flavor, alphas, lams), TargetRepParams(n, flavor, deltas, taus, k),
             predicted, [ido_symbol_vector(k, n)] if predicted == 1 else [],
         ))
@@ -788,12 +812,14 @@ def scan_jobs(
     homs=False,
     connected=False,
 ):
-    """One `Family` per lambda-family of the scan.
+    """One `Family` per family of the scan.
 
-    `homs` scans the SL homomorphisms and takes `lambda_samples` as s
-    samples; their alpha is +, and the g'-homomorphisms (`connected`)
-    ignore the sign, so they take the matched beta only.  Otherwise `ido`
-    picks the intertwining operators of `flavor`.
+    An SL or GL family holds both sign pairs of one relative sign, so the
+    scan has one per (m, l, matched or flipped beta).  `homs` scans the SL
+    homomorphisms and takes `lambda_samples` as s samples; their alpha is
+    +, and the g'-homomorphisms (`connected`) ignore the sign, so they take
+    the matched beta only.  Otherwise `ido` picks the intertwining
+    operators of `flavor`.
     """
     lam2s = (None,) if homs or flavor == SL else tuple(dict.fromkeys(map(Fraction, lambda2_samples)))
     if homs:
@@ -802,13 +828,13 @@ def scan_jobs(
         grid = _grid(m_max, l_max, minus_s, (0,), (0,) if connected else (0, 1))
     elif ido:
         return [
-            Family(f"{flavor}-ido", n, 0, k, 0, sign_shift(0, k),
+            Family(f"{flavor}-ido", n, 0, k, ((0, sign_shift(0, k)),),
                    _critical_first(1 - k, lambda_samples), lam2s)
             for k in range(k_max + 1)
         ]
     else:
         kind, grid = flavor, _grid(m_max, l_max, lambda_samples, (0, 1), (0, 1))
-    return [Family(kind, n, m, ell, alpha, beta, lams, lam2s) for m, ell, lams, alpha, beta in grid]
+    return [Family(kind, n, m, ell, signs, lams, lam2s) for m, ell, lams, signs in grid]
 
 
 def run_cell(family):

@@ -72,7 +72,8 @@ def test_scan_cells_run_through_module_bindings(monkeypatch, kind):
     # every family reaches exactly one traced name, exactly once
     assert seen == [(builder, family) for family in families]
     assert {family.kind for family in families} == {kind}
-    assert len(rows) == sum(len(f.lams) * len(f.lam2s) for f in families) > 0
+    # one row per member: per sign pair, lambda and lambda_2
+    assert len(rows) == sum(len(f.signs) * len(f.lams) * len(f.lam2s) for f in families) > 0
 
 
 # the seed-0 parameters of each verify-identities suite

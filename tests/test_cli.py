@@ -1,4 +1,9 @@
+import concurrent.futures
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -255,17 +260,28 @@ def test_jobs_flag_matches_serial(capsys, monkeypatch, scan):
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     started = []
 
-    class Recording(cli.ProcessPoolExecutor):
+    class Recording(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             started.append(kwargs["max_workers"])
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
+    # the pool is imported where it runs, so it is patched where it is defined
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
     base = ("classify", "--n", "2", *scan, "--format", "json")
     _, serial, _ = run(capsys, *base, "--jobs", "1")
     _, parallel, _ = run(capsys, *base, "--jobs", "2")
     assert started == [2]
     assert serial == parallel
+
+
+def test_cli_import_loads_no_process_pool():
+    # a serial run (the default --jobs 1) pays for no multiprocessing import
+    script = "import sys, fmethod.cli; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 # usage errors other than a number out of range, with the text each must print

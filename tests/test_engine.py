@@ -27,6 +27,7 @@ from fmethod.engine import (
     weight_degree_cap,
 )
 from fmethod.liealg import GL, SL, LieElement, parabolic
+from fmethod.params import sign_str
 from fmethod.rep import (
     ScalarRepParams,
     SymFiber,
@@ -185,12 +186,12 @@ def test_sign_consistency_over_scan():
 
 def _ido_family(n, k, lam):
     """The SL order-k family at one lambda: alpha = +, beta = the parity of k."""
-    return Family("sl-ido", n, 0, k, 0, k % 2, (Fraction(lam),))
+    return Family("sl-ido", n, 0, k, ((0, k % 2),), (Fraction(lam),))
 
 
 def _sl_family(n, m, ell, *lams):
     """The matched-sign SL family (m, l) at alpha = +."""
-    return Family("sl", n, m, ell, 0, (m + ell) % 2, tuple(map(Fraction, lams)))
+    return Family("sl", n, m, ell, ((0, (m + ell) % 2),), tuple(map(Fraction, lams)))
 
 
 def test_ido_cells():
@@ -208,7 +209,7 @@ def test_classify_table_deterministic():
     assert a == b
 
 
-# -- lambda-families -----------------------------------------------------------
+# -- families --------------------------------------------------------------------
 
 
 def _solution_record(sol):
@@ -838,7 +839,7 @@ def test_dpi_hat_parts_runs_once_per_element_algebra_and_mode(patch_dpi_hat_part
     assert seen == expected
 
 
-# -- one solve context per lambda-family ----------------------------------------
+# -- one solve context per family of one relative sign --------------------------
 
 FAMILY_KINDS = ["sl", "gp", "gprime", "gl", "sl-ido", "gl-ido"]
 
@@ -858,13 +859,14 @@ def families(draw):
     if kind.startswith("gl"):
         lam2s = tuple(dict.fromkeys(draw(st.lists(_lambdas, min_size=1, max_size=2))))
     if ido:
-        alpha, beta = 0, ell % 2
+        signs = ((0, ell % 2),)
     else:
-        # homs families have alpha = +, and the connected ones the matched beta
-        alpha = 0 if kind in ("gp", "gprime") else draw(st.integers(0, 1))
-        matched = (alpha + m + ell) % 2
-        beta = matched if kind == "gprime" else draw(st.sampled_from([matched, 1 - matched]))
-    return Family(kind, n, m, ell, alpha, beta, lams, lam2s)
+        # sl and gl families hold both sign pairs of one relative sign; homs
+        # families have alpha = +, and the connected ones the matched beta
+        alphas = (0, 1) if kind in ("sl", "gl") else (0,)
+        flip = 0 if kind == "gprime" else draw(st.integers(0, 1))
+        signs = tuple((alpha, (alpha + m + ell + flip) % 2) for alpha in alphas)
+    return Family(kind, n, m, ell, signs, lams, lam2s)
 
 
 def _family_solve(family):
@@ -887,6 +889,11 @@ def _family_solve(family):
 def test_family_solve_equals_member_solves(family):
     rows, (members, cap, mode) = _family_solve(family)
     assert len(members) == len(rows) == len(family.members())
+    # each row heads with its own member's signs
+    assert [(row["alpha"], row["beta"]) for row in rows] == [
+        (",".join(map(sign_str, alphas)), ",".join(map(sign_str, betas)))
+        for (alphas, betas), _ in family.members()
+    ]
     together = solve_family(members, cap, **mode)
     for (source, target), sol in zip(members, together, strict=True):
         alone = solve_fsystem(source, target, cap, **mode)
@@ -897,12 +904,13 @@ def test_family_solve_equals_member_solves(family):
 
 
 _FAMILY_OF_EACH_KIND = [
-    Family("sl", 3, 1, 1, 0, 0, (Fraction(-1), Fraction(1, 3), Fraction(5))),
-    Family("gp", 3, 1, 1, 0, 1, (Fraction(-1), Fraction(-1, 3))),
-    Family("gprime", 3, 1, 1, 0, 0, (Fraction(-1), Fraction(-1, 3))),
-    Family("gl", 2, 1, 1, 0, 0, (Fraction(-1), Fraction(1, 3)), (Fraction(0), Fraction(1, 2))),
-    Family("sl-ido", 3, 0, 2, 0, 0, (Fraction(-1), Fraction(5))),
-    Family("gl-ido", 3, 0, 1, 0, 1, (Fraction(0), Fraction(5)), (Fraction(0), Fraction(1, 2))),
+    Family("sl", 3, 1, 1, ((0, 0), (1, 1)), (Fraction(-1), Fraction(1, 3), Fraction(5))),
+    Family("gp", 3, 1, 1, ((0, 1),), (Fraction(-1), Fraction(-1, 3))),
+    Family("gprime", 3, 1, 1, ((0, 0),), (Fraction(-1), Fraction(-1, 3))),
+    Family("gl", 2, 1, 1, ((0, 0), (1, 1)), (Fraction(-1), Fraction(1, 3)),
+           (Fraction(0), Fraction(1, 2))),
+    Family("sl-ido", 3, 0, 2, ((0, 0),), (Fraction(-1), Fraction(5))),
+    Family("gl-ido", 3, 0, 1, ((0, 1),), (Fraction(0), Fraction(5)), (Fraction(0), Fraction(1, 2))),
 ]
 
 
@@ -922,19 +930,87 @@ def test_family_builds_one_solve_context(monkeypatch, family):
     assert len(built) == 1
 
 
-@pytest.mark.parametrize("change", ["lambda_2 gap", "beta", "ell"])
+def _flip_first(signs):
+    return (1 - signs[0], *signs[1:])
+
+
+@pytest.mark.parametrize("change", ["lambda_2 gap", "alpha", "beta", "ell"])
 def test_member_outside_the_family_raises(change):
     source, target, cap = _enumeration_case(3, GL, False, True)
     swap = dataclasses.replace
     moved = (swap(source, lam=tuple(x + 2 for x in source.lam)),
              swap(target, nu=tuple(x + 2 for x in target.nu)))
-    # moved along the gap in both components, a member belongs to the family
-    assert len(solve_family([(source, target), moved], cap)) == 2
+    # moved along the gap in both components, or with both first signs
+    # flipped (the same relative sign), a member belongs to the family
+    flipped = (swap(source, alpha=_flip_first(source.alpha)), swap(target, beta=_flip_first(target.beta)))
+    first, _, twin = solve_family([(source, target), moved, flipped], cap)
+    assert (twin.source, twin.target) == flipped
+    assert twin.basis == first.basis and twin.degrees == first.degrees and twin.dim > 0
     src, tgt = moved
-    tgt = {
-        "lambda_2 gap": swap(tgt, nu=(tgt.nu[0], tgt.nu[1] + Fraction(1, 2))),
-        "beta": swap(tgt, beta=(1 - tgt.beta[0], tgt.beta[1])),
-        "ell": swap(tgt, ell=tgt.ell - 1),
+    src, tgt = {
+        "lambda_2 gap": (src, swap(tgt, nu=(tgt.nu[0], tgt.nu[1] + Fraction(1, 2)))),
+        "alpha": (swap(src, alpha=_flip_first(src.alpha)), tgt),
+        "beta": (src, swap(tgt, beta=_flip_first(tgt.beta))),
+        "ell": (src, swap(tgt, ell=tgt.ell - 1)),
     }[change]
     with pytest.raises(ValueError, match="lambda-independent stage"):
         solve_family([(source, target), (src, tgt)], cap)
+
+
+def test_connected_family_reads_no_signs():
+    # the identity component has no gamma conditions, so any signs share a solve
+    source, target, cap = _enumeration_case(3, SL, False, True)
+    swap = dataclasses.replace
+    member = (swap(source, alpha=_flip_first(source.alpha)), target)
+    first, other = solve_family([(source, target), member], cap, connected=True)
+    assert other.basis == first.basis and first.dim > 0
+    with pytest.raises(ValueError, match="lambda-independent stage"):
+        solve_family([(source, target), member], cap)
+
+
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("flavor", [SL, GL])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_gamma_parities_read_only_the_relative_sign(n, flavor, full):
+    """The fact a scan family rests on, in the first sign components.
+
+    Flipping alpha and beta together keeps the parities; flipping only one
+    of them changes them.
+    """
+    pd, pad = parabolic(n, flavor), (0,) if flavor == GL else ()
+
+    def parities(alpha, beta, ell):
+        return engine._gamma_parities(pd, full, (alpha,) + pad, (beta,) + pad, ell)
+
+    for ell in range(4):
+        for alpha in (0, 1):
+            for beta in (0, 1):
+                masks, base = parities(alpha, beta, ell)
+                assert parities(1 - alpha, 1 - beta, ell) == (masks, base)
+                assert parities(1 - alpha, beta, ell)[1] != base
+                assert parities(alpha, 1 - beta, ell)[1] != base
+
+
+@pytest.mark.parametrize("n, options, sign_families", [
+    (4, {"m_max": 4, "l_max": 4}, 100),
+    (2, {"flavor": GL, "m_max": 2, "l_max": 2}, 36),
+])
+def test_scan_solves_each_relative_sign_once(monkeypatch, n, options, sign_families):
+    """An SL or GL scan builds one context and makes one solve per two (alpha, beta) families."""
+    built, solves = [], []
+    init, family = _SolveContext.__init__, engine.solve_family
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def counting_solve(members, *args, **kwargs):
+        solves.append({(src.alpha, tgt.beta) for src, tgt in members})
+        return family(members, *args, **kwargs)
+
+    monkeypatch.setattr(_SolveContext, "__init__", counting_init)
+    monkeypatch.setattr(engine, "solve_family", counting_solve)
+    rows = classify(n, **options)
+    assert rows and all(row["ok"] for row in rows)
+    assert len(built) == len(solves) == sign_families // 2
+    assert all(len(pairs) == 2 for pairs in solves)
