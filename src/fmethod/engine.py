@@ -29,14 +29,17 @@ The independent checks (`operators.check_equivariance`,
 `branch.invariants_in`) keep the full bases.
 
 Diagonal constraints (the A'-weights, the Cartan of m', the gamma signs)
-act diagonally on monomial pairs, so they are solved by enumeration: each
+act diagonally on monomial pairs, so they are solved per label: each
 diagonal element's eigenvalue on zeta^m is an affine form c0 + c . m in the
-exponents, read from the normal form of its operator, and the pairs of a
-degree are the monomials whose integer-scaled weights and sign parities key
-a fiber label.  Degrees whose A'-weight range holds no label are not
-enumerated at all.  What remains goes through two exact sparse nullspaces
-per homogeneous degree (equivariance, then the F-system).  Each piece is
-built at the level it depends on:
+exponents, read from the normal form of its operator.  Scaled to integers,
+these forms and the degree row (1, .., 1) have full rank n, so a label's
+pair at degree d, if any, is the one monomial m = (P + c + d u) / D: P from
+the label, c from the family's shifts, u and D from n independent rows.
+Each label keeps the interval of degrees on which m >= 0 and the other rows
+hold, and a degree in it keeps the pair when m is integral and has the
+label's gamma parities.  What remains goes through two exact sparse
+nullspaces per homogeneous degree (equivariance, then the F-system).  Each
+piece is built at the level it depends on:
 
 * per algebra and nilradical mode, once per process: one `_LieData`
   record with every lambda-free piece of a solve.  Every operator a solve
@@ -46,19 +49,21 @@ built at the level it depends on:
   weight part, so they are the bases themselves, and N_1^+'s (base,
   part_1[, part_2]), each piece with its memo of monomial images; for
   each diagonal element, c0 of each piece, its integer form and scale;
-  and whether every weight part's c0_i equals the character chi_i;
-* per scan: every monomial's key at a degree, cached by the integer forms
-  and the gamma masks, which do not depend on lambda, nu or the fiber;
+  whether every weight part's c0_i equals the character chi_i; and the n
+  independent rows, with D times the inverse of their matrix;
+* per record and l: each fiber label's integer P and its part of the
+  other rows' checks, from the weight-free m-action of the fiber
+  (`_LieData.solve_labels`), kept on the record;
 * per family (the cells of one relative sign at a fixed gap nu - lambda):
   one solve context, built from the first member (`_SolveContext`): the
   record with the fiber (the raising pairs, the gamma parities, each
   diagonal element's shift fiber weight - c0 with c0 = c0(base) + sum_i
-  w_i c0(part_i)), the label keys from the weight-free m-action of the
-  fiber plus the shifts, then the unknowns and the equivariant vectors
-  (`solve_family`).  The signs enter only through the gamma parities,
-  which read the product of the source and target characters at each
-  generator; both characters see the same -1 entries, so (alpha, beta)
-  and (alpha + 1, beta + 1) share one solve;
+  w_i c0(part_i)), c and each label's degree interval from the shifts,
+  then the unknowns and the equivariant vectors (`solve_family`).  The
+  signs enter only through the gamma parities, which read the product of
+  the source and target characters at each generator; both characters
+  see the same -1 entries, so (alpha, beta) and (alpha + 1, beta + 1)
+  share one solve;
 * per member: only a check and its weights w.  The check asks for the
   first member's n, flavor, l and gamma parities (none when connected)
   and the same gap in every component.  Along the gap a shift moves by
@@ -84,6 +89,7 @@ from .algebra import (
     rref_basis,
     same_span,
     sparse_nullspace,
+    sparse_rref,
 )
 from .liealg import GL, SL, parabolic
 from .params import (
@@ -215,6 +221,16 @@ class _LieData:
     forms: tuple  # per diagonal element, its coefficients c times its scale
     scales: tuple  # per diagonal element, the lcm of the denominators of c
     lambda_free: bool  # does every diagonal element have c0_i = chi_i (`rep.characters`)?
+    # the diagonal solve: the degree row and the forms `pivots` are n
+    # independent rows; `inverse` is D times the inverse of their matrix
+    # (one integer row per exponent, one column per row, degree first) and
+    # `denominator` the least D > 0 that makes it integral
+    pivots: tuple  # indices of the forms among the n rows, in column order
+    inverse: tuple
+    denominator: int
+    degree_column: tuple  # u, the first column of `inverse`
+    checks: tuple  # per other form r: (r, form_r . u)
+    label_solves: dict = field(default_factory=dict)  # ell: `solve_labels` of the fiber S^ell
 
     @classmethod
     def of(cls, pd, diag, raising, gammas, n_plus):
@@ -224,7 +240,10 @@ class _LieData:
         raising element Z (Z[0, 0] = 0 and trace 0), so a weight part there
         is a ValueError.  A diagonal element's operator has the eigenvalue
         form (c0_base + sum_i w_i c0_i, c): every piece must act diagonally,
-        and a weight part only by a scalar, else ValueError.
+        and a weight part only by a scalar, else ValueError.  The forms and
+        the degree row (1, .., 1) must have full rank n, else ValueError;
+        the degree row comes first, then the first forms that stay
+        independent of the rows before them.
         """
         raising_ops = []
         for Z in raising:
@@ -240,12 +259,87 @@ class _LieData:
             constants.append((c0, *(c for c, _ in parts)))
             scales.append(math.lcm(*(c.denominator for c in coeffs)))
             forms.append(tuple(int(c * scales[-1]) for c in coeffs))
+        n = pd.n
+        rows = [(1,) * n, *forms]
+        # the pivot columns of the transposed rows: the first independent rows
+        chosen = list(sparse_rref({r: row[j] for r, row in enumerate(rows)} for j in range(n)))
+        if len(chosen) < n:
+            raise ValueError("the diagonal forms and the degree do not have full rank")
+        # [M | 1] reduces to [1 | M^-1]
+        reduced = sparse_rref({**dict(enumerate(rows[r])), n + k: 1} for k, r in enumerate(chosen))
+        inverse = [[reduced[j].get(n + k, Fraction(0)) for k in range(n)] for j in range(n)]
+        denominator = math.lcm(*(x.denominator for row in inverse for x in row))
+        inverse = tuple(tuple(int(x * denominator) for x in row) for row in inverse)
+        degree_column = tuple(row[0] for row in inverse)
         return cls(
             diag, raising, gammas, n_plus, tuple(raising_ops),
             tuple(tuple((op, {}) for op in dpi_hat_parts(N, pd)) for N in n_plus),
             tuple(constants), tuple(forms), tuple(scales),
             all(c[1:] == characters(Z, pd) for Z, c in zip(diag, constants)),
+            tuple(r - 1 for r in chosen[1:]), inverse, denominator, degree_column,
+            tuple((r, _dot(f, degree_column)) for r, f in enumerate(forms) if r + 1 not in chosen),
         )
+
+    def solve_labels(self, fiber, pd):
+        """Per label of `fiber` (an S^ell of this record's mode), in `fiber.labels` order.
+
+        Each item is (label, P, e).  A diagonal element's m-part eigenvalue
+        on the label, times the element's scale, is an integer a_r (else
+        ValueError).  P = `inverse` . (0, a_pivots) is the label's part of
+        D times its monomial, and e_r = D a_r - form_r . P its part of each
+        check.  Built once per ell and kept on the record.
+        """
+        solves = self.label_solves.get(fiber.degree)
+        if solves is not None:
+            return solves
+        labels = fiber.labels(pd)
+        eigenvalues = {lbl: [] for lbl in labels}
+        for Z, scale in zip(self.diag, self.scales):
+            acts = fiber.m_action(Z, pd)
+            if any(k[0] != k[1] for k in acts):
+                raise ValueError("fiber action of a diagonal element is not diagonal")
+            for lbl in labels:
+                a = acts.get((lbl, lbl), 0) * scale
+                if a.denominator != 1:
+                    raise ValueError("a scaled fiber eigenvalue is not an integer")
+                eigenvalues[lbl].append(int(a))
+        solves = []
+        for lbl in labels:
+            a = eigenvalues[lbl]
+            p = tuple(_dot(row[1:], (a[r] for r in self.pivots)) for row in self.inverse)
+            e = tuple(self.denominator * a[r] - _dot(self.forms[r], p) for r, _ in self.checks)
+            solves.append((lbl, p, e))
+        self.label_solves[fiber.degree] = solves = tuple(solves)
+        return solves
+
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _degree_interval(q, u, checks):
+    """(lo, hi) bounding the degrees d >= 0 with q + d u >= 0 and a d == b for each
+    (a, b) in `checks`; hi is None when unbounded, and None is returned when none is left.
+    """
+    lo, hi = 0, None
+    for x, y in zip(q, u):
+        if y > 0:
+            lo = max(lo, -(x // y))
+        elif y < 0:
+            hi = x // -y if hi is None else min(hi, x // -y)
+        elif x < 0:
+            return None
+    for a, b in checks:
+        if a == 0:
+            if b:
+                return None
+        elif b % a:
+            return None
+        else:
+            lo, hi = max(lo, b // a), b // a if hi is None else min(hi, b // a)
+    if hi is not None and lo > hi:
+        return None
+    return lo, hi
 
 
 @lru_cache(maxsize=None)
@@ -292,23 +386,6 @@ def _gamma_parities(pd, full_nilradical, alpha, beta, ell):
     return tuple(masks), parities
 
 
-@lru_cache(maxsize=64)
-def _monomial_keys(n, degree, forms, masks):
-    """(monomial, key) for every monomial of one degree, in `monomial_basis` order.
-
-    A monomial's key is its value under each integer form, then its parity
-    over each gamma mask.  Forms and masks do not depend on lambda, nu or
-    the fiber, so a whole scan shares these lists.  A scan holds one entry
-    per (degree, engine mode) it reaches: 5 to 16 on the benchmark workloads,
-    21 on SL n = 3 with m, l <= 8, so 64 keeps a scan's working set.
-    """
-    return tuple(
-        (mono, tuple(sum(c * e for c, e in zip(form, mono)) for form in forms)
-         + tuple(sum(mono[j] for j in mask) % 2 for mask in masks))
-        for mono in monomial_basis(n, degree)
-    )
-
-
 class _SolveContext:
     """One family's solve: its mode's `_LieData`, the fiber and the first member's weights.
 
@@ -326,7 +403,10 @@ class _SolveContext:
     generator the same sign.  Each condition is scaled to an integer
     equation  form . m == scale * (m-part eigenvalue on the label + shift);
     the gamma signs become parities of m over the coordinates where gamma
-    acts by -1.  The label keys are built on first use.
+    acts by -1.  With the degree row, n of these equations fix m, so each
+    label is solved once, from the record's per-l solves plus the shifts,
+    into its interval of degrees (`_labels`, built on first use); a degree
+    then reads each label's pair off that solve.
     """
 
     def __init__(self, source, target, connected=False, full_nilradical=False):
@@ -389,24 +469,32 @@ class _SolveContext:
         return self._weights(source)
 
     @cached_property
-    def _keys(self):
-        """{key: labels}: the labels under their integer targets, then gamma parities."""
-        fiber, pd = self.fiber, self.pd
-        labels = fiber.labels(pd)
-        targets = {lbl: [] for lbl in labels}
-        for Z, scale, shift in zip(self.lie.diag, self.lie.scales, self._shifts):
-            acts = fiber.m_action(Z, pd)
-            if any(k[0] != k[1] for k in acts):
-                raise ValueError("fiber action of a diagonal element is not diagonal")
-            shift *= scale
-            for lbl in labels:
-                targets[lbl].append(acts.get((lbl, lbl), 0) * scale + shift)
-        out = {}
-        for lbl in labels:
-            # a non-integral target is met by no monomial
-            if all(t.denominator == 1 for t in targets[lbl]):
-                key = tuple(int(t) for t in targets[lbl]) + self._parities.get(lbl, ())
-                out.setdefault(key, []).append(lbl)
+    def _labels(self):
+        """(lo, hi, index, label, q, parities) per label that some degree pairs, in label order.
+
+        Every condition on a pair (zeta^m, label) of degree d is linear in
+        m: the n pivot rows give D m = q + d u with q = P(label) + c, c =
+        `inverse` . (0, s) for the scaled shifts s, and each other form
+        checks a d = e_r(label) + D s_r - form_r . c, a = form_r . u.  The
+        degrees with m >= 0 and every check met form [lo, hi] (hi None when
+        unbounded); labels with none are left out.  Each target is an
+        integer eigenvalue plus a scaled shift, and form . m is an integer,
+        so a non-integral scaled shift leaves no pair at all.
+        """
+        lie = self.lie
+        shifts = [scale * shift for scale, shift in zip(lie.scales, self._shifts)]
+        if any(s.denominator != 1 for s in shifts):
+            return ()
+        shifts = [int(s) for s in shifts]
+        c = [_dot(row[1:], (shifts[r] for r in lie.pivots)) for row in lie.inverse]
+        checks = [(a, lie.denominator * shifts[r] - _dot(lie.forms[r], c)) for r, a in lie.checks]
+        out = []
+        for index, (lbl, p, e) in enumerate(lie.solve_labels(self.fiber, self.pd)):
+            q = tuple(x + y for x, y in zip(p, c))
+            targets = [(a, b + x) for (a, b), x in zip(checks, e)]
+            interval = _degree_interval(q, lie.degree_column, targets)
+            if interval is not None:
+                out.append((*interval, index, lbl, q, self._parities.get(lbl, ())))
         return out
 
     # -- enumeration ----------------------------------------------------------
@@ -414,18 +502,24 @@ class _SolveContext:
     def unknowns_at_degree(self, degree):
         """The (monomial, label) pairs of one degree that meet every diagonal condition.
 
-        Listed in descending graded-lex order of (monomial, label): the
-        monomials come from `monomial_basis` and each key's labels keep the
-        order of `fiber.labels`, both descending.
+        A label in range pairs with m = (q + degree u) / D when that is
+        integral and m has the label's gamma parities.  Listed in
+        descending graded-lex order of (monomial, label), as `monomial_basis`
+        and `fiber.labels` list them.
         """
-        forms, labels_by_key = self.lie.forms, self._keys
-        lo, hi = degree * min(forms[0]), degree * max(forms[0])
-        if not any(lo <= key[0] <= hi for key in labels_by_key):
-            return []
+        D, u, masks = self.lie.denominator, self.lie.degree_column, self._gamma_masks
         out = []
-        for mono, key in _monomial_keys(self.n, degree, forms, self._gamma_masks):
-            out.extend((mono, lbl) for lbl in labels_by_key.get(key, ()))
-        return out
+        for lo, hi, index, lbl, q, parities in self._labels:
+            if degree < lo or (hi is not None and degree > hi):
+                continue
+            m = [x + degree * y for x, y in zip(q, u)]
+            if any(x % D for x in m):
+                continue
+            m = [x // D for x in m]
+            if all(sum(m[j] for j in mask) % 2 == p for mask, p in zip(masks, parities)):
+                out.append((tuple(m), -index, lbl))
+        out.sort(reverse=True)
+        return [(mono, lbl) for mono, _, lbl in out]
 
     # -- linear stages ------------------------------------------------------
 
@@ -515,7 +609,7 @@ def solve_family(
 
     The members of a family differ only in lambda at a fixed gap nu -
     lambda, and in their signs within one relative sign.  One
-    `_SolveContext`, built from the first member, gives the label keys,
+    `_SolveContext`, built from the first member, gives the label solves,
     unknowns and equivariant vectors.  Every further member brings only its
     weights, after `_SolveContext.member_weights` checks that it belongs to
     the family (else ValueError).  The F-system is then solved once per

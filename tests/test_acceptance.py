@@ -83,12 +83,15 @@ def test_criterion_01_classification_high_rank():
     [
         (10, {"m_max": 3, "l_max": 3}, 256, 30),
         (8, {"ido": True, "k_max": 4}, 20, 10),
+        (16, {"m_max": 3, "l_max": 3}, 256, 30),
+        (12, {"ido": True, "k_max": 4}, 20, 15),
     ],
-    ids=["sl-n10", "ido-n8"],
+    ids=["sl-n10", "ido-n8", "sl-n16", "ido-n12"],
 )
 def test_wide_rank_rows(n, kwargs, count, bound):
     # wide n, where the cost grows with the (n+1)^2 matrix size; each bound
-    # is over 10x the time measured on a 2-core machine (about 1.3 s and 0.3 s)
+    # is over 10x the time measured on a 2-core machine (about 1.3 s, 0.3 s,
+    # 1.5 s and 0.9 s)
     t0 = time.time()
     rows = classify(n, lambda_samples=GENERIC, **kwargs)
     elapsed = time.time() - t0

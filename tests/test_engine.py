@@ -442,7 +442,7 @@ def _enumeration_case(n, flavor, full, critical, alpha=0, shift=0):
 @pytest.mark.parametrize("connected", [False, True])
 @pytest.mark.parametrize("full", [False, True])
 @pytest.mark.parametrize("flavor", [SL, GL])
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_enumeration_matches_brute_force(n, flavor, full, connected, critical):
     source, target, cap = _enumeration_case(n, flavor, full, critical)
     ctx = _SolveContext(source, target, connected, full)
@@ -465,10 +465,11 @@ def test_enumeration_matches_brute_force_signs(alpha, shift):
 
 
 def test_enumeration_caches_key_every_input():
-    """A walk of contexts that share the enumeration caches, one input changed per step.
+    """A walk of contexts that share the records' label solves, one input changed per step.
 
-    A cache key that left out an input the enumeration reads would hand a
-    later context the monomial keys of an earlier one.  The member check
+    The label solves are kept per (record, l), and a record per (algebra,
+    mode); a key that left out an input the enumeration reads would hand a
+    later context the label solves of an earlier one.  The member check
     partitions the walk the same way: only the step that moves lambda
     along the gap could join the previous step's family.
     """
@@ -491,7 +492,9 @@ def test_enumeration_caches_key_every_input():
         # the full-nilradical mode reads a target of order k = ell
         ("full_nilradical", *_enumeration_case(3, SL, True, True)[:2], full),
         ("flavor", *_enumeration_case(3, GL, True, True)[:2], full),
+        ("n", *_enumeration_case(4, GL, True, True)[:2], full),
     ]
+    solves = {}  # (record, l): the label solves every context with them reads
     previous = previous_mode = None
     for name, source, target, mode in walk:
         ctx = _SolveContext(source, target, **mode)
@@ -502,6 +505,10 @@ def test_enumeration_caches_key_every_input():
             for d in range(cap + 2)
         ]
         assert got == expected, name
+        key = (ctx.lie, target.ell)
+        shared = ctx.lie.solve_labels(ctx.fiber, ctx.pd)
+        assert shared is ctx.lie.label_solves[target.ell]
+        assert solves.setdefault(key, shared) is shared, name
         if previous is not None:
             # a family is solved in one mode, so a step that changes the mode
             # starts another family; within a mode, only a move of lambda
@@ -515,6 +522,49 @@ def test_enumeration_caches_key_every_input():
                     accepted = False
             assert accepted == (name == "lambda at the same gap"), name
         previous, previous_mode = ctx, mode
+    # the walk reaches two l on the SL primed record, one on each full one
+    assert len(solves) == 5
+    assert len({id(shared) for shared in solves.values()}) == 5
+
+
+def _unsolved(members, degree_cap, **mode):
+    return [engine.SolutionSpace(source, target, [], []) for source, target in members]
+
+
+@st.composite
+def enumeration_members(draw):
+    """(source, target, cap, mode): one member of a family of any kind, n = 2..8.
+
+    The member, cap and mode are those `run_cell` hands `solve_family`.
+    Any sign pair, and lambda critical, an integer -5..2 or a rational; at
+    n >= 6 only m, l <= 1 (k <= 2), so the degrees stay small.  Some draws
+    move nu off the family's gap, where a scaled shift may be non-integral.
+    """
+    kind, n = draw(st.sampled_from(FAMILY_KINDS)), draw(st.integers(2, 8))
+    ido, top = kind.endswith("-ido"), 1 if n >= 6 else 2
+    m = 0 if ido else draw(st.integers(0, top))
+    ell = draw(st.integers(0, top + ido))
+    lam = draw(st.one_of(st.just(Fraction(1 - (m + ell))), _lambdas))
+    lam2s = (draw(_lambdas),) if kind.startswith("gl") else (None,)
+    signs = ((draw(st.integers(0, 1)), draw(st.integers(0, 1))),)
+    family = Family(kind, n, m, ell, signs, (lam,), lam2s)
+    _, ((member,), cap, mode) = _family_solve(family, _unsolved)
+    source, target = member
+    off = draw(st.sampled_from([0, Fraction(1, 2), Fraction(-1, 3), 1]))
+    if off and draw(st.booleans()):
+        target = dataclasses.replace(target, nu=tuple(x + off for x in target.nu))
+    return source, target, cap, mode
+
+
+@given(enumeration_members())
+@settings(max_examples=300, deadline=None)
+def test_enumeration_matches_brute_force_in_every_mode(case):
+    source, target, cap, mode = case
+    connected, full = mode.get("connected", False), mode.get("full_nilradical", False)
+    ctx = _SolveContext(source, target, connected, full)
+    for d in range(max(cap, 0) + 2):
+        expected = _brute_force_unknowns(source, target, d, connected, full)
+        assert ctx.unknowns_at_degree(d) == expected, d
 
 
 def test_eigenvalue_form_reads_the_normal_form():
@@ -673,6 +723,18 @@ def test_lie_data_is_shared_and_immutable(flavor, full):
         assert [Fraction(f, scale) for f in form] == coeffs
         assert constants[1:] == characters(Z, pd)
     assert lie.lambda_free is True
+    # the diagonal solve: D times the inverse of the degree row and the pivot forms
+    n, D = pd.n, lie.denominator
+    rows = [(1,) * n, *(lie.forms[r] for r in lie.pivots)]
+    assert D > 0 and all(type(x) is int for row in lie.inverse for x in row)
+    assert [[sum(q[k] * rows[k][i] for k in range(n)) for i in range(n)] for q in lie.inverse] == [
+        [D * (i == j) for i in range(n)] for j in range(n)
+    ]
+    assert lie.degree_column == tuple(q[0] for q in lie.inverse)
+    assert lie.checks == tuple(
+        (r, sum(f * u for f, u in zip(form, lie.degree_column)))
+        for r, form in enumerate(lie.forms) if r not in lie.pivots
+    )
 
 
 # -- solving on generators against the full bases -----------------------------
@@ -869,13 +931,13 @@ def families(draw):
     return Family(kind, n, m, ell, signs, lams, lam2s)
 
 
-def _family_solve(family):
-    """(rows, the members, cap and mode that `run_cell` hands `solve_family`)."""
+def _family_solve(family, solve=solve_family):
+    """(rows, the members, cap and mode that `run_cell` hands `solve_family`), solved by `solve`."""
     calls = []
 
     def recording(members, degree_cap, **mode):
         calls.append((members, degree_cap, mode))
-        return solve_family(members, degree_cap, **mode)
+        return solve(members, degree_cap, **mode)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "solve_family", recording)

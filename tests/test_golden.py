@@ -2,10 +2,13 @@
 
 Each case's stdout is stored in `tests/golden/<name>.txt` and its exit code
 in the table below.  To rewrite the stored outputs after an intended change
-of output, run `PYTHONPATH=src python tests/test_golden.py`.
+of output, run `PYTHONPATH=src python tests/test_golden.py`.  Larger scans,
+whose tables are too long to store, are held by the SHA-256 digest of their
+`--format csv` stdout in `DIGESTS`; the script prints the current digests.
 """
 
 import contextlib
+import hashlib
 import io
 import pathlib
 import sys
@@ -57,6 +60,30 @@ CASES = {
     "branch-n3-p1": (["branch", "--n", "3", "--p", "1", "--deg", "6"], 0),
 }
 
+# name -> (argv, SHA-256 of stdout); each exits 0 with every row ok
+DIGESTS = {
+    "classify-sl-n8": (
+        ["classify", "--n", "8", "--m-max", "3", "--l-max", "3", "--format", "csv"],
+        "a4a6e3d3a2efec8f4e4d490f416b1a0f02fd52e38a931f3795fdf2f18b62d867"),
+    "classify-gl-n6": (
+        ["classify", "--flavor", "gl", "--n", "6", "--m-max", "2", "--l-max", "2",
+         "--format", "csv"],
+        "48cdb7dd339f000786af44a056395a3169b88f89d6dec2f649dd3cf56b337553"),
+    "classify-ido-sl-n8": (
+        ["classify", "--n", "8", "--ido", "--k-max", "4", "--format", "csv"],
+        "18755a3f792b4d2c8425f3ac0abb6ca5a79939aaacff3d0484c5a583609d3637"),
+    "classify-ido-gl-n8": (
+        ["classify", "--flavor", "gl", "--n", "8", "--ido", "--k-max", "4", "--format", "csv"],
+        "a040e21f387ec338b74948738b39253b47f2bcb9cc2f2f172c29b620e02b6f18"),
+    "classify-homs-n6": (
+        ["classify", "--n", "6", "--homs", "--m-max", "3", "--l-max", "3", "--format", "csv"],
+        "da8bd33faba9d50c1bedf13e8ea81519e95d505b6cf86a0ce60a8f0df454c216"),
+    "classify-homs-connected-n6": (
+        ["classify", "--n", "6", "--homs", "--connected", "--m-max", "3", "--l-max", "3",
+         "--format", "csv"],
+        "62f7570df1182e6322eaa5741006e9a18eb440b662608f6f2ea35ab56d71636e"),
+}
+
 
 def run_case(argv):
     buf = io.StringIO()
@@ -73,6 +100,14 @@ def test_cli_output_matches_golden(name):
     assert out.encode() == (GOLDEN / f"{name}.txt").read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_cli_output_matches_digest(name):
+    argv, digest = DIGESTS[name]
+    code, out = run_case(argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, (argv, expected_code) in sorted(CASES.items()):
@@ -80,3 +115,5 @@ if __name__ == "__main__":
         if code != expected_code:
             sys.exit(f"{name}: exit code {code}, expected {expected_code}")
         (GOLDEN / f"{name}.txt").write_bytes(out.encode())
+    for name, (argv, _) in sorted(DIGESTS.items()):
+        print(name, hashlib.sha256(run_case(argv)[1].encode()).hexdigest())
