@@ -9,14 +9,18 @@ deterministic.
 Polynomials have one differentiation loop, `Polynomial.derivative_multi`,
 which applies a whole multi-index to each term in one pass, and one
 multiplication loop, `add_product`, which sums the products of two
-polynomials' terms into a {monomial: Fraction} dict.  The constructor
+term dicts into a {monomial: coefficient} dict.  The constructor
 converts a coefficient only if it is not a `Fraction` yet and drops zeros.
 
-Zeros are dropped in constructors only.  Every sparse container
+Zeros are dropped in two places only.  Every sparse container
 (`Polynomial`, `weyl.WeylElement`, `rep.VectorValuedPolynomial`,
 `rep.OperatorOnVV`) drops its zero entries when it is built, so its
 arithmetic only merges, `terms[k] = terms[k] + c if k in terms else c`,
-and callers hand whatever cancelled to a constructor unfiltered.
+and callers hand whatever cancelled to a constructor unfiltered.  The
+operator kernels of `operators` and `verma` also return such unfiltered
+{label: {monomial: coefficient}} sums, and `canonical_sums` drops their
+zeros and empty labels where sums are compared without building a
+container.
 
 Linear algebra has one kernel: `sparse_rref`, exact Gauss-Jordan
 elimination on sparse {column: Fraction} rows.  `sparse_nullspace`,
@@ -51,20 +55,33 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def add_product(acc: dict, p: "Polynomial", q: "Polynomial", scale=1) -> None:
-    """acc += scale * p * q on a {monomial: Fraction} dict.
+def add_product(acc: dict, p: dict, q: dict, scale=1) -> None:
+    """acc += scale * p * q on {monomial: coefficient} term dicts.
 
     A sum that cancels stays in `acc` as 0 until the `Polynomial`
-    constructor drops it, so many products can be summed into one dict and
-    made a polynomial once."""
-    for m1, c1 in p.terms.items():
+    constructor or `canonical_sums` drops it, so many products can be
+    summed into one dict and made a polynomial once."""
+    for m1, c1 in p.items():
         if scale != 1:
             c1 = c1 * scale
-        for m2, c2 in q.terms.items():
+        for m2, c2 in q.items():
             m = monomial_mul(m1, m2)
             c = c1 * c2
             old = acc.get(m)
             acc[m] = c if old is None else old + c
+
+
+def canonical_sums(sums: dict) -> dict:
+    """{label: {monomial: coefficient}} sums without cancelled zeros or empty labels.
+
+    Two operators' images are equal iff their canonical sums are, whatever
+    exact type (int or Fraction) each coefficient has."""
+    out = {}
+    for lbl, terms in sums.items():
+        kept = {m: c for m, c in terms.items() if c}
+        if kept:
+            out[lbl] = kept
+    return out
 
 
 def monomial_basis(arity: int, degree: int) -> list[Monomial]:
@@ -190,7 +207,7 @@ class Polynomial:
             return self.scale(other)
         self._check(other)
         terms = {}
-        add_product(terms, self, other)
+        add_product(terms, self.terms, other.terms)
         return Polynomial(self.arity, terms, self.var)
 
     __rmul__ = __mul__
@@ -231,11 +248,6 @@ class Polynomial:
         """Substitute coordinate `index` = 0."""
         terms = {m: c for m, c in self.terms.items() if m[index] == 0}
         return Polynomial(self.arity, terms, self.var)
-
-    def rest(self) -> "Polynomial":
-        """Rest_{x_n=0}: the terms free of the last coordinate, in the others."""
-        terms = {m[:-1]: c for m, c in self.terms.items() if m[-1] == 0}
-        return Polynomial(self.arity - 1, terms, self.var)
 
     def pad_vars(self, arity: int) -> "Polynomial":
         """Reinterpret in a larger ring, new trailing variables unused."""

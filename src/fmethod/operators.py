@@ -15,7 +15,7 @@ identities can be compared symbol by symbol.
 
 Every kernel below works term by term and computes only what Rest keeps:
 
-- `SBO.apply`: c d^alpha sends a term x^e to c e!/(e-alpha)! x^(e-alpha),
+- `SBO.sums`: c d^alpha sends a term x^e to c e!/(e-alpha)! x^(e-alpha),
   which Rest keeps only if alpha <= e and alpha_n = e_n.
 - The equivariance identity D o dpi_lambda(X) = dpi_target(X) o D.  On the
   left, d^alpha o (x^e d^beta) = sum_{gamma <= alpha} C(alpha, gamma)
@@ -24,16 +24,19 @@ Every kernel below works term by term and computes only what Rest keeps:
   right, the target action has coefficients free of x_n and D constant
   coefficients, so (p d^beta) o (c d^alpha) = c p d^(alpha+beta) is a shift
   of derivative orders (shift rule), which Rest leaves as it is.
-- The order-k intertwining operator: a term c x^e goes to c e!/(e-alpha)!
-  x^(e-alpha) at each label alpha <= e of degree k only.
+- `IDOOp.sums`, the order-k intertwining operator: a term c x^e goes to
+  c e!/(e-alpha)! x^(e-alpha) at each label alpha <= e of degree k only.
+- `ProjOp.sums`: the components at labels (l, m), restricted to x_n = 0.
 
-Each kernel sums into one dict per label, and builds each result once
-through the constructors, which drop zeros.  Both sides of an identity are
-compared by equality, which those constructors make exact, and which also
-compares arity and variable role; a difference is built only for the
-witness of a failing label.  Rest_{x_n=0} on a polynomial is
-`Polynomial.rest`.  Route a of the factorization (`SBO.apply`) and route c
-(`ProjOp` after `IDOOp`) share no kernel, so each checks the other.
+The operator kernels return {label: {monomial: coefficient}} sums, zeros
+kept, and each `apply` is its kernel followed by the constructors, which
+drop zeros.  The equivariance sides are compared as built normal forms,
+which also compares arity and variable role; a difference is built only
+for the witness of a failing label.  The factorization re-check feeds each
+basis monomial to the kernels as {monomial: 1} and compares the routes'
+sums after `algebra.canonical_sums`.  Route a (`SBO.sums`: d^(l, m) and
+Rest in one step) and route c (`IDOOp.sums` at every label of degree
+m + l, then `ProjOp.sums`) share no kernel, so each checks the other.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from fractions import Fraction
 
 from .algebra import (
     Polynomial,
+    canonical_sums,
     monomial_basis,
     monomials_up_to,
     same_span,
@@ -58,6 +62,13 @@ from .rep import (
     dpi_target,
 )
 from .weyl import WeylElement, symb_inverse
+
+
+def _vector(arity, sums, var="x") -> VectorValuedPolynomial:
+    """A kernel's {label: {monomial: coefficient}} sums as a vector; the constructors drop zeros."""
+    return VectorValuedPolynomial(
+        arity, {lbl: Polynomial(arity, t, var) for lbl, t in sums.items()}, var
+    )
 
 
 @dataclass(frozen=True)
@@ -91,26 +102,29 @@ class SBO:
             for lbl, op in self.components
         )
 
-    def apply(self, f: Polynomial) -> VectorValuedPolynomial:
-        """Term by term: c d^alpha sends x^e to c e!/(e-alpha)! x^(e-alpha),
+    def sums(self, f: dict) -> dict:
+        """{label: {monomial: coefficient}} of Rest o D on the terms of f, zeros kept.
+
+        Term by term: c d^alpha sends x^e to c e!/(e-alpha)! x^(e-alpha),
         kept by Rest only if alpha <= e and alpha_n = e_n."""
-        if f.arity != self.n:
-            raise ValueError("arity mismatch")
-        if f.var != "x":
-            raise ValueError("variable role mismatch")
         sums = {}
         for lbl, terms in self.constant_terms:
             acc = sums[lbl] = {}
             for alpha, c in terms:
-                for e, d in f.terms.items():
+                for e, d in f.items():
                     if e[-1] != alpha[-1] or any(x < a for x, a in zip(e, alpha)):
                         continue
                     fall = math.prod(math.perm(x, a) for x, a in zip(e, alpha))
                     mono = tuple(x - a for x, a in zip(e[:-1], alpha))
                     acc[mono] = acc[mono] + c * d * fall if mono in acc else c * d * fall
-        return VectorValuedPolynomial(
-            self.n - 1, {lbl: Polynomial(self.n - 1, t) for lbl, t in sums.items()}, f.var
-        )
+        return sums
+
+    def apply(self, f: Polynomial) -> VectorValuedPolynomial:
+        if f.arity != self.n:
+            raise ValueError("arity mismatch")
+        if f.var != "x":
+            raise ValueError("variable role mismatch")
+        return _vector(self.n - 1, self.sums(f.terms), f.var)
 
 
 def build_sbo(m: int, ell: int, n: int) -> SBO:
@@ -152,24 +166,31 @@ class IDOOp:
     n: int
     k: int
 
-    def apply(self, f) -> VectorValuedPolynomial:
-        """Term by term: c x^e gives c e!/(e-alpha)! x^(e-alpha) at each label
-        alpha <= e of degree k, shifted by the input label for Pol^l-valued f."""
-        if f.arity != self.n:
-            raise ValueError("arity mismatch")
-        if f.var != "x":
-            raise ValueError("variable role mismatch")
-        comps = f.components if isinstance(f, VectorValuedPolynomial) else {(0,) * self.n: f}
+    def sums(self, comps: dict) -> dict:
+        """{label: {monomial: coefficient}} of the operator on {label: terms}, zeros kept.
+
+        Term by term: c x^e gives c e!/(e-alpha)! x^(e-alpha) at each label
+        alpha <= e of degree k, shifted by the input label."""
         sums = {}
-        for in_lbl, p in comps.items():
-            for e, c in p.terms.items():
+        for in_lbl, terms in comps.items():
+            for e, c in terms.items():
                 for alpha, fall in _labels_below(e, self.k):
                     acc = sums.setdefault(tuple(a + b for a, b in zip(alpha, in_lbl)), {})
                     mono = tuple(x - a for x, a in zip(e, alpha))
                     acc[mono] = acc[mono] + c * fall if mono in acc else c * fall
-        return VectorValuedPolynomial(
-            self.n, {lbl: Polynomial(self.n, t) for lbl, t in sums.items()}
-        )
+        return sums
+
+    def apply(self, f) -> VectorValuedPolynomial:
+        """On a polynomial, or on a Pol^l-valued f label by label."""
+        if f.arity != self.n:
+            raise ValueError("arity mismatch")
+        if f.var != "x":
+            raise ValueError("variable role mismatch")
+        if isinstance(f, VectorValuedPolynomial):
+            comps = {lbl: p.terms for lbl, p in f.components.items()}
+        else:
+            comps = {(0,) * self.n: f.terms}
+        return _vector(self.n, self.sums(comps))
 
 
 def build_ido(k: int, n: int) -> IDOOp:
@@ -184,15 +205,19 @@ class ProjOp:
     m: int
     ell: int
 
-    def apply(self, v: VectorValuedPolynomial) -> VectorValuedPolynomial:
-        """The input's own components at labels (l, m) with |l| = ell, restricted."""
+    def sums(self, sums: dict) -> dict:
+        """The {label: terms} at labels (l, m) with |l| = ell, restricted to x_n = 0."""
         k = self.m + self.ell
-        comps = {
-            lbl[:-1]: p.rest()
-            for lbl, p in v.components.items()
+        return {
+            lbl[:-1]: {mono[:-1]: c for mono, c in terms.items() if mono[-1] == 0}
+            for lbl, terms in sums.items()
             if len(lbl) == self.n and lbl[-1] == self.m and sum(lbl) == k
         }
-        return VectorValuedPolynomial(self.n - 1, comps, v.var)
+
+    def apply(self, v: VectorValuedPolynomial) -> VectorValuedPolynomial:
+        """The input's own components at labels (l, m) with |l| = ell, restricted."""
+        sums = self.sums({lbl: p.terms for lbl, p in v.components.items()})
+        return _vector(self.n - 1, sums, v.var)
 
 
 def build_proj(m: int, ell: int, n: int) -> ProjOp:
@@ -364,10 +389,10 @@ def verify_factorization_sbo(m: int, ell: int, n: int, degree_cap: int = 6) -> d
     proj = build_proj(m, ell, n)
     zero_lbl = (0,) * (n - 1)
     for mono in monomials_up_to(n, max(degree_cap, m + ell)):
-        f = Polynomial.monomial(n, mono, 1)
-        a = D_ml.apply(f)
-        b = ido_prime.apply(D_m0.apply(f).components.get(zero_lbl, Polynomial.zero(n - 1)))
-        c = proj.apply(ido_big.apply(f))
+        f = {mono: 1}
+        a = canonical_sums(D_ml.sums(f))
+        b = canonical_sums(ido_prime.sums({zero_lbl: D_m0.sums(f)[zero_lbl]}))
+        c = canonical_sums(proj.sums(ido_big.sums({(0,) * n: f})))
         checked += 1
         if not a == b == c:
             mismatches.append(mono)
@@ -423,42 +448,25 @@ def image_computations(m: int, ell: int, n: int) -> dict:
     zero_lbl = (0,) * (n - 1)
     D_ml = build_sbo(m, ell, n)
     D_m0 = build_sbo(m, 0, n)
-    kill_ok = all(
-        D_ml.apply(Polynomial.monomial(n, mono, 1)).is_zero()
-        for mono in monomials_up_to(n, k - 1)
-    )
+    kill_ok = all(not canonical_sums(D_ml.sums({mono: 1})) for mono in monomials_up_to(n, k - 1))
 
-    images = [
-        D_m0.apply(Polynomial.monomial(n, mono, 1)).components.get(
-            zero_lbl, Polynomial.zero(n - 1)
-        )
-        for mono in monomials_up_to(n, k - 1)
-    ]
-    if ell > 0:
-        targets = [
-            Polynomial.monomial(n - 1, mono, 1) for mono in monomials_up_to(n - 1, ell - 1)
-        ]
-        image_ok = same_span([p.terms for p in images], [p.terms for p in targets])
-    else:
-        image_ok = all(p.is_zero() for p in images)
+    def image(mono):
+        # D_(m,0)'s one component on x^mono; sparse_rref drops its zeros
+        return D_m0.sums({mono: 1})[zero_lbl]
 
-    xnm = [0] * n
-    xnm[-1] = m
-    wit = D_m0.apply(Polynomial.monomial(n, tuple(xnm), 1)).components.get(
-        zero_lbl, Polynomial.zero(n - 1)
-    )
-    witness_ok = wit == Polynomial.constant(n - 1, math.factorial(m))
+    # at l = 0 there are no targets: every image must vanish
+    images = [image(mono) for mono in monomials_up_to(n, k - 1)]
+    image_ok = same_span(images, [{mono: 1} for mono in monomials_up_to(n - 1, ell - 1)])
+
+    xnm = (0,) * (n - 1) + (m,)
+    witness = canonical_sums(D_m0.sums({xnm: 1}))
+    witness_ok = witness == {zero_lbl: {(0,) * (n - 1): math.factorial(m)}}
 
     surj_ok = True
     for d in range(m, m + 3):
-        images_d = [
-            D_m0.apply(Polynomial.monomial(n, mono, 1)).components.get(
-                zero_lbl, Polynomial.zero(n - 1)
-            )
-            for mono in monomials_up_to(n, d)
-        ]
-        tgt_d = [Polynomial.monomial(n - 1, mono, 1) for mono in monomials_up_to(n - 1, d - m)]
-        if not same_span([p.terms for p in images_d], [p.terms for p in tgt_d]):
+        images_d = [image(mono) for mono in monomials_up_to(n, d)]
+        tgt_d = [{mono: 1} for mono in monomials_up_to(n - 1, d - m)]
+        if not same_span(images_d, tgt_d):
             surj_ok = False
     status = "pass" if (kill_ok and image_ok and witness_ok and surj_ok) else "fail"
     return {

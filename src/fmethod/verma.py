@@ -8,10 +8,14 @@ generator picture and the polynomial picture coincide monomial by monomial
 and the highest-weight parameter s corresponds to the inducing weight -s.
 
 Homomorphisms are stored by the images of the fiber generators and extended
-by multiplication with the source polynomial ring, the products summed
-into one dict per output label; intertwining is then an exact, checkable
-identity grade by grade, and the factorization routes are compared by
-equality.
+by multiplication with the source polynomial ring: the one kernel,
+`VermaHom.sums`, sums the products into a {monomial: coefficient} dict per
+output label, and `apply` builds the vector from it.  Intertwining is then
+an exact identity grade by grade.  The factorization re-check compares the
+three routes' kernel sums on each basis vector {label: {monomial: 1}}
+after `algebra.canonical_sums`; the routes read different images, so each
+checks the others.  As all three share the one kernel, the re-check also
+requires every monomial of the image to have the target's arity.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Polynomial, add_product, monomial_basis
+from .algebra import Polynomial, add_product, canonical_sums, monomial_basis
 from .engine import DEFAULT_SAMPLES, classify
 from .liealg import SL, parabolic
 from .params import sign_shift
@@ -139,14 +143,24 @@ class VermaHom:
     def image_map(self):
         return dict(self.images)
 
-    def apply(self, v: VectorValuedPolynomial) -> VectorValuedPolynomial:
+    def sums(self, comps: dict) -> dict:
+        """{label: {monomial: coefficient}} of h(v) for v's {label: terms}, zeros kept.
+
+        The source monomials gain the target's extra variables, unused."""
         imap = self.image_map()
-        nv = self.target.num_vars
+        pad = (0,) * (self.target.num_vars - self.source.num_vars)
         sums = {}
-        for lbl, poly in v.components.items():
-            q = poly.pad_vars(nv)
+        for lbl, terms in comps.items():
+            padded = {mono + pad: c for mono, c in terms.items()}
             for out_lbl, p in imap[lbl].components.items():
-                add_product(sums.setdefault(out_lbl, {}), p, q)
+                add_product(sums.setdefault(out_lbl, {}), p.terms, padded)
+        return sums
+
+    def apply(self, v: VectorValuedPolynomial) -> VectorValuedPolynomial:
+        if v.arity != self.source.num_vars:
+            raise ValueError("arity mismatch")
+        nv = self.target.num_vars
+        sums = self.sums({lbl: p.terms for lbl, p in v.components.items()})
         # built in v's role, so a source vector not in zeta is rejected
         return VectorValuedPolynomial(
             nv, {lbl: Polynomial(nv, t, v.var) for lbl, t in sums.items()}, "zeta"
@@ -287,16 +301,22 @@ def verify_factorization_verma(
     phi_ml, ((phi_prime, phi_m0), (emb, phi_big)) = _factorization_routes(
         m, ell, n, flavor, alpha, lam2
     )
+    nv = phi_ml.target.num_vars
     mismatches = []
     checked = 0
     for g in range(degree_cap + 1):
         for mono, lbl in phi_ml.source.basis(g):
-            v = phi_ml.source.unit(mono, lbl)
-            direct = phi_ml.apply(v)
-            route1 = phi_m0.apply(phi_prime.apply(v))
-            route2 = phi_big.apply(emb.apply(v))
+            v = {lbl: {mono: 1}}
+            direct = canonical_sums(phi_ml.sums(v))
+            route1 = canonical_sums(phi_m0.sums(phi_prime.sums(v)))
+            route2 = canonical_sums(phi_big.sums(emb.sums(v)))
             checked += 1
-            if not direct == route1 == route2:
+            # every route runs through VermaHom.sums, so a fault there that
+            # they share (say, unpadded source monomials) shows only in the
+            # arity of the image's monomials
+            if not direct == route1 == route2 or any(
+                len(x) != nv for terms in direct.values() for x in terms
+            ):
                 mismatches.append((g, mono, lbl))
     return {
         "identity": "verma-factorization",

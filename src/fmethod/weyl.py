@@ -139,7 +139,7 @@ class WeylElement:
             raise ValueError("variable role mismatch")
         acc = {}
         for alpha, coeff in self.terms.items():
-            add_product(acc, coeff, p.derivative_multi(alpha))
+            add_product(acc, coeff.terms, p.derivative_multi(alpha).terms)
         return Polynomial(self.arity, acc, self.var)
 
     def compose(self, other: "WeylElement") -> "WeylElement":
@@ -158,7 +158,7 @@ class WeylElement:
                     for a, g in zip(alpha, gamma):
                         binom *= math.comb(a, g)
                     key = tuple(a - g + b for a, g, b in zip(alpha, gamma, beta))
-                    add_product(sums.setdefault(key, {}), p, dq, binom)
+                    add_product(sums.setdefault(key, {}), p.terms, dq.terms, binom)
         return _from_sums(n, sums, self.var)
 
     def fourier(self) -> "WeylElement":
@@ -180,23 +180,11 @@ class WeylElement:
                 Polynomial.monomial(n, alpha, sign, new_var)
             )
             for key, coeff in dpart.compose(mpart).terms.items():
-                add_product(sums.setdefault(key, {}), coeff, one)
+                add_product(sums.setdefault(key, {}), coeff.terms, one.terms)
         return _from_sums(n, sums, new_var)
 
     def is_constant_coefficient(self) -> bool:
         return all(p.is_constant() for p in self.terms.values())
-
-    def restrict_last_var(self) -> "WeylElement":
-        """Set the last coordinate to 0 in every coefficient.
-
-        Valid as the normal form of Rest o D because coefficients sit to the
-        left of all derivatives.
-        """
-        return WeylElement(
-            self.arity,
-            {a: p.set_var_zero(self.arity - 1) for a, p in self.terms.items()},
-            self.var,
-        )
 
     def pad_vars(self, arity: int) -> "WeylElement":
         pad = (0,) * (arity - self.arity)

@@ -1,0 +1,139 @@
+"""A standing mutation gate: every mutant in MUTANTS must fail its tests.
+
+Run from anywhere, with pytest and hypothesis installed:
+
+    python tests/mutants.py
+
+For each mutant the runner copies `src/` to a temporary directory, replaces
+the mutant's exact old text in one file by its new text, and runs the
+mutant's test selection against that copy with `pytest -x`.  The run fails
+when a selection still passes, so a check that a refactor has made vacuous
+shows up here, and also when an old text does not occur exactly once, so
+a refactor that moves the mutated code must re-aim its mutant.  Each
+selection runs in the temporary directory, with a fixed hypothesis seed,
+so nothing is written to the checkout.
+
+Add a mutant for each new invariant: a name, the file under
+`src/fmethod/`, the old and the new text, and the tests that must catch it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MUTANTS = [
+    # -- the factorization re-checks on kernel sums ----------------------------
+    (
+        "sbo-recheck-compares-two-routes",
+        "operators.py",
+        "        if not a == b == c:\n",
+        "        if not a == b:\n",
+        ["tests/test_operators.py::test_factorization_fails_when_the_projection_selects_m_plus_one"],
+    ),
+    (
+        "verma-recheck-compares-two-routes",
+        "verma.py",
+        "            if not direct == route1 == route2 or any(\n",
+        "            if not direct == route1 or any(\n",
+        ["tests/test_verma.py::test_factorization_fails_when_a_route_is_scaled"],
+    ),
+    (
+        "route-c-selects-m-plus-one",
+        "operators.py",
+        "if len(lbl) == self.n and lbl[-1] == self.m and sum(lbl) == k",
+        "if len(lbl) == self.n and lbl[-1] == self.m + 1 and sum(lbl) == k",
+        ["tests/test_operators.py::test_factorization"],
+    ),
+    (
+        "canonical-sums-keep-empty-labels",
+        "algebra.py",
+        "        if kept:\n            out[lbl] = kept\n",
+        "        out[lbl] = kept\n",
+        ["tests/test_operators.py::test_factorization"],
+    ),
+    (
+        "verma-kernel-drops-the-padding",
+        "verma.py",
+        "padded = {mono + pad: c for mono, c in terms.items()}",
+        "padded = dict(terms)",
+        ["tests/test_verma.py::test_three_route_factorization"],
+    ),
+    # -- the per-label diagonal solve --------------------------------------------
+    (
+        "label-solve-drops-the-overdetermined-rows",
+        "engine.py",
+        "interval = _degree_interval(q, lie.degree_column, targets)",
+        "interval = _degree_interval(q, lie.degree_column, [])",
+        ["tests/test_engine.py"],
+    ),
+    (
+        "label-solve-drops-the-parity-check",
+        "engine.py",
+        "if all(sum(m[j] for j in mask) % 2 == p for mask, p in zip(masks, parities)):",
+        "if True:",
+        ["tests/test_engine.py"],
+    ),
+    (
+        "label-solve-keeps-a-non-integral-shift",
+        "engine.py",
+        "        if any(s.denominator != 1 for s in shifts):\n            return ()\n",
+        "",
+        ["tests/test_engine.py"],
+    ),
+    (
+        "label-solve-negates-the-inverse",
+        "engine.py",
+        "inverse = tuple(tuple(int(x * denominator) for x in row) for row in inverse)",
+        "inverse = tuple(tuple(int(-x * denominator) for x in row) for row in inverse)",
+        ["tests/test_engine.py"],
+    ),
+]
+
+
+def run_mutant(name, path, old, new, selection) -> str | None:
+    """None when the selection fails on the mutant as it must, else the reason it did not."""
+    with tempfile.TemporaryDirectory(prefix="fmethod-mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        target = src / "fmethod" / path
+        text = target.read_text()
+        count = text.count(old)
+        if count != 1:
+            return f"its old text occurs {count} times in src/fmethod/{path}"
+        target.write_text(text.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             "--hypothesis-seed=0", *(str(ROOT / s) for s in selection)],
+            cwd=tmp, env=env, capture_output=True, text=True,
+        )
+        if proc.returncode == 0:
+            return "its test selection passed"
+        if proc.returncode != 1:
+            # 2-5: interrupted, internal error, usage error or no tests collected
+            return f"pytest exited with {proc.returncode}:\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}"
+    return None
+
+
+def main() -> int:
+    survivors = 0
+    for mutant in MUTANTS:
+        started = time.monotonic()
+        reason = run_mutant(*mutant)
+        elapsed = time.monotonic() - started
+        print(f"{'killed' if reason is None else 'SURVIVED'} {mutant[0]} ({elapsed:.1f} s)"
+              + ("" if reason is None else f": {reason}"), flush=True)
+        survivors += reason is not None
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fmethod.operators as operators
-from fmethod.algebra import Polynomial, monomial_basis, monomials_up_to
+from fmethod.algebra import Polynomial, canonical_sums, monomial_basis, monomials_up_to
 from fmethod.engine import psi_vector, solve_fsystem, weight_degree_cap
 from fmethod.liealg import LieElement, parabolic
 from fmethod.operators import (
@@ -29,6 +29,7 @@ from fmethod.rep import (
     dpi_target,
 )
 from fmethod.weyl import WeylElement
+from references import rest, restrict_last_var
 
 
 def mono(n, expo, c=1):
@@ -147,13 +148,21 @@ def ido_inputs(draw):
     return k, n, v
 
 
+def _terms(v):
+    """A vector's {label: {monomial: coefficient}}, the form the kernels' sums take."""
+    return {lbl: p.terms for lbl, p in v.components.items()}
+
+
 @given(ido_inputs())
 @settings(max_examples=150, deadline=None)
 def test_ido_kernel_matches_reference(inputs):
     k, n, f = inputs
-    out = build_ido(k, n).apply(f)
+    D = build_ido(k, n)
+    out = D.apply(f)
     assert out == _ido_reference(k, n, f)
     assert all(not p.is_zero() for p in out.components.values())
+    comps = _terms(f) if isinstance(f, VectorValuedPolynomial) else {(0,) * n: f.terms}
+    assert canonical_sums(D.sums(comps)) == _terms(out)
 
 
 @pytest.mark.parametrize(
@@ -252,6 +261,61 @@ def test_factorization_fails_when_the_ido_has_the_wrong_order_above_the_cap(monk
     assert rep["status"] == "fail"
     assert rep["counterexample"] is not None
     assert rep["degree_cap"] == 6 and rep["monomials_checked"] == math.comb(7 + 3, 3)
+
+
+@pytest.mark.parametrize("n,m,ell", [(2, 1, 1), (3, 2, 1), (4, 0, 2)])
+def test_factorization_compares_exact_coefficients_only(monkeypatch, n, m, ell):
+    seen = []
+
+    def recording(sums):
+        out = canonical_sums(sums)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(operators, "canonical_sums", recording)
+    rep = verify_factorization_sbo(m, ell, n, 5)
+    assert rep["status"] == "pass"
+    assert len(seen) == 3 * rep["monomials_checked"]
+    coefficients = [c for sums in seen for terms in sums.values() for c in terms.values()]
+    assert coefficients and all(type(c) in (int, Fraction) for c in coefficients)
+
+
+def _first_failing_monomial(m, ell, n, cap):
+    """The check as it ran on built polynomials and vectors: the first monomial,
+    in `monomials_up_to` order, on which the three routes differ."""
+    D_ml, D_m0 = build_sbo(m, ell, n), build_sbo(m, 0, n)
+    ido_big, ido_prime = operators.build_ido(m + ell, n), operators.build_ido(ell, n - 1)
+    proj = operators.build_proj(m, ell, n)
+    for expo in monomials_up_to(n, max(cap, m + ell)):
+        f = mono(n, expo)
+        a = D_ml.apply(f)
+        b = ido_prime.apply(D_m0.apply(f).components.get((0,) * (n - 1), Polynomial.zero(n - 1)))
+        c = proj.apply(ido_big.apply(f))
+        if not a == b == c:
+            return expo
+    return None
+
+
+def _falling_factorial_dropped_above(bound):
+    labels = operators._labels_below
+    return lambda e, k: [(a, f if max(e) <= bound else 1) for a, f in labels(e, k)]
+
+
+@pytest.mark.parametrize(
+    "attr, fault",
+    [
+        ("build_proj", lambda m, ell, n: ProjOp(n, m + 1, ell)),
+        ("_labels_below", _falling_factorial_dropped_above(2)),
+    ],
+    ids=["projection-selects-m-plus-one", "ido-drops-falling-factorials-above-2"],
+)
+def test_factorization_counterexample_is_the_first_failing_monomial(monkeypatch, attr, fault):
+    monkeypatch.setattr(operators, attr, fault)
+    expected = _first_failing_monomial(2, 1, 3, 5)
+    assert expected is not None and expected != monomials_up_to(3, 5)[0]
+    rep = verify_factorization_sbo(2, 1, 3, 5)
+    assert rep["status"] == "fail"
+    assert rep["counterexample"] == [expected]
 
 
 def test_fg_stability_small_weights():
@@ -415,7 +479,7 @@ def _nonzero(ops):
 def test_sbo_after_kernel_matches_generic_composition(case):
     D, X, src, _ = case
     op = dpi_lambda(X, src)
-    reference = {lbl: comp.compose(op).restrict_last_var() for lbl, comp in D.components}
+    reference = {lbl: restrict_last_var(comp.compose(op)) for lbl, comp in D.components}
     assert operators._compose_sbo_after(D, op) == reference
 
 
@@ -428,7 +492,7 @@ def test_target_before_kernel_matches_generic_composition(case):
     for out_lbl in T.out_labels:
         acc = WeylElement.zero(D.n)
         for in_lbl, d in D.components:
-            acc = acc + T.entry(out_lbl, in_lbl).pad_vars(D.n).compose(d).restrict_last_var()
+            acc = acc + restrict_last_var(T.entry(out_lbl, in_lbl).pad_vars(D.n).compose(d))
         reference[out_lbl] = acc
     assert _nonzero(operators._compose_target_before(T, D)) == _nonzero(reference)
 
@@ -462,10 +526,11 @@ def sbo_inputs(draw):
 @settings(max_examples=150, deadline=None)
 def test_sbo_apply_matches_the_per_label_weyl_path(inputs):
     D, f = inputs
-    reference = VectorValuedPolynomial(D.n - 1, {lbl: op.apply(f).rest() for lbl, op in D.components})
+    reference = VectorValuedPolynomial(D.n - 1, {lbl: rest(op.apply(f)) for lbl, op in D.components})
     out = D.apply(f)
     assert out == reference
     assert all(not p.is_zero() for p in out.components.values())
+    assert canonical_sums(D.sums(f.terms)) == _terms(out)
 
 
 @given(st.data())
@@ -482,8 +547,11 @@ def test_proj_matches_selection_over_xi_prime(data):
     for lbl in monomial_basis(n - 1, ell):
         p = v.components.get(lbl + (m,))
         if p is not None:
-            reference[lbl] = p.rest()
-    assert build_proj(m, ell, n).apply(v) == VectorValuedPolynomial(n - 1, reference)
+            reference[lbl] = rest(p)
+    proj = build_proj(m, ell, n)
+    out = proj.apply(v)
+    assert out == VectorValuedPolynomial(n - 1, reference)
+    assert canonical_sums(proj.sums(_terms(v))) == _terms(out)
 
 
 def test_non_member_violations_are_unchanged():

@@ -3,9 +3,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmethod import engine, verma
-from fmethod.algebra import Polynomial, monomial_basis
+from fmethod.algebra import Polynomial, canonical_sums, monomial_basis
 from fmethod.liealg import parabolic
 from fmethod.params import sign_shift
 from fmethod.rep import VectorValuedPolynomial
@@ -133,6 +135,50 @@ def test_factorization_fails_when_a_route_is_scaled(monkeypatch):
     assert rep["counterexample"] is not None
 
 
+@pytest.mark.parametrize("flavor, lam2", [("sl", Fraction(0)), ("gl", Fraction(1, 2))])
+def test_factorization_compares_exact_coefficients_only(monkeypatch, flavor, lam2):
+    seen = []
+
+    def recording(sums):
+        out = canonical_sums(sums)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(verma, "canonical_sums", recording)
+    rep = verify_factorization_verma(1, 2, 3, 2, flavor=flavor, lam2=lam2)
+    assert rep["status"] == "pass"
+    assert len(seen) == 3 * rep["vectors_checked"]
+    coefficients = [c for sums in seen for terms in sums.values() for c in terms.values()]
+    assert coefficients and all(type(c) in (int, Fraction) for c in coefficients)
+
+
+def test_factorization_counterexample_is_the_first_failing_vector(monkeypatch):
+    # phi_{m+l} with its image at e_(1,1,1) scaled: only the source vectors
+    # at the label (1, 1), which Emb~ sends there, fail, and the report
+    # names the first of them
+    routes = verma._factorization_routes
+
+    def scaled(*args):
+        phi_ml, (route1, (emb, phi_big)) = routes(*args)
+        images = tuple((lbl, img.scale(2) if lbl == (1, 1, 1) else img) for lbl, img in phi_big.images)
+        return phi_ml, (route1, (emb, dataclasses.replace(phi_big, images=images)))
+
+    monkeypatch.setattr(verma, "_factorization_routes", scaled)
+    phi_ml, ((phi_prime, phi_m0), (emb, phi_big)) = verma._factorization_routes(1, 2, 3)
+
+    def fails(mono, lbl):
+        # the check as it ran on built unit vectors
+        v = phi_ml.source.unit(mono, lbl)
+        return not phi_ml.apply(v) == phi_m0.apply(phi_prime.apply(v)) == phi_big.apply(emb.apply(v))
+
+    vectors = [(g, mono, lbl) for g in range(3) for mono, lbl in phi_ml.source.basis(g)]
+    expected = next(vec for vec in vectors if fails(*vec[1:]))
+    assert expected == (0, (0, 0), (1, 1))
+    rep = verify_factorization_verma(1, 2, 3, 2)
+    assert rep["status"] == "fail"
+    assert rep["counterexample"] == [expected]
+
+
 @pytest.mark.parametrize("cap", [0, 1, 2, 3])
 def test_factorization_fails_at_every_cap_when_the_monomial_maps_double(monkeypatch, cap):
     # Phi_(1,1) and phi_2 o Emb~ hold one monomial map each, Phi_(1,0) o phi'_1
@@ -161,6 +207,66 @@ def test_hom_equivariance_fails_at_every_cap_over_a_wrong_source(cap):
     assert check_hom_equivariance(h, cap)["status"] == "pass"
     rep = check_hom_equivariance(wrong, cap)
     assert rep["status"] == "fail" and rep["violations"]
+
+
+_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def hom_inputs(draw):
+    """(h, v): a factorization map or one with random images, and a random source vector.
+
+    With a flag, two source labels get the same image and v the parts q and
+    -q at them, so every product sum cancels."""
+    n, m, ell = draw(st.integers(2, 4)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    flavor = draw(st.sampled_from(["sl", "gl"]))
+    h = draw(st.sampled_from([
+        build_phi(m, ell, n, flavor),
+        build_phi_k(ell, n, flavor, primed=True),
+        build_phi_k(m + ell, n, flavor),
+        build_emb(m, ell, n, flavor),
+    ]))
+
+    def poly(nv):
+        terms = {}
+        for _ in range(draw(st.integers(0, 3))):
+            terms[tuple(draw(st.integers(0, 3)) for _ in range(nv))] = draw(_coeffs)
+        return Polynomial(nv, terms, "zeta")
+
+    sv, tv = h.source.num_vars, h.target.num_vars
+    if draw(st.booleans()):
+        out_labels = st.lists(st.sampled_from(h.target.fiber_labels()), unique=True, max_size=3)
+        images = tuple(
+            (lbl, VectorValuedPolynomial(tv, {out: poly(tv) for out in draw(out_labels)}, "zeta"))
+            for lbl, _ in h.images
+        )
+        h = dataclasses.replace(h, images=images)
+    labels = h.source.fiber_labels()
+    v = VectorValuedPolynomial(
+        sv, {lbl: poly(sv) for lbl in draw(st.lists(st.sampled_from(labels), unique=True))}, "zeta"
+    )
+    if len(labels) > 1 and draw(st.booleans()):
+        a, b = draw(st.lists(st.sampled_from(labels), min_size=2, max_size=2, unique=True))
+        imap = h.image_map()
+        h = dataclasses.replace(h, images=tuple((lbl, imap[a] if lbl == b else img) for lbl, img in h.images))
+        q = poly(sv)
+        v = VectorValuedPolynomial(sv, {a: q, b: -q}, "zeta")
+    return h, v
+
+
+@given(hom_inputs())
+@settings(max_examples=150, deadline=None)
+def test_hom_kernel_sums_are_the_terms_of_apply(inputs):
+    h, v = inputs
+    out = h.apply(v)
+    sums = h.sums({lbl: p.terms for lbl, p in v.components.items()})
+    assert canonical_sums(sums) == {lbl: p.terms for lbl, p in out.components.items()}
+
+
+def test_hom_rejects_a_source_vector_of_another_arity():
+    h = build_phi(1, 1, 3)
+    with pytest.raises(ValueError, match="arity mismatch"):
+        h.apply(VectorValuedPolynomial(3, {(1, 0): Polynomial.one(3, "zeta")}, "zeta"))
 
 
 def test_hom_rejects_a_source_vector_of_the_other_role():
