@@ -49,24 +49,28 @@ piece is built at the level it depends on:
   weight part, so they are the bases themselves, and N_1^+'s (base,
   part_1[, part_2]), each piece with its memo of monomial images; for
   each diagonal element, c0 of each piece, its integer form and scale;
-  whether every weight part's c0_i equals the character chi_i; and the n
-  independent rows, with D times the inverse of their matrix;
-* per record and l: each fiber label's integer P and its part of the
-  other rows' checks, from the weight-free m-action of the fiber
+  whether every weight part's c0_i equals the character chi_i; the n
+  independent rows, with D times the inverse of their matrix; and per
+  gamma, from `liealg`'s integer sign rule, its zeta mask over n, its
+  fiber mask over the mode's block and the sign coefficients a and b of
+  the source and target characters;
+* per record and l: each fiber label's integer P, its part of the other
+  rows' checks and its fiber bits (its exponents summed over each fiber
+  mask), from the weight-free m-action of the fiber
   (`_LieData.solve_labels`), kept on the record;
 * per family (the cells of one relative sign at a fixed gap nu - lambda):
   one solve context, built from the first member (`_SolveContext`): the
-  record with the fiber (the raising pairs, the gamma parities, each
-  diagonal element's shift fiber weight - c0 with c0 = c0(base) + sum_i
-  w_i c0(part_i)), c and each label's degree interval from the shifts,
+  record with the fiber (the raising pairs, each diagonal element's shift
+  fiber weight - c0 with c0 = c0(base) + sum_i w_i c0(part_i)), c and
+  each label's degree interval from the shifts, the labels' parities,
   then the unknowns and the equivariant vectors (`solve_family`).  The
-  signs enter only through the gamma parities, which read the product of
-  the source and target characters at each generator; both characters
-  see the same -1 entries, so (alpha, beta) and (alpha + 1, beta + 1)
-  share one solve;
+  signs enter only through the sign key, one parity alpha . a + beta . b
+  (mod 2) per gamma, which a label's fiber bits complete to its parities;
+  both characters see the same -1 entries (a = b), so (alpha, beta)
+  and (alpha + 1, beta + 1) share one key and one solve;
 * per member: only a check and its weights w.  The check asks for the
-  first member's n, flavor, l and gamma parities (none when connected)
-  and the same gap in every component.  Along the gap a shift moves by
+  first member's n, flavor, l and sign key (empty when connected) and
+  the same gap in every component.  Along the gap a shift moves by
   sum_i lambda_i (c0_i - chi_i), so a family of two or more members also
   needs the record's c0_i = chi_i.  The F-system is solved once per
   distinct weights, combining the memoized images of N_1^+'s pieces with
@@ -230,11 +234,18 @@ class _LieData:
     denominator: int
     degree_column: tuple  # u, the first column of `inverse`
     checks: tuple  # per other form r: (r, form_r . u)
+    # per gamma (`ParabolicData.sign_masks`, `sign_coefficients`): the
+    # coordinates of zeta and of the fiber block that it negates, and the
+    # parity each sign component of the source and of the target adds
+    zeta_masks: tuple
+    fiber_masks: tuple
+    source_signs: tuple
+    target_signs: tuple
     label_solves: dict = field(default_factory=dict)  # ell: `solve_labels` of the fiber S^ell
 
     @classmethod
-    def of(cls, pd, diag, raising, gammas, n_plus):
-        """The record of these element lists of the algebra `pd`.
+    def of(cls, pd, block, diag, raising, gammas, n_plus):
+        """The record of these element lists of the algebra `pd`, whose fibers live on `block` coordinates.
 
         Each element's `dpi_hat_parts` are read once.  No character sees a
         raising element Z (Z[0, 0] = 0 and trace 0), so a weight part there
@@ -271,6 +282,7 @@ class _LieData:
         denominator = math.lcm(*(x.denominator for row in inverse for x in row))
         inverse = tuple(tuple(int(x * denominator) for x in row) for row in inverse)
         degree_column = tuple(row[0] for row in inverse)
+        zeta_masks, fiber_masks = zip(*(pd.sign_masks(g, n, block) for g in gammas))
         return cls(
             diag, raising, gammas, n_plus, tuple(raising_ops),
             tuple(tuple((op, {}) for op in dpi_hat_parts(N, pd)) for N in n_plus),
@@ -278,16 +290,20 @@ class _LieData:
             all(c[1:] == characters(Z, pd) for Z, c in zip(diag, constants)),
             tuple(r - 1 for r in chosen[1:]), inverse, denominator, degree_column,
             tuple((r, _dot(f, degree_column)) for r, f in enumerate(forms) if r + 1 not in chosen),
+            zeta_masks, fiber_masks,
+            tuple(pd.sign_coefficients(g, n) for g in gammas),
+            tuple(pd.sign_coefficients(g, block) for g in gammas),
         )
 
     def solve_labels(self, fiber, pd):
         """Per label of `fiber` (an S^ell of this record's mode), in `fiber.labels` order.
 
-        Each item is (label, P, e).  A diagonal element's m-part eigenvalue
-        on the label, times the element's scale, is an integer a_r (else
-        ValueError).  P = `inverse` . (0, a_pivots) is the label's part of
-        D times its monomial, and e_r = D a_r - form_r . P its part of each
-        check.  Built once per ell and kept on the record.
+        Each item is (label, P, e, bits).  A diagonal element's m-part
+        eigenvalue on the label, times the element's scale, is an integer a_r
+        (else ValueError).  P = `inverse` . (0, a_pivots) is the label's part
+        of D times its monomial, and e_r = D a_r - form_r . P its part of
+        each check; bits holds, per gamma, the label's exponents summed over
+        its fiber mask.  Built once per ell and kept on the record.
         """
         solves = self.label_solves.get(fiber.degree)
         if solves is not None:
@@ -308,7 +324,7 @@ class _LieData:
             a = eigenvalues[lbl]
             p = tuple(_dot(row[1:], (a[r] for r in self.pivots)) for row in self.inverse)
             e = tuple(self.denominator * a[r] - _dot(self.forms[r], p) for r, _ in self.checks)
-            solves.append((lbl, p, e))
+            solves.append((lbl, p, e, tuple(sum(lbl[j] for j in mask) for mask in self.fiber_masks)))
         self.label_solves[fiber.degree] = solves = tuple(solves)
         return solves
 
@@ -353,37 +369,12 @@ def _lie_data(pd, full_nilradical) -> _LieData:
     top = pd.n if primed else pd.n + 1
     return _LieData.of(
         pd,
+        pd.n if full_nilradical else pd.n - 1,
         tuple(diag),
         tuple(pd.unit(i, i + 1) for i in range(2, top)),
         tuple(pd.gamma_elements(primed=primed)),
         (pd.n_plus(1),),
     )
-
-
-@lru_cache(maxsize=None)
-def _gamma_parities(pd, full_nilradical, alpha, beta, ell):
-    """(masks, parities): the component group conditions, which read only signs and labels.
-
-    For each generator gamma, its mask holds the coordinates where gamma
-    acts on zeta by -1; `parities[label]` holds, per generator, the parity
-    of m summed over the mask that a pair (zeta^m, label) needs.
-    """
-    block = pd.n if full_nilradical else pd.n - 1
-    labels = monomial_basis(block, ell)
-    masks, parities = [], {lbl: () for lbl in labels}
-    for gamma in _lie_data(pd, full_nilradical).gammas:
-        g0 = gamma[0, 0]
-        ad = [gamma[j, j] * g0 for j in range(1, pd.n + 1)]
-        v_side = pd.sign_character(gamma, alpha, pd.n)
-        w_side = pd.sign_character(gamma, beta, block)
-        masks.append(tuple(j for j, a in enumerate(ad) if a < 0))
-        # The fiber transforms by the block entries themselves (no Ad twist).
-        # Every sign is +-1, so  w_side * fiber sign == v_side * ad^m  fixes
-        # the parity of m summed over the coordinates where ad is -1.
-        for lbl in labels:
-            fiber_sign = math.prod(gamma[j + 1, j + 1] ** lbl[j] for j in range(block))
-            parities[lbl] += (int(w_side * v_side * fiber_sign < 0),)
-    return tuple(masks), parities
 
 
 class _SolveContext:
@@ -393,7 +384,7 @@ class _SolveContext:
     lambda, and in the sign pair within one relative sign.  Everything
     built here but `weights`, the first member's 2rho - lambda, serves
     every member: the raising pairs (each raising piece with the fiber's
-    action), the gamma parities and each diagonal element's shift (fiber
+    action), the sign key and each diagonal element's shift (fiber
     weight - c0).  A further member brings only its weights, from
     `member_weights`, which checks that it belongs to the family; the
     F-system stage reads nothing else of a member.
@@ -402,11 +393,11 @@ class _SolveContext:
     eigenvalue on zeta^m as on the label, and every component group
     generator the same sign.  Each condition is scaled to an integer
     equation  form . m == scale * (m-part eigenvalue on the label + shift);
-    the gamma signs become parities of m over the coordinates where gamma
-    acts by -1.  With the degree row, n of these equations fix m, so each
-    label is solved once, from the record's per-l solves plus the shifts,
-    into its interval of degrees (`_labels`, built on first use); a degree
-    then reads each label's pair off that solve.
+    the gamma signs become parities of m over each zeta mask, the label's
+    fiber bits plus the sign key.  With the degree row, n of these
+    equations fix m, so each label is solved once, from the record's per-l
+    solves plus the shifts, into its interval of degrees (`_labels`, built
+    on first use); a degree then reads each label's pair off that solve.
     """
 
     def __init__(self, source, target, connected=False, full_nilradical=False):
@@ -418,7 +409,7 @@ class _SolveContext:
             target.ell, self.n if full_nilradical else self.n - 1, tuple(-x for x in target.nu)
         )
         self.lie = lie = _lie_data(pd, full_nilradical)
-        self._connected, self._full_nilradical = connected, full_nilradical
+        self._connected = connected
         self._two_rho = pd.two_rho()
         self.weights = self._weights(source)
         self.raising = tuple(
@@ -429,9 +420,6 @@ class _SolveContext:
             self.fiber.weight(Z, pd) - c0 - sum(w * c for w, c in zip(self.weights, weight_c0))
             for Z, (c0, *weight_c0) in zip(lie.diag, lie.constants)
         )
-        self._gamma_masks, self._parities = ((), {}) if connected else _gamma_parities(
-            pd, full_nilradical, source.alpha, target.beta, target.ell
-        )
         self._data = self._family_data(source, target)
 
     def _weights(self, source):
@@ -441,16 +429,20 @@ class _SolveContext:
     def _family_data(self, source, target):
         """What the solve reads of a member besides its weights.
 
-        n, flavor, l, the gap nu - lambda and, unless connected, the gamma
-        parities: the signs enter only there, so a member whose signs give
-        the same parities shares every stage but the F-system's weights.
+        n, flavor, l, the gap nu - lambda and the sign key: per gamma, the
+        parity alpha . a + beta . b of the source and target characters
+        there, a and b the record's sign coefficients.  The signs enter only
+        through the key, so a member whose signs give the same key shares
+        every stage but the F-system's weights.  The key is empty when
+        connected: no label then carries a parity, and no zeta mask is read.
         """
         gap = tuple(nu - lam for nu, lam in zip(target.nu, source.lam))
-        parities = None if self._connected else _gamma_parities(
-            parabolic(source.n, source.flavor), self._full_nilradical,
-            source.alpha, target.beta, target.ell,
-        )[1]
-        return source.n, source.flavor, target.ell, gap, parities
+        lie = self.lie
+        key = () if self._connected else tuple(
+            (_dot(source.alpha, a) + _dot(target.beta, b)) % 2
+            for a, b in zip(lie.source_signs, lie.target_signs)
+        )
+        return source.n, source.flavor, target.ell, gap, key
 
     def member_weights(self, source, target):
         """A further member's weights w = 2rho - lambda, once it is checked to be one.
@@ -479,9 +471,11 @@ class _SolveContext:
         degrees with m >= 0 and every check met form [lo, hi] (hi None when
         unbounded); labels with none are left out.  Each target is an
         integer eigenvalue plus a scaled shift, and form . m is an integer,
-        so a non-integral scaled shift leaves no pair at all.
+        so a non-integral scaled shift leaves no pair at all.  A label's
+        parities, per gamma, are its fiber bits plus the family's sign key,
+        mod 2.
         """
-        lie = self.lie
+        lie, key = self.lie, self._data[-1]
         shifts = [scale * shift for scale, shift in zip(lie.scales, self._shifts)]
         if any(s.denominator != 1 for s in shifts):
             return ()
@@ -489,12 +483,12 @@ class _SolveContext:
         c = [_dot(row[1:], (shifts[r] for r in lie.pivots)) for row in lie.inverse]
         checks = [(a, lie.denominator * shifts[r] - _dot(lie.forms[r], c)) for r, a in lie.checks]
         out = []
-        for index, (lbl, p, e) in enumerate(lie.solve_labels(self.fiber, self.pd)):
+        for index, (lbl, p, e, bits) in enumerate(lie.solve_labels(self.fiber, self.pd)):
             q = tuple(x + y for x, y in zip(p, c))
             targets = [(a, b + x) for (a, b), x in zip(checks, e)]
             interval = _degree_interval(q, lie.degree_column, targets)
             if interval is not None:
-                out.append((*interval, index, lbl, q, self._parities.get(lbl, ())))
+                out.append((*interval, index, lbl, q, tuple((b + k) % 2 for b, k in zip(bits, key))))
         return out
 
     # -- enumeration ----------------------------------------------------------
@@ -507,7 +501,7 @@ class _SolveContext:
         descending graded-lex order of (monomial, label), as `monomial_basis`
         and `fiber.labels` list them.
         """
-        D, u, masks = self.lie.denominator, self.lie.degree_column, self._gamma_masks
+        D, u, masks = self.lie.denominator, self.lie.degree_column, self.lie.zeta_masks
         out = []
         for lo, hi, index, lbl, q, parities in self._labels:
             if degree < lo or (hi is not None and degree > hi):

@@ -10,6 +10,11 @@ Elements store only their nonzero entries: per row, the sorted
 short sum of them, so a sum, bracket, hash or comparison costs
 O(size + nonzeros), not (n+1)^2 or 2(n+1)^3.  Entries are read through
 `X[i, j]` or by iterating the rows.
+
+The component group's generators are diagonal with entries +-1, so every
+sign the solver and the Verma modules read is -1 to an integer parity:
+`ParabolicData.sign_coefficients` gives a sign character's parity and
+`ParabolicData.sign_masks` the coordinates that a generator negates.
 """
 
 from __future__ import annotations
@@ -262,19 +267,28 @@ class ParabolicData:
             LieElement((rests[0],) + blank, self.flavor),
         )
 
-    def sign_character(self, gamma: LieElement, parities, block: int) -> Fraction:
-        """The sign character with `parities` at a diagonal component-group element.
+    def sign_coefficients(self, gamma: LieElement, block: int) -> tuple:
+        """Per sign component, the parity it adds at a diagonal component-group element.
 
-        SL: det^a, the determinant over the `block` diagonal entries after
-        the corner g0.  GL: g0^a1 det^a2.
+        A character with parities a is (-1)^(a . coefficients) at gamma.
+        SL: det, the parity of the -1 entries among the `block` diagonal
+        entries after the corner g0.  GL: (g0 < 0, that det).
         """
-        det = Fraction(1)
-        for j in range(1, block + 1):
-            det *= gamma[j, j]
-        if self.flavor == SL:
-            return det if parities[0] % 2 else Fraction(1)
+        det = sum(gamma[j, j] < 0 for j in range(1, block + 1)) % 2
+        return (det,) if self.flavor == SL else (int(gamma[0, 0] < 0), det)
+
+    def sign_masks(self, gamma: LieElement, num_vars: int, block: int) -> tuple:
+        """(zeta mask, fiber mask) of a diagonal component-group element.
+
+        The zeta mask holds the j < `num_vars` where Ad(gamma) acts on zeta_j
+        by -1 (gamma[j+1, j+1] g0 < 0); the fiber mask the j < `block` where
+        gamma acts on the fiber coordinate j by -1 (gamma[j+1, j+1] < 0, no
+        Ad twist).  So gamma acts on zeta^m, or on a fiber label, by -1 to
+        the sum of the exponents over the mask.
+        """
         g0 = gamma[0, 0]
-        return (g0 if parities[0] % 2 else Fraction(1)) * (det if parities[1] % 2 else Fraction(1))
+        zeta = tuple(j for j in range(num_vars) if gamma[j + 1, j + 1] * g0 < 0)
+        return zeta, tuple(j for j in range(block) if gamma[j + 1, j + 1] < 0)
 
     def two_rho(self):
         """Weights of det Ad on n_+ against (dchi[, dchi2])."""

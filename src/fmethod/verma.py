@@ -106,22 +106,22 @@ class VermaModule:
         )
 
     def gamma_action(self, gamma, v: VectorValuedPolynomial) -> VectorValuedPolynomial:
-        """Group action of a component-group generator on the model."""
-        g0 = gamma[0, 0]
-        ad = [gamma[j, j] * g0 for j in range(1, self.num_vars + 1)]
-        blk = [gamma[j, j] for j in range(1, self.num_vars + 1)]
-        char = self.pd.sign_character(gamma, self.signs, self.num_vars)
+        """Group action of a component-group generator on the model.
+
+        gamma negates the term zeta^m tensor e_label when the character's
+        parity at gamma, the label's exponents over the fiber mask and m
+        over the zeta mask sum to an odd number.
+        """
+        pd = self.pd
+        char = sum(a * c for a, c in zip(self.signs, pd.sign_coefficients(gamma, self.num_vars)))
+        zeta, fiber = pd.sign_masks(gamma, self.num_vars, self.fiber_block)
         comps = {}
         for lbl, p in v.components.items():
-            fsign = Fraction(1)
-            for j, e in enumerate(lbl):
-                fsign *= blk[j] ** e
-            terms = {}
-            for mono, c in p.terms.items():
-                s = Fraction(1)
-                for j, e in enumerate(mono):
-                    s *= ad[j] ** e
-                terms[mono] = c * s * fsign * char
+            bits = char + sum(lbl[j] for j in fiber)
+            terms = {
+                mono: -c if (bits + sum(mono[j] for j in zeta)) % 2 else c
+                for mono, c in p.terms.items()
+            }
             comps[lbl] = Polynomial(self.num_vars, terms, "zeta")
         return VectorValuedPolynomial(self.num_vars, comps, "zeta")
 

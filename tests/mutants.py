@@ -95,6 +95,71 @@ MUTANTS = [
         "inverse = tuple(tuple(int(-x * denominator) for x in row) for row in inverse)",
         ["tests/test_engine.py"],
     ),
+    # -- the member check: a further member shares every sign-free stage -------
+    (
+        "member-check-drops-the-gap",
+        "engine.py",
+        "return source.n, source.flavor, target.ell, gap, key",
+        "return source.n, source.flavor, target.ell, key",
+        ["tests/test_engine.py"],
+    ),
+    (
+        "member-check-drops-the-sign-key",
+        "engine.py",
+        "if self._family_data(source, target) != self._data or not self.lie.lambda_free:",
+        "if self._family_data(source, target)[:-1] != self._data[:-1] or not self.lie.lambda_free:",
+        ["tests/test_engine.py"],
+    ),
+    (
+        "member-check-drops-the-lambda-free-check",
+        "engine.py",
+        "if self._family_data(source, target) != self._data or not self.lie.lambda_free:",
+        "if self._family_data(source, target) != self._data:",
+        ["tests/test_engine.py"],
+    ),
+    # -- the component-group signs as integer parities -------------------------
+    (
+        "label-parities-drop-the-fiber-bits",
+        "engine.py",
+        "tuple((b + k) % 2 for b, k in zip(bits, key))",
+        "tuple(k % 2 for b, k in zip(bits, key))",
+        ["tests/test_engine.py"],
+    ),
+    (
+        "sign-key-drops-the-mod-2",
+        "engine.py",
+        "(_dot(source.alpha, a) + _dot(target.beta, b)) % 2\n",
+        "(_dot(source.alpha, a) + _dot(target.beta, b))\n",
+        ["tests/test_engine.py"],
+    ),
+    (
+        "zeta-mask-ignores-the-corner",
+        "liealg.py",
+        "if gamma[j + 1, j + 1] * g0 < 0)",
+        "if gamma[j + 1, j + 1] < 0)",
+        ["tests/test_liealg.py::test_sign_parities_match_the_fraction_products"],
+    ),
+    (
+        "gl-sign-drops-the-corner",
+        "liealg.py",
+        "(int(gamma[0, 0] < 0), det)",
+        "(0, det)",
+        ["tests/test_liealg.py::test_sign_parities_match_the_fraction_products"],
+    ),
+    (
+        "verma-gamma-drops-the-character",
+        "verma.py",
+        "bits = char + sum(lbl[j] for j in fiber)",
+        "bits = sum(lbl[j] for j in fiber)",
+        ["tests/test_verma.py"],
+    ),
+    (
+        "verma-gamma-drops-the-fiber-bits",
+        "verma.py",
+        "bits = char + sum(lbl[j] for j in fiber)",
+        "bits = char",
+        ["tests/test_verma.py"],
+    ),
 ]
 
 

@@ -37,6 +37,7 @@ from fmethod.rep import (
     dpi_hat_parts,
 )
 from fmethod.weyl import WeylElement
+from references import gamma_parities
 
 
 def sl_pair(n, lam, m, ell, alpha=0):
@@ -565,6 +566,11 @@ def test_enumeration_matches_brute_force_in_every_mode(case):
     for d in range(max(cap, 0) + 2):
         expected = _brute_force_unknowns(source, target, d, connected, full)
         assert ctx.unknowns_at_degree(d) == expected, d
+    # each label's parities against the Fraction products of the sign rule
+    masks, parities = gamma_parities(ctx.pd, full, source.alpha, target.beta, target.ell)
+    assert ctx.lie.zeta_masks == masks
+    for *_, lbl, _, got in ctx._labels:
+        assert got == (() if connected else parities[lbl]), lbl
 
 
 def test_eigenvalue_form_reads_the_normal_form():
@@ -748,6 +754,7 @@ def _full_lie_data(pd, full_nilradical):
     top = pd.n + 1 if full_nilradical else pd.n
     return engine._LieData.of(
         pd,
+        pd.n if full_nilradical else pd.n - 1,
         lie.diag,
         tuple(pd.unit(i, j) for i in range(2, top + 1) for j in range(2, top + 1) if i != j),
         lie.gammas,
@@ -1036,21 +1043,25 @@ def test_connected_family_reads_no_signs():
 def test_gamma_parities_read_only_the_relative_sign(n, flavor, full):
     """The fact a scan family rests on, in the first sign components.
 
-    Flipping alpha and beta together keeps the parities; flipping only one
-    of them changes them.
+    Flipping alpha and beta together keeps a member's family data, sign
+    key included; flipping only one of them changes the key.
     """
-    pd, pad = parabolic(n, flavor), (0,) if flavor == GL else ()
+    pad = (0,) if flavor == GL else ()
+    source, target, _ = _enumeration_case(n, flavor, full, True)
+    ctx = _SolveContext(source, target, full_nilradical=full)
 
-    def parities(alpha, beta, ell):
-        return engine._gamma_parities(pd, full, (alpha,) + pad, (beta,) + pad, ell)
+    def family_data(alpha, beta, ell):
+        swap = dataclasses.replace
+        src = swap(source, alpha=(alpha,) + pad)
+        return ctx._family_data(src, swap(target, beta=(beta,) + pad, ell=ell))
 
     for ell in range(4):
         for alpha in (0, 1):
             for beta in (0, 1):
-                masks, base = parities(alpha, beta, ell)
-                assert parities(1 - alpha, 1 - beta, ell) == (masks, base)
-                assert parities(1 - alpha, beta, ell)[1] != base
-                assert parities(alpha, 1 - beta, ell)[1] != base
+                base = family_data(alpha, beta, ell)
+                assert family_data(1 - alpha, 1 - beta, ell) == base
+                assert family_data(1 - alpha, beta, ell)[-1] != base[-1]
+                assert family_data(alpha, 1 - beta, ell)[-1] != base[-1]
 
 
 @pytest.mark.parametrize("n, options, sign_families", [

@@ -82,6 +82,20 @@ DIGESTS = {
         ["classify", "--n", "6", "--homs", "--connected", "--m-max", "3", "--l-max", "3",
          "--format", "csv"],
         "62f7570df1182e6322eaa5741006e9a18eb440b662608f6f2ea35ab56d71636e"),
+    # odd n: the primed fiber block n - 1 is even, and the full one odd
+    "classify-sl-n7": (
+        ["classify", "--n", "7", "--m-max", "3", "--l-max", "3", "--format", "csv"],
+        "ca62aabbdf6e1c22680e72a737aecc8977fe700a7e9b76fe367112e7ec386fc0"),
+    "classify-gl-n5": (
+        ["classify", "--flavor", "gl", "--n", "5", "--m-max", "2", "--l-max", "2",
+         "--format", "csv"],
+        "a2e5a68f58b4881c647a9ee12d076e94f97d7f95e66b907630efa367342f9018"),
+    "classify-homs-n5": (
+        ["classify", "--n", "5", "--homs", "--m-max", "3", "--l-max", "3", "--format", "csv"],
+        "9aed11f675d7dadf4f22087510d8b15361de88edee52bc27bbf5f0270757af86"),
+    "classify-ido-gl-n7": (
+        ["classify", "--flavor", "gl", "--n", "7", "--ido", "--k-max", "4", "--format", "csv"],
+        "68f3745191f1bb5f70ba62cb828219391d5bde4c08dcfbf26f38d29cb8acf29e"),
 }
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmethod.liealg import LieElement, ParabolicData, bracket, parabolic
+from references import fiber_sign, sign_character, zeta_sign
 
 
 def _from_rows(rows, flavor="sl"):
@@ -382,3 +383,45 @@ def test_ad_series_matches_dense_expansion(case):
             for j, v in enumerate(row):
                 got[i][j] += weight * v
     assert tuple(map(tuple, got)) == expected
+
+
+@st.composite
+def sign_cases(draw):
+    """(n, flavor, primed, monomial, label): n = 2..8, a label on the mode's block."""
+    n, flavor, primed = draw(st.integers(2, 8)), draw(st.sampled_from(["sl", "gl"])), draw(st.booleans())
+    exponents = st.integers(0, 3)
+    mono = tuple(draw(st.lists(exponents, min_size=n, max_size=n)))
+    block = n - 1 if primed else n
+    return n, flavor, primed, mono, tuple(draw(st.lists(exponents, min_size=block, max_size=block)))
+
+
+@given(sign_cases())
+@settings(max_examples=200, deadline=None)
+def test_sign_parities_match_the_fraction_products(case):
+    """(-1)^parity from the integer sign rule is the product of the +-1 entries.
+
+    Per generator gamma and every pair of parity tuples (alpha, beta): the
+    character over the source's n and the target's block coordinates, the
+    zeta mask on a monomial, the fiber mask on a label, and their sum, the
+    parity the solver compares with m over the zeta mask.
+    """
+    n, flavor, primed, mono, lbl = case
+    pd = parabolic(n, flavor)
+    block = len(lbl)
+    tuples = list(itertools.product((0, 1), repeat=len(pd.two_rho())))
+    for gamma in pd.gamma_elements(primed=primed):
+        zeta, fiber = pd.sign_masks(gamma, n, block)
+        assert (-1) ** sum(mono[j] for j in zeta) == zeta_sign(gamma, mono)
+        assert (-1) ** sum(lbl[j] for j in fiber) == fiber_sign(gamma, lbl)
+        a, b = pd.sign_coefficients(gamma, n), pd.sign_coefficients(gamma, block)
+        assert all(type(x) is int and x in (0, 1) for x in a + b)
+        for alpha in tuples:
+            v_side = sign_character(pd, gamma, alpha, n)
+            assert (-1) ** sum(x * y for x, y in zip(alpha, a)) == v_side
+            for beta in tuples:
+                w_side = sign_character(pd, gamma, beta, block)
+                parity = (
+                    sum(x * y for x, y in zip(alpha, a)) + sum(x * y for x, y in zip(beta, b))
+                    + sum(lbl[j] for j in fiber) + sum(mono[j] for j in zeta)
+                )
+                assert (-1) ** parity == v_side * w_side * fiber_sign(gamma, lbl) * zeta_sign(gamma, mono)

@@ -11,6 +11,7 @@ from fmethod.algebra import Polynomial, canonical_sums, monomial_basis
 from fmethod.liealg import parabolic
 from fmethod.params import sign_shift
 from fmethod.rep import VectorValuedPolynomial
+from references import gamma_action
 from fmethod.verma import (
     _factorization_routes,
     VermaHom,
@@ -558,6 +559,34 @@ def test_gl_module_default_sign_is_plus_on_both_characters():
     assert default == explicit
     v = default.unit((1, 2), ())
     assert default.gamma_action(gamma, v) == explicit.gamma_action(gamma, v)
+
+
+@st.composite
+def gamma_action_cases(draw):
+    """(module, vector): a scalar or S^k module, n = 2..5, any signs, and a random vector."""
+    n, flavor = draw(st.integers(2, 5)), draw(st.sampled_from(["sl", "gl"]))
+    primed, k = draw(st.booleans()), draw(st.integers(0, 2))
+    sign = tuple(draw(st.integers(0, 1)) for _ in range(1 if flavor == "sl" else 2))
+    module = VermaModule.of(n, primed, k, Fraction(1, 3), flavor, sign, u2=Fraction(0) if flavor == "gl" else None)
+    nv = module.num_vars
+    monos = st.tuples(*[st.integers(0, 3)] * nv)
+    coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    labels = draw(st.lists(st.sampled_from(module.fiber_labels()), min_size=1, max_size=3, unique=True))
+    comps = {
+        lbl: Polynomial(nv, draw(st.dictionaries(monos, coefficient, max_size=4)), "zeta")
+        for lbl in labels
+    }
+    return module, VectorValuedPolynomial(nv, comps, "zeta")
+
+
+@given(gamma_action_cases())
+@settings(max_examples=150, deadline=None)
+def test_gamma_action_matches_the_fraction_products(case):
+    # every generator of both component groups, on the module's own coordinates
+    module, v = case
+    for primed in (False, True):
+        for gamma in module.pd.gamma_elements(primed=primed):
+            assert module.gamma_action(gamma, v) == gamma_action(module, gamma, v)
 
 
 # -- check_hom_equivariance against the loop it replaced ---------------------------
