@@ -8,8 +8,9 @@ dual maps between generalized Verma modules, and certifies branching laws,
 all by exact linear algebra on graded polynomial spaces.
 
 All arithmetic is exact over the rationals: sparse polynomials,
-Weyl-algebra operators, matrix Lie algebra data, and linear solves share
-one scalar type (fractions.Fraction).  No floating point is used anywhere.
+Weyl-algebra operators, matrix Lie algebra data, and linear solves hold
+exact rationals, `int` when integral and `fractions.Fraction` otherwise
+(`algebra.exact`); never float.  No floating point is used anywhere.
 """
 
 from fractions import Fraction as Rational

@@ -1,16 +1,22 @@
 """Exact scalars, sparse multivariate polynomials, and linear algebra over Q.
 
+Scalars are exact rationals: `int` when integral, `fractions.Fraction`
+otherwise; never float.  Every polynomial coefficient is stored in this
+normal form, `exact`, so integral products stay `int` products; as
+`Fraction(k) == k` and the two hash and print alike, no comparison or
+output depends on it.
+
 Monomials are exponent tuples of fixed arity.  The global term order is
 graded lexicographic: compare total degree first, then the exponent tuple.
 All canonical listings (monomial bases, printed polynomials, solver
 unknowns) use this order, descending, so every downstream output is
 deterministic.
 
-Polynomials have one differentiation loop, `Polynomial.derivative_multi`,
-which applies a whole multi-index to each term in one pass, and one
-multiplication loop, `add_product`, which sums the products of two
-term dicts into a {monomial: coefficient} dict.  The constructor
-converts a coefficient only if it is not a `Fraction` yet and drops zeros.
+Polynomials have one differentiation loop, `derivative_terms`, which
+applies a whole multi-index to each term of a term dict in one pass, and
+one multiplication loop, `add_product`, which sums the products of two
+term dicts into a {monomial: coefficient} dict.  The constructor puts
+each coefficient in the normal form of `exact` and drops zeros.
 
 Zeros are dropped in two places only.  Every sparse container
 (`Polynomial`, `weyl.WeylElement`, `rep.VectorValuedPolynomial`,
@@ -46,6 +52,15 @@ from fractions import Fraction
 Monomial = tuple  # exponent tuple, arity fixed by the ambient ring
 
 
+def exact(x):
+    """x as an exact scalar: an `int` when x is integral, else a `Fraction`."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def monomial_key(m: Monomial):
     """Graded-lex sort key (ascending)."""
     return (sum(m), m)
@@ -69,6 +84,30 @@ def add_product(acc: dict, p: dict, q: dict, scale=1) -> None:
             c = c1 * c2
             old = acc.get(m)
             acc[m] = c if old is None else old + c
+
+
+def derivative_terms(terms: dict, alpha) -> dict:
+    """d^alpha of a {monomial: coefficient} term dict in one pass; `terms` itself if alpha is 0.
+
+    A term survives only if every exponent covers its order, and gains the
+    falling factorials e!/(e-k)!.  Shifting by alpha is injective, so
+    surviving terms never collide."""
+    orders = [(i, k) for i, k in enumerate(alpha) if k]
+    if not orders:
+        return terms
+    out = {}
+    for m, c in terms.items():
+        mm = list(m)
+        fall = 1
+        for i, k in orders:
+            e = m[i]
+            if e < k:
+                break
+            mm[i] = e - k
+            fall *= math.perm(e, k)
+        else:
+            out[tuple(mm)] = c * fall
+    return out
 
 
 def canonical_sums(sums: dict) -> dict:
@@ -126,7 +165,7 @@ class Polynomial:
         clean = {}
         if terms:
             for mono, coeff in terms.items():
-                c = coeff if type(coeff) is Fraction else Fraction(coeff)
+                c = coeff if type(coeff) is int else exact(coeff)
                 if c:
                     if len(mono) != arity:
                         raise ValueError("monomial arity mismatch")
@@ -141,22 +180,22 @@ class Polynomial:
 
     @classmethod
     def one(cls, arity, var="x"):
-        return cls(arity, {(0,) * arity: Fraction(1)}, var)
+        return cls(arity, {(0,) * arity: 1}, var)
 
     @classmethod
     def constant(cls, arity, value, var="x"):
-        return cls(arity, {(0,) * arity: Fraction(value)}, var)
+        return cls(arity, {(0,) * arity: value}, var)
 
     @classmethod
     def variable(cls, arity, index, var="x"):
         """The coordinate function number `index` (0-based)."""
         expo = [0] * arity
         expo[index] = 1
-        return cls(arity, {tuple(expo): Fraction(1)}, var)
+        return cls(arity, {tuple(expo): 1}, var)
 
     @classmethod
     def monomial(cls, arity, expo, coeff=1, var="x"):
-        return cls(arity, {tuple(expo): Fraction(coeff)}, var)
+        return cls(arity, {tuple(expo): coeff}, var)
 
     # -- queries -------------------------------------------------------
 
@@ -172,10 +211,10 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(sum(m) == 0 for m in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self):
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms.get((0,) * self.arity, Fraction(0))
+        return self.terms.get((0,) * self.arity, 0)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -213,7 +252,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def scale(self, scalar) -> "Polynomial":
-        s = Fraction(scalar)
+        s = exact(scalar)
         if not s:
             return Polynomial.zero(self.arity, self.var)
         return Polynomial(self.arity, {m: c * s for m, c in self.terms.items()}, self.var)
@@ -224,25 +263,8 @@ class Polynomial:
         return self.derivative_multi(alpha)
 
     def derivative_multi(self, alpha) -> "Polynomial":
-        """d^alpha in one pass: a term survives only if every exponent covers
-        its order, and gains the falling factorials e!/(e-k)!.  Shifting by
-        alpha is injective, so surviving terms never collide."""
-        orders = [(i, k) for i, k in enumerate(alpha) if k]
-        if not orders:
-            return self
-        terms = {}
-        for m, c in self.terms.items():
-            mm = list(m)
-            fall = 1
-            for i, k in orders:
-                e = m[i]
-                if e < k:
-                    break
-                mm[i] = e - k
-                fall *= math.perm(e, k)
-            else:
-                terms[tuple(mm)] = c * fall
-        return Polynomial(self.arity, terms, self.var)
+        terms = derivative_terms(self.terms, alpha)
+        return self if terms is self.terms else Polynomial(self.arity, terms, self.var)
 
     def set_var_zero(self, index: int) -> "Polynomial":
         """Substitute coordinate `index` = 0."""
@@ -428,7 +450,8 @@ def sparse_nullspace(rows, ncols: int) -> list[dict]:
         # every pivot in v lies left of its free column c
         v[c] = Fraction(1)
         lead = next(iter(v.values()))
-        out.append(v if lead == 1 else {k: x / lead for k, x in v.items()})
+        inv = 1 / Fraction(lead)
+        out.append(v if lead == 1 else {k: x * inv for k, x in v.items()})
     return out
 
 

@@ -30,11 +30,14 @@ Every kernel below works term by term and computes only what Rest keeps:
 
 The operator kernels return {label: {monomial: coefficient}} sums, zeros
 kept, and each `apply` is its kernel followed by the constructors, which
-drop zeros.  The equivariance sides are compared as built normal forms,
-which also compares arity and variable role; a difference is built only
-for the witness of a failing label.  The factorization re-check feeds each
-basis monomial to the kernels as {monomial: 1} and compares the routes'
-sums after `algebra.canonical_sums`.  Route a (`SBO.sums`: d^(l, m) and
+drop zeros.  The equivariance sides are term-level kernels too: each
+returns, per label, the {alpha: {monomial: coefficient}} sums of a normal
+form (both check that their operator acts on x, so the roles and arities
+agree), and each label's sums are compared after `algebra.canonical_sums`;
+Weyl operators and their difference are built only for the witness of a
+failing label.  The factorization re-check feeds each basis monomial to
+the kernels as {monomial: 1} and compares the routes' sums after
+`algebra.canonical_sums`.  Route a (`SBO.sums`: d^(l, m) and
 Rest in one step) and route c (`IDOOp.sums` at every label of degree
 m + l, then `ProjOp.sums`) share no kernel, so each checks the other.
 """
@@ -62,13 +65,6 @@ from .rep import (
     dpi_target,
 )
 from .weyl import WeylElement, symb_inverse
-
-
-def _vector(arity, sums, var="x") -> VectorValuedPolynomial:
-    """A kernel's {label: {monomial: coefficient}} sums as a vector; the constructors drop zeros."""
-    return VectorValuedPolynomial(
-        arity, {lbl: Polynomial(arity, t, var) for lbl, t in sums.items()}, var
-    )
 
 
 @dataclass(frozen=True)
@@ -124,7 +120,7 @@ class SBO:
             raise ValueError("arity mismatch")
         if f.var != "x":
             raise ValueError("variable role mismatch")
-        return _vector(self.n - 1, self.sums(f.terms), f.var)
+        return VectorValuedPolynomial.from_sums(self.n - 1, self.sums(f.terms), f.var)
 
 
 def build_sbo(m: int, ell: int, n: int) -> SBO:
@@ -190,7 +186,7 @@ class IDOOp:
             comps = {lbl: p.terms for lbl, p in f.components.items()}
         else:
             comps = {(0,) * self.n: f.terms}
-        return _vector(self.n, self.sums(comps))
+        return VectorValuedPolynomial.from_sums(self.n, self.sums(comps))
 
 
 def build_ido(k: int, n: int) -> IDOOp:
@@ -217,7 +213,7 @@ class ProjOp:
     def apply(self, v: VectorValuedPolynomial) -> VectorValuedPolynomial:
         """The input's own components at labels (l, m) with |l| = ell, restricted."""
         sums = self.sums({lbl: p.terms for lbl, p in v.components.items()})
-        return _vector(self.n - 1, sums, v.var)
+        return VectorValuedPolynomial.from_sums(self.n - 1, sums, v.var)
 
 
 def build_proj(m: int, ell: int, n: int) -> ProjOp:
@@ -245,11 +241,11 @@ def _restricted_leibniz(alpha, e):
 
 
 def _compose_sbo_after(D: SBO, op: WeylElement) -> dict:
-    """Normal forms of Rest o (D_l o op), by the restricted Leibniz rule.
+    """{label: {alpha: {monomial: coefficient}}} sums of Rest o (D_l o op), zeros kept.
 
-    A term c d^alpha of D_l and a term x^e d^beta of op give
-    c C(alpha, gamma) e!/(e-gamma)! x^(e-gamma) d^(alpha-gamma+beta) for the
-    gamma of `_restricted_leibniz` only."""
+    By the restricted Leibniz rule: a term c d^alpha of D_l and a term
+    x^e d^beta of op give c C(alpha, gamma) e!/(e-gamma)! x^(e-gamma)
+    d^(alpha-gamma+beta) for the gamma of `_restricted_leibniz` only."""
     n = D.n
     if op.arity != n or op.var != "x":
         raise ValueError("operator must act on x_1..x_n")
@@ -265,15 +261,16 @@ def _compose_sbo_after(D: SBO, op: WeylElement) -> dict:
                         acc = sums.setdefault(key, {})
                         mono = tuple(x - g for x, g in zip(e, gamma))
                         acc[mono] = acc[mono] + cd * factor if mono in acc else cd * factor
-        out[lbl] = WeylElement(n, {k: Polynomial(n, t) for k, t in sums.items()})
+        out[lbl] = sums
     return out
 
 
 def _compose_target_before(T, D: SBO) -> dict:
-    """Normal forms of Rest o ((T o D)_l), by the shift rule.
+    """{label: {alpha: {monomial: coefficient}}} sums of Rest o ((T o D)_l), zeros kept.
 
-    T acts on n-1 variables, so an entry term p d^beta composed with a term
-    c d^alpha of D is c p d^(alpha+beta), already free of x_n."""
+    By the shift rule: T acts on n-1 variables, so an entry term p d^beta
+    composed with a term c d^alpha of D is c p d^(alpha+beta), already free
+    of x_n."""
     n = D.n
     if T.arity != n - 1 or T.var != "x":
         raise ValueError("target action must act on x_1..x_{n-1}")
@@ -291,10 +288,7 @@ def _compose_target_before(T, D: SBO) -> dict:
                 for mono, d in p.terms.items():
                     padded = mono + (0,)
                     acc[padded] = acc[padded] + c * d if padded in acc else c * d
-    return {
-        lbl: WeylElement(n, {k: Polynomial(n, t) for k, t in by_key.items()})
-        for lbl, by_key in sums.items()
-    }
+    return sums
 
 
 def _restricted_witness(diff: WeylElement):
@@ -318,8 +312,9 @@ def check_equivariance(
 ) -> dict:
     """Exact intertwining test: D o dpi(X) = dpi_target(X) o D for X in g'.
 
-    Compared as operator normal forms, which covers all polynomial degrees;
-    any mismatch is reported with a violating (X, monomial) witness.
+    Each label's normal forms are compared as canonical coefficient sums,
+    which covers all polynomial degrees; the first mismatching label of an
+    X is reported with a violating (X, monomial) witness.
     """
     if D.ell is not None and target.ell != D.ell:
         raise ValueError("target fiber degree must match the operator labels")
@@ -328,11 +323,10 @@ def check_equivariance(
     for X in pd.g_basis(primed=True):
         lhs = _compose_sbo_after(D, dpi_lambda(X, source))
         rhs = _compose_target_before(dpi_target(X, target), D)
-        zero = WeylElement.zero(D.n)
         for lbl in sorted(set(lhs) | set(rhs)):
-            a, b = lhs.get(lbl, zero), rhs.get(lbl, zero)
-            if a != b:
-                witness = _restricted_witness(a - b)
+            a, b = lhs.get(lbl, {}), rhs.get(lbl, {})
+            if canonical_sums(a) != canonical_sums(b):
+                witness = _restricted_witness(WeylElement.from_sums(D.n, a) - WeylElement.from_sums(D.n, b))
                 violations.append(
                     {
                         "X": X.describe(),

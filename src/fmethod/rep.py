@@ -125,6 +125,11 @@ class VectorValuedPolynomial:
     def zero(cls, arity, var="x"):
         return cls(arity, {}, var)
 
+    @classmethod
+    def from_sums(cls, arity, sums, var="x"):
+        """A kernel's {label: {monomial: coefficient}} sums as a vector; the constructors drop zeros."""
+        return cls(arity, {lbl: Polynomial(arity, t, var) for lbl, t in sums.items()}, var)
+
     def is_zero(self):
         return not self.components
 
@@ -207,15 +212,26 @@ class OperatorOnVV:
         terms = {k: w.scale(s) for k, w in self.terms.items()}
         return OperatorOnVV(self.arity, self.in_labels, self.out_labels, terms, self.var)
 
+    def sums(self, comps: dict) -> dict:
+        """{label: {monomial: coefficient}} of self on {label: terms}, zeros kept."""
+        out = {}
+        for (lbl, inp), op in self.terms.items():
+            terms = comps.get(inp)
+            if terms is not None:
+                op.sums(terms, out.setdefault(lbl, {}))
+        return out
+
+    def require_input(self, arity, var):
+        """ValueError unless a vector of this arity and variable role can be an input."""
+        if arity != self.arity:
+            raise ValueError("arity mismatch")
+        if var != self.var:
+            raise ValueError("variable role mismatch")
+
     def apply(self, v: VectorValuedPolynomial) -> VectorValuedPolynomial:
-        comps = {}
-        for (out, inp), op in self.terms.items():
-            p = v.components.get(inp)
-            if p is None:
-                continue
-            q = op.apply(p)
-            comps[out] = comps[out] + q if out in comps else q
-        return VectorValuedPolynomial(self.arity, comps, self.var)
+        self.require_input(v.arity, v.var)
+        sums = self.sums({lbl: p.terms for lbl, p in v.components.items()})
+        return VectorValuedPolynomial.from_sums(self.arity, sums, self.var)
 
     def fourier(self):
         terms = {k: w.fourier() for k, w in self.terms.items()}

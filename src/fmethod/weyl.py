@@ -7,11 +7,14 @@ Composition expands the commutation relation  d_j v_i = delta_ij + v_i d_j
 eagerly (full Leibniz), so equality of normal forms is equality of
 operators.
 
-`apply`, `compose` and `fourier` sum their coefficient products straight
-into one {monomial: Fraction} dict (one per derivative key for an operator)
-through `algebra.add_product`, and build each `Polynomial` once at the end
-through its constructor, which drops the sums that cancelled.
-Differentiation is always `Polynomial.derivative_multi`.
+Coefficients are exact rationals: `int` when integral,
+`fractions.Fraction` otherwise; never float (`algebra.exact`).  `sums`,
+`compose` and `fourier` sum their coefficient products straight into one
+{monomial: coefficient} dict (one per derivative key for an operator)
+through `algebra.add_product`.  `apply` is `sums` followed by the
+`Polynomial` constructor, which drops the sums that cancelled, and the
+other two build each coefficient once at the end the same way.
+Differentiation is always `algebra.derivative_terms`.
 
 Every coefficient has the operator's variable role; mixing roles raises.
 
@@ -23,11 +26,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 from .algebra import (
     Polynomial,
     add_product,
+    derivative_terms,
     format_monomial,
     format_terms,
     monomial_key,
@@ -84,6 +87,11 @@ class WeylElement:
         return cls(arity, {tuple(alpha): Polynomial.constant(arity, coeff, var)}, var)
 
     @classmethod
+    def from_sums(cls, arity, sums, var="x"):
+        """The operator with coefficient sums {alpha: {monomial: coefficient}}."""
+        return cls(arity, {a: Polynomial(arity, t, var) for a, t in sums.items()}, var)
+
+    @classmethod
     def euler(cls, arity, var="x"):
         """E = sum_j v_j d/dv_j."""
         terms = {}
@@ -132,15 +140,19 @@ class WeylElement:
             return -1
         return max(sum(a) for a in self.terms)
 
+    def sums(self, terms: dict, acc=None) -> dict:
+        """acc plus self applied to a {monomial: coefficient} term dict, zeros kept."""
+        acc = {} if acc is None else acc
+        for alpha, coeff in self.terms.items():
+            add_product(acc, coeff.terms, derivative_terms(terms, alpha))
+        return acc
+
     def apply(self, p: Polynomial) -> Polynomial:
         if p.arity != self.arity:
             raise ValueError("arity mismatch")
         if p.var != self.var:
             raise ValueError("variable role mismatch")
-        acc = {}
-        for alpha, coeff in self.terms.items():
-            add_product(acc, coeff.terms, p.derivative_multi(alpha).terms)
-        return Polynomial(self.arity, acc, self.var)
+        return Polynomial(self.arity, self.sums(p.terms), self.var)
 
     def compose(self, other: "WeylElement") -> "WeylElement":
         """Normal-ordered self o other (apply other first)."""
@@ -159,7 +171,7 @@ class WeylElement:
                         binom *= math.comb(a, g)
                     key = tuple(a - g + b for a, g, b in zip(alpha, gamma, beta))
                     add_product(sums.setdefault(key, {}), p.terms, dq.terms, binom)
-        return _from_sums(n, sums, self.var)
+        return WeylElement.from_sums(n, sums, self.var)
 
     def fourier(self) -> "WeylElement":
         """Algebraic Fourier transform: d/dv_i -> -w_i, v_i -> d/dw_i."""
@@ -175,13 +187,13 @@ class WeylElement:
                 new_var,
             )
             # image of d^alpha: multiplication by (-1)^|alpha| w^alpha
-            sign = Fraction(-1) ** sum(alpha)
+            sign = (-1) ** sum(alpha)
             mpart = WeylElement.from_polynomial(
                 Polynomial.monomial(n, alpha, sign, new_var)
             )
             for key, coeff in dpart.compose(mpart).terms.items():
                 add_product(sums.setdefault(key, {}), coeff.terms, one.terms)
-        return _from_sums(n, sums, new_var)
+        return WeylElement.from_sums(n, sums, new_var)
 
     def is_constant_coefficient(self) -> bool:
         return all(p.is_constant() for p in self.terms.values())
@@ -217,11 +229,6 @@ class WeylElement:
         )
 
     __repr__ = __str__
-
-
-def _from_sums(arity: int, sums: dict, var: str) -> WeylElement:
-    """The operator with coefficient sums {alpha: {monomial: Fraction}}."""
-    return WeylElement(arity, {a: Polynomial(arity, t, var) for a, t in sums.items()}, var)
 
 
 def symb_inverse(p: Polynomial) -> WeylElement:

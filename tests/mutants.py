@@ -66,6 +66,44 @@ MUTANTS = [
         "padded = dict(terms)",
         ["tests/test_verma.py::test_three_route_factorization"],
     ),
+    # -- the exact-scalar normal form --------------------------------------------
+    (
+        "exact-keeps-an-integral-fraction",
+        "algebra.py",
+        "    return x.numerator if x.denominator == 1 else x\n",
+        "    return x\n",
+        ["tests/test_algebra.py"],
+    ),
+    (
+        "exact-returns-the-numerator",
+        "algebra.py",
+        "    return x.numerator if x.denominator == 1 else x\n",
+        "    return x.numerator\n",
+        ["tests/test_algebra.py"],
+    ),
+    # -- the equivariance checks on kernel sums --------------------------------
+    (
+        "hom-check-drops-the-arity-requirement",
+        "verma.py",
+        "            any(len(x) != nv for sums in (lhs, image) for terms in sums.values() for x in terms)\n"
+        "            or canonical_sums(lhs)",
+        "            canonical_sums(lhs)",
+        ["tests/test_verma.py::test_hom_check_matches_reference_loop_when_the_kernel_drops_the_padding"],
+    ),
+    (
+        "hom-check-drops-canonical-sums-on-one-side",
+        "verma.py",
+        "or canonical_sums(lhs) != canonical_sums(act(image))",
+        "or lhs != canonical_sums(act(image))",
+        ["tests/test_verma.py"],
+    ),
+    (
+        "equivariance-compares-only-the-left-labels",
+        "operators.py",
+        "for lbl in sorted(set(lhs) | set(rhs)):",
+        "for lbl in sorted(lhs):",
+        ["tests/test_operators.py::test_a_label_only_the_target_side_reaches_is_compared"],
+    ),
     # -- the per-label diagonal solve --------------------------------------------
     (
         "label-solve-drops-the-overdetermined-rows",
@@ -115,6 +153,28 @@ MUTANTS = [
         "engine.py",
         "if self._family_data(source, target) != self._data or not self.lie.lambda_free:",
         "if self._family_data(source, target) != self._data:",
+        ["tests/test_engine.py"],
+    ),
+    # -- the F-system at each member's weights -----------------------------------
+    (
+        "fsystem-keeps-the-cancelled-zeros",
+        "engine.py",
+        "out.append({om: c for om, c in acc.items() if c})",
+        "out.append(acc)",
+        ["tests/test_engine.py"],
+    ),
+    (
+        "fsystem-drops-the-weight-parts",
+        "engine.py",
+        "for w, image in zip(weights, images):",
+        "for w, image in zip(weights, ()):",
+        ["tests/test_engine.py"],
+    ),
+    (
+        "family-solves-every-member-at-the-first-weights",
+        "engine.py",
+        "solved[w] = solve_at(w)",
+        "solved[w] = solve_at(weights[0])",
         ["tests/test_engine.py"],
     ),
     # -- the component-group signs as integer parities -------------------------

@@ -1,17 +1,25 @@
 """Reference builders that kernels of `src/` are tested against.
 
-The restricting kernels of `operators` (shared by test_algebra, test_weyl
-and test_operators) and the component-group signs as products of
-`Fraction` entries (test_liealg, test_engine and test_verma); not a test
-module.
+The exact-scalar normal form (test_algebra, test_weyl and test_rep), the
+restricting kernels of `operators` (shared by test_algebra, test_weyl and
+test_operators), the vector- and operator-level loops of the two
+equivariance checks (test_operators and test_verma), and the
+component-group signs as products of `Fraction` entries (test_liealg,
+test_engine and test_verma); not a test module.
 """
 
 from fractions import Fraction
 
-from fmethod.algebra import Polynomial, monomial_basis
-from fmethod.liealg import SL
-from fmethod.rep import VectorValuedPolynomial
+from fmethod.algebra import Polynomial, monomial_basis, monomials_up_to
+from fmethod.liealg import SL, parabolic
+from fmethod.rep import VectorValuedPolynomial, dpi_lambda, dpi_target
 from fmethod.weyl import WeylElement
+
+
+def is_exact_normal_form(c) -> bool:
+    """c is nonzero, an `int` when its denominator is 1 and a `Fraction`
+    otherwise; a bool or a float never is."""
+    return c != 0 and type(c) is (int if Fraction(c).denominator == 1 else Fraction)
 
 
 def rest(p: Polynomial) -> Polynomial:
@@ -27,6 +35,98 @@ def restrict_last_var(op: WeylElement) -> WeylElement:
     return WeylElement(
         op.arity, {a: p.set_var_zero(op.arity - 1) for a, p in op.terms.items()}, op.var
     )
+
+
+# -- the equivariance checks on built operators and vectors -------------------
+
+
+def _restricted_witness(diff: WeylElement):
+    """The first monomial of degree <= order + degree + 2 that Rest o diff does not kill."""
+    n = diff.arity
+    cap = diff.order() + max(p.degree() for p in diff.terms.values()) + 2
+    for mono in monomials_up_to(n, cap):
+        if not rest(diff.apply(Polynomial.monomial(n, mono))).is_zero():
+            return mono
+    return None
+
+
+def sbo_after(D, op) -> dict:
+    """{label: Rest o (D_l o op)} by generic composition."""
+    return {lbl: restrict_last_var(comp.compose(op)) for lbl, comp in D.components}
+
+
+def target_before(T, D) -> dict:
+    """{label: Rest o sum_in T_(l, in) o D_in} over T's output labels, by generic composition."""
+    out = {}
+    for out_lbl in T.out_labels:
+        acc = WeylElement.zero(D.n)
+        for in_lbl, d in D.components:
+            acc = acc + restrict_last_var(T.entry(out_lbl, in_lbl).pad_vars(D.n).compose(d))
+        out[out_lbl] = acc
+    return out
+
+
+def equivariance_violations(D, source, target):
+    """`operators.check_equivariance`'s violations by generic composition.
+
+    Per X of g', the first label (in sorted order) at which `sbo_after`
+    and `target_before` differ, with its witness monomial.
+    """
+    zero = WeylElement.zero(D.n)
+    violations = []
+    for X in parabolic(source.n, source.flavor).g_basis(primed=True):
+        lhs = sbo_after(D, dpi_lambda(X, source))
+        rhs = target_before(dpi_target(X, target), D)
+        for lbl in sorted(set(lhs) | set(rhs)):
+            a, b = lhs.get(lbl, zero), rhs.get(lbl, zero)
+            if a != b:
+                violations.append(
+                    {"X": X.describe(), "component": lbl, "monomial": _restricted_witness(a - b)}
+                )
+                break
+    return violations
+
+
+def _differ(lhs, rhs) -> bool:
+    """lhs() != rhs() as vectors; a side whose vector cannot be built (ValueError) differs."""
+    try:
+        return not (lhs() - rhs()).is_zero()
+    except ValueError:
+        return True
+
+
+def hom_violations(h, degree_cap):
+    """`verma.check_hom_equivariance`'s (violations, sign_violations), vector by vector.
+
+    Each side is built as a vector through `apply`, once per (X, vector),
+    and the signs through the Fraction products of `gamma_action` below.
+    A side that cannot be built as a vector of the target (say, its
+    monomials have another arity) counts as a violation.
+    """
+    pd = h.source.pd
+    primed = h.source.primed
+    violations = []
+    for X in pd.g_basis(primed=primed):
+        srcop = h.source.action(X)
+        tgtop = h.target.action(X)
+        for g in range(degree_cap + 1):
+            for mono, lbl in h.source.basis(g):
+                v = h.source.unit(mono, lbl)
+                if _differ(lambda: h.apply(srcop.apply(v)), lambda: tgtop.apply(h.apply(v))):
+                    violations.append({"X": X.describe(), "grade": g, "vector": (mono, lbl)})
+                    break
+            if violations and violations[-1]["X"] == X.describe():
+                break
+    sign_violations = []
+    for gamma in pd.gamma_elements(primed=primed):
+        for lbl in h.source.fiber_labels():
+            v = h.source.unit((0,) * h.source.num_vars, lbl)
+            if _differ(
+                lambda: h.apply(gamma_action(h.source, gamma, v)),
+                lambda: gamma_action(h.target, gamma, h.apply(v)),
+            ):
+                sign_violations.append({"gamma": gamma.describe(), "label": lbl})
+    return violations, sign_violations
 
 
 # -- component-group signs as Fraction products --------------------------------

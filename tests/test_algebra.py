@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from fmethod.algebra import (
     Matrix,
     Polynomial,
+    exact,
     format_polynomial,
     monomial_basis,
     rref_basis,
@@ -14,7 +15,7 @@ from fmethod.algebra import (
     sparse_nullspace,
     sparse_rref,
 )
-from references import rest
+from references import is_exact_normal_form, rest
 
 
 def zeta(i, arity=2):
@@ -363,7 +364,7 @@ def test_derivative_multi_matches_sequential_differentiation(p, indices):
         expected = _derivative_once(expected, i)
     got = p.derivative_multi(alpha)
     assert got == expected and got.var == p.var
-    assert all(type(c) is Fraction for c in got.terms.values())
+    assert all(is_exact_normal_form(c) for c in got.terms.values())
     assert p.derivative_multi((0, 0, 0)) == p
     for i, k in enumerate(alpha):
         expected = p
@@ -374,13 +375,33 @@ def test_derivative_multi_matches_sequential_differentiation(p, indices):
 
 @given(st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3)),
-    st.one_of(st.integers(-3, 3), st.booleans(), small_fractions, st.just(Fraction(0))),
+    st.one_of(
+        st.integers(-3, 3), st.booleans(), small_fractions, st.just(Fraction(0)),
+        st.integers(-3, 3).map(lambda k: Fraction(2 * k, 2)),
+    ),
     max_size=6,
 ))
 @settings(max_examples=100, deadline=None)
-def test_polynomial_stores_nonzero_fractions_only(terms):
+def test_polynomial_stores_nonzero_exact_scalars_only(terms):
     p = Polynomial(2, terms)
     assert p.terms == {m: Fraction(c) for m, c in terms.items() if c}
-    assert all(type(c) is Fraction for c in p.terms.values())
+    assert all(is_exact_normal_form(c) for c in p.terms.values())
     with pytest.raises(ValueError):
         Polynomial(2, {**terms, (1, 1, 1): Fraction(1, 2)})
+
+
+@pytest.mark.parametrize(
+    "x, expected",
+    [
+        (3, 3), (-7, -7), (True, 1), (False, 0), (Fraction(4, 2), 2), (Fraction(0), 0),
+        (Fraction(-1, 2), Fraction(-1, 2)), ("6/4", Fraction(3, 2)), ("-8/4", -2),
+    ],
+)
+def test_exact_is_int_when_integral_else_fraction(x, expected):
+    got = exact(x)
+    assert got == expected and type(got) is type(expected)
+
+
+def test_exact_keeps_a_non_integral_fraction_itself():
+    x = Fraction(5, 3)
+    assert exact(x) is x

@@ -1,8 +1,10 @@
 """No floating point in the package: a syntax walk over src/fmethod/*.py.
 
 Flags a float (or complex) literal, a call of `float`, any `math` name
-outside the exact integer functions below, and `/` between two int
-literals (true division of ints gives a float).
+outside the exact integer functions below, and every `/` (or `/=`) that
+has no `Fraction(...)` call as an operand: polynomial coefficients are
+ints wherever they are integral, and true division of two ints gives a
+float.
 """
 
 import ast
@@ -16,8 +18,10 @@ PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "fmethod"
 EXACT_MATH = {"comb", "perm", "factorial", "gcd", "lcm", "prod", "isqrt", "floor", "ceil"}
 
 
-def _is_int_literal(node):
-    return isinstance(node, ast.Constant) and type(node.value) is int
+def _is_fraction_call(node):
+    return (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Fraction"
+    )
 
 
 def float_uses(source: str) -> list:
@@ -43,10 +47,15 @@ def float_uses(source: str) -> list:
         elif (
             isinstance(node, ast.BinOp)
             and isinstance(node.op, ast.Div)
-            and _is_int_literal(node.left)
-            and _is_int_literal(node.right)
+            and not (_is_fraction_call(node.left) or _is_fraction_call(node.right))
         ):
-            found.append((line, "int literal / int literal"))
+            found.append((line, "/ without a Fraction(...) operand"))
+        elif (
+            isinstance(node, ast.AugAssign)
+            and isinstance(node.op, ast.Div)
+            and not _is_fraction_call(node.value)
+        ):
+            found.append((line, "/= without a Fraction(...) operand"))
     return found
 
 
@@ -68,6 +77,9 @@ def test_package_has_no_floating_point(path):
         "x = math.exp(y) + math.log(y)",
         "from math import sqrt",
         "x = 1 / 2",
+        "x = a / b",
+        "x = Fraction(a) * b / c",
+        "x /= b",
     ],
 )
 def test_guard_flags_each_float_construct(snippet):
@@ -79,6 +91,8 @@ def test_guard_passes_exact_code():
         "import math\n"
         "from fractions import Fraction\n"
         "x = Fraction(1, 2) / 3 + math.comb(5, 2) * math.factorial(3)\n"
-        "y = x / 2 + 7 // 2 + math.floor(x)\n"
+        "y = x / Fraction(2) + 7 // 2 + math.floor(x)\n"
+        "z = a / Fraction(b) + Fraction(a) / b\n"
+        "z /= Fraction(3)\n"
     )
     assert float_uses(clean) == []

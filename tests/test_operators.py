@@ -29,7 +29,13 @@ from fmethod.rep import (
     dpi_target,
 )
 from fmethod.weyl import WeylElement
-from references import rest, restrict_last_var
+from references import (
+    equivariance_violations,
+    is_exact_normal_form,
+    rest,
+    sbo_after,
+    target_before,
+)
 
 
 def mono(n, expo, c=1):
@@ -474,13 +480,20 @@ def _nonzero(ops):
     return {lbl: w for lbl, w in ops.items() if not w.is_zero()}
 
 
+def _normal_forms(ops):
+    """{label: {alpha: {monomial: coefficient}}} of built operators, each term checked."""
+    for w in ops.values():
+        assert all(is_exact_normal_form(c) for p in w.terms.values() for c in p.terms.values())
+    return {lbl: {a: p.terms for a, p in w.terms.items()} for lbl, w in ops.items()}
+
+
 @given(equivariance_cases())
 @settings(max_examples=120, deadline=None)
 def test_sbo_after_kernel_matches_generic_composition(case):
     D, X, src, _ = case
     op = dpi_lambda(X, src)
-    reference = {lbl: restrict_last_var(comp.compose(op)) for lbl, comp in D.components}
-    assert operators._compose_sbo_after(D, op) == reference
+    sums = operators._compose_sbo_after(D, op)
+    assert {lbl: canonical_sums(s) for lbl, s in sums.items()} == _normal_forms(sbo_after(D, op))
 
 
 @given(equivariance_cases())
@@ -488,13 +501,9 @@ def test_sbo_after_kernel_matches_generic_composition(case):
 def test_target_before_kernel_matches_generic_composition(case):
     D, X, _, tgt = case
     T = dpi_target(X, tgt)
-    reference = {}
-    for out_lbl in T.out_labels:
-        acc = WeylElement.zero(D.n)
-        for in_lbl, d in D.components:
-            acc = acc + restrict_last_var(T.entry(out_lbl, in_lbl).pad_vars(D.n).compose(d))
-        reference[out_lbl] = acc
-    assert _nonzero(operators._compose_target_before(T, D)) == _nonzero(reference)
+    sums = operators._compose_target_before(T, D)
+    got = {lbl: canonical_sums(s) for lbl, s in sums.items()}
+    assert {lbl: s for lbl, s in got.items() if s} == _normal_forms(_nonzero(target_before(T, D)))
 
 
 @st.composite
@@ -579,3 +588,39 @@ def test_non_member_violations_are_unchanged():
         assert rep["status"] == "fail"
         assert rep["violations"] == violations
 
+
+# -- check_equivariance against the operator-level loop it replaced ------------
+
+_S, _T = ScalarRepParams.sl, TargetRepParams.sl
+# D_(1,1) on R^3 without its (0, 1) component: the target action moves the
+# (1, 0) component to the label (0, 1), which only the right side holds
+_ONE_LABEL = SBO(3, (((1, 0), WeylElement.derivative_monomial(3, (1, 0, 1))),), 1, 1)
+
+
+@pytest.mark.parametrize(
+    "D, src, tgt",
+    [
+        (build_sbo(1, 0, 3), _S(3, Fraction(5)), _T(3, Fraction(7), ell=0)),
+        (build_sbo(0, 1, 2), _S(2, Fraction(5)), _T(2, Fraction(7), ell=1)),
+        (build_sbo(2, 1, 3), _S(3, Fraction(1, 3)), _T(3, Fraction(1, 3) + 2 + Fraction(3, 2), ell=1)),
+        (_ONE_LABEL, _S(3, Fraction(5)), _T(3, Fraction(15, 2), ell=1)),
+        (_ONE_LABEL, _S(3, Fraction(5)), _T(3, Fraction(7), ell=1)),
+    ],
+    ids=["n3-m1-l0", "n2-m0-l1", "n3-m2-l1", "one-label-member", "one-label-non-member"],
+)
+def test_equivariance_report_matches_the_operator_loop_at_non_members(D, src, tgt):
+    rep = check_equivariance(D, src, tgt)
+    assert rep["status"] == "fail"
+    assert rep["violations"] == equivariance_violations(D, src, tgt)
+
+
+def test_a_label_only_the_target_side_reaches_is_compared():
+    rep = check_equivariance(_ONE_LABEL, _S(3, Fraction(5)), _T(3, Fraction(15, 2), ell=1))
+    assert any(v["component"] == (0, 1) for v in rep["violations"])
+
+
+@given(equivariance_cases())
+@settings(max_examples=30, deadline=None)
+def test_equivariance_report_matches_the_operator_loop(case):
+    D, _, src, tgt = case
+    assert check_equivariance(D, src, tgt)["violations"] == equivariance_violations(D, src, tgt)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmethod.algebra import Polynomial, monomials_up_to
+from fmethod.algebra import Polynomial, canonical_sums, monomials_up_to
 from fmethod.liealg import GL, SL, LieElement, bracket, parabolic
 from fmethod.rep import (
     OperatorOnVV,
@@ -23,6 +23,7 @@ from fmethod.rep import (
 )
 from fmethod.verma import VermaModule, _verma_action
 from fmethod.weyl import WeylElement
+from references import is_exact_normal_form
 
 
 def nplus_closed_form(j, n, weight):
@@ -421,3 +422,48 @@ _X = Polynomial(2, {(1, 0): Fraction(2, 3), (0, 2): -1}, "zeta")
 def test_difference_with_itself_has_no_entries(attr, x):
     assert getattr(x, attr)
     assert getattr(x - x, attr) == {}
+
+
+# -- the kernel OperatorOnVV.sums is apply without the constructors ------------
+
+
+def _poly(draw, arity, var):
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        terms[tuple(draw(st.integers(0, 3)) for _ in range(arity))] = draw(_weights)
+    return Polynomial(arity, terms, var)
+
+
+def _assert_sums_are_the_terms_of_apply(op, v):
+    out = op.apply(v)
+    assert all(
+        is_exact_normal_form(c) for p in out.components.values() for c in p.terms.values()
+    )
+    sums = op.sums({lbl: p.terms for lbl, p in v.components.items()})
+    assert canonical_sums(sums) == {lbl: p.terms for lbl, p in out.components.items()}
+    return sums
+
+
+@given(elements(primed=True), st.integers(0, 2), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_operator_sums_are_the_terms_of_apply(element, ell, fourier, data):
+    """On a target action (or its Fourier transform) and a random vector;
+    then on two input labels with one entry and a vector p, -p there, whose
+    sums all cancel."""
+    pd, X = element
+    op = induced_operator(X, pd, pd.n - 1, SymFiber(ell, pd.n - 1, _weight_tuple(data.draw, pd), True))
+    op = op.fourier() if fourier else op
+    labels = data.draw(st.lists(st.sampled_from(op.in_labels), unique=True))
+    v = VectorValuedPolynomial(op.arity, {lbl: _poly(data.draw, op.arity, op.var) for lbl in labels}, op.var)
+    _assert_sums_are_the_terms_of_apply(op, v)
+    entry = op.terms.get(data.draw(st.sampled_from(sorted(op.terms))) if op.terms else None)
+    if entry is None:
+        return
+    twin = OperatorOnVV(op.arity, [(1,), (2,)], [(0,)], {((0,), (1,)): entry, ((0,), (2,)): entry}, op.var)
+    p = _poly(data.draw, op.arity, op.var)
+    sums = _assert_sums_are_the_terms_of_apply(
+        twin, VectorValuedPolynomial(op.arity, {(1,): p, (2,): p.scale(-1)}, op.var)
+    )
+    assert not any(c for terms in sums.values() for c in terms.values())
+    if not entry.apply(p).is_zero():
+        assert sums[(0,)]  # the cancelled zeros stay in the raw sums

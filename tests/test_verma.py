@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmethod import engine, verma
-from fmethod.algebra import Polynomial, canonical_sums, monomial_basis
+from fmethod.algebra import Polynomial, add_product, canonical_sums, monomial_basis
 from fmethod.liealg import parabolic
 from fmethod.params import sign_shift
 from fmethod.rep import VectorValuedPolynomial
-from references import gamma_action
+from references import gamma_action, hom_violations
 from fmethod.verma import (
     _factorization_routes,
     VermaHom,
@@ -592,35 +592,6 @@ def test_gamma_action_matches_the_fraction_products(case):
 # -- check_hom_equivariance against the loop it replaced ---------------------------
 
 
-def _reference_hom_check(h, degree_cap):
-    """The check as it ran before it applied h once per source vector."""
-    pd = h.source.pd
-    primed = h.source.primed
-    violations = []
-    for X in pd.g_basis(primed=primed):
-        srcop = h.source.action(X)
-        tgtop = h.target.action(X)
-        for g in range(degree_cap + 1):
-            for mono, lbl in h.source.basis(g):
-                v = h.source.unit(mono, lbl)
-                lhs = h.apply(srcop.apply(v))
-                rhs = tgtop.apply(h.apply(v))
-                if not (lhs - rhs).is_zero():
-                    violations.append({"X": X.describe(), "grade": g, "vector": (mono, lbl)})
-                    break
-            if violations and violations[-1]["X"] == X.describe():
-                break
-    sign_violations = []
-    for gamma in pd.gamma_elements(primed=primed):
-        for lbl in h.source.fiber_labels():
-            v = h.source.unit((0,) * h.source.num_vars, lbl)
-            lhs = h.apply(h.source.gamma_action(gamma, v))
-            rhs = h.target.gamma_action(gamma, h.apply(v))
-            if not (lhs - rhs).is_zero():
-                sign_violations.append({"gamma": gamma.describe(), "label": lbl})
-    return violations, sign_violations
-
-
 def _scaled_on_one_label(h, s):
     """h with the image of its last source label multiplied by s."""
     *keep, (lbl, img) = h.images
@@ -648,5 +619,39 @@ def _wrong_sign_hom():
 def test_hom_check_matches_reference_loop(make, degree_cap, status):
     h = make()
     report = check_hom_equivariance(h, degree_cap)
-    assert (report["violations"], report["sign_violations"]) == _reference_hom_check(h, degree_cap)
+    assert (report["violations"], report["sign_violations"]) == hom_violations(h, degree_cap)
     assert report["status"] == status
+
+
+def _unpadded_sums(self, comps):
+    """`VermaHom.sums` with the fault of multiplying by the unpadded source monomials."""
+    imap = self.image_map()
+    sums = {}
+    for lbl, terms in comps.items():
+        for out_lbl, p in imap[lbl].components.items():
+            add_product(sums.setdefault(out_lbl, {}), p.terms, terms)
+    return sums
+
+
+@pytest.mark.parametrize("make", [lambda: build_phi(1, 1, 3), lambda: build_emb(1, 1, 3, flavor="gl")])
+def test_hom_check_matches_reference_loop_when_the_kernel_drops_the_padding(monkeypatch, make):
+    # both sides of each check run through the faulty kernel alike, so only
+    # the arity of their monomials can show the fault: every X and every
+    # sign check fails at its first vector, where the vector loop cannot
+    # build the image
+    h = make()
+    assert check_hom_equivariance(h, 2)["status"] == "pass"
+    monkeypatch.setattr(VermaHom, "sums", _unpadded_sums)
+    report = check_hom_equivariance(h, 2)
+    violations, sign_violations = hom_violations(h, 2)
+    assert (report["violations"], report["sign_violations"]) == (violations, sign_violations)
+    assert len(violations) == len(h.source.pd.g_basis(primed=True))
+    assert len(sign_violations) == len(h.source.pd.gamma_elements(primed=True)) * len(h.images)
+
+
+@given(hom_inputs(), st.integers(0, 2))
+@settings(max_examples=30, deadline=None)
+def test_hom_check_matches_reference_loop_on_random_images(inputs, degree_cap):
+    h, _ = inputs
+    report = check_hom_equivariance(h, degree_cap)
+    assert (report["violations"], report["sign_violations"]) == hom_violations(h, degree_cap)

@@ -5,9 +5,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmethod.algebra import Polynomial, monomials_up_to
+from fmethod.algebra import Polynomial, canonical_sums, monomials_up_to
 from fmethod.weyl import DUAL_VAR, WeylElement, symb_inverse
-from references import restrict_last_var
+from references import is_exact_normal_form, restrict_last_var
 
 
 def x(i, arity=2):
@@ -277,14 +277,14 @@ def reference_fourier(op):
 
 
 def poly_entries(p):
-    """The terms of p, each checked to be a nonzero Fraction."""
+    """The terms of p, each checked to be nonzero and an int when integral, else a Fraction."""
     for c in p.terms.values():
-        assert type(c) is Fraction and c != 0
+        assert is_exact_normal_form(c)
     return dict(p.terms)
 
 
 def op_entries(op):
-    """{alpha: {monomial: Fraction}} of op, with no zero coefficient left."""
+    """{alpha: {monomial: coefficient}} of op, with no zero coefficient left."""
     for p in op.terms.values():
         assert p.var == op.var and not p.is_zero()
     return {a: poly_entries(p) for a, p in op.terms.items()}
@@ -351,3 +351,88 @@ def test_apply_compose_fourier_match_reference(case):
     A, B, f = case
     assert_matches_reference(A, B, f)
     assert_matches_reference(B, A, f)
+
+
+# -- the kernel `sums` and the exact-scalar normal form ---------------------------
+
+
+def _canonical(terms):
+    """A term dict without its cancelled zeros, through `canonical_sums`."""
+    return canonical_sums({(): terms}).get((), {})
+
+
+def test_sums_keep_the_cancelled_zeros_that_apply_drops():
+    for A, _, f in CANCELLING:
+        sums = A.sums(f.terms)
+        assert sums and not any(sums.values())
+        assert _canonical(sums) == {} and A.apply(f).is_zero()
+    A, _, f = CANCELLING[0]
+    acc = {(9, 9): 5}
+    assert A.sums(f.terms, acc) is acc and acc[(9, 9)] == 5
+
+
+@given(operands())
+@settings(max_examples=150, deadline=None)
+def test_sums_are_the_terms_of_apply(case):
+    A, B, f = case
+    for op, p in [(A, f), (B, f), (A.compose(B), f)] + [(C, g) for C, _, g in CANCELLING]:
+        assert _canonical(op.sums(p.terms)) == poly_entries(op.apply(p))
+
+
+# ints, bools, integral Fractions (Fraction(2k, 2)) and non-integral Fractions
+MIXED = st.one_of(
+    st.integers(-2, 2),
+    st.booleans(),
+    st.integers(-2, 2).map(lambda k: Fraction(2 * k, 2)),
+    st.sampled_from([Fraction(-1, 2), Fraction(3, 2), Fraction(2, 3)]),
+)
+
+
+@st.composite
+def mixed_inputs(draw):
+    """(arity, var, p, q, A, B, s, alpha) as raw term dicts with MIXED coefficients."""
+    arity = draw(st.integers(1, 3))
+
+    def expo():
+        return tuple(draw(st.integers(0, 2)) for _ in range(arity))
+
+    def terms():
+        return {expo(): draw(MIXED) for _ in range(draw(st.integers(0, 3)))}
+
+    def op():
+        return {expo(): terms() for _ in range(draw(st.integers(0, 3)))}
+
+    var = draw(st.sampled_from(("x", "zeta")))
+    return arity, var, terms(), terms(), op(), op(), draw(MIXED), expo()
+
+
+def _results(arity, var, p, q, A, B, s, alpha, convert):
+    """Every operation's result on the inputs, each coefficient passed through `convert` first."""
+    def poly(t):
+        return Polynomial(arity, {m: convert(c) for m, c in t.items()}, var)
+
+    def weyl(t):
+        return WeylElement(arity, {a: poly(c) for a, c in t.items()}, var)
+
+    p, q, A, B = poly(p), poly(q), weyl(A), weyl(B)
+    s = convert(s)
+    return [
+        p + q, p - q, p.scale(s), p.derivative_multi(alpha), p.pad_vars(arity + 1),
+        A + B, A - B, A.scale(s), A.pad_vars(arity + 1), A.apply(p), A.compose(B), A.fourier(),
+    ]
+
+
+def _coefficients(x):
+    if isinstance(x, Polynomial):
+        return list(x.terms.values())
+    return [c for p in x.terms.values() for c in p.terms.values()]
+
+
+@given(mixed_inputs())
+@settings(max_examples=150, deadline=None)
+def test_every_operation_keeps_the_exact_normal_form(inputs):
+    got = _results(*inputs, convert=lambda c: c)
+    expected = _results(*inputs, convert=Fraction)
+    for a, b in zip(got, expected):
+        assert a == b
+        assert all(is_exact_normal_form(c) for c in _coefficients(a) + _coefficients(b))
