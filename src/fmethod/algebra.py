@@ -13,16 +13,19 @@ unknowns) use this order, descending, so every downstream output is
 deterministic.
 
 Polynomials have one differentiation loop, `derivative_terms`, which
-applies a whole multi-index to each term of a term dict in one pass, and
-one multiplication loop, `add_product`, which sums the products of two
-term dicts into a {monomial: coefficient} dict.  The constructor puts
-each coefficient in the normal form of `exact` and drops zeros.
+applies a whole multi-index to each term of a term dict in one pass, one
+multiplication loop, `add_product`, which sums the products of two term
+dicts into a {monomial: coefficient} dict, and one summing loop,
+`add_terms`, which adds a scaled term dict into one.  The constructor
+puts each coefficient in the normal form of `exact` and drops zeros.
 
 Zeros are dropped in two places only.  Every sparse container
 (`Polynomial`, `weyl.WeylElement`, `rep.VectorValuedPolynomial`,
-`rep.OperatorOnVV`) drops its zero entries when it is built, so its
-arithmetic only merges, `terms[k] = terms[k] + c if k in terms else c`,
-and callers hand whatever cancelled to a constructor unfiltered.  The
+`rep.OperatorOnVV`) drops its zero entries when it is built.  The first
+three also have arithmetic, which only merges,
+`terms[k] = terms[k] + c if k in terms else c`; `rep.OperatorOnVV` has
+none, as its builders sum term dicts and build each entry once.  Callers
+hand whatever cancelled to a constructor unfiltered.  The
 operator kernels of `operators` and `verma` also return such unfiltered
 {label: {monomial: coefficient}} sums, and `canonical_sums` drops their
 zeros and empty labels where sums are compared without building a
@@ -66,6 +69,11 @@ def monomial_key(m: Monomial):
     return (sum(m), m)
 
 
+def unit_monomial(arity: int, index: int) -> Monomial:
+    """The exponent tuple of coordinate number `index` (0-based)."""
+    return tuple(int(i == index) for i in range(arity))
+
+
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -84,6 +92,15 @@ def add_product(acc: dict, p: dict, q: dict, scale=1) -> None:
             c = c1 * c2
             old = acc.get(m)
             acc[m] = c if old is None else old + c
+
+
+def add_terms(acc: dict, terms: dict, scale=1) -> None:
+    """acc += scale * terms on {monomial: coefficient} term dicts; a cancelled sum stays as 0."""
+    for m, c in terms.items():
+        if scale != 1:
+            c = c * scale
+        old = acc.get(m)
+        acc[m] = c if old is None else old + c
 
 
 def derivative_terms(terms: dict, alpha) -> dict:
@@ -189,9 +206,7 @@ class Polynomial:
     @classmethod
     def variable(cls, arity, index, var="x"):
         """The coordinate function number `index` (0-based)."""
-        expo = [0] * arity
-        expo[index] = 1
-        return cls(arity, {tuple(expo): 1}, var)
+        return cls(arity, {unit_monomial(arity, index): 1}, var)
 
     @classmethod
     def monomial(cls, arity, expo, coeff=1, var="x"):
@@ -229,8 +244,7 @@ class Polynomial:
             other = Polynomial.constant(self.arity, other, self.var)
         self._check(other)
         terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms[m] + c if m in terms else c
+        add_terms(terms, other.terms)
         return Polynomial(self.arity, terms, self.var)
 
     def __neg__(self):

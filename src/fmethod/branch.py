@@ -161,10 +161,9 @@ def invariants_in(n: int, s, grade_cap: int, min_grade: int = 0) -> InvariantRep
         for w, block in sorted(by_weight.items(), reverse=True):
             rows = {}
             for col, mono in enumerate(block):
-                p = Polynomial.monomial(n, mono, 1, "zeta")
                 for jop, op in enumerate(ops):
-                    q = op.apply(p)
-                    for om, c in q.terms.items():
+                    # a cancelled 0 stays in the row; the sparse kernel drops it
+                    for om, c in op.sums({mono: 1}).items():
                         rows.setdefault((jop, om), {})[col] = c
             for vec in sparse_nullspace(rows.values(), len(block)):
                 poly = Polynomial(n, {block[c]: x for c, x in vec.items()}, "zeta")

@@ -89,6 +89,7 @@ from functools import cached_property, lru_cache
 
 from .algebra import (
     Polynomial,
+    add_terms,
     monomial_basis,
     rref_basis,
     same_span,
@@ -193,15 +194,17 @@ def _eigenvalue_form(op):
 
 
 def _image(piece, mono) -> dict:
-    """A piece (operator, memo) of a `_LieData` applied to zeta^mono, as {monomial: coefficient}.
+    """A piece (operator, memo) of a `_LieData` applied to zeta^mono, as its raw `sums`.
 
-    Applied once per (piece, monomial) while the record lives, and shared
-    through the memo, so not to be mutated.
+    A cancelled sum stays as 0: both readers add the image into rows or
+    sums that the sparse kernel or a filter cleans.  Applied once per
+    (piece, monomial) while the record lives, and shared through the memo,
+    so not to be mutated.
     """
     op, images = piece
     image = images.get(mono)
     if image is None:
-        image = images[mono] = op.apply(Polynomial.monomial(op.arity, mono, 1, "zeta")).terms
+        image = images[mono] = op.sums({mono: 1})
     return image
 
 
@@ -547,8 +550,7 @@ class _SolveContext:
             acc = dict(base)
             for w, image in zip(weights, images):
                 if w:
-                    for om, c in image.items():
-                        acc[om] = acc[om] + w * c if om in acc else w * c
+                    add_terms(acc, image, w)
             out.append({om: c for om, c in acc.items() if c})
         return out
 
@@ -571,8 +573,7 @@ class _SolveContext:
             # a cancelled entry stays as 0; `rref_basis` drops it
             full = {}
             for b, w in cv.items():
-                for i, x in eq_vectors[b].items():
-                    full[i] = full[i] + w * x if i in full else w * x
+                add_terms(full, eq_vectors[b], w)
             out.append(full)
         return out
 

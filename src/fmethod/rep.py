@@ -27,15 +27,22 @@ characters, so induced_operator(X, .., fiber with weights w) equals
 base + sum_i w_i part_i, where base is the operator at weight 0 and part_i
 the operator at the unit weight e_i minus base.  part_i is read off the
 Ad series directly: it multiplies every label by the polynomial whose
-x^mono coefficient is the i-th character of that term of the series.
+x^mono coefficient is the i-th character of that term of the series, so
+it is one `WeylElement`, added to each diagonal entry of base.
 `_affine_parts` builds these pieces once per Lie element, algebra, number
 of variables, fiber shape and picture (x, or its Fourier transform), with
 one `induced_operator` call, for base; every builder below, and the Verma
-action, assembles its operator from them through `affine_operator`, with
-the `+` and `scale` of `OperatorOnVV`.  `dpi_hat_parts` hands the
-Fourier-side pieces of the line bundle to the engine as they are: the
-engine's record of an algebra and nilradical mode reads them once per
-element, and a solve combines them with each member's weights itself.
+action, assembles its operator from them through `affine_operator`.
+`dpi_hat_parts` hands the Fourier-side pieces of the line bundle to the
+engine as they are: the engine's record of an algebra and nilradical mode
+reads them once per element, and a solve combines them with each
+member's weights itself.
+
+Operators are built from term sums: `induced_operator` sums each entry's
+terms, and `affine_operator` each diagonal entry's base and weighted
+parts, into {derivative key: {monomial: coefficient}} dicts and calls
+each constructor once; an operator matrix (`OperatorOnVV`) has no
+arithmetic of its own.
 
 Lie elements are sparse (see `liealg`), so the series, the l-part split
 and the m-action of `SymFiber` touch only nonzero entries.
@@ -47,7 +54,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Polynomial, monomial_basis, monomial_key
+from .algebra import Polynomial, add_terms, monomial_basis, monomial_key, unit_monomial
 from .liealg import GL, SL, LieElement, ParabolicData, bracket, parabolic
 from .weyl import DUAL_VAR, WeylElement
 
@@ -199,19 +206,6 @@ class OperatorOnVV:
         self.terms = {k: w for k, w in terms.items() if not w.is_zero()}
         self.var = var
 
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for k, w in other.terms.items():
-            terms[k] = terms[k] + w if k in terms else w
-        return OperatorOnVV(self.arity, self.in_labels, self.out_labels, terms, self.var)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, s):
-        terms = {k: w.scale(s) for k, w in self.terms.items()}
-        return OperatorOnVV(self.arity, self.in_labels, self.out_labels, terms, self.var)
-
     def sums(self, comps: dict) -> dict:
         """{label: {monomial: coefficient}} of self on {label: terms}, zeros kept."""
         out = {}
@@ -358,7 +352,7 @@ def _ad_series(X: LieElement, pd: ParabolicData, num_x: int):
     lowers = [pd.n_minus(k) for k in range(1, num_x + 1)]
     firsts = [bracket(N, X) for N in lowers]
     for k, Bk in enumerate(firsts):
-        put(_unit_alpha(num_x, k), Bk.scale(-1))
+        put(unit_monomial(num_x, k), Bk.scale(-1))
     for k, N in enumerate(lowers):
         for l, Bl in enumerate(firsts):
             if Bl.is_zero():
@@ -374,47 +368,30 @@ def induced_operator(X: LieElement, pd: ParabolicData, num_x: int, fiber) -> Ope
     """The noncompact-picture action of X on polynomials tensor fiber."""
     series = _ad_series(X, pd, num_x)
     labels = fiber.labels(pd)
-    var = "x"
-    terms = {}
-
-    def add(key, op):
-        terms[key] = terms[key] + op if key in terms else op
-
+    lowering = {}  # the n_- part, the same on every label: {d_j: {x-monomial: coefficient}}
+    l_part = {}  # {(out label, in label): {x-monomial: coefficient}}
     for mono, L in series.items():
         lower, middle, upper = pd.gn_project(L)
         # n_- part: -dR = -sum g_j(x) d_j ; dR(N_j^-) = d/dx_j
-        for j in range(1, num_x + 1):
-            g = lower[j, 0]
-            if g:
-                op = WeylElement(
-                    num_x,
-                    {
-                        _unit_alpha(num_x, j - 1): Polynomial.monomial(num_x, mono, -g, var)
-                    },
-                    var,
-                )
-                for lbl in labels:
-                    add((lbl, lbl), op)
+        for j in range(num_x):
+            if lower[j + 1, 0]:
+                lowering.setdefault(unit_monomial(num_x, j), {})[mono] = -lower[j + 1, 0]
         # components of n_- outside the active coordinates must vanish;
         # the n_+ part (`upper`) acts trivially in this picture
         for j in range(num_x + 1, pd.n + 1):
             if lower[j, 0]:
                 raise ValueError("element leaves the active subalgebra")
         # l part: fiber action with polynomial coefficient x^mono
-        for (out, inp), val in fiber.act(middle, pd).items():
-            op = WeylElement(
-                num_x,
-                {(0,) * num_x: Polynomial.monomial(num_x, mono, val, var)},
-                var,
-            )
-            add((out, inp), op)
-    return OperatorOnVV(num_x, labels, labels, terms, var)
-
-
-def _unit_alpha(arity, index):
-    a = [0] * arity
-    a[index] = 1
-    return tuple(a)
+        for key, val in fiber.act(middle, pd).items():
+            l_part.setdefault(key, {})[mono] = val
+    # a label without an l part on its diagonal shares one n_- operator
+    shared = WeylElement.from_sums(num_x, lowering)
+    terms = {(lbl, lbl): shared for lbl in labels}
+    for key, t in l_part.items():
+        # order 0 against the n_- part's order 1: no derivative key is shared
+        diagonal = shared.terms if key[0] == key[1] else {}
+        terms[key] = WeylElement(num_x, {**diagonal, (0,) * num_x: Polynomial(num_x, t)})
+    return OperatorOnVV(num_x, labels, labels, terms)
 
 
 # -- the weights enter affinely ---------------------------------------------
@@ -427,36 +404,47 @@ def _affine_parts(X: LieElement, pd: ParabolicData, num_x: int, shape, fourier: 
     `shape` is a fiber with every weight zero, so `base` is its
     `induced_operator`.  The characters act on the l-part L_mono of each
     term x^mono of the Ad series by scalars, so part_i, the operator at the
-    unit weight e_i minus `base`, is multiplication by
-    p_i(x) = sum_mono w_i(L_mono) x^mono on every label, with w_i the
-    character weight at e_i; a fiber with weights w acts by
-    base + sum_i w_i part_i.  With `fourier` the same pieces are Fourier
-    transformed; the transform is linear.
+    unit weight e_i minus `base`, acts on every label alike: it is the one
+    `WeylElement` of multiplication by p_i(x) = sum_mono w_i(L_mono) x^mono,
+    with w_i the character weight at e_i; a fiber with weights w acts by
+    base plus sum_i w_i part_i on each diagonal entry.  With `fourier` the
+    same pieces are Fourier transformed, each once; the transform is linear.
     """
-    labels = shape.labels(pd)
-    parts = [induced_operator(X, pd, num_x, shape)]
+    base = induced_operator(X, pd, num_x, shape)
     # the characters read only the diagonal, where L and its l-part agree
     chars = {mono: characters(L, pd) for mono, L in _ad_series(X, pd, num_x).items()}
-    for i in range(len(shape.weights)):
-        p = Polynomial(num_x, {mono: c[i] for mono, c in chars.items()}, "x")
-        op = WeylElement(num_x, {(0,) * num_x: p}, "x")
-        parts.append(OperatorOnVV(num_x, labels, labels, {(lbl, lbl): op for lbl in labels}))
-    return tuple(op.fourier() for op in parts) if fourier else tuple(parts)
+    parts = [
+        WeylElement.from_sums(num_x, {(0,) * num_x: {mono: c[i] for mono, c in chars.items()}})
+        for i in range(len(shape.weights))
+    ]
+    return tuple(op.fourier() for op in (base, *parts)) if fourier else (base, *parts)
 
 
 def affine_operator(X: LieElement, pd: ParabolicData, num_x: int, fiber, fourier=False):
     """`induced_operator(X, pd, num_x, fiber)`, Fourier transformed with `fourier`.
 
     Assembled from the pieces `_affine_parts` builds once per (X, pd,
-    num_x, fiber with zero weights), so a new weight costs one linear
-    combination.
+    num_x, fiber with zero weights), so a new weight costs one sum
+    sum_i w_i part_i, added to every diagonal entry of the base.
     """
     shape = replace(fiber, weights=tuple(Fraction(0) for _ in fiber.weights))
-    op, *parts = _affine_parts(X, pd, num_x, shape, fourier)
+    base, *parts = _affine_parts(X, pd, num_x, shape, fourier)
+    weighted = {}  # sum_i w_i part_i: {derivative key: {monomial: coefficient}}
     for w, part in zip(fiber.weights, parts):
         if w:
-            op = op + part.scale(w)
-    return op
+            for alpha, p in part.terms.items():
+                add_terms(weighted.setdefault(alpha, {}), p.terms, w)
+    if not weighted:
+        return base
+    terms = dict(base.terms)
+    for lbl in base.in_labels:
+        entry = dict(base.entry(lbl, lbl).terms)
+        for alpha, t in weighted.items():
+            sums = dict(entry[alpha].terms) if alpha in entry else {}
+            add_terms(sums, t)
+            entry[alpha] = Polynomial(base.arity, sums, base.var)
+        terms[(lbl, lbl)] = WeylElement(base.arity, entry, base.var)
+    return OperatorOnVV(base.arity, base.in_labels, base.out_labels, terms, base.var)
 
 
 # -- public builders ----------------------------------------------------------
@@ -503,7 +491,8 @@ def dpi_hat_parts(X: LieElement, pd: ParabolicData) -> tuple:
     """
     _check_in_g(X, pd)
     shape = SymFiber(0, 0, tuple(Fraction(0) for _ in pd.two_rho()))
-    return tuple(op.scalar_entry() for op in _affine_parts(X, pd, pd.n, shape, True))
+    base, *parts = _affine_parts(X, pd, pd.n, shape, True)
+    return (base.scalar_entry(), *parts)
 
 
 @lru_cache(maxsize=None)

@@ -227,18 +227,24 @@ def build_emb(m: int, ell: int, n: int, flavor=SL, alpha=0, lam2=Fraction(0)) ->
 
 
 def hom_from_solution(psi: VectorValuedPolynomial, src: VermaModule, tgt: VermaModule) -> VermaHom:
-    """F_c^{-1} of a Fourier-picture solution: images are its components."""
-    images = []
+    """F_c^{-1} of a Fourier-picture solution: images are its components.
+
+    A scalar source takes psi's one component, at whichever label the
+    solver used; an S^k source takes the component at each of its labels.
+    A component that no source label takes is a ValueError.
+    """
+    comps = psi.components
     if src.fiber_degree == 0:
-        # scalar fiber: accept whichever zero label the solver used
-        vals = list(psi.components.values())
-        p = vals[0] if vals else Polynomial.zero(tgt.num_vars, "zeta")
-        images.append(((), VectorValuedPolynomial(tgt.num_vars, {(): p}, "zeta")))
-    else:
-        for lbl in src.fiber_labels():
-            p = psi.components.get(lbl, Polynomial.zero(tgt.num_vars, "zeta"))
-            images.append((lbl, VectorValuedPolynomial(tgt.num_vars, {(): p}, "zeta")))
-    return VermaHom(src, tgt, tuple(images))
+        if len(comps) > 1:
+            raise ValueError("a scalar source takes one component of the solution")
+        comps = {(): p for p in comps.values()}
+    elif not set(comps) <= set(src.fiber_labels()):
+        raise ValueError("the solution has a component at a label the source does not have")
+    zero = Polynomial.zero(tgt.num_vars, "zeta")
+    return VermaHom(src, tgt, tuple(
+        (lbl, VectorValuedPolynomial(tgt.num_vars, {(): comps.get(lbl, zero)}, "zeta"))
+        for lbl in src.fiber_labels()
+    ))
 
 
 def check_hom_equivariance(h: VermaHom, degree_cap: int = 3) -> dict:

@@ -14,7 +14,11 @@ Coefficients are exact rationals: `int` when integral,
 through `algebra.add_product`.  `apply` is `sums` followed by the
 `Polynomial` constructor, which drops the sums that cancelled, and the
 other two build each coefficient once at the end the same way.
-Differentiation is always `algebra.derivative_terms`.
+`compose` and `fourier` share one Leibniz loop, `_add_composite`, which
+adds (p d^alpha) o (q d^beta) to such sums: `compose` calls it per pair
+of terms, and `fourier` per term c v^m d^alpha as
+(-1)^|alpha| c d^m o w^alpha.  Differentiation is always
+`algebra.derivative_terms`.
 
 Every coefficient has the operator's variable role; mixing roles raises.
 
@@ -34,6 +38,7 @@ from .algebra import (
     format_monomial,
     format_terms,
     monomial_key,
+    unit_monomial,
 )
 
 DUAL_VAR = {"x": "zeta", "zeta": "x"}
@@ -78,9 +83,7 @@ class WeylElement:
     @classmethod
     def partial(cls, arity, index, var="x"):
         """d/dv_{index} (0-based index)."""
-        alpha = [0] * arity
-        alpha[index] = 1
-        return cls(arity, {tuple(alpha): Polynomial.one(arity, var)}, var)
+        return cls.derivative_monomial(arity, unit_monomial(arity, index), 1, var)
 
     @classmethod
     def derivative_monomial(cls, arity, alpha, coeff=1, var="x"):
@@ -94,12 +97,8 @@ class WeylElement:
     @classmethod
     def euler(cls, arity, var="x"):
         """E = sum_j v_j d/dv_j."""
-        terms = {}
-        for j in range(arity):
-            alpha = [0] * arity
-            alpha[j] = 1
-            terms[tuple(alpha)] = Polynomial.variable(arity, j, var)
-        return cls(arity, terms, var)
+        units = (unit_monomial(arity, j) for j in range(arity))
+        return cls.from_sums(arity, {u: {u: 1} for u in units}, var)
 
     # -- algebra ----------------------------------------------------------
 
@@ -157,43 +156,23 @@ class WeylElement:
     def compose(self, other: "WeylElement") -> "WeylElement":
         """Normal-ordered self o other (apply other first)."""
         self._check(other)
-        n = self.arity
         sums = {}
         for alpha, p in self.terms.items():
             for beta, q in other.terms.items():
-                # d^alpha o (q .) = sum_{gamma <= alpha} C(alpha,gamma) (d^gamma q) d^{alpha-gamma}
-                for gamma in itertools.product(*(range(a + 1) for a in alpha)):
-                    dq = q.derivative_multi(gamma)
-                    if dq.is_zero():
-                        continue
-                    binom = 1
-                    for a, g in zip(alpha, gamma):
-                        binom *= math.comb(a, g)
-                    key = tuple(a - g + b for a, g, b in zip(alpha, gamma, beta))
-                    add_product(sums.setdefault(key, {}), p.terms, dq.terms, binom)
-        return WeylElement.from_sums(n, sums, self.var)
+                _add_composite(sums, p.terms, alpha, q.terms, beta)
+        return WeylElement.from_sums(self.arity, sums, self.var)
 
     def fourier(self) -> "WeylElement":
         """Algebraic Fourier transform: d/dv_i -> -w_i, v_i -> d/dw_i."""
-        new_var = DUAL_VAR[self.var]
         n = self.arity
-        one = Polynomial.one(n, new_var)
+        zero = (0,) * n
         sums = {}
         for alpha, p in self.terms.items():
-            # image of the coefficient: constant-coefficient derivative operator
-            dpart = WeylElement(
-                n,
-                {m: Polynomial.constant(n, c, new_var) for m, c in p.terms.items()},
-                new_var,
-            )
-            # image of d^alpha: multiplication by (-1)^|alpha| w^alpha
-            sign = (-1) ** sum(alpha)
-            mpart = WeylElement.from_polynomial(
-                Polynomial.monomial(n, alpha, sign, new_var)
-            )
-            for key, coeff in dpart.compose(mpart).terms.items():
-                add_product(sums.setdefault(key, {}), coeff.terms, one.terms)
-        return WeylElement.from_sums(n, sums, new_var)
+            # c v^m d^alpha goes to c d^m o (-1)^|alpha| w^alpha
+            w_alpha = {alpha: (-1) ** sum(alpha)}
+            for m, c in p.terms.items():
+                _add_composite(sums, {zero: c}, m, w_alpha, zero)
+        return WeylElement.from_sums(n, sums, DUAL_VAR[self.var])
 
     def is_constant_coefficient(self) -> bool:
         return all(p.is_constant() for p in self.terms.values())
@@ -233,9 +212,19 @@ class WeylElement:
 
 def symb_inverse(p: Polynomial) -> WeylElement:
     """Polynomial in the dual variables -> constant-coefficient operator."""
-    new_var = DUAL_VAR[p.var]
-    return WeylElement(
-        p.arity,
-        {m: Polynomial.constant(p.arity, c, new_var) for m, c in p.terms.items()},
-        new_var,
-    )
+    zero = (0,) * p.arity
+    sums = {m: {zero: c} for m, c in p.terms.items()}
+    return WeylElement.from_sums(p.arity, sums, DUAL_VAR[p.var])
+
+
+def _add_composite(sums: dict, p: dict, alpha, q: dict, beta) -> None:
+    """sums += (p d^alpha) o (q d^beta), p and q term dicts, on {derivative key: {monomial: coefficient}} sums.
+
+    d^alpha o (q .) = sum_{gamma <= alpha} C(alpha, gamma) (d^gamma q) d^(alpha - gamma).
+    """
+    for gamma in itertools.product(*(range(a + 1) for a in alpha)):
+        dq = derivative_terms(q, gamma)
+        if dq:
+            binom = math.prod(math.comb(a, g) for a, g in zip(alpha, gamma))
+            key = tuple(a - g + b for a, g, b in zip(alpha, gamma, beta))
+            add_product(sums.setdefault(key, {}), p, dq, binom)

@@ -9,7 +9,9 @@ the mutant's exact old text in one file by its new text, and runs the
 mutant's test selection against that copy with `pytest -x`.  The run fails
 when a selection still passes, so a check that a refactor has made vacuous
 shows up here, and also when an old text does not occur exactly once, so
-a refactor that moves the mutated code must re-aim its mutant.  Each
+a refactor that moves the mutated code must re-aim its mutant (the tier-1
+test `tests/test_mutants.py` checks the old texts without running any
+mutant, so a stranded mutant fails every test run).  Each
 selection runs in the temporary directory, with a fixed hypothesis seed,
 so nothing is written to the checkout.
 
@@ -219,6 +221,75 @@ MUTANTS = [
         "bits = char + sum(lbl[j] for j in fiber)",
         "bits = char",
         ["tests/test_verma.py"],
+    ),
+    # -- the weight-free pieces of an action and their memos ---------------------
+    (
+        "member-reads-c0-off-the-base-alone",
+        "engine.py",
+        "self.fiber.weight(Z, pd) - c0 - sum(w * c for w, c in zip(self.weights, weight_c0))",
+        "self.fiber.weight(Z, pd) - c0",
+        ["tests/test_engine.py::test_member_operators_match_dpi_hat"],
+    ),
+    (
+        "record-drops-the-raising-weight-part-check",
+        "engine.py",
+        "            if any(not part.is_zero() for part in parts):\n"
+        "                raise ValueError(\"a raising operator of m' has a weight part\")\n",
+        "",
+        ["tests/test_engine.py::test_lambda_dependent_shared_stage_raises"],
+    ),
+    (
+        "record-drops-the-diagonal-weight-part-check",
+        "engine.py",
+        "            if any(any(c) for _, c in parts):\n"
+        "                raise ValueError(\"a weight part of a diagonal element is not a scalar\")\n",
+        "",
+        ["tests/test_engine.py::test_context_checks_each_weight_part_of_a_diagonal_element"],
+    ),
+    (
+        "image-memo-always-misses",
+        "engine.py",
+        "    image = images.get(mono)\n",
+        "    image = None\n",
+        ["tests/test_engine.py::test_raising_operators_are_applied_once_per_monomial",
+         "tests/test_engine.py::test_scan_builds_no_dpi_hat_and_applies_each_piece_once_per_monomial"],
+    ),
+    (
+        "affine-parts-read-the-first-character-for-every-weight",
+        "rep.py",
+        "{mono: c[i] for mono, c in chars.items()}",
+        "{mono: c[0] for mono, c in chars.items()}",
+        ["tests/test_rep.py"],
+    ),
+    (
+        "affine-operator-skips-labels-missing-from-the-base",
+        "rep.py",
+        "    for lbl in base.in_labels:\n",
+        "    for lbl in (out for out, inp in base.terms if out == inp):\n",
+        ["tests/test_rep.py"],
+    ),
+    (
+        "induced-operator-flips-the-n-minus-sign",
+        "rep.py",
+        "lowering.setdefault(unit_monomial(num_x, j), {})[mono] = -lower[j + 1, 0]",
+        "lowering.setdefault(unit_monomial(num_x, j), {})[mono] = lower[j + 1, 0]",
+        ["tests/test_rep.py"],
+    ),
+    # -- one Leibniz loop for compose and fourier -------------------------------
+    (
+        "leibniz-drops-the-binomial",
+        "weyl.py",
+        "binom = math.prod(math.comb(a, g) for a, g in zip(alpha, gamma))",
+        "binom = 1",
+        ["tests/test_weyl.py::test_compose_consistent_with_apply",
+         "tests/test_weyl.py::test_apply_compose_fourier_match_reference"],
+    ),
+    (
+        "fourier-drops-its-sign",
+        "weyl.py",
+        "w_alpha = {alpha: (-1) ** sum(alpha)}",
+        "w_alpha = {alpha: 1}",
+        ["tests/test_weyl.py"],
     ),
 ]
 

@@ -1,6 +1,7 @@
 """Reference builders that kernels of `src/` are tested against.
 
 The exact-scalar normal form (test_algebra, test_weyl and test_rep), the
+entrywise difference of two operator matrices (test_rep), the
 restricting kernels of `operators` (shared by test_algebra, test_weyl and
 test_operators), the vector- and operator-level loops of the two
 equivariance checks (test_operators and test_verma), and the
@@ -35,6 +36,13 @@ def restrict_last_var(op: WeylElement) -> WeylElement:
     return WeylElement(
         op.arity, {a: p.set_var_zero(op.arity - 1) for a, p in op.terms.items()}, op.var
     )
+
+
+def entry_differences(a, b) -> dict:
+    """{(out, in): a's entry minus b's} of two `OperatorOnVV`s, at every key
+    where the two differ, by the arithmetic of `WeylElement`."""
+    keys = set(a.terms) | set(b.terms)
+    return {k: a.entry(*k) - b.entry(*k) for k in keys if a.entry(*k) != b.entry(*k)}
 
 
 # -- the equivariance checks on built operators and vectors -------------------

@@ -15,6 +15,7 @@ from fmethod.rep import (
     TargetRepParams,
     VectorValuedPolynomial,
     _affine_parts,
+    affine_operator,
     dpi_hat,
     dpi_lambda,
     dpi_lambda_star,
@@ -23,7 +24,7 @@ from fmethod.rep import (
 )
 from fmethod.verma import VermaModule, _verma_action
 from fmethod.weyl import WeylElement
-from references import is_exact_normal_form
+from references import entry_differences, is_exact_normal_form
 
 
 def nplus_closed_form(j, n, weight):
@@ -362,48 +363,42 @@ def test_verma_action_matches_direct_induced_operator(primed, degree, data):
 @given(st.booleans(), st.integers(-1, 2), st.booleans(), st.booleans(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_affine_parts_match_unit_weight_operators(primed, ell, dual, fourier, data):
-    """Each part read off the Ad series is the operator at a unit weight minus `base`."""
+    """Each part read off the Ad series is every diagonal entry of the operator
+    at a unit weight minus `base`, and that difference has no other entry."""
     pd, X = data.draw(elements(primed=primed))
     num_x = pd.n - 1 if primed else pd.n
     zeros = tuple(Fraction(0) for _ in pd.two_rho())
     shape = SymFiber(0, 0, zeros) if ell < 0 else SymFiber(ell, num_x, zeros, dual)
     base = induced_operator(X, pd, num_x, shape)
-    expected = [base]
-    for i in range(len(zeros)):
-        unit = tuple(Fraction(int(i == j)) for j in range(len(zeros)))
-        expected.append(induced_operator(X, pd, num_x, replace(shape, weights=unit)) - base)
-    if fourier:
-        expected = [op.fourier() for op in expected]
     got = _affine_parts(X, pd, num_x, shape, fourier)
-    assert len(got) == len(expected)
-    for op, ref in zip(got, expected):
-        _same(op, ref)
+    assert len(got) == 1 + len(zeros)
+    _same(got[0], base.fourier() if fourier else base)
+    for i, part in enumerate(got[1:]):
+        unit = tuple(Fraction(int(i == j)) for j in range(len(zeros)))
+        diff = entry_differences(induced_operator(X, pd, num_x, replace(shape, weights=unit)), base)
+        assert all(out == inp for out, inp in diff)
+        assert isinstance(part, WeylElement)
+        for lbl in base.in_labels:
+            entry = diff.get((lbl, lbl), WeylElement.zero(num_x))
+            assert part == (entry.fourier() if fourier else entry)
 
 
-# -- OperatorOnVV arithmetic is the entrywise Weyl arithmetic -------------------
-
-
-@given(elements(primed=True), st.integers(0, 2), st.data())
-@settings(max_examples=40, deadline=None)
-def test_operator_arithmetic_is_entrywise_weyl_arithmetic(element, ell, data):
-    pd, X = element
-    Y = data.draw(st.sampled_from(pd.g_basis(primed=True)))
-    s = data.draw(_weights)
-    a, b = (
-        induced_operator(Z, pd, pd.n - 1, SymFiber(ell, pd.n - 1, _weight_tuple(data.draw, pd), True))
-        for Z in (X, Y)
-    )
-    for got, entry in (
-        (a + b, lambda k: a.entry(*k) + b.entry(*k)),
-        (a - b, lambda k: a.entry(*k) - b.entry(*k)),
-        (a.scale(s), lambda k: a.entry(*k).scale(s)),
-    ):
-        assert (got.arity, got.var, got.in_labels, got.out_labels) == (
-            a.arity, a.var, a.in_labels, a.out_labels
-        )
-        assert all(not w.is_zero() for w in got.terms.values())
-        for key in itertools.product(a.out_labels, a.in_labels):
-            assert got.entry(*key) == entry(key)
+@pytest.mark.parametrize("fourier", [False, True])
+@pytest.mark.parametrize("ell", [-1, 0, 2])
+@pytest.mark.parametrize("primed", [False, True])
+def test_weights_reach_every_label_of_the_center_of_gl(primed, ell, fourier):
+    """The identity of gl(n+1) has no n_- part, so at zero weights its action
+    misses some diagonal labels (all of them on the full fiber); the weight
+    parts still reach every label."""
+    pd = parabolic(3, GL)
+    num_x = pd.n - 1 if primed else pd.n
+    identity = LieElement.from_units(pd.size, GL, [((i, i), 1) for i in range(pd.size)])
+    weights = (Fraction(1, 3), Fraction(-2))
+    fiber = SymFiber(0, 0, weights) if ell < 0 else SymFiber(ell, num_x, weights, True)
+    got = affine_operator(identity, pd, num_x, fiber, fourier)
+    direct = induced_operator(identity, pd, num_x, fiber)
+    _same(got, direct.fourier() if fourier else direct)
+    assert all((lbl, lbl) in got.terms for lbl in got.in_labels)
 
 
 _X = Polynomial(2, {(1, 0): Fraction(2, 3), (0, 2): -1}, "zeta")
@@ -415,9 +410,8 @@ _X = Polynomial(2, {(1, 0): Fraction(2, 3), (0, 2): -1}, "zeta")
         ("terms", _X),
         ("terms", WeylElement(2, {(0, 1): _X, (0, 0): _X * _X}, "zeta")),
         ("components", VectorValuedPolynomial(2, {(1, 0): _X, (0, 1): _X.scale(3)}, "zeta")),
-        ("terms", dpi_target(parabolic(3).unit(2, 3), TargetRepParams.sl(3, Fraction(1, 3), ell=2))),
     ],
-    ids=["polynomial", "weyl", "vector-valued", "operator"],
+    ids=["polynomial", "weyl", "vector-valued"],
 )
 def test_difference_with_itself_has_no_entries(attr, x):
     assert getattr(x, attr)

@@ -360,6 +360,27 @@ def test_hom_from_solution_round_trip():
     assert check_hom_equivariance(h, 2)["status"] == "pass"
 
 
+def test_hom_from_solution_refuses_a_second_component_for_a_scalar_source():
+    zeta = Polynomial.variable(3, 2, "zeta")
+    src, tgt = VermaModule.scalar_primed(3, Fraction(1, 3)), VermaModule.scalar(3, Fraction(2))
+    one = VectorValuedPolynomial(3, {(0, 0): zeta}, "zeta")
+    # one component, at whichever label the solver used
+    assert hom_from_solution(one, src, tgt).image_map()[()].components == {(): zeta}
+    two = VectorValuedPolynomial(3, {(0, 0): zeta, (1, 0): zeta.scale(2)}, "zeta")
+    with pytest.raises(ValueError, match="one component"):
+        hom_from_solution(two, src, tgt)
+
+
+def test_hom_from_solution_refuses_a_label_the_source_does_not_have():
+    from fmethod.engine import psi_vector
+
+    built = build_phi(1, 1, 3)
+    psi = psi_vector(1, 1, 3)
+    extra = VectorValuedPolynomial(3, {**psi.components, (2, 0): Polynomial.one(3, "zeta")}, "zeta")
+    with pytest.raises(ValueError, match="label the source does not have"):
+        hom_from_solution(extra, built.source, built.target)
+
+
 def test_classify_homs_tables():
     rows = classify_homs(2, connected=True, m_max=2, l_max=2)
     assert all(r["ok"] for r in rows)
