@@ -63,7 +63,8 @@ piece is built at the level it depends on:
   record with the fiber (the raising pairs, each diagonal element's shift
   fiber weight - c0 with c0 = c0(base) + sum_i w_i c0(part_i)), c and
   each label's degree interval from the shifts, the labels' parities,
-  then the unknowns and the equivariant vectors (`solve_family`).  The
+  then the unknowns, the equivariant vectors and the F-system's rows on
+  them, one row set per piece of N_1^+ (`solve_family`).  The
   signs enter only through the sign key, one parity alpha . a + beta . b
   (mod 2) per gamma, which a label's fiber bits complete to its parities;
   both characters see the same -1 entries (a = b), so (alpha, beta)
@@ -73,8 +74,8 @@ piece is built at the level it depends on:
   the same gap in every component.  Along the gap a shift moves by
   sum_i lambda_i (c0_i - chi_i), so a family of two or more members also
   needs the record's c0_i = chi_i.  The F-system is solved once per
-  distinct weights, combining the memoized images of N_1^+'s pieces with
-  w; members of both sign pairs at one lambda share it.
+  distinct weights: weigh the family's piece rows, base + sum_i w_i
+  part_i, and take one nullspace; both sign pairs at one lambda share it.
 
 Output bases are RREF-canonical in the graded-lex coordinate order, so
 every scan is reproducible byte for byte.
@@ -132,7 +133,7 @@ class EquivariantSpace:
 
     @property
     def basis(self):
-        return [_vector_to_vvp(v, self.unknowns, self.source.n) for v in self.basis_vectors]
+        return _to_vvps(self.basis_vectors, self.unknowns, self.source.n)
 
     @property
     def dim(self):
@@ -154,15 +155,16 @@ class SolutionSpace:
         return len(self.basis)
 
 
-def _vector_to_vvp(vec, unknowns, arity) -> VectorValuedPolynomial:
-    """The VVP of a sparse vector over `unknowns`, built in column order."""
-    comps = {}
-    for col in sorted(vec):
-        mono, lbl = unknowns[col]
-        comps.setdefault(lbl, {})[mono] = vec[col]
-    return VectorValuedPolynomial(
-        arity, {l: Polynomial(arity, t, "zeta") for l, t in comps.items()}, "zeta"
-    )
+def _to_vvps(vectors, unknowns, arity) -> list:
+    """Sparse vectors over `unknowns` as zeta VVPs, each summed per label in column order."""
+    out = []
+    for vec in vectors:
+        sums = {}
+        for col in sorted(vec):
+            mono, lbl = unknowns[col]
+            sums.setdefault(lbl, {})[mono] = vec[col]
+        out.append(VectorValuedPolynomial.from_sums(arity, sums, "zeta"))
+    return out
 
 
 def _add_entry(rows, key, col, value):
@@ -196,10 +198,9 @@ def _eigenvalue_form(op):
 def _image(piece, mono) -> dict:
     """A piece (operator, memo) of a `_LieData` applied to zeta^mono, as its raw `sums`.
 
-    A cancelled sum stays as 0: both readers add the image into rows or
-    sums that the sparse kernel or a filter cleans.  Applied once per
-    (piece, monomial) while the record lives, and shared through the memo,
-    so not to be mutated.
+    A cancelled sum stays as 0: both readers add the image into rows that
+    the sparse kernel cleans.  Applied once per (piece, monomial) while the
+    record lives, and shared through the memo, so not to be mutated.
     """
     op, images = piece
     image = images.get(mono)
@@ -311,7 +312,7 @@ class _LieData:
         solves = self.label_solves.get(fiber.degree)
         if solves is not None:
             return solves
-        labels = fiber.labels(pd)
+        labels = fiber.labels()
         eigenvalues = {lbl: [] for lbl in labels}
         for Z, scale in zip(self.diag, self.scales):
             acts = fiber.m_action(Z, pd)
@@ -538,44 +539,32 @@ class _SolveContext:
                     _add_entry(rows, (zi, inl, mono), col, -a)
         return sparse_nullspace(rows.values(), len(unknowns))
 
-    def fsystem_images(self, mono, weights):
-        """Each F-system operator's image of zeta^mono at a member's weights, as {monomial: coefficient}.
+    def fsystem_rows(self, unknowns, eq_vectors):
+        """The F-system's rows on the equivariant vectors, one set per piece (base, part_1[, part_2]).
 
-        The image under base + sum_i w_i part_i is the base's image plus
-        w_i times each part's, the pieces' images read from their memos.
+        Each is {(operator, label, monomial): {vector: coefficient}}, read
+        from the memoized images; `_weigh` combines them for a member.
         """
-        out = []
-        for pieces in self.lie.fsystem:
-            base, *images = (_image(piece, mono) for piece in pieces)
-            acc = dict(base)
-            for w, image in zip(weights, images):
-                if w:
-                    add_terms(acc, image, w)
-            out.append({om: c for om, c in acc.items() if c})
-        return out
+        pieces = [{} for _ in self.lie.fsystem[0]]
+        for jop, ops in enumerate(self.lie.fsystem):
+            for rows, piece in zip(pieces, ops):
+                for b, vec in enumerate(eq_vectors):
+                    for col, coeff in vec.items():
+                        mono, lbl = unknowns[col]
+                        for om, c in _image(piece, mono).items():
+                            _add_entry(rows, (jop, lbl, om), b, coeff * c)
+        return pieces
 
-    def fsystem_vectors(self, unknowns, eq_vectors, weights):
-        """The equivariant vectors' combinations that the F-system at `weights` kills."""
-        if not eq_vectors:
-            return []
-        images = {}  # monomial: its `fsystem_images`, once per member
-        rows = {}
-        for b, vec in enumerate(eq_vectors):
-            for col, coeff in vec.items():
-                mono, lbl = unknowns[col]
-                if mono not in images:
-                    images[mono] = self.fsystem_images(mono, weights)
-                for jop, image in enumerate(images[mono]):
-                    for om, c in image.items():
-                        _add_entry(rows, (jop, lbl, om), b, coeff * c)
-        out = []
-        for cv in sparse_nullspace(rows.values(), len(eq_vectors)):
-            # a cancelled entry stays as 0; `rref_basis` drops it
-            full = {}
-            for b, w in cv.items():
-                add_terms(full, eq_vectors[b], w)
-            out.append(full)
-        return out
+
+def _weigh(pieces, weights) -> dict:
+    """The rows of base + sum_i w_i part_i at `weights`, summed into fresh rows: pieces serve every member."""
+    base, *parts = pieces
+    rows = {key: dict(row) for key, row in base.items()}
+    for w, part in zip(weights, parts):
+        if w:
+            for key, row in part.items():
+                add_terms(rows.setdefault(key, {}), row, w)
+    return rows
 
 
 def equivariant_basis(
@@ -605,12 +594,12 @@ def solve_family(
     The members of a family differ only in lambda at a fixed gap nu -
     lambda, and in their signs within one relative sign.  One
     `_SolveContext`, built from the first member, gives the label solves,
-    unknowns and equivariant vectors.  Every further member brings only its
-    weights, after `_SolveContext.member_weights` checks that it belongs to
-    the family (else ValueError).  The F-system is then solved once per
-    distinct weights, from the memoized images of the weight-free pieces of
-    N_1^+; members at equal weights, such as the two sign pairs at one
-    lambda, each get their own `SolutionSpace` of that solve.
+    unknowns, equivariant vectors and F-system piece rows.  Every further
+    member brings only its weights, after `_SolveContext.member_weights`
+    checks that it belongs to the family (else ValueError).  The F-system is
+    then solved once per distinct weights, by weighing the piece rows;
+    members at equal weights, such as the two sign pairs at one lambda, each
+    get their own `SolutionSpace` of that solve.
     """
     if not members:
         return []
@@ -621,22 +610,27 @@ def solve_family(
         unknowns = ctx.unknowns_at_degree(d)
         eq_vectors = ctx.equivariant_vectors(unknowns)
         if eq_vectors:
-            stages.append((d, unknowns, eq_vectors))
+            stages.append((d, unknowns, eq_vectors, ctx.fsystem_rows(unknowns, eq_vectors)))
 
     def solve_at(w):
         solutions = []
         degrees = []
         sizes = {}
-        for d, unknowns, eq_vectors in stages:
-            sol_vectors = ctx.fsystem_vectors(unknowns, eq_vectors, w)
-            if sol_vectors:
+        for d, unknowns, eq_vectors, pieces in stages:
+            kernel = sparse_nullspace(_weigh(pieces, w).values(), len(eq_vectors))
+            if kernel:
                 # homogeneity bookkeeping: the constraints preserve degree, so
                 # every solution vector lives in this single degree
-                sizes[d] = (len(unknowns), len(eq_vectors), len(sol_vectors))
+                sizes[d] = (len(unknowns), len(eq_vectors), len(kernel))
                 degrees.append(d)
-                solutions.extend(
-                    _vector_to_vvp(v, unknowns, ctx.n) for v in rref_basis(sol_vectors)
-                )
+                vectors = []
+                for cv in kernel:
+                    # a cancelled entry stays as 0; `rref_basis` drops it
+                    full = {}
+                    for b, x in cv.items():
+                        add_terms(full, eq_vectors[b], x)
+                    vectors.append(full)
+                solutions.extend(_to_vvps(rref_basis(vectors), unknowns, ctx.n))
         return solutions, degrees, sizes
 
     solved = {}  # weights: their solve, shared by the members at those weights

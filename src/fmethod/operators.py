@@ -177,12 +177,14 @@ class IDOOp:
         return sums
 
     def apply(self, f) -> VectorValuedPolynomial:
-        """On a polynomial, or on a Pol^l-valued f label by label."""
+        """On a polynomial, or on a Pol^l-valued f label by label; each label must be an n-tuple."""
         if f.arity != self.n:
             raise ValueError("arity mismatch")
         if f.var != "x":
             raise ValueError("variable role mismatch")
         if isinstance(f, VectorValuedPolynomial):
+            if any(len(lbl) != self.n for lbl in f.components):
+                raise ValueError(f"label length differs from n = {self.n}")
             comps = {lbl: p.terms for lbl, p in f.components.items()}
         else:
             comps = {(0,) * self.n: f.terms}

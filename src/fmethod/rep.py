@@ -223,7 +223,10 @@ class OperatorOnVV:
             raise ValueError("variable role mismatch")
 
     def apply(self, v: VectorValuedPolynomial) -> VectorValuedPolynomial:
+        """self(v); ValueError on a component at a label outside `in_labels`, which `sums` would drop."""
         self.require_input(v.arity, v.var)
+        if not set(v.components).issubset(self.in_labels):
+            raise ValueError("vector has a component at a label the operator does not take")
         sums = self.sums({lbl: p.terms for lbl, p in v.components.items()})
         return VectorValuedPolynomial.from_sums(self.arity, sums, self.var)
 
@@ -267,7 +270,7 @@ class SymFiber:
     weights: tuple
     dual: bool = False
 
-    def labels(self, pd):
+    def labels(self):
         return monomial_basis(self.block, self.degree)
 
     def weight(self, L: LieElement, pd: ParabolicData) -> Fraction:
@@ -285,7 +288,7 @@ class SymFiber:
         out = dict(self.m_action(L, pd))
         weight = self.weight(L, pd)
         if weight:
-            for k in self.labels(pd):
+            for k in self.labels():
                 out[(k, k)] = out.get((k, k), Fraction(0)) + weight
             out = {k: v for k, v in out.items() if v}
         return out
@@ -367,7 +370,7 @@ def _ad_series(X: LieElement, pd: ParabolicData, num_x: int):
 def induced_operator(X: LieElement, pd: ParabolicData, num_x: int, fiber) -> OperatorOnVV:
     """The noncompact-picture action of X on polynomials tensor fiber."""
     series = _ad_series(X, pd, num_x)
-    labels = fiber.labels(pd)
+    labels = fiber.labels()
     lowering = {}  # the n_- part, the same on every label: {d_j: {x-monomial: coefficient}}
     l_part = {}  # {(out label, in label): {x-monomial: coefficient}}
     for mono, L in series.items():

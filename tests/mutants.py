@@ -159,18 +159,18 @@ MUTANTS = [
     ),
     # -- the F-system at each member's weights -----------------------------------
     (
-        "fsystem-keeps-the-cancelled-zeros",
+        "fsystem-drops-the-weight-parts",
         "engine.py",
-        "out.append({om: c for om, c in acc.items() if c})",
-        "out.append(acc)",
+        "for w, part in zip(weights, parts):",
+        "for w, part in zip(weights, ()):",
         ["tests/test_engine.py"],
     ),
     (
-        "fsystem-drops-the-weight-parts",
+        "fsystem-weighs-into-the-base-rows",
         "engine.py",
-        "for w, image in zip(weights, images):",
-        "for w, image in zip(weights, ()):",
-        ["tests/test_engine.py"],
+        "    rows = {key: dict(row) for key, row in base.items()}\n",
+        "    rows = base\n",
+        ["tests/test_engine.py::test_weighing_leaves_the_piece_rows_alone"],
     ),
     (
         "family-solves-every-member-at-the-first-weights",

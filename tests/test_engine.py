@@ -377,7 +377,7 @@ def _brute_force_unknowns(source, target, degree, connected, full):
     n, pd = source.n, parabolic(source.n, source.flavor)
     block = n if full else n - 1
     fiber = SymFiber(target.ell, block, tuple(-x for x in target.nu))
-    labels = fiber.labels(pd)
+    labels = fiber.labels()
     diag = [pd.h0_tilde if full else pd.h0_tilde_prime]
     if source.flavor == GL:
         diag.append(pd.j0 if full else pd.j0_prime)
@@ -845,9 +845,18 @@ def member_contexts(draw):
 def test_member_operators_match_dpi_hat(case):
     ctx, degree = case
     source, pd = ctx.source, ctx.pd
-    for mono in monomial_basis(ctx.n, degree):
-        p = Polynomial.monomial(ctx.n, mono, 1, "zeta")
-        assert ctx.fsystem_images(mono, ctx.weights) == [dpi_hat(N, source).apply(p).terms for N in ctx.lie.n_plus]
+    # the member's weighed F-system rows on one unit vector per monomial hold
+    # dpi_hat(N_1^+, source)'s image of that monomial
+    monos, lbl = monomial_basis(ctx.n, degree), ctx.fiber.labels()[0]
+    units = [{b: 1} for b in range(len(monos))]
+    rows = engine._weigh(ctx.fsystem_rows([(mono, lbl) for mono in monos], units), ctx.weights)
+    expected = {}
+    for jop, N in enumerate(ctx.lie.n_plus):
+        for b, mono in enumerate(monos):
+            p = Polynomial.monomial(ctx.n, mono, 1, "zeta")
+            for om, c in dpi_hat(N, source).apply(p).terms.items():
+                expected.setdefault((jop, lbl, om), {})[b] = c
+    assert {key: kept for key, row in rows.items() if (kept := {b: c for b, c in row.items() if c})} == expected
     # N_1^+'s pieces combine with the member's weights into its dpi_hat
     for N, ((op, _), *parts) in zip(ctx.lie.n_plus, ctx.lie.fsystem, strict=True):
         for w, (part, _) in zip(ctx.weights, parts, strict=True):
@@ -859,6 +868,26 @@ def test_member_operators_match_dpi_hat(case):
         assert (ctx.fiber.weight(Z, pd) - shift, [Fraction(f, scale) for f in form]) == (c0, c)
     for Z, ((op, _), _) in zip(ctx.lie.raising, ctx.raising, strict=True):
         assert op == dpi_hat(Z, source)
+
+
+def test_weighing_leaves_the_piece_rows_alone():
+    """Members at different weights each equal their one-member solve.
+
+    The generic lambdas come first: had a member summed its weights into the
+    shared base rows, the critical member after them would solve at the sum.
+    """
+    members = [sl_pair(3, lam, 1, 1)[:2] for lam in (Fraction(1, 3), Fraction(5), Fraction(-1))]
+    sols = solve_family(members, 2)
+    assert [sol.dim for sol in sols] == [0, 0, 1]
+    for (source, target), sol in zip(members, sols, strict=True):
+        assert sol.basis == solve_fsystem(source, target, 2).basis
+    ctx = _SolveContext(*members[0])
+    unknowns = ctx.unknowns_at_degree(2)
+    pieces = ctx.fsystem_rows(unknowns, ctx.equivariant_vectors(unknowns))
+    before = [{key: dict(row) for key, row in rows.items()} for rows in pieces]
+    for source, target in members:
+        engine._weigh(pieces, ctx.member_weights(source, target))
+    assert pieces == before
 
 
 def test_scan_builds_no_dpi_hat_and_applies_each_piece_once_per_monomial(monkeypatch):
@@ -1001,6 +1030,28 @@ def test_family_builds_one_solve_context(monkeypatch, family):
 
 def _flip_first(signs):
     return (1 - signs[0], *signs[1:])
+
+
+@pytest.mark.parametrize("family", _FAMILY_OF_EACH_KIND, ids=lambda f: f.kind)
+def test_fsystem_rows_are_built_once_per_stage(monkeypatch, family):
+    """A family builds its piece rows once per degree with equivariant vectors, whatever its size."""
+    built = []
+    fsystem_rows = _SolveContext.fsystem_rows
+
+    def counting(self, unknowns, eq_vectors):
+        built.append(len(eq_vectors))
+        return fsystem_rows(self, unknowns, eq_vectors)
+
+    _, (members, cap, mode) = _family_solve(family)
+    ctx = _SolveContext(*members[0], **mode)
+    stages = sum(1 for d in range(cap + 1) if ctx.equivariant_vectors(ctx.unknowns_at_degree(d)))
+    monkeypatch.setattr(_SolveContext, "fsystem_rows", counting)
+    for some in (members[:1], members):
+        built.clear()
+        solve_family(some, cap, **mode)
+        assert len(built) == stages and all(built)
+    # the gp family has the flipped sign: no degree has an equivariant vector
+    assert len(members) >= 2 and (stages >= 1) == (family.kind != "gp")
 
 
 @pytest.mark.parametrize("change", ["lambda_2 gap", "alpha", "beta", "ell"])

@@ -102,6 +102,15 @@ def test_ido_normalized_square():
     assert out == VectorValuedPolynomial(2, {(2, 0): Polynomial.constant(2, 2)})
 
 
+@pytest.mark.parametrize("label", [(), (1,), (1, 0, 0)])
+def test_ido_rejects_a_label_that_is_not_an_n_tuple(label):
+    # the kernel zips the label with each output label, so a short label would
+    # merge distinct outputs: at (), x1^2*x2 gave the scalar x1^2 + 2*x1*x2
+    v = VectorValuedPolynomial(2, {label: mono(2, (2, 1))})
+    with pytest.raises(ValueError, match="label length differs from n = 2"):
+        build_ido(1, 2).apply(v)
+
+
 def _ido_reference(k, n, f):
     """Reference: the Weyl operator d^label applied to f at every label of Xi_k."""
     ops = [(lbl, WeylElement.derivative_monomial(n, lbl)) for lbl in monomial_basis(n, k)]

@@ -219,6 +219,17 @@ def test_dpi_target_diagonal_fiber_weights():
         assert op.entry(other, lbl).is_zero()
 
 
+@pytest.mark.parametrize("label", [(), (2, 0)])
+def test_operator_apply_rejects_a_label_outside_its_inputs(label):
+    # `sums` reads only the input labels, so such a component used to vanish
+    op = dpi_target(parabolic(3).h0_tilde_prime, TargetRepParams.sl(3, Fraction(3, 2), ell=1))
+    assert label not in op.in_labels
+    inside = VectorValuedPolynomial(2, {(1, 0): Polynomial.variable(2, 0)})
+    assert not op.apply(inside).is_zero()
+    with pytest.raises(ValueError, match="label the operator does not take"):
+        op.apply(inside + VectorValuedPolynomial(2, {label: Polynomial.variable(2, 1)}))
+
+
 def test_domain_guards():
     import pytest
 
@@ -315,7 +326,7 @@ def test_sym_zero_over_empty_block_is_the_scalar_fiber(flavor, n, primed, zero):
     pd = parabolic(n, flavor)
     weights = tuple(Fraction(0 if zero else 2 * i + 3, 7) for i in range(len(pd.two_rho())))
     fiber = SymFiber(0, 0, weights)
-    assert fiber.labels(pd) == [()]
+    assert fiber.labels() == [()]
     acted = False
     for X in pd.g_basis(primed=primed):
         # the characters dchi (and dchi2 for GL) read X[0, 0] and the trace
