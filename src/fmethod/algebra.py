@@ -4,7 +4,12 @@ Scalars are exact rationals: `int` when integral, `fractions.Fraction`
 otherwise; never float.  Every polynomial coefficient is stored in this
 normal form, `exact`, so integral products stay `int` products; as
 `Fraction(k) == k` and the two hash and print alike, no comparison or
-output depends on it.
+output depends on it.  A scalar enters through `exact` or `rational`,
+which take ints, Fractions, other rationals and strings such as "-7/2",
+and raise TypeError on a float, a complex or a Decimal, all floating
+point (`Fraction(0.1)` is the binary expansion of 0.1, not 1/10).  The
+check comes after the int and Fraction fast paths, so the hot path does
+no extra work.
 
 Monomials are exponent tuples of fixed arity.  The global term order is
 graded lexicographic: compare total degree first, then the exponent tuple.
@@ -18,6 +23,10 @@ multiplication loop, `add_product`, which sums the products of two term
 dicts into a {monomial: coefficient} dict, and one summing loop,
 `add_terms`, which adds a scaled term dict into one.  The constructor
 puts each coefficient in the normal form of `exact` and drops zeros.
+Exponent arithmetic maps C functions over the tuples,
+`tuple(map(operator.add, m1, m2))`, rather than running a generator
+frame per monomial; here and in `weyl` and `operators` this is the
+idiom of every term kernel.
 
 Zeros are dropped in two places only.  Every sparse container
 (`Polynomial`, `weyl.WeylElement`, `rep.VectorValuedPolynomial`,
@@ -50,17 +59,33 @@ Values are immutable after construction and safe to share.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
+from operator import add
 
 Monomial = tuple  # exponent tuple, arity fixed by the ambient ring
 
 
+def rational(x) -> Fraction:
+    """x as a `Fraction`: from an int, a Fraction, another `numbers.Rational` or a string such as "-7/2".
+
+    A float, a complex or a `decimal.Decimal`, all floating point, raises
+    TypeError (`Fraction(0.1)` is 3602879701896397/2**55, not 1/10)."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is int or isinstance(x, (numbers.Rational, str)):
+        return Fraction(x)
+    raise TypeError(f"{x!r} is not an exact scalar: pass an int, a Fraction or a string like '1/10'")
+
+
 def exact(x):
-    """x as an exact scalar: an `int` when x is integral, else a `Fraction`."""
+    """x as an exact scalar: an `int` when x is integral, else a `Fraction`.
+
+    Takes what `rational` takes and raises as it does."""
     if type(x) is int:
         return x
     if type(x) is not Fraction:
-        x = Fraction(x)
+        x = rational(x)
     return x.numerator if x.denominator == 1 else x
 
 
@@ -74,10 +99,6 @@ def unit_monomial(arity: int, index: int) -> Monomial:
     return tuple(int(i == index) for i in range(arity))
 
 
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def add_product(acc: dict, p: dict, q: dict, scale=1) -> None:
     """acc += scale * p * q on {monomial: coefficient} term dicts.
 
@@ -88,7 +109,7 @@ def add_product(acc: dict, p: dict, q: dict, scale=1) -> None:
         if scale != 1:
             c1 = c1 * scale
         for m2, c2 in q.items():
-            m = monomial_mul(m1, m2)
+            m = tuple(map(add, m1, m2))
             c = c1 * c2
             old = acc.get(m)
             acc[m] = c if old is None else old + c

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .algebra import rational
+
 SL = "sl"
 GL = "gl"
 
@@ -57,7 +59,7 @@ class LieElement:
         """The element sum v*E_{i+1,j+1} over ((i, j), v) in `units` (0-based, distinct)."""
         rows = [{} for _ in range(size)]
         for (i, j), v in units:
-            rows[i][j] = Fraction(v)
+            rows[i][j] = rational(v)
         return cls(tuple(_row(r) for r in rows), flavor)
 
     @classmethod
@@ -98,7 +100,7 @@ class LieElement:
         return self.add(other.scale(-1))
 
     def scale(self, s):
-        s = Fraction(s)
+        s = rational(s)
         if not s:
             return LieElement.zero(self.size, self.flavor)
         return LieElement(

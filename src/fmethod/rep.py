@@ -54,7 +54,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Polynomial, add_terms, monomial_basis, monomial_key, unit_monomial
+from .algebra import Polynomial, add_terms, monomial_basis, monomial_key, rational, unit_monomial
 from .liealg import GL, SL, LieElement, ParabolicData, bracket, parabolic
 from .weyl import DUAL_VAR, WeylElement
 
@@ -74,12 +74,12 @@ class ScalarRepParams:
 
     @classmethod
     def sl(cls, n, lam, alpha=0):
-        return cls(n, SL, (int(alpha) % 2,), (Fraction(lam),))
+        return cls(n, SL, (int(alpha) % 2,), (rational(lam),))
 
     @classmethod
     def gl(cls, n, lam1, lam2, alpha1=0, alpha2=0):
         return cls(
-            n, GL, (int(alpha1) % 2, int(alpha2) % 2), (Fraction(lam1), Fraction(lam2))
+            n, GL, (int(alpha1) % 2, int(alpha2) % 2), (rational(lam1), rational(lam2))
         )
 
     def dual_weights(self):
@@ -100,12 +100,12 @@ class TargetRepParams:
 
     @classmethod
     def sl(cls, n, nu, ell=0, beta=0):
-        return cls(n, SL, (int(beta) % 2,), (Fraction(nu),), ell)
+        return cls(n, SL, (int(beta) % 2,), (rational(nu),), ell)
 
     @classmethod
     def gl(cls, n, nu1, nu2, ell=0, beta1=0, beta2=0):
         return cls(
-            n, GL, (int(beta1) % 2, int(beta2) % 2), (Fraction(nu1), Fraction(nu2)), ell
+            n, GL, (int(beta1) % 2, int(beta2) % 2), (rational(nu1), rational(nu2)), ell
         )
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Polynomial, add_product, canonical_sums, monomial_basis
+from .algebra import Polynomial, add_product, canonical_sums, monomial_basis, rational
 from .engine import DEFAULT_SAMPLES, classify
 from .liealg import SL, parabolic
 from .params import sign_shift
@@ -55,7 +55,7 @@ class VermaModule:
 
         `sign` gives the parities of the leading characters; the rest are +.
         """
-        nu = (Fraction(-u),) if flavor == SL else (Fraction(-u), Fraction(-u2))
+        nu = (-rational(u),) if flavor == SL else (-rational(u), -rational(u2))
         return cls(n, flavor, primed, k, nu, tuple(sign) + (0,) * (len(nu) - len(sign)))
 
     @classmethod

@@ -18,7 +18,10 @@ other two build each coefficient once at the end the same way.
 adds (p d^alpha) o (q d^beta) to such sums: `compose` calls it per pair
 of terms, and `fourier` per term c v^m d^alpha as
 (-1)^|alpha| c d^m o w^alpha.  Differentiation is always
-`algebra.derivative_terms`.
+`algebra.derivative_terms`.  The loop's binomials and derivative keys
+map C functions over the exponent tuples (`math.prod(map(math.comb,
+alpha, gamma))`, `tuple(map(add, map(sub, alpha, gamma), beta))`), as
+every term kernel does (`algebra`).
 
 Every coefficient has the operator's variable role; mixing roles raises.
 
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import add, sub
 
 from .algebra import (
     Polynomial,
@@ -222,9 +226,9 @@ def _add_composite(sums: dict, p: dict, alpha, q: dict, beta) -> None:
 
     d^alpha o (q .) = sum_{gamma <= alpha} C(alpha, gamma) (d^gamma q) d^(alpha - gamma).
     """
-    for gamma in itertools.product(*(range(a + 1) for a in alpha)):
+    for gamma in itertools.product(*[range(a + 1) for a in alpha]):
         dq = derivative_terms(q, gamma)
         if dq:
-            binom = math.prod(math.comb(a, g) for a, g in zip(alpha, gamma))
-            key = tuple(a - g + b for a, g, b in zip(alpha, gamma, beta))
+            binom = math.prod(map(math.comb, alpha, gamma))
+            key = tuple(map(add, map(sub, alpha, gamma), beta))
             add_product(sums.setdefault(key, {}), p, dq, binom)

@@ -279,7 +279,7 @@ MUTANTS = [
     (
         "leibniz-drops-the-binomial",
         "weyl.py",
-        "binom = math.prod(math.comb(a, g) for a, g in zip(alpha, gamma))",
+        "binom = math.prod(map(math.comb, alpha, gamma))",
         "binom = 1",
         ["tests/test_weyl.py::test_compose_consistent_with_apply",
          "tests/test_weyl.py::test_apply_compose_fourier_match_reference"],
@@ -290,6 +290,87 @@ MUTANTS = [
         "w_alpha = {alpha: (-1) ** sum(alpha)}",
         "w_alpha = {alpha: 1}",
         ["tests/test_weyl.py"],
+    ),
+    # -- the family shares one solve context -------------------------------------
+    (
+        "family-builds-a-context-per-member",
+        "engine.py",
+        "weights = [ctx.weights] + [ctx.member_weights(s, t) for s, t in members[1:]]",
+        "weights = [ctx.weights] + [_SolveContext(s, t, connected, full_nilradical).weights"
+        " for s, t in members[1:]]",
+        ["tests/test_engine.py::test_family_builds_one_solve_context"],
+    ),
+    # -- the term kernels' exponent arithmetic in C, and their memos ------------
+    (
+        "product-takes-the-larger-exponent",
+        "algebra.py",
+        "m = tuple(map(add, m1, m2))",
+        "m = tuple(map(max, m1, m2))",
+        ["tests/test_kernels.py::test_add_product_matches_reference"],
+    ),
+    (
+        "leibniz-key-drops-beta",
+        "weyl.py",
+        "key = tuple(map(add, map(sub, alpha, gamma), beta))",
+        "key = tuple(map(sub, alpha, gamma))",
+        ["tests/test_kernels.py::test_add_composite_matches_reference"],
+    ),
+    (
+        "sbo-sums-needs-e-above-alpha",
+        "operators.py",
+        "not all(map(ge, e, alpha))",
+        "not all(x > a for x, a in zip(e, alpha))",
+        ["tests/test_kernels.py::test_sbo_sums_match_the_restricted_composition"],
+    ),
+    (
+        "labels-below-stops-one-short",
+        "operators.py",
+        "for a in range(max(0, k - used - later), min(ei, k - used) + 1)",
+        "for a in range(max(0, k - used - later), min(ei, k - used))",
+        ["tests/test_kernels.py::test_labels_below_matches_reference"],
+    ),
+    (
+        "ido-sums-drop-the-input-label",
+        "operators.py",
+        "acc = sums.setdefault(tuple(map(add, alpha, in_lbl)), {})",
+        "acc = sums.setdefault(alpha, {})",
+        ["tests/test_kernels.py::test_ido_sums_match_the_derivatives_at_each_label"],
+    ),
+    (
+        "sbo-after-key-drops-beta",
+        "operators.py",
+        "key = tuple(map(add, map(sub, alpha, gamma), beta))",
+        "key = tuple(map(sub, alpha, gamma))",
+        ["tests/test_kernels.py::test_equivariance_sides_match_the_reference_compositions"],
+    ),
+    (
+        "target-before-key-adds-beta-to-the-last-order",
+        "operators.py",
+        "key = tuple(map(add, alpha, beta)) + alpha[-1:]",
+        "key = tuple(map(add, alpha, beta + (1,)))",
+        ["tests/test_kernels.py::test_equivariance_sides_match_the_reference_compositions"],
+    ),
+    (
+        "labels-below-memo-hands-out-a-list",
+        "operators.py",
+        "    return tuple((alpha, fall) for alpha, _, fall in out)\n",
+        "    return [(alpha, fall) for alpha, _, fall in out]\n",
+        ["tests/test_kernels.py::test_memo_is_bounded_and_hands_out_tuples"],
+    ),
+    (
+        "restricted-leibniz-memo-is-unbounded",
+        "operators.py",
+        "@lru_cache(maxsize=4096)\ndef _restricted_leibniz(",
+        "@lru_cache(maxsize=None)\ndef _restricted_leibniz(",
+        ["tests/test_kernels.py::test_memo_is_bounded_and_hands_out_tuples"],
+    ),
+    # -- no inexact scalar at the exact-scalar boundary --------------------------
+    (
+        "rational-takes-a-float",
+        "algebra.py",
+        "if type(x) is int or isinstance(x, (numbers.Rational, str)):",
+        "if type(x) is int or isinstance(x, (numbers.Real, complex, str)):",
+        ["tests/test_no_float.py::test_entry_point_rejects_an_inexact_scalar"],
     ),
 ]
 

@@ -3,15 +3,26 @@
 The exact-scalar normal form (test_algebra, test_weyl and test_rep), the
 entrywise difference of two operator matrices (test_rep), the
 restricting kernels of `operators` (shared by test_algebra, test_weyl and
-test_operators), the vector- and operator-level loops of the two
-equivariance checks (test_operators and test_verma), and the
-component-group signs as products of `Fraction` entries (test_liealg,
-test_engine and test_verma); not a test module.
+test_operators), the generator-frame versions of the term kernels'
+exponent arithmetic and the compositions that `SBO.sums` and
+`IDOOp.sums` stand for (test_kernels), the vector- and operator-level
+loops of the two equivariance checks (test_operators, test_kernels and
+test_verma), and the component-group signs as products of `Fraction`
+entries (test_liealg, test_engine and test_verma); not a test module.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
-from fmethod.algebra import Polynomial, monomial_basis, monomials_up_to
+from fmethod.algebra import (
+    Polynomial,
+    add_terms,
+    canonical_sums,
+    derivative_terms,
+    monomial_basis,
+    monomials_up_to,
+)
 from fmethod.liealg import SL, parabolic
 from fmethod.rep import VectorValuedPolynomial, dpi_lambda, dpi_target
 from fmethod.weyl import WeylElement
@@ -43,6 +54,83 @@ def entry_differences(a, b) -> dict:
     where the two differ, by the arithmetic of `WeylElement`."""
     keys = set(a.terms) | set(b.terms)
     return {k: a.entry(*k) - b.entry(*k) for k in keys if a.entry(*k) != b.entry(*k)}
+
+
+# -- the term kernels' exponent arithmetic in generator frames ---------------
+
+
+def monomial_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def add_product(acc: dict, p: dict, q: dict, scale=1) -> None:
+    """`algebra.add_product`: acc += scale * p * q, a cancelled sum kept as 0."""
+    for m1, c1 in p.items():
+        if scale != 1:
+            c1 = c1 * scale
+        for m2, c2 in q.items():
+            m = monomial_mul(m1, m2)
+            c = c1 * c2
+            old = acc.get(m)
+            acc[m] = c if old is None else old + c
+
+
+def add_composite(sums: dict, p: dict, alpha, q: dict, beta) -> None:
+    """`weyl._add_composite`: sums += (p d^alpha) o (q d^beta) by the Leibniz rule."""
+    for gamma in itertools.product(*(range(a + 1) for a in alpha)):
+        dq = derivative_terms(q, gamma)
+        if dq:
+            binom = math.prod(math.comb(a, g) for a, g in zip(alpha, gamma))
+            key = tuple(a - g + b for a, g, b in zip(alpha, gamma, beta))
+            add_product(sums.setdefault(key, {}), p, dq, binom)
+
+
+def labels_below(e, k) -> list:
+    """`operators._labels_below`: (alpha, prod e_i!/(e_i - alpha_i)!) over alpha <= e, |alpha| = k."""
+    out = [((), 0, 1)]
+    later = sum(e)
+    for ei in e:
+        later -= ei
+        out = [
+            (alpha + (a,), used + a, fall * math.perm(ei, a))
+            for alpha, used, fall in out
+            for a in range(max(0, k - used - later), min(ei, k - used) + 1)
+        ]
+    return [(alpha, fall) for alpha, _, fall in out]
+
+
+def restricted_leibniz(alpha, e) -> list:
+    """`operators._restricted_leibniz`: (gamma, C(alpha, gamma) e!/(e-gamma)!) with gamma_n = e_n."""
+    if e[-1] > alpha[-1]:
+        return []
+    out = [((), 1)]
+    for a, x in zip(alpha[:-1], e[:-1]):
+        out = [
+            (gamma + (g,), factor * math.comb(a, g) * math.perm(x, g))
+            for gamma, factor in out
+            for g in range(min(a, x) + 1)
+        ]
+    last = math.comb(alpha[-1], e[-1]) * math.factorial(e[-1])
+    return [(gamma + (e[-1],), factor * last) for gamma, factor in out]
+
+
+def sbo_images(D, f: dict) -> dict:
+    """`SBO.sums` as canonical sums: each component applied to f by
+    `WeylElement.apply`, then Rest_{x_n=0}."""
+    p = Polynomial(D.n, f)
+    return canonical_sums({lbl: rest(op.apply(p)).terms for lbl, op in D.components})
+
+
+def ido_images(n: int, k: int, comps: dict) -> dict:
+    """`IDOOp.sums` as canonical sums: d^alpha of each input component at
+    label alpha + its label, over the alpha of degree k."""
+    out = {}
+    for in_lbl, terms in comps.items():
+        p = Polynomial(n, terms)
+        for alpha in monomial_basis(n, k):
+            lbl = tuple(a + b for a, b in zip(alpha, in_lbl))
+            add_terms(out.setdefault(lbl, {}), p.derivative_multi(alpha).terms)
+    return canonical_sums(out)
 
 
 # -- the equivariance checks on built operators and vectors -------------------

@@ -1003,7 +1003,7 @@ def test_family_solve_equals_member_solves(family):
 
 _FAMILY_OF_EACH_KIND = [
     Family("sl", 3, 1, 1, ((0, 0), (1, 1)), (Fraction(-1), Fraction(1, 3), Fraction(5))),
-    Family("gp", 3, 1, 1, ((0, 1),), (Fraction(-1), Fraction(-1, 3))),
+    Family("gp", 3, 1, 1, ((0, 0),), (Fraction(-1), Fraction(-1, 3))),
     Family("gprime", 3, 1, 1, ((0, 0),), (Fraction(-1), Fraction(-1, 3))),
     Family("gl", 2, 1, 1, ((0, 0), (1, 1)), (Fraction(-1), Fraction(1, 3)),
            (Fraction(0), Fraction(1, 2))),
@@ -1050,8 +1050,28 @@ def test_fsystem_rows_are_built_once_per_stage(monkeypatch, family):
         built.clear()
         solve_family(some, cap, **mode)
         assert len(built) == stages and all(built)
-    # the gp family has the flipped sign: no degree has an equivariant vector
-    assert len(members) >= 2 and (stages >= 1) == (family.kind != "gp")
+    assert len(members) >= 2 and stages >= 1
+
+
+def test_a_family_of_the_flipped_sign_builds_no_fsystem_rows(monkeypatch):
+    """The homs family at the flipped sign has no equivariant vector in any
+    degree: one context, no F-system stage, and every row still ok."""
+    built, stages = [], []
+    init, fsystem_rows = _SolveContext.__init__, _SolveContext.fsystem_rows
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def counting_rows(self, unknowns, eq_vectors):
+        stages.append(len(eq_vectors))
+        return fsystem_rows(self, unknowns, eq_vectors)
+
+    monkeypatch.setattr(_SolveContext, "__init__", counting_init)
+    monkeypatch.setattr(_SolveContext, "fsystem_rows", counting_rows)
+    rows = engine.run_cell(Family("gp", 3, 1, 1, ((0, 1),), (Fraction(-1), Fraction(-1, 3))))
+    assert len(rows) == 2 and all(row["ok"] for row in rows)
+    assert len(built) == 1 and stages == []
 
 
 @pytest.mark.parametrize("change", ["lambda_2 gap", "alpha", "beta", "ell"])

@@ -1,16 +1,26 @@
-"""No floating point in the package: a syntax walk over src/fmethod/*.py.
+"""No floating point in the package: a syntax walk over src/fmethod/*.py,
+and no inexact scalar through its entry points.
 
-Flags a float (or complex) literal, a call of `float`, any `math` name
-outside the exact integer functions below, and every `/` (or `/=`) that
-has no `Fraction(...)` call as an operand: polynomial coefficients are
-ints wherever they are integral, and true division of two ints gives a
-float.
+The walk flags a float (or complex) literal, a call of `float`, any `math`
+name outside the exact integer functions below, and every `/` (or `/=`)
+that has no `Fraction(...)` call as an operand: polynomial coefficients
+are ints wherever they are integral, and true division of two ints gives
+a float.  Every constructor that takes a scalar from a caller raises
+TypeError on a float, a complex or a Decimal, all floating point
+(`Fraction(0.1)` is not 1/10).
 """
 
 import ast
 import pathlib
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
+
+from fmethod.algebra import Polynomial, exact
+from fmethod.liealg import LieElement
+from fmethod.rep import ScalarRepParams, TargetRepParams
+from fmethod.verma import VermaModule
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "fmethod"
 
@@ -96,3 +106,36 @@ def test_guard_passes_exact_code():
         "z /= Fraction(3)\n"
     )
     assert float_uses(clean) == []
+
+
+# each entry point with a scalar argument, and the exact value it keeps of 1/10
+ENTRY_POINTS = {
+    "exact": (exact, lambda got: got),
+    "Polynomial": (lambda x: Polynomial(1, {(1,): x}), lambda got: got.terms[(1,)]),
+    "ScalarRepParams.sl": (lambda x: ScalarRepParams.sl(3, x), lambda got: got.lam[0]),
+    "ScalarRepParams.gl": (lambda x: ScalarRepParams.gl(3, 1, x), lambda got: got.lam[1]),
+    "TargetRepParams.sl": (lambda x: TargetRepParams.sl(3, x, ell=1), lambda got: got.nu[0]),
+    "TargetRepParams.gl": (lambda x: TargetRepParams.gl(3, x, 0), lambda got: got.nu[0]),
+    "VermaModule.of": (lambda x: VermaModule.of(3, False, 1, x), lambda got: -got.nu_ind[0]),
+    "LieElement.from_units": (
+        lambda x: LieElement.from_units(2, "sl", [((0, 1), x)]), lambda got: got[0, 1]
+    ),
+    "LieElement.scale": (
+        lambda x: LieElement.from_units(2, "sl", [((0, 1), 1)]).scale(x), lambda got: got[0, 1]
+    ),
+}
+
+
+@pytest.mark.parametrize("inexact", [0.1, 0.5, 1 + 0j, Decimal("0.1")], ids=repr)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_point_rejects_an_inexact_scalar(entry, inexact):
+    build, _ = ENTRY_POINTS[entry]
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        build(inexact)
+
+
+@pytest.mark.parametrize("tenth", [Fraction(1, 10), "1/10"], ids=repr)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_point_keeps_an_exact_scalar(entry, tenth):
+    build, read = ENTRY_POINTS[entry]
+    assert read(build(tenth)) == Fraction(1, 10)
