@@ -246,6 +246,7 @@ class _LieData:
     source_signs: tuple
     target_signs: tuple
     label_solves: dict = field(default_factory=dict)  # ell: `solve_labels` of the fiber S^ell
+    raising_acts: dict = field(default_factory=dict)  # ell: each raising element's m-action on S^ell
 
     @classmethod
     def of(cls, pd, block, diag, raising, gammas, n_plus):
@@ -416,9 +417,10 @@ class _SolveContext:
         self._connected = connected
         self._two_rho = pd.two_rho()
         self.weights = self._weights(source)
-        self.raising = tuple(
-            (piece, self.fiber.m_action(Z, pd)) for Z, piece in zip(lie.raising, lie.raising_ops)
-        )
+        acts = lie.raising_acts.get(target.ell)
+        if acts is None:
+            acts = lie.raising_acts[target.ell] = tuple(self.fiber.m_action(Z, pd) for Z in lie.raising)
+        self.raising = tuple(zip(lie.raising_ops, acts))
         # c0 = c0(base) + sum_i w_i c0(part_i)
         self._shifts = tuple(
             self.fiber.weight(Z, pd) - c0 - sum(w * c for w, c in zip(self.weights, weight_c0))

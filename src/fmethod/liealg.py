@@ -9,7 +9,14 @@ Elements store only their nonzero entries: per row, the sorted
 (column, Fraction) pairs.  Almost every operand is a matrix unit or a
 short sum of them, so a sum, bracket, hash or comparison costs
 O(size + nonzeros), not (n+1)^2 or 2(n+1)^3.  Entries are read through
-`X[i, j]` or by iterating the rows.
+`X[i, j]` or by iterating the rows.  `LieElement.from_units` refuses a
+repeated unit and an index outside the matrix.  An element computes its
+hash once, from the entries and whether it is GL; there is no `str` in
+it, so it is the same in every process whatever PYTHONHASHSEED, and a
+pickled element (a `--jobs` worker's) carries a valid one.
+`ParabolicData` builds its bases and fixed elements (h0~, h0~', J0, J0',
+the component-group generators) once per instance; each basis call still
+returns a fresh list of those elements.
 
 The component group's generators are diagonal with entries +-1, so every
 sign the solver and the Verma modules read is -1 to an integer parity:
@@ -21,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, wraps
 
 from .algebra import rational
 
@@ -56,11 +63,22 @@ class LieElement:
 
     @classmethod
     def from_units(cls, size, flavor, units):
-        """The element sum v*E_{i+1,j+1} over ((i, j), v) in `units` (0-based, distinct)."""
+        """The element sum v*E_{i+1,j+1} over ((i, j), v) in `units` (0-based, distinct).
+
+        ValueError on an index outside 0..size-1 or a repeated (i, j).
+        """
         rows = [{} for _ in range(size)]
         for (i, j), v in units:
+            if not (0 <= i < size and 0 <= j < size) or j in rows[i]:
+                raise ValueError(f"unit ({i}, {j}) is repeated or outside a {size}x{size} matrix")
             rows[i][j] = rational(v)
         return cls(tuple(_row(r) for r in rows), flavor)
+
+    def __hash__(self):
+        """Computed once; no `str` in it, so equal in every process whatever PYTHONHASHSEED."""
+        if "_hash" not in self.__dict__:
+            object.__setattr__(self, "_hash", hash((self.entries, self.flavor == GL)))
+        return self._hash
 
     @classmethod
     def zero(cls, size, flavor=SL):
@@ -135,6 +153,17 @@ def bracket(X: LieElement, Y: LieElement) -> LieElement:
     return LieElement(tuple(rows), X.flavor)
 
 
+def _built_once(method):
+    """A list method of `primed` whose elements are built once per instance; each call gets a fresh list."""
+
+    @wraps(method)
+    def fresh(self, primed=False):
+        built, key = self.__dict__.setdefault("_built", {}), (method.__name__, primed)
+        return list(built[key] if key in built else built.setdefault(key, tuple(method(self, primed))))
+
+    return fresh
+
+
 @dataclass(frozen=True)
 class ParabolicData:
     """Basis data for the pair (g, g') and the maximal parabolics P, P'.
@@ -172,23 +201,23 @@ class ParabolicData:
         """N_j^- = E_{j+1,1}, j = 1..n."""
         return self.unit(j + 1, 1)
 
-    @property
+    @cached_property
     def h0_tilde(self):
         n = self.n
         return self._diag([1] + [Fraction(-1, n)] * n)
 
-    @property
+    @cached_property
     def h0_tilde_prime(self):
         n = self.n
         return self._diag([1] + [Fraction(-1, n - 1)] * (n - 1) + [0])
 
-    @property
+    @cached_property
     def j0(self):
         if self.flavor != GL:
             raise ValueError("J0 exists only for GL")
         return self._diag([0] + [Fraction(1, self.n)] * self.n)
 
-    @property
+    @cached_property
     def j0_prime(self):
         if self.flavor != GL:
             raise ValueError("J0' exists only for GL")
@@ -197,14 +226,17 @@ class ParabolicData:
 
     # -- bases ----------------------------------------------------------
 
+    @_built_once
     def n_plus_basis(self, primed=False):
         top = self.n - 1 if primed else self.n
         return [self.n_plus(j) for j in range(1, top + 1)]
 
+    @_built_once
     def n_minus_basis(self, primed=False):
         top = self.n - 1 if primed else self.n
         return [self.n_minus(j) for j in range(1, top + 1)]
 
+    @_built_once
     def m_basis(self, primed=False):
         """Basis of m (sl(n)-block, rows 2..n+1) or m' (rows 2..n)."""
         top = self.n if primed else self.n + 1
@@ -216,10 +248,12 @@ class ParabolicData:
         out.extend(self.m_cartan(primed))
         return out
 
+    @_built_once
     def m_cartan(self, primed=False):
         top = self.n if primed else self.n + 1
         return [self._cartan(i) for i in range(2, top)]
 
+    @_built_once
     def l_basis(self, primed=False):
         out = [self.h0_tilde_prime if primed else self.h0_tilde]
         if self.flavor == GL:
@@ -227,11 +261,13 @@ class ParabolicData:
         out.extend(self.m_basis(primed))
         return out
 
+    @_built_once
     def g_basis(self, primed=False):
         return self.n_minus_basis(primed) + self.l_basis(primed) + self.n_plus_basis(primed)
 
     # -- disconnected generators -----------------------------------------
 
+    @_built_once
     def gamma_elements(self, primed=False):
         """Group generators of the component group of M (resp. M').
 

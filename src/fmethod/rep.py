@@ -6,11 +6,19 @@ noncompact-picture formula
     dpi(X) f = (fiber action of the l-part of Ad(nbar^{-1})X) f
                - dR((Ad(nbar^{-1})X)_{n_-}) f
 
-symbolically in the coordinates x of n_-.  Because n_- is abelian the
-Ad-series stops at the quadratic term, so the l-part and the n_--part are
-matrices of polynomials of degree <= 2 and the result is a matrix of
-exact Weyl operators over the fiber labels; for the scalar fiber
-`SymFiber(0, 0, w)` of the line bundle it is one Weyl operator.
+symbolically in the coordinates x of n_-.  Because n_- is abelian,
+Ad(exp(-sum_k x_k N_k^-))X = (I - U) X (I + U) with U = sum_k x_k E_{k+1,1}
+and U^2 = 0, so `_conjugate` reads every entry M_ij(x), a polynomial of
+degree <= 2, off the sparse rows of X in one pass.  The n_--part is
+column 0; the characters are the corner M_00 and, for GL, the trace; and
+one kernel, `_fiber_terms`, gives the fiber action of the l-part, linear
+in the block entries Z_ij = M_ij - delta_ij (M_00 h0~[i, i]
++ tr X J0[i, i]): it sends e^k to k_j Z_ij e^{k - e_j + e_i}, and the
+dual fiber uses the transpose, negated.  The result is a matrix of exact
+Weyl operators over the fiber labels; for the scalar fiber
+`SymFiber(0, 0, w)` of the line bundle it is one Weyl operator.  The same
+kernel, with no variable, is `SymFiber.act` and `m_action` on a constant
+element.
 
 Weight bookkeeping: the A-characters are normalized by dchi(H0~) = 1 and,
 for GL, dchi2(J0) = 1.  The representation dpi_lambda uses the inducing
@@ -25,14 +33,13 @@ the identity every classification below rests on.
 The weights enter affinely: the fiber acts on the l-part through the
 characters, so induced_operator(X, .., fiber with weights w) equals
 base + sum_i w_i part_i, where base is the operator at weight 0 and part_i
-the operator at the unit weight e_i minus base.  part_i is read off the
-Ad series directly: it multiplies every label by the polynomial whose
-x^mono coefficient is the i-th character of that term of the series, so
-it is one `WeylElement`, added to each diagonal entry of base.
-`_affine_parts` builds these pieces once per Lie element, algebra, number
-of variables, fiber shape and picture (x, or its Fourier transform), with
-one `induced_operator` call, for base; every builder below, and the Verma
-action, assembles its operator from them through `affine_operator`.
+the operator at the unit weight e_i minus base.  part_i multiplies every
+label by the i-th character, M_00(x) or tr X, so it is one `WeylElement`,
+added to each diagonal entry of base.  `_affine_parts` builds these pieces
+once per Lie element, algebra, number of variables, fiber shape and
+picture (x, or its Fourier transform), with one `induced_operator` call,
+for base; every builder below, and the Verma action, assembles its
+operator from them through `affine_operator`.
 `dpi_hat_parts` hands the Fourier-side pieces of the line bundle to the
 engine as they are: the engine's record of an algebra and nilradical mode
 reads them once per element, and a solve combines them with each
@@ -44,8 +51,8 @@ parts, into {derivative key: {monomial: coefficient}} dicts and calls
 each constructor once; an operator matrix (`OperatorOnVV`) has no
 arithmetic of its own.
 
-Lie elements are sparse (see `liealg`), so the series, the l-part split
-and the m-action of `SymFiber` touch only nonzero entries.
+Lie elements are sparse (see `liealg`), so the closed form and the fiber
+kernel touch only nonzero entries.
 """
 
 from __future__ import annotations
@@ -54,8 +61,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Polynomial, add_terms, monomial_basis, monomial_key, rational, unit_monomial
-from .liealg import GL, SL, LieElement, ParabolicData, bracket, parabolic
+from .algebra import Polynomial, add_product, add_terms, monomial_basis, monomial_key, rational, unit_monomial
+from .liealg import GL, SL, LieElement, ParabolicData, parabolic
 from .weyl import DUAL_VAR, WeylElement
 
 
@@ -278,119 +285,101 @@ class SymFiber:
         return sum(w * c for w, c in zip(self.weights, characters(L, pd)))
 
     def act(self, L: LieElement, pd: ParabolicData) -> dict:
-        """Action of L on the labels, as {(out label, in label): coefficient}.
+        """Action of L on the labels, as a fresh {(out label, in label): coefficient}.
 
-        The m-part does not depend on the character weights, so it is
-        built once per (degree, block, dual, L, pd) and shared by every
-        fiber with those data; the weight is added on the diagonal of a
-        fresh copy.
+        `_fiber_terms` with no x-variable, each coefficient read off its
+        one term.
         """
-        out = dict(self.m_action(L, pd))
-        weight = self.weight(L, pd)
-        if weight:
-            for k in self.labels():
-                out[(k, k)] = out.get((k, k), Fraction(0)) + weight
-            out = {k: v for k, v in out.items() if v}
-        return out
+        terms = _fiber_terms(self, *_conjugate(L, 0), pd)
+        return {key: t[()] for key, t in terms.items() if t.get(())}
 
     def m_action(self, L: LieElement, pd: ParabolicData) -> dict:
-        """The m-part of `act`, without the character weight.
-
-        Shared between calls and fibers: callers must not mutate it.
-        """
-        return _sym_m_action(self.degree, self.block, self.dual, L, pd)
+        """The m-part of `act`, without the character weight, as a fresh dict."""
+        return replace(self, weights=()).act(L, pd)
 
 
-@lru_cache(maxsize=1024)
-def _sym_m_action(degree, block, dual, L: LieElement, pd: ParabolicData) -> dict:
-    """The m-part of SymFiber.act: the action with every character weight zero.
+def _fiber_terms(fiber: SymFiber, M, chars, pd: ParabolicData) -> dict:
+    """{(out label, in label): {x-monomial: coefficient}}: the fiber acting on the l-part of M.
 
-    Shared between calls: `act` copies it before adding the weight, and
-    `m_action` returns it as it is.
+    M and `chars`, the characters (M_00, tr M) as term dicts, are what
+    `_conjugate` returns.  The m-part sends e^k to sum_ij k_j Z_ij
+    e^{k - e_j + e_i} over the block entries Z_ij = M_ij - delta_ij
+    (M_00 h0~[i, i] + tr M J0[i, i]), with h0~', J0' on the primed block
+    and the J0 term for GL only; the dual fiber uses the transpose,
+    negated.  The characters add sum_i w_i chars_i, w the fiber's
+    weights, on every diagonal entry.  Cancelled sums stay as 0.
     """
-    c1 = L[0, 0]
-    Z = L.sub((pd.h0_tilde_prime if block == pd.n - 1 else pd.h0_tilde).scale(c1))
-    if pd.flavor == GL:
-        Z = Z.sub((pd.j0_prime if block == pd.n - 1 else pd.j0).scale(L.trace()))
-    # the nonzero entries B[i][j] of the block, 0-based, in (j, i) order
-    B = sorted(
-        (j - 1, i - 1, b)
-        for i in range(1, block + 1)
-        for j, b in Z.entries[i]
-        if 1 <= j <= block
-    )
+    primed = fiber.block == pd.n - 1
+    h = pd.h0_tilde_prime if primed else pd.h0_tilde
+    Z = {}  # {(j, i): Z_ij}, 0-based block indices
+    for i in range(1, fiber.block + 1):
+        Z.update(((j - 1, i - 1), t) for j, t in M[i].items() if 1 <= j <= fiber.block)
+        diagonal = Z[i - 1, i - 1] = dict(Z.get((i - 1, i - 1), {}))
+        add_terms(diagonal, chars[0], -h[i, i])
+        if pd.flavor == GL:
+            add_terms(diagonal, chars[1], -(pd.j0_prime if primed else pd.j0)[i, i])
+    Z = sorted(Z.items())
+    labels = fiber.labels()
     out = {}
-    for k in monomial_basis(block, degree):
-        for j, i, b in B:
+    for k in labels:
+        for (j, i), t in Z:
             if k[j]:
-                coeff = k[j] * b
                 kk = list(k)
                 kk[j] -= 1
                 kk[i] += 1
                 kk = tuple(kk)
-                key = (k, kk) if dual else (kk, k)
-                sgn = -coeff if dual else coeff
-                out[key] = out.get(key, Fraction(0)) + sgn
-    return {k: v for k, v in out.items() if v}
+                key, c = ((k, kk), -k[j]) if fiber.dual else ((kk, k), k[j])
+                add_terms(out.setdefault(key, {}), t, c)
+    for w, c in zip(fiber.weights, chars):
+        if w:
+            for k in labels:
+                add_terms(out.setdefault((k, k), {}), c, w)
+    return out
 
 
 # -- the engine --------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _ad_series(X: LieElement, pd: ParabolicData, num_x: int):
-    """Ad(exp(-sum x_k N_k^-)) X as {x-monomial: LieElement}.
+def _conjugate(X: LieElement, num_x: int) -> tuple:
+    """(M, chars): M = Ad(exp(-sum_k x_k N_k^-)) X as rows {column: {x-monomial: coefficient}}.
 
-    n_- is abelian, so the series stops at the quadratic term
-    X - sum_k x_k [N_k^-, X] + 1/2 sum_{k,l} x_k x_l [N_k^-, [N_l^-, X]].
+    n_- is abelian: with U = sum_k x_k E_{k+1,1}, U^2 = 0, so the series
+    is (I - U) X (I + U).  With P = X (I + U), whose column 0 gains
+    sum_k X_ik x_k, M_ij = P_ij - x_i P_0j: every entry has degree <= 2,
+    and only column 0 reaches degree 2.  `chars` are the characters
+    (M_00, tr M = tr X) as term dicts.
     """
-    series = {(0,) * num_x: X}
-
-    def put(mono, elt):
-        if elt.is_zero():
-            return
-        cur = series.get(mono)
-        series[mono] = elt if cur is None else cur.add(elt)
-
-    lowers = [pd.n_minus(k) for k in range(1, num_x + 1)]
-    firsts = [bracket(N, X) for N in lowers]
-    for k, Bk in enumerate(firsts):
-        put(unit_monomial(num_x, k), Bk.scale(-1))
-    for k, N in enumerate(lowers):
-        for l, Bl in enumerate(firsts):
-            if Bl.is_zero():
-                continue
-            mono = [0] * num_x
-            mono[k] += 1
-            mono[l] += 1
-            put(tuple(mono), bracket(N, Bl).scale(Fraction(1, 2)))
-    return {m: e for m, e in series.items() if not e.is_zero()}
+    zero = (0,) * num_x
+    P = []
+    for row in X.entries:
+        p = {j: {zero: v} for j, v in row}
+        p.setdefault(0, {}).update((unit_monomial(num_x, j - 1), v) for j, v in row if 0 < j <= num_x)
+        P.append(p)
+    for i, p in enumerate(P[1 : num_x + 1]):
+        minus_x = {unit_monomial(num_x, i): -1}
+        for j, t in P[0].items():
+            add_product(p.setdefault(j, {}), minus_x, t)
+    return P, (P[0][0], {zero: X.trace()})
 
 
 def induced_operator(X: LieElement, pd: ParabolicData, num_x: int, fiber) -> OperatorOnVV:
     """The noncompact-picture action of X on polynomials tensor fiber."""
-    series = _ad_series(X, pd, num_x)
-    labels = fiber.labels()
+    M, chars = _conjugate(X, num_x)
     lowering = {}  # the n_- part, the same on every label: {d_j: {x-monomial: coefficient}}
-    l_part = {}  # {(out label, in label): {x-monomial: coefficient}}
-    for mono, L in series.items():
-        lower, middle, upper = pd.gn_project(L)
-        # n_- part: -dR = -sum g_j(x) d_j ; dR(N_j^-) = d/dx_j
-        for j in range(num_x):
-            if lower[j + 1, 0]:
-                lowering.setdefault(unit_monomial(num_x, j), {})[mono] = -lower[j + 1, 0]
-        # components of n_- outside the active coordinates must vanish;
-        # the n_+ part (`upper`) acts trivially in this picture
-        for j in range(num_x + 1, pd.n + 1):
-            if lower[j, 0]:
+    for i in range(1, pd.n + 1):
+        column = M[i].get(0, {})
+        if any(column.values()):
+            # components of n_- outside the active coordinates must vanish
+            if i > num_x:
                 raise ValueError("element leaves the active subalgebra")
-        # l part: fiber action with polynomial coefficient x^mono
-        for key, val in fiber.act(middle, pd).items():
-            l_part.setdefault(key, {})[mono] = val
+            # -dR = -sum g_j(x) d_j ; dR(N_j^-) = d/dx_j
+            lowering[unit_monomial(num_x, i - 1)] = {m: -c for m, c in column.items()}
+    # the n_+ part (row 0) acts trivially in this picture
+    labels = fiber.labels()
     # a label without an l part on its diagonal shares one n_- operator
     shared = WeylElement.from_sums(num_x, lowering)
     terms = {(lbl, lbl): shared for lbl in labels}
-    for key, t in l_part.items():
+    for key, t in _fiber_terms(fiber, M, chars, pd).items():
         # order 0 against the n_- part's order 1: no derivative key is shared
         diagonal = shared.terms if key[0] == key[1] else {}
         terms[key] = WeylElement(num_x, {**diagonal, (0,) * num_x: Polynomial(num_x, t)})
@@ -405,21 +394,16 @@ def _affine_parts(X: LieElement, pd: ParabolicData, num_x: int, shape, fourier: 
     """(base, part_1, .., part_k): the weight-free pieces of the action of X.
 
     `shape` is a fiber with every weight zero, so `base` is its
-    `induced_operator`.  The characters act on the l-part L_mono of each
-    term x^mono of the Ad series by scalars, so part_i, the operator at the
-    unit weight e_i minus `base`, acts on every label alike: it is the one
-    `WeylElement` of multiplication by p_i(x) = sum_mono w_i(L_mono) x^mono,
-    with w_i the character weight at e_i; a fiber with weights w acts by
+    `induced_operator`.  The characters act on the l-part by the scalars
+    (M_00(x), tr X), so part_i, the operator at the unit weight e_i minus
+    `base`, acts on every label alike: it is the one `WeylElement` of
+    multiplication by the i-th of them; a fiber with weights w acts by
     base plus sum_i w_i part_i on each diagonal entry.  With `fourier` the
     same pieces are Fourier transformed, each once; the transform is linear.
     """
     base = induced_operator(X, pd, num_x, shape)
-    # the characters read only the diagonal, where L and its l-part agree
-    chars = {mono: characters(L, pd) for mono, L in _ad_series(X, pd, num_x).items()}
-    parts = [
-        WeylElement.from_sums(num_x, {(0,) * num_x: {mono: c[i] for mono, c in chars.items()}})
-        for i in range(len(shape.weights))
-    ]
+    chars = _conjugate(X, num_x)[1]
+    parts = [WeylElement.from_sums(num_x, {(0,) * num_x: chars[i]}) for i in range(len(shape.weights))]
     return tuple(op.fourier() for op in (base, *parts)) if fourier else (base, *parts)
 
 

@@ -257,8 +257,8 @@ MUTANTS = [
     (
         "affine-parts-read-the-first-character-for-every-weight",
         "rep.py",
-        "{mono: c[i] for mono, c in chars.items()}",
-        "{mono: c[0] for mono, c in chars.items()}",
+        "{(0,) * num_x: chars[i]}",
+        "{(0,) * num_x: chars[0]}",
         ["tests/test_rep.py"],
     ),
     (
@@ -271,9 +271,67 @@ MUTANTS = [
     (
         "induced-operator-flips-the-n-minus-sign",
         "rep.py",
-        "lowering.setdefault(unit_monomial(num_x, j), {})[mono] = -lower[j + 1, 0]",
-        "lowering.setdefault(unit_monomial(num_x, j), {})[mono] = lower[j + 1, 0]",
+        "{m: -c for m, c in column.items()}",
+        "{m: c for m, c in column.items()}",
         ["tests/test_rep.py"],
+    ),
+    # -- the closed form (I - U) X (I + U) and its one fiber kernel ---------------
+    (
+        "closed-form-drops-u-x-u",
+        "rep.py",
+        "        for j, t in P[0].items():\n",
+        "        for j, t in ((j, {(0,) * num_x: v}) for j, v in X.entries[0]):\n",
+        ["tests/test_rep.py::test_closed_form_matches_the_bracket_series"],
+    ),
+    (
+        "fiber-drops-the-h0-shift",
+        "rep.py",
+        "        add_terms(diagonal, chars[0], -h[i, i])\n",
+        "",
+        ["tests/test_rep.py::test_closed_form_matches_the_bracket_series"],
+    ),
+    (
+        "fiber-drops-the-j0-shift",
+        "rep.py",
+        "            add_terms(diagonal, chars[1], -(pd.j0_prime if primed else pd.j0)[i, i])\n",
+        "            pass\n",
+        ["tests/test_rep.py::test_closed_form_matches_the_bracket_series"],
+    ),
+    (
+        "dual-fiber-keeps-the-sign",
+        "rep.py",
+        "((k, kk), -k[j]) if fiber.dual",
+        "((k, kk), k[j]) if fiber.dual",
+        ["tests/test_rep.py::test_closed_form_matches_the_bracket_series"],
+    ),
+    (
+        "element-guard-dropped",
+        "rep.py",
+        "            if i > num_x:\n                raise ValueError(\"element leaves the active subalgebra\")\n",
+        "",
+        ["tests/test_rep.py::test_an_element_outside_the_active_subalgebra_is_refused"],
+    ),
+    (
+        "raising-actions-rebuilt-per-family",
+        "engine.py",
+        "        acts = lie.raising_acts.get(target.ell)\n",
+        "        acts = None\n",
+        ["tests/test_engine.py::test_raising_actions_are_built_once_per_record_and_ell"],
+    ),
+    # -- Lie elements: checked units, a cached hash free of str -------------------
+    (
+        "from-units-accepts-a-repeated-unit",
+        "liealg.py",
+        " or j in rows[i]:",
+        ":",
+        ["tests/test_liealg.py::test_from_units_rejects_a_bad_unit"],
+    ),
+    (
+        "hash-reads-the-flavor-string",
+        "liealg.py",
+        "hash((self.entries, self.flavor == GL))",
+        "hash((self.entries, self.flavor))",
+        ["tests/test_liealg.py::test_hash_is_the_same_under_every_hash_seed"],
     ),
     # -- one Leibniz loop for compose and fourier -------------------------------
     (

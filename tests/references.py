@@ -7,8 +7,10 @@ test_operators), the generator-frame versions of the term kernels'
 exponent arithmetic and the compositions that `SBO.sums` and
 `IDOOp.sums` stand for (test_kernels), the vector- and operator-level
 loops of the two equivariance checks (test_operators, test_kernels and
-test_verma), and the component-group signs as products of `Fraction`
-entries (test_liealg, test_engine and test_verma); not a test module.
+test_verma), the component-group signs as products of `Fraction`
+entries (test_liealg, test_engine and test_verma), and the noncompact-
+picture action built from the bracket series of Ad(exp(-sum x_k N_k^-))
+(test_liealg and test_rep); not a test module.
 """
 
 import itertools
@@ -22,9 +24,10 @@ from fmethod.algebra import (
     derivative_terms,
     monomial_basis,
     monomials_up_to,
+    unit_monomial,
 )
-from fmethod.liealg import SL, parabolic
-from fmethod.rep import VectorValuedPolynomial, dpi_lambda, dpi_target
+from fmethod.liealg import GL, SL, bracket, parabolic
+from fmethod.rep import OperatorOnVV, VectorValuedPolynomial, characters, dpi_lambda, dpi_target
 from fmethod.weyl import WeylElement
 
 
@@ -290,3 +293,109 @@ def gamma_action(module, gamma, v):
         terms = {mono: c * zeta_sign(gamma, mono) * fsign * char for mono, c in p.terms.items()}
         comps[lbl] = Polynomial(module.num_vars, terms, "zeta")
     return VectorValuedPolynomial(module.num_vars, comps, "zeta")
+
+
+# -- the noncompact-picture action from the bracket series ----------------------
+
+
+def ad_series(X, pd, num_x):
+    """Ad(exp(-sum x_k N_k^-)) X as {x-monomial: LieElement}.
+
+    n_- is abelian, so the series stops at the quadratic term
+    X - sum_k x_k [N_k^-, X] + 1/2 sum_{k,l} x_k x_l [N_k^-, [N_l^-, X]].
+    """
+    series = {(0,) * num_x: X}
+
+    def put(mono, elt):
+        if elt.is_zero():
+            return
+        cur = series.get(mono)
+        series[mono] = elt if cur is None else cur.add(elt)
+
+    lowers = [pd.n_minus(k) for k in range(1, num_x + 1)]
+    firsts = [bracket(N, X) for N in lowers]
+    for k, Bk in enumerate(firsts):
+        put(unit_monomial(num_x, k), Bk.scale(-1))
+    for k, N in enumerate(lowers):
+        for l, Bl in enumerate(firsts):
+            if Bl.is_zero():
+                continue
+            mono = [0] * num_x
+            mono[k] += 1
+            mono[l] += 1
+            put(tuple(mono), bracket(N, Bl).scale(Fraction(1, 2)))
+    return {m: e for m, e in series.items() if not e.is_zero()}
+
+
+def sym_m_action(fiber, L, pd):
+    """The m-part of `SymFiber.act` on the l-element L, from the block of
+    L - dchi(L) h0~ (- dchi2(L) J0 for GL), entry by entry."""
+    block = fiber.block
+    c1 = L[0, 0]
+    Z = L.sub((pd.h0_tilde_prime if block == pd.n - 1 else pd.h0_tilde).scale(c1))
+    if pd.flavor == GL:
+        Z = Z.sub((pd.j0_prime if block == pd.n - 1 else pd.j0).scale(L.trace()))
+    B = sorted(
+        (j - 1, i - 1, b)
+        for i in range(1, block + 1)
+        for j, b in Z.entries[i]
+        if 1 <= j <= block
+    )
+    out = {}
+    for k in monomial_basis(block, fiber.degree):
+        for j, i, b in B:
+            if k[j]:
+                coeff = k[j] * b
+                kk = list(k)
+                kk[j] -= 1
+                kk[i] += 1
+                kk = tuple(kk)
+                key = (k, kk) if fiber.dual else (kk, k)
+                sgn = -coeff if fiber.dual else coeff
+                out[key] = out.get(key, Fraction(0)) + sgn
+    return {k: v for k, v in out.items() if v}
+
+
+def fiber_action(fiber, L, pd):
+    """`SymFiber.act`: `sym_m_action` plus the character weight on the diagonal."""
+    out = sym_m_action(fiber, L, pd)
+    weight = fiber.weight(L, pd)
+    if weight:
+        for k in fiber.labels():
+            out[(k, k)] = out.get((k, k), Fraction(0)) + weight
+    return {k: v for k, v in out.items() if v}
+
+
+def induced_operator(X, pd, num_x, fiber):
+    """`rep.induced_operator` from `ad_series`: per term of the series, its
+    Gelfand-Naimark split, the n_- part as -dR and the fiber action of the l part."""
+    labels = fiber.labels()
+    lowering, l_part = {}, {}
+    for mono, L in ad_series(X, pd, num_x).items():
+        lower, middle, _ = pd.gn_project(L)
+        for j in range(num_x):
+            if lower[j + 1, 0]:
+                lowering.setdefault(unit_monomial(num_x, j), {})[mono] = -lower[j + 1, 0]
+        for j in range(num_x + 1, pd.n + 1):
+            if lower[j, 0]:
+                raise ValueError("element leaves the active subalgebra")
+        for key, val in fiber_action(fiber, middle, pd).items():
+            l_part.setdefault(key, {})[mono] = val
+    shared = WeylElement.from_sums(num_x, lowering)
+    terms = {(lbl, lbl): shared for lbl in labels}
+    for key, t in l_part.items():
+        diagonal = shared.terms if key[0] == key[1] else {}
+        terms[key] = WeylElement(num_x, {**diagonal, (0,) * num_x: Polynomial(num_x, t)})
+    return OperatorOnVV(num_x, labels, labels, terms)
+
+
+def affine_parts(X, pd, num_x, shape, fourier):
+    """`rep._affine_parts` from `ad_series`: the zero-weight `induced_operator`
+    and, per character, multiplication by that character of each series term."""
+    base = induced_operator(X, pd, num_x, shape)
+    chars = {mono: characters(L, pd) for mono, L in ad_series(X, pd, num_x).items()}
+    parts = [
+        WeylElement.from_sums(num_x, {(0,) * num_x: {mono: c[i] for mono, c in chars.items()}})
+        for i in range(len(shape.weights))
+    ]
+    return tuple(op.fourier() for op in (base, *parts)) if fourier else (base, *parts)

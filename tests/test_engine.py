@@ -687,6 +687,21 @@ def test_fiber_action_is_a_fresh_dict():
 
 @pytest.mark.parametrize("full", [False, True])
 @pytest.mark.parametrize("flavor", [SL, GL])
+def test_raising_actions_are_built_once_per_record_and_ell(flavor, full):
+    """Two families of one mode and ell (a critical and a generic lambda)
+    read the same m-actions of the raising elements off the record."""
+    critical = _SolveContext(*_enumeration_case(3, flavor, full, True)[:2], full_nilradical=full)
+    generic = _SolveContext(*_enumeration_case(3, flavor, full, False)[:2], full_nilradical=full)
+    pd = critical.pd
+    assert critical.fiber.weights != generic.fiber.weights
+    assert len(critical.raising) == len(critical.lie.raising)
+    for Z, (piece, act), (other_piece, other_act) in zip(critical.lie.raising, critical.raising, generic.raising):
+        assert piece is other_piece and act is other_act
+        assert act == critical.fiber.m_action(Z, pd) == generic.fiber.m_action(Z, pd) != {}
+
+
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("flavor", [SL, GL])
 def test_lie_data_is_shared_and_immutable(flavor, full):
     pd = parabolic(3, flavor)
     critical = _SolveContext(*_enumeration_case(3, flavor, full, True)[:2], full_nilradical=full)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmethod.liealg import LieElement, ParabolicData, bracket, parabolic
-from references import fiber_sign, sign_character, zeta_sign
+from references import ad_series, fiber_sign, sign_character, zeta_sign
 
 
 def _from_rows(rows, flavor="sl"):
@@ -122,11 +122,9 @@ def test_jacobi_identity_sampled():
 
 
 def test_ad_series_degree_at_most_two():
-    from fmethod.rep import _ad_series
-
     pd = parabolic(3)
     for X in pd.g_basis():
-        series = _ad_series(X, pd, 3)
+        series = ad_series(X, pd, 3)
         assert max(sum(mono) for mono in series) <= 2
 
 
@@ -278,6 +276,68 @@ def test_basis_lists_are_fresh_and_equal(flavor, primed):
 
 
 
+@pytest.mark.parametrize("flavor", ["sl", "gl"])
+def test_bases_and_fixed_elements_are_built_once_per_instance(flavor):
+    pd = ParabolicData(3, flavor)
+    for name in ("n_plus_basis", "n_minus_basis", "m_basis", "m_cartan", "l_basis",
+                 "g_basis", "gamma_elements"):
+        for primed in (False, True):
+            a, b = getattr(pd, name)(primed), getattr(pd, name)(primed)
+            assert a is not b and all(x is y for x, y in zip(a, b)) and len(a) == len(b)
+    fixed = ("h0_tilde", "h0_tilde_prime") + (("j0", "j0_prime") if flavor == "gl" else ())
+    assert all(getattr(pd, name) is getattr(pd, name) for name in fixed)
+
+
+_HASH_SCRIPT = (
+    "import pickle, sys\n"
+    "from fmethod.liealg import LieElement, parabolic\n"
+    "x = parabolic(3, 'gl').h0_tilde_prime.add(parabolic(3, 'gl').unit(2, 3))\n"
+    "y = pickle.loads(bytes.fromhex(sys.argv[1]))\n"
+    "print(hash(x), hash(y), hash(LieElement(y.entries, y.flavor)))\n"
+)
+
+
+def test_hash_is_the_same_under_every_hash_seed():
+    """The cached hash has no `str` in it: two interpreters with different
+    PYTHONHASHSEED values, and a pickle round trip into each, agree with
+    this process."""
+    pd = parabolic(3, "gl")
+    element = pd.h0_tilde_prime.add(pd.unit(2, 3))
+    payload = pickle.dumps(element).hex()  # carries the hash cached above
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", _HASH_SCRIPT, payload], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [str(hash(element))] * 3
+    assert hash(pickle.loads(pickle.dumps(element))) == hash(element)
+
+
+@pytest.mark.parametrize(
+    "units",
+    [
+        [((0, 1), 1), ((0, 1), 2)],  # repeated: the last value used to win
+        [((1, 1), 1), ((0, 2), 3), ((1, 1), -1)],  # repeated, even when the sum is 0
+        [((-1, 0), 1)],  # used to wrap around to the last row
+        [((0, -1), 1)],
+        [((0, 5), 1)],  # used to give E16 on a 3x3 element
+        [((3, 0), 1)],
+    ],
+)
+def test_from_units_rejects_a_bad_unit(units):
+    with pytest.raises(ValueError, match="repeated or outside a 3x3 matrix"):
+        LieElement.from_units(3, "sl", units)
+
+
+def test_unit_takes_one_based_indices():
+    pd = parabolic(2)
+    assert pd.unit(1, 2) == LieElement.from_units(3, "sl", [((0, 1), 1)])
+    for i, j in ((0, 1), (1, 0), (4, 1), (1, 4)):
+        with pytest.raises(ValueError, match="outside a 3x3 matrix"):
+            pd.unit(i, j)
+
+
 # -- the sparse layout against dense rows -----------------------------------------
 
 
@@ -354,8 +414,6 @@ def series_cases(draw):
 @settings(max_examples=120, deadline=None)
 def test_ad_series_matches_dense_expansion(case):
     """Ad(exp(-Y)) X = X - [Y, X] + 1/2 [Y, [Y, X]] at a point, Y = sum x_k N_k^-, densely."""
-    from fmethod.rep import _ad_series
-
     pd, X, num_x, x = case
     size = pd.size
     Y = tuple(
@@ -374,7 +432,7 @@ def test_ad_series_matches_dense_expansion(case):
         tuple(a - b + c / 2 for a, b, c in zip(ra, rb, rc)) for ra, rb, rc in zip(A, ad1, ad2)
     )
     got = [[Fraction(0)] * size for _ in range(size)]
-    for mono, L in _ad_series(X, pd, num_x).items():
+    for mono, L in ad_series(X, pd, num_x).items():
         assert sum(mono) <= 2 and not L.is_zero()
         weight = Fraction(1)
         for xv, e in zip(x, mono):

@@ -24,6 +24,7 @@ from fmethod.rep import (
 )
 from fmethod.verma import VermaModule, _verma_action
 from fmethod.weyl import WeylElement
+import references
 from references import entry_differences, is_exact_normal_form
 
 
@@ -286,7 +287,7 @@ def test_fourier_of_zero_operator_takes_the_dual_role():
     assert zero.fourier().var == "x"
 
 
-# -- the assembled operators against a direct induced_operator ------------------
+# -- the assembled operators against the bracket-series induced_operator ---------
 
 
 _weights = st.one_of(
@@ -342,8 +343,8 @@ def test_scalar_builders_match_direct_induced_operator(element, data):
     pd, X = element
     lam = _weight_tuple(data.draw, pd)
     params = ScalarRepParams(pd.n, pd.flavor, (0,) * len(lam), lam)
-    direct = induced_operator(X, pd, pd.n, SymFiber(0, 0, lam))
-    dual = induced_operator(X, pd, pd.n, SymFiber(0, 0, params.dual_weights()))
+    direct = references.induced_operator(X, pd, pd.n, SymFiber(0, 0, lam))
+    dual = references.induced_operator(X, pd, pd.n, SymFiber(0, 0, params.dual_weights()))
     assert dpi_lambda(X, params) == direct.scalar_entry()
     assert dpi_lambda_star(X, params) == dual.scalar_entry()
     assert dpi_hat(X, params) == dual.fourier().scalar_entry()
@@ -357,7 +358,7 @@ def test_dpi_target_matches_direct_induced_operator(element, ell, data):
     nu = _weight_tuple(data.draw, pd)
     params = TargetRepParams(pd.n, pd.flavor, (0,) * len(nu), nu, ell)
     fiber = SymFiber(ell, pd.n - 1, nu, dual=True)
-    _same(dpi_target(X, params), induced_operator(X, pd, pd.n - 1, fiber))
+    _same(dpi_target(X, params), references.induced_operator(X, pd, pd.n - 1, fiber))
 
 
 @given(st.booleans(), st.integers(0, 2), st.data())
@@ -368,7 +369,7 @@ def test_verma_action_matches_direct_induced_operator(primed, degree, data):
     module = VermaModule(pd.n, pd.flavor, primed, degree, nu, (0,) * len(nu))
     dw = module.dual_weights()
     fiber = SymFiber(0, 0, dw) if degree == 0 else SymFiber(degree, module.num_vars, dw)
-    _same(_verma_action(module, X), induced_operator(X, pd, module.num_vars, fiber).fourier())
+    _same(_verma_action(module, X), references.induced_operator(X, pd, module.num_vars, fiber).fourier())
 
 
 @given(st.booleans(), st.integers(-1, 2), st.booleans(), st.booleans(), st.data())
@@ -380,13 +381,13 @@ def test_affine_parts_match_unit_weight_operators(primed, ell, dual, fourier, da
     num_x = pd.n - 1 if primed else pd.n
     zeros = tuple(Fraction(0) for _ in pd.two_rho())
     shape = SymFiber(0, 0, zeros) if ell < 0 else SymFiber(ell, num_x, zeros, dual)
-    base = induced_operator(X, pd, num_x, shape)
+    base = references.induced_operator(X, pd, num_x, shape)
     got = _affine_parts(X, pd, num_x, shape, fourier)
     assert len(got) == 1 + len(zeros)
     _same(got[0], base.fourier() if fourier else base)
     for i, part in enumerate(got[1:]):
         unit = tuple(Fraction(int(i == j)) for j in range(len(zeros)))
-        diff = entry_differences(induced_operator(X, pd, num_x, replace(shape, weights=unit)), base)
+        diff = entry_differences(references.induced_operator(X, pd, num_x, replace(shape, weights=unit)), base)
         assert all(out == inp for out, inp in diff)
         assert isinstance(part, WeylElement)
         for lbl in base.in_labels:
@@ -407,9 +408,80 @@ def test_weights_reach_every_label_of_the_center_of_gl(primed, ell, fourier):
     weights = (Fraction(1, 3), Fraction(-2))
     fiber = SymFiber(0, 0, weights) if ell < 0 else SymFiber(ell, num_x, weights, True)
     got = affine_operator(identity, pd, num_x, fiber, fourier)
-    direct = induced_operator(identity, pd, num_x, fiber)
+    direct = references.induced_operator(identity, pd, num_x, fiber)
     _same(got, direct.fourier() if fourier else direct)
     assert all((lbl, lbl) in got.terms for lbl in got.in_labels)
+
+
+# -- the closed form (I - U) X (I + U) against the bracket series ----------------
+
+
+@st.composite
+def closed_form_cases(draw):
+    """(pd, X, num_x): n = 2..6, num_x in {n, n - 1}; X a basis element of g,
+    a bracket of two, or a rational combination of distinct matrix units."""
+    pd = parabolic(draw(st.integers(2, 6)), draw(st.sampled_from([SL, GL])))
+    num_x = draw(st.sampled_from([pd.n, pd.n - 1]))
+    basis = pd.g_basis()
+    kind = draw(st.sampled_from(["basis", "bracket", "units"]))
+    if kind == "basis":
+        X = draw(st.sampled_from(basis))
+    elif kind == "bracket":
+        X = bracket(draw(st.sampled_from(basis)), draw(st.sampled_from(basis)))
+    else:
+        cells = st.tuples(st.integers(0, pd.n), st.integers(0, pd.n))
+        units = draw(st.dictionaries(cells, _weights, min_size=1, max_size=5))
+        X = LieElement.from_units(pd.size, pd.flavor, units.items())
+    return pd, X, num_x
+
+
+_nonzero_weights = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool)
+
+
+@given(closed_form_cases(), st.integers(-1, 4), st.booleans(), st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_closed_form_matches_the_bracket_series(case, ell, dual, fourier, data):
+    """`_affine_parts`, `induced_operator` at random nonzero weights and
+    `SymFiber.m_action` and `act` equal the reference built term by term
+    from the bracket series; where the reference leaves the active
+    subalgebra, so does the closed form."""
+    pd, X, num_x = case
+    zeros = tuple(Fraction(0) for _ in pd.two_rho())
+    shape = SymFiber(0, 0, zeros) if ell < 0 else SymFiber(ell, num_x, zeros, dual)
+    weights = tuple(data.draw(_nonzero_weights) for _ in zeros)
+    fiber = replace(shape, weights=weights)
+    try:
+        expected = references.affine_parts(X, pd, num_x, shape, fourier)
+    except ValueError as error:
+        assert str(error) == "element leaves the active subalgebra"
+        for build in (lambda: _affine_parts(X, pd, num_x, shape, fourier),
+                      lambda: induced_operator(X, pd, num_x, fiber)):
+            with pytest.raises(ValueError, match="element leaves the active subalgebra"):
+                build()
+    else:
+        got = _affine_parts(X, pd, num_x, shape, fourier)
+        _same(got[0], expected[0])
+        assert got[1:] == expected[1:]
+        _same(induced_operator(X, pd, num_x, fiber), references.induced_operator(X, pd, num_x, fiber))
+    assert fiber.m_action(X, pd) == references.sym_m_action(fiber, X, pd)
+    assert fiber.act(X, pd) == references.fiber_action(fiber, X, pd)
+
+
+@pytest.mark.parametrize("flavor", [SL, GL])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_an_element_outside_the_active_subalgebra_is_refused(n, flavor):
+    """N_n^- has no coordinate among x_1..x_{n-1}: with num_x = n - 1 both
+    entry points refuse it, and the reference agrees; N_{n-1}^- is kept."""
+    pd = parabolic(n, flavor)
+    zeros = tuple(Fraction(0) for _ in pd.two_rho())
+    for shape in (SymFiber(0, 0, zeros), SymFiber(1, n - 1, zeros, True)):
+        for build in (induced_operator, references.induced_operator,
+                      lambda *args: _affine_parts(*args, False)):
+            with pytest.raises(ValueError, match="element leaves the active subalgebra"):
+                build(pd.n_minus(n), pd, n - 1, shape)
+        op = induced_operator(pd.n_minus(n - 1), pd, n - 1, shape)
+        lbl = op.in_labels[0]
+        assert op.entry(lbl, lbl) == WeylElement.partial(n - 1, n - 2).scale(-1)
 
 
 _X = Polynomial(2, {(1, 0): Fraction(2, 3), (0, 2): -1}, "zeta")
