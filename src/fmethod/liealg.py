@@ -14,9 +14,8 @@ repeated unit and an index outside the matrix.  An element computes its
 hash once, from the entries and whether it is GL; there is no `str` in
 it, so it is the same in every process whatever PYTHONHASHSEED, and a
 pickled element (a `--jobs` worker's) carries a valid one.
-`ParabolicData` builds its bases and fixed elements (h0~, h0~', J0, J0',
-the component-group generators) once per instance; each basis call still
-returns a fresh list of those elements.
+`ParabolicData` builds its fixed elements h0~, h0~', J0 and J0' once per
+instance.
 
 The component group's generators are diagonal with entries +-1, so every
 sign the solver and the Verma modules read is -1 to an integer parity:
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property, lru_cache
 
 from .algebra import rational
 
@@ -39,11 +38,6 @@ GL = "gl"
 def _row(acc):
     """A sparse row from a {column: value} dict, zeros dropped."""
     return tuple(sorted((j, v) for j, v in acc.items() if v))
-
-
-def _split_first_column(row):
-    """(the column-0 pair of a sparse row, or (), and the rest of the row)."""
-    return (row[:1], row[1:]) if row and row[0][0] == 0 else ((), row)
 
 
 def _add_products(acc, row, rows, sign=1):
@@ -153,17 +147,6 @@ def bracket(X: LieElement, Y: LieElement) -> LieElement:
     return LieElement(tuple(rows), X.flavor)
 
 
-def _built_once(method):
-    """A list method of `primed` whose elements are built once per instance; each call gets a fresh list."""
-
-    @wraps(method)
-    def fresh(self, primed=False):
-        built, key = self.__dict__.setdefault("_built", {}), (method.__name__, primed)
-        return list(built[key] if key in built else built.setdefault(key, tuple(method(self, primed))))
-
-    return fresh
-
-
 @dataclass(frozen=True)
 class ParabolicData:
     """Basis data for the pair (g, g') and the maximal parabolics P, P'.
@@ -226,17 +209,14 @@ class ParabolicData:
 
     # -- bases ----------------------------------------------------------
 
-    @_built_once
     def n_plus_basis(self, primed=False):
         top = self.n - 1 if primed else self.n
         return [self.n_plus(j) for j in range(1, top + 1)]
 
-    @_built_once
     def n_minus_basis(self, primed=False):
         top = self.n - 1 if primed else self.n
         return [self.n_minus(j) for j in range(1, top + 1)]
 
-    @_built_once
     def m_basis(self, primed=False):
         """Basis of m (sl(n)-block, rows 2..n+1) or m' (rows 2..n)."""
         top = self.n if primed else self.n + 1
@@ -248,12 +228,10 @@ class ParabolicData:
         out.extend(self.m_cartan(primed))
         return out
 
-    @_built_once
     def m_cartan(self, primed=False):
         top = self.n if primed else self.n + 1
         return [self._cartan(i) for i in range(2, top)]
 
-    @_built_once
     def l_basis(self, primed=False):
         out = [self.h0_tilde_prime if primed else self.h0_tilde]
         if self.flavor == GL:
@@ -261,13 +239,11 @@ class ParabolicData:
         out.extend(self.m_basis(primed))
         return out
 
-    @_built_once
     def g_basis(self, primed=False):
         return self.n_minus_basis(primed) + self.l_basis(primed) + self.n_plus_basis(primed)
 
     # -- disconnected generators -----------------------------------------
 
-    @_built_once
     def gamma_elements(self, primed=False):
         """Group generators of the component group of M (resp. M').
 
@@ -293,17 +269,7 @@ class ParabolicData:
             self.size, self.flavor, [((i, i), d) for i, d in enumerate(diag) if d]
         )
 
-    # -- projections and characters ---------------------------------------
-
-    def gn_project(self, X: LieElement):
-        """Split X into (n_- part, l part, n_+ part)."""
-        firsts, rests = zip(*(_split_first_column(row) for row in X.entries))
-        blank = ((),) * (self.size - 1)
-        return (
-            LieElement(((),) + firsts[1:], self.flavor),
-            LieElement((firsts[0],) + rests[1:], self.flavor),
-            LieElement((rests[0],) + blank, self.flavor),
-        )
+    # -- characters -------------------------------------------------------
 
     def sign_coefficients(self, gamma: LieElement, block: int) -> tuple:
         """Per sign component, the parity it adds at a diagonal component-group element.

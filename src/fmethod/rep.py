@@ -38,8 +38,9 @@ label by the i-th character, M_00(x) or tr X, so it is one `WeylElement`,
 added to each diagonal entry of base.  `_affine_parts` builds these pieces
 once per Lie element, algebra, number of variables, fiber shape and
 picture (x, or its Fourier transform), with one `induced_operator` call,
-for base; every builder below, and the Verma action, assembles its
-operator from them through `affine_operator`.
+for base, and the characters read off row 0 of X; every builder below,
+and the Verma action, assembles its operator from them through
+`affine_operator`.
 `dpi_hat_parts` hands the Fourier-side pieces of the line bundle to the
 engine as they are: the engine's record of an algebra and nilradical mode
 reads them once per element, and a solve combines them with each
@@ -311,13 +312,14 @@ def _fiber_terms(fiber: SymFiber, M, chars, pd: ParabolicData) -> dict:
     """
     primed = fiber.block == pd.n - 1
     h = pd.h0_tilde_prime if primed else pd.h0_tilde
+    j0 = (pd.j0_prime if primed else pd.j0) if pd.flavor == GL else None
     Z = {}  # {(j, i): Z_ij}, 0-based block indices
     for i in range(1, fiber.block + 1):
         Z.update(((j - 1, i - 1), t) for j, t in M[i].items() if 1 <= j <= fiber.block)
         diagonal = Z[i - 1, i - 1] = dict(Z.get((i - 1, i - 1), {}))
         add_terms(diagonal, chars[0], -h[i, i])
-        if pd.flavor == GL:
-            add_terms(diagonal, chars[1], -(pd.j0_prime if primed else pd.j0)[i, i])
+        if j0 is not None:
+            add_terms(diagonal, chars[1], -j0[i, i])
     Z = sorted(Z.items())
     labels = fiber.labels()
     out = {}
@@ -359,7 +361,18 @@ def _conjugate(X: LieElement, num_x: int) -> tuple:
         minus_x = {unit_monomial(num_x, i): -1}
         for j, t in P[0].items():
             add_product(p.setdefault(j, {}), minus_x, t)
-    return P, (P[0][0], {zero: X.trace()})
+    return P, _characters(X, num_x)
+
+
+def _characters(X: LieElement, num_x: int) -> tuple:
+    """The characters (M_00, tr X) of `_conjugate` as term dicts.
+
+    Row 0 of M is row 0 of X (I + U), so M_00 = X_00 + sum_k X_0k x_k.
+    """
+    zero = (0,) * num_x
+    corner = {zero: X[0, 0]} if X[0, 0] else {}
+    corner.update((unit_monomial(num_x, j - 1), v) for j, v in X.entries[0] if 0 < j <= num_x)
+    return corner, {zero: X.trace()}
 
 
 def induced_operator(X: LieElement, pd: ParabolicData, num_x: int, fiber) -> OperatorOnVV:
@@ -402,7 +415,7 @@ def _affine_parts(X: LieElement, pd: ParabolicData, num_x: int, shape, fourier: 
     same pieces are Fourier transformed, each once; the transform is linear.
     """
     base = induced_operator(X, pd, num_x, shape)
-    chars = _conjugate(X, num_x)[1]
+    chars = _characters(X, num_x)
     parts = [WeylElement.from_sums(num_x, {(0,) * num_x: chars[i]}) for i in range(len(shape.weights))]
     return tuple(op.fourier() for op in (base, *parts)) if fourier else (base, *parts)
 

@@ -293,8 +293,15 @@ MUTANTS = [
     (
         "fiber-drops-the-j0-shift",
         "rep.py",
-        "            add_terms(diagonal, chars[1], -(pd.j0_prime if primed else pd.j0)[i, i])\n",
+        "            add_terms(diagonal, chars[1], -j0[i, i])\n",
         "            pass\n",
+        ["tests/test_rep.py::test_closed_form_matches_the_bracket_series"],
+    ),
+    (
+        "corner-character-drops-its-x-terms",
+        "rep.py",
+        "    corner.update((unit_monomial(num_x, j - 1), v) for j, v in X.entries[0] if 0 < j <= num_x)\n",
+        "",
         ["tests/test_rep.py::test_closed_form_matches_the_bracket_series"],
     ),
     (

@@ -10,7 +10,8 @@ loops of the two equivariance checks (test_operators, test_kernels and
 test_verma), the component-group signs as products of `Fraction`
 entries (test_liealg, test_engine and test_verma), and the noncompact-
 picture action built from the bracket series of Ad(exp(-sum x_k N_k^-))
-(test_liealg and test_rep); not a test module.
+and the Gelfand-Naimark split of each term (test_liealg and test_rep);
+not a test module.
 """
 
 import itertools
@@ -26,7 +27,7 @@ from fmethod.algebra import (
     monomials_up_to,
     unit_monomial,
 )
-from fmethod.liealg import GL, SL, bracket, parabolic
+from fmethod.liealg import GL, SL, LieElement, bracket, parabolic
 from fmethod.rep import OperatorOnVV, VectorValuedPolynomial, characters, dpi_lambda, dpi_target
 from fmethod.weyl import WeylElement
 
@@ -298,6 +299,23 @@ def gamma_action(module, gamma, v):
 # -- the noncompact-picture action from the bracket series ----------------------
 
 
+def _split_first_column(row):
+    """(the column-0 pair of a sparse row, or (), and the rest of the row)."""
+    return (row[:1], row[1:]) if row and row[0][0] == 0 else ((), row)
+
+
+def gn_project(pd, X):
+    """The Gelfand-Naimark split of X into (n_- part, l part, n_+ part):
+    column 0 below the corner, the corner and the block, row 0 right of the corner."""
+    firsts, rests = zip(*(_split_first_column(row) for row in X.entries))
+    blank = ((),) * (pd.size - 1)
+    return (
+        LieElement(((),) + firsts[1:], pd.flavor),
+        LieElement((firsts[0],) + rests[1:], pd.flavor),
+        LieElement((rests[0],) + blank, pd.flavor),
+    )
+
+
 def ad_series(X, pd, num_x):
     """Ad(exp(-sum x_k N_k^-)) X as {x-monomial: LieElement}.
 
@@ -372,7 +390,7 @@ def induced_operator(X, pd, num_x, fiber):
     labels = fiber.labels()
     lowering, l_part = {}, {}
     for mono, L in ad_series(X, pd, num_x).items():
-        lower, middle, _ = pd.gn_project(L)
+        lower, middle, _ = gn_project(pd, L)
         for j in range(num_x):
             if lower[j + 1, 0]:
                 lowering.setdefault(unit_monomial(num_x, j), {})[mono] = -lower[j + 1, 0]
