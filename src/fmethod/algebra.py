@@ -41,16 +41,20 @@ zeros and empty labels where sums are compared without building a
 container.
 
 Linear algebra has one kernel: `sparse_rref`, exact Gauss-Jordan
-elimination on sparse {column: Fraction} rows.  `sparse_nullspace`,
+elimination on sparse {column: value} rows.  `sparse_nullspace`,
 `rref_basis`, `same_span` and the dense `Matrix` adapter all reduce
 through it.  The reduced row echelon form is unique, so every canonical
 basis is independent of how the rows were produced.
 
-Coordinate vectors are sparse dicts everywhere: the vectors these
-functions return map a column to a nonzero Fraction, the rows they take
-may also hold zeros (the kernel drops them), and a column is any key that
-orders against the others (an index, or a (monomial, label) pair).
-`Matrix` is the only dense form, the reference that `_sparse` and
+Coordinate vectors are sparse dicts everywhere, in the normal form of
+`exact` in and out: each row entry enters through `exact` (so a float
+raises TypeError), and every value the kernels keep and return is an int
+when integral and a Fraction otherwise, so integral elimination runs as
+int arithmetic.  The vectors returned map a column to a nonzero value,
+the rows taken may also hold zeros (the kernel drops them), and a column
+is any key that orders against the others (an index, or a (monomial,
+label) pair).  `Matrix` is the only dense form, Fraction-valued (its
+entries enter through `rational`), the reference that `_sparse` and
 `_densify` convert for.
 
 Values are immutable after construction and safe to share.
@@ -382,7 +386,7 @@ class Matrix:
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows, ncols=None):
-        self.rows = [[Fraction(x) for x in row] for row in rows]
+        self.rows = [[rational(x) for x in row] for row in rows]
         self.nrows = len(self.rows)
         if self.nrows:
             self.ncols = len(self.rows[0])
@@ -422,7 +426,7 @@ def _sparse(vectors) -> list[dict]:
 
 
 def _densify(row: dict, ncols: int) -> list[Fraction]:
-    return [row.get(c, Fraction(0)) for c in range(ncols)]
+    return [Fraction(row.get(c, 0)) for c in range(ncols)]
 
 
 def sparse_rref(rows) -> dict:
@@ -431,24 +435,28 @@ def sparse_rref(rows) -> dict:
     Returns the nonzero rows of the reduced row echelon form as
     {pivot column: row}, in ascending pivot order.  Each row is 1 at its
     pivot, which is its first column, and has no entry in any other pivot
-    column.  Values must be Fractions or ints; the result holds Fractions
-    only, and the input rows are not modified.  The RREF of a row space is
-    unique, so the result does not depend on the order of the rows.
+    column.  Each value enters through `exact`: an int, a Fraction or a
+    string such as "-7/2", while a float, a complex or a Decimal raises
+    TypeError.  Every value of the result is in its normal form, an int
+    when integral and a Fraction otherwise.  The input rows are not
+    modified.  The RREF of a row space is unique, so the
+    result does not depend on the order of the rows.
 
     Each row is reduced by the pivot rows found so far; a nonzero remainder
-    becomes a new pivot row at its first column and is eliminated from the
-    earlier pivot rows.
+    becomes a new pivot row at its first column, divided by its lead unless
+    that is 1, and is eliminated from the earlier pivot rows.
     """
     reduced = {}
     for row in rows:
-        row = {c: v for c, v in row.items() if v}
+        row = {c: x for c, v in row.items() if (x := exact(v))}
         for p in [c for c in row if c in reduced]:
             _subtract(row, row.pop(p), reduced[p], p)
         if not row:
             continue
         p = min(row)
-        inv = 1 / Fraction(row[p])
-        row = {c: v * inv for c, v in row.items()}
+        if row[p] != 1:
+            inv = 1 / Fraction(row[p])
+            row = {c: exact(v * inv) for c, v in row.items()}
         for other in reduced.values():
             if p in other:
                 _subtract(other, other.pop(p), row, p)
@@ -462,7 +470,7 @@ def _subtract(row: dict, f, pivot_row: dict, p) -> None:
         if c != p:
             x = row.get(c, 0) - f * v
             if x:
-                row[c] = x
+                row[c] = x.numerator if type(x) is Fraction and x.denominator == 1 else x
             else:
                 del row[c]
 
@@ -470,9 +478,11 @@ def _subtract(row: dict, f, pivot_row: dict, p) -> None:
 def sparse_nullspace(rows, ncols: int) -> list[dict]:
     """Kernel basis of sparse rows ({column: value} dicts) over columns 0..ncols-1.
 
-    One {column: Fraction} vector per free column of the RREF, in column
-    order, with its columns ascending and its first entry 1.  No rows at
-    all leave every column free: the unit basis.
+    One {column: value} vector per free column of the RREF, in column
+    order, with its columns ascending and its first entry 1; its values are
+    in the normal form of `exact`, and the rows are taken as `sparse_rref`
+    takes them (a float raises TypeError).  No rows at all leave every
+    column free: the unit basis.
     """
     reduced = sparse_rref(rows)
     basis = {c: {} for c in range(ncols) if c not in reduced}
@@ -483,10 +493,12 @@ def sparse_nullspace(rows, ncols: int) -> list[dict]:
     out = []
     for c, v in basis.items():
         # every pivot in v lies left of its free column c
-        v[c] = Fraction(1)
+        v[c] = 1
         lead = next(iter(v.values()))
-        inv = 1 / Fraction(lead)
-        out.append(v if lead == 1 else {k: x * inv for k, x in v.items()})
+        if lead != 1:
+            inv = 1 / Fraction(lead)
+            v = {k: exact(x * inv) for k, x in v.items()}
+        out.append(v)
     return out
 
 

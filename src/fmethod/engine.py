@@ -91,6 +91,7 @@ from functools import cached_property, lru_cache
 from .algebra import (
     Polynomial,
     add_terms,
+    exact,
     monomial_basis,
     rref_basis,
     same_span,
@@ -169,7 +170,7 @@ def _to_vvps(vectors, unknowns, arity) -> list:
 
 def _add_entry(rows, key, col, value):
     row = rows.setdefault(key, {})
-    row[col] = row.get(col, Fraction(0)) + value
+    row[col] = row.get(col, 0) + value
 
 
 def _eigenvalue_form(op):
@@ -429,8 +430,11 @@ class _SolveContext:
         self._data = self._family_data(source, target)
 
     def _weights(self, source):
-        """A member's `dual_weights`, 2rho - lambda, with 2rho read once per family."""
-        return tuple(r - lam for r, lam in zip(self._two_rho, source.lam))
+        """A member's `dual_weights`, 2rho - lambda, with 2rho read once per family.
+
+        Each weight is an `exact` scalar, so an integral lambda weighs the
+        F-system's piece rows with ints."""
+        return tuple(exact(r - lam) for r, lam in zip(self._two_rho, source.lam))
 
     def _family_data(self, source, target):
         """What the solve reads of a member besides its weights.

@@ -429,12 +429,41 @@ MUTANTS = [
         "@lru_cache(maxsize=None)\ndef _restricted_leibniz(",
         ["tests/test_kernels.py::test_memo_is_bounded_and_hands_out_tuples"],
     ),
+    # -- the exact-scalar normal form through the elimination --------------------
+    (
+        "subtract-keeps-an-integral-fraction",
+        "algebra.py",
+        "                row[c] = x.numerator if type(x) is Fraction and x.denominator == 1 else x\n",
+        "                row[c] = x\n",
+        ["tests/test_algebra.py::test_sparse_kernels_return_the_exact_normal_form"],
+    ),
+    (
+        "nullspace-unit-entry-is-a-fraction",
+        "algebra.py",
+        "        v[c] = 1\n",
+        "        v[c] = Fraction(1)\n",
+        ["tests/test_algebra.py::test_sparse_kernels_return_the_exact_normal_form"],
+    ),
+    (
+        "pivot-row-with-an-int-lead-is-not-rescaled",
+        "algebra.py",
+        "        if row[p] != 1:\n",
+        "        if type(row[p]) is not int:\n",
+        ["tests/test_algebra.py::test_sparse_kernels_return_the_exact_normal_form"],
+    ),
     # -- no inexact scalar at the exact-scalar boundary --------------------------
     (
         "rational-takes-a-float",
         "algebra.py",
         "if type(x) is int or isinstance(x, (numbers.Rational, str)):",
         "if type(x) is int or isinstance(x, (numbers.Real, complex, str)):",
+        ["tests/test_no_float.py::test_entry_point_rejects_an_inexact_scalar"],
+    ),
+    (
+        "row-entry-skips-exact",
+        "algebra.py",
+        "        row = {c: x for c, v in row.items() if (x := exact(v))}\n",
+        "        row = {c: v for c, v in row.items() if v}\n",
         ["tests/test_no_float.py::test_entry_point_rejects_an_inexact_scalar"],
     ),
 ]

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fmethod.algebra import (
@@ -309,12 +309,58 @@ def test_sparse_kernel_matches_dense_reference(case):
     assert [_dense_row(r, ncols) for r in rref_basis(sparse)] == red[: len(pivots)]
     expected = _dense_nullspace(rows, ncols)
     kernel = sparse_nullspace(sparse, ncols)
-    assert [_dense_row(v, ncols) for v in kernel] == Matrix(rows, ncols).nullspace() == expected
+    dense_kernel = Matrix(rows, ncols).nullspace()
+    assert [_dense_row(v, ncols) for v in kernel] == dense_kernel == expected
+    assert all(type(x) is Fraction for v in dense_kernel for x in v)
     for v in kernel:
-        assert all(type(x) is Fraction and x for x in v.values())
+        assert all(is_exact_normal_form(x) for x in v.values())
         assert list(v) == sorted(v) and v[min(v)] == 1
-    for v in expected:
-        assert all(type(x) is Fraction for x in v)
+    for row in reduced.values():
+        assert all(is_exact_normal_form(x) for x in row.values())
+
+
+# an entry as a caller passes it: 0, an int, an integral Fraction or a proper Fraction
+mixed_entries = st.one_of(
+    st.just(0), st.integers(-4, 4), st.integers(-4, 4).map(Fraction), small_fractions
+)
+
+
+@st.composite
+def mixed_rows(draw, max_rows=6, max_cols=5):
+    """(sparse rows, ncols); a row may keep zeros, as the engine's cancelled sums do."""
+    ncols = draw(st.integers(0, max_cols))
+    row = st.dictionaries(st.integers(0, max(ncols - 1, 0)), mixed_entries, max_size=ncols)
+    return draw(st.lists(row, max_size=max_rows)), ncols
+
+
+def _typed(rows):
+    return [[(c, x, type(x)) for c, x in row.items()] for row in rows]
+
+
+@given(mixed_rows())
+# eliminating pivot 1 from the first row leaves 1/2 + 1/2 at column 2
+@example(([{0: 1, 1: Fraction(1, 2), 2: Fraction(1, 2)}, {1: 1, 2: -1}], 3))
+# a lead of 1 as an integral Fraction, and one of -1 as an int
+@example(([{0: Fraction(1), 1: Fraction(3, 1)}, {0: 1, 2: -1}, {2: -1, 3: 2}], 4))
+@settings(max_examples=150, deadline=None)
+def test_sparse_kernels_return_the_exact_normal_form(case):
+    """Every value `sparse_rref`, `rref_basis` and `sparse_nullspace` return
+    is an int exactly when it is integral, never 0 nor a float, and equals
+    the dense Fraction reference; the input rows are left as they were."""
+    rows, ncols = case
+    before = _typed(rows)
+    dense = [_dense_row(row, ncols) for row in rows]
+    red, pivots = _dense_rref(dense, ncols)
+    reduced = sparse_rref(rows)
+    basis = rref_basis(rows)
+    kernel = sparse_nullspace(rows, ncols)
+    assert list(reduced) == pivots
+    assert [_dense_row(r, ncols) for r in reduced.values()] == red[: len(pivots)]
+    assert [_dense_row(r, ncols) for r in basis] == red[: len(pivots)]
+    assert [_dense_row(v, ncols) for v in kernel] == _dense_nullspace(dense, ncols)
+    for vector in (*reduced.values(), *basis, *kernel):
+        assert all(is_exact_normal_form(x) for x in vector.values())
+    assert _typed(rows) == before
 
 
 @given(matrices(), st.data())

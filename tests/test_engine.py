@@ -14,6 +14,7 @@ from fmethod.algebra import Polynomial, monomial_basis, monomial_key
 from fmethod.engine import (
     _eigenvalue_form,
     _SolveContext,
+    _weigh,
     Family,
     classify,
     classify_ido_cell,
@@ -37,7 +38,7 @@ from fmethod.rep import (
     dpi_hat_parts,
 )
 from fmethod.weyl import WeylElement
-from references import gamma_parities
+from references import gamma_parities, is_exact_normal_form
 
 
 def sl_pair(n, lam, m, ell, alpha=0):
@@ -1066,6 +1067,25 @@ def test_fsystem_rows_are_built_once_per_stage(monkeypatch, family):
         solve_family(some, cap, **mode)
         assert len(built) == stages and all(built)
     assert len(members) >= 2 and stages >= 1
+
+
+@pytest.mark.parametrize("family", _FAMILY_OF_EACH_KIND, ids=lambda f: f.kind)
+def test_linear_stages_keep_integral_values_int(family):
+    """The equivariant vectors hold no integral Fraction, and at the integral
+    critical lambda, the first member's, the weighed F-system rows hold ints only."""
+    _, (members, cap, mode) = _family_solve(family)
+    ctx = _SolveContext(*members[0], **mode)
+    assert all(type(w) is int for w in ctx.weights)
+    weighed = 0
+    for d in range(cap + 1):
+        unknowns = ctx.unknowns_at_degree(d)
+        vectors = ctx.equivariant_vectors(unknowns)
+        assert all(is_exact_normal_form(x) for v in vectors for x in v.values())
+        if vectors:
+            rows = _weigh(ctx.fsystem_rows(unknowns, vectors), ctx.weights)
+            assert all(type(x) is int for row in rows.values() for x in row.values())
+            weighed += 1
+    assert weighed
 
 
 def test_a_family_of_the_flipped_sign_builds_no_fsystem_rows(monkeypatch):

@@ -5,9 +5,9 @@ The walk flags a float (or complex) literal, a call of `float`, any `math`
 name outside the exact integer functions below, and every `/` (or `/=`)
 that has no `Fraction(...)` call as an operand: polynomial coefficients
 are ints wherever they are integral, and true division of two ints gives
-a float.  Every constructor that takes a scalar from a caller raises
-TypeError on a float, a complex or a Decimal, all floating point
-(`Fraction(0.1)` is not 1/10).
+a float.  Every constructor that takes a scalar from a caller, and every
+linear-algebra entry point that takes rows, raises TypeError on a float,
+a complex or a Decimal, all floating point (`Fraction(0.1)` is not 1/10).
 """
 
 import ast
@@ -17,7 +17,15 @@ from fractions import Fraction
 
 import pytest
 
-from fmethod.algebra import Polynomial, exact
+from fmethod.algebra import (
+    Matrix,
+    Polynomial,
+    exact,
+    rref_basis,
+    same_span,
+    sparse_nullspace,
+    sparse_rref,
+)
 from fmethod.liealg import LieElement
 from fmethod.rep import ScalarRepParams, TargetRepParams
 from fmethod.verma import VermaModule
@@ -122,6 +130,19 @@ ENTRY_POINTS = {
     ),
     "LieElement.scale": (
         lambda x: LieElement.from_units(2, "sl", [((0, 1), 1)]).scale(x), lambda got: got[0, 1]
+    ),
+    "Matrix": (lambda x: Matrix([[1, x]]), lambda got: got.rows[0][1]),
+    # the sparse kernels at a row whose lead is 1, which needs no rescaling:
+    # only the entry check sees the scalar after it
+    "sparse_rref": (lambda x: sparse_rref([{0: 1, 1: x}]), lambda got: got[0][1]),
+    "rref_basis": (lambda x: rref_basis([{0: 1, 1: x}]), lambda got: got[0][1]),
+    "sparse_nullspace": (
+        lambda x: sparse_nullspace([{0: 1, 1: x}], 2), lambda got: Fraction(-1, got[0][1])
+    ),
+    # the span of (1, x) is that of (10, 1) exactly when x is 1/10
+    "same_span": (
+        lambda x: same_span([{0: 1, 1: x}], [{0: 10, 1: 1}]),
+        lambda got: Fraction(1, 10) if got is True else got,
     ),
 }
 
