@@ -47,13 +47,12 @@ piece is built at the level it depends on:
   the record reads each element's weight-free pieces from
   `rep.dpi_hat_parts` once: the raising operators of m', which have no
   weight part, so they are the bases themselves, and N_1^+'s (base,
-  part_1[, part_2]), each piece with its memo of monomial images; for
-  each diagonal element, c0 of each piece, its integer form and scale;
-  whether every weight part's c0_i equals the character chi_i; the n
-  independent rows, with D times the inverse of their matrix; and per
-  gamma, from `liealg`'s integer sign rule, its zeta mask over n, its
-  fiber mask over the mode's block and the sign coefficients a and b of
-  the source and target characters;
+  part_1[, part_2]); for each diagonal element, c0 of each piece, its
+  integer form and scale; whether every weight part's c0_i equals the
+  character chi_i; the n independent rows, with D times the inverse of
+  their matrix; and per gamma, from `liealg`'s integer sign rule, its
+  zeta mask over n, its fiber mask over the mode's block and the sign
+  coefficients a and b of the source and target characters;
 * per record and l: each fiber label's integer P, its part of the other
   rows' checks and its fiber bits (its exponents summed over each fiber
   mask), from the weight-free m-action of the fiber
@@ -156,16 +155,18 @@ class SolutionSpace:
         return len(self.basis)
 
 
+def _label_terms(vec, unknowns) -> dict:
+    """A sparse vector over `unknowns` as {label: {monomial: coefficient}}, in column order."""
+    terms = {}
+    for col in sorted(vec):
+        mono, lbl = unknowns[col]
+        terms.setdefault(lbl, {})[mono] = vec[col]
+    return terms
+
+
 def _to_vvps(vectors, unknowns, arity) -> list:
-    """Sparse vectors over `unknowns` as zeta VVPs, each summed per label in column order."""
-    out = []
-    for vec in vectors:
-        sums = {}
-        for col in sorted(vec):
-            mono, lbl = unknowns[col]
-            sums.setdefault(lbl, {})[mono] = vec[col]
-        out.append(VectorValuedPolynomial.from_sums(arity, sums, "zeta"))
-    return out
+    """Sparse vectors over `unknowns` as zeta VVPs."""
+    return [VectorValuedPolynomial.from_sums(arity, _label_terms(vec, unknowns), "zeta") for vec in vectors]
 
 
 def _add_entry(rows, key, col, value):
@@ -196,35 +197,20 @@ def _eigenvalue_form(op):
     return c0, coeffs
 
 
-def _image(piece, mono) -> dict:
-    """A piece (operator, memo) of a `_LieData` applied to zeta^mono, as its raw `sums`.
-
-    A cancelled sum stays as 0: both readers add the image into rows that
-    the sparse kernel cleans.  Applied once per (piece, monomial) while the
-    record lives, and shared through the memo, so not to be mutated.
-    """
-    op, images = piece
-    image = images.get(mono)
-    if image is None:
-        image = images[mono] = op.sums({mono: 1})
-    return image
-
-
 @dataclass(frozen=True, eq=False)
 class _LieData:
     """Every lambda-free piece of a solve, shared by every context of one algebra and nilradical mode.
 
     The element lists, then what a solve reads of them (`of` builds it).
     dpi_hat(X, source) = base + sum_i w_i part_i with w = 2rho - lambda,
-    and each operator below is paired with its {monomial: image} memo, as a
-    piece `(operator, memo)` that `_image` reads.
+    each piece a `WeylElement` from `rep.dpi_hat_parts`.
     """
 
     diag: tuple  # H0~' (H0~ in full mode), J0' (J0) for GL, the Cartan of m' (m)
     raising: tuple  # the simple raising operators E_{i,i+1} of m' (m)
     gammas: tuple  # generators of the component group of M' (M)
     n_plus: tuple  # N_1^+ alone: it generates n_+' (n_+) as an m'- (m-)module
-    raising_ops: tuple  # the piece of each raising element: its base, as it has no weight part
+    raising_ops: tuple  # each raising element's base, as it has no weight part
     fsystem: tuple  # the pieces (base, part_1[, part_2]) of each n_plus element
     constants: tuple  # per diagonal element, c0 of each of its pieces
     forms: tuple  # per diagonal element, its coefficients c times its scale
@@ -267,7 +253,7 @@ class _LieData:
             base, *parts = dpi_hat_parts(Z, pd)
             if any(not part.is_zero() for part in parts):
                 raise ValueError("a raising operator of m' has a weight part")
-            raising_ops.append((base, {}))
+            raising_ops.append(base)
         constants, forms, scales = [], [], []
         for Z in diag:
             (c0, coeffs), *parts = map(_eigenvalue_form, dpi_hat_parts(Z, pd))
@@ -291,7 +277,7 @@ class _LieData:
         zeta_masks, fiber_masks = zip(*(pd.sign_masks(g, n, block) for g in gammas))
         return cls(
             diag, raising, gammas, n_plus, tuple(raising_ops),
-            tuple(tuple((op, {}) for op in dpi_hat_parts(N, pd)) for N in n_plus),
+            tuple(dpi_hat_parts(N, pd) for N in n_plus),
             tuple(constants), tuple(forms), tuple(scales),
             all(c[1:] == characters(Z, pd) for Z, c in zip(diag, constants)),
             tuple(r - 1 for r in chosen[1:]), inverse, denominator, degree_column,
@@ -389,7 +375,7 @@ class _SolveContext:
     The members of a family differ only in lambda at a fixed gap nu -
     lambda, and in the sign pair within one relative sign.  Everything
     built here but `weights`, the first member's 2rho - lambda, serves
-    every member: the raising pairs (each raising piece with the fiber's
+    every member: the raising pairs (each raising operator with the fiber's
     action), the sign key and each diagonal element's shift (fiber
     weight - c0).  A further member brings only its weights, from
     `member_weights`, which checks that it belongs to the family; the
@@ -532,14 +518,14 @@ class _SolveContext:
         if not unknowns:
             return []
         rows = {}
-        for zi, (piece, act) in enumerate(self.raising):
+        for zi, (op, act) in enumerate(self.raising):
             # -A_{l', l} c_{(mono, l')} lands in the row (zi, l, mono):
             # read it column-wise via the transposed action, grouped by l'
             column = {}
             for (outl, inl), a in act.items():
                 column.setdefault(outl, []).append((inl, a))
             for col, (mono, lbl) in enumerate(unknowns):
-                for om, c in _image(piece, mono).items():
+                for om, c in op.sums({mono: 1}).items():
                     _add_entry(rows, (zi, lbl, om), col, c)
                 for inl, a in column.get(lbl, ()):
                     _add_entry(rows, (zi, inl, mono), col, -a)
@@ -548,17 +534,19 @@ class _SolveContext:
     def fsystem_rows(self, unknowns, eq_vectors):
         """The F-system's rows on the equivariant vectors, one set per piece (base, part_1[, part_2]).
 
-        Each is {(operator, label, monomial): {vector: coefficient}}, read
-        from the memoized images; `_weigh` combines them for a member.
+        Each is {(operator, label, monomial): {vector: coefficient}}: every
+        piece is applied once per (vector, label) to the vector's terms of
+        that label, and a cancelled sum stays as 0 for the sparse kernel to
+        clean.  `_weigh` combines the sets for a member.
         """
         pieces = [{} for _ in self.lie.fsystem[0]]
-        for jop, ops in enumerate(self.lie.fsystem):
-            for rows, piece in zip(pieces, ops):
-                for b, vec in enumerate(eq_vectors):
-                    for col, coeff in vec.items():
-                        mono, lbl = unknowns[col]
-                        for om, c in _image(piece, mono).items():
-                            _add_entry(rows, (jop, lbl, om), b, coeff * c)
+        for b, vec in enumerate(eq_vectors):
+            terms = _label_terms(vec, unknowns)
+            for jop, ops in enumerate(self.lie.fsystem):
+                for rows, op in zip(pieces, ops):
+                    for lbl, t in terms.items():
+                        for om, c in op.sums(t).items():
+                            _add_entry(rows, (jop, lbl, om), b, c)
         return pieces
 
 

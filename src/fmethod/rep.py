@@ -62,7 +62,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Polynomial, add_product, add_terms, monomial_basis, monomial_key, rational, unit_monomial
+from .algebra import (
+    Polynomial, add_product, add_terms, exact, monomial_basis, monomial_key, rational, unit_monomial,
+)
 from .liealg import GL, SL, LieElement, ParabolicData, parabolic
 from .weyl import DUAL_VAR, WeylElement
 
@@ -289,10 +291,10 @@ class SymFiber:
         """Action of L on the labels, as a fresh {(out label, in label): coefficient}.
 
         `_fiber_terms` with no x-variable, each coefficient read off its
-        one term.
+        one term as an `exact` scalar.
         """
         terms = _fiber_terms(self, *_conjugate(L, 0), pd)
-        return {key: t[()] for key, t in terms.items() if t.get(())}
+        return {key: exact(t[()]) for key, t in terms.items() if t.get(())}
 
     def m_action(self, L: LieElement, pd: ParabolicData) -> dict:
         """The m-part of `act`, without the character weight, as a fresh dict."""

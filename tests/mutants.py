@@ -179,6 +179,21 @@ MUTANTS = [
         "solved[w] = solve_at(weights[0])",
         ["tests/test_engine.py"],
     ),
+    # -- the F-system rows: each piece applied to a vector's terms of one label --
+    (
+        "fsystem-rows-drop-the-coefficient",
+        "engine.py",
+        "        terms.setdefault(lbl, {})[mono] = vec[col]\n",
+        "        terms.setdefault(lbl, {})[mono] = 1\n",
+        ["tests/test_engine.py::test_linear_stages_match_the_per_monomial_reference"],
+    ),
+    (
+        "fsystem-rows-file-a-label-under-the-first-label",
+        "engine.py",
+        "_add_entry(rows, (jop, lbl, om), b, c)",
+        "_add_entry(rows, (jop, next(iter(terms)), om), b, c)",
+        ["tests/test_engine.py::test_linear_stages_match_the_per_monomial_reference"],
+    ),
     # -- the component-group signs as integer parities -------------------------
     (
         "label-parities-drop-the-fiber-bits",
@@ -222,7 +237,7 @@ MUTANTS = [
         "bits = char",
         ["tests/test_verma.py"],
     ),
-    # -- the weight-free pieces of an action and their memos ---------------------
+    # -- the weight-free pieces of an action ---------------------------------------
     (
         "member-reads-c0-off-the-base-alone",
         "engine.py",
@@ -245,14 +260,6 @@ MUTANTS = [
         "                raise ValueError(\"a weight part of a diagonal element is not a scalar\")\n",
         "",
         ["tests/test_engine.py::test_context_checks_each_weight_part_of_a_diagonal_element"],
-    ),
-    (
-        "image-memo-always-misses",
-        "engine.py",
-        "    image = images.get(mono)\n",
-        "    image = None\n",
-        ["tests/test_engine.py::test_raising_operators_are_applied_once_per_monomial",
-         "tests/test_engine.py::test_scan_builds_no_dpi_hat_and_applies_each_piece_once_per_monomial"],
     ),
     (
         "affine-parts-read-the-first-character-for-every-weight",
@@ -324,6 +331,13 @@ MUTANTS = [
         "        acts = lie.raising_acts.get(target.ell)\n",
         "        acts = None\n",
         ["tests/test_engine.py::test_raising_actions_are_built_once_per_record_and_ell"],
+    ),
+    (
+        "fiber-action-keeps-an-integral-fraction",
+        "rep.py",
+        "{key: exact(t[()]) for key",
+        "{key: t[()] for key",
+        ["tests/test_engine.py::test_linear_stages_keep_integral_values_int"],
     ),
     # -- Lie elements: checked units, a cached hash free of str -------------------
     (

@@ -10,8 +10,9 @@ loops of the two equivariance checks (test_operators, test_kernels and
 test_verma), the component-group signs as products of `Fraction`
 entries (test_liealg, test_engine and test_verma), and the noncompact-
 picture action built from the bracket series of Ad(exp(-sum x_k N_k^-))
-and the Gelfand-Naimark split of each term (test_liealg and test_rep);
-not a test module.
+and the Gelfand-Naimark split of each term (test_liealg and test_rep),
+and the engine's equivariance and F-system rows built one monomial at a
+time (test_engine); not a test module.
 """
 
 import itertools
@@ -417,3 +418,42 @@ def affine_parts(X, pd, num_x, shape, fourier):
         for i in range(len(shape.weights))
     ]
     return tuple(op.fourier() for op in (base, *parts)) if fourier else (base, *parts)
+
+
+def _add_entry(rows, key, col, value):
+    row = rows.setdefault(key, {})
+    row[col] = row.get(col, 0) + value
+
+
+def equivariance_rows(ctx, unknowns) -> dict:
+    """The rows whose kernel `_SolveContext.equivariant_vectors` returns, one
+    column at a time: each raising operator applied to the unknown's
+    monomial, minus the fiber's action on its label."""
+    rows = {}
+    for zi, (op, act) in enumerate(ctx.raising):
+        for col, (mono, lbl) in enumerate(unknowns):
+            for om, c in op.sums({mono: 1}).items():
+                _add_entry(rows, (zi, lbl, om), col, c)
+            for (outl, inl), a in act.items():
+                if outl == lbl:
+                    _add_entry(rows, (zi, inl, mono), col, -a)
+    return rows
+
+
+def fsystem_rows(ctx, unknowns, eq_vectors) -> list:
+    """`_SolveContext.fsystem_rows` one monomial at a time: each piece of
+    N_1^+ applied to each column's monomial, times the vector's coefficient."""
+    pieces = [{} for _ in ctx.lie.fsystem[0]]
+    for jop, ops in enumerate(ctx.lie.fsystem):
+        for rows, op in zip(pieces, ops):
+            for b, vec in enumerate(eq_vectors):
+                for col, coeff in vec.items():
+                    mono, lbl = unknowns[col]
+                    for om, c in op.sums({mono: 1}).items():
+                        _add_entry(rows, (jop, lbl, om), b, coeff * c)
+    return pieces
+
+
+def nonzero_rows(rows: dict) -> dict:
+    """Sparse rows without their zero entries, and without a row left empty."""
+    return {key: kept for key, row in rows.items() if (kept := {b: c for b, c in row.items() if c})}

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fmethod import engine, rep
 from fmethod.cli import main
-from fmethod.algebra import Polynomial, monomial_basis, monomial_key
+from fmethod.algebra import Polynomial, monomial_basis, monomial_key, sparse_nullspace
 from fmethod.engine import (
     _eigenvalue_form,
     _SolveContext,
@@ -38,6 +38,7 @@ from fmethod.rep import (
     dpi_hat_parts,
 )
 from fmethod.weyl import WeylElement
+import references
 from references import gamma_parities, is_exact_normal_form
 
 
@@ -723,17 +724,14 @@ def test_lie_data_is_shared_and_immutable(flavor, full):
     assert lie.raising == ((pd.unit(2, 3),) if primed else (pd.unit(2, 3), pd.unit(3, 4)))
     assert lie.gammas == tuple(pd.gamma_elements(primed))
     assert lie.n_plus == (pd.n_plus(1),)
-    # every piece is an operator with a memo of its own: the raising
+    # every piece is a bare operator of `dpi_hat_parts`: the raising
     # elements' bases, and (base, part_1[, part_2]) of each N_1^+
     k = len(pd.two_rho())
-    assert [op for op, _ in lie.raising_ops] == [dpi_hat_parts(Z, pd)[0] for Z in lie.raising]
-    assert [tuple(op for op, _ in pieces) for pieces in lie.fsystem] == [
-        dpi_hat_parts(N, pd) for N in lie.n_plus
-    ]
+    assert lie.raising_ops == tuple(dpi_hat_parts(Z, pd)[0] for Z in lie.raising)
+    assert lie.fsystem == tuple(dpi_hat_parts(N, pd) for N in lie.n_plus)
     assert all(len(pieces) == k + 1 for pieces in lie.fsystem)
     pieces = [*lie.raising_ops, *(piece for pieces in lie.fsystem for piece in pieces)]
-    assert all(isinstance(op, WeylElement) and isinstance(memo, dict) for op, memo in pieces)
-    assert len({id(memo) for _, memo in pieces}) == len(pieces)
+    assert all(type(op) is WeylElement for op in pieces)
     # per diagonal element: c0 of each piece, the integer form and its scale
     assert len(lie.constants) == len(lie.forms) == len(lie.scales) == len(lie.diag)
     for Z, constants, form, scale in zip(lie.diag, lie.constants, lie.forms, lie.scales):
@@ -811,7 +809,8 @@ def test_solve_on_generators_matches_full_bases(monkeypatch, options):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_raising_operators_are_applied_once_per_monomial(monkeypatch, n):
-    """A solve at another lambda reuses the images of the first solve."""
+    """Each raising operator is applied once to each unknown's monomial, and
+    a solve at another lambda gets the same equivariant vectors."""
     calls = Counter()
     sums = WeylElement.sums
 
@@ -827,12 +826,15 @@ def test_raising_operators_are_applied_once_per_monomial(monkeypatch, n):
         calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(WeylElement, "sums", counting)
-            return ctx.equivariant_vectors(unknowns), calls.total()
+            out = ctx.equivariant_vectors(unknowns)
+        assert calls == Counter(
+            (id(op), (mono,)) for op, _ in ctx.raising for mono, _ in unknowns
+        )
+        return out
 
-    first, _ = vectors(Fraction(1, 3))
-    second, applied = vectors(Fraction(-7, 2))
+    first = vectors(Fraction(1, 3))
+    second = vectors(Fraction(-7, 2))
     assert first and second == first
-    assert applied == 0
 
 
 # -- members read the weight-free pieces of dpi_hat ----------------------------
@@ -872,17 +874,17 @@ def test_member_operators_match_dpi_hat(case):
             p = Polynomial.monomial(ctx.n, mono, 1, "zeta")
             for om, c in dpi_hat(N, source).apply(p).terms.items():
                 expected.setdefault((jop, lbl, om), {})[b] = c
-    assert {key: kept for key, row in rows.items() if (kept := {b: c for b, c in row.items() if c})} == expected
+    assert references.nonzero_rows(rows) == expected
     # N_1^+'s pieces combine with the member's weights into its dpi_hat
-    for N, ((op, _), *parts) in zip(ctx.lie.n_plus, ctx.lie.fsystem, strict=True):
-        for w, (part, _) in zip(ctx.weights, parts, strict=True):
+    for N, (op, *parts) in zip(ctx.lie.n_plus, ctx.lie.fsystem, strict=True):
+        for w, part in zip(ctx.weights, parts, strict=True):
             op = op + part.scale(w)
         assert op == dpi_hat(N, source)
     for Z, shift, form, scale in zip(ctx.lie.diag, ctx._shifts, ctx.lie.forms, ctx.lie.scales,
                                      strict=True):
         c0, c = _eigenvalue_form(dpi_hat(Z, source))
         assert (ctx.fiber.weight(Z, pd) - shift, [Fraction(f, scale) for f in form]) == (c0, c)
-    for Z, ((op, _), _) in zip(ctx.lie.raising, ctx.raising, strict=True):
+    for Z, (op, _) in zip(ctx.lie.raising, ctx.raising, strict=True):
         assert op == dpi_hat(Z, source)
 
 
@@ -906,24 +908,15 @@ def test_weighing_leaves_the_piece_rows_alone():
     assert pieces == before
 
 
-def test_scan_builds_no_dpi_hat_and_applies_each_piece_once_per_monomial(monkeypatch):
-    applied = Counter()
-    sums = WeylElement.sums
-
-    def counting(self, terms, acc=None):
-        applied[(id(self), tuple(terms))] += 1
-        return sums(self, terms, acc)
-
-    # no cached record, so every piece the scan reads is applied here, into
-    # the memos of a fresh record
+def test_scan_builds_no_dpi_hat():
+    # no cached record, so the scan also builds its records here, from
+    # `dpi_hat_parts` alone
     engine._lie_data.cache_clear()
-    monkeypatch.setattr(WeylElement, "sums", counting)
     before = rep.dpi_hat.cache_info()
     rows = classify(3, m_max=2, l_max=2)
     after = rep.dpi_hat.cache_info()
     assert rows and all(row["ok"] for row in rows)
     assert (after.hits, after.misses) == (before.hits, before.misses)
-    assert applied and max(applied.values()) == 1
 
 
 def test_dpi_hat_parts_runs_once_per_element_algebra_and_mode(patch_dpi_hat_parts):
@@ -959,13 +952,13 @@ FAMILY_KINDS = ["sl", "gp", "gprime", "gl", "sl-ido", "gl-ido"]
 
 
 @st.composite
-def families(draw):
-    """A `Family` of any kind, n = 2..5: the critical lambda first, then one or two more.
+def families(draw, max_n=5):
+    """A `Family` of any kind, n = 2..max_n: the critical lambda first, then one or two more.
 
     The extra lambda and lambda_2 values come from `_lambdas`, so they
     are critical values of other orders as often as generic ones.
     """
-    kind, n = draw(st.sampled_from(FAMILY_KINDS)), draw(st.integers(2, 5))
+    kind, n = draw(st.sampled_from(FAMILY_KINDS)), draw(st.integers(2, max_n))
     ido = kind.endswith("-ido")
     m, ell = 0 if ido else draw(st.integers(0, 2)), draw(st.integers(0, 2))
     lams = engine._critical_first(1 - (m + ell), draw(st.lists(_lambdas, min_size=1, max_size=2)))
@@ -1070,22 +1063,70 @@ def test_fsystem_rows_are_built_once_per_stage(monkeypatch, family):
 
 
 @pytest.mark.parametrize("family", _FAMILY_OF_EACH_KIND, ids=lambda f: f.kind)
-def test_linear_stages_keep_integral_values_int(family):
-    """The equivariant vectors hold no integral Fraction, and at the integral
+def test_linear_stages_keep_integral_values_int(monkeypatch, family):
+    """The fiber's m-actions of the raising elements, the equivariance rows
+    and the equivariant vectors hold no integral Fraction, and at the integral
     critical lambda, the first member's, the weighed F-system rows hold ints only."""
     _, (members, cap, mode) = _family_solve(family)
     ctx = _SolveContext(*members[0], **mode)
     assert all(type(w) is int for w in ctx.weights)
+    acts = ctx.lie.raising_acts[ctx.target.ell]
+    assert all(is_exact_normal_form(a) for act in acts for a in act.values())
+    eq_rows = []
+
+    def recording(rows, size):
+        rows = list(rows)
+        eq_rows.extend(rows)
+        return sparse_nullspace(rows, size)
+
     weighed = 0
     for d in range(cap + 1):
         unknowns = ctx.unknowns_at_degree(d)
-        vectors = ctx.equivariant_vectors(unknowns)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "sparse_nullspace", recording)
+            vectors = ctx.equivariant_vectors(unknowns)
         assert all(is_exact_normal_form(x) for v in vectors for x in v.values())
         if vectors:
             rows = _weigh(ctx.fsystem_rows(unknowns, vectors), ctx.weights)
             assert all(type(x) is int for row in rows.values() for x in row.values())
             weighed += 1
     assert weighed
+    # a cancelled entry stays as an int 0 for the kernel to drop
+    assert all(type(x) is int or is_exact_normal_form(x) for row in eq_rows for x in row.values())
+    assert eq_rows or not ctx.raising
+
+
+_nonzero_rationals = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)).filter(bool)
+
+
+@given(families(max_n=6), st.data())
+@settings(max_examples=60, deadline=None)
+def test_linear_stages_match_the_per_monomial_reference(family, data):
+    """The equivariant vectors and each F-system piece's rows, built one label
+    at a time, equal the reference that applies each piece once per monomial.
+
+    The rows are linear in the vectors, so besides the equivariant vectors,
+    whose entries are mostly 1, they are also built on random vectors over
+    the unknowns.
+    """
+    _, (members, cap, mode) = _family_solve(family)
+    ctx = _SolveContext(*members[0], **mode)
+    for d in range(cap + 1):
+        unknowns = ctx.unknowns_at_degree(d)
+        vectors = ctx.equivariant_vectors(unknowns)
+        rows = references.equivariance_rows(ctx, unknowns)
+        assert vectors == (sparse_nullspace(rows.values(), len(unknowns)) if unknowns else [])
+        if not unknowns:
+            continue
+        columns = st.integers(0, len(unknowns) - 1)
+        vector = st.dictionaries(columns, _nonzero_rationals, min_size=1, max_size=6)
+        for vecs in (vectors, data.draw(st.lists(vector, min_size=1, max_size=3))):
+            if vecs:
+                pieces = ctx.fsystem_rows(unknowns, vecs)
+                expected = references.fsystem_rows(ctx, unknowns, vecs)
+                assert len(pieces) == len(expected) == len(ctx.lie.fsystem[0])
+                for got, want in zip(pieces, expected):
+                    assert references.nonzero_rows(got) == references.nonzero_rows(want)
 
 
 def test_a_family_of_the_flipped_sign_builds_no_fsystem_rows(monkeypatch):
