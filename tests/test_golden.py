@@ -48,6 +48,13 @@ CASES = {
     "verify-equivariance-fail": (
         ["verify", "equivariance", "--n", "3", "--m", "1", "--l", "0", "--lambda", "5",
          "--nu", "7"], 1),
+    # the target action dpi_target on a dual S^1 fiber with both GL weights
+    "verify-equivariance-gl-pass": (
+        ["verify", "equivariance", "--n", "3", "--m", "1", "--l", "1", "--flavor", "gl",
+         "--lambda=-1", "--lambda2", "1/2"], 0),
+    "verify-equivariance-gl-fail": (
+        ["verify", "equivariance", "--n", "3", "--m", "1", "--l", "1", "--flavor", "gl",
+         "--lambda", "5", "--lambda2", "1/2"], 1),
     "verify-verma-factorization": (
         ["verify", "verma-factorization", "--n", "2", "--m", "1", "--l", "1", "--deg", "3"], 0),
     "verify-verma-factorization-gl": (
