@@ -303,7 +303,7 @@ class _LieData:
         labels = fiber.labels()
         eigenvalues = {lbl: [] for lbl in labels}
         for Z, scale in zip(self.diag, self.scales):
-            acts = fiber.m_action(Z, pd)
+            acts = fiber.act(Z, pd)
             if any(k[0] != k[1] for k in acts):
                 raise ValueError("fiber action of a diagonal element is not diagonal")
             for lbl in labels:
@@ -376,10 +376,10 @@ class _SolveContext:
     lambda, and in the sign pair within one relative sign.  Everything
     built here but `weights`, the first member's 2rho - lambda, serves
     every member: the raising pairs (each raising operator with the fiber's
-    action), the sign key and each diagonal element's shift (fiber
-    weight - c0).  A further member brings only its weights, from
-    `member_weights`, which checks that it belongs to the family; the
-    F-system stage reads nothing else of a member.
+    action), the sign key and each diagonal element's shift (the target
+    character -nu . chi less c0).  A further member brings only its
+    weights, from `member_weights`, which checks that it belongs to the
+    family; the F-system stage reads nothing else of a member.
 
     A pair (zeta^m, label) is kept when every diagonal element has the same
     eigenvalue on zeta^m as on the label, and every component group
@@ -397,30 +397,21 @@ class _SolveContext:
         self.target = target
         self.n = source.n
         self.pd = pd = parabolic(source.n, source.flavor)
-        self.fiber = SymFiber(
-            target.ell, self.n if full_nilradical else self.n - 1, tuple(-x for x in target.nu)
-        )
+        self.fiber = SymFiber(target.ell, self.n if full_nilradical else self.n - 1)
         self.lie = lie = _lie_data(pd, full_nilradical)
         self._connected = connected
-        self._two_rho = pd.two_rho()
-        self.weights = self._weights(source)
+        # exact, so an integral lambda weighs the F-system's piece rows with ints
+        self.weights = tuple(map(exact, source.dual_weights()))
         acts = lie.raising_acts.get(target.ell)
         if acts is None:
-            acts = lie.raising_acts[target.ell] = tuple(self.fiber.m_action(Z, pd) for Z in lie.raising)
+            acts = lie.raising_acts[target.ell] = tuple(self.fiber.act(Z, pd) for Z in lie.raising)
         self.raising = tuple(zip(lie.raising_ops, acts))
-        # c0 = c0(base) + sum_i w_i c0(part_i)
+        # the target character -nu . chi(Z), less c0 = c0(base) + sum_i w_i c0(part_i)
         self._shifts = tuple(
-            self.fiber.weight(Z, pd) - c0 - sum(w * c for w, c in zip(self.weights, weight_c0))
+            -_dot(target.nu, characters(Z, pd)) - c0 - _dot(self.weights, weight_c0)
             for Z, (c0, *weight_c0) in zip(lie.diag, lie.constants)
         )
         self._data = self._family_data(source, target)
-
-    def _weights(self, source):
-        """A member's `dual_weights`, 2rho - lambda, with 2rho read once per family.
-
-        Each weight is an `exact` scalar, so an integral lambda weighs the
-        F-system's piece rows with ints."""
-        return tuple(exact(r - lam) for r, lam in zip(self._two_rho, source.lam))
 
     def _family_data(self, source, target):
         """What the solve reads of a member besides its weights.
@@ -448,13 +439,13 @@ class _SolveContext:
         connected mode, which reads no sign), and the shifts must not move
         along the gap, else ValueError.  With nu = lambda + gap and w =
         2rho - lambda, a diagonal element Z's shift is const +
-        sum_i lambda_i (c0_i(Z) - chi_i(Z)), chi_i the characters that the
-        fiber weights scale and c0_i the scalar of Z's i-th weight part; so
+        sum_i lambda_i (c0_i(Z) - chi_i(Z)), chi_i the characters that nu_i
+        scales and c0_i the scalar of Z's i-th weight part; so
         the shifts stay put exactly when the record is `lambda_free`.
         """
         if self._family_data(source, target) != self._data or not self.lie.lambda_free:
             raise ValueError("a lambda-family's members differ in a lambda-independent stage")
-        return self._weights(source)
+        return tuple(map(exact, source.dual_weights()))
 
     @cached_property
     def _labels(self):

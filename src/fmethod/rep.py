@@ -16,9 +16,8 @@ in the block entries Z_ij = M_ij - delta_ij (M_00 h0~[i, i]
 + tr X J0[i, i]): it sends e^k to k_j Z_ij e^{k - e_j + e_i}, and the
 dual fiber uses the transpose, negated.  The result is a matrix of exact
 Weyl operators over the fiber labels; for the scalar fiber
-`SymFiber(0, 0, w)` of the line bundle it is one Weyl operator.  The same
-kernel, with no variable, is `SymFiber.act` and `m_action` on a constant
-element.
+`SymFiber(0, 0)` of the line bundle it is one Weyl operator.  The same
+kernel, with no variable, is `SymFiber.act` on a constant element.
 
 Weight bookkeeping: the A-characters are normalized by dchi(H0~) = 1 and,
 for GL, dchi2(J0) = 1.  The representation dpi_lambda uses the inducing
@@ -30,17 +29,16 @@ transform of dpi_lambda_star(N_j^+) satisfies, on degree-k polynomials,
 
 the identity every classification below rests on.
 
-The weights enter affinely: the fiber acts on the l-part through the
-characters, so induced_operator(X, .., fiber with weights w) equals
-base + sum_i w_i part_i, where base is the operator at weight 0 and part_i
-the operator at the unit weight e_i minus base.  part_i multiplies every
-label by the i-th character, M_00(x) or tr X, so it is one `WeylElement`,
-added to each diagonal entry of base.  `_affine_parts` builds these pieces
-once per Lie element, algebra, number of variables, fiber shape and
-picture (x, or its Fourier transform), with one `induced_operator` call,
-for base, and the characters read off row 0 of X; every builder below,
-and the Verma action, assembles its operator from them through
-`affine_operator`.
+The weights enter affinely: a fiber is its shape, `induced_operator` is
+the action at weight 0 (base), and the characters with weights w act on
+the l-part by sum_i w_i part_i, where part_i multiplies every label by the
+i-th character, M_00(x) or tr X: one `WeylElement`, added to each diagonal
+entry of base.  `_affine_parts` builds these pieces once per Lie element,
+algebra, number of variables, fiber and picture (x, or its Fourier
+transform), with one `induced_operator` call, for base, and the
+characters read off row 0 of X; `affine_operator` is the one place where
+weights meet an action, and every builder below, and the Verma action,
+assembles its operator through it.
 `dpi_hat_parts` hands the Fourier-side pieces of the line bundle to the
 engine as they are: the engine's record of an algebra and nilradical mode
 reads them once per element, and a solve combines them with each
@@ -58,7 +56,7 @@ kernel touch only nonzero entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -259,7 +257,7 @@ class OperatorOnVV:
 
 
 def characters(L: LieElement, pd: ParabolicData) -> tuple:
-    """(dchi(L)[, dchi2(L)]): what each character weight of a fiber scales; dchi2 for GL only."""
+    """(dchi(L)[, dchi2(L)]): the characters of L that the weights scale; dchi2 for GL only."""
     return (L[0, 0], L.trace()) if pd.flavor == GL else (L[0, 0],)
 
 
@@ -268,37 +266,29 @@ class SymFiber:
     """S^degree of the m-block (natural action) or its dual (poly picture).
 
     `block` is the number of block coordinates: n-1 for the primed pair,
-    n for the full one.  Characters act along (dchi [, dchi2]) with the
-    given weights; the m-part acts by the derivation representation on
-    monomials e^k, or minus its transpose on the dual basis ytilde.
-    The scalar fiber of a line bundle is `SymFiber(0, 0, weights)`: S^0
-    over an empty block, one label `()`, on which only the characters act.
+    n for the full one.  The m-part acts by the derivation representation
+    on monomials e^k, or minus its transpose on the dual basis ytilde; the
+    characters (dchi [, dchi2]) act through their weights in
+    `affine_operator` alone.  The scalar fiber of a line bundle is
+    `SymFiber(0, 0)`: S^0 over an empty block, one label `()`, on which
+    the m-part is zero.
     """
 
     degree: int
     block: int
-    weights: tuple
     dual: bool = False
 
     def labels(self):
         return monomial_basis(self.block, self.degree)
 
-    def weight(self, L: LieElement, pd: ParabolicData) -> Fraction:
-        """Scalar by which the characters of L act on every label."""
-        return sum(w * c for w, c in zip(self.weights, characters(L, pd)))
-
     def act(self, L: LieElement, pd: ParabolicData) -> dict:
-        """Action of L on the labels, as a fresh {(out label, in label): coefficient}.
+        """The m-part of L's action on the labels, as a fresh {(out label, in label): coefficient}.
 
         `_fiber_terms` with no x-variable, each coefficient read off its
         one term as an `exact` scalar.
         """
         terms = _fiber_terms(self, *_conjugate(L, 0), pd)
         return {key: exact(t[()]) for key, t in terms.items() if t.get(())}
-
-    def m_action(self, L: LieElement, pd: ParabolicData) -> dict:
-        """The m-part of `act`, without the character weight, as a fresh dict."""
-        return replace(self, weights=()).act(L, pd)
 
 
 def _fiber_terms(fiber: SymFiber, M, chars, pd: ParabolicData) -> dict:
@@ -309,8 +299,7 @@ def _fiber_terms(fiber: SymFiber, M, chars, pd: ParabolicData) -> dict:
     e^{k - e_j + e_i} over the block entries Z_ij = M_ij - delta_ij
     (M_00 h0~[i, i] + tr M J0[i, i]), with h0~', J0' on the primed block
     and the J0 term for GL only; the dual fiber uses the transpose,
-    negated.  The characters add sum_i w_i chars_i, w the fiber's
-    weights, on every diagonal entry.  Cancelled sums stay as 0.
+    negated.  Cancelled sums stay as 0.
     """
     primed = fiber.block == pd.n - 1
     h = pd.h0_tilde_prime if primed else pd.h0_tilde
@@ -323,9 +312,8 @@ def _fiber_terms(fiber: SymFiber, M, chars, pd: ParabolicData) -> dict:
         if j0 is not None:
             add_terms(diagonal, chars[1], -j0[i, i])
     Z = sorted(Z.items())
-    labels = fiber.labels()
     out = {}
-    for k in labels:
+    for k in fiber.labels():
         for (j, i), t in Z:
             if k[j]:
                 kk = list(k)
@@ -334,10 +322,6 @@ def _fiber_terms(fiber: SymFiber, M, chars, pd: ParabolicData) -> dict:
                 kk = tuple(kk)
                 key, c = ((k, kk), -k[j]) if fiber.dual else ((kk, k), k[j])
                 add_terms(out.setdefault(key, {}), t, c)
-    for w, c in zip(fiber.weights, chars):
-        if w:
-            for k in labels:
-                add_terms(out.setdefault((k, k), {}), c, w)
     return out
 
 
@@ -405,34 +389,33 @@ def induced_operator(X: LieElement, pd: ParabolicData, num_x: int, fiber) -> Ope
 
 
 @lru_cache(maxsize=None)
-def _affine_parts(X: LieElement, pd: ParabolicData, num_x: int, shape, fourier: bool):
-    """(base, part_1, .., part_k): the weight-free pieces of the action of X.
+def _affine_parts(X: LieElement, pd: ParabolicData, num_x: int, fiber: SymFiber, fourier: bool):
+    """(base, part_1[, part_2]): the weight-free pieces of the action of X on `fiber`.
 
-    `shape` is a fiber with every weight zero, so `base` is its
-    `induced_operator`.  The characters act on the l-part by the scalars
-    (M_00(x), tr X), so part_i, the operator at the unit weight e_i minus
-    `base`, acts on every label alike: it is the one `WeylElement` of
-    multiplication by the i-th of them; a fiber with weights w acts by
-    base plus sum_i w_i part_i on each diagonal entry.  With `fourier` the
-    same pieces are Fourier transformed, each once; the transform is linear.
+    `base` is `induced_operator`, the action at weight 0.  The characters
+    act on the l-part by the scalars (M_00(x)[, tr X]), one per character
+    of pd's flavor as `characters` counts them, so part_i acts on every
+    label alike: it is the one `WeylElement` of multiplication by the i-th
+    of them.  With `fourier` the same pieces are Fourier transformed, each
+    once; the transform is linear.
     """
-    base = induced_operator(X, pd, num_x, shape)
-    chars = _characters(X, num_x)
-    parts = [WeylElement.from_sums(num_x, {(0,) * num_x: chars[i]}) for i in range(len(shape.weights))]
+    base = induced_operator(X, pd, num_x, fiber)
+    chars = _characters(X, num_x)[: len(characters(X, pd))]
+    parts = [WeylElement.from_sums(num_x, {(0,) * num_x: c}) for c in chars]
     return tuple(op.fourier() for op in (base, *parts)) if fourier else (base, *parts)
 
 
-def affine_operator(X: LieElement, pd: ParabolicData, num_x: int, fiber, fourier=False):
-    """`induced_operator(X, pd, num_x, fiber)`, Fourier transformed with `fourier`.
+def affine_operator(X: LieElement, pd: ParabolicData, num_x: int, fiber, weights, fourier=False):
+    """The action of X on polynomials tensor `fiber` with character weights `weights`.
 
-    Assembled from the pieces `_affine_parts` builds once per (X, pd,
-    num_x, fiber with zero weights), so a new weight costs one sum
-    sum_i w_i part_i, added to every diagonal entry of the base.
+    base + sum_i w_i part_i, Fourier transformed with `fourier`, from the
+    pieces `_affine_parts` builds once per (X, pd, num_x, fiber), so a
+    new weight costs one sum sum_i w_i part_i, added to every diagonal
+    entry of the base.  The one place where weights meet an action.
     """
-    shape = replace(fiber, weights=tuple(Fraction(0) for _ in fiber.weights))
-    base, *parts = _affine_parts(X, pd, num_x, shape, fourier)
+    base, *parts = _affine_parts(X, pd, num_x, fiber, fourier)
     weighted = {}  # sum_i w_i part_i: {derivative key: {monomial: coefficient}}
-    for w, part in zip(fiber.weights, parts):
+    for w, part in zip(weights, parts):
         if w:
             for alpha, p in part.terms.items():
                 add_terms(weighted.setdefault(alpha, {}), p.terms, w)
@@ -462,7 +445,7 @@ def _check_in_g(X: LieElement, pd: ParabolicData):
 def _scalar_action(X: LieElement, params: ScalarRepParams, weights, fourier=False):
     pd = parabolic(params.n, params.flavor)
     _check_in_g(X, pd)
-    return affine_operator(X, pd, params.n, SymFiber(0, 0, weights), fourier).scalar_entry()
+    return affine_operator(X, pd, params.n, SymFiber(0, 0), weights, fourier).scalar_entry()
 
 
 @lru_cache(maxsize=None)
@@ -492,8 +475,7 @@ def dpi_hat_parts(X: LieElement, pd: ParabolicData) -> tuple:
     reads it once per element, and `_affine_parts` under it is cached.
     """
     _check_in_g(X, pd)
-    shape = SymFiber(0, 0, tuple(Fraction(0) for _ in pd.two_rho()))
-    base, *parts = _affine_parts(X, pd, pd.n, shape, True)
+    base, *parts = _affine_parts(X, pd, pd.n, SymFiber(0, 0), True)
     return (base.scalar_entry(), *parts)
 
 
@@ -503,5 +485,5 @@ def dpi_target(X: LieElement, params: TargetRepParams) -> OperatorOnVV:
     pd = parabolic(params.n, params.flavor)
     if not pd.in_g_prime(X):
         raise ValueError("dpi_target needs X in g'")
-    fiber = SymFiber(params.ell, params.n - 1, params.nu, dual=True)
-    return affine_operator(X, pd, params.n - 1, fiber)
+    fiber = SymFiber(params.ell, params.n - 1, dual=True)
+    return affine_operator(X, pd, params.n - 1, fiber, params.nu)

@@ -135,8 +135,8 @@ class VermaModule:
 
 @lru_cache(maxsize=None)
 def _verma_action(module: VermaModule, X):
-    fiber = SymFiber(module.fiber_degree, module.fiber_block, module.dual_weights())
-    return affine_operator(X, module.pd, module.num_vars, fiber, fourier=True)
+    fiber = SymFiber(module.fiber_degree, module.fiber_block)
+    return affine_operator(X, module.pd, module.num_vars, fiber, module.dual_weights(), fourier=True)
 
 
 @dataclass(frozen=True)

@@ -241,8 +241,15 @@ MUTANTS = [
     (
         "member-reads-c0-off-the-base-alone",
         "engine.py",
-        "self.fiber.weight(Z, pd) - c0 - sum(w * c for w, c in zip(self.weights, weight_c0))",
-        "self.fiber.weight(Z, pd) - c0",
+        " - c0 - _dot(self.weights, weight_c0)",
+        " - c0",
+        ["tests/test_engine.py::test_member_operators_match_dpi_hat"],
+    ),
+    (
+        "member-shift-drops-the-target-character",
+        "engine.py",
+        "-_dot(target.nu, characters(Z, pd)) - c0",
+        "-c0",
         ["tests/test_engine.py::test_member_operators_match_dpi_hat"],
     ),
     (
@@ -264,8 +271,22 @@ MUTANTS = [
     (
         "affine-parts-read-the-first-character-for-every-weight",
         "rep.py",
-        "{(0,) * num_x: chars[i]}",
-        "{(0,) * num_x: chars[0]}",
+        "{(0,) * num_x: c}) for c in chars]",
+        "{(0,) * num_x: chars[0]}) for c in chars]",
+        ["tests/test_rep.py"],
+    ),
+    (
+        "affine-parts-build-both-characters-for-every-flavor",
+        "rep.py",
+        "chars = _characters(X, num_x)[: len(characters(X, pd))]",
+        "chars = _characters(X, num_x)",
+        ["tests/test_rep.py"],
+    ),
+    (
+        "affine-operator-reads-the-first-weight-only",
+        "rep.py",
+        "for w, part in zip(weights, parts):",
+        "for w, part in zip(weights[:1], parts):",
         ["tests/test_rep.py"],
     ),
     (

@@ -346,9 +346,9 @@ def ad_series(X, pd, num_x):
     return {m: e for m, e in series.items() if not e.is_zero()}
 
 
-def sym_m_action(fiber, L, pd):
-    """The m-part of `SymFiber.act` on the l-element L, from the block of
-    L - dchi(L) h0~ (- dchi2(L) J0 for GL), entry by entry."""
+def fiber_action(fiber, L, pd):
+    """`SymFiber.act`, the m-part of the l-element L's action, from the block
+    of L - dchi(L) h0~ (- dchi2(L) J0 for GL), entry by entry."""
     block = fiber.block
     c1 = L[0, 0]
     Z = L.sub((pd.h0_tilde_prime if block == pd.n - 1 else pd.h0_tilde).scale(c1))
@@ -375,19 +375,11 @@ def sym_m_action(fiber, L, pd):
     return {k: v for k, v in out.items() if v}
 
 
-def fiber_action(fiber, L, pd):
-    """`SymFiber.act`: `sym_m_action` plus the character weight on the diagonal."""
-    out = sym_m_action(fiber, L, pd)
-    weight = fiber.weight(L, pd)
-    if weight:
-        for k in fiber.labels():
-            out[(k, k)] = out.get((k, k), Fraction(0)) + weight
-    return {k: v for k, v in out.items() if v}
-
-
-def induced_operator(X, pd, num_x, fiber):
-    """`rep.induced_operator` from `ad_series`: per term of the series, its
-    Gelfand-Naimark split, the n_- part as -dR and the fiber action of the l part."""
+def induced_operator(X, pd, num_x, fiber, weights):
+    """`rep.affine_operator` (unpictured) from `ad_series`: per term of the
+    series, its Gelfand-Naimark split, the n_- part as -dR, the fiber action of
+    the l part and, on the diagonal, sum_i w_i chi_i of the l part, w =
+    `weights`; `rep.induced_operator` at `weights=()`."""
     labels = fiber.labels()
     lowering, l_part = {}, {}
     for mono, L in ad_series(X, pd, num_x).items():
@@ -398,8 +390,14 @@ def induced_operator(X, pd, num_x, fiber):
         for j in range(num_x + 1, pd.n + 1):
             if lower[j, 0]:
                 raise ValueError("element leaves the active subalgebra")
-        for key, val in fiber_action(fiber, middle, pd).items():
-            l_part.setdefault(key, {})[mono] = val
+        action = fiber_action(fiber, middle, pd)
+        weight = sum(w * c for w, c in zip(weights, characters(middle, pd)))
+        if weight:
+            for k in labels:
+                action[(k, k)] = action.get((k, k), 0) + weight
+        for key, val in action.items():
+            if val:
+                l_part.setdefault(key, {})[mono] = val
     shared = WeylElement.from_sums(num_x, lowering)
     terms = {(lbl, lbl): shared for lbl in labels}
     for key, t in l_part.items():
@@ -408,14 +406,15 @@ def induced_operator(X, pd, num_x, fiber):
     return OperatorOnVV(num_x, labels, labels, terms)
 
 
-def affine_parts(X, pd, num_x, shape, fourier):
-    """`rep._affine_parts` from `ad_series`: the zero-weight `induced_operator`
-    and, per character, multiplication by that character of each series term."""
-    base = induced_operator(X, pd, num_x, shape)
+def affine_parts(X, pd, num_x, fiber, fourier):
+    """`rep._affine_parts` from `ad_series`: the weight-free `induced_operator`
+    and, per character of pd's flavor, multiplication by that character of
+    each series term."""
+    base = induced_operator(X, pd, num_x, fiber, ())
     chars = {mono: characters(L, pd) for mono, L in ad_series(X, pd, num_x).items()}
     parts = [
         WeylElement.from_sums(num_x, {(0,) * num_x: {mono: c[i] for mono, c in chars.items()}})
-        for i in range(len(shape.weights))
+        for i in range(len(pd.two_rho()))
     ]
     return tuple(op.fourier() for op in (base, *parts)) if fourier else (base, *parts)
 

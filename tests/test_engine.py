@@ -33,6 +33,7 @@ from fmethod.rep import (
     ScalarRepParams,
     SymFiber,
     TargetRepParams,
+    affine_operator,
     characters,
     dpi_hat,
     dpi_hat_parts,
@@ -378,14 +379,17 @@ def _brute_force_unknowns(source, target, degree, connected, full):
     """Every (monomial, label) pair through every diagonal dpi_hat, as a filter."""
     n, pd = source.n, parabolic(source.n, source.flavor)
     block = n if full else n - 1
-    fiber = SymFiber(target.ell, block, tuple(-x for x in target.nu))
+    fiber = SymFiber(target.ell, block)
     labels = fiber.labels()
     diag = [pd.h0_tilde if full else pd.h0_tilde_prime]
     if source.flavor == GL:
         diag.append(pd.j0 if full else pd.j0_prime)
     diag.extend(pd.m_cartan(primed=not full))
+    # the m-part plus the target character -nu . chi(Z)
     fiber_eigs = [
-        {lbl: fiber.act(Z, pd).get((lbl, lbl), Fraction(0)) for lbl in labels} for Z in diag
+        {lbl: fiber.act(Z, pd).get((lbl, lbl), 0) - sum(v * c for v, c in zip(target.nu, characters(Z, pd)))
+         for lbl in labels}
+        for Z in diag
     ]
     gammas = [] if connected else [_dense(g) for g in pd.gamma_elements(primed=not full)]
     out = []
@@ -627,20 +631,13 @@ def test_context_checks_each_weight_part_of_a_diagonal_element(patch_dpi_hat_par
 
 
 def _reference_fiber_action(fiber, L, pd):
-    """SymFiber.act built from scratch, weights included, with no cache."""
+    """SymFiber.act, the m-part, built from scratch with no cache."""
     full = fiber.block == pd.n
-    c1 = L[0, 0]
-    Z = L.sub((pd.h0_tilde if full else pd.h0_tilde_prime).scale(c1))
-    weight = fiber.weights[0] * c1
+    Z = L.sub((pd.h0_tilde if full else pd.h0_tilde_prime).scale(L[0, 0]))
     if pd.flavor == GL:
-        c2 = L.trace()
-        Z = Z.sub((pd.j0 if full else pd.j0_prime).scale(c2))
-        if len(fiber.weights) > 1:
-            weight += fiber.weights[1] * c2
+        Z = Z.sub((pd.j0 if full else pd.j0_prime).scale(L.trace()))
     out = {}
     for k in monomial_basis(fiber.block, fiber.degree):
-        if weight:
-            out[(k, k)] = out.get((k, k), Fraction(0)) + weight
         for j in range(fiber.block):
             for i in range(fiber.block):
                 coeff = k[j] * Z[i + 1, j + 1]
@@ -665,21 +662,28 @@ def test_cached_fiber_action_matches_reference(flavor, weights, full, dual):
     for k, X in enumerate(elements[1:], start=2):
         generic = generic.add(X.scale(Fraction(k, 3)))
     for degree in (0, 1, 2):
-        fiber = SymFiber(degree, n if full else n - 1, weights, dual)
-        weightless = SymFiber(degree, fiber.block, (0, 0), dual)
-        assert fiber.weight(generic, pd)
+        fiber = SymFiber(degree, n if full else n - 1, dual)
         for X in elements + [generic]:
-            # twice each: the second call is served from the cached m-part
+            # twice each: a first call leaves nothing behind that the second reads
             for _ in range(2):
-                assert fiber.act(X, pd) == _reference_fiber_action(fiber, X, pd)
-                assert weightless.act(X, pd) == _reference_fiber_action(weightless, X, pd)
+                act = fiber.act(X, pd)
+                assert act == _reference_fiber_action(fiber, X, pd)
+            # with no x-variable, the weights add sum_i w_i chi_i(X) to each diagonal entry
+            expected = dict(act)
+            for k in fiber.labels():
+                expected[k, k] = expected.get((k, k), 0) + sum(
+                    w * c for w, c in zip(weights, characters(X, pd))
+                )
+            op = affine_operator(X, pd, 0, fiber, weights)
+            assert {key: w.terms[()].terms[()] for key, w in op.terms.items()} == {
+                key: c for key, c in expected.items() if c
+            }
 
 
 def test_fiber_action_is_a_fresh_dict():
     pd = parabolic(3, SL)
     X = pd.l_basis(primed=True)[-1]
-    fiber = SymFiber(2, 2, (Fraction(0),))
-    assert not fiber.weight(X, pd)
+    fiber = SymFiber(2, 2)
     first = fiber.act(X, pd)
     expected = dict(first)
     assert expected
@@ -695,11 +699,11 @@ def test_raising_actions_are_built_once_per_record_and_ell(flavor, full):
     critical = _SolveContext(*_enumeration_case(3, flavor, full, True)[:2], full_nilradical=full)
     generic = _SolveContext(*_enumeration_case(3, flavor, full, False)[:2], full_nilradical=full)
     pd = critical.pd
-    assert critical.fiber.weights != generic.fiber.weights
+    assert critical.weights != generic.weights
     assert len(critical.raising) == len(critical.lie.raising)
     for Z, (piece, act), (other_piece, other_act) in zip(critical.lie.raising, critical.raising, generic.raising):
         assert piece is other_piece and act is other_act
-        assert act == critical.fiber.m_action(Z, pd) == generic.fiber.m_action(Z, pd) != {}
+        assert act == critical.fiber.act(Z, pd) == generic.fiber.act(Z, pd) != {}
 
 
 @pytest.mark.parametrize("full", [False, True])
@@ -883,7 +887,8 @@ def test_member_operators_match_dpi_hat(case):
     for Z, shift, form, scale in zip(ctx.lie.diag, ctx._shifts, ctx.lie.forms, ctx.lie.scales,
                                      strict=True):
         c0, c = _eigenvalue_form(dpi_hat(Z, source))
-        assert (ctx.fiber.weight(Z, pd) - shift, [Fraction(f, scale) for f in form]) == (c0, c)
+        target_character = -sum(v * x for v, x in zip(ctx.target.nu, characters(Z, pd)))
+        assert (target_character - shift, [Fraction(f, scale) for f in form]) == (c0, c)
     for Z, (op, _) in zip(ctx.lie.raising, ctx.raising, strict=True):
         assert op == dpi_hat(Z, source)
 

@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -326,13 +325,17 @@ def _same(got: OperatorOnVV, expected: OperatorOnVV):
 def test_sym_zero_over_empty_block_is_the_scalar_fiber(flavor, n, primed, zero):
     pd = parabolic(n, flavor)
     weights = tuple(Fraction(0 if zero else 2 * i + 3, 7) for i in range(len(pd.two_rho())))
-    fiber = SymFiber(0, 0, weights)
+    fiber = SymFiber(0, 0)
     assert fiber.labels() == [()]
     acted = False
+    origin = (0,) * n
     for X in pd.g_basis(primed=primed):
+        # no m-part acts on S^0; the weights meet the characters in affine_operator
+        assert fiber.act(X, pd) == {}
         # the characters dchi (and dchi2 for GL) read X[0, 0] and the trace
         weight = weights[0] * X[0, 0] + (weights[1] * X.trace() if flavor == GL else 0)
-        assert fiber.act(X, pd) == ({((), ()): weight} if weight else {})
+        order0 = affine_operator(X, pd, n, fiber, weights).scalar_entry().terms.get(origin)
+        assert (order0.terms.get(origin, 0) if order0 else 0) == weight
         acted = acted or bool(weight)
     assert acted != zero
 
@@ -343,8 +346,8 @@ def test_scalar_builders_match_direct_induced_operator(element, data):
     pd, X = element
     lam = _weight_tuple(data.draw, pd)
     params = ScalarRepParams(pd.n, pd.flavor, (0,) * len(lam), lam)
-    direct = references.induced_operator(X, pd, pd.n, SymFiber(0, 0, lam))
-    dual = references.induced_operator(X, pd, pd.n, SymFiber(0, 0, params.dual_weights()))
+    direct = references.induced_operator(X, pd, pd.n, SymFiber(0, 0), lam)
+    dual = references.induced_operator(X, pd, pd.n, SymFiber(0, 0), params.dual_weights())
     assert dpi_lambda(X, params) == direct.scalar_entry()
     assert dpi_lambda_star(X, params) == dual.scalar_entry()
     assert dpi_hat(X, params) == dual.fourier().scalar_entry()
@@ -357,8 +360,8 @@ def test_dpi_target_matches_direct_induced_operator(element, ell, data):
     pd, X = element
     nu = _weight_tuple(data.draw, pd)
     params = TargetRepParams(pd.n, pd.flavor, (0,) * len(nu), nu, ell)
-    fiber = SymFiber(ell, pd.n - 1, nu, dual=True)
-    _same(dpi_target(X, params), references.induced_operator(X, pd, pd.n - 1, fiber))
+    fiber = SymFiber(ell, pd.n - 1, dual=True)
+    _same(dpi_target(X, params), references.induced_operator(X, pd, pd.n - 1, fiber, nu))
 
 
 @given(st.booleans(), st.integers(0, 2), st.data())
@@ -368,8 +371,8 @@ def test_verma_action_matches_direct_induced_operator(primed, degree, data):
     nu = _weight_tuple(data.draw, pd)
     module = VermaModule(pd.n, pd.flavor, primed, degree, nu, (0,) * len(nu))
     dw = module.dual_weights()
-    fiber = SymFiber(0, 0, dw) if degree == 0 else SymFiber(degree, module.num_vars, dw)
-    _same(_verma_action(module, X), references.induced_operator(X, pd, module.num_vars, fiber).fourier())
+    fiber = SymFiber(0, 0) if degree == 0 else SymFiber(degree, module.num_vars)
+    _same(_verma_action(module, X), references.induced_operator(X, pd, module.num_vars, fiber, dw).fourier())
 
 
 @given(st.booleans(), st.integers(-1, 2), st.booleans(), st.booleans(), st.data())
@@ -379,20 +382,43 @@ def test_affine_parts_match_unit_weight_operators(primed, ell, dual, fourier, da
     at a unit weight minus `base`, and that difference has no other entry."""
     pd, X = data.draw(elements(primed=primed))
     num_x = pd.n - 1 if primed else pd.n
-    zeros = tuple(Fraction(0) for _ in pd.two_rho())
-    shape = SymFiber(0, 0, zeros) if ell < 0 else SymFiber(ell, num_x, zeros, dual)
-    base = references.induced_operator(X, pd, num_x, shape)
-    got = _affine_parts(X, pd, num_x, shape, fourier)
-    assert len(got) == 1 + len(zeros)
+    k = len(pd.two_rho())
+    fiber = SymFiber(0, 0) if ell < 0 else SymFiber(ell, num_x, dual)
+    base = references.induced_operator(X, pd, num_x, fiber, ())
+    got = _affine_parts(X, pd, num_x, fiber, fourier)
+    assert len(got) == 1 + k
     _same(got[0], base.fourier() if fourier else base)
     for i, part in enumerate(got[1:]):
-        unit = tuple(Fraction(int(i == j)) for j in range(len(zeros)))
-        diff = entry_differences(references.induced_operator(X, pd, num_x, replace(shape, weights=unit)), base)
+        unit = tuple(Fraction(int(i == j)) for j in range(k))
+        diff = entry_differences(references.induced_operator(X, pd, num_x, fiber, unit), base)
         assert all(out == inp for out, inp in diff)
         assert isinstance(part, WeylElement)
         for lbl in base.in_labels:
             entry = diff.get((lbl, lbl), WeylElement.zero(num_x))
             assert part == (entry.fourier() if fourier else entry)
+
+
+@pytest.mark.parametrize("flavor", [SL, GL])
+def test_one_affine_parts_entry_serves_every_weight(flavor):
+    """`_affine_parts` is keyed by the fiber's shape: two nu of one (n, ell,
+    flavor) share one entry for `dpi_target`, and two lambda one for
+    `dpi_lambda`; a key with the weights in it would miss every time."""
+    n, ell = 3, 1
+    pd = parabolic(n, flavor)
+    X = pd.g_basis(primed=True)[-1]
+    k = len(pd.two_rho())
+    for build in (dpi_target, dpi_lambda):
+        build.cache_clear()
+    _affine_parts.cache_clear()
+    for build, params in (
+        (dpi_target, [TargetRepParams(n, flavor, (0,) * k, (Fraction(v, 3),) * k, ell) for v in (1, -5)]),
+        (dpi_lambda, [ScalarRepParams(n, flavor, (0,) * k, (Fraction(v, 2),) * k) for v in (3, -1)]),
+    ):
+        before = _affine_parts.cache_info()
+        for p in params:
+            build(X, p)
+        after = _affine_parts.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1), build.__name__
 
 
 @pytest.mark.parametrize("fourier", [False, True])
@@ -406,9 +432,9 @@ def test_weights_reach_every_label_of_the_center_of_gl(primed, ell, fourier):
     num_x = pd.n - 1 if primed else pd.n
     identity = LieElement.from_units(pd.size, GL, [((i, i), 1) for i in range(pd.size)])
     weights = (Fraction(1, 3), Fraction(-2))
-    fiber = SymFiber(0, 0, weights) if ell < 0 else SymFiber(ell, num_x, weights, True)
-    got = affine_operator(identity, pd, num_x, fiber, fourier)
-    direct = references.induced_operator(identity, pd, num_x, fiber)
+    fiber = SymFiber(0, 0) if ell < 0 else SymFiber(ell, num_x, True)
+    got = affine_operator(identity, pd, num_x, fiber, weights, fourier)
+    direct = references.induced_operator(identity, pd, num_x, fiber, weights)
     _same(got, direct.fourier() if fourier else direct)
     assert all((lbl, lbl) in got.terms for lbl in got.in_labels)
 
@@ -441,29 +467,30 @@ _nonzero_weights = st.fractions(min_value=-4, max_value=4, max_denominator=5).fi
 @given(closed_form_cases(), st.integers(-1, 4), st.booleans(), st.booleans(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_closed_form_matches_the_bracket_series(case, ell, dual, fourier, data):
-    """`_affine_parts`, `induced_operator` at random nonzero weights and
-    `SymFiber.m_action` and `act` equal the reference built term by term
-    from the bracket series; where the reference leaves the active
+    """`_affine_parts`, `induced_operator`, `affine_operator` at random
+    nonzero weights and `SymFiber.act` equal the reference built term by
+    term from the bracket series; where the reference leaves the active
     subalgebra, so does the closed form."""
     pd, X, num_x = case
-    zeros = tuple(Fraction(0) for _ in pd.two_rho())
-    shape = SymFiber(0, 0, zeros) if ell < 0 else SymFiber(ell, num_x, zeros, dual)
-    weights = tuple(data.draw(_nonzero_weights) for _ in zeros)
-    fiber = replace(shape, weights=weights)
+    fiber = SymFiber(0, 0) if ell < 0 else SymFiber(ell, num_x, dual)
+    weights = tuple(data.draw(_nonzero_weights) for _ in pd.two_rho())
     try:
-        expected = references.affine_parts(X, pd, num_x, shape, fourier)
+        expected = references.affine_parts(X, pd, num_x, fiber, fourier)
     except ValueError as error:
         assert str(error) == "element leaves the active subalgebra"
-        for build in (lambda: _affine_parts(X, pd, num_x, shape, fourier),
-                      lambda: induced_operator(X, pd, num_x, fiber)):
+        for build in (lambda: _affine_parts(X, pd, num_x, fiber, fourier),
+                      lambda: induced_operator(X, pd, num_x, fiber),
+                      lambda: affine_operator(X, pd, num_x, fiber, weights, fourier)):
             with pytest.raises(ValueError, match="element leaves the active subalgebra"):
                 build()
     else:
-        got = _affine_parts(X, pd, num_x, shape, fourier)
+        got = _affine_parts(X, pd, num_x, fiber, fourier)
         _same(got[0], expected[0])
         assert got[1:] == expected[1:]
-        _same(induced_operator(X, pd, num_x, fiber), references.induced_operator(X, pd, num_x, fiber))
-    assert fiber.m_action(X, pd) == references.sym_m_action(fiber, X, pd)
+        _same(induced_operator(X, pd, num_x, fiber), references.induced_operator(X, pd, num_x, fiber, ()))
+        weighted = references.induced_operator(X, pd, num_x, fiber, weights)
+        _same(affine_operator(X, pd, num_x, fiber, weights, fourier),
+              weighted.fourier() if fourier else weighted)
     assert fiber.act(X, pd) == references.fiber_action(fiber, X, pd)
 
 
@@ -473,9 +500,8 @@ def test_an_element_outside_the_active_subalgebra_is_refused(n, flavor):
     """N_n^- has no coordinate among x_1..x_{n-1}: with num_x = n - 1 both
     entry points refuse it, and the reference agrees; N_{n-1}^- is kept."""
     pd = parabolic(n, flavor)
-    zeros = tuple(Fraction(0) for _ in pd.two_rho())
-    for shape in (SymFiber(0, 0, zeros), SymFiber(1, n - 1, zeros, True)):
-        for build in (induced_operator, references.induced_operator,
+    for shape in (SymFiber(0, 0), SymFiber(1, n - 1, True)):
+        for build in (induced_operator, lambda *args: references.induced_operator(*args, ()),
                       lambda *args: _affine_parts(*args, False)):
             with pytest.raises(ValueError, match="element leaves the active subalgebra"):
                 build(pd.n_minus(n), pd, n - 1, shape)
@@ -528,7 +554,7 @@ def test_operator_sums_are_the_terms_of_apply(element, ell, fourier, data):
     then on two input labels with one entry and a vector p, -p there, whose
     sums all cancel."""
     pd, X = element
-    op = induced_operator(X, pd, pd.n - 1, SymFiber(ell, pd.n - 1, _weight_tuple(data.draw, pd), True))
+    op = affine_operator(X, pd, pd.n - 1, SymFiber(ell, pd.n - 1, True), _weight_tuple(data.draw, pd))
     op = op.fourier() if fourier else op
     labels = data.draw(st.lists(st.sampled_from(op.in_labels), unique=True))
     v = VectorValuedPolynomial(op.arity, {lbl: _poly(data.draw, op.arity, op.var) for lbl in labels}, op.var)
