@@ -385,12 +385,11 @@ def _brute_force_unknowns(source, target, degree, connected, full):
     if source.flavor == GL:
         diag.append(pd.j0 if full else pd.j0_prime)
     diag.extend(pd.m_cartan(primed=not full))
-    # the m-part plus the target character -nu . chi(Z)
-    fiber_eigs = [
-        {lbl: fiber.act(Z, pd).get((lbl, lbl), 0) - sum(v * c for v, c in zip(target.nu, characters(Z, pd)))
-         for lbl in labels}
-        for Z in diag
-    ]
+    fiber_eigs = []
+    for Z in diag:
+        # the m-part plus the target character -nu . chi(Z)
+        acts, shift = fiber.act(Z, pd), -sum(v * c for v, c in zip(target.nu, characters(Z, pd)))
+        fiber_eigs.append({lbl: acts.get((lbl, lbl), 0) + shift for lbl in labels})
     gammas = [] if connected else [_dense(g) for g in pd.gamma_elements(primed=not full)]
     out = []
     for mono in monomial_basis(n, degree):
