@@ -4,7 +4,8 @@ Each case's stdout is stored in `tests/golden/<name>.txt` and its exit code
 in the table below.  To rewrite the stored outputs after an intended change
 of output, run `PYTHONPATH=src python tests/test_golden.py`.  Larger scans,
 whose tables are too long to store, are held by the SHA-256 digest of their
-`--format csv` stdout in `DIGESTS`; the script prints the current digests.
+stdout in `DIGESTS` (`--format csv`, or `json` for the row framing); the
+script prints the current digests.
 """
 
 import contextlib
@@ -26,6 +27,10 @@ CASES = {
     "classify-gl-n2-csv": (
         ["classify", "--flavor", "gl", "--n", "2", "--m-max", "1", "--l-max", "1",
          "--format", "csv"], 0),
+    # GL rows, with their comma-joined lambda and nu pairs, in JSON
+    "classify-gl-n2-json": (
+        ["classify", "--flavor", "gl", "--n", "2", "--m-max", "1", "--l-max", "1",
+         "--format", "json"], 0),
     "classify-sl-n3-json-jobs2": (
         ["classify", "--n", "3", "--m-max", "1", "--l-max", "1", "--format", "json",
          "--jobs", "2"], 0),
@@ -103,6 +108,16 @@ DIGESTS = {
     "classify-ido-gl-n7": (
         ["classify", "--flavor", "gl", "--n", "7", "--ido", "--k-max", "4", "--format", "csv"],
         "68f3745191f1bb5f70ba62cb828219391d5bde4c08dcfbf26f38d29cb8acf29e"),
+    # the JSON row framing of a full table: integral and non-integral
+    # lambda pairs (GL), and lambda samples off the defaults (SL)
+    "classify-gl-n2-json": (
+        ["classify", "--flavor", "gl", "--n", "2", "--m-max", "4", "--l-max", "4",
+         "--format", "json"],
+        "d21bae3c7b50291e96514c85f1191c24a159428adaa428293b734b09255fe782"),
+    "classify-sl-n4-json": (
+        ["classify", "--n", "4", "--m-max", "4", "--l-max", "4",
+         "--lambda-samples=-5/3,7/4,2/5", "--format", "json"],
+        "ec2f1560ddc369315c8b03772962fd5edf9b1639d666b002db11a723ff3b4d7b"),
 }
 
 
