@@ -127,11 +127,6 @@ class VermaModule:
             }
         return out
 
-    def gamma_action(self, gamma, v: VectorValuedPolynomial) -> VectorValuedPolynomial:
-        """Group action of a component-group generator on the model: `gamma_sums`."""
-        sums = self.gamma_sums(gamma, {lbl: p.terms for lbl, p in v.components.items()})
-        return VectorValuedPolynomial.from_sums(self.num_vars, sums, "zeta")
-
 
 @lru_cache(maxsize=None)
 def _verma_action(module: VermaModule, X):

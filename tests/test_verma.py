@@ -578,8 +578,8 @@ def test_gl_module_default_sign_is_plus_on_both_characters():
     default = VermaModule.scalar(2, 1, "gl", s2=0)
     explicit = VermaModule.scalar(2, 1, "gl", sign=(0, 0), s2=0)
     assert default == explicit
-    v = default.unit((1, 2), ())
-    assert default.gamma_action(gamma, v) == explicit.gamma_action(gamma, v)
+    comps = {(): {(1, 2): 1}}
+    assert default.gamma_sums(gamma, comps) == explicit.gamma_sums(gamma, comps)
 
 
 @st.composite
@@ -605,9 +605,11 @@ def gamma_action_cases(draw):
 def test_gamma_action_matches_the_fraction_products(case):
     # every generator of both component groups, on the module's own coordinates
     module, v = case
+    comps = {lbl: p.terms for lbl, p in v.components.items()}
     for primed in (False, True):
         for gamma in module.pd.gamma_elements(primed=primed):
-            assert module.gamma_action(gamma, v) == gamma_action(module, gamma, v)
+            sums = module.gamma_sums(gamma, comps)
+            assert VectorValuedPolynomial.from_sums(module.num_vars, sums, "zeta") == gamma_action(module, gamma, v)
 
 
 # -- check_hom_equivariance against the loop it replaced ---------------------------
