@@ -81,9 +81,38 @@ def _run_families(jobs, requested):
     return [row for rows in families for row in rows]
 
 
+# one classify row, a flat dict of str, int and bool, at json.dumps(indent=2)'s
+# depth 2; an encoder without indent is the C one
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "), default=str)
+
+
+def _json_row(row) -> str:
+    """One flat dict as `json.dumps(indent=2)` prints it inside a list.
+
+    The C encoder's item separator carries the row's indent, and only the
+    braces are framed here: strings are escaped onto one line, so the
+    separators are the only line breaks.
+    """
+    return "{\n    " + _ROW_ENCODER.encode(row)[1:-1] + "\n  }" if row else "{}"
+
+
+def _json_rows(rows) -> str:
+    """`json.dumps(rows, indent=2, default=str)` of a nonempty list of flat dicts, row by row."""
+    return "[\n  " + ",\n  ".join(map(_json_row, rows)) + "\n]"
+
+
 def _emit(rows_or_report, fmt, out_path, columns=None):
+    """Write a classify table (rows) or a report as json, csv or an aligned table.
+
+    A nonempty classify table in json goes through `_json_rows`, with the
+    bytes of `json.dumps(indent=2)`; an empty one and every report use
+    `json.dumps(indent=2)` itself.
+    """
     if fmt == "json":
-        text = json.dumps(rows_or_report, indent=2, default=str) + "\n"
+        if isinstance(rows_or_report, list) and rows_or_report:
+            text = _json_rows(rows_or_report) + "\n"
+        else:
+            text = json.dumps(rows_or_report, indent=2, default=str) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore")

@@ -86,6 +86,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import cycle
+from operator import sub
 
 from .algebra import (
     Polynomial,
@@ -234,6 +236,7 @@ class _LieData:
     target_signs: tuple
     label_solves: dict = field(default_factory=dict)  # ell: `solve_labels` of the fiber S^ell
     raising_acts: dict = field(default_factory=dict)  # ell: each raising element's m-action on S^ell
+    sign_keys: dict = field(default_factory=dict)  # (alpha, beta): `sign_key`
 
     @classmethod
     def of(cls, pd, block, diag, raising, gammas, n_plus):
@@ -320,6 +323,20 @@ class _LieData:
         self.label_solves[fiber.degree] = solves = tuple(solves)
         return solves
 
+    def sign_key(self, alpha, beta):
+        """Per gamma, the parity alpha . a + beta . b of the source and target sign characters.
+
+        a and b are the record's sign coefficients.  Built once per (alpha,
+        beta) and kept on the record, so a family's member check reads a
+        dict, not a sum per gamma.
+        """
+        key = self.sign_keys.get((alpha, beta))
+        if key is None:
+            key = self.sign_keys[alpha, beta] = tuple(
+                (_dot(alpha, a) + _dot(beta, b)) % 2 for a, b in zip(self.source_signs, self.target_signs)
+            )
+        return key
+
 
 def _dot(u, v):
     return sum(x * y for x, y in zip(u, v))
@@ -400,8 +417,8 @@ class _SolveContext:
         self.fiber = SymFiber(target.ell, self.n if full_nilradical else self.n - 1)
         self.lie = lie = _lie_data(pd, full_nilradical)
         self._connected = connected
-        # exact, so an integral lambda weighs the F-system's piece rows with ints
-        self.weights = tuple(map(exact, source.dual_weights()))
+        self._two_rho = pd.two_rho()
+        self.weights = self._weights(source)
         acts = lie.raising_acts.get(target.ell)
         if acts is None:
             acts = lie.raising_acts[target.ell] = tuple(self.fiber.act(Z, pd) for Z in lie.raising)
@@ -418,18 +435,19 @@ class _SolveContext:
 
         n, flavor, l, the gap nu - lambda and the sign key: per gamma, the
         parity alpha . a + beta . b of the source and target characters
-        there, a and b the record's sign coefficients.  The signs enter only
+        there, a and b the record's sign coefficients, read from the
+        record's `sign_key` memo.  The signs enter only
         through the key, so a member whose signs give the same key shares
         every stage but the F-system's weights.  The key is empty when
         connected: no label then carries a parity, and no zeta mask is read.
         """
-        gap = tuple(nu - lam for nu, lam in zip(target.nu, source.lam))
-        lie = self.lie
-        key = () if self._connected else tuple(
-            (_dot(source.alpha, a) + _dot(target.beta, b)) % 2
-            for a, b in zip(lie.source_signs, lie.target_signs)
-        )
+        gap = tuple(map(sub, target.nu, source.lam))
+        key = () if self._connected else self.lie.sign_key(source.alpha, target.beta)
         return source.n, source.flavor, target.ell, gap, key
+
+    def _weights(self, source):
+        """w = 2rho - lambda, `exact`, so an integral lambda weighs the F-system's piece rows with ints."""
+        return tuple(map(exact, map(sub, self._two_rho, source.lam)))
 
     def member_weights(self, source, target):
         """A further member's weights w = 2rho - lambda, once it is checked to be one.
@@ -445,7 +463,7 @@ class _SolveContext:
         """
         if self._family_data(source, target) != self._data or not self.lie.lambda_free:
             raise ValueError("a lambda-family's members differ in a lambda-independent stage")
-        return tuple(map(exact, source.dual_weights()))
+        return self._weights(source)
 
     @cached_property
     def _labels(self):
@@ -542,13 +560,20 @@ class _SolveContext:
 
 
 def _weigh(pieces, weights) -> dict:
-    """The rows of base + sum_i w_i part_i at `weights`, summed into fresh rows: pieces serve every member."""
+    """The rows of base + sum_i w_i part_i at `weights`, summed into fresh rows: pieces serve every member.
+
+    The pieces' entries are `exact`; at a non-integral weight a product
+    or sum can be an integral `Fraction`, so those rows are put back in
+    the `exact` normal form and reach the kernel as `int`s.
+    """
     base, *parts = pieces
     rows = {key: dict(row) for key, row in base.items()}
     for w, part in zip(weights, parts):
         if w:
             for key, row in part.items():
                 add_terms(rows.setdefault(key, {}), row, w)
+    if any(type(w) is Fraction for w in weights):
+        rows = {key: {col: exact(v) for col, v in row.items()} for key, row in rows.items()}
     return rows
 
 
@@ -677,7 +702,10 @@ def same_solution_span(a, b) -> bool:
     """Do two lists of vector-valued polynomials span the same space?
 
     Each VVP is compared as the sparse vector {(monomial, label): coefficient}.
+    Two empty lists span the same (zero) space, with no elimination.
     """
+    if not a and not b:
+        return True
 
     def rows(vvps):
         return [
@@ -731,21 +759,24 @@ class Family:
     def flavor(self):
         return GL if self.kind.startswith("gl") else SL
 
+    def lambdas(self):
+        """Each member's lambda components, lambda_2 fastest: (lambda,) for SL, else (lambda_1, lambda_2)."""
+        return [(lam,) if lam2 is None else (lam, lam2) for lam in self.lams for lam2 in self.lam2s]
+
     def members(self):
         """Each member's ((alphas, betas), lambda components), signs slowest, lambda_2 fastest.
 
+        So member i has lambda components `lambdas()[i % len(lambdas())]`.
         The second GL signs are +.
         """
         pad = (0,) if self.flavor == GL else ()
-        return [
-            (((alpha,) + pad, (beta,) + pad), (lam,) if lam2 is None else (lam, lam2))
-            for alpha, beta in self.signs for lam in self.lams for lam2 in self.lam2s
-        ]
+        lambdas = self.lambdas()
+        return [(((alpha,) + pad, (beta,) + pad), lams) for alpha, beta in self.signs for lams in lambdas]
 
 
 def _critical_first(critical, samples):
-    """The critical value, then every sample not equal to an earlier value, as Fractions."""
-    return tuple(dict.fromkeys(map(Fraction, (critical, *samples))))
+    """The critical value, then every sample not equal to an earlier value, as `exact` scalars."""
+    return tuple(dict.fromkeys(map(exact, (critical, *samples))))
 
 
 def _grid(m_max, l_max, samples, alphas, flips):
@@ -761,15 +792,45 @@ def _grid(m_max, l_max, samples, alphas, flips):
                 yield m, ell, lams, tuple((alpha, sign_shift(alpha, m + ell + flip)) for alpha in alphas)
 
 
+def _member_targets(family, gaps):
+    """Per member, in `Family.members` order: (nu, the row's printed pair).
+
+    nu = lambda + gaps, componentwise and `exact`.  Both are built once
+    per lambda and shared by the members there.  The pair is (lambda, nu),
+    or (s, r) = (-lambda, -nu) for a homs family (kind gp or gprime), each
+    side's components comma-joined.
+    """
+    shared = []
+    for lams in family.lambdas():
+        nus = tuple(exact(lam + gap) for lam, gap in zip(lams, gaps))
+        if family.kind in ("gp", "gprime"):
+            pair = {"s": [-x for x in lams], "r": [-x for x in nus]}
+        else:
+            pair = {"lambda": lams, "nu": nus}
+        shared.append((nus, {key: ",".join(map(str, values)) for key, values in pair.items()}))
+    return cycle(shared)
+
+
 def _rows(family, cells, degree_cap, **mode):
     """Solve a family's cells ((alphas, betas), pair, source, target, predicted,
     expected) together and compare each with its predicted dimension and basis.
 
     A row's parameters come in table order: flavor, n, the cell's alpha and
-    beta, l, then `pair` (lambda, nu or s, r); GL signs and pairs print
-    comma-joined.
+    beta, l, then `pair` (from `_member_targets`); GL signs print
+    comma-joined.  Members at one lambda share one solve (their
+    weights 2rho - lambda are equal), so its basis symbols are printed once.
     """
     sols = solve_family([(src, tgt) for _, _, src, tgt, _, _ in cells], degree_cap, **mode)
+    symbols = {}  # lambda: the basis symbols of its solve
+
+    def basis_symbols(sol):
+        if not sol.basis:
+            return ""
+        text = symbols.get(sol.source.lam)
+        if text is None:
+            text = symbols[sol.source.lam] = "; ".join(map(str, sol.basis))
+        return text
+
     return [
         {
             "flavor": family.kind,
@@ -777,10 +838,10 @@ def _rows(family, cells, degree_cap, **mode):
             "alpha": ",".join(map(sign_str, alphas)),
             "beta": ",".join(map(sign_str, betas)),
             "l": family.ell,
-            **{key: ",".join(map(str, values)) for key, values in pair.items()},
+            **pair,
             "predicted_dim": predicted,
             "computed_dim": sol.dim,
-            "basis_symbols": "; ".join(str(v) for v in sol.basis),
+            "basis_symbols": basis_symbols(sol),
             "ok": sol.dim == predicted and same_solution_span(sol.basis, expected),
         }
         for ((alphas, betas), pair, _, _, predicted, expected), sol in zip(cells, sols)
@@ -821,14 +882,12 @@ def classify_sl_cell(family):
     """
     n, ell = family.n, family.ell
     connected = family.kind == "gprime"
-    gap = family.m + Fraction(n, n - 1) * ell
+    gap = exact(family.m + Fraction(n, n - 1) * ell)
     cells = []
-    for signs, (lam,) in family.members():
+    for (signs, (lam,)), ((nu,), pair) in zip(family.members(), _member_targets(family, (gap,))):
         (alpha,), (beta,) = signs
-        nu = lam + gap
         q = SLQuadruple(alpha, beta, ell, lam, nu).canonical(n)
         rec = in_lambda_sl_connected(q.ell, lam, nu, n) if connected else in_lambda_sl(q, n)
-        pair = {"lambda": (lam,), "nu": (nu,)} if family.kind == "sl" else {"s": (-lam,), "r": (-nu,)}
         cells.append((
             signs, pair,
             ScalarRepParams.sl(n, lam, alpha), TargetRepParams.sl(n, nu, ell=q.ell, beta=q.beta),
@@ -840,13 +899,12 @@ def classify_sl_cell(family):
 def classify_gl_cell(family):
     """Rows of a GL family, one per (sign pair, lambda_1, lambda_2)."""
     n, ell = family.n, family.ell
-    gaps = (family.m + Fraction(n, n - 1) * ell, -Fraction(ell, n - 1))
+    gaps = (exact(family.m + Fraction(n, n - 1) * ell), exact(-Fraction(ell, n - 1)))
     cells = []
-    for (alphas, betas), lams in family.members():
-        nus = (lams[0] + gaps[0], lams[1] + gaps[1])
+    for ((alphas, betas), lams), (nus, pair) in zip(family.members(), _member_targets(family, gaps)):
         rec = in_lambda_gl(GLTuple(alphas, betas, ell, lams, nus), n)
         cells.append((
-            (alphas, betas), {"lambda": lams, "nu": nus},
+            (alphas, betas), pair,
             ScalarRepParams(n, GL, alphas, lams), TargetRepParams(n, GL, betas, nus, ell),
             record_dim(rec), _expected_basis(rec, n),
         ))
@@ -856,12 +914,12 @@ def classify_gl_cell(family):
 def classify_ido_cell(family):
     """Rows of the order-k family (k = `ell`), one per lambda (SL) or (lambda_1, lambda_2) (GL)."""
     n, k, flavor = family.n, family.ell, family.flavor
+    gaps = (Fraction(n + 1, n) * k, -Fraction(k, n))
     cells = []
-    for (alphas, deltas), lams in family.members():
-        taus = (lams[0] + Fraction(n + 1, n) * k,) + tuple(x - Fraction(k, n) for x in lams[1:])
+    for ((alphas, deltas), lams), (taus, pair) in zip(family.members(), _member_targets(family, gaps)):
         predicted = predicted_dim_ido(n, alphas, deltas, k, lams, taus)
         cells.append((
-            (alphas, deltas), {"lambda": lams, "nu": taus},
+            (alphas, deltas), pair,
             ScalarRepParams(n, flavor, alphas, lams), TargetRepParams(n, flavor, deltas, taus, k),
             predicted, [ido_symbol_vector(k, n)] if predicted == 1 else [],
         ))
@@ -889,10 +947,10 @@ def scan_jobs(
     the matched beta only.  Otherwise `ido` picks the intertwining
     operators of `flavor`.
     """
-    lam2s = (None,) if homs or flavor == SL else tuple(dict.fromkeys(map(Fraction, lambda2_samples)))
+    lam2s = (None,) if homs or flavor == SL else tuple(dict.fromkeys(map(exact, lambda2_samples)))
     if homs:
         kind = "gprime" if connected else "gp"
-        minus_s = [-Fraction(s) for s in lambda_samples]  # lambda = -s
+        minus_s = [-exact(s) for s in lambda_samples]  # lambda = -s
         grid = _grid(m_max, l_max, minus_s, (0,), (0,) if connected else (0, 1))
     elif ido:
         return [

@@ -295,15 +295,11 @@ class ParabolicData:
         return zeta, tuple(j for j in range(block) if gamma[j + 1, j + 1] < 0)
 
     def two_rho(self):
-        """Weights of det Ad on n_+ against (dchi[, dchi2])."""
-        if self.flavor == SL:
-            return (Fraction(self.n + 1),)
-        return (Fraction(self.n + 1), Fraction(-1))
+        """Weights of det Ad on n_+ against (dchi[, dchi2]), as `int`s."""
+        return (self.n + 1,) if self.flavor == SL else (self.n + 1, -1)
 
     def two_rho_prime(self):
-        if self.flavor == SL:
-            return (Fraction(self.n),)
-        return (Fraction(self.n), Fraction(-1))
+        return (self.n,) if self.flavor == SL else (self.n, -1)
 
     def in_g_prime(self, X: LieElement) -> bool:
         last = self.size - 1

@@ -77,7 +77,7 @@ def _generic_sl(alpha, beta, ell, lam, nu, n) -> dict:
         m = _nonneg_int(nu - lam)
         if m is not None and beta == sign_shift(alpha, m):
             rec["sl1"] = {"m": m}
-    if nu == 1 + Fraction(ell, n - 1):
+    if (nu - 1) * (n - 1) == ell:  # nu = 1 + ell/(n-1), in the scalars' own arithmetic
         m = _nonneg_int(1 - lam - ell)
         if m is not None and beta == sign_shift(alpha, m + ell):
             rec["sl2"] = {"m": m, "ell": ell}
@@ -123,7 +123,7 @@ def in_lambda_gl(t: GLTuple, n: int) -> dict:
     rec = _generic_sl(a1, b1, t.ell, l1, n1, n)
     return {
         "gl1": rec["sl1"] if b2 == a2 and n2 == l2 else None,
-        "gl2": rec["sl2"] if b2 == a2 and n2 == l2 - Fraction(t.ell, n - 1) else None,
+        "gl2": rec["sl2"] if b2 == a2 and (l2 - n2) * (n - 1) == t.ell else None,
     }
 
 

@@ -57,11 +57,10 @@ kernel touch only nonzero entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import (
-    Polynomial, add_product, add_terms, exact, monomial_basis, monomial_key, rational, unit_monomial,
+    Polynomial, add_product, add_terms, exact, monomial_basis, monomial_key, unit_monomial,
 )
 from .liealg import GL, SL, LieElement, ParabolicData, parabolic
 from .weyl import DUAL_VAR, WeylElement
@@ -72,23 +71,23 @@ class ScalarRepParams:
     """Parameters (alpha, lambda) of the line-bundle representation.
 
     Sign characters are parities: 0 for +, 1 for -.  For GL both `alpha`
-    and `lam` are pairs.
+    and `lam` are pairs.  `sl` and `gl` put lambda in the `exact` normal
+    form, an `int` when integral and a `Fraction` otherwise, so an
+    integral lambda and its dual weights compute in `int`s.
     """
 
     n: int
     flavor: str = SL
     alpha: tuple = (0,)
-    lam: tuple = (Fraction(0),)
+    lam: tuple = (0,)
 
     @classmethod
     def sl(cls, n, lam, alpha=0):
-        return cls(n, SL, (int(alpha) % 2,), (rational(lam),))
+        return cls(n, SL, (int(alpha) % 2,), (exact(lam),))
 
     @classmethod
     def gl(cls, n, lam1, lam2, alpha1=0, alpha2=0):
-        return cls(
-            n, GL, (int(alpha1) % 2, int(alpha2) % 2), (rational(lam1), rational(lam2))
-        )
+        return cls(n, GL, (int(alpha1) % 2, int(alpha2) % 2), (exact(lam1), exact(lam2)))
 
     def dual_weights(self):
         """2rho - lambda, the inducing weight of the pairing-dual bundle."""
@@ -98,23 +97,21 @@ class ScalarRepParams:
 
 @dataclass(frozen=True)
 class TargetRepParams:
-    """Parameters (beta, varpi = poly^ell, nu) of the target bundle on RP^{n-1}."""
+    """Parameters (beta, varpi = poly^ell, nu) of the target bundle on RP^{n-1}; nu as `exact`."""
 
     n: int
     flavor: str = SL
     beta: tuple = (0,)
-    nu: tuple = (Fraction(0),)
+    nu: tuple = (0,)
     ell: int = 0
 
     @classmethod
     def sl(cls, n, nu, ell=0, beta=0):
-        return cls(n, SL, (int(beta) % 2,), (rational(nu),), ell)
+        return cls(n, SL, (int(beta) % 2,), (exact(nu),), ell)
 
     @classmethod
     def gl(cls, n, nu1, nu2, ell=0, beta1=0, beta2=0):
-        return cls(
-            n, GL, (int(beta1) % 2, int(beta2) % 2), (rational(nu1), rational(nu2)), ell
-        )
+        return cls(n, GL, (int(beta1) % 2, int(beta2) % 2), (exact(nu1), exact(nu2)), ell)
 
 
 class VectorValuedPolynomial:

@@ -205,8 +205,8 @@ MUTANTS = [
     (
         "sign-key-drops-the-mod-2",
         "engine.py",
-        "(_dot(source.alpha, a) + _dot(target.beta, b)) % 2\n",
-        "(_dot(source.alpha, a) + _dot(target.beta, b))\n",
+        "(_dot(alpha, a) + _dot(beta, b)) % 2 for a, b",
+        "(_dot(alpha, a) + _dot(beta, b)) for a, b",
         ["tests/test_engine.py"],
     ),
     (
@@ -485,6 +485,31 @@ MUTANTS = [
         "        if row[p] != 1:\n",
         "        if type(row[p]) is not int:\n",
         ["tests/test_algebra.py::test_sparse_kernels_return_the_exact_normal_form"],
+    ),
+    # -- parameters, weights and weighed rows in the exact normal form ---------
+    (
+        # rep no longer imports `rational`, so the mutant reaches it through the package
+        "params-keep-integral-fractions",
+        "rep.py",
+        "return cls(n, SL, (int(alpha) % 2,), (exact(lam),))",
+        "return cls(n, SL, (int(alpha) % 2,), (__import__('fmethod.algebra').algebra.rational(lam),))",
+        ["tests/test_rep.py::test_parameters_are_in_the_exact_normal_form"],
+    ),
+    (
+        "weigh-boxes-integral-products",
+        "engine.py",
+        "    if any(type(w) is Fraction for w in weights):\n"
+        "        rows = {key: {col: exact(v) for col, v in row.items()} for key, row in rows.items()}\n",
+        "",
+        ["tests/test_engine.py::test_weighing_at_a_non_integral_lambda_keeps_integral_entries_int"],
+    ),
+    # -- classify rows through the C encoder, with json.dumps(indent=2)'s bytes -
+    (
+        "json-rows-lose-one-indent",
+        "cli.py",
+        'separators=(",\\n    ", ": ")',
+        'separators=(",\\n  ", ": ")',
+        ["tests/test_cli.py::test_json_rows_match_json_dumps", "tests/test_golden.py"],
     ),
     # -- no inexact scalar at the exact-scalar boundary --------------------------
     (

@@ -1,4 +1,6 @@
 import concurrent.futures
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -6,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmethod import cli
 from fmethod.algebra import Polynomial
@@ -429,3 +433,23 @@ def test_worker_count_clamps():
 
 def test_usable_cpus_is_positive():
     assert _usable_cpus() >= 1
+
+
+# flat rows as a classify table holds them, with the characters JSON escapes:
+# quotes, backslashes, newlines, commas and colons, and non-ASCII text
+_json_text = st.text(alphabet=st.sampled_from('ab ,:"\\\n\t{}[]éλ−\U0001d53d'), max_size=8) | st.text(max_size=8)
+_json_rows = st.lists(
+    st.dictionaries(_json_text, _json_text | st.integers(-10**20, 10**20) | st.booleans(), max_size=6),
+    max_size=5,
+)
+
+
+@given(_json_rows)
+@settings(max_examples=300, deadline=None)
+def test_json_rows_match_json_dumps(rows):
+    """A classify table's JSON, row by row through the C encoder, has the bytes
+    of `json.dumps(indent=2)`, for the empty table too."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._emit(rows, "json", None)
+    assert buf.getvalue() == json.dumps(rows, indent=2, default=str) + "\n"

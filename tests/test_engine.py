@@ -1238,3 +1238,74 @@ def test_scan_solves_each_relative_sign_once(monkeypatch, n, options, sign_famil
     assert rows and all(row["ok"] for row in rows)
     assert len(built) == len(solves) == sign_families // 2
     assert all(len(pairs) == 2 for pairs in solves)
+
+
+@pytest.mark.parametrize("change", [None, "gap", "sign key"])
+@pytest.mark.parametrize("lam", [Fraction(5), Fraction(1, 3)], ids=["integral", "non-integral"])
+@pytest.mark.parametrize("flavor", [SL, GL])
+def test_member_check_rejects_another_gap_or_sign_key(flavor, lam, change):
+    """A member at lambda on the first member's gap and sign key gets its weights
+    2rho - lambda, `int`s at an integral lambda; one whose nu is off the gap, or
+    whose beta alone is flipped (another sign key), raises."""
+    source, target, _ = _enumeration_case(3, flavor, False, True)
+    ctx = _SolveContext(source, target)
+    swap = dataclasses.replace
+    src = swap(source, lam=(lam, *source.lam[1:]))
+    tgt = swap(target, nu=(engine.exact(target.nu[0] - source.lam[0] + lam), *target.nu[1:]))
+    if change is None:
+        weights = ctx.member_weights(src, tgt)
+        assert weights == tuple(r - x for r, x in zip(parabolic(3, flavor).two_rho(), src.lam))
+        assert all(map(is_exact_normal_form, weights))
+        return
+    if change == "gap":
+        tgt = swap(tgt, nu=(tgt.nu[0] + 1, *tgt.nu[1:]))
+    else:
+        tgt = swap(tgt, beta=_flip_first(tgt.beta))
+    with pytest.raises(ValueError, match="lambda-independent stage"):
+        ctx.member_weights(src, tgt)
+
+
+def test_weighing_at_a_non_integral_lambda_keeps_integral_entries_int():
+    """The F-system's piece rows weighed at lambda = 1/3, whose weights are not
+    integral: an integral product of an entry and a weight, or an integral sum,
+    reaches the kernel as an `int`, as every integral entry at an integral
+    lambda does."""
+    integral = 0
+    for family in engine.scan_jobs(2, m_max=3, l_max=3, lambda_samples=(Fraction(1, 3),)):
+        _, (members, cap, mode) = _family_solve(family)
+        ctx = _SolveContext(*members[0], **mode)
+        weights = {ctx.member_weights(s, t) for s, t in members if s.lam == (Fraction(1, 3),)}
+        assert weights and all(type(w) is Fraction for ws in weights for w in ws)
+        for d in range(cap + 1):
+            unknowns = ctx.unknowns_at_degree(d)
+            vectors = ctx.equivariant_vectors(unknowns)
+            if not vectors:
+                continue
+            pieces = ctx.fsystem_rows(unknowns, vectors)
+            for w in weights:
+                for row in _weigh(pieces, w).values():
+                    for x in row.values():
+                        assert type(x) is (int if Fraction(x).denominator == 1 else Fraction)
+                        integral += x != 0 and type(x) is int
+    assert integral
+
+
+@pytest.mark.parametrize("n, options", [
+    (2, {}), (3, {}), (2, {"flavor": GL}), (3, {"ido": True}), (2, {"flavor": GL, "ido": True}),
+    (3, {"homs": True}), (3, {"homs": True, "connected": True}),
+])
+def test_scan_parameters_are_in_the_exact_normal_form(n, options):
+    """Every lambda, nu and weight 2rho - lambda that a scan hands the solver
+    is an `int` when integral and a `Fraction` otherwise."""
+    def normal(x):
+        return type(x) is (int if Fraction(x).denominator == 1 else Fraction)
+
+    seen = 0
+    for family in engine.scan_jobs(n, m_max=2, l_max=2, k_max=2, **options):
+        _, (members, _, mode) = _family_solve(family)
+        ctx = _SolveContext(*members[0], **mode)
+        for source, target in members:
+            values = (*source.lam, *target.nu, *ctx.member_weights(source, target))
+            assert all(map(normal, values))
+            seen += sum(type(x) is int for x in values)
+    assert seen

@@ -570,3 +570,21 @@ def test_operator_sums_are_the_terms_of_apply(element, ell, fourier, data):
     assert not any(c for terms in sums.values() for c in terms.values())
     if not entry.apply(p).is_zero():
         assert sums[(0,)]  # the cancelled zeros stay in the raw sums
+
+
+@pytest.mark.parametrize("flavor", [SL, GL])
+def test_parameters_are_in_the_exact_normal_form(flavor):
+    """lambda, nu and 2rho are `int`s when integral, as are the dual weights of
+    an integral lambda; a non-integral lambda stays a `Fraction`."""
+    assert type(ScalarRepParams.sl(3, Fraction(5)).lam[0]) is int
+    assert type(ScalarRepParams.sl(3, "-7/1").lam[0]) is int
+    assert ScalarRepParams.sl(3, Fraction(1, 3)).lam == (Fraction(1, 3),)
+    assert type(ScalarRepParams.sl(3, Fraction(1, 3)).lam[0]) is Fraction
+    assert all(map(is_exact_normal_form, ScalarRepParams.gl(3, Fraction(4, 2), Fraction(1, 2)).lam))
+    assert type(TargetRepParams.sl(3, Fraction(6), ell=1).nu[0]) is int
+    assert all(map(is_exact_normal_form, TargetRepParams.gl(3, Fraction(-2), Fraction(3, 2)).nu))
+    pd = parabolic(4, flavor)
+    assert all(type(r) is int for r in (*pd.two_rho(), *pd.two_rho_prime()))
+    assert all(type(x) is int for x in (*ScalarRepParams(4, flavor).lam, *TargetRepParams(4, flavor).nu))
+    source = ScalarRepParams.sl(4, 2) if flavor == SL else ScalarRepParams.gl(4, 2, -3)
+    assert all(type(w) is int for w in source.dual_weights())
