@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fmethod import engine, rep
 from fmethod.cli import main
-from fmethod.algebra import Polynomial, monomial_basis, monomial_key, sparse_nullspace
+from fmethod.algebra import Polynomial, exact, monomial_basis, monomial_key, sparse_nullspace
 from fmethod.engine import (
     _eigenvalue_form,
     _SolveContext,
@@ -1251,7 +1251,7 @@ def test_member_check_rejects_another_gap_or_sign_key(flavor, lam, change):
     ctx = _SolveContext(source, target)
     swap = dataclasses.replace
     src = swap(source, lam=(lam, *source.lam[1:]))
-    tgt = swap(target, nu=(engine.exact(target.nu[0] - source.lam[0] + lam), *target.nu[1:]))
+    tgt = swap(target, nu=(exact(target.nu[0] - source.lam[0] + lam), *target.nu[1:]))
     if change is None:
         weights = ctx.member_weights(src, tgt)
         assert weights == tuple(r - x for r, x in zip(parabolic(3, flavor).two_rho(), src.lam))
