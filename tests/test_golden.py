@@ -118,6 +118,18 @@ DIGESTS = {
         ["classify", "--n", "4", "--m-max", "4", "--l-max", "4",
          "--lambda-samples=-5/3,7/4,2/5", "--format", "json"],
         "ec2f1560ddc369315c8b03772962fd5edf9b1639d666b002db11a723ff3b4d7b"),
+    # many members per family: lambda and lambda_2 samples off the defaults,
+    # integral and not, so each family's lambda-locus is read at 30 members
+    "classify-gl-n2-samples": (
+        ["classify", "--flavor", "gl", "--n", "2", "--m-max", "8", "--l-max", "8",
+         "--lambda-samples=-5/2,3,2/7,-4", "--lambda2-samples=0,-3/2,2", "--format", "csv"],
+        "003c2ba53a6f6a5287c1ec0dda63c2c2305d3a184560c9ba6a448d925c097cf8"),
+    # homs at lambda = -s for s samples off the defaults; s = 2 meets the
+    # critical lambda of the m + l = 3 families
+    "classify-homs-n6-samples": (
+        ["classify", "--n", "6", "--homs", "--m-max", "4", "--l-max", "4",
+         "--lambda-samples=-2,5/3,7,-1/4", "--format", "csv"],
+        "4a29a2f71813e5df2ce732769c270c2715ddc3f5673c79f26ba2c5e5d40b8369"),
 }
 
 
