@@ -37,9 +37,10 @@ pair at degree d, if any, is the one monomial m = (P + c + d u) / D: P from
 the label, c from the family's shifts, u and D from n independent rows.
 Each label keeps the interval of degrees on which m >= 0 and the other rows
 hold, and a degree in it keeps the pair when m is integral and has the
-label's gamma parities.  What remains goes through two exact sparse
-nullspaces per homogeneous degree (equivariance, then the F-system).  Each
-piece is built at the level it depends on:
+label's gamma parities.  What remains goes through one exact sparse
+nullspace per homogeneous degree (equivariance) and one elimination of
+the F-system for every lambda at once (its lambda-locus).  Each piece is
+built at the level it depends on:
 
 * per algebra and nilradical mode, once per process: one `_LieData`
   record with every lambda-free piece of a solve.  Every operator a solve
@@ -63,18 +64,23 @@ piece is built at the level it depends on:
   fiber weight - c0 with c0 = c0(base) + sum_i w_i c0(part_i)), c and
   each label's degree interval from the shifts, the labels' parities,
   then the unknowns, the equivariant vectors and the F-system's rows on
-  them, one row set per piece of N_1^+ (`solve_family`).  The
-  signs enter only through the sign key, one parity alpha . a + beta . b
-  (mod 2) per gamma, which a label's fiber bits complete to its parities;
+  them, one row set per piece of N_1^+, reduced to the stage's
+  lambda-locus (`solve_family`).  The signs enter only through the sign
+  key, one parity alpha . a + beta . b (mod 2) per gamma, which a
+  label's fiber bits complete to its parities;
   both characters see the same -1 entries (a = b), so (alpha, beta)
   and (alpha + 1, beta + 1) share one key and one solve;
 * per member: only a check and its weights w.  The check asks for the
   first member's n, flavor, l and sign key (empty when connected) and
   the same gap in every component.  Along the gap a shift moves by
   sum_i lambda_i (c0_i - chi_i), so a family of two or more members also
-  needs the record's c0_i = chi_i.  The F-system is solved once per
-  distinct weights: weigh the family's piece rows, base + sum_i w_i
-  part_i, and take one nullspace; both sign pairs at one lambda share it.
+  needs the record's c0_i = chi_i.  A member keeps a degree when its
+  weights solve that stage's locus rows (at most two).
+
+By Schur's lemma, Hom_{GL(k)}(S^l, S^a) has dimension 1 when a = l and 0
+otherwise, so each degree has at most one equivariant vector (a second
+one is a ValueError).  On that vector the F-system base + sum_i w_i
+part_i is affine in w, and its solution set is the degree's lambda-locus.
 
 Output bases are RREF-canonical in the graded-lex coordinate order, so
 every scan is reproducible byte for byte.
@@ -91,10 +97,8 @@ from operator import sub
 
 from .algebra import (
     Polynomial,
-    add_terms,
     exact,
     monomial_basis,
-    rref_basis,
     same_span,
     sparse_nullspace,
     sparse_rref,
@@ -546,7 +550,7 @@ class _SolveContext:
         Each is {(operator, label, monomial): {vector: coefficient}}: every
         piece is applied once per (vector, label) to the vector's terms of
         that label, and a cancelled sum stays as 0 for the sparse kernel to
-        clean.  `_weigh` combines the sets for a member.
+        clean.  `_locus` reduces the sets to the stage's lambda-locus.
         """
         pieces = [{} for _ in self.lie.fsystem[0]]
         for b, vec in enumerate(eq_vectors):
@@ -559,22 +563,34 @@ class _SolveContext:
         return pieces
 
 
-def _weigh(pieces, weights) -> dict:
-    """The rows of base + sum_i w_i part_i at `weights`, summed into fresh rows: pieces serve every member.
+def _locus(pieces):
+    """The lambda-locus of a stage with one equivariant vector, as rows (p, b, rest), or None.
 
-    The pieces' entries are `exact`; at a non-integral weight a product
-    or sum can be an integral `Fraction`, so those rows are put back in
-    the `exact` normal form and reach the kernel as `int`s.
+    A member solves the stage when every row of base + sum_i w_i part_i
+    vanishes on the vector: one affine equation in w per row, reduced by
+    `sparse_rref` over one column per weight and the constant last (it
+    pivots on a row's first column).  A reduced row with pivot p reads
+    w_p = b + sum_c a_c w_c, with rest the pairs (c, a_c); no row leaves
+    every lambda, and a pivot in the constant column none, so the stage is
+    dropped (None).
     """
     base, *parts = pieces
-    rows = {key: dict(row) for key, row in base.items()}
-    for w, part in zip(weights, parts):
-        if w:
-            for key, row in part.items():
-                add_terms(rows.setdefault(key, {}), row, w)
-    if any(type(w) is Fraction for w in weights):
-        rows = {key: {col: exact(v) for col, v in row.items()} for key, row in rows.items()}
-    return rows
+    k = len(parts)
+    rows = {}
+    for col, piece in (*enumerate(parts), (k, base)):
+        for key, row in piece.items():
+            rows.setdefault(key, {})[col] = row[0]
+    reduced = sparse_rref(rows.values())
+    if k in reduced:
+        return None
+    return tuple(
+        (p, -row.get(k, 0), tuple((c, -x) for c, x in row.items() if p < c < k)) for p, row in reduced.items()
+    )
+
+
+def _on_locus(locus, w):
+    """Do the weights w solve every row (p, b, rest) of a `_locus`?"""
+    return all(w[p] == (b + sum(a * w[c] for c, a in rest) if rest else b) for p, b, rest in locus)
 
 
 def equivariant_basis(
@@ -604,58 +620,44 @@ def solve_family(
     The members of a family differ only in lambda at a fixed gap nu -
     lambda, and in their signs within one relative sign.  One
     `_SolveContext`, built from the first member, gives the label solves,
-    unknowns, equivariant vectors and F-system piece rows.  Every further
-    member brings only its weights, after `_SolveContext.member_weights`
-    checks that it belongs to the family (else ValueError).  The F-system is
-    then solved once per distinct weights, by weighing the piece rows;
-    members at equal weights, such as the two sign pairs at one lambda, each
-    get their own `SolutionSpace` of that solve.
+    unknowns, equivariant vectors and F-system piece rows.  Each degree
+    with an equivariant vector is solved once, for every lambda: `_locus`
+    reduces its rows to the lambda-locus, and a degree that no lambda
+    solves is dropped.  A degree with two or more equivariant vectors
+    raises ValueError naming the family.  Every further member brings
+    only its weights, after `_SolveContext.member_weights` checks that it
+    belongs to the family (else ValueError), and keeps each degree whose
+    locus rows its weights solve.
     """
     if not members:
         return []
     ctx = _SolveContext(*members[0], connected, full_nilradical)
     weights = [ctx.weights] + [ctx.member_weights(s, t) for s, t in members[1:]]
-    stages = []
+    stages = []  # (degree, sizes, locus, the solution) per degree that some lambda solves
     for d in range(max(degree_cap, -1) + 1):
         unknowns = ctx.unknowns_at_degree(d)
         eq_vectors = ctx.equivariant_vectors(unknowns)
+        if len(eq_vectors) > 1:
+            n, flavor, ell, gap, _ = ctx._data
+            raise ValueError(
+                f"the {flavor} family at n = {n}, l = {ell}, nu - lambda = {','.join(map(str, gap))} "
+                f"has {len(eq_vectors)} equivariant vectors in degree {d}; a lambda-locus needs at most one"
+            )
         if eq_vectors:
-            stages.append((d, unknowns, eq_vectors, ctx.fsystem_rows(unknowns, eq_vectors)))
-
-    def solve_at(w):
-        solutions = []
-        degrees = []
-        sizes = {}
-        for d, unknowns, eq_vectors, pieces in stages:
-            kernel = sparse_nullspace(_weigh(pieces, w).values(), len(eq_vectors))
-            if kernel:
-                # homogeneity bookkeeping: the constraints preserve degree, so
-                # every solution vector lives in this single degree
-                sizes[d] = (len(unknowns), len(eq_vectors), len(kernel))
-                degrees.append(d)
-                vectors = []
-                for cv in kernel:
-                    # a cancelled entry stays as 0; `rref_basis` drops it
-                    full = {}
-                    for b, x in cv.items():
-                        add_terms(full, eq_vectors[b], x)
-                    vectors.append(full)
-                solutions.extend(_to_vvps(rref_basis(vectors), unknowns, ctx.n))
-        return solutions, degrees, sizes
-
-    solved = {}  # weights: their solve, shared by the members at those weights
+            locus = _locus(ctx.fsystem_rows(unknowns, eq_vectors))
+            if locus is not None:
+                # the constraints preserve degree, so the solution is the vector, its own RREF
+                stages.append((d, (len(unknowns), 1, 1), locus, _to_vvps(eq_vectors, unknowns, ctx.n)[0]))
     out = []
     for (source, target), w in zip(members, weights):
-        if w not in solved:
-            solved[w] = solve_at(w)
-        solutions, degrees, sizes = solved[w]
+        held = [(d, sizes, vector) for d, sizes, locus, vector in stages if _on_locus(locus, w)]
         provenance = {
             "degree_cap": degree_cap,
-            "sizes": dict(sizes),
+            "sizes": {d: sizes for d, sizes, _ in held},
             "connected": connected,
             "full_nilradical": full_nilradical,
         }
-        out.append(SolutionSpace(source, target, list(solutions), list(degrees), provenance))
+        out.append(SolutionSpace(source, target, [v for _, _, v in held], [d for d, _, _ in held], provenance))
     return out
 
 

@@ -92,7 +92,7 @@ class ScalarRepParams:
     def dual_weights(self):
         """2rho - lambda, the inducing weight of the pairing-dual bundle."""
         pd = parabolic(self.n, self.flavor)
-        return tuple(r - l for r, l in zip(pd.two_rho(), self.lam))
+        return tuple(r - l for r, l in zip(pd.two_rho(), self.lam, strict=True))
 
 
 @dataclass(frozen=True)
@@ -412,7 +412,7 @@ def affine_operator(X: LieElement, pd: ParabolicData, num_x: int, fiber, weights
     """
     base, *parts = _affine_parts(X, pd, num_x, fiber, fourier)
     weighted = {}  # sum_i w_i part_i: {derivative key: {monomial: coefficient}}
-    for w, part in zip(weights, parts):
+    for w, part in zip(weights, parts, strict=True):
         if w:
             for alpha, p in part.terms.items():
                 add_terms(weighted.setdefault(alpha, {}), p.terms, w)

@@ -80,7 +80,7 @@ class VermaModule:
 
     def dual_weights(self):
         rho2 = self.pd.two_rho_prime() if self.primed else self.pd.two_rho()
-        return tuple(r - x for r, x in zip(rho2, self.nu_ind))
+        return tuple(r - x for r, x in zip(rho2, self.nu_ind, strict=True))
 
     @property
     def fiber_block(self):

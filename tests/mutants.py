@@ -157,26 +157,41 @@ MUTANTS = [
         "if self._family_data(source, target) != self._data:",
         ["tests/test_engine.py"],
     ),
-    # -- the F-system at each member's weights -----------------------------------
+    # -- the F-system solved once per stage, as a lambda-locus -----------------
     (
         "fsystem-drops-the-weight-parts",
         "engine.py",
-        "for w, part in zip(weights, parts):",
-        "for w, part in zip(weights, ()):",
+        "for col, piece in (*enumerate(parts), (k, base)):",
+        "for col, piece in ((k, base),):",
         ["tests/test_engine.py"],
     ),
     (
-        "fsystem-weighs-into-the-base-rows",
+        "locus-drops-the-constant-column",
         "engine.py",
-        "    rows = {key: dict(row) for key, row in base.items()}\n",
-        "    rows = base\n",
-        ["tests/test_engine.py::test_weighing_leaves_the_piece_rows_alone"],
+        "for col, piece in (*enumerate(parts), (k, base)):",
+        "for col, piece in enumerate(parts):",
+        ["tests/test_engine.py::test_locus_solve_equals_the_per_weight_reference"],
+    ),
+    (
+        "inconsistent-locus-taken-as-all-lambda",
+        "engine.py",
+        "    if k in reduced:\n        return None\n",
+        "    if k in reduced:\n        return ()\n",
+        ["tests/test_engine.py::test_locus_of_a_constant_row_is_empty_and_of_no_row_every_lambda",
+         "tests/test_engine.py::test_a_stage_that_no_lambda_solves_is_dropped"],
+    ),
+    (
+        "multi-vector-stage-solved-on-its-first-vector",
+        "engine.py",
+        "eq_vectors = ctx.equivariant_vectors(unknowns)\n        if len(",
+        "eq_vectors = ctx.equivariant_vectors(unknowns)[:1]\n        if len(",
+        ["tests/test_engine.py::test_a_stage_with_two_equivariant_vectors_raises"],
     ),
     (
         "family-solves-every-member-at-the-first-weights",
         "engine.py",
-        "solved[w] = solve_at(w)",
-        "solved[w] = solve_at(weights[0])",
+        "if _on_locus(locus, w)]",
+        "if _on_locus(locus, weights[0])]",
         ["tests/test_engine.py"],
     ),
     # -- the F-system rows: each piece applied to a vector's terms of one label --
@@ -285,9 +300,23 @@ MUTANTS = [
     (
         "affine-operator-reads-the-first-weight-only",
         "rep.py",
-        "for w, part in zip(weights, parts):",
+        "for w, part in zip(weights, parts, strict=True):",
         "for w, part in zip(weights[:1], parts):",
         ["tests/test_rep.py"],
+    ),
+    (
+        "affine-operator-zips-weights-loosely",
+        "rep.py",
+        "for w, part in zip(weights, parts, strict=True):",
+        "for w, part in zip(weights, parts):",
+        ["tests/test_rep.py::test_a_gl_record_with_one_weight_raises"],
+    ),
+    (
+        "dual-weights-zip-loosely",
+        "rep.py",
+        "zip(pd.two_rho(), self.lam, strict=True)",
+        "zip(pd.two_rho(), self.lam)",
+        ["tests/test_rep.py::test_a_gl_record_with_one_weight_raises"],
     ),
     (
         "affine-operator-skips-labels-missing-from-the-base",
@@ -494,14 +523,6 @@ MUTANTS = [
         "return cls(n, SL, (int(alpha) % 2,), (exact(lam),))",
         "return cls(n, SL, (int(alpha) % 2,), (__import__('fmethod.algebra').algebra.rational(lam),))",
         ["tests/test_rep.py::test_parameters_are_in_the_exact_normal_form"],
-    ),
-    (
-        "weigh-boxes-integral-products",
-        "engine.py",
-        "    if any(type(w) is Fraction for w in weights):\n"
-        "        rows = {key: {col: exact(v) for col, v in row.items()} for key, row in rows.items()}\n",
-        "",
-        ["tests/test_engine.py::test_weighing_at_a_non_integral_lambda_keeps_integral_entries_int"],
     ),
     # -- classify rows through the C encoder, with json.dumps(indent=2)'s bytes -
     (

@@ -11,8 +11,9 @@ test_verma), the component-group signs as products of `Fraction`
 entries (test_liealg, test_engine and test_verma), and the noncompact-
 picture action built from the bracket series of Ad(exp(-sum x_k N_k^-))
 and the Gelfand-Naimark split of each term (test_liealg and test_rep),
-and the engine's equivariance and F-system rows built one monomial at a
-time (test_engine); not a test module.
+the engine's equivariance and F-system rows built one monomial at a
+time, and the per-weight F-system solve that the lambda-loci of
+`engine.solve_family` replace (test_engine); not a test module.
 """
 
 import itertools
@@ -24,10 +25,14 @@ from fmethod.algebra import (
     add_terms,
     canonical_sums,
     derivative_terms,
+    exact,
     monomial_basis,
     monomials_up_to,
+    rref_basis,
+    sparse_nullspace,
     unit_monomial,
 )
+from fmethod.engine import SolutionSpace, _SolveContext, _to_vvps
 from fmethod.liealg import GL, SL, LieElement, bracket, parabolic
 from fmethod.rep import OperatorOnVV, VectorValuedPolynomial, characters, dpi_lambda, dpi_target
 from fmethod.weyl import WeylElement
@@ -456,3 +461,72 @@ def fsystem_rows(ctx, unknowns, eq_vectors) -> list:
 def nonzero_rows(rows: dict) -> dict:
     """Sparse rows without their zero entries, and without a row left empty."""
     return {key: kept for key, row in rows.items() if (kept := {b: c for b, c in row.items() if c})}
+
+
+def weigh(pieces, weights) -> dict:
+    """The rows of base + sum_i w_i part_i at `weights`, summed into fresh rows: pieces serve every member.
+
+    The pieces' entries are `exact`; at a non-integral weight a product
+    or sum can be an integral `Fraction`, so those rows are put back in
+    the `exact` normal form and reach the kernel as `int`s.
+    """
+    base, *parts = pieces
+    rows = {key: dict(row) for key, row in base.items()}
+    for w, part in zip(weights, parts, strict=True):
+        if w:
+            for key, row in part.items():
+                add_terms(rows.setdefault(key, {}), row, w)
+    if any(type(w) is Fraction for w in weights):
+        rows = {key: {col: exact(v) for col, v in row.items()} for key, row in rows.items()}
+    return rows
+
+
+def solve_family_per_weight(members, degree_cap, connected=False, full_nilradical=False) -> list:
+    """`engine.solve_family` by elimination at each distinct weight w = 2rho - lambda.
+
+    One context and the same stages, but each member's F-system is the
+    piece rows weighed at its w, solved by `sparse_nullspace` over the
+    stage's equivariant vectors, whatever their number, with the
+    solutions put in RREF; members at equal weights share one solve.
+    """
+    if not members:
+        return []
+    ctx = _SolveContext(*members[0], connected, full_nilradical)
+    weights = [ctx.weights] + [ctx.member_weights(s, t) for s, t in members[1:]]
+    stages = []
+    for d in range(max(degree_cap, -1) + 1):
+        unknowns = ctx.unknowns_at_degree(d)
+        eq_vectors = ctx.equivariant_vectors(unknowns)
+        if eq_vectors:
+            stages.append((d, unknowns, eq_vectors, ctx.fsystem_rows(unknowns, eq_vectors)))
+
+    def solve_at(w):
+        solutions, degrees, sizes = [], [], {}
+        for d, unknowns, eq_vectors, pieces in stages:
+            kernel = sparse_nullspace(weigh(pieces, w).values(), len(eq_vectors))
+            if kernel:
+                sizes[d] = (len(unknowns), len(eq_vectors), len(kernel))
+                degrees.append(d)
+                vectors = []
+                for cv in kernel:
+                    full = {}
+                    for b, x in cv.items():
+                        add_terms(full, eq_vectors[b], x)
+                    vectors.append(full)
+                solutions.extend(_to_vvps(rref_basis(vectors), unknowns, ctx.n))
+        return solutions, degrees, sizes
+
+    solved = {}
+    out = []
+    for (source, target), w in zip(members, weights):
+        if w not in solved:
+            solved[w] = solve_at(w)
+        solutions, degrees, sizes = solved[w]
+        provenance = {
+            "degree_cap": degree_cap,
+            "sizes": dict(sizes),
+            "connected": connected,
+            "full_nilradical": full_nilradical,
+        }
+        out.append(SolutionSpace(source, target, list(solutions), list(degrees), provenance))
+    return out

@@ -14,7 +14,6 @@ from fmethod.algebra import Polynomial, exact, monomial_basis, monomial_key, spa
 from fmethod.engine import (
     _eigenvalue_form,
     _SolveContext,
-    _weigh,
     Family,
     classify,
     classify_ido_cell,
@@ -870,7 +869,7 @@ def test_member_operators_match_dpi_hat(case):
     # dpi_hat(N_1^+, source)'s image of that monomial
     monos, lbl = monomial_basis(ctx.n, degree), ctx.fiber.labels()[0]
     units = [{b: 1} for b in range(len(monos))]
-    rows = engine._weigh(ctx.fsystem_rows([(mono, lbl) for mono in monos], units), ctx.weights)
+    rows = references.weigh(ctx.fsystem_rows([(mono, lbl) for mono in monos], units), ctx.weights)
     expected = {}
     for jop, N in enumerate(ctx.lie.n_plus):
         for b, mono in enumerate(monos):
@@ -908,7 +907,7 @@ def test_weighing_leaves_the_piece_rows_alone():
     pieces = ctx.fsystem_rows(unknowns, ctx.equivariant_vectors(unknowns))
     before = [{key: dict(row) for key, row in rows.items()} for rows in pieces]
     for source, target in members:
-        engine._weigh(pieces, ctx.member_weights(source, target))
+        references.weigh(pieces, ctx.member_weights(source, target))
     assert pieces == before
 
 
@@ -956,11 +955,12 @@ FAMILY_KINDS = ["sl", "gp", "gprime", "gl", "sl-ido", "gl-ido"]
 
 
 @st.composite
-def families(draw, max_n=5):
+def families(draw, max_n=5, min_lam2s=1):
     """A `Family` of any kind, n = 2..max_n: the critical lambda first, then one or two more.
 
     The extra lambda and lambda_2 values come from `_lambdas`, so they
-    are critical values of other orders as often as generic ones.
+    are critical values of other orders as often as generic ones; a GL
+    family has min_lam2s..2 distinct lambda_2 values.
     """
     kind, n = draw(st.sampled_from(FAMILY_KINDS)), draw(st.integers(2, max_n))
     ido = kind.endswith("-ido")
@@ -968,7 +968,7 @@ def families(draw, max_n=5):
     lams = engine._critical_first(1 - (m + ell), draw(st.lists(_lambdas, min_size=1, max_size=2)))
     lam2s = (None,)
     if kind.startswith("gl"):
-        lam2s = tuple(dict.fromkeys(draw(st.lists(_lambdas, min_size=1, max_size=2))))
+        lam2s = tuple(draw(st.lists(_lambdas, min_size=min_lam2s, max_size=2, unique=True)))
     if ido:
         signs = ((0, ell % 2),)
     else:
@@ -1012,6 +1012,88 @@ def test_family_solve_equals_member_solves(family):
         assert sol.basis == alone.basis
         assert sol.degrees == alone.degrees
         assert sol.provenance["sizes"] == alone.provenance["sizes"]
+
+
+@given(families(max_n=6, min_lam2s=2))
+@settings(max_examples=100, deadline=None)
+def test_locus_solve_equals_the_per_weight_reference(family):
+    """Each stage's lambda-locus, solved once per family and read at every
+    member's weights, gives the bases, degrees and sizes of eliminating the
+    F-system at each distinct weight.  The critical lambda comes first, and
+    a GL family holds two lambda_2 values."""
+    rows, (members, cap, mode) = _family_solve(family)
+    reference_rows, _ = _family_solve(family, references.solve_family_per_weight)
+    assert rows == reference_rows
+    got = solve_family(members, cap, **mode)
+    want = references.solve_family_per_weight(members, cap, **mode)
+    assert [_solution_record(sol) for sol in got] == [_solution_record(sol) for sol in want]
+    assert [sol.basis for sol in got] == [sol.basis for sol in want]
+
+
+def test_locus_of_a_constant_row_is_empty_and_of_no_row_every_lambda():
+    """Columns (w_1[, w_2], 1): a row with a constant alone holds at no lambda,
+    so the stage is dropped; rows that cancel hold at every lambda; a row
+    of w_1 and the constant fixes w_1, and the GL locus leaves w_2 free
+    unless a row reads it."""
+    key, other = (0, (0,), (1,)), (0, (0,), (2,))
+    assert engine._locus([{key: {0: 3}}, {}]) is None
+    assert engine._locus([{key: {0: 0}}, {key: {0: 0}}]) == ()
+    # 6 + w_1 (-4) = 0: the point w_1 = 3/2
+    assert engine._locus([{key: {0: 6}}, {key: {0: -4}}]) == ((0, Fraction(3, 2), ()),)
+    # 6 + 2 w_1 = 0, w_2 free: the line w_1 = -3
+    assert engine._locus([{key: {0: 6}}, {key: {0: 2}}, {}]) == ((0, -3, ()),)
+    # 1 + w_1 - w_2 = 0: the line w_1 = -1 + w_2
+    line = engine._locus([{key: {0: 1}}, {key: {0: 1}}, {key: {0: -1}}])
+    assert line == ((0, -1, ((1, 1),)),)
+    assert engine._on_locus(line, (Fraction(3, 2), Fraction(5, 2))) and not engine._on_locus(line, (0, 0))
+    # and 2 - w_2 = 0 besides: the point (1, 2)
+    point = engine._locus([{key: {0: 1}, other: {0: 2}}, {key: {0: 1}}, {key: {0: -1}, other: {0: -1}}])
+    assert point == ((0, 1, ()), (1, 2, ()))
+    assert engine._on_locus(point, (1, 2)) and not engine._on_locus(point, (1, 3))
+    assert engine._on_locus((), (Fraction(1, 3),))
+
+
+def test_a_stage_that_no_lambda_solves_is_dropped(monkeypatch):
+    """A row of the F-system with a constant alone makes the stage's locus
+    empty: no member keeps that degree, at the critical lambda or elsewhere."""
+    members = [sl_pair(3, lam, 1, 1)[:2] for lam in (Fraction(-1), Fraction(1, 3))]
+    assert [sol.dim for sol in solve_family(members, 2)] == [1, 0]
+    fsystem_rows = _SolveContext.fsystem_rows
+
+    def with_a_constant_row(self, unknowns, eq_vectors):
+        base, *parts = fsystem_rows(self, unknowns, eq_vectors)
+        return [{**base, "constant": {0: 1}}, *parts]
+
+    monkeypatch.setattr(_SolveContext, "fsystem_rows", with_a_constant_row)
+    for sol in solve_family(members, 2):
+        assert (sol.dim, sol.degrees, sol.provenance["sizes"]) == (0, [], {})
+
+
+def _with_a_second_equivariant_vector(monkeypatch):
+    """Patch each nonempty equivariance kernel to two vectors: its own, and its first unknown's unit vector."""
+    equivariant_vectors = _SolveContext.equivariant_vectors
+
+    def doubled(self, unknowns):
+        vectors = equivariant_vectors(self, unknowns)
+        return vectors + [{0: 1}] if vectors else vectors
+
+    monkeypatch.setattr(_SolveContext, "equivariant_vectors", doubled)
+
+
+def test_a_stage_with_two_equivariant_vectors_raises(monkeypatch, capsys):
+    """Schur's lemma leaves each stage at most one equivariant vector; a stage
+    with two stops the solve with a ValueError that names the family, which
+    the CLI reports as an internal error (exit 3)."""
+    members = [sl_pair(3, lam, 1, 0)[:2] for lam in (Fraction(5), Fraction(1, 3))]
+    assert solve_family(members, 1)[0].dim == 1
+    _with_a_second_equivariant_vector(monkeypatch)
+    message = "the sl family at n = 3, l = 0, nu - lambda = 1 has 2 equivariant vectors in degree 1"
+    with pytest.raises(ValueError, match=message):
+        solve_family(members, 1)
+    assert main(["classify", "--n", "3", "--m-max", "1", "--l-max", "0"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal error: the sl family at n = 3, l = 0, nu - lambda = ")
+    assert "equivariant vectors in degree" in err
 
 
 _FAMILY_OF_EACH_KIND = [
@@ -1091,7 +1173,7 @@ def test_linear_stages_keep_integral_values_int(monkeypatch, family):
             vectors = ctx.equivariant_vectors(unknowns)
         assert all(is_exact_normal_form(x) for v in vectors for x in v.values())
         if vectors:
-            rows = _weigh(ctx.fsystem_rows(unknowns, vectors), ctx.weights)
+            rows = references.weigh(ctx.fsystem_rows(unknowns, vectors), ctx.weights)
             assert all(type(x) is int for row in rows.values() for x in row.values())
             weighed += 1
     assert weighed
@@ -1283,7 +1365,7 @@ def test_weighing_at_a_non_integral_lambda_keeps_integral_entries_int():
                 continue
             pieces = ctx.fsystem_rows(unknowns, vectors)
             for w in weights:
-                for row in _weigh(pieces, w).values():
+                for row in references.weigh(pieces, w).values():
                     for x in row.values():
                         assert type(x) is (int if Fraction(x).denominator == 1 else Fraction)
                         integral += x != 0 and type(x) is int

@@ -588,3 +588,26 @@ def test_parameters_are_in_the_exact_normal_form(flavor):
     assert all(type(x) is int for x in (*ScalarRepParams(4, flavor).lam, *TargetRepParams(4, flavor).nu))
     source = ScalarRepParams.sl(4, 2) if flavor == SL else ScalarRepParams.gl(4, 2, -3)
     assert all(type(w) is int for w in source.dual_weights())
+
+
+def test_a_gl_record_with_one_weight_raises():
+    """A GL record built from the dataclass defaults holds one lambda (or nu)
+    component for two characters: its actions raise instead of dropping the
+    second character, and so do the dual weights of such a source and of
+    such a Verma module."""
+    pd = parabolic(3, GL)
+    source, target = ScalarRepParams(3, GL), TargetRepParams(3, GL)
+    short = r"zip\(\) argument 2 is (shorter|longer) than argument 1"
+    for X in (pd.j0, pd.j0_prime, pd.n_plus(1)):
+        with pytest.raises(ValueError, match=short):
+            dpi_lambda_star(X, source)
+    for X in (pd.j0_prime, pd.n_plus(1)):
+        with pytest.raises(ValueError, match=short):
+            dpi_target(X, target)
+    with pytest.raises(ValueError, match=short):
+        source.dual_weights()
+    with pytest.raises(ValueError, match=short):
+        VermaModule(3, GL).dual_weights()
+    # with both components the same elements act
+    assert not dpi_lambda_star(pd.j0, ScalarRepParams.gl(3, 0, 0)).is_zero()
+    assert dpi_target(pd.j0_prime, TargetRepParams.gl(3, 0, 0)).out_labels
