@@ -896,6 +896,8 @@ def test_weighing_leaves_the_piece_rows_alone():
 
     The generic lambdas come first: had a member summed its weights into the
     shared base rows, the critical member after them would solve at the sum.
+    The weighing is the per-weight reference's (`references.weigh`), which
+    the lambda-loci are tested against.
     """
     members = [sl_pair(3, lam, 1, 1)[:2] for lam in (Fraction(1, 3), Fraction(5), Fraction(-1))]
     sols = solve_family(members, 2)
@@ -1069,24 +1071,20 @@ def test_a_stage_that_no_lambda_solves_is_dropped(monkeypatch):
         assert (sol.dim, sol.degrees, sol.provenance["sizes"]) == (0, [], {})
 
 
-def _with_a_second_equivariant_vector(monkeypatch):
-    """Patch each nonempty equivariance kernel to two vectors: its own, and its first unknown's unit vector."""
-    equivariant_vectors = _SolveContext.equivariant_vectors
-
-    def doubled(self, unknowns):
-        vectors = equivariant_vectors(self, unknowns)
-        return vectors + [{0: 1}] if vectors else vectors
-
-    monkeypatch.setattr(_SolveContext, "equivariant_vectors", doubled)
-
-
 def test_a_stage_with_two_equivariant_vectors_raises(monkeypatch, capsys):
     """Schur's lemma leaves each stage at most one equivariant vector; a stage
     with two stops the solve with a ValueError that names the family, which
     the CLI reports as an internal error (exit 3)."""
     members = [sl_pair(3, lam, 1, 0)[:2] for lam in (Fraction(5), Fraction(1, 3))]
     assert solve_family(members, 1)[0].dim == 1
-    _with_a_second_equivariant_vector(monkeypatch)
+    equivariant_vectors = _SolveContext.equivariant_vectors
+
+    def doubled(self, unknowns):
+        # each nonempty kernel gains its first unknown's unit vector
+        vectors = equivariant_vectors(self, unknowns)
+        return vectors + [{0: 1}] if vectors else vectors
+
+    monkeypatch.setattr(_SolveContext, "equivariant_vectors", doubled)
     message = "the sl family at n = 3, l = 0, nu - lambda = 1 has 2 equivariant vectors in degree 1"
     with pytest.raises(ValueError, match=message):
         solve_family(members, 1)
