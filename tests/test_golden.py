@@ -130,6 +130,13 @@ DIGESTS = {
         ["classify", "--n", "6", "--homs", "--m-max", "4", "--l-max", "4",
          "--lambda-samples=-2,5/3,7,-1/4", "--format", "csv"],
         "4a29a2f71813e5df2ce732769c270c2715ddc3f5673c79f26ba2c5e5d40b8369"),
+    # SL n = 2 at lambda samples off the defaults: there a degree's locus
+    # point is often not the family's critical lambda, so each row must
+    # read the solve at its own lambda
+    "classify-sl-n2-samples": (
+        ["classify", "--n", "2", "--m-max", "6", "--l-max", "6",
+         "--lambda-samples=-3,-1,1/2,2,-5", "--format", "csv"],
+        "706dc8e1df5c5e4eb8ad6351901dd07e438289524f99dd274c6bbe2d91843ab3"),
 }
 
 
