@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Polynomial, monomial_basis, sparse_nullspace
+from .algebra import Polynomial, monomial_basis, rational, sparse_nullspace
 from .liealg import parabolic
 from .rep import ScalarRepParams, dpi_hat
 
@@ -144,9 +144,10 @@ class InvariantReport:
 def invariants_in(n: int, s, grade_cap: int, min_grade: int = 0) -> InvariantReport:
     """Basis of the n_+'-invariants of M(s), optionally inside grades >= min_grade.
 
-    The filter min_grade = p+1 realizes Im(phi_{p+1}).
+    The filter min_grade = p+1 realizes Im(phi_{p+1}).  s is read through
+    `algebra.rational`, so a float raises TypeError.
     """
-    s = Fraction(s)
+    s = rational(s)
     source = ScalarRepParams.sl(n, -s)
     pd = parabolic(n)
     ops = [dpi_hat(pd.n_plus(j), source) for j in range(1, n)]
@@ -221,8 +222,8 @@ def verify_branching(n: int, s=None, p: int = None, D: int = 10) -> dict:
     if s is None and p is None:
         raise ValueError("need s or p")
     if s is None:
-        s = Fraction(p)
-    s = Fraction(s)
+        s = p
+    s = rational(s)
     if p is None and s.denominator == 1 and s >= 0:
         p = int(s)
     report = {"n": n, "s": str(s), "D": D, "checks": {}, "status": "pass"}

@@ -53,29 +53,27 @@ built at the level it depends on:
   character chi_i; the n independent rows, with D times the inverse of
   their matrix; and per gamma, from `liealg`'s integer sign rule, its
   zeta mask over n, its fiber mask over the mode's block and the sign
-  coefficients a and b of the source and target characters;
+  coefficients a that the source and target characters share;
 * per record and l: each fiber label's integer P, its part of the other
   rows' checks and its fiber bits (its exponents summed over each fiber
   mask), from the weight-free m-action of the fiber
   (`_LieData.solve_labels`), kept on the record;
 * per family (the cells of one relative sign at a fixed gap nu - lambda):
-  one solve context, built from the first member (`_SolveContext`): the
-  record with the fiber (the raising pairs, each diagonal element's shift
-  fiber weight - c0 with c0 = c0(base) + sum_i w_i c0(part_i)), c and
-  each label's degree interval from the shifts, the labels' parities,
-  then the unknowns, the equivariant vectors and the F-system's rows on
-  them, one row set per piece of N_1^+, reduced to the stage's
-  lambda-locus (`solve_family`).  The signs enter only through the sign
-  key, one parity alpha . a + beta . b (mod 2) per gamma, which a
-  label's fiber bits complete to its parities;
-  both characters see the same -1 entries (a = b), so (alpha, beta)
-  and (alpha + 1, beta + 1) share one key and one solve;
-* per member: only a check and its weights w.  The check asks for the
-  first member's n, flavor, l and sign key (empty when connected) and
-  the same gap in every component.  Along the gap a shift moves by
-  sum_i lambda_i (c0_i - chi_i), so a family of two or more members also
-  needs the record's c0_i = chi_i.  A member keeps a degree when its
-  weights solve that stage's locus rows (at most two).
+  one solve context, built from one representative (`_SolveContext`):
+  the record with the fiber (the raising pairs, each diagonal element's
+  shift fiber weight - c0 with c0 = c0(base) + sum_i w_i c0(part_i)), c
+  and each label's degree interval from the shifts, the labels'
+  parities, then the unknowns, the equivariant vectors and the
+  F-system's rows on them, one row set per piece of N_1^+, reduced to
+  the stage's lambda-locus (`solve_family`).  The signs enter only
+  through the sign key, one parity (alpha + beta) . a (mod 2) per
+  gamma, which a label's fiber bits complete to its parities; so (alpha,
+  beta) and (alpha + 1, beta + 1) share one key and one solve;
+* per lambda: only its weights w, which keep each degree whose locus
+  rows (at most two) they solve.  The family is the representative moved
+  along its own gap, so no member is checked; along the gap a shift
+  moves by sum_i lambda_i (c0_i - chi_i), so a lambda other than the
+  representative's needs the record's c0_i = chi_i.
 
 By Schur's lemma, Hom_{GL(k)}(S^l, S^a) has dimension 1 when a = l and 0
 otherwise, so each degree has at most one equivariant vector (a second
@@ -93,7 +91,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import cycle
-from operator import sub
+from operator import add, sub
 
 from .algebra import (
     Polynomial,
@@ -233,14 +231,12 @@ class _LieData:
     checks: tuple  # per other form r: (r, form_r . u)
     # per gamma (`ParabolicData.sign_masks`, `sign_coefficients`): the
     # coordinates of zeta and of the fiber block that it negates, and the
-    # parity each sign component of the source and of the target adds
+    # parity each sign component adds, the same for the source and the target
     zeta_masks: tuple
     fiber_masks: tuple
-    source_signs: tuple
-    target_signs: tuple
+    signs: tuple
     label_solves: dict = field(default_factory=dict)  # ell: `solve_labels` of the fiber S^ell
     raising_acts: dict = field(default_factory=dict)  # ell: each raising element's m-action on S^ell
-    sign_keys: dict = field(default_factory=dict)  # (alpha, beta): `sign_key`
 
     @classmethod
     def of(cls, pd, block, diag, raising, gammas, n_plus):
@@ -253,7 +249,10 @@ class _LieData:
         and a weight part only by a scalar, else ValueError.  The forms and
         the degree row (1, .., 1) must have full rank n, else ValueError;
         the degree row comes first, then the first forms that stay
-        independent of the rows before them.
+        independent of the rows before them.  The source (over n) and the
+        target (over `block`) sign characters must add the same parities at
+        each gamma, else ValueError, so a family's signs enter only through
+        their relative sign.
         """
         raising_ops = []
         for Z in raising:
@@ -282,6 +281,9 @@ class _LieData:
         inverse = tuple(tuple(int(x * denominator) for x in row) for row in inverse)
         degree_column = tuple(row[0] for row in inverse)
         zeta_masks, fiber_masks = zip(*(pd.sign_masks(g, n, block) for g in gammas))
+        signs = tuple(pd.sign_coefficients(g, n) for g in gammas)
+        if signs != tuple(pd.sign_coefficients(g, block) for g in gammas):
+            raise ValueError("the source and target sign characters differ at a component-group generator")
         return cls(
             diag, raising, gammas, n_plus, tuple(raising_ops),
             tuple(dpi_hat_parts(N, pd) for N in n_plus),
@@ -289,9 +291,7 @@ class _LieData:
             all(c[1:] == characters(Z, pd) for Z, c in zip(diag, constants)),
             tuple(r - 1 for r in chosen[1:]), inverse, denominator, degree_column,
             tuple((r, _dot(f, degree_column)) for r, f in enumerate(forms) if r + 1 not in chosen),
-            zeta_masks, fiber_masks,
-            tuple(pd.sign_coefficients(g, n) for g in gammas),
-            tuple(pd.sign_coefficients(g, block) for g in gammas),
+            zeta_masks, fiber_masks, signs,
         )
 
     def solve_labels(self, fiber, pd):
@@ -326,20 +326,6 @@ class _LieData:
             solves.append((lbl, p, e, tuple(sum(lbl[j] for j in mask) for mask in self.fiber_masks)))
         self.label_solves[fiber.degree] = solves = tuple(solves)
         return solves
-
-    def sign_key(self, alpha, beta):
-        """Per gamma, the parity alpha . a + beta . b of the source and target sign characters.
-
-        a and b are the record's sign coefficients.  Built once per (alpha,
-        beta) and kept on the record, so a family's member check reads a
-        dict, not a sum per gamma.
-        """
-        key = self.sign_keys.get((alpha, beta))
-        if key is None:
-            key = self.sign_keys[alpha, beta] = tuple(
-                (_dot(alpha, a) + _dot(beta, b)) % 2 for a, b in zip(self.source_signs, self.target_signs)
-            )
-        return key
 
 
 def _dot(u, v):
@@ -391,16 +377,18 @@ def _lie_data(pd, full_nilradical) -> _LieData:
 
 
 class _SolveContext:
-    """One family's solve: its mode's `_LieData`, the fiber and the first member's weights.
+    """One family's solve: its mode's `_LieData`, the fiber and the representative's weights.
 
     The members of a family differ only in lambda at a fixed gap nu -
     lambda, and in the sign pair within one relative sign.  Everything
-    built here but `weights`, the first member's 2rho - lambda, serves
-    every member: the raising pairs (each raising operator with the fiber's
-    action), the sign key and each diagonal element's shift (the target
-    character -nu . chi less c0).  A further member brings only its
-    weights, from `member_weights`, which checks that it belongs to the
-    family; the F-system stage reads nothing else of a member.
+    built here from the representative (source, target) but `weights`,
+    its 2rho - lambda, serves every member: the raising pairs (each
+    raising operator with the fiber's action), the sign key (per gamma,
+    the parity (alpha + beta) . a of the relative sign, empty when
+    connected: no label then carries a parity, and no zeta mask is read)
+    and each diagonal element's shift (the target character -nu . chi
+    less c0).  The F-system stage reads only each lambda's weights
+    (`weights_at`).
 
     A pair (zeta^m, label) is kept when every diagonal element has the same
     eigenvalue on zeta^m as on the label, and every component group
@@ -420,9 +408,10 @@ class _SolveContext:
         self.pd = pd = parabolic(source.n, source.flavor)
         self.fiber = SymFiber(target.ell, self.n if full_nilradical else self.n - 1)
         self.lie = lie = _lie_data(pd, full_nilradical)
-        self._connected = connected
         self._two_rho = pd.two_rho()
-        self.weights = self._weights(source)
+        self.weights = self.weights_at(source.lam)
+        relative = tuple(map(add, source.alpha, target.beta))
+        self.sign_key = () if connected else tuple(_dot(relative, a) % 2 for a in lie.signs)
         acts = lie.raising_acts.get(target.ell)
         if acts is None:
             acts = lie.raising_acts[target.ell] = tuple(self.fiber.act(Z, pd) for Z in lie.raising)
@@ -432,42 +421,10 @@ class _SolveContext:
             -_dot(target.nu, characters(Z, pd)) - c0 - _dot(self.weights, weight_c0)
             for Z, (c0, *weight_c0) in zip(lie.diag, lie.constants)
         )
-        self._data = self._family_data(source, target)
 
-    def _family_data(self, source, target):
-        """What the solve reads of a member besides its weights.
-
-        n, flavor, l, the gap nu - lambda and the sign key: per gamma, the
-        parity alpha . a + beta . b of the source and target characters
-        there, a and b the record's sign coefficients, read from the
-        record's `sign_key` memo.  The signs enter only
-        through the key, so a member whose signs give the same key shares
-        every stage but the F-system's weights.  The key is empty when
-        connected: no label then carries a parity, and no zeta mask is read.
-        """
-        gap = tuple(map(sub, target.nu, source.lam))
-        key = () if self._connected else self.lie.sign_key(source.alpha, target.beta)
-        return source.n, source.flavor, target.ell, gap, key
-
-    def _weights(self, source):
+    def weights_at(self, lam):
         """w = 2rho - lambda, `exact`, so an integral lambda weighs the F-system's piece rows with ints."""
-        return tuple(map(exact, map(sub, self._two_rho, source.lam)))
-
-    def member_weights(self, source, target):
-        """A further member's weights w = 2rho - lambda, once it is checked to be one.
-
-        It must share `_family_data` with the first member, so its signs
-        may differ only by flipping alpha and beta together (freely in the
-        connected mode, which reads no sign), and the shifts must not move
-        along the gap, else ValueError.  With nu = lambda + gap and w =
-        2rho - lambda, a diagonal element Z's shift is const +
-        sum_i lambda_i (c0_i(Z) - chi_i(Z)), chi_i the characters that nu_i
-        scales and c0_i the scalar of Z's i-th weight part; so
-        the shifts stay put exactly when the record is `lambda_free`.
-        """
-        if self._family_data(source, target) != self._data or not self.lie.lambda_free:
-            raise ValueError("a lambda-family's members differ in a lambda-independent stage")
-        return self._weights(source)
+        return tuple(map(exact, map(sub, self._two_rho, lam)))
 
     @cached_property
     def _labels(self):
@@ -484,7 +441,7 @@ class _SolveContext:
         parities, per gamma, are its fiber bits plus the family's sign key,
         mod 2.
         """
-        lie, key = self.lie, self._data[-1]
+        lie, key = self.lie, self.sign_key
         shifts = [scale * shift for scale, shift in zip(lie.scales, self._shifts)]
         if any(s.denominator != 1 for s in shifts):
             return ()
@@ -610,37 +567,40 @@ def equivariant_basis(
 
 
 def solve_family(
-    members,
+    source: ScalarRepParams,
+    target: TargetRepParams,
+    lams,
     degree_cap: int,
     connected: bool = False,
     full_nilradical: bool = False,
 ) -> list:
-    """Exact bases of Sol(n_+; V, W) in degrees <= degree_cap, one per (source, target).
+    """Exact bases of Sol(n_+; V, W) in degrees <= degree_cap along a family: one
+    (basis, degrees, provenance) per lambda in `lams`.
 
-    The members of a family differ only in lambda at a fixed gap nu -
-    lambda, and in their signs within one relative sign.  One
-    `_SolveContext`, built from the first member, gives the label solves,
-    unknowns, equivariant vectors and F-system piece rows.  Each degree
-    with an equivariant vector is solved once, for every lambda: `_locus`
-    reduces its rows to the lambda-locus, and a degree that no lambda
-    solves is dropped.  A degree with two or more equivariant vectors
-    raises ValueError naming the family.  Every further member brings
-    only its weights, after `_SolveContext.member_weights` checks that it
-    belongs to the family (else ValueError), and keeps each degree whose
-    locus rows its weights solve.
+    The family is the representative (source, target) moved along its own
+    gap nu - lambda to each lambda in `lams` (tuples of lambda components,
+    as `source.lam`), with the representative's signs and everything else.
+    One `_SolveContext` gives the label solves, unknowns, equivariant
+    vectors and F-system piece rows.  The shifts move along the gap unless
+    the record is `lambda_free`, so then a lambda other than the
+    representative's raises ValueError.  Each degree with an equivariant
+    vector is solved once, for every lambda: `_locus` reduces its rows to
+    the lambda-locus, and a degree that no lambda solves is dropped.  A
+    degree with two or more equivariant vectors raises ValueError naming
+    the family.  Each lambda keeps the degrees whose locus rows its
+    weights 2rho - lambda solve.
     """
-    if not members:
-        return []
-    ctx = _SolveContext(*members[0], connected, full_nilradical)
-    weights = [ctx.weights] + [ctx.member_weights(s, t) for s, t in members[1:]]
+    ctx = _SolveContext(source, target, connected, full_nilradical)
+    if not ctx.lie.lambda_free and any(lam != source.lam for lam in lams):
+        raise ValueError("a lambda-family's members differ in a lambda-independent stage")
     stages = []  # (degree, sizes, locus, the solution) per degree that some lambda solves
     for d in range(max(degree_cap, -1) + 1):
         unknowns = ctx.unknowns_at_degree(d)
         eq_vectors = ctx.equivariant_vectors(unknowns)
         if len(eq_vectors) > 1:
-            n, flavor, ell, gap, _ = ctx._data
+            gap = ",".join(str(nu - lam) for nu, lam in zip(target.nu, source.lam))
             raise ValueError(
-                f"the {flavor} family at n = {n}, l = {ell}, nu - lambda = {','.join(map(str, gap))} "
+                f"the {source.flavor} family at n = {ctx.n}, l = {target.ell}, nu - lambda = {gap} "
                 f"has {len(eq_vectors)} equivariant vectors in degree {d}; a lambda-locus needs at most one"
             )
         if eq_vectors:
@@ -649,7 +609,8 @@ def solve_family(
                 # the constraints preserve degree, so the solution is the vector, its own RREF
                 stages.append((d, (len(unknowns), 1, 1), locus, _to_vvps(eq_vectors, unknowns, ctx.n)[0]))
     out = []
-    for (source, target), w in zip(members, weights):
+    for lam in lams:
+        w = ctx.weights_at(lam)
         held = [(d, sizes, vector) for d, sizes, locus, vector in stages if _on_locus(locus, w)]
         provenance = {
             "degree_cap": degree_cap,
@@ -657,7 +618,7 @@ def solve_family(
             "connected": connected,
             "full_nilradical": full_nilradical,
         }
-        out.append(SolutionSpace(source, target, [v for _, _, v in held], [d for d, _, _ in held], provenance))
+        out.append(([v for _, _, v in held], [d for d, _, _ in held], provenance))
     return out
 
 
@@ -669,8 +630,8 @@ def solve_fsystem(
     full_nilradical: bool = False,
 ) -> SolutionSpace:
     """Exact basis of Sol(n_+; V, W) in homogeneous degrees <= degree_cap."""
-    (sol,) = solve_family([(source, target)], degree_cap, connected, full_nilradical)
-    return sol
+    (solution,) = solve_family(source, target, [source.lam], degree_cap, connected, full_nilradical)
+    return SolutionSpace(source, target, *solution)
 
 
 def weight_degree_cap(gap: Fraction) -> int:
@@ -726,9 +687,9 @@ def same_solution_span(a, b) -> bool:
 # a fixed gap nu - lambda, and for SL and GL in the sign pair (alpha, beta)
 # or (alpha + 1, beta + 1).  `scan_jobs` builds the SL, GL and homs records
 # from one grid (`_grid`) and the IDO records from the orders k.  `run_cell`
-# hands a record to the row builder of its kind, which solves the members
-# together through `_rows`, one row per member, and `row_key` orders the
-# table.  `classify` and the CLI, which may map the records over a process
+# hands a record to the row builder of its kind, which builds one
+# representative and solves it at every lambda through `_rows`, one row per
+# member, and `row_key` orders the table.  `classify` and the CLI, which may map the records over a process
 # pool, share all of them.
 
 DEFAULT_SAMPLES = (Fraction(1, 3), Fraction(5), Fraction(-7, 2))
@@ -795,44 +756,39 @@ def _grid(m_max, l_max, samples, alphas, flips):
 
 
 def _member_targets(family, gaps):
-    """Per member, in `Family.members` order: (nu, the row's printed pair).
+    """Per lambda, in `Family.lambdas` order: (nu, the rows' printed pair).
 
-    nu = lambda + gaps, componentwise and `exact`.  Both are built once
-    per lambda and shared by the members there.  The pair is (lambda, nu),
-    or (s, r) = (-lambda, -nu) for a homs family (kind gp or gprime), each
-    side's components comma-joined.
+    nu = lambda + gaps, componentwise and `exact`.  The pair is (lambda,
+    nu), or (s, r) = (-lambda, -nu) for a homs family (kind gp or
+    gprime), each side's components comma-joined.  Member i is at entry i
+    mod their count (`Family.members`).
     """
-    shared = []
+    out = []
     for lams in family.lambdas():
         nus = tuple(exact(lam + gap) for lam, gap in zip(lams, gaps))
         if family.kind in ("gp", "gprime"):
             pair = {"s": [-x for x in lams], "r": [-x for x in nus]}
         else:
             pair = {"lambda": lams, "nu": nus}
-        shared.append((nus, {key: ",".join(map(str, values)) for key, values in pair.items()}))
-    return cycle(shared)
+        out.append((nus, {key: ",".join(map(str, values)) for key, values in pair.items()}))
+    return out
 
 
-def _rows(family, cells, degree_cap, **mode):
-    """Solve a family's cells ((alphas, betas), pair, source, target, predicted,
-    expected) together and compare each with its predicted dimension and basis.
+def _rows(family, cells, source, target, degree_cap, **mode):
+    """The rows of a family's cells ((alphas, betas), pair, predicted,
+    expected), one per member in `Family.members` order.
 
-    A row's parameters come in table order: flavor, n, the cell's alpha and
-    beta, l, then `pair` (from `_member_targets`); GL signs print
-    comma-joined.  Members at one lambda share one solve (their
-    weights 2rho - lambda are equal), so its basis symbols are printed once.
+    One `solve_family` call moves the representative (source, target) to
+    each of `family.lambdas()`.  Cell i reads the solve at lambda number i
+    mod their count, whose basis symbols are printed once, and compares it
+    with its predicted dimension and basis.  A row's parameters come in
+    table order: flavor, n, the cell's alpha and beta, l, then `pair`
+    (from `_member_targets`); GL signs print comma-joined.
     """
-    sols = solve_family([(src, tgt) for _, _, src, tgt, _, _ in cells], degree_cap, **mode)
-    symbols = {}  # lambda: the basis symbols of its solve
-
-    def basis_symbols(sol):
-        if not sol.basis:
-            return ""
-        text = symbols.get(sol.source.lam)
-        if text is None:
-            text = symbols[sol.source.lam] = "; ".join(map(str, sol.basis))
-        return text
-
+    solves = [
+        (basis, "; ".join(map(str, basis)))
+        for basis, _, _ in solve_family(source, target, family.lambdas(), degree_cap, **mode)
+    ]
     return [
         {
             "flavor": family.kind,
@@ -842,11 +798,11 @@ def _rows(family, cells, degree_cap, **mode):
             "l": family.ell,
             **pair,
             "predicted_dim": predicted,
-            "computed_dim": sol.dim,
-            "basis_symbols": basis_symbols(sol),
-            "ok": sol.dim == predicted and same_solution_span(sol.basis, expected),
+            "computed_dim": len(basis),
+            "basis_symbols": symbols,
+            "ok": len(basis) == predicted and same_solution_span(basis, expected),
         }
-        for ((alphas, betas), pair, _, _, predicted, expected), sol in zip(cells, sols)
+        for ((alphas, betas), pair, predicted, expected), (basis, symbols) in zip(cells, cycle(solves))
     ]
 
 
@@ -880,52 +836,53 @@ def classify_sl_cell(family):
     """Rows of an SL family, one per (sign pair, lambda).
 
     A homs family (kind gp, or gprime for the g'-homomorphisms) is the SL
-    family at (lambda, nu) = (-s, -r); its rows show (s, r).
+    family at (lambda, nu) = (-s, -r); its rows show (s, r).  The
+    representative is the first member: the first sign pair at the
+    critical lambda.
     """
     n, ell = family.n, family.ell
     connected = family.kind == "gprime"
     gap = exact(family.m + Fraction(n, n - 1) * ell)
+    members, targets = family.members(), _member_targets(family, (gap,))
     cells = []
-    for (signs, (lam,)), ((nu,), pair) in zip(family.members(), _member_targets(family, (gap,))):
+    for (signs, (lam,)), ((nu,), pair) in zip(members, cycle(targets)):
         (alpha,), (beta,) = signs
         q = SLQuadruple(alpha, beta, ell, lam, nu).canonical(n)
         rec = in_lambda_sl_connected(q.ell, lam, nu, n) if connected else in_lambda_sl(q, n)
-        cells.append((
-            signs, pair,
-            ScalarRepParams.sl(n, lam, alpha), TargetRepParams.sl(n, nu, ell=q.ell, beta=q.beta),
-            record_dim(rec), _expected_basis(rec, n),
-        ))
-    return _rows(family, cells, weight_degree_cap(gap), connected=connected)
+        cells.append((signs, pair, record_dim(rec), _expected_basis(rec, n)))
+    (((alpha,), (beta,)), (lam,)), ((nu,), _) = members[0], targets[0]
+    q = SLQuadruple(alpha, beta, ell, lam, nu).canonical(n)
+    source, target = ScalarRepParams.sl(n, lam, alpha), TargetRepParams.sl(n, nu, ell=q.ell, beta=q.beta)
+    return _rows(family, cells, source, target, weight_degree_cap(gap), connected=connected)
 
 
 def classify_gl_cell(family):
-    """Rows of a GL family, one per (sign pair, lambda_1, lambda_2)."""
+    """Rows of a GL family, one per (sign pair, lambda_1, lambda_2); the representative is the first member."""
     n, ell = family.n, family.ell
     gaps = (exact(family.m + Fraction(n, n - 1) * ell), exact(-Fraction(ell, n - 1)))
+    members, targets = family.members(), _member_targets(family, gaps)
     cells = []
-    for ((alphas, betas), lams), (nus, pair) in zip(family.members(), _member_targets(family, gaps)):
+    for ((alphas, betas), lams), (nus, pair) in zip(members, cycle(targets)):
         rec = in_lambda_gl(GLTuple(alphas, betas, ell, lams, nus), n)
-        cells.append((
-            (alphas, betas), pair,
-            ScalarRepParams(n, GL, alphas, lams), TargetRepParams(n, GL, betas, nus, ell),
-            record_dim(rec), _expected_basis(rec, n),
-        ))
-    return _rows(family, cells, weight_degree_cap(gaps[0]))
+        cells.append(((alphas, betas), pair, record_dim(rec), _expected_basis(rec, n)))
+    ((alphas, betas), lams), (nus, _) = members[0], targets[0]
+    source, target = ScalarRepParams(n, GL, alphas, lams), TargetRepParams(n, GL, betas, nus, ell)
+    return _rows(family, cells, source, target, weight_degree_cap(gaps[0]))
 
 
 def classify_ido_cell(family):
-    """Rows of the order-k family (k = `ell`), one per lambda (SL) or (lambda_1, lambda_2) (GL)."""
+    """Rows of the order-k family (k = `ell`), one per lambda (SL) or
+    (lambda_1, lambda_2) (GL); the representative is the first member."""
     n, k, flavor = family.n, family.ell, family.flavor
     gaps = (Fraction(n + 1, n) * k, -Fraction(k, n))
+    members, targets = family.members(), _member_targets(family, gaps)
     cells = []
-    for ((alphas, deltas), lams), (taus, pair) in zip(family.members(), _member_targets(family, gaps)):
+    for ((alphas, deltas), lams), (taus, pair) in zip(members, cycle(targets)):
         predicted = predicted_dim_ido(n, alphas, deltas, k, lams, taus)
-        cells.append((
-            (alphas, deltas), pair,
-            ScalarRepParams(n, flavor, alphas, lams), TargetRepParams(n, flavor, deltas, taus, k),
-            predicted, [ido_symbol_vector(k, n)] if predicted == 1 else [],
-        ))
-    return _rows(family, cells, k, full_nilradical=True)
+        cells.append(((alphas, deltas), pair, predicted, [ido_symbol_vector(k, n)] if predicted == 1 else []))
+    ((alphas, deltas), lams), (taus, _) = members[0], targets[0]
+    source, target = ScalarRepParams(n, flavor, alphas, lams), TargetRepParams(n, flavor, deltas, taus, k)
+    return _rows(family, cells, source, target, k, full_nilradical=True)
 
 
 def scan_jobs(
@@ -969,8 +926,12 @@ def run_cell(family):
     """The rows of one `scan_jobs` family.
 
     The row builders are named in the body, so each call reads them from
-    the module namespace: a wrapper bound there sees every family.
+    the module namespace: a wrapper bound there sees every family.  A
+    family without a lambda (say, no lambda_2 sample) has no member, so
+    no row.
     """
+    if not (family.lams and family.lam2s):
+        return []
     if family.kind.endswith("-ido"):
         return classify_ido_cell(family)
     if family.kind == "gl":

@@ -135,26 +135,34 @@ MUTANTS = [
         "inverse = tuple(tuple(int(-x * denominator) for x in row) for row in inverse)",
         ["tests/test_engine.py"],
     ),
-    # -- the member check: a further member shares every sign-free stage -------
-    (
-        "member-check-drops-the-gap",
-        "engine.py",
-        "return source.n, source.flavor, target.ell, gap, key",
-        "return source.n, source.flavor, target.ell, key",
-        ["tests/test_engine.py"],
-    ),
+    # -- a family is its representative moved along its gap: the signs enter
+    # through the relative sign, and the stages must not move with lambda -----
     (
         "member-check-drops-the-sign-key",
         "engine.py",
-        "if self._family_data(source, target) != self._data or not self.lie.lambda_free:",
-        "if self._family_data(source, target)[:-1] != self._data[:-1] or not self.lie.lambda_free:",
+        "self.sign_key = () if connected else tuple(",
+        "self.sign_key = () if True else tuple(",
         ["tests/test_engine.py"],
     ),
     (
         "member-check-drops-the-lambda-free-check",
         "engine.py",
-        "if self._family_data(source, target) != self._data or not self.lie.lambda_free:",
-        "if self._family_data(source, target) != self._data:",
+        "if not ctx.lie.lambda_free and any(lam != source.lam for lam in lams):",
+        "if False:",
+        ["tests/test_engine.py"],
+    ),
+    (
+        "record-accepts-differing-sign-characters",
+        "engine.py",
+        "if signs != tuple(pd.sign_coefficients(g, block) for g in gammas):",
+        "if False:",
+        ["tests/test_engine.py::test_differing_source_and_target_sign_characters_raise"],
+    ),
+    (
+        "rows-read-one-lambda-for-every-member",
+        "engine.py",
+        "in zip(cells, cycle(solves))",
+        "in zip(cells, cycle(solves[:1]))",
         ["tests/test_engine.py"],
     ),
     # -- the F-system solved once per stage, as a lambda-locus -----------------
@@ -191,7 +199,7 @@ MUTANTS = [
         "family-solves-every-member-at-the-first-weights",
         "engine.py",
         "if _on_locus(locus, w)]",
-        "if _on_locus(locus, weights[0])]",
+        "if _on_locus(locus, ctx.weights)]",
         ["tests/test_engine.py"],
     ),
     # -- the F-system rows: each piece applied to a vector's terms of one label --
@@ -220,8 +228,8 @@ MUTANTS = [
     (
         "sign-key-drops-the-mod-2",
         "engine.py",
-        "(_dot(alpha, a) + _dot(beta, b)) % 2 for a, b",
-        "(_dot(alpha, a) + _dot(beta, b)) for a, b",
+        "tuple(_dot(relative, a) % 2 for a in lie.signs)",
+        "tuple(_dot(relative, a) for a in lie.signs)",
         ["tests/test_engine.py"],
     ),
     (
@@ -424,9 +432,9 @@ MUTANTS = [
     (
         "family-builds-a-context-per-member",
         "engine.py",
-        "weights = [ctx.weights] + [ctx.member_weights(s, t) for s, t in members[1:]]",
-        "weights = [ctx.weights] + [_SolveContext(s, t, connected, full_nilradical).weights"
-        " for s, t in members[1:]]",
+        "for basis, _, _ in solve_family(source, target, family.lambdas(), degree_cap, **mode)",
+        "for lam in family.lambdas()"
+        " for basis, _, _ in solve_family(source, target, [lam], degree_cap, **mode)",
         ["tests/test_engine.py::test_family_builds_one_solve_context"],
     ),
     # -- the term kernels' exponent arithmetic in C, and their memos ------------

@@ -32,7 +32,7 @@ from fmethod.algebra import (
     sparse_nullspace,
     unit_monomial,
 )
-from fmethod.engine import SolutionSpace, _SolveContext, _to_vvps
+from fmethod.engine import _SolveContext, _to_vvps
 from fmethod.liealg import GL, SL, LieElement, bracket, parabolic
 from fmethod.rep import OperatorOnVV, VectorValuedPolynomial, characters, dpi_lambda, dpi_target
 from fmethod.weyl import WeylElement
@@ -481,18 +481,15 @@ def weigh(pieces, weights) -> dict:
     return rows
 
 
-def solve_family_per_weight(members, degree_cap, connected=False, full_nilradical=False) -> list:
+def solve_family_per_weight(source, target, lams, degree_cap, connected=False, full_nilradical=False) -> list:
     """`engine.solve_family` by elimination at each distinct weight w = 2rho - lambda.
 
-    One context and the same stages, but each member's F-system is the
+    One context and the same stages, but each lambda's F-system is the
     piece rows weighed at its w, solved by `sparse_nullspace` over the
     stage's equivariant vectors, whatever their number, with the
-    solutions put in RREF; members at equal weights share one solve.
+    solutions put in RREF; equal weights share one solve.
     """
-    if not members:
-        return []
-    ctx = _SolveContext(*members[0], connected, full_nilradical)
-    weights = [ctx.weights] + [ctx.member_weights(s, t) for s, t in members[1:]]
+    ctx = _SolveContext(source, target, connected, full_nilradical)
     stages = []
     for d in range(max(degree_cap, -1) + 1):
         unknowns = ctx.unknowns_at_degree(d)
@@ -518,7 +515,8 @@ def solve_family_per_weight(members, degree_cap, connected=False, full_nilradica
 
     solved = {}
     out = []
-    for (source, target), w in zip(members, weights):
+    for lam in lams:
+        w = ctx.weights_at(lam)
         if w not in solved:
             solved[w] = solve_at(w)
         solutions, degrees, sizes = solved[w]
@@ -528,5 +526,5 @@ def solve_family_per_weight(members, degree_cap, connected=False, full_nilradica
             "connected": connected,
             "full_nilradical": full_nilradical,
         }
-        out.append(SolutionSpace(source, target, list(solutions), list(degrees), provenance))
+        out.append((list(solutions), list(degrees), provenance))
     return out

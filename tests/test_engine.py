@@ -26,7 +26,7 @@ from fmethod.engine import (
     solve_fsystem,
     weight_degree_cap,
 )
-from fmethod.liealg import GL, SL, LieElement, parabolic
+from fmethod.liealg import GL, SL, LieElement, ParabolicData, parabolic
 from fmethod.params import sign_str
 from fmethod.rep import (
     ScalarRepParams,
@@ -215,8 +215,25 @@ def test_classify_table_deterministic():
 # -- families --------------------------------------------------------------------
 
 
-def _solution_record(sol):
-    return (sol.source, sol.target, [str(v) for v in sol.basis], sol.degrees, sol.provenance)
+def _solution_record(solution):
+    """A `solve_family` result (basis, degrees, provenance), with the basis printed."""
+    basis, degrees, provenance = solution
+    return [str(v) for v in basis], degrees, provenance
+
+
+def _solved(sol):
+    """A `SolutionSpace` as the (basis, degrees, provenance) of a `solve_family` result."""
+    return sol.basis, sol.degrees, sol.provenance
+
+
+def _members(source, target, lams):
+    """The family's (source, target) at each lambda in `lams`: the representative moved along its gap."""
+    swap = dataclasses.replace
+    return [
+        (swap(source, lam=lam),
+         swap(target, nu=tuple(exact(nu - x + y) for nu, x, y in zip(target.nu, source.lam, lam))))
+        for lam in lams
+    ]
 
 
 FAMILY_SCANS = [
@@ -238,13 +255,13 @@ def test_family_rows_match_per_member_solves(monkeypatch, n, options):
     family = engine.solve_family
     sizes = []
 
-    def member_by_member(members, degree_cap, connected=False, full_nilradical=False):
+    def member_by_member(source, target, lams, degree_cap, connected=False, full_nilradical=False):
         # solve_fsystem solves one member through solve_family
-        if len(members) == 1:
-            return family(members, degree_cap, connected, full_nilradical)
-        sizes.append(len(members))
-        return [solve_fsystem(src, tgt, degree_cap, connected, full_nilradical)
-                for src, tgt in members]
+        if len(lams) == 1:
+            return family(source, target, lams, degree_cap, connected, full_nilradical)
+        sizes.append(len(lams))
+        return [_solved(solve_fsystem(src, tgt, degree_cap, connected, full_nilradical))
+                for src, tgt in _members(source, target, lams)]
 
     monkeypatch.setattr(engine, "solve_family", member_by_member)
     assert classify(n, **options) == family_rows
@@ -254,16 +271,12 @@ def test_family_rows_match_per_member_solves(monkeypatch, n, options):
 
 
 def _family(n, critical, full=False):
-    """Members (critical lambda first) and cap: (m, l) = (2, 2), or order k = 2 when full."""
-    lams = (Fraction(critical), Fraction(1, 3), Fraction(-7, 2))
+    """(source, target, lambdas, cap), critical lambda first: (m, l) = (2, 2), or order k = 2 when full."""
+    lams = [(exact(lam),) for lam in (critical, Fraction(1, 3), Fraction(-7, 2))]
     if full:
-        members = [
-            (ScalarRepParams.sl(n, lam), TargetRepParams.sl(n, lam + Fraction(n + 1, n) * 2, 2, 0))
-            for lam in lams
-        ]
-        return members, 2
-    members = [sl_pair(n, lam, 2, 2)[:2] for lam in lams]
-    return members, weight_degree_cap(2 + Fraction(n, n - 1) * 2)
+        tau = critical + Fraction(n + 1, n) * 2
+        return ScalarRepParams.sl(n, critical), TargetRepParams.sl(n, tau, 2, 0), lams, 2
+    return (*sl_pair(n, critical, 2, 2)[:2], lams, weight_degree_cap(2 + Fraction(n, n - 1) * 2))
 
 
 @pytest.mark.parametrize("n, critical, options", [
@@ -272,21 +285,24 @@ def _family(n, critical, full=False):
     (3, -1, {"full_nilradical": True}),
 ])
 def test_family_members_equal_solve_fsystem(n, critical, options):
-    members, cap = _family(n, critical, options.get("full_nilradical", False))
-    sols = engine.solve_family(members, cap, **options)
+    source, target, lams, cap = _family(n, critical, options.get("full_nilradical", False))
+    sols = engine.solve_family(source, target, lams, cap, **options)
     # the F-system moves with lambda: the critical member has more solutions
-    assert sols[0].dim > max(sol.dim for sol in sols[1:])
-    for (src, tgt), sol in zip(members, sols):
+    assert len(sols[0][0]) > max(len(basis) for basis, _, _ in sols[1:])
+    for (src, tgt), sol in zip(_members(source, target, lams), sols, strict=True):
         alone = solve_fsystem(src, tgt, cap, **options)
-        assert _solution_record(sol) == _solution_record(alone)
-        (one,) = engine.solve_family([(src, tgt)], cap, **options)
-        assert _solution_record(one) == _solution_record(alone)
+        assert (alone.source, alone.target) == (src, tgt)
+        assert _solution_record(sol) == _solution_record(_solved(alone))
+        (one,) = engine.solve_family(src, tgt, [src.lam], cap, **options)
+        assert _solution_record(one) == _solution_record(sol)
 
 
 def test_empty_sample_list_gives_no_rows():
     assert classify(2, flavor=GL, m_max=1, l_max=1, lambda2_samples=()) == []
     assert classify(3, flavor=GL, ido=True, lambda2_samples=()) == []
-    assert engine.solve_family([], 3) == []
+    assert engine.run_cell(Family("gl", 2, 1, 1, ((0, 0), (1, 1)), (-1,), ())) == []
+    assert engine.run_cell(Family("sl", 3, 1, 1, ((0, 0), (1, 1)), ())) == []
+    assert engine.solve_family(*sl_pair(3, 5, 1, 0)[:2], [], 3) == []
 
 
 @pytest.mark.parametrize("options", [{"m_max": 1, "l_max": 1}, {"ido": True, "k_max": 2}])
@@ -335,15 +351,6 @@ def test_lambda_dependent_shared_stage_raises(patch_dpi_hat_parts, capsys, stage
         (row,) = classify_sl_cell(_sl_family(3, 1, 1, Fraction(-7, 2)))
     assert main(["classify", "--n", "3", "--m-max", "1", "--l-max", "1"]) == 3
     assert f"internal error: {message}" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("off", [Fraction(1), Fraction(1, 2), Fraction(3)])
-def test_member_off_the_gap_raises(off):
-    members = [sl_pair(3, lam, 1, 1)[:2] for lam in (-1, Fraction(1, 3), 5, Fraction(-7, 2))]
-    src, tgt = members[-1]
-    members[-1] = (src, dataclasses.replace(tgt, nu=(tgt.nu[0] + off,)))
-    with pytest.raises(ValueError, match="lambda-independent stage"):
-        solve_family(members, weight_degree_cap(1 + Fraction(3, 2)))
 
 
 def test_negative_weight_gap_is_empty():
@@ -474,9 +481,10 @@ def test_enumeration_caches_key_every_input():
 
     The label solves are kept per (record, l), and a record per (algebra,
     mode); a key that left out an input the enumeration reads would hand a
-    later context the label solves of an earlier one.  The member check
-    partitions the walk the same way: only the step that moves lambda
-    along the gap could join the previous step's family.
+    later context the label solves of an earlier one.  The families
+    partition the walk the same way: only the step that moves lambda along
+    the gap keeps the previous step's sign key and label intervals, and
+    the previous step's family solve at its lambda is its own solve.
     """
     swap = dataclasses.replace
     s0, t0, cap = _enumeration_case(3, SL, False, True)
@@ -515,32 +523,32 @@ def test_enumeration_caches_key_every_input():
         assert shared is ctx.lie.label_solves[target.ell]
         assert solves.setdefault(key, shared) is shared, name
         if previous is not None:
-            # a family is solved in one mode, so a step that changes the mode
-            # starts another family; within a mode, only a move of lambda
-            # along the gap passes the member check
-            accepted = mode == previous_mode
-            if accepted:
-                try:
-                    previous.member_weights(source, target)
-                except ValueError as err:
-                    assert "lambda-independent stage" in str(err), name
-                    accepted = False
-            assert accepted == (name == "lambda at the same gap"), name
+            # a family is solved in one mode, on one record and fiber, so a
+            # step that changes them starts another family; then only a move
+            # of lambda along the gap keeps every lambda-free stage
+            same = mode == previous_mode and (ctx.lie, ctx.fiber, ctx.sign_key, ctx._labels) == (
+                previous.lie, previous.fiber, previous.sign_key, previous._labels)
+            assert same == (name == "lambda at the same gap"), name
+            if same:
+                (moved,) = solve_family(previous.source, previous.target, [source.lam], cap, **mode)
+                alone = solve_fsystem(source, target, cap, **mode)
+                assert _solution_record(moved) == _solution_record(_solved(alone))
         previous, previous_mode = ctx, mode
     # the walk reaches two l on the SL primed record, one on each full one
     assert len(solves) == 5
     assert len({id(shared) for shared in solves.values()}) == 5
 
 
-def _unsolved(members, degree_cap, **mode):
-    return [engine.SolutionSpace(source, target, [], []) for source, target in members]
+def _unsolved(source, target, lams, degree_cap, **mode):
+    return [([], [], {}) for _ in lams]
 
 
 @st.composite
 def enumeration_members(draw):
     """(source, target, cap, mode): one member of a family of any kind, n = 2..8.
 
-    The member, cap and mode are those `run_cell` hands `solve_family`.
+    The member, the family's only one, cap and mode are those `run_cell`
+    hands `solve_family`.
     Any sign pair, and lambda critical, an integer -5..2 or a rational; at
     n >= 6 only m, l <= 1 (k <= 2), so the degrees stay small.  Some draws
     move nu off the family's gap, where a scaled shift may be non-integral.
@@ -553,8 +561,7 @@ def enumeration_members(draw):
     lam2s = (draw(_lambdas),) if kind.startswith("gl") else (None,)
     signs = ((draw(st.integers(0, 1)), draw(st.integers(0, 1))),)
     family = Family(kind, n, m, ell, signs, (lam,), lam2s)
-    _, ((member,), cap, mode) = _family_solve(family, _unsolved)
-    source, target = member
+    _, (source, target, _, cap, mode) = _family_solve(family, _unsolved)
     off = draw(st.sampled_from([0, Fraction(1, 2), Fraction(-1, 3), 1]))
     if off and draw(st.booleans()):
         target = dataclasses.replace(target, nu=tuple(x + off for x in target.nu))
@@ -781,15 +788,15 @@ def _full_lie_data(pd, full_nilradical):
 def _classify_with_provenance(monkeypatch, options):
     spaces = []
 
-    def recording(*args, **kwargs):
-        out = solve_family(*args, **kwargs)
-        spaces.extend(out)
+    def recording(source, target, lams, *args, **kwargs):
+        out = solve_family(source, target, lams, *args, **kwargs)
+        spaces.extend((source, target, lam, sol[2]) for lam, sol in zip(lams, out, strict=True))
         return out
 
     with monkeypatch.context() as patch:
         patch.setattr(engine, "solve_family", recording)
         rows = classify(**options)
-    return rows, [(sol.source, sol.target, sol.provenance) for sol in spaces]
+    return rows, spaces
 
 
 @pytest.mark.parametrize("options", [
@@ -899,17 +906,18 @@ def test_weighing_leaves_the_piece_rows_alone():
     The weighing is the per-weight reference's (`references.weigh`), which
     the lambda-loci are tested against.
     """
-    members = [sl_pair(3, lam, 1, 1)[:2] for lam in (Fraction(1, 3), Fraction(5), Fraction(-1))]
-    sols = solve_family(members, 2)
-    assert [sol.dim for sol in sols] == [0, 0, 1]
-    for (source, target), sol in zip(members, sols, strict=True):
-        assert sol.basis == solve_fsystem(source, target, 2).basis
-    ctx = _SolveContext(*members[0])
+    source, target, _ = sl_pair(3, Fraction(1, 3), 1, 1)
+    lams = [(Fraction(1, 3),), (5,), (-1,)]
+    sols = solve_family(source, target, lams, 2)
+    assert [len(basis) for basis, _, _ in sols] == [0, 0, 1]
+    for (src, tgt), (basis, _, _) in zip(_members(source, target, lams), sols, strict=True):
+        assert basis == solve_fsystem(src, tgt, 2).basis
+    ctx = _SolveContext(source, target)
     unknowns = ctx.unknowns_at_degree(2)
     pieces = ctx.fsystem_rows(unknowns, ctx.equivariant_vectors(unknowns))
     before = [{key: dict(row) for key, row in rows.items()} for rows in pieces]
-    for source, target in members:
-        references.weigh(pieces, ctx.member_weights(source, target))
+    for lam in lams:
+        references.weigh(pieces, ctx.weights_at(lam))
     assert pieces == before
 
 
@@ -983,12 +991,13 @@ def families(draw, max_n=5, min_lam2s=1):
 
 
 def _family_solve(family, solve=solve_family):
-    """(rows, the members, cap and mode that `run_cell` hands `solve_family`), solved by `solve`."""
+    """(rows, the (source, target, lams, cap, mode) that `run_cell` hands
+    `solve_family`), solved by `solve`."""
     calls = []
 
-    def recording(members, degree_cap, **mode):
-        calls.append((members, degree_cap, mode))
-        return solve(members, degree_cap, **mode)
+    def recording(source, target, lams, degree_cap, **mode):
+        calls.append((source, target, lams, degree_cap, mode))
+        return solve(source, target, lams, degree_cap, **mode)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "solve_family", recording)
@@ -1000,20 +1009,28 @@ def _family_solve(family, solve=solve_family):
 @given(families())
 @settings(max_examples=100, deadline=None)
 def test_family_solve_equals_member_solves(family):
-    rows, (members, cap, mode) = _family_solve(family)
-    assert len(members) == len(rows) == len(family.members())
+    """One solve per family: the representative is the first member, at the
+    critical lambda, and is moved to each of the family's lambdas; each
+    lambda's solve is its member's own, and row i reads lambda i mod their
+    count."""
+    rows, (source, target, lams, cap, mode) = _family_solve(family)
+    assert lams == family.lambdas() and source.lam == lams[0] == family.members()[0][1]
+    # the first sign pair; at n = 2, an SL or homs family folds l into beta
+    assert source.alpha[0] == family.signs[0][0]
+    assert target.beta[0] == family.signs[0][1] or family.n == 2 and not family.kind.endswith("-ido")
+    assert len(rows) == len(family.members())
     # each row heads with its own member's signs
     assert [(row["alpha"], row["beta"]) for row in rows] == [
         (",".join(map(sign_str, alphas)), ",".join(map(sign_str, betas)))
         for (alphas, betas), _ in family.members()
     ]
-    together = solve_family(members, cap, **mode)
-    for (source, target), sol in zip(members, together, strict=True):
-        alone = solve_fsystem(source, target, cap, **mode)
-        assert (sol.source, sol.target) == (source, target)
-        assert sol.basis == alone.basis
-        assert sol.degrees == alone.degrees
-        assert sol.provenance["sizes"] == alone.provenance["sizes"]
+    together = solve_family(source, target, lams, cap, **mode)
+    assert [row["computed_dim"] for row in rows] == [len(together[i % len(lams)][0]) for i in range(len(rows))]
+    for (src, tgt), (basis, degrees, provenance) in zip(_members(source, target, lams), together, strict=True):
+        alone = solve_fsystem(src, tgt, cap, **mode)
+        assert basis == alone.basis
+        assert degrees == alone.degrees
+        assert provenance["sizes"] == alone.provenance["sizes"]
 
 
 @given(families(max_n=6, min_lam2s=2))
@@ -1023,13 +1040,13 @@ def test_locus_solve_equals_the_per_weight_reference(family):
     member's weights, gives the bases, degrees and sizes of eliminating the
     F-system at each distinct weight.  The critical lambda comes first, and
     a GL family holds two lambda_2 values."""
-    rows, (members, cap, mode) = _family_solve(family)
+    rows, (source, target, lams, cap, mode) = _family_solve(family)
     reference_rows, _ = _family_solve(family, references.solve_family_per_weight)
     assert rows == reference_rows
-    got = solve_family(members, cap, **mode)
-    want = references.solve_family_per_weight(members, cap, **mode)
+    got = solve_family(source, target, lams, cap, **mode)
+    want = references.solve_family_per_weight(source, target, lams, cap, **mode)
     assert [_solution_record(sol) for sol in got] == [_solution_record(sol) for sol in want]
-    assert [sol.basis for sol in got] == [sol.basis for sol in want]
+    assert [basis for basis, _, _ in got] == [basis for basis, _, _ in want]
 
 
 def test_locus_of_a_constant_row_is_empty_and_of_no_row_every_lambda():
@@ -1058,8 +1075,9 @@ def test_locus_of_a_constant_row_is_empty_and_of_no_row_every_lambda():
 def test_a_stage_that_no_lambda_solves_is_dropped(monkeypatch):
     """A row of the F-system with a constant alone makes the stage's locus
     empty: no member keeps that degree, at the critical lambda or elsewhere."""
-    members = [sl_pair(3, lam, 1, 1)[:2] for lam in (Fraction(-1), Fraction(1, 3))]
-    assert [sol.dim for sol in solve_family(members, 2)] == [1, 0]
+    source, target, _ = sl_pair(3, -1, 1, 1)
+    lams = [(-1,), (Fraction(1, 3),)]
+    assert [len(basis) for basis, _, _ in solve_family(source, target, lams, 2)] == [1, 0]
     fsystem_rows = _SolveContext.fsystem_rows
 
     def with_a_constant_row(self, unknowns, eq_vectors):
@@ -1067,16 +1085,17 @@ def test_a_stage_that_no_lambda_solves_is_dropped(monkeypatch):
         return [{**base, "constant": {0: 1}}, *parts]
 
     monkeypatch.setattr(_SolveContext, "fsystem_rows", with_a_constant_row)
-    for sol in solve_family(members, 2):
-        assert (sol.dim, sol.degrees, sol.provenance["sizes"]) == (0, [], {})
+    for basis, degrees, provenance in solve_family(source, target, lams, 2):
+        assert (basis, degrees, provenance["sizes"]) == ([], [], {})
 
 
 def test_a_stage_with_two_equivariant_vectors_raises(monkeypatch, capsys):
     """Schur's lemma leaves each stage at most one equivariant vector; a stage
     with two stops the solve with a ValueError that names the family, which
     the CLI reports as an internal error (exit 3)."""
-    members = [sl_pair(3, lam, 1, 0)[:2] for lam in (Fraction(5), Fraction(1, 3))]
-    assert solve_family(members, 1)[0].dim == 1
+    source, target, _ = sl_pair(3, 5, 1, 0)
+    lams = [(5,), (Fraction(1, 3),)]
+    assert len(solve_family(source, target, lams, 1)[0][0]) == 1
     equivariant_vectors = _SolveContext.equivariant_vectors
 
     def doubled(self, unknowns):
@@ -1087,7 +1106,7 @@ def test_a_stage_with_two_equivariant_vectors_raises(monkeypatch, capsys):
     monkeypatch.setattr(_SolveContext, "equivariant_vectors", doubled)
     message = "the sl family at n = 3, l = 0, nu - lambda = 1 has 2 equivariant vectors in degree 1"
     with pytest.raises(ValueError, match=message):
-        solve_family(members, 1)
+        solve_family(source, target, lams, 1)
     assert main(["classify", "--n", "3", "--m-max", "1", "--l-max", "0"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("internal error: the sl family at n = 3, l = 0, nu - lambda = ")
@@ -1135,15 +1154,15 @@ def test_fsystem_rows_are_built_once_per_stage(monkeypatch, family):
         built.append(len(eq_vectors))
         return fsystem_rows(self, unknowns, eq_vectors)
 
-    _, (members, cap, mode) = _family_solve(family)
-    ctx = _SolveContext(*members[0], **mode)
+    _, (source, target, lams, cap, mode) = _family_solve(family)
+    ctx = _SolveContext(source, target, **mode)
     stages = sum(1 for d in range(cap + 1) if ctx.equivariant_vectors(ctx.unknowns_at_degree(d)))
     monkeypatch.setattr(_SolveContext, "fsystem_rows", counting)
-    for some in (members[:1], members):
+    for some in (lams[:1], lams):
         built.clear()
-        solve_family(some, cap, **mode)
+        solve_family(source, target, some, cap, **mode)
         assert len(built) == stages and all(built)
-    assert len(members) >= 2 and stages >= 1
+    assert len(lams) >= 2 and stages >= 1
 
 
 @pytest.mark.parametrize("family", _FAMILY_OF_EACH_KIND, ids=lambda f: f.kind)
@@ -1151,8 +1170,8 @@ def test_linear_stages_keep_integral_values_int(monkeypatch, family):
     """The fiber's m-actions of the raising elements, the equivariance rows
     and the equivariant vectors hold no integral Fraction, and at the integral
     critical lambda, the first member's, the weighed F-system rows hold ints only."""
-    _, (members, cap, mode) = _family_solve(family)
-    ctx = _SolveContext(*members[0], **mode)
+    _, (source, target, _, cap, mode) = _family_solve(family)
+    ctx = _SolveContext(source, target, **mode)
     assert all(type(w) is int for w in ctx.weights)
     acts = ctx.lie.raising_acts[ctx.target.ell]
     assert all(is_exact_normal_form(a) for act in acts for a in act.values())
@@ -1193,8 +1212,8 @@ def test_linear_stages_match_the_per_monomial_reference(family, data):
     whose entries are mostly 1, they are also built on random vectors over
     the unknowns.
     """
-    _, (members, cap, mode) = _family_solve(family)
-    ctx = _SolveContext(*members[0], **mode)
+    _, (source, target, _, cap, mode) = _family_solve(family)
+    ctx = _SolveContext(source, target, **mode)
     for d in range(cap + 1):
         unknowns = ctx.unknowns_at_degree(d)
         vectors = ctx.equivariant_vectors(unknowns)
@@ -1234,65 +1253,96 @@ def test_a_family_of_the_flipped_sign_builds_no_fsystem_rows(monkeypatch):
     assert len(built) == 1 and stages == []
 
 
-@pytest.mark.parametrize("change", ["lambda_2 gap", "alpha", "beta", "ell"])
-def test_member_outside_the_family_raises(change):
+def test_a_member_moved_along_the_gap_or_with_both_signs_flipped_shares_the_solve():
+    """A GL member moved along the gap in both components is the family's
+    member there: the family's solve at its lambda is its own.  The
+    representative with both first signs flipped has the same relative
+    sign, so the same sign key and the same solves."""
     source, target, cap = _enumeration_case(3, GL, False, True)
     swap = dataclasses.replace
-    moved = (swap(source, lam=tuple(x + 2 for x in source.lam)),
-             swap(target, nu=tuple(x + 2 for x in target.nu)))
-    # moved along the gap in both components, or with both first signs
-    # flipped (the same relative sign), a member belongs to the family
+    lams = [source.lam, tuple(x + 2 for x in source.lam)]
+    first, moved = solve_family(source, target, lams, cap)
+    ((src, tgt),) = _members(source, target, lams[1:])
+    assert tgt.nu == tuple(x + 2 for x in target.nu)
+    assert _solution_record(moved) == _solution_record(_solved(solve_fsystem(src, tgt, cap)))
     flipped = (swap(source, alpha=_flip_first(source.alpha)), swap(target, beta=_flip_first(target.beta)))
-    first, _, twin = solve_family([(source, target), moved, flipped], cap)
-    assert (twin.source, twin.target) == flipped
-    assert twin.basis == first.basis and twin.degrees == first.degrees and twin.dim > 0
-    src, tgt = moved
-    src, tgt = {
-        "lambda_2 gap": (src, swap(tgt, nu=(tgt.nu[0], tgt.nu[1] + Fraction(1, 2)))),
-        "alpha": (swap(src, alpha=_flip_first(src.alpha)), tgt),
-        "beta": (src, swap(tgt, beta=_flip_first(tgt.beta))),
-        "ell": (src, swap(tgt, ell=tgt.ell - 1)),
-    }[change]
-    with pytest.raises(ValueError, match="lambda-independent stage"):
-        solve_family([(source, target), (src, tgt)], cap)
+    assert _SolveContext(*flipped).sign_key == _SolveContext(source, target).sign_key
+    twin = solve_family(*flipped, lams, cap)
+    assert [_solution_record(sol) for sol in twin] == [_solution_record(first), _solution_record(moved)]
+    assert first[0]
 
 
 def test_connected_family_reads_no_signs():
     # the identity component has no gamma conditions, so any signs share a solve
     source, target, cap = _enumeration_case(3, SL, False, True)
-    swap = dataclasses.replace
-    member = (swap(source, alpha=_flip_first(source.alpha)), target)
-    first, other = solve_family([(source, target), member], cap, connected=True)
-    assert other.basis == first.basis and first.dim > 0
-    with pytest.raises(ValueError, match="lambda-independent stage"):
-        solve_family([(source, target), member], cap)
+    member = (dataclasses.replace(source, alpha=_flip_first(source.alpha)), target)
+    lams = [source.lam]
+    first = solve_family(source, target, lams, cap, connected=True)
+    assert solve_family(*member, lams, cap, connected=True) == first and first[0][0]
+    assert _SolveContext(*member, connected=True).sign_key == ()
+    # with the component group, alpha alone flipped is another relative sign
+    assert solve_family(*member, lams, cap)[0][0] != solve_family(source, target, lams, cap)[0][0]
 
 
 @pytest.mark.parametrize("full", [False, True])
 @pytest.mark.parametrize("flavor", [SL, GL])
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_gamma_parities_read_only_the_relative_sign(n, flavor, full):
     """The fact a scan family rests on, in the first sign components.
 
-    Flipping alpha and beta together keeps a member's family data, sign
-    key included; flipping only one of them changes the key.
+    Every record's source and target sign characters add the same parities
+    at each gamma (`_LieData.signs`), so a context's sign key reads only
+    the relative sign: flipping alpha and beta together keeps it, and
+    flipping only one of them changes it.  At l = 0 the one label's
+    parities, from the Fraction products of the sign rule, are the key.
     """
     pad = (0,) if flavor == GL else ()
     source, target, _ = _enumeration_case(n, flavor, full, True)
-    ctx = _SolveContext(source, target, full_nilradical=full)
+    pd = parabolic(n, flavor)
+    lie = engine._lie_data(pd, full)
+    block = n if full else n - 1
+    assert lie.signs == tuple(pd.sign_coefficients(g, n) for g in lie.gammas)
+    assert lie.signs == tuple(pd.sign_coefficients(g, block) for g in lie.gammas)
 
-    def family_data(alpha, beta, ell):
+    def key(alpha, beta, ell):
         swap = dataclasses.replace
         src = swap(source, alpha=(alpha,) + pad)
-        return ctx._family_data(src, swap(target, beta=(beta,) + pad, ell=ell))
+        return _SolveContext(src, swap(target, beta=(beta,) + pad, ell=ell), full_nilradical=full).sign_key
 
     for ell in range(4):
         for alpha in (0, 1):
             for beta in (0, 1):
-                base = family_data(alpha, beta, ell)
-                assert family_data(1 - alpha, 1 - beta, ell) == base
-                assert family_data(1 - alpha, beta, ell)[-1] != base[-1]
-                assert family_data(alpha, 1 - beta, ell)[-1] != base[-1]
+                base = key(alpha, beta, ell)
+                assert key(1 - alpha, 1 - beta, ell) == base
+                assert key(1 - alpha, beta, ell) != base
+                assert key(alpha, 1 - beta, ell) != base
+                if ell == 0:
+                    _, parities = gamma_parities(pd, full, (alpha,) + pad, (beta,) + pad, 0)
+                    assert list(parities.values()) == [base]
+
+
+def test_differing_source_and_target_sign_characters_raise(monkeypatch, capsys):
+    """A record whose source and target sign characters add different
+    parities at a gamma would let the signs enter through more than their
+    relative sign: `_LieData.of` refuses it, and the CLI reports an
+    internal error (exit 3)."""
+    sign_coefficients = ParabolicData.sign_coefficients
+
+    def skewed(self, gamma, block):
+        a = sign_coefficients(self, gamma, block)
+        return a if block == self.n else tuple(1 - x for x in a)
+
+    message = "the source and target sign characters differ at a component-group generator"
+    engine._lie_data.cache_clear()
+    monkeypatch.setattr(ParabolicData, "sign_coefficients", skewed)
+    try:
+        with pytest.raises(ValueError, match=message):
+            solve_fsystem(*sl_pair(3, 5, 1, 0)[:2], 1)
+        assert main(["classify", "--n", "3", "--m-max", "1", "--l-max", "1"]) == 3
+        assert f"internal error: {message}" in capsys.readouterr().err
+    finally:
+        # no record built from the patch stays cached
+        engine._lie_data.cache_clear()
 
 
 @pytest.mark.parametrize("n, options, sign_families", [
@@ -1308,41 +1358,50 @@ def test_scan_solves_each_relative_sign_once(monkeypatch, n, options, sign_famil
         built.append(args)
         init(self, *args, **kwargs)
 
-    def counting_solve(members, *args, **kwargs):
-        solves.append({(src.alpha, tgt.beta) for src, tgt in members})
-        return family(members, *args, **kwargs)
+    def counting_solve(source, target, lams, *args, **kwargs):
+        solves.append(len(lams))
+        return family(source, target, lams, *args, **kwargs)
 
     monkeypatch.setattr(_SolveContext, "__init__", counting_init)
     monkeypatch.setattr(engine, "solve_family", counting_solve)
     rows = classify(n, **options)
     assert rows and all(row["ok"] for row in rows)
     assert len(built) == len(solves) == sign_families // 2
-    assert all(len(pairs) == 2 for pairs in solves)
+    # each solve serves both sign pairs of its relative sign, at every lambda
+    assert len(rows) == 2 * sum(solves)
 
 
 @pytest.mark.parametrize("change", [None, "gap", "sign key"])
 @pytest.mark.parametrize("lam", [Fraction(5), Fraction(1, 3)], ids=["integral", "non-integral"])
 @pytest.mark.parametrize("flavor", [SL, GL])
 def test_member_check_rejects_another_gap_or_sign_key(flavor, lam, change):
-    """A member at lambda on the first member's gap and sign key gets its weights
-    2rho - lambda, `int`s at an integral lambda; one whose nu is off the gap, or
-    whose beta alone is flipped (another sign key), raises."""
-    source, target, _ = _enumeration_case(3, flavor, False, True)
+    """A representative's family holds the member at lambda on its gap and
+    sign key: its context has the representative's sign key and label
+    intervals, its weights are 2rho - lambda (`int`s at an integral
+    lambda), and the family's solve at lambda is its own.  A member whose
+    nu is off the gap, or whose beta alone is flipped (another sign key),
+    is outside: the family call cannot express it, and its own context
+    has other label intervals or another key."""
+    source, target, cap = _enumeration_case(3, flavor, False, True)
     ctx = _SolveContext(source, target)
     swap = dataclasses.replace
-    src = swap(source, lam=(lam, *source.lam[1:]))
-    tgt = swap(target, nu=(exact(target.nu[0] - source.lam[0] + lam), *target.nu[1:]))
+    ((src, tgt),) = _members(source, target, [(lam, *source.lam[1:])])
     if change is None:
-        weights = ctx.member_weights(src, tgt)
+        member = _SolveContext(src, tgt)
+        assert (member.sign_key, member._labels) == (ctx.sign_key, ctx._labels)
+        weights = ctx.weights_at(src.lam)
+        assert weights == member.weights
         assert weights == tuple(r - x for r, x in zip(parabolic(3, flavor).two_rho(), src.lam))
         assert all(map(is_exact_normal_form, weights))
+        (moved,) = solve_family(source, target, [src.lam], cap)
+        assert _solution_record(moved) == _solution_record(_solved(solve_fsystem(src, tgt, cap)))
         return
     if change == "gap":
         tgt = swap(tgt, nu=(tgt.nu[0] + 1, *tgt.nu[1:]))
     else:
         tgt = swap(tgt, beta=_flip_first(tgt.beta))
-    with pytest.raises(ValueError, match="lambda-independent stage"):
-        ctx.member_weights(src, tgt)
+    other = _SolveContext(src, tgt)
+    assert (other.sign_key, other._labels) != (ctx.sign_key, ctx._labels)
 
 
 def test_weighing_at_a_non_integral_lambda_keeps_integral_entries_int():
@@ -1352,9 +1411,9 @@ def test_weighing_at_a_non_integral_lambda_keeps_integral_entries_int():
     lambda does."""
     integral = 0
     for family in engine.scan_jobs(2, m_max=3, l_max=3, lambda_samples=(Fraction(1, 3),)):
-        _, (members, cap, mode) = _family_solve(family)
-        ctx = _SolveContext(*members[0], **mode)
-        weights = {ctx.member_weights(s, t) for s, t in members if s.lam == (Fraction(1, 3),)}
+        _, (source, target, lams, cap, mode) = _family_solve(family)
+        ctx = _SolveContext(source, target, **mode)
+        weights = {ctx.weights_at(lam) for lam in lams if lam == (Fraction(1, 3),)}
         assert weights and all(type(w) is Fraction for ws in weights for w in ws)
         for d in range(cap + 1):
             unknowns = ctx.unknowns_at_degree(d)
@@ -1382,10 +1441,9 @@ def test_scan_parameters_are_in_the_exact_normal_form(n, options):
 
     seen = 0
     for family in engine.scan_jobs(n, m_max=2, l_max=2, k_max=2, **options):
-        _, (members, _, mode) = _family_solve(family)
-        ctx = _SolveContext(*members[0], **mode)
-        for source, target in members:
-            values = (*source.lam, *target.nu, *ctx.member_weights(source, target))
-            assert all(map(normal, values))
-            seen += sum(type(x) is int for x in values)
+        _, (source, target, lams, _, mode) = _family_solve(family)
+        ctx = _SolveContext(source, target, **mode)
+        values = (*source.lam, *target.nu, *(x for lam in lams for x in (*lam, *ctx.weights_at(lam))))
+        assert all(map(normal, values))
+        seen += sum(type(x) is int for x in values)
     assert seen

@@ -26,6 +26,7 @@ from fmethod.algebra import (
     sparse_nullspace,
     sparse_rref,
 )
+from fmethod.branch import invariants_in, verify_branching
 from fmethod.liealg import LieElement
 from fmethod.rep import ScalarRepParams, TargetRepParams
 from fmethod.verma import VermaModule
@@ -144,6 +145,9 @@ ENTRY_POINTS = {
         lambda x: same_span([{0: 1, 1: x}], [{0: 10, 1: 1}]),
         lambda got: Fraction(1, 10) if got is True else got,
     ),
+    # s as the report prints it; D = 1 keeps the characters short
+    "verify_branching": (lambda x: verify_branching(2, s=x, D=1), lambda got: Fraction(got["s"])),
+    "invariants_in": (lambda x: invariants_in(2, x, 1), lambda got: got.s),
 }
 
 
